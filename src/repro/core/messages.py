@@ -201,19 +201,27 @@ class Vote(Message):
 @message
 @dataclass(frozen=True)
 class CommitGossip(Message):
-    """Snapshot-vector gossip: recent commit points of one partition.
+    """Snapshot-vector gossip: one partition's new commit points.
 
     ``sc`` is the sender partition's snapshot counter; ``globals_committed``
-    lists ``(tid, version, partitions)`` for recently committed *global*
+    lists ``(tid, version, partitions)`` for committed *global*
     transactions, which the snapshot builder needs to avoid publishing a
     vector that splits a global transaction's atomicity.
 
     ``complete_from`` declares the completeness contract: the list contains
     **every** global commit of this partition with version in
-    ``(complete_from, sc]``.  A receiver may only treat versions up to
-    ``sc`` as safely summarized if its own completeness watermark already
-    covers ``complete_from`` — otherwise an un-listed old global could be
-    silently included and split.
+    ``(complete_from, sc]``.  A periodic tick sets it to the ``sc`` of the
+    sender's previous tick, so each tick carries only what is new.  A
+    receiver may only treat versions up to ``sc`` as safely summarized if
+    its own completeness watermark already covers ``complete_from`` —
+    otherwise an un-listed old global could be silently included and
+    split; it asks the sender for the missing range instead
+    (:class:`GossipResync`).
+
+    ``resync`` marks the reply to such a request.  A reply that still
+    leaves a gap (the receiver is further behind than the sender's
+    retained window) is not answered with another request; the next tick
+    is, so repair traffic is bounded by the gossip cadence.
     """
 
     partition: str
@@ -222,3 +230,19 @@ class CommitGossip(Message):
         default_factory=tuple
     )
     complete_from: int = 0
+    resync: bool = False
+
+
+@message
+@dataclass(frozen=True)
+class GossipResync(Message):
+    """A receiver's request to re-send what a missed tick carried.
+
+    Sent to the server whose :class:`CommitGossip` for ``partition``
+    started beyond the receiver's completeness watermark
+    ``have_through``; answered, to that receiver alone, with every
+    retained global commit above it.
+    """
+
+    partition: str
+    have_through: int

@@ -54,6 +54,7 @@ from repro.core.messages import (
     CommitGossip,
     CommitRequest,
     GetSnapshotVector,
+    GossipResync,
     NoopTick,
     OutcomeBatch,
     OutcomeNotice,
@@ -171,6 +172,9 @@ class ServerStats:
         #: batch: ``max_shard_units * num_shards * 100 / total_units``
         #: (100 = perfectly balanced; N*100 = all work on one shard).
         self.shard_imbalance_max = 0
+        #: Resync requests sent after a peer's gossip delta started
+        #: beyond this server's watermark (docs/PROTOCOL.md §6).
+        self.gossip_resyncs = 0
 
     @property
     def committed(self) -> int:
@@ -452,12 +456,25 @@ class SdurServer:
         self.runtime.set_timer(self.config.store_gc_interval, self._gc_tick)
 
     def _gossip_tick(self) -> None:
-        payload = self.snapshot_builder.gossip_payload()
+        payload = self.snapshot_builder.next_delta()
         own = set(self.directory.servers_of(self.partition))
         for server in self.directory.all_servers():
             if server not in own:
                 self.runtime.send(server, payload)
         self.runtime.set_timer(self.config.gossip_interval, self._gossip_tick)
+
+    def _on_gossip(self, src: str, msg: CommitGossip) -> None:
+        """Ingest a peer's delta; ask it to resync if one went missing.
+
+        At most one request per received tick: a resync reply that still
+        leaves a gap is not chased (docs/PROTOCOL.md §6).
+        """
+        have_through = self.snapshot_builder.on_gossip(msg)
+        if have_through is not None and not msg.resync:
+            self.stats.gossip_resyncs += 1
+            self.runtime.send(
+                src, GossipResync(partition=msg.partition, have_through=have_through)
+            )
 
     # ------------------------------------------------------------------
     # Message entry point
@@ -475,7 +492,12 @@ class SdurServer:
             vector = self.snapshot_builder.vector()
             self.runtime.send(msg.reply_to, SnapshotVectorReply(tid=msg.tid, vector=vector))
         elif isinstance(msg, CommitGossip):
-            self.snapshot_builder.on_gossip(msg)
+            self._on_gossip(src, msg)
+        elif isinstance(msg, GossipResync):
+            if msg.partition == self.partition:
+                self.runtime.send(
+                    src, self.snapshot_builder.payload_since(msg.have_through, resync=True)
+                )
         elif isinstance(msg, GetConfig):
             self.runtime.send(
                 msg.reply_to,

@@ -13,21 +13,26 @@ transaction: for every global ``t`` and partitions ``p, q`` it involves,
 visible at ``q``.
 
 Construction: servers gossip their partition's snapshot counter and the
-commit versions of recently committed global transactions
-(:class:`~repro.core.messages.CommitGossip`).  Each server independently
-starts from the latest counters it knows and *lowers* entries until no
-global transaction is split — lowering is always safe (it can only make
-the snapshot more outdated, never inconsistent) and converges because
-versions are bounded below.
+commit versions of the global transactions committed since their previous
+tick (:class:`~repro.core.messages.CommitGossip`, a *delta*; a receiver
+that missed one asks the sender to resync, see docs/PROTOCOL.md §6).
+Each server independently starts from the latest counters it knows and
+*lowers* entries until no global transaction is split — lowering is
+always safe (it can only make the snapshot more outdated, never
+inconsistent) and converges because versions are bounded below.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from collections import deque
+from operator import itemgetter
 
 from repro.core.messages import CommitGossip
 from repro.core.transaction import TxnId
 from repro.errors import ConfigurationError
+
+_VERSION = itemgetter(0)
 
 
 class GlobalSnapshotBuilder:
@@ -48,8 +53,11 @@ class GlobalSnapshotBuilder:
         #: For the own-partition gossip payload: globals below this version
         #: have been evicted from the retained window.
         self._evicted_below: dict[str, int] = {p: 0 for p in partitions}
+        #: Delta cursor: own-partition versions up to here were covered by
+        #: earlier ticks (see :meth:`next_delta`).
+        self._sent_through = 0
         #: Recently committed globals per partition: (version, tid), ascending.
-        self._commits: dict[str, deque[tuple[int, TxnId]]] = {p: deque() for p in partitions}
+        self._commits: dict[str, list[tuple[int, TxnId]]] = {p: [] for p in partitions}
         #: tid -> {partition: commit version} ∪ {"__involved__": tuple}.
         self._txn_versions: dict[TxnId, dict[str, int]] = {}
         self._txn_involved: dict[TxnId, tuple[str, ...]] = {}
@@ -77,7 +85,7 @@ class GlobalSnapshotBuilder:
         self._known_sc[partition] = 0
         self._complete_through[partition] = 0
         self._evicted_below[partition] = 0
-        self._commits[partition] = deque()
+        self._commits[partition] = []
         if self._pending_gossip:
             replayable = [m for m in self._pending_gossip if m.partition == partition]
             self._pending_gossip = deque(
@@ -89,16 +97,19 @@ class GlobalSnapshotBuilder:
     def absorb_migration(self, source_sc: int) -> None:
         """Initialize the own-partition frontier after installing a migration.
 
-        The new partition's store resumes at the source's counter; commits
-        at or below it happened at the source pre-split and are *not*
-        retained here, so the completeness watermark and the gossip
-        ``complete_from`` both start at ``source_sc`` — receivers never
-        treat the migrated prefix as summarized by this partition.
+        The store resumes at ``source_sc`` (a split child at the source's
+        counter, a merge target at the synthetic merge version).  This
+        partition's own log committed nothing in the versions skipped, so
+        the counter and the watermark jump there and ``complete_from``
+        stays truthful without moving: the next delta spans the jump with
+        no globals in it, and a receiver that has never heard from a split
+        child connects at 0.  ``complete_from`` must not be raised to
+        ``source_sc``: no remote watermark could ever cover it, and this
+        partition's entry would freeze in every remote vector.
         """
         own = self.own_partition
         self._known_sc[own] = max(self._known_sc[own], source_sc)
         self._complete_through[own] = max(self._complete_through[own], source_sc)
-        self._evicted_below[own] = max(self._evicted_below[own], source_sc)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -116,7 +127,16 @@ class GlobalSnapshotBuilder:
         if is_global:
             self._record(self.own_partition, version, tid, involved)
 
-    def on_gossip(self, msg: CommitGossip) -> None:
+    def on_gossip(self, msg: CommitGossip) -> int | None:
+        """Ingest one payload (idempotent, any order).
+
+        Returns ``None`` when the payload connected to what is already
+        known, else this builder's completeness watermark for the sender's
+        partition: the payload starts beyond it, so something in between
+        was missed and the caller should ask the sender to resync from
+        there.  Until that is repaired the partition's counter stays where
+        it is — stale, never split.
+        """
         if msg.partition not in self._known_sc:
             # Unknown sender: a split we have not been told about yet.
             # Buffer (bounded) for replay at add_partition() rather than
@@ -124,21 +144,24 @@ class GlobalSnapshotBuilder:
             self._pending_gossip.append(msg)
             while len(self._pending_gossip) > self.history:
                 self._pending_gossip.popleft()
-            return
+            return None
         for tid, version, involved in msg.globals_committed:
             self._record(msg.partition, version, tid, involved)
         # Advance the completeness watermark only if this payload's range
-        # connects to what we already have, then cap the usable counter at
-        # the watermark: sc beyond it could hide un-listed globals.
-        if msg.complete_from <= self._complete_through[msg.partition]:
-            self._complete_through[msg.partition] = max(
-                self._complete_through[msg.partition], msg.sc
-            )
-        usable = min(msg.sc, self._complete_through[msg.partition])
-        self._known_sc[msg.partition] = max(self._known_sc[msg.partition], usable)
+        # connects to what we already have, and the usable counter with
+        # it: sc beyond the watermark could hide un-listed globals.
+        watermark = self._complete_through[msg.partition]
+        if msg.complete_from > watermark:
+            return watermark
+        if msg.sc > watermark:
+            self._complete_through[msg.partition] = msg.sc
+            self._known_sc[msg.partition] = max(self._known_sc[msg.partition], msg.sc)
+        return None
 
     def _record(self, partition: str, version: int, tid: TxnId, involved: tuple[str, ...]) -> None:
         versions = self._txn_versions.get(tid)
+        if versions is not None and partition in versions:
+            return  # a resync reply overlapping what we hold: nothing to do
         if versions is None:
             versions = {}
             self._txn_versions[tid] = versions
@@ -149,22 +172,19 @@ class GlobalSnapshotBuilder:
             # Defensive merge: differing involved-sets from gossip sources.
             merged = set(self._txn_involved.get(tid, ())) | set(involved)
             self._txn_involved[tid] = tuple(sorted(merged))
-        if partition in versions:
-            return
         versions[partition] = version
         commits = self._commits[partition]
         if not commits or commits[-1][0] < version:
             commits.append((version, tid))
         else:
             # Out-of-order gossip: insert keeping ascending versions.
-            items = sorted(set(commits) | {(version, tid)})
-            commits.clear()
-            commits.extend(items)
-        while len(commits) > self.history:
-            evicted_version, _ = commits.popleft()
+            insort(commits, (version, tid))
+        excess = len(commits) - self.history
+        if excess > 0:
             self._evicted_below[partition] = max(
-                self._evicted_below[partition], evicted_version
+                self._evicted_below[partition], commits[excess - 1][0]
             )
+            del commits[:excess]
 
     def _evict(self) -> None:
         while len(self._txn_order) > 4 * self.history:
@@ -173,18 +193,36 @@ class GlobalSnapshotBuilder:
             self._txn_involved.pop(tid, None)
 
     # ------------------------------------------------------------------
-    # The gossip payload this server advertises
+    # The gossip payloads this server advertises
     # ------------------------------------------------------------------
-    def gossip_payload(self) -> CommitGossip:
-        recent = tuple(
-            (tid, version, self._txn_involved.get(tid, ()))
-            for version, tid in self._commits[self.own_partition]
-        )
+    def next_delta(self) -> CommitGossip:
+        """This tick's payload: own globals committed since the last tick.
+
+        Advances the cursor whether or not the payload reaches anyone; a
+        receiver that misses it sees the next one start beyond its
+        watermark and asks for :meth:`payload_since`.
+        """
+        payload = self.payload_since(self._sent_through)
+        self._sent_through = payload.sc
+        return payload
+
+    def payload_since(self, since: int, resync: bool = False) -> CommitGossip:
+        """Every retained own global with version in ``(since, sc]``.
+
+        ``complete_from`` is ``since`` unless the retained window no longer
+        reaches back that far; ``since=0`` is the whole window.
+        """
+        own = self.own_partition
+        commits = self._commits[own]
+        newer = commits[bisect_right(commits, since, key=_VERSION):]
         return CommitGossip(
-            partition=self.own_partition,
-            sc=self._known_sc[self.own_partition],
-            globals_committed=recent,
-            complete_from=self._evicted_below[self.own_partition],
+            partition=own,
+            sc=self._known_sc[own],
+            globals_committed=tuple(
+                (tid, version, self._txn_involved.get(tid, ())) for version, tid in newer
+            ),
+            complete_from=max(since, self._evicted_below[own]),
+            resync=resync,
         )
 
     # ------------------------------------------------------------------

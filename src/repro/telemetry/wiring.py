@@ -52,6 +52,7 @@ SERVER_WIRE_COUNTERS: tuple[tuple[str, str, str, str], ...] = (
     ("shard_certify_calls", "counter", "probes", "Per-shard conflict probes by the sharded executor (§19)."),
     ("shard_merge_ns", "counter", "nanoseconds", "Wall time in the delivery-order verdict merge loop (§19)."),
     ("shard_imbalance_max", "gauge", "percent", "High-water shard load imbalance (100 = balanced, §19)."),
+    ("gossip_resyncs", "counter", "requests", "Gossip resync requests sent after a missed delta (§6)."),
 )
 
 #: Granular abort buckets (components of the `aborted` wire counter).

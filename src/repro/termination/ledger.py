@@ -9,9 +9,10 @@ ledger termination mode.  It owns the bookkeeping around getting votes
   every replica; without care each vote would be proposed once per
   replica.  Only the replica that believes itself partition leader
   proposes immediately; everyone keeps the record in an outbox and
-  re-proposes on a timer until the record is seen delivered, so a
-  crashed or changing leader cannot lose a vote.  Delivery-side dedup
-  (:meth:`on_delivered`) makes duplicate proposals harmless.
+  re-proposes it every ``retry_interval`` *of its own age* until the
+  record is seen delivered, so a crashed or changing leader cannot lose
+  a vote.  Delivery-side dedup (:meth:`on_delivered`) makes duplicate
+  proposals harmless.
 
 * **Early-vote buffering** — a remote vote can be sequenced and
   delivered before the transaction's own projection (the remote
@@ -67,8 +68,9 @@ class VoteLedger:
         #: (tid, voting partition) -> None for every record already
         #: delivered, insertion-ordered so the memory stays bounded.
         self._applied: OrderedDict[tuple[TxnId, str], None] = OrderedDict()
-        #: Records awaiting delivery (proposal retry + self-dedup).
-        self._outbox: dict[tuple[TxnId, str], VoteRecord] = {}
+        #: Records awaiting delivery (proposal retry + self-dedup), each
+        #: with the time it was last proposed or queued; oldest first.
+        self._outbox: dict[tuple[TxnId, str], tuple[VoteRecord, float]] = {}
         #: Delivered records whose transaction has not been delivered yet:
         #: tid -> {voting partition -> vote}, insertion-ordered for bounding.
         self._early: OrderedDict[TxnId, dict[str, str]] = OrderedDict()
@@ -98,7 +100,7 @@ class VoteLedger:
                 vote=vote,
             )
         record = VoteRecord(tid=tid, partition=partition, vote=vote, involved=involved)
-        self._outbox[key] = record
+        self._outbox[key] = (record, self.runtime.now())
         if self.is_leader():
             if self.group_size > 1:
                 self._group.append(record)
@@ -135,16 +137,27 @@ class VoteLedger:
         if self._retry_armed or self.retry_interval is None or not self._outbox:
             return
         self._retry_armed = True
-        self.runtime.set_timer(self.retry_interval, self._retry_tick)
+        _, oldest = next(iter(self._outbox.values()))
+        due_in = oldest + self.retry_interval - self.runtime.now()
+        self.runtime.set_timer(max(0.0, due_in), self._retry_tick)
 
     def _retry_tick(self) -> None:
         self._retry_armed = False
-        if not self._outbox:
-            return
         # Re-propose from every replica: the immediate proposal may have
         # raced a leader change or died with the old leader.  Duplicate
-        # deliveries are dropped in on_delivered().
-        for record in list(self._outbox.values()):
+        # deliveries are dropped in on_delivered().  Only records that
+        # have waited a full interval: one timer serves the whole outbox,
+        # and younger records are most likely still in flight.
+        now = self.runtime.now()
+        due = []
+        for key, (record, since) in self._outbox.items():
+            if since + self.retry_interval > now:
+                break
+            due.append((key, record))
+        for key, record in due:
+            del self._outbox[key]
+            self._outbox[key] = (record, now)  # to the back: oldest stays first
+        for _, record in due:
             self._abcast(self.partition, record)
         self._arm_retry()
 

@@ -247,6 +247,34 @@ class TestProposalPath:
         ledger.ledger(tid, "p1", "commit")  # already applied: no re-propose
         assert len(proposals) == 1
 
+    def test_retry_reproposes_only_records_a_full_interval_old(self):
+        """One timer serves the whole outbox; when it fires, a record
+        queued a moment ago is still in flight and is left alone."""
+        world = SimWorld(seed=1)
+        runtime = world.runtime_for("s1")
+        proposed = []
+        ledger = VoteLedger(
+            runtime,
+            "p0",
+            lambda partition, record: proposed.append(
+                (round(runtime.now(), 3), record.tid.seq)
+            ),
+            retry_interval=0.25,
+        )
+        ledger.ledger(TxnId("c", 1), "p0", "commit")
+        world.run_for(0.2)
+        ledger.ledger(TxnId("c", 2), "p0", "commit")
+        world.run_for(0.1)  # t = 0.3: the timer fired at 0.25 for #1 alone
+        assert proposed == [(0.0, 1), (0.2, 2), (0.25, 1)]
+        world.run_for(0.18)  # t = 0.48: re-armed for #2, the oldest survivor
+        assert proposed[3:] == [(0.45, 2)]
+        ledger.on_delivered(VoteRecord(tid=TxnId("c", 2), partition="p0", vote="commit"))
+        world.run_for(0.3)  # t = 0.78: #1 again a full interval after 0.25 and 0.5
+        assert proposed[4:] == [(0.5, 1), (0.75, 1)]
+        ledger.on_delivered(VoteRecord(tid=TxnId("c", 1), partition="p0", vote="commit"))
+        world.run_for(1.0)
+        assert len(proposed) == 6 and ledger.in_flight == 0
+
     def test_early_buffer_is_bounded(self):
         world = SimWorld(seed=1)
         ledger = VoteLedger(

@@ -28,6 +28,7 @@ from repro.core.messages import (
     CommitGossip,
     CommitRequest,
     GetSnapshotVector,
+    GossipResync,
     NoopTick,
     OutcomeBatch,
     OutcomeNotice,
@@ -134,6 +135,15 @@ SAMPLES = [
         sc=9,
         globals_committed=((TID, 7, ("p0", "p1")),),
         complete_from=2,
+    ),
+    # Gossip gap repair (docs/PROTOCOL.md §6): the request and its reply.
+    GossipResync(partition="p0", have_through=2),
+    CommitGossip(
+        partition="p0",
+        sc=9,
+        globals_committed=((TID, 7, ("p0", "p1")),),
+        complete_from=2,
+        resync=True,
     ),
     # Reconfiguration
     CHANGE,

@@ -39,6 +39,7 @@ LEGACY_KEYS = [
     "shard_certify_calls",
     "shard_merge_ns",
     "shard_imbalance_max",
+    "gossip_resyncs",
 ]
 
 
