@@ -3,9 +3,10 @@
 Measures the real-time cost of one *certification step* — the committed
 window check, the pending-list dependency check, and (on commit) the
 window append with index maintenance — across history-window sizes,
-readset transports, and pending depths, for both strategies of
-``SdurConfig.certifier``.  The simulated-cluster ablation (A7) proves
-the strategies decide identically; this benchmark prices them:
+readset transports, and pending depths, for the production key index
+and the reference scan it replaced (``tests/oracles/scan_certifier.py``).
+The differential suites prove the two decide identically; this
+benchmark prices them:
 
     PYTHONPATH=src python benchmarks/bench_certification.py
 
@@ -34,20 +35,22 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT)]  # repro, tests.oracles
 
 from repro.core.certifier import CertificationWindow, CommittedRecord  # noqa: E402
-from repro.core.certindex import make_certifier  # noqa: E402
-from repro.core.config import CertifierMode  # noqa: E402
+from repro.core.certindex import IndexedCertifier  # noqa: E402
 from repro.core.pending import PendingList, PendingTxn  # noqa: E402
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection  # noqa: E402
+from tests.oracles.scan_certifier import ScanCertifier  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_cert.json"
 
 WINDOW_SIZES = (100, 1_000, 10_000)
 READSET_MODES = ("exact", "bloom")
 PENDING_DEPTHS = (0, 32)
-MODES = (CertifierMode.SCAN, CertifierMode.INDEX)
+#: Cell label -> certifier under test.
+MODES = {"scan": ScanCertifier, "index": IndexedCertifier}
 
 READS_PER_TXN = 3
 WRITES_PER_TXN = 2
@@ -94,7 +97,7 @@ def _build_state(window_size: int, bloom: bool, pending_depth: int):
 
 
 def _measure(
-    mode: CertifierMode,
+    mode: str,
     window_size: int,
     bloom: bool,
     pending_depth: int,
@@ -102,7 +105,7 @@ def _measure(
     min_ops: int,
 ) -> dict:
     window, pending, keyspace = _build_state(window_size, bloom, pending_depth)
-    certifier = make_certifier(mode, window, pending)
+    certifier = MODES[mode](window, pending)
     rng = random.Random(0xBEEF)
     version = window_size
     latencies: list[float] = []
@@ -144,7 +147,7 @@ def _measure(
         "history_window": window_size,
         "readsets": "bloom" if bloom else "exact",
         "pending_depth": pending_depth,
-        "mode": mode.value,
+        "mode": mode,
         "ops": ops,
         "ops_per_sec": round(ops / elapsed, 1) if elapsed else 0.0,
         "p50_us": round(latencies[ops // 2] * 1e6, 2),
@@ -169,7 +172,7 @@ def run_suite(time_budget: float, min_ops: int) -> list[dict]:
                     results.append(cell)
                     print(
                         f"window={window_size:>6} {readsets:<5} "
-                        f"pending={pending_depth:<3} {mode.value:<5} "
+                        f"pending={pending_depth:<3} {mode:<5} "
                         f"{cell['ops_per_sec']:>12.1f} ops/s  "
                         f"p50={cell['p50_us']:>9.2f}us  "
                         f"p99={cell['p99_us']:>9.2f}us"

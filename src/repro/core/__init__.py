@@ -23,16 +23,15 @@ two-phase-commit-like vote exchange:
 
 from repro.core.certifier import CertificationWindow, CommittedRecord, ctest
 from repro.core.client import ClientConfig, Read, ReadMany, SdurClient, TxnResult
-from repro.core.config import CertExecutorMode, ServiceCosts, SdurConfig
+from repro.core.config import ServiceCosts, SdurConfig
 from repro.core.directory import ClusterDirectory
 from repro.core.partitioning import PartitionMap
 from repro.core.pending import PendingList, PendingTxn
 from repro.core.server import SdurServer
-from repro.core.shardexec import ShardBackend, ShardExecConfig
+from repro.core.shardexec import ShardExecConfig
 from repro.core.transaction import Outcome, TxnId, TxnProjection
 
 __all__ = [
-    "CertExecutorMode",
     "CertificationWindow",
     "ClientConfig",
     "ClusterDirectory",
@@ -47,7 +46,6 @@ __all__ = [
     "SdurConfig",
     "SdurServer",
     "ServiceCosts",
-    "ShardBackend",
     "ShardExecConfig",
     "TxnId",
     "TxnProjection",

@@ -1,9 +1,9 @@
 """Key-indexed certification: O(|rs|+|ws|) conflict checks.
 
 Algorithm 2 certifies every delivered transaction against
-``DB[t.st[p] … SC]`` plus the whole pending list.  The reference
-implementation (:class:`ScanCertifier`) does exactly that — an
-O(window × keys) scan per delivery — which throttles throughput at the
+``DB[t.st[p] … SC]`` plus the whole pending list.  Done literally that
+is an O(window × keys) scan per delivery (the reference oracle,
+``tests/oracles/scan_certifier.py``), which throttles throughput at the
 large ``history_window`` values the paper's "last K bloom filters" (§V)
 call for, even though the *verdict* only depends on per-key version
 information.
@@ -43,8 +43,7 @@ retires entries with the window records they came from, and every query
 has ``snapshot ≥ floor``, so lazily purged segment entries
 (``version ≤ floor``) can never satisfy ``version > snapshot``.
 
-``SdurConfig.certifier`` selects the strategy (``INDEX`` is the
-default); the A7 ablation and the differential property tests drive both
+The differential property tests drive the index and the scan oracle
 against identical histories.  See docs/PROTOCOL.md §15.
 """
 
@@ -52,14 +51,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.core.certifier import (
-    CertificationWindow,
-    CommittedRecord,
-    certify_against_pending,
-    find_reorder_position,
-    outcome_conflicts,
-)
-from repro.core.config import CertifierMode
+from repro.core.certifier import CertificationWindow, CommittedRecord
 from repro.core.pending import PendingList, PendingTxn
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 
@@ -77,7 +69,7 @@ class CertifierCounters:
         self.index_hits = 0
         self.index_fallbacks = 0
         # Sharded-executor counters (docs/PROTOCOL.md §19); stay zero
-        # under the SERIAL executor.
+        # under the serial certifier.
         self.shard_certify_calls = 0
         self.shard_merge_ns = 0
         self.shard_imbalance_max = 0
@@ -473,8 +465,6 @@ class PendingQueryMixin:
 class IndexedCertifier(PendingQueryMixin):
     """Certification strategy backed by :class:`KeyConflictIndex`."""
 
-    mode = CertifierMode.INDEX
-
     def __init__(
         self,
         window: CertificationWindow,
@@ -507,57 +497,18 @@ class IndexedCertifier(PendingQueryMixin):
         self._count_query(fallbacks_before)
         return verdict
 
+    # -- A delivered run of fast-path locals ------------------------------
+    def begin_run(self, projs: list[TxnProjection]) -> None:
+        """Nothing to prepare: every in-run commit reaches the index
+        through the window listener before the next member certifies."""
 
-class ScanCertifier:
-    """The reference O(window) scan (Algorithm 2 as written).
+    def end_run(self) -> None:
+        """No per-run load shape to report (the sharded certifier
+        returns its phase-1 plan here)."""
 
-    Kept runnable behind ``SdurConfig.certifier = SCAN`` for the A7
-    ablation and the differential tests; verdicts are bit-identical to
-    :class:`IndexedCertifier` on every history.
-    """
+    # -- CPU model: serial certification charges the flat cost ------------
+    def single_cost(self, proj: TxnProjection, certify_cost: float) -> float:
+        return certify_cost
 
-    mode = CertifierMode.SCAN
-
-    def __init__(
-        self,
-        window: CertificationWindow,
-        pending: PendingList,
-        counters: CertifierCounters | None = None,
-    ) -> None:
-        self.window = window
-        self.pending = pending
-        self.counters = counters if counters is not None else CertifierCounters()
-        # A scan needs no mirror; detach any stale index.
-        window.listener = None
-        pending.listener = None
-
-    def certify(self, txn: TxnProjection) -> bool | None:
-        self.counters.ctest_calls += self.window.span_after(txn.snapshot)
-        return self.window.certify(txn)
-
-    def outcome_conflicts(self, txn: TxnProjection) -> list[TxnId]:
-        self.counters.ctest_calls += len(self.pending)
-        return outcome_conflicts(txn, self.pending)
-
-    def certify_against_pending(self, txn: TxnProjection) -> bool:
-        self.counters.ctest_calls += len(self.pending)
-        return certify_against_pending(txn, self.pending)
-
-    def find_reorder_position(self, txn: TxnProjection, delivered_count: int) -> int | None:
-        self.counters.ctest_calls += len(self.pending)
-        return find_reorder_position(txn, self.pending, delivered_count)
-
-
-Certifier = IndexedCertifier | ScanCertifier
-
-
-def make_certifier(
-    mode: CertifierMode,
-    window: CertificationWindow,
-    pending: PendingList,
-    counters: CertifierCounters | None = None,
-) -> Certifier:
-    """Build the certification strategy ``SdurConfig.certifier`` selects."""
-    if mode is CertifierMode.SCAN:
-        return ScanCertifier(window, pending, counters)
-    return IndexedCertifier(window, pending, counters)
+    def batch_cost(self, projs: list[TxnProjection], certify_cost: float) -> float:
+        return sum(self.single_cost(proj, certify_cost) for proj in projs)

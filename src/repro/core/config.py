@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.batch import BatchingConfig
+from repro.core.shardexec import ShardExecConfig
 from repro.overload.admission import AdmissionConfig
-
-if TYPE_CHECKING:
-    # Imported lazily: shardexec needs CertifierMode from this module.
-    from repro.core.shardexec import ShardExecConfig
 
 
 class TerminationMode(str, enum.Enum):
@@ -31,35 +27,6 @@ class TerminationMode(str, enum.Enum):
     #: cycles are broken deterministically (lowest ``TxnId`` aborts).
     #: Costs one extra local abcast per vote on the commit path.
     LEDGER = "ledger"
-
-
-class CertifierMode(str, enum.Enum):
-    """How a server checks delivered transactions for conflicts."""
-
-    #: Key-indexed certification (``repro.core.certindex``): per-key
-    #: last-writer/last-reader version tables plus geometrically merged
-    #: write-key segments make every conflict check O(|rs|+|ws|)-ish
-    #: instead of O(window).  Verdicts are bit-identical to SCAN.
-    INDEX = "index"
-    #: The reference O(window × keys) scan, exactly as Algorithm 2 is
-    #: written.  Kept runnable for the A7 ablation and the differential
-    #: property tests.
-    SCAN = "scan"
-
-
-class CertExecutorMode(str, enum.Enum):
-    """How certification work for a delivered batch is executed."""
-
-    #: Certify transactions one at a time in delivery order on the
-    #: delivery path (the pre-§19 behavior, and the correctness oracle
-    #: for the sharded executor).
-    SERIAL = "serial"
-    #: Hash-partition the key space into shards, run each delivered
-    #: batch's committed-window checks against all shards concurrently,
-    #: and merge per-shard verdicts in strict delivery order
-    #: (``repro.core.shardexec``; docs/PROTOCOL.md §19).  Requires the
-    #: key-indexed certifier.
-    SHARDED = "sharded"
 
 
 class DelayMode(str, enum.Enum):
@@ -116,18 +83,12 @@ class SdurConfig:
     #: Committed records retained for certification (the paper's last-K
     #: bloom filters).  Transactions older than the window abort.
     history_window: int = 50_000
-    #: Conflict-check strategy: key-indexed (default) or the reference
-    #: window scan (docs/PROTOCOL.md §15; ablation A7).
-    certifier: CertifierMode = CertifierMode.INDEX
-    #: Certification executor: SERIAL (default) certifies in delivery
-    #: order; SHARDED fans each delivered batch's committed-window checks
-    #: out over key-range shards and merges verdicts in delivery order
-    #: (docs/PROTOCOL.md §19; ablation A8).
-    cert_executor: CertExecutorMode = CertExecutorMode.SERIAL
-    #: Shard-executor tuning when ``cert_executor`` is SHARDED
-    #: (``repro.core.shardexec.ShardExecConfig``); ``None`` means the
-    #: defaults (4 shards, in-process backend).
-    shardexec: "ShardExecConfig | None" = None
+    #: ``None`` (default) certifies in delivery order against the key
+    #: index (docs/PROTOCOL.md §15).  A ``ShardExecConfig`` instead fans
+    #: each delivered batch's committed-window checks out over
+    #: key-range shards and merges verdicts in delivery order — the
+    #: cost-model instrument of docs/PROTOCOL.md §19 (ablation A8).
+    shardexec: ShardExecConfig | None = None
 
     # -- Global-transaction termination (docs/PROTOCOL.md §14) ----------
     #: LEDGER (default) orders every vote through the partition's own
@@ -203,18 +164,6 @@ class SdurConfig:
     # -- CPU model -------------------------------------------------------
     costs: ServiceCosts = field(default_factory=ServiceCosts)
 
-    def __post_init__(self) -> None:
-        if (
-            self.cert_executor is CertExecutorMode.SHARDED
-            and self.certifier is not CertifierMode.INDEX
-        ):
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "cert_executor=SHARDED requires certifier=INDEX: the scan "
-                "strategy has no per-key index to shard"
-            )
-
     def with_reordering(self, threshold: int) -> "SdurConfig":
         """Copy with reordering enabled at ``threshold``."""
         return self._replace(reorder_threshold=threshold)
@@ -226,10 +175,6 @@ class SdurConfig:
     def with_delaying(self, mode: DelayMode, fixed: float = 0.0) -> "SdurConfig":
         return self._replace(delay_mode=mode, delay_fixed=fixed)
 
-    def with_certifier(self, mode: CertifierMode) -> "SdurConfig":
-        """Copy with the given conflict-check strategy."""
-        return self._replace(certifier=mode)
-
     def with_admission(self, admission: AdmissionConfig | None) -> "SdurConfig":
         """Copy with the given admission policy (``None`` disables)."""
         return self._replace(admission=admission)
@@ -239,12 +184,11 @@ class SdurConfig:
         return self._replace(batching=batching)
 
     def with_shard_executor(
-        self, shardexec: "ShardExecConfig | None" = None
+        self, shardexec: ShardExecConfig | None = None
     ) -> "SdurConfig":
-        """Copy with the SHARDED certification executor enabled."""
-        return self._replace(
-            cert_executor=CertExecutorMode.SHARDED, shardexec=shardexec
-        )
+        """Copy with the sharded certification executor enabled
+        (``None`` means the defaults: 4 shards, seed 0)."""
+        return self._replace(shardexec=shardexec or ShardExecConfig())
 
     def _replace(self, **changes: object) -> "SdurConfig":
         from dataclasses import replace

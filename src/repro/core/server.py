@@ -38,7 +38,6 @@ from typing import Any
 from repro.consensus.abcast import AbcastFabric
 from repro.core.batch import DeliveryBatcher
 from repro.core.certifier import CertificationWindow, CommittedRecord
-from repro.core.certindex import make_certifier
 from repro.core.checkpoint import (
     CheckpointReply,
     CheckpointRequest,
@@ -46,7 +45,7 @@ from repro.core.checkpoint import (
     window_from_wire,
     window_to_wire,
 )
-from repro.core.config import CertExecutorMode, DelayMode, SdurConfig, TerminationMode
+from repro.core.config import DelayMode, SdurConfig, TerminationMode
 from repro.core.directory import ClusterDirectory
 from repro.core.messages import (
     AbortRequest,
@@ -66,12 +65,7 @@ from repro.core.messages import (
 )
 from repro.core.partitioning import PartitionMap
 from repro.core.pending import PendingList, PendingTxn
-from repro.core.shardexec import (
-    ShardExecConfig,
-    ShardedCertifier,
-    ShardPlan,
-    make_shard_executor,
-)
+from repro.core.shardexec import ShardPlan, build_certifier
 from repro.core.snapshots import GlobalSnapshotBuilder
 from repro.core.transaction import Outcome, TxnId, TxnProjection
 from repro.errors import ConfigurationError, ProtocolError, SnapshotTooOldError
@@ -162,11 +156,11 @@ class ServerStats:
         #: when ``BatchingConfig.measure_codec_savings`` is on.
         self.codec_bytes_saved = 0
         #: Per-shard conflict probes executed by the sharded
-        #: certification executor (docs/PROTOCOL.md §19); stays 0 under
-        #: the SERIAL executor.
+        #: certification executor (docs/PROTOCOL.md §19); stays 0
+        #: without it.
         self.shard_certify_calls = 0
         #: Wall-clock nanoseconds spent in the delivery-order merge loop
-        #: that folds per-shard verdicts back into the log (§19.3).
+        #: that folds per-shard verdicts back into the log (§19.2).
         self.shard_merge_ns = 0
         #: High-water mark of shard load imbalance per pre-certified
         #: batch: ``max_shard_units * num_shards * 100 / total_units``
@@ -233,17 +227,10 @@ class SdurServer:
         )
         self.window = CertificationWindow(self.config.history_window)
         self.pending = PendingList()
-        #: Sharded certification executor backend (docs/PROTOCOL.md §19).
-        #: Owned by the server — certifier rebuilds on checkpoint restore
-        #: or migration install reuse it — and joined by :meth:`close`.
-        self._shardexec_config: ShardExecConfig | None = None
-        self.shard_executor = None
-        if self.config.cert_executor is CertExecutorMode.SHARDED:
-            self._shardexec_config = self.config.shardexec or ShardExecConfig()
-            self.shard_executor = make_shard_executor(self._shardexec_config)
-        #: Conflict-check strategy over window + pending list
-        #: (key-indexed by default; docs/PROTOCOL.md §15, §19).
-        self.certifier = self._build_certifier()
+        #: Conflict-check strategy over window + pending list: the key
+        #: index, sharded when ``config.shardexec`` is set
+        #: (docs/PROTOCOL.md §15, §19).
+        self._attach_certifier()
         #: Delivered-transactions counter (Algorithm 2's ``DC``).
         self.dc = 0
         #: Current reorder threshold (changeable via ThresholdChange).
@@ -370,26 +357,6 @@ class SdurServer:
             ),
         )
 
-    def _build_certifier(self):
-        """The conflict-check strategy ``config`` selects.
-
-        SHARDED wraps the key index in :class:`ShardedCertifier` (per
-        key-range shard slices, §19); SERIAL keeps the §15 strategies.
-        Called again whenever ``self.window`` is replaced wholesale —
-        the shard executor (and its thread pool, if any) is reused.
-        """
-        if self.shard_executor is not None:
-            return ShardedCertifier(
-                self.window,
-                self.pending,
-                self.stats,
-                config=self._shardexec_config,
-                executor=self.shard_executor,
-            )
-        return make_certifier(
-            self.config.certifier, self.window, self.pending, self.stats
-        )
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -435,16 +402,9 @@ class SdurServer:
             self.runtime.set_timer(self.config.checkpoint_interval, self._checkpoint_tick)
 
     def close(self) -> None:
-        """Release resources the server owns outside the runtime.
-
-        Today that is only the sharded certification executor's thread
-        pool (POOL backend): its workers are joined so harness teardown
-        leaks no ``shardexec`` threads.  Idempotent — the lazily created
-        pool would respawn on the next certification, so callers close
-        after the last delivery.
-        """
-        if self.shard_executor is not None:
-            self.shard_executor.shutdown()
+        """Teardown entry point for deployments (``benchmarks/e2e``
+        calls it).  The server owns nothing outside the runtime today,
+        so there is nothing to release."""
 
     def _gc_tick(self) -> None:
         """Drop versions older than the retention window (§V keeps only
@@ -742,17 +702,18 @@ class SdurServer:
     def _certify_cost(self, value: Any) -> float:
         """Simulated CPU charged for certifying one delivered value.
 
-        Under the sharded executor the charge is the critical path —
-        the most loaded shard's share of the transaction's key probes
-        (§19.4) — which is how parallel certification shows up in the
-        simulated-time benchmarks; SERIAL charges the flat §15 cost.
+        The certifier prices it: flat for the key index (§15); under the
+        sharded executor the critical path — the most loaded shard's
+        share of the transaction's key probes (§19.3) — which is how
+        parallel certification shows up in the simulated-time
+        benchmarks.
         """
         if not isinstance(value, TxnProjection):
             return 0.0
         base = self.config.costs.certify
-        if base and isinstance(self.certifier, ShardedCertifier):
-            return self.certifier.single_cost(value, base)
-        return base
+        if not base:
+            return base
+        return self.certifier.single_cost(value, base)
 
     def _on_batch_ready(self, items: list[tuple[Any, float]]) -> None:
         """A delivery batch flushed (size or time bound): run it.
@@ -760,19 +721,20 @@ class SdurServer:
         The whole batch is charged as one CPU-model execution — the sum
         of its members' costs — which is the batching win under nonzero
         service costs: one scheduler round instead of one per value.
-        Under the sharded executor the transactions' certification
-        charge is replaced by the batch critical path: each member's
-        cost splits across the shards its keys map to, and the batch
-        pays the most loaded shard (§19.4).
+        The transactions' single-certification charges are replaced by
+        what the certifier prices the run at: their sum for the key
+        index; under the sharded executor the batch critical path —
+        each member's cost splits across the shards its keys map to,
+        and the batch pays the most loaded shard (§19.3).
         """
         values = [value for value, _ in items]
         total_cost = sum(cost for _, cost in items)
         certify = self.config.costs.certify
-        if certify and isinstance(self.certifier, ShardedCertifier):
+        if certify:
             txns = [value for value in values if isinstance(value, TxnProjection)]
             if txns:
                 singles = sum(
-                    self.certifier.single_cost(value, certify) for value in txns
+                    cost for value, cost in items if isinstance(value, TxnProjection)
                 )
                 total_cost += self.certifier.batch_cost(txns, certify) - singles
         self.runtime.execute(total_cost, lambda: self._run_batch(values))
@@ -839,10 +801,7 @@ class SdurServer:
                     end = index + 1
                     while end < total and self._batch_fast_ok(values[end]):
                         end += 1
-                    if isinstance(self.certifier, ShardedCertifier):
-                        self._commit_local_run_sharded(values[index:end])
-                    else:
-                        self._commit_local_run(values[index:end])
+                    self._commit_local_run(values[index:end])
                     index = end
                 else:
                     self._ingest(values[index])
@@ -856,10 +815,11 @@ class SdurServer:
     def _commit_local_run(self, projs: list[TxnProjection]) -> None:
         """One-pass certification of a run of fast-path local projections.
 
-        Intra-batch conflict carry-forward needs no extra bookkeeping:
-        each commit appends to the certification window (whose listener
-        updates the key index) *before* the next member is certified, so
-        a later member reading an earlier member's write hits the same
+        Intra-batch conflict carry-forward is the certifier's business:
+        each commit appends to the certification window — whose listener
+        feeds the key index, or the sharded executor's carry-forward set
+        (§19.2) — *before* the next member is certified, so a later
+        member reading an earlier member's write hits the same
         certification abort the sequential path produces.
         """
         obs = self._obs
@@ -871,6 +831,7 @@ class SdurServer:
         costs_apply = self.config.costs.apply
         applied = 0
         started = perf_counter_ns()
+        certifier.begin_run(projs)
         for proj in projs:
             self.dc += 1
             tid = proj.tid
@@ -935,144 +896,23 @@ class SdurServer:
             self._record_completed(tid, Outcome.COMMIT)
             self._vote_buffer.pop(tid, None)
             self._notify_client(proj, Outcome.COMMIT)
+        shard_plan = certifier.end_run()
         self.stats.batch_certify_ns += perf_counter_ns() - started
+        if telemetry and shard_plan is not None:
+            self._observe_shard_plan(shard_plan)
         if applied and costs_apply > 0:
             # Charge the CPU model for the applies in one execution;
             # later work queues behind it on the node's FIFO executor.
             self.runtime.execute(applied * costs_apply, lambda: None)
         self._drain_waiting_reads()
 
-    def _commit_local_run_sharded(self, projs: list[TxnProjection]) -> None:
-        """Two-phase run commit under the sharded executor (§19.3).
-
-        Phase 1 (:meth:`ShardedCertifier.precertify_batch`) probes every
-        shard concurrently against the window as it stands *before* the
-        run.  Phase 2 — this loop — replays the run in strict delivery
-        order, folding in what phase 1 could not see:
-
-        * **carry-forward**: keys written by earlier in-run commits.  A
-          member reading one must abort exactly as the sequential pass
-          aborts it.  The check ``readset.contains_any(carry)`` is the
-          *same* predicate the window's key index would evaluate,
-          because every in-run commit's version exceeds every member's
-          snapshot (``_batch_fast_ok`` pinned ``snapshot <= sc`` at
-          batch start) — so "reads a carried key" iff "forward conflict
-          against that commit".  Backward checks need no replay: run
-          members are local (never both global and fast-path).
-        * **stale masking**: the floor is re-read live at each member's
-          turn.  A mid-run eviction that invalidates a phase-1 verdict
-          also drags the floor past that member's snapshot, so the
-          member aborts *stale* — byte-identical to the sequential
-          path, which would hit the same floor first.
-        """
-        obs = self._obs
-        telemetry = self.telemetry_enabled
-        hist_latency = self._hist_commit_latency
-        certifier = self.certifier
-        window = self.window
-        store = self.store
-        costs_apply = self.config.costs.apply
-        applied = 0
-        started = perf_counter_ns()
-        plan = certifier.precertify_batch(projs)
-        self._note_shard_plan(plan)
-        conflicts = plan.conflicts
-        #: Keys written by commits earlier in this run.
-        carry: set[str] = set()
-        merge_started = perf_counter_ns()
-        for index, proj in enumerate(projs):
-            self.dc += 1
-            tid = proj.tid
-            if tid in self._completed or tid in self.pending:
-                continue  # duplicate delivery (e.g. client retry); ignore
-            if obs.enabled:
-                obs.event(
-                    "server.deliver",
-                    self.node_id,
-                    tid,
-                    partition=self.partition,
-                    dc=self.dc,
-                    is_global=False,
-                )
-            if proj.snapshot < window.floor:
-                verdict = None
-            elif conflicts[index] or (carry and proj.readset.contains_any(carry)):
-                verdict = False
-            else:
-                verdict = True
-            if obs.enabled:
-                obs.event(
-                    "server.certify",
-                    self.node_id,
-                    tid,
-                    verdict=(
-                        "stale" if verdict is None else ("commit" if verdict else "abort")
-                    ),
-                )
-            if not verdict:
-                self._finish_aborted(
-                    proj,
-                    self.stats_bucket("stale" if verdict is None else "certification"),
-                )
-                continue
-            version = self.sc + 1
-            store.apply(proj.writeset, version)
-            ws_keys = proj.ws_keys
-            window.add(
-                CommittedRecord(
-                    tid=tid,
-                    version=version,
-                    readset=proj.readset,
-                    ws_keys=ws_keys,
-                    is_global=False,
-                )
-            )
-            carry.update(ws_keys)
-            self.snapshot_builder.on_local_commit(tid, version, proj.partitions, False)
-            if self.on_commit_hook is not None:
-                self.on_commit_hook(tid, self.partition, version, proj)
-            if self.hot_keys is not None and ws_keys:
-                for key in ws_keys:
-                    self.hot_keys.observe(key)
-                self.stats.hotkey_updates += len(ws_keys)
-            self.stats.committed_local += 1
-            applied += 1
-            if telemetry:
-                # Fast-path locals commit at their own delivery instant.
-                hist_latency.observe(0.0)
-            if obs.enabled:
-                obs.event(
-                    "server.complete", self.node_id, tid, outcome=Outcome.COMMIT.value
-                )
-            self.runtime.trace(
-                "sdur.commit", tid=str(tid), version=version, is_global=False
-            )
-            self._record_completed(tid, Outcome.COMMIT)
-            self._vote_buffer.pop(tid, None)
-            self._notify_client(proj, Outcome.COMMIT)
-        ended = perf_counter_ns()
-        self.stats.shard_merge_ns += ended - merge_started
-        self.stats.batch_certify_ns += ended - started
-        if telemetry:
-            self._hist_shard_merge_stall.observe((ended - merge_started) / 1e9)
-        if applied and costs_apply > 0:
-            # Charge the CPU model for the applies in one execution;
-            # later work queues behind it on the node's FIFO executor.
-            self.runtime.execute(applied * costs_apply, lambda: None)
-        self._drain_waiting_reads()
-
-    def _note_shard_plan(self, plan: ShardPlan) -> None:
-        """Record a phase-1 plan's load shape (imbalance gauge, §19.5)."""
-        if not plan.total_units:
-            return
-        units = plan.shard_units
-        num = len(units)
-        imbalance = max(units) * num * 100 // plan.total_units
-        if imbalance > self.stats.shard_imbalance_max:
-            self.stats.shard_imbalance_max = imbalance
-        if self.telemetry_enabled:
-            total = plan.total_units
-            for count in units:
+    def _observe_shard_plan(self, plan: ShardPlan) -> None:
+        """Feed a sharded run's load shape to the §19.4 histograms."""
+        self._hist_shard_merge_stall.observe(plan.merge_ns / 1e9)
+        total = plan.total_units
+        if total:
+            num = len(plan.shard_units)
+            for count in plan.shard_units:
                 self._hist_shard_occupancy.observe(count * num / total)
 
     def _flush_replies(self) -> None:
@@ -1754,29 +1594,30 @@ class SdurServer:
     # ------------------------------------------------------------------
     # Checkpointing (bounded recovery; see repro.core.checkpoint)
     # ------------------------------------------------------------------
-    def _quiescent(self) -> bool:
+    def _checkpoint_blocker(self) -> str | None:
+        """What keeps this replica from a quiescent point, if anything."""
+        if self.pending:
+            return f"{len(self.pending)} transaction(s) in the pending list"
+        if self._stalled:
+            return f"{len(self._stalled)} stalled delivery(ies)"
+        if self._applying:
+            return "a commit is being applied"
         # Buffered (un-ingested) deliveries block quiescence: a checkpoint
         # claims coverage through _last_instance, which they count toward.
-        return (
-            not self.pending
-            and not self._stalled
-            and not self._applying
-            and (self.batcher is None or len(self.batcher) == 0)
-        )
+        if self.batcher is not None and len(self.batcher):
+            return f"{len(self.batcher)} delivery(ies) buffered in the batcher"
+        return None
 
     def _checkpoint_tick(self) -> None:
-        if self._quiescent() and self.sc > 0:
+        if self._checkpoint_blocker() is None and self.sc > 0:
             self.take_checkpoint()
         self.runtime.set_timer(self.config.checkpoint_interval, self._checkpoint_tick)
 
     def take_checkpoint(self) -> ServerCheckpoint:
         """Capture delivery-path state; requires a quiescent point."""
-        if not self._quiescent():
-            raise ProtocolError("checkpoint requires an empty pending list")
-        if self.shard_executor is not None:
-            # Barrier the shard pool: no certification task may be in
-            # flight while the window and store are snapshotted (§19.6).
-            self.shard_executor.drain()
+        blocker = self._checkpoint_blocker()
+        if blocker is not None:
+            raise ProtocolError(f"checkpoint requires a quiescent point: {blocker}")
         checkpoint = ServerCheckpoint(
             partition=self.partition,
             next_instance=self._last_instance + 1,
@@ -1830,12 +1671,16 @@ class SdurServer:
         self.latest_checkpoint = checkpoint.to_bytes()
 
     def _attach_certifier(self) -> None:
-        """Rebind the conflict-check strategy after ``self.window`` was
-        replaced wholesale (checkpoint restore, migration install): the
-        key index — sharded or not — is rebuilt from the new window's
-        records and the pending list, so verdicts keep matching the
-        scan's.  The shard executor backend survives the rebuild."""
-        self.certifier = self._build_certifier()
+        """(Re)bind the conflict-check strategy to ``self.window``.
+
+        Runs at construction and whenever the window is replaced
+        wholesale (checkpoint restore, migration install): the key
+        index — sharded iff ``config.shardexec`` is set — is rebuilt
+        from the window's records and the pending list, so verdicts
+        keep matching the scan oracle's."""
+        self.certifier = build_certifier(
+            self.window, self.pending, self.stats, self.config.shardexec
+        )
 
     # ------------------------------------------------------------------
     # Reconfiguration: live partition splits (repro.reconfig)

@@ -1,11 +1,12 @@
-"""Sharded certification executor: parallel key-range conflict checks.
+"""Sharded certification executor: key-range conflict checks behind a
+delivery-order merge.
 
 Certification of a delivered batch is embarrassingly parallel *by key*:
 every committed-window test is a disjunction of per-key predicates
 ("was key k written/read after the snapshot?"), so hash-partitioning
 the key space into N shards and giving each shard its own
-:class:`~repro.core.certindex.KeyConflictIndex` slice lets the checks
-for one batch run concurrently — provided the *verdicts* are then
+:class:`~repro.core.certindex.KeyConflictIndex` slice makes the checks
+for one batch independent of each other — provided the *verdicts* are then
 merged back in strict delivery order, so the state trajectory stays a
 pure function of the log ("Parallel Deferred Update Replication",
 PAPERS.md).
@@ -21,53 +22,40 @@ How the pieces fit (docs/PROTOCOL.md §19):
   a *bloom* readset cannot be split by key, so the whole digest is
   owned by shard ``version % N`` and probed there with a transaction's
   full write set.
-* **phase 1 (parallel)** — :meth:`ShardedCertifier.precertify_batch`
-  builds per-shard task lists for a delivered run and probes all
-  shards concurrently (read-only on the indices, so thread-safe).
-* **phase 2 (merge)** — the server replays the batch in delivery
-  order: a transaction commits iff no shard flagged it *and* the
-  intra-batch carry-forward set (PROTOCOL.md §18.3) does not hit its
-  readset.  Window mutations happen only here, on the delivery path,
-  so sharding is invisible to the protocol.
+* **phase 1** — :meth:`ShardedCertifier.begin_run` builds per-shard
+  task lists for a delivered run and probes every shard against the
+  window as it stands *before* the run (read-only on the indices).
+* **phase 2 (merge)** — the server replays the run in delivery order
+  through :meth:`ShardedCertifier.certify`: a member commits iff no
+  shard flagged it *and* the intra-run carry-forward set (PROTOCOL.md
+  §18.3) does not hit its readset.  Window mutations happen only here,
+  on the delivery path, so sharding is invisible to the protocol.
 
-Two backends ship behind ``ShardExecConfig.backend``: the in-process
-executor (deterministic, sim-safe, and the correctness oracle) and a
-real ``concurrent.futures`` thread pool for the aio transport.  Both
-produce identical verdicts — phase 1 is read-only and results merge in
-shard order — which ``tests/core/test_shardexec.py`` pins.
+The shards run one after another on the calling thread.  A thread pool
+of pure-Python dict probes under the GIL was timed and lost to this
+loop by up to 2.3x (docs/PERFORMANCE.md §3), so it was deleted: the
+executor is the deterministic *instrument* behind BENCH_shardcert and
+ablation A8 — the CPU cost model (:meth:`ShardedCertifier.batch_cost`)
+prices what key-range parallelism would be worth — not a multi-core
+backend.
 """
 
 from __future__ import annotations
 
-import enum
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 
 from repro.core.certifier import CertificationWindow, CommittedRecord
 from repro.core.certindex import (
     CertifierCounters,
+    IndexedCertifier,
     KeyConflictIndex,
     PendingQueryMixin,
 )
-from repro.core.config import CertifierMode
 from repro.core.pending import PendingList
-from repro.core.transaction import ReadsetDigest, TxnProjection
+from repro.core.transaction import TxnId, TxnProjection
 from repro.errors import ConfigurationError
-
-
-class ShardBackend(str, enum.Enum):
-    """How per-shard certification tasks are executed."""
-
-    #: Run shards sequentially on the calling thread.  Deterministic,
-    #: safe under the simulated runtime (which multiplexes one thread),
-    #: and the oracle the POOL backend is tested against.  The CPU model
-    #: still credits parallelism via :meth:`ShardedCertifier.batch_cost`.
-    INPROC = "inproc"
-    #: A ``concurrent.futures.ThreadPoolExecutor`` owned by the server;
-    #: for the aio transport on real cores.  Verdicts are identical to
-    #: INPROC because phase 1 is read-only and merges in shard order.
-    POOL = "pool"
 
 
 @dataclass(frozen=True)
@@ -80,9 +68,6 @@ class ShardExecConfig:
     #: in the sense that it is per-server-local state — verdicts do not
     #: depend on it — but keeping it in config makes runs reproducible.
     hash_seed: int = 0
-    backend: ShardBackend = ShardBackend.INPROC
-    #: Worker threads for the POOL backend; ``None`` means one per shard.
-    pool_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -92,10 +77,6 @@ class ShardExecConfig:
         if self.hash_seed < 0:
             raise ConfigurationError(
                 f"hash_seed must be >= 0, got {self.hash_seed}"
-            )
-        if self.pool_workers is not None and self.pool_workers < 1:
-            raise ConfigurationError(
-                f"pool_workers must be >= 1 or None, got {self.pool_workers}"
             )
 
 
@@ -110,72 +91,6 @@ def shard_of(key: str, num_shards: int, seed: int = 0) -> int:
     return zlib.crc32(key.encode("utf-8"), seed) % num_shards
 
 
-class InprocShardExecutor:
-    """Sequential backend: runs every shard task on the calling thread."""
-
-    def map(self, fn, count: int) -> list:
-        return [fn(shard_id) for shard_id in range(count)]
-
-    def drain(self) -> None:
-        """Nothing in flight, ever — ``map`` is synchronous."""
-
-    def shutdown(self) -> None:
-        pass
-
-
-class PooledShardExecutor:
-    """``concurrent.futures`` backend for real-core deployments.
-
-    The pool is created lazily (a restored server may never certify)
-    and owned by the server for its lifetime — certifier rebuilds on
-    checkpoint restore or migration install reuse it.  ``shutdown``
-    joins the workers; the harness asserts no ``shardexec`` threads
-    survive teardown.
-    """
-
-    def __init__(self, workers: int | None = None) -> None:
-        self._workers = workers
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure(self, count: int) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._workers or count,
-                thread_name_prefix="shardexec",
-            )
-        return self._pool
-
-    def map(self, fn, count: int) -> list:
-        # Executor.map yields results in submission order, so the merge
-        # is deterministic regardless of which worker finishes first.
-        return list(self._ensure(count).map(fn, range(count)))
-
-    def drain(self) -> None:
-        """Barrier: wait until every queued task has completed.
-
-        ``map`` blocks for its own results, so nothing is ever left in
-        flight between calls; the barrier documents (and enforces) that
-        invariant where it matters — before ``checkpoint()`` snapshots
-        delivery-path state.
-        """
-        if self._pool is not None:
-            list(self._pool.map(lambda _i: None, range(1)))
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-ShardExecutor = InprocShardExecutor | PooledShardExecutor
-
-
-def make_shard_executor(config: ShardExecConfig) -> ShardExecutor:
-    if config.backend is ShardBackend.POOL:
-        return PooledShardExecutor(config.pool_workers)
-    return InprocShardExecutor()
-
-
 class _ShardFanout:
     """WindowListener that slices committed records across shard indices.
 
@@ -185,9 +100,13 @@ class _ShardFanout:
     Evictions mirror additions, so each shard slice retires with the
     record — a bloom digest is popped exactly when its own record
     leaves the window, because the window evicts in version order.
+
+    While a pre-certified run is open, ``carry`` also collects the keys
+    its commits write (the intra-run carry-forward set, PROTOCOL.md
+    §19.2); it is ``None`` outside a run.
     """
 
-    __slots__ = ("_shards", "_num", "_seed")
+    __slots__ = ("_shards", "_num", "_seed", "carry")
 
     def __init__(
         self, shards: list[KeyConflictIndex], num_shards: int, seed: int
@@ -195,6 +114,7 @@ class _ShardFanout:
         self._shards = shards
         self._num = num_shards
         self._seed = seed
+        self.carry: set[str] | None = None
 
     def group(self, keys) -> dict[int, list[str]]:
         groups: dict[int, list[str]] = {}
@@ -207,6 +127,8 @@ class _ShardFanout:
     def record_added(self, record: CommittedRecord) -> None:
         version = record.version
         readset = record.readset
+        if self.carry is not None:
+            self.carry.update(record.ws_keys)
         ws_groups = self.group(record.ws_keys)
         if readset.is_exact:
             read_groups = self.group(readset.keys)
@@ -264,11 +186,14 @@ class ShardPlan:
     conflicts are the merge loop's carry-forward set.  ``shard_units``
     is the per-shard work (key probes) the plan executed — the
     imbalance gauge and the occupancy histogram come from it.
+    ``merge_ns`` is the wall time phase 2 took, filled in when the run
+    ends.
     """
 
     conflicts: list[bool]
     shard_units: list[int] = field(default_factory=list)
     total_units: int = 0
+    merge_ns: int = 0
 
 
 class ShardedCertifier(PendingQueryMixin):
@@ -277,17 +202,17 @@ class ShardedCertifier(PendingQueryMixin):
 
     Single-transaction ``certify`` (the unbatched delivery path and the
     global-transaction path) probes only the shards a transaction's
-    keys touch, sequentially — it is already in delivery order, so
-    there is nothing to merge.  Delivered local runs go through
-    ``precertify_batch`` + the server's merge loop instead.
+    keys touch — it is already in delivery order, so there is nothing
+    to merge.  A delivered local run is bracketed by ``begin_run`` /
+    ``end_run``: phase 1 probes every shard once for the whole run, and
+    ``certify`` then answers each member from that plan, the live floor
+    and the carry-forward set.
 
     The pending list stays *unsharded* (``pending_index``): pending
     entries are few and churn on every delivery, so slicing them buys
     nothing; the :class:`PendingQueryMixin` queries are byte-identical
     to :class:`~repro.core.certindex.IndexedCertifier`'s.
     """
-
-    mode = CertifierMode.INDEX
 
     def __init__(
         self,
@@ -296,13 +221,11 @@ class ShardedCertifier(PendingQueryMixin):
         counters: CertifierCounters | None = None,
         *,
         config: ShardExecConfig,
-        executor: ShardExecutor,
     ) -> None:
         self.window = window
         self.pending = pending
         self.counters = counters if counters is not None else CertifierCounters()
         self.config = config
-        self.executor = executor
         self.num_shards = config.num_shards
         self.hash_seed = config.hash_seed
         self.shards = [
@@ -319,13 +242,34 @@ class ShardedCertifier(PendingQueryMixin):
             self.pending_index.entry_added(entry)
         window.listener = self._fanout
         pending.listener = self.pending_index
+        #: The open run's phase-1 plan and its verdicts by transaction
+        #: id; ``None`` outside ``begin_run`` … ``end_run``.
+        self._plan: ShardPlan | None = None
+        self._run_conflicts: dict[TxnId, bool] | None = None
+        self._merge_started = 0
 
     # ------------------------------------------------------------------
-    # Algorithm 2 line 49, single-transaction path
+    # Algorithm 2 line 49
     # ------------------------------------------------------------------
     def certify(self, txn: TxnProjection) -> bool | None:
+        # The floor is read live at each member's turn: a mid-run
+        # eviction that invalidates a phase-1 verdict also drags the
+        # floor past that member's snapshot, so it aborts *stale* —
+        # exactly what the sequential path, hitting the same floor
+        # first, reports.
         if txn.snapshot < self.window.floor:
             return None
+        conflicts = self._run_conflicts
+        if conflicts is not None:
+            # Phase 2.  Reading a carried key *is* a forward conflict
+            # against the in-run commit that wrote it: every in-run
+            # version exceeds every member's snapshot (the server only
+            # admits ``snapshot <= sc`` at run start).  Backward checks
+            # need no replay — run members are local.
+            carry = self._fanout.carry
+            return not (
+                conflicts[txn.tid] or (carry and txn.readset.contains_any(carry))
+            )
         counters = self.counters
         fallbacks_before = counters.index_fallbacks
         verdict = not self._committed_conflict(txn)
@@ -372,16 +316,37 @@ class ShardedCertifier(PendingQueryMixin):
         return False
 
     # ------------------------------------------------------------------
-    # Phase 1: parallel pre-certification of a delivered run
+    # A delivered run of fast-path locals (docs/PROTOCOL.md §19.2)
     # ------------------------------------------------------------------
-    def precertify_batch(self, projs: list[TxnProjection]) -> ShardPlan:
-        """Probe every shard concurrently against the *pre-batch* window.
+    def begin_run(self, projs: list[TxnProjection]) -> None:
+        """Phase 1 for ``projs``; ``certify`` answers from it until
+        :meth:`end_run`."""
+        plan = self.precertify_batch(projs)
+        if plan.total_units:
+            imbalance = max(plan.shard_units) * self.num_shards * 100 // plan.total_units
+            if imbalance > self.counters.shard_imbalance_max:
+                self.counters.shard_imbalance_max = imbalance
+        self._plan = plan
+        self._run_conflicts = dict(zip((proj.tid for proj in projs), plan.conflicts))
+        self._fanout.carry = set()
+        self._merge_started = perf_counter_ns()
 
-        Read-only on the shard indices, so the POOL backend may run the
-        per-shard closures on real threads; results merge in shard
-        order, making the verdict vector deterministic either way.
-        In-batch effects are deliberately absent here — the server's
-        merge loop replays them through the carry-forward set.
+    def end_run(self) -> ShardPlan:
+        """Close the run; returns its plan with the merge time filled in."""
+        plan = self._plan
+        plan.merge_ns = perf_counter_ns() - self._merge_started
+        self.counters.shard_merge_ns += plan.merge_ns
+        self._plan = None
+        self._run_conflicts = None
+        self._fanout.carry = None
+        return plan
+
+    def precertify_batch(self, projs: list[TxnProjection]) -> ShardPlan:
+        """Probe every shard against the *pre-batch* window.
+
+        Read-only on the shard indices; results merge in shard order.
+        In-batch effects are deliberately absent here — phase 2 replays
+        them through the carry-forward set.
         """
         num = self.num_shards
         shards = self.shards
@@ -411,12 +376,9 @@ class ShardedCertifier(PendingQueryMixin):
                     tasks[shard_id].append((index, _BWD, (), snapshot, ws_keys))
                     shard_units[shard_id] += 1
 
-        def run_shard(shard_id: int) -> tuple[list[int], int, int]:
-            shard = shards[shard_id]
-            # Thread-local counters: workers must not race on the shared
-            # stats object; totals merge below in shard order.
-            local = CertifierCounters()
-            hits: list[int] = []
+        conflicts = [False] * len(projs)
+        for shard_id, shard in enumerate(shards):
+            counters.shard_certify_calls += len(tasks[shard_id])
             for index, kind, payload, snapshot, probe in tasks[shard_id]:
                 if kind == _FWD_KEYS:
                     hit = shard.forward_conflict_keys(payload, snapshot)
@@ -424,21 +386,10 @@ class ShardedCertifier(PendingQueryMixin):
                     hit = shard.bloom_forward_conflict(payload, snapshot)
                 else:
                     hit = shard.backward_conflict_keys(
-                        payload, snapshot, local, probe_keys=probe
+                        payload, snapshot, counters, probe_keys=probe
                     )
                 if hit:
-                    hits.append(index)
-            return hits, local.ctest_calls, local.index_fallbacks
-
-        conflicts = [False] * len(projs)
-        for shard_id, (hits, ctest, fallbacks) in enumerate(
-            self.executor.map(run_shard, num)
-        ):
-            counters.shard_certify_calls += len(tasks[shard_id])
-            counters.ctest_calls += ctest
-            counters.index_fallbacks += fallbacks
-            for index in hits:
-                conflicts[index] = True
+                    conflicts[index] = True
         return ShardPlan(conflicts, shard_units, sum(shard_units))
 
     # ------------------------------------------------------------------
@@ -485,3 +436,16 @@ class ShardedCertifier(PendingQueryMixin):
                     if count:
                         per_shard[shard_id] += certify_cost * count / total
         return max(per_shard, default=0.0)
+
+
+def build_certifier(
+    window: CertificationWindow,
+    pending: PendingList,
+    counters: CertifierCounters | None,
+    shardexec: ShardExecConfig | None,
+) -> IndexedCertifier | ShardedCertifier:
+    """The certification strategy ``SdurConfig.shardexec`` selects: the
+    key index, sharded iff a :class:`ShardExecConfig` is given."""
+    if shardexec is None:
+        return IndexedCertifier(window, pending, counters)
+    return ShardedCertifier(window, pending, counters, config=shardexec)

@@ -28,7 +28,6 @@ from collections.abc import Callable
 
 from repro.experiments import (
     ablation_batching,
-    ablation_certindex,
     ablation_multicast,
     ablation_shardexec,
     ext_failover,
@@ -68,7 +67,6 @@ REGISTRY: dict[str, tuple[str, Callable[[bool], ExperimentTable]]] = {
     "A4": ("Paxos value-batching ablation", lambda q: ablation_batching.run(quick=q)),
     "A5": ("SDUR vs genuine atomic multicast", lambda q: ablation_multicast.run(quick=q)),
     "A6": ("Vote-ledger termination ablation", lambda q: ablation_vote_ledger.run(quick=q)),
-    "A7": ("Key-indexed vs scan certification", lambda q: ablation_certindex.run(quick=q)),
     "A8": ("Sharded vs serial certification executor", lambda q: ablation_shardexec.run(quick=q)),
     "E1": ("Availability under leader failover", lambda q: ext_failover.run(quick=q)),
     "E2": ("Live partition split under load", lambda q: reconfig.run(quick=q)),

@@ -6,7 +6,8 @@ Runs identical WAN 1 workloads with the two certification executors:
   against the single ``KeyConflictIndex``, in delivery order;
 * **sharded** — ``repro.core.shardexec``: the key space is
   hash-partitioned into shards with their own index slices, delivered
-  batches pre-certify against all shards concurrently (phase 1), and a
+  batches pre-certify against every shard (phase 1 — shard after shard
+  on one thread; the CPU cost model prices them as parallel), and a
   strict delivery-order merge loop replays intra-batch conflicts via the
   carry-forward set (phase 2).
 

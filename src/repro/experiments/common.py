@@ -43,7 +43,7 @@ class GeoRunParams:
     #: smooths CDFs the way real EC2 variance does.
     jitter_fraction: float = 0.1
     #: Clients ship readsets as bloom digests (the paper's §V transport;
-    #: exercises the certifier's per-record fallback path in A7).
+    #: exercises the certifier's per-record fallback path).
     bloom_readsets: bool = False
     config: SdurConfig | None = None
 

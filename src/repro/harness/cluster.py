@@ -366,16 +366,6 @@ class SdurCluster:
     def crash_server(self, node_id: str) -> None:
         self.world.crash(node_id)
 
-    def shutdown(self) -> None:
-        """Release server-owned resources (shard-executor thread pools).
-
-        Tests that enable the POOL shard backend must call this so no
-        ``shardexec`` worker threads outlive the cluster; it is a no-op
-        (and idempotent) for the default in-process backends.
-        """
-        for handle in self.servers.values():
-            handle.server.close()
-
     def replica_counts(self) -> dict[str, int]:
         """partition -> replica count (for recorder completeness checks)."""
         return {p: len(m) for p, m in self.directory.partitions.items()}

@@ -6,9 +6,13 @@ equivalent: an append-only log of byte records, each framed as::
 
     [4-byte length][4-byte CRC32][payload]
 
-Recovery replays records until the file ends or a corrupt/torn tail is
-found, truncating the tail (standard WAL semantics: a torn final record
-means the write never committed).
+Recovery replays records until the file ends or a torn tail is found —
+a last frame that is short or fails its CRC — and truncates that tail
+(standard WAL semantics: a torn final record means the write never
+committed).  A frame that fails its CRC with further bytes *after* it
+is not a torn write but corruption of acknowledged data: recovery
+raises :class:`~repro.errors.StorageError` instead of silently dropping
+every later record.
 
 ``path=None`` gives an in-memory log with the same interface, which the
 simulation uses so experiments stay filesystem-free.
@@ -58,12 +62,18 @@ class WriteAheadLog:
                 break  # torn tail
             payload = data[offset + _HEADER : end]
             if zlib.crc32(payload) != crc:
-                break  # corrupt tail
+                if end < len(data):
+                    raise StorageError(
+                        f"{self.path}: record LSN {len(self._records)} at byte "
+                        f"offset {offset} fails its CRC with {len(data) - end} "
+                        "bytes after it; refusing to truncate acknowledged records"
+                    )
+                break  # torn last frame
             self._records.append(payload)
             offset = end
             valid_bytes = end
         if valid_bytes < len(data):
-            # Truncate the torn/corrupt tail so future appends are clean.
+            # Truncate the torn tail so future appends are clean.
             with open(self.path, "r+b") as fh:
                 fh.truncate(valid_bytes)
 

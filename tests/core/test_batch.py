@@ -170,8 +170,8 @@ class TestBatchedCluster:
         # _last_instance without their state.
         cluster, client = batching_cluster(BatchingConfig(max_wait=5.0))
         server = cluster.servers["s1"].server
-        assert server._quiescent()
+        assert server._checkpoint_blocker() is None
         server.batcher.add("sentinel", 0.0)
-        assert not server._quiescent()
+        assert "batcher" in server._checkpoint_blocker()
         server.batcher._buffer.clear()
-        assert server._quiescent()
+        assert server._checkpoint_blocker() is None

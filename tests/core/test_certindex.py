@@ -21,14 +21,14 @@ from repro.core.certindex import (
     CertifierCounters,
     IndexedCertifier,
     KeyConflictIndex,
-    ScanCertifier,
     _WriteSegments,
-    make_certifier,
 )
 from repro.core.checkpoint import window_from_wire, window_to_wire
-from repro.core.config import CertifierMode
 from repro.core.pending import PendingList, PendingTxn
+from repro.core.shardexec import ShardExecConfig, ShardedCertifier, build_certifier
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
+
+from tests.oracles.scan_certifier import ScanCertifier
 
 
 def proj(
@@ -346,16 +346,22 @@ class TestRebuild:
 
 
 class TestFactory:
-    def test_make_certifier_modes(self):
+    def test_build_certifier_selects_on_shardexec(self):
         window = CertificationWindow(8)
         pending = PendingList()
         assert isinstance(
-            make_certifier(CertifierMode.INDEX, window, pending), IndexedCertifier
+            build_certifier(window, pending, None, None), IndexedCertifier
         )
-        assert window.listener is not None
         assert isinstance(
-            make_certifier(CertifierMode.SCAN, window, pending), ScanCertifier
+            build_certifier(window, pending, None, ShardExecConfig()), ShardedCertifier
         )
+
+    def test_scan_oracle_detaches_stale_index(self):
+        window = CertificationWindow(8)
+        pending = PendingList()
+        IndexedCertifier(window, pending)
+        assert window.listener is not None
+        ScanCertifier(window, pending)
         # The scan detaches the stale index so it stops mirroring.
         assert window.listener is None
         assert pending.listener is None

@@ -3,33 +3,24 @@
 Targeted histories pinning: shard routing stability, the fanout's
 slicing of committed records (exact and bloom readsets), verdict
 equivalence between :class:`ShardedCertifier` and the unsharded
-:class:`IndexedCertifier` on every query type, phase-1 batch plans, the
-POOL backend's determinism and thread lifecycle, and checkpoint/restore
-rebuilds through a live server.  The Hypothesis differential suite
+:class:`IndexedCertifier` on every query type, phase-1 batch plans, and
+checkpoint-restore / migration-install rebuilds through a live server.  The Hypothesis differential suite
 (``tests/properties/test_prop_shardexec.py``) covers random delivery
 scripts end to end.
 """
-
-import threading
 
 import pytest
 
 from repro.core.batch import BatchingConfig
 from repro.core.certifier import CertificationWindow, CommittedRecord
 from repro.core.certindex import IndexedCertifier
-from repro.core.config import CertExecutorMode, CertifierMode, SdurConfig
+from repro.core.config import SdurConfig
 from repro.core.pending import PendingList, PendingTxn
-from repro.core.shardexec import (
-    InprocShardExecutor,
-    PooledShardExecutor,
-    ShardBackend,
-    ShardExecConfig,
-    ShardedCertifier,
-    make_shard_executor,
-    shard_of,
-)
+from repro.core.shardexec import ShardExecConfig, ShardedCertifier, shard_of
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 from repro.errors import ConfigurationError
+from repro.reconfig.epochs import ConfigChange
+from repro.reconfig.messages import InstallMigration
 
 from tests.properties.test_prop_shardexec import (
     build_server,
@@ -64,15 +55,11 @@ def record(version, reads=(), writes=(), is_global=False, bloom=False):
     )
 
 
-def sharded(num_shards=4, capacity=64, backend=ShardBackend.INPROC, hash_seed=0):
-    config = ShardExecConfig(
-        num_shards=num_shards, backend=backend, hash_seed=hash_seed
-    )
+def sharded(num_shards=4, capacity=64, hash_seed=0):
+    config = ShardExecConfig(num_shards=num_shards, hash_seed=hash_seed)
     window = CertificationWindow(capacity)
     pending = PendingList()
-    certifier = ShardedCertifier(
-        window, pending, config=config, executor=make_shard_executor(config)
-    )
+    certifier = ShardedCertifier(window, pending, config=config)
     return certifier, window, pending
 
 
@@ -115,25 +102,15 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ShardExecConfig(num_shards=0)
 
-    def test_rejects_bad_pool_workers(self):
-        with pytest.raises(ConfigurationError):
-            ShardExecConfig(pool_workers=0)
-
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigurationError):
             ShardExecConfig(hash_seed=-1)
 
-    def test_sharded_requires_indexed_certifier(self):
-        with pytest.raises(ConfigurationError):
-            SdurConfig(
-                certifier=CertifierMode.SCAN,
-                cert_executor=CertExecutorMode.SHARDED,
-            )
-
     def test_with_shard_executor_helper(self):
+        assert SdurConfig().shardexec is None
         config = SdurConfig().with_shard_executor(ShardExecConfig(num_shards=8))
-        assert config.cert_executor is CertExecutorMode.SHARDED
         assert config.shardexec.num_shards == 8
+        assert SdurConfig().with_shard_executor().shardexec == ShardExecConfig()
 
 
 class TestShardOf:
@@ -229,43 +206,6 @@ class TestEvictionSlicing:
         )
 
 
-class TestBackends:
-    def test_make_shard_executor(self):
-        assert isinstance(
-            make_shard_executor(ShardExecConfig()), InprocShardExecutor
-        )
-        pool = make_shard_executor(ShardExecConfig(backend=ShardBackend.POOL))
-        assert isinstance(pool, PooledShardExecutor)
-        pool.shutdown()
-
-    def test_pool_matches_inproc_verdicts(self):
-        inproc, window_a, _ = sharded(4)
-        pooled, window_b, _ = sharded(4, backend=ShardBackend.POOL)
-        fill(window_a)
-        fill(window_b)
-        try:
-            projs = [proj(seq, **kwargs) for seq, kwargs in enumerate(QUERIES)]
-            assert (
-                pooled.precertify_batch(projs).conflicts
-                == inproc.precertify_batch(projs).conflicts
-            )
-        finally:
-            pooled.executor.shutdown()
-
-    def test_pool_is_lazy_and_joins_on_shutdown(self):
-        pool = PooledShardExecutor()
-        assert pool._pool is None  # nothing spawned until first map
-        pool.drain()  # no-op before the pool exists
-        assert pool.map(lambda s: s * s, 4) == [0, 1, 4, 9]
-        assert any(t.name.startswith("shardexec") for t in threading.enumerate())
-        pool.drain()
-        pool.shutdown()
-        pool.shutdown()  # idempotent
-        assert not any(
-            t.name.startswith("shardexec") for t in threading.enumerate()
-        )
-
-
 class TestServerIntegration:
     def test_checkpoint_restore_rebuilds_shards(self):
         """Shard indices carry no checkpoint state: a restore rebuilds
@@ -283,7 +223,6 @@ class TestServerIntegration:
         def run(shard_config):
             first = replay(warmup, shard_config, batching, set(), 0)
             checkpoint = first.take_checkpoint()
-            first.close()
             second = build_server(shard_config, batching, 0)
             second.restore_checkpoint(checkpoint)
             for instance, value in enumerate(tail):
@@ -297,22 +236,26 @@ class TestServerIntegration:
         assert isinstance(restored.certifier, ShardedCertifier)
         assert restored.stats.shard_certify_calls > 0
 
-    def test_checkpoint_drains_pool(self):
-        config = ShardExecConfig(num_shards=2, backend=ShardBackend.POOL)
-        values = concretize(
-            [("txn", False, False, [0], [1], 0), ("txn", False, False, [2], [3], 0)]
+    def test_migration_install_rebuilds_shards(self):
+        """A split install replaces the window wholesale; the certifier
+        must be rebuilt — still sharded — over the new one."""
+        server = build_server(ShardExecConfig(num_shards=4), None, 0)
+        before = server.certifier
+        server.await_migration()
+        change = ConfigChange(
+            new_epoch=1,
+            source="p1",
+            new_partition="p0",
+            new_members=("s0",),
+            new_preferred="s0",
+            split_salt="x",
         )
-        server = replay(values, config, BatchingConfig(max_batch=2), set(), 0)
-        try:
-            assert server.stats.committed_local == 2
-            server.take_checkpoint()  # must drain, not deadlock or raise
-        finally:
-            server.close()
-        assert not any(
-            t.name.startswith("shardexec") for t in threading.enumerate()
+        server.on_adeliver(
+            0, InstallMigration(change=change, chains={"0/k0": ((7, 1),)}, source_sc=7)
         )
-
-    def test_serial_server_close_is_noop(self):
-        server = build_server(None, None, 0)
-        server.close()
-        server.close()
+        assert isinstance(server.certifier, ShardedCertifier)
+        assert server.certifier is not before
+        assert server.certifier.window is server.window
+        assert server.window.floor == 7
+        stale = proj(1, reads=["0/k0"], snapshot=6)
+        assert server.certifier.certify(stale) is None

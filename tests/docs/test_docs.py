@@ -80,3 +80,31 @@ def test_every_registry_metric_is_documented_in_observability_md():
     assert not missing, (
         f"metrics absent from docs/OBSERVABILITY.md: {sorted(missing)}"
     )
+
+
+CONFIG_REF_RE = re.compile(r"\b(SdurConfig|ShardExecConfig|BatchingConfig)\.([A-Za-z_]\w*)")
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+def test_cited_config_knobs_exist(doc):
+    """Every ``SdurConfig.<name>`` / ``ShardExecConfig.<name>`` /
+    ``BatchingConfig.<name>`` a doc cites must be a dataclass field (or
+    a method) of that class today — removing a knob must not leave the
+    docs advertising it."""
+    from dataclasses import fields
+
+    from repro.core.batch import BatchingConfig
+    from repro.core.config import SdurConfig
+    from repro.core.shardexec import ShardExecConfig
+
+    known = {
+        cls.__name__: {f.name for f in fields(cls)}
+        | {name for name in vars(cls) if callable(getattr(cls, name))}
+        for cls in (SdurConfig, ShardExecConfig, BatchingConfig)
+    }
+    stale = sorted(
+        f"{cls_name}.{name}"
+        for cls_name, name in set(CONFIG_REF_RE.findall(doc.read_text()))
+        if name not in known[cls_name]
+    )
+    assert not stale, f"{doc.name} cites config knobs that do not exist: {stale}"

@@ -3,13 +3,17 @@
 import pytest
 
 from repro.consensus.replica import PaxosConfig
+from repro.core.batch import BatchingConfig
 from repro.core.checkpoint import (
     CheckpointReply,
     CheckpointRequest,
     ServerCheckpoint,
 )
 from repro.core.config import SdurConfig
+from repro.core.messages import NoopTick
 from repro.core.partitioning import PartitionMap
+from repro.core.pending import PendingTxn
+from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 from repro.errors import ProtocolError
 from repro.geo.deployments import lan_deployment
 from repro.harness.cluster import build_cluster
@@ -35,6 +39,20 @@ def checkpointing_cluster(wals, seed=3, checkpoint_interval=0.2):
         intra_delay=0.001,
         paxos_config_factory=factory,
     )
+
+
+def _pending_entry():
+    proj = TxnProjection(
+        tid=TxnId("c", 1),
+        partition="p0",
+        readset=ReadsetDigest.exact(["0/x"]),
+        writeset={"0/x": 1},
+        snapshot=0,
+        partitions=("p0", "p1"),
+        coordinator="s1",
+        client="c",
+    )
+    return PendingTxn(proj=proj, rt=0, delivered_at=0.0)
 
 
 class TestCheckpointTaking:
@@ -81,6 +99,30 @@ class TestCheckpointTaking:
         if server.pending:
             with pytest.raises(ProtocolError):
                 server.take_checkpoint()
+
+    @pytest.mark.parametrize(
+        "cause, block",
+        [
+            ("pending list", lambda s: s.pending.append(_pending_entry())),
+            ("stalled", lambda s: s._stalled.append(NoopTick())),
+            ("being applied", lambda s: setattr(s, "_applying", True)),
+            ("batcher", lambda s: s.batcher.add(NoopTick(), 0.0)),
+        ],
+    )
+    def test_refusal_names_the_blocker(self, cause, block):
+        """Each non-quiescent cause is reported as itself, not as a
+        non-empty pending list."""
+        cluster = build_cluster(
+            lan_deployment(1),
+            PartitionMap.by_index(1),
+            SdurConfig(batching=BatchingConfig(max_wait=5.0)),
+            seed=3,
+        )
+        server = cluster.servers["s1"].server
+        server.take_checkpoint()  # quiescent: allowed
+        block(server)
+        with pytest.raises(ProtocolError, match=cause):
+            server.take_checkpoint()
 
     def test_restore_requires_fresh_server(self):
         wals = {}

@@ -9,17 +9,20 @@ and asserts every query answers *bit-identically*: ``certify``,
 ``find_reorder_position``.  Certification decides commit order at every
 replica, so one divergent verdict is a replica-divergence bug; this
 suite is the evidence behind the "identical outcomes" claim of
-docs/PROTOCOL.md §15 (ablation A7 shows the same at the system level).
+docs/PROTOCOL.md §15 (``tests/integration/test_scan_oracle_cluster.py``
+shows the same at the system level).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.certifier import CertificationWindow, CommittedRecord
-from repro.core.certindex import IndexedCertifier, ScanCertifier
+from repro.core.certindex import IndexedCertifier
 from repro.core.checkpoint import window_from_wire, window_to_wire
 from repro.core.pending import PendingList, PendingTxn
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
+
+from tests.oracles.scan_certifier import ScanCertifier
 
 KEYS = ["a", "b", "c", "d", "e", "f"]
 

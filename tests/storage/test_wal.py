@@ -67,6 +67,22 @@ class TestFileBacked:
         assert list(recovered) == [b"good"]
         recovered.close()
 
+    def test_mid_file_corruption_refuses_to_start(self, tmp_path):
+        """A CRC failure with intact frames after it is not a torn write:
+        truncating there would drop acknowledged records."""
+        path = tmp_path / "wal.log"
+        with WriteAheadLog(path) as log:
+            log.append(b"first")
+            log.append(b"evil")
+            log.append(b"third")
+        data = bytearray(path.read_bytes())
+        evil_offset = 8 + len(b"first")
+        data[evil_offset + 8] ^= 0xFF  # first payload byte of record 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match=rf"LSN 1 at byte offset {evil_offset}\b"):
+            WriteAheadLog(path)
+        assert path.read_bytes() == bytes(data)  # nothing was truncated
+
     def test_empty_and_missing_files(self, tmp_path):
         missing = WriteAheadLog(tmp_path / "sub" / "new.log")
         assert len(missing) == 0

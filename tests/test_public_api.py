@@ -11,6 +11,16 @@ class TestPublicApi:
         for name in repro.__all__:
             assert hasattr(repro, name), f"__all__ names missing attribute {name}"
 
+    def test_core_all_exports_resolve(self):
+        import repro.core
+
+        for name in repro.core.__all__:
+            assert hasattr(repro.core, name), f"repro.core.__all__ names missing {name}"
+        # One certification seam: the strategy switches are gone.
+        assert "ShardExecConfig" in repro.core.__all__
+        for removed in ("CertExecutorMode", "ShardBackend"):
+            assert removed not in repro.core.__all__
+
     def test_core_entry_points_exported(self):
         for name in (
             "build_cluster",
