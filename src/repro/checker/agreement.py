@@ -11,8 +11,8 @@ partition and returns a structured report.  It catches three shapes of
 divergence:
 
 * the same version holding *different transactions* at two replicas
-  (the reorder race of the optimistic termination mode manifests this
-  way: two transactions committed at swapped versions);
+  (the reorder race of arrival-time termination manifests this way:
+  two transactions committed at swapped versions);
 * the same transaction committing at *different versions*;
 * a *mid-stream hole* — one replica missing a commit that another has,
   while already having later ones (tail gaps are only an error when the

@@ -48,10 +48,11 @@ class AbcastFabric:
         #: leaders are elected rather than pinned.
         self.redundant_submit = redundant_submit
         #: Values this node handed to each partition's broadcast, by
-        #: partition id.  The vote-ledger ablation reads it to report log
-        #: traffic: ledger termination re-sequences every vote, so its
-        #: proposal counts exceed the optimistic mode's by roughly one
-        #: record per vote (duplicates from retry timers included).
+        #: partition id.  Read to report log traffic: the vote ledger
+        #: re-sequences every vote, so proposal counts exceed an
+        #: arrival-time termination's by roughly one record per vote
+        #: (duplicates from retry timers included;
+        #: tests/integration/test_optimistic_oracle_cluster.py).
         self.proposed: dict[str, int] = {}
 
     def add_group(

@@ -10,25 +10,6 @@ from repro.core.shardexec import ShardExecConfig
 from repro.overload.admission import AdmissionConfig
 
 
-class TerminationMode(str, enum.Enum):
-    """How global-transaction votes take effect at a partition's replicas."""
-
-    #: Votes apply the moment they arrive (the paper's implicit model and
-    #: the seed's behavior).  Cheaper — no extra local broadcast — but
-    #: completion order can depend on vote-arrival timing, which the
-    #: reordering extension turns into replica divergence, and deferral
-    #: cycles across partitions can deadlock (see ROADMAP's falsifying
-    #: examples and docs/PROTOCOL.md §14).  Kept runnable as the
-    #: ablation baseline (`ablation_vote_ledger`).
-    OPTIMISTIC = "optimistic"
-    #: Votes are values ordered through each partition's own atomic
-    #: broadcast (:mod:`repro.termination`): a vote takes effect only at
-    #: its delivery position, identically at every replica, and deferral
-    #: cycles are broken deterministically (lowest ``TxnId`` aborts).
-    #: Costs one extra local abcast per vote on the commit path.
-    LEDGER = "ledger"
-
-
 class DelayMode(str, enum.Enum):
     """How the *delaying transactions* technique picks its delay (§IV-D)."""
 
@@ -91,9 +72,6 @@ class SdurConfig:
     shardexec: ShardExecConfig | None = None
 
     # -- Global-transaction termination (docs/PROTOCOL.md §14) ----------
-    #: LEDGER (default) orders every vote through the partition's own
-    #: log; OPTIMISTIC applies votes on arrival, as the seed did.
-    termination_mode: TerminationMode = TerminationMode.LEDGER
     #: Re-proposal period for vote records not yet seen delivered (the
     #: immediate proposal can die with a crashed or superseded leader);
     #: ``None`` disables retries (tests only).
@@ -167,10 +145,6 @@ class SdurConfig:
     def with_reordering(self, threshold: int) -> "SdurConfig":
         """Copy with reordering enabled at ``threshold``."""
         return self._replace(reorder_threshold=threshold)
-
-    def with_termination(self, mode: TerminationMode) -> "SdurConfig":
-        """Copy with the given vote-termination mode."""
-        return self._replace(termination_mode=mode)
 
     def with_delaying(self, mode: DelayMode, fixed: float = 0.0) -> "SdurConfig":
         return self._replace(delay_mode=mode, delay_fixed=fixed)

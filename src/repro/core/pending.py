@@ -39,7 +39,7 @@ class PendingTxn:
     doomed: bool = False
     #: Doomed by the deterministic deferral-cycle rule (an abort-request
     #: delivered while this entry was deferred, and its TxnId was below
-    #: every dependency's).  Only set in ledger termination mode; drives
+    #: every dependency's).  Set by the termination component; drives
     #: the ``vote_ledger_aborts`` counter at completion.
     cycle_victim: bool = False
 

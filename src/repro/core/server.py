@@ -19,13 +19,15 @@ Determinism note: everything that affects commit *order* — certification,
 reordering, threshold bookkeeping — must depend only on the delivery
 sequence and on vote contents, never on vote arrival times; this is the
 invariant behind the paper's correctness argument (§IV-G) and is
-exercised by the ``test_determinism`` property tests.  In the default
-*ledger* termination mode (docs/PROTOCOL.md §14) the invariant is
-enforced structurally: votes are values ordered through the partition's
-own log (:mod:`repro.termination`) and take effect only at delivery.
-The *optimistic* mode applies votes on arrival, as the seed did; it is
-kept runnable as the `ablation_vote_ledger` baseline, where the
-ROADMAP's falsifying examples demonstrate its divergence and deadlock.
+exercised by the ``test_determinism`` property tests.  For votes the
+invariant is enforced structurally by the termination component
+(``self.ledger``, :mod:`repro.termination`, docs/PROTOCOL.md §14): votes
+are values ordered through the partition's own log and take effect only
+at delivery.  This module decides verdicts (certification, deferral,
+dooming) and completes the pending list's head; *when a vote counts* is
+known to the ledger alone, which the server calls at fixed points —
+admit, cast, vote arrived, record delivered, abort request delivered,
+partition learned, batch boundary.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from repro.core.checkpoint import (
     window_from_wire,
     window_to_wire,
 )
-from repro.core.config import DelayMode, SdurConfig, TerminationMode
+from repro.core.config import DelayMode, SdurConfig
 from repro.core.directory import ClusterDirectory
 from repro.core.messages import (
     AbortRequest,
@@ -116,7 +118,7 @@ class ServerStats:
         #: individually (exact readsets never fall back).
         self.index_fallbacks = 0
         #: Vote records delivered through this partition's own log
-        #: (ledger termination mode only; docs/PROTOCOL.md §14).
+        #: (docs/PROTOCOL.md §14).
         self.votes_ordered = 0
         #: Deferral cycles broken by the deterministic lowest-TxnId rule.
         self.cycles_resolved = 0
@@ -235,31 +237,32 @@ class SdurServer:
         self.dc = 0
         #: Current reorder threshold (changeable via ThresholdChange).
         self.reorder_threshold = self.config.reorder_threshold
-        #: Votes that arrived before their transaction was delivered.
-        self._vote_buffer: dict[TxnId, dict[str, str]] = {}
         #: Recently completed transactions (tid -> outcome), bounded.
         self._completed: OrderedDict[TxnId, str] = OrderedDict()
         self._completed_limit = 4 * self.config.history_window
-        #: Vote ledger (docs/PROTOCOL.md §14): every vote — our own and
-        #: relayed remote ones — is ordered through this partition's own
-        #: log and takes effect only at its delivery position.  ``None``
-        #: in optimistic mode, where votes apply on arrival (the seed's
-        #: unsound behavior, kept runnable for the ablation baseline).
-        self.ledger: VoteLedger | None = None
-        if self.config.termination_mode is TerminationMode.LEDGER:
-            self.ledger = VoteLedger(
-                runtime,
-                partition,
-                fabric.abcast,
-                retry_interval=self.config.ledger_retry_interval,
-                limit=self._completed_limit,
-                group_size=(
-                    self.config.batching.ledger_group
-                    if self.config.batching is not None
-                    else 1
-                ),
-            )
-            self.ledger.is_leader = lambda: self.is_partition_leader()
+        #: Termination component (docs/PROTOCOL.md §14): owns every vote,
+        #: the vote timeout, the abort-request branches and the set of
+        #: transactions aborted before delivery.
+        self.ledger = VoteLedger(
+            runtime,
+            partition,
+            fabric.abcast,
+            routing=self.routing,
+            pending=self.pending,
+            completed=self._completed.get,
+            doom=self._doom_and_release,
+            drain=self._drain,
+            stats=self.stats,
+            is_leader=lambda: self.is_partition_leader(),
+            retry_interval=self.config.ledger_retry_interval,
+            vote_timeout=self.config.vote_timeout,
+            limit=self._completed_limit,
+            group_size=(
+                self.config.batching.ledger_group
+                if self.config.batching is not None
+                else 1
+            ),
+        )
         #: Batched delivery pipeline (docs/PROTOCOL.md §18); ``None``
         #: ingests every delivery individually, as Algorithm 2 is written.
         self.batcher: DeliveryBatcher | None = None
@@ -275,9 +278,6 @@ class SdurServer:
         self._in_batch = False
         #: client node id -> [(tid, outcome)] buffered this batch.
         self._reply_buffer: dict[str, list[tuple[TxnId, str]]] = {}
-        #: Transactions killed by an abort-request before delivery
-        #: (insertion-ordered so the backlog can be bounded).
-        self._aborted_early: OrderedDict[TxnId, None] = OrderedDict()
         #: Reads waiting for this replica to catch up to their snapshot.
         self._waiting_reads: list[tuple[int, str, ReadRequest]] = []
         #: Deliveries stalled behind a blocked head global (see _head_blocked).
@@ -291,8 +291,6 @@ class SdurServer:
         self._migration_pending = False
         #: Reads parked while awaiting the migration install.
         self._parked_reads: list[ReadRequest] = []
-        #: Votes addressed to partitions this node has not learned yet.
-        self._deferred_votes: list[tuple[str, Vote]] = []
         #: Commit requests tagged with a future epoch (directory change
         #: still in flight to this node); replayed once it arrives.
         self._premature_requests: list[CommitRequest] = []
@@ -447,7 +445,7 @@ class SdurServer:
             if self._admit_commit(msg):
                 self.submit(msg)
         elif isinstance(msg, Vote):
-            self._on_vote(src, msg)
+            self.ledger.on_vote(src, msg)
         elif isinstance(msg, GetSnapshotVector):
             vector = self.snapshot_builder.vector()
             self.runtime.send(msg.reply_to, SnapshotVectorReply(tid=msg.tid, vector=vector))
@@ -743,8 +741,7 @@ class SdurServer:
         """Force out buffered deliveries and replies (quiescence, tests)."""
         if self.batcher is not None:
             self.batcher.flush_now()
-        if self.ledger is not None:
-            self.ledger.flush_group()
+        self.ledger.flush_group()
         self._flush_replies()
 
     def _batch_fast_ok(self, value: Any) -> bool:
@@ -775,7 +772,7 @@ class SdurServer:
             and value.epoch <= self.routing.epoch
             and value.epoch >= self.routing.ownership_epoch(self.partition)
             and value.snapshot <= self.sc
-            and value.tid not in self._aborted_early
+            and value.tid not in self.ledger.aborted_early
         )
 
     def _run_batch(self, values: list[Any]) -> None:
@@ -808,8 +805,7 @@ class SdurServer:
                     index += 1
         finally:
             self._in_batch = False
-        if self.ledger is not None:
-            self.ledger.flush_group()
+        self.ledger.flush_group()
         self._flush_replies()
 
     def _commit_local_run(self, projs: list[TxnProjection]) -> None:
@@ -894,7 +890,6 @@ class SdurServer:
                 "sdur.commit", tid=str(tid), version=version, is_global=False
             )
             self._record_completed(tid, Outcome.COMMIT)
-            self._vote_buffer.pop(tid, None)
             self._notify_client(proj, Outcome.COMMIT)
         shard_plan = certifier.end_run()
         self.stats.batch_certify_ns += perf_counter_ns() - started
@@ -1008,14 +1003,9 @@ class SdurServer:
         elif isinstance(value, NoopTick):
             self._deliver_noop()
         elif isinstance(value, AbortRequest):
-            self._deliver_abort_request(value)
-        elif isinstance(value, VoteRecord):
-            self._deliver_vote_record(value)
-        elif isinstance(value, VoteRecordGroup):
-            # Grouped votes (§18): member records take effect strictly in
-            # group order, exactly as if delivered as individual values.
-            for record in value.records:
-                self._deliver_vote_record(record)
+            self.ledger.on_abort_request(value)
+        elif isinstance(value, (VoteRecord, VoteRecordGroup)):
+            self.ledger.deliver(value)
         elif isinstance(value, ThresholdChange):
             self._deliver_threshold_change(value)
         elif isinstance(value, BeginSplit):
@@ -1064,11 +1054,9 @@ class SdurServer:
                 dc=self.dc,
                 is_global=proj.is_global,
             )
-        if tid in self._aborted_early:
+        if tid in self.ledger.aborted_early:
             # An abort-request won the race (§IV-F): never certify.
-            del self._aborted_early[tid]
-            if self.ledger is not None:
-                self.ledger.take_early(tid)  # discard; the txn is dead
+            self.ledger.discard(tid)
             self._finish_aborted(proj, self.stats_bucket("recovery"))
             self._drain()
             return
@@ -1103,64 +1091,19 @@ class SdurServer:
         entry = PendingTxn(
             proj=proj, rt=rt, delivered_at=self.runtime.now(), deps=deps
         )
-        if proj.is_global and self.ledger is not None:
-            # Remote votes ledgered before this projection's position.
-            for partition, vote in self.ledger.take_early(tid).items():
-                if partition not in entry.votes:
-                    entry.votes[partition] = vote
-                    if obs.enabled:
-                        obs.event(
-                            "vote.effect",
-                            self.node_id,
-                            tid,
-                            partition=partition,
-                            vote=vote,
-                            via="ledger",
-                        )
         if deps:
             # Verdict depends on whether the conflicting pending entries
             # commit; defer (append — no reorder leap for deferred txns).
             if obs.enabled:
                 obs.event("server.defer", self.node_id, tid, deps=len(deps))
             self.stats.deferred += 1
+        if deps or proj.is_global:
             self.pending.append(entry)
-            self._arm_vote_timeout(entry)
-            self._arm_noop_ticker()
-            self._drain()
-            return
-        if proj.is_global:
-            if self.ledger is None:
-                # Optimistic: the own vote takes effect right here, and
-                # arrival-time buffered votes merge in.
-                entry.votes[self.partition] = Outcome.COMMIT.value
-                if obs.enabled:
-                    obs.event(
-                        "vote.effect",
-                        self.node_id,
-                        tid,
-                        partition=self.partition,
-                        vote=Outcome.COMMIT.value,
-                        via="own",
-                    )
-                buffered = self._vote_buffer.pop(tid, None)
-                if buffered:
-                    for partition, vote in buffered.items():
-                        if partition not in entry.votes:
-                            entry.votes[partition] = vote
-                            if obs.enabled:
-                                obs.event(
-                                    "vote.effect",
-                                    self.node_id,
-                                    tid,
-                                    partition=partition,
-                                    vote=vote,
-                                    via="buffer",
-                                )
-            self.pending.append(entry)
-            # Ledger mode: _send_votes orders our COMMIT verdict through
-            # our own log; it lands in entry.votes at self-delivery.
-            self._send_votes(proj, Outcome.COMMIT)
-            self._arm_vote_timeout(entry)
+            self.ledger.admit(entry)
+            if not deps:
+                # Our COMMIT verdict lands in entry.votes when the ledger
+                # lets it take effect, not here.
+                self.ledger.cast(proj, Outcome.COMMIT)
             self._arm_noop_ticker()
         else:
             position = self.certifier.find_reorder_position(proj, self.dc)
@@ -1205,41 +1148,21 @@ class SdurServer:
         entry.deps.clear()
         entry.votes[self.partition] = Outcome.ABORT.value
         if entry.proj.is_global:
-            self._send_votes(entry.proj, Outcome.ABORT)
+            self.ledger.cast(entry.proj, Outcome.ABORT)
         self.runtime.trace("sdur.doomed", tid=str(entry.tid))
+
+    def _doom_and_release(self, entry: PendingTxn) -> None:
+        """Doom ``entry`` on the ledger's say-so (the §14.3 cycle rule)
+        and release whatever deferred on it."""
+        self._doom(entry)
+        self._resolve_dependents(entry.tid, committed=False)
 
     def _decide_deferred(self, entry: PendingTxn) -> None:
         """All dependencies aborted: the deferred certification passes."""
-        if not entry.proj.is_global:
+        if entry.proj.is_global:
+            self.ledger.cast(entry.proj, Outcome.COMMIT)
+        else:
             entry.votes[self.partition] = Outcome.COMMIT.value
-            return
-        obs = self._obs
-        if self.ledger is None:
-            entry.votes[self.partition] = Outcome.COMMIT.value
-            if obs.enabled:
-                obs.event(
-                    "vote.effect",
-                    self.node_id,
-                    entry.tid,
-                    partition=self.partition,
-                    vote=Outcome.COMMIT.value,
-                    via="own",
-                )
-            buffered = self._vote_buffer.pop(entry.tid, None)
-            if buffered:
-                for partition, vote in buffered.items():
-                    if partition not in entry.votes:
-                        entry.votes[partition] = vote
-                        if obs.enabled:
-                            obs.event(
-                                "vote.effect",
-                                self.node_id,
-                                entry.tid,
-                                partition=partition,
-                                vote=vote,
-                                via="buffer",
-                            )
-        self._send_votes(entry.proj, Outcome.COMMIT)
 
     def stats_bucket(self, kind: str) -> str:
         """Record an abort in its stats bucket; returns ``kind`` back."""
@@ -1270,7 +1193,7 @@ class SdurServer:
             )
         self._record_completed(proj.tid, Outcome.ABORT)
         if proj.is_global:
-            self._send_votes(proj, Outcome.ABORT)
+            self.ledger.cast(proj, Outcome.ABORT)
         self._notify_client(proj, Outcome.ABORT)
         self.runtime.trace("sdur.abort", tid=str(proj.tid), reason=reason)
 
@@ -1285,7 +1208,7 @@ class SdurServer:
         self.stats_bucket("epoch")
         self._record_completed(proj.tid, Outcome.ABORT)
         if proj.is_global:
-            self._send_votes(proj, Outcome.ABORT)
+            self.ledger.cast(proj, Outcome.ABORT)
         if proj.client and self._should_notify(proj):
             self.runtime.send(proj.client, self._stale_notice(proj))
         self.runtime.trace("sdur.abort", tid=str(proj.tid), reason="epoch")
@@ -1303,122 +1226,6 @@ class SdurServer:
             epoch=self.routing.epoch,
             changes=self.routing.changes_since(proj.epoch),
         )
-
-    # ------------------------------------------------------------------
-    # Votes (Algorithm 2 lines 13–14, 21–22)
-    # ------------------------------------------------------------------
-    def _send_votes(self, proj: TxnProjection, outcome: Outcome) -> None:
-        """Cast this partition's verdict for ``proj``.
-
-        Optimistic mode emits the inter-partition :class:`Vote` at once.
-        Ledger mode first orders the verdict through our own log as a
-        :class:`VoteRecord`; the Vote goes out at its delivery position
-        (:meth:`_deliver_vote_record`), so a replayed log re-derives both
-        the verdict and its emission.
-        """
-        if self.ledger is not None:
-            self.ledger.ledger(
-                proj.tid, self.partition, outcome.value, tuple(proj.partitions)
-            )
-        else:
-            self._emit_vote(proj.tid, outcome.value, tuple(proj.partitions))
-
-    def _emit_vote(self, tid: TxnId, vote: str, involved: tuple[str, ...]) -> None:
-        """Send this partition's vote to every other involved partition."""
-        if self._obs.enabled:
-            self._obs.event("vote.emit", self.node_id, tid, vote=vote)
-        msg = Vote(tid=tid, partition=self.partition, vote=vote)
-        for partition in involved:
-            if partition == self.partition:
-                continue
-            if not self.routing.knows_partition(partition):
-                # A partition created by a split whose directory change
-                # has not reached this node yet; flush when it does.
-                self._deferred_votes.append((partition, msg))
-                continue
-            for server in self.directory.servers_of(partition):
-                self.runtime.send(server, msg)
-
-    def _on_vote(self, src: str, msg: Vote) -> None:
-        obs = self._obs
-        if obs.enabled:
-            obs.event(
-                "vote.arrive",
-                self.node_id,
-                msg.tid,
-                partition=msg.partition,
-                src=src,
-                vote=msg.vote,
-            )
-        if self.ledger is not None:
-            # Ledger mode: never touch protocol state at arrival time.
-            # Re-sequence the remote vote through our own log; it takes
-            # effect at its delivery position, identically everywhere.
-            if msg.tid not in self._completed:
-                self.ledger.ledger(msg.tid, msg.partition, msg.vote)
-            return
-        entry = self.pending.get(msg.tid)
-        if entry is not None:
-            if msg.partition not in entry.votes:
-                entry.votes[msg.partition] = msg.vote
-                if obs.enabled:
-                    obs.event(
-                        "vote.effect",
-                        self.node_id,
-                        msg.tid,
-                        partition=msg.partition,
-                        vote=msg.vote,
-                        via="arrival",
-                    )
-            self._pump()
-            return
-        if msg.tid in self._completed:
-            return
-        self._vote_buffer.setdefault(msg.tid, {}).setdefault(msg.partition, msg.vote)
-
-    def _deliver_vote_record(self, record: VoteRecord) -> None:
-        """A vote reached its position in our own log (ledger mode).
-
-        Does not bump ``dc`` (vote records are not transactions and must
-        not advance reorder thresholds) and is never snapshot-gated.
-        """
-        if self.ledger is None or not self.ledger.on_delivered(record):
-            # Optimistic replay of a ledger-mode log, or a duplicate
-            # proposal (outbox retries race the leader's own proposal).
-            return
-        self.stats.votes_ordered += 1
-        obs = self._obs
-        if obs.enabled:
-            obs.event(
-                "ledger.deliver",
-                self.node_id,
-                record.tid,
-                partition=record.partition,
-                owner=self.partition,
-            )
-        if record.partition == self.partition and record.involved:
-            # Our own verdict is now durable in log order: only here does
-            # the inter-partition Vote go out (Figure 1's message ⑥,
-            # one local broadcast later than in the optimistic mode).
-            self._emit_vote(record.tid, record.vote, record.involved)
-        entry = self.pending.get(record.tid)
-        if entry is not None:
-            if record.partition not in entry.votes:
-                entry.votes[record.partition] = record.vote
-                if obs.enabled:
-                    obs.event(
-                        "vote.effect",
-                        self.node_id,
-                        record.tid,
-                        partition=record.partition,
-                        vote=record.vote,
-                        via="ledger",
-                    )
-            self._drain()
-            return
-        if record.tid in self._completed or record.tid in self._aborted_early:
-            return
-        self.ledger.buffer_early(record)
 
     # ------------------------------------------------------------------
     # Completion (Algorithm 2 lines 23–40)
@@ -1508,7 +1315,6 @@ class SdurServer:
             self.stats_bucket("deferred" if entry.doomed else "votes")
             self.runtime.trace("sdur.abort", tid=str(proj.tid), reason="votes")
         self._record_completed(proj.tid, outcome)
-        self._vote_buffer.pop(proj.tid, None)
         self._notify_client(proj, outcome)
         self._resolve_dependents(proj.tid, committed=outcome is Outcome.COMMIT)
         self._drain_waiting_reads()
@@ -1901,20 +1707,8 @@ class SdurServer:
                 change.new_partition, list(change.new_members), change.new_preferred
             )
             self.snapshot_builder.add_partition(change.new_partition)
-        self._flush_deferred_votes()
+        self.ledger.on_partition_learned()
         self._flush_premature_requests()
-
-    def _flush_deferred_votes(self) -> None:
-        if not self._deferred_votes:
-            return
-        still_unknown = []
-        for partition, vote in self._deferred_votes:
-            if not self.routing.knows_partition(partition):
-                still_unknown.append((partition, vote))
-                continue
-            for server in self.directory.servers_of(partition):
-                self.runtime.send(server, vote)
-        self._deferred_votes = still_unknown
 
     def _flush_premature_requests(self) -> None:
         if not self._premature_requests:
@@ -1964,124 +1758,3 @@ class SdurServer:
                 self.runtime.send(server, request)
         self.runtime.trace("sdur.config_catchup", epoch=self.routing.epoch)
         self._maybe_arm_config_catchup()
-
-    # ------------------------------------------------------------------
-    # Recovery: abort requests (§IV-F)
-    # ------------------------------------------------------------------
-    def _arm_vote_timeout(self, entry: PendingTxn) -> None:
-        if self.config.vote_timeout is None:
-            return
-
-        def fire() -> None:
-            current = self.pending.get(entry.tid)
-            if current is None or current.has_all_votes():
-                return
-            for partition in current.missing_votes():
-                if partition == self.partition:
-                    continue
-                if not self.routing.knows_partition(partition):
-                    continue  # directory change in flight; next firing retries
-                self.fabric.abcast(
-                    partition,
-                    AbortRequest(
-                        tid=current.tid,
-                        partition=partition,
-                        requester=self.partition,
-                        involved=current.proj.partitions,
-                        client=current.proj.client,
-                    ),
-                )
-            self.runtime.trace("sdur.abort_request", tid=str(entry.tid))
-            self.runtime.set_timer(self.config.vote_timeout, fire)
-
-        self.runtime.set_timer(self.config.vote_timeout, fire)
-
-    def _deliver_abort_request(self, msg: AbortRequest) -> None:
-        if self.ledger is not None:
-            self._deliver_abort_request_ledger(msg)
-            return
-        tid = msg.tid
-        if tid in self._completed or tid in self.pending or tid in self._aborted_early:
-            # The transaction arrived first: the request loses the race.
-            return
-        self._aborted_early[tid] = None
-        while len(self._aborted_early) > self._completed_limit:
-            self._aborted_early.popitem(last=False)
-        # Vote abort on behalf of this partition so the requester completes.
-        vote = Vote(tid=tid, partition=self.partition, vote=Outcome.ABORT.value)
-        own = set(self.directory.servers_of(self.partition))
-        for partition in msg.involved:
-            for server in self.directory.servers_of(partition):
-                if server not in own:
-                    self.runtime.send(server, vote)
-
-    def _deliver_abort_request_ledger(self, msg: AbortRequest) -> None:
-        """Ledger-mode abort-request semantics (docs/PROTOCOL.md §14.3).
-
-        Every branch below reads only log-derived state, so all replicas
-        of this partition act identically at this log position:
-
-        * **completed** — re-emit the recorded verdict.  The optimistic
-          handler silently dropped this case, wedging a requester whose
-          original Vote was lost (e.g. across a checkpoint restore).
-        * **pending, decided** — the verdict is already in (or on its way
-          through) the log; re-emit it if self-delivery happened, else
-          the in-flight VoteRecord will emit it.
-        * **pending, deferred** — the deterministic cycle rule: follow
-          the chain of smallest dependencies from the requested entry and
-          doom the first one whose id precedes every dependency's.  In
-          any persistent cross-partition deferral cycle the globally
-          smallest transaction defers only on larger ids, so exactly the
-          cycle's minimum aborts — at every replica, with no timing
-          input.  The chain walk matters when that minimum is a *local*
-          transaction: locals never arm vote timeouts, so no abort
-          request ever names them directly, and without the walk a cycle
-          global → local → global wedges forever.  Requesters re-fire on
-          their vote timeout, so one missed round costs latency, never
-          liveness.
-        * **undelivered** — abort early, exactly as in optimistic mode,
-          but with the abort vote ordered through our log.
-        """
-        tid = msg.tid
-        outcome = self._completed.get(tid)
-        if outcome is not None:
-            self._emit_vote(tid, outcome, tuple(msg.involved))
-            return
-        entry = self.pending.get(tid)
-        if entry is not None:
-            if not entry.undecided:
-                own = entry.votes.get(self.partition)
-                if own is not None:
-                    self._emit_vote(tid, own, tuple(msg.involved))
-                return
-            victim = entry
-            while True:
-                low = victim.min_dep()
-                if low is None:
-                    return
-                if victim.tid < low:
-                    break
-                # The wait chain's minimum may hide behind deferred
-                # entries with smaller ids; follow them down (ids
-                # strictly decrease, so the walk terminates).
-                dep = self.pending.get(low)
-                if dep is None or not dep.undecided:
-                    return  # dep is resolving normally; no cycle here
-                victim = dep
-            self.stats.cycles_resolved += 1
-            victim.cycle_victim = True
-            self.runtime.trace("sdur.cycle_break", tid=str(victim.tid))
-            self._doom(victim)
-            self._resolve_dependents(victim.tid, committed=False)
-            self._drain()
-            return
-        if tid in self._aborted_early:
-            # Already killed by an earlier request; re-ledger is a no-op
-            # thanks to proposal dedup, but re-ledgering keeps the abort
-            # vote flowing if the first record is still in flight.
-            self.ledger.ledger(tid, self.partition, Outcome.ABORT.value, tuple(msg.involved))
-            return
-        self._aborted_early[tid] = None
-        while len(self._aborted_early) > self._completed_limit:
-            self._aborted_early.popitem(last=False)
-        self.ledger.ledger(tid, self.partition, Outcome.ABORT.value, tuple(msg.involved))

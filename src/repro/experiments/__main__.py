@@ -34,7 +34,6 @@ from repro.experiments import (
     ablation_bloom,
     ablation_learning,
     ablation_threshold,
-    ablation_vote_ledger,
     aborts,
     autoscale,
     fig1_model,
@@ -66,7 +65,6 @@ REGISTRY: dict[str, tuple[str, Callable[[bool], ExperimentTable]]] = {
     "A3": ("Paxos learning-strategy ablation", lambda q: ablation_learning.run(quick=q)),
     "A4": ("Paxos value-batching ablation", lambda q: ablation_batching.run(quick=q)),
     "A5": ("SDUR vs genuine atomic multicast", lambda q: ablation_multicast.run(quick=q)),
-    "A6": ("Vote-ledger termination ablation", lambda q: ablation_vote_ledger.run(quick=q)),
     "A8": ("Sharded vs serial certification executor", lambda q: ablation_shardexec.run(quick=q)),
     "E1": ("Availability under leader failover", lambda q: ext_failover.run(quick=q)),
     "E2": ("Live partition split under load", lambda q: reconfig.run(quick=q)),

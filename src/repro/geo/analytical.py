@@ -17,18 +17,20 @@ but not the loss of a whole region; WAN 2 tolerates both.
 
 The figure's arithmetic assumes *optimistic* vote termination: a
 partition's vote leaves the moment its verdict is decided and takes
-effect at the receiver on arrival.  The default *ledger* termination
-(docs/PROTOCOL.md §14) inserts one local atomic broadcast at each end of
-the vote path — the voter orders its verdict through its own log before
-the ``Vote`` goes out, and the receiver re-sequences the incoming vote
-through *its* log before the vote counts — so a global commit pays two
-extra local broadcasts: +4δ in WAN 1 (each local broadcast is 2δ) and
-+4Δ in WAN 2 (replicas span regions, so a "local" broadcast costs 2Δ).
-Local transactions are unaffected in both deployments.
+effect at the receiver on arrival.  The termination protocol this
+system runs — the *ledger*, docs/PROTOCOL.md §14 — inserts one local
+atomic broadcast at each end of the vote path — the voter orders its
+verdict through its own log before the ``Vote`` goes out, and the
+receiver re-sequences the incoming vote through *its* log before the
+vote counts — so a global commit pays two extra local broadcasts: +4δ in
+WAN 1 (each local broadcast is 2δ) and +4Δ in WAN 2 (replicas span
+regions, so a "local" broadcast costs 2Δ).  Local transactions are
+unaffected in both deployments.
 
-The simulator is validated against these closed forms, in both modes, in
-``tests/integration/test_latency_model.py`` and the comparison is printed
-by experiment T1.
+The simulator is validated against both closed forms in
+``tests/integration/test_latency_model.py`` — the ledger's against
+``src/``, the figure's against the arrival-time test oracle — and
+experiment T1 prints the comparison.
 """
 
 from __future__ import annotations

@@ -10,6 +10,13 @@ destination and cached; links are quasi-reliable in the sense of the
 paper's model (TCP delivers in order while both endpoints live; on
 connection failure the message is dropped and higher layers — Paxos —
 recover).
+
+The receive side fails loudly enough to be noticed: an exception raised
+by the handler is counted (``handler_errors``) and the connection lives
+on — one bad message must not silence a peer — while a frame that is
+well delimited but undecodable, not an :class:`Envelope`, or oversized
+is counted (``frames_rejected``) and closes the connection, since the
+byte stream can no longer be trusted.
 """
 
 from __future__ import annotations
@@ -79,8 +86,16 @@ class AioTransport:
         self._server: asyncio.AbstractServer | None = None
         self._writers: dict[str, asyncio.StreamWriter] = {}
         self._send_locks: dict[str, asyncio.Lock] = {}
-        self._reader_tasks: set[asyncio.Task] = set()
+        #: Live inbound connections: reader task -> the writer that ends it.
+        self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._closed = False
+        #: Exceptions raised by ``handler`` (the connection is kept).
+        self.handler_errors = 0
+        #: Inbound frames refused — undecodable, not an Envelope, or
+        #: oversized — each of which closed its connection.
+        self.frames_rejected = 0
+        #: The latest exception behind either counter, traceback attached.
+        self.last_error: Exception | None = None
 
     async def start(self) -> None:
         """Bind and start accepting peer connections."""
@@ -91,17 +106,22 @@ class AioTransport:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.add(task)
-            task.add_done_callback(self._reader_tasks.discard)
+        self._inbound[task] = writer
         try:
             while not self._closed:
-                frame = await _read_frame(reader)
-                if frame is None:
+                try:
+                    frame = await _read_frame(reader)
+                    if frame is None:
+                        break
+                    envelope = self._decode(frame)
+                    if not isinstance(envelope, Envelope):
+                        raise TransportError(
+                            f"expected Envelope, got {type(envelope).__name__}"
+                        )
+                except Exception as exc:
+                    self.frames_rejected += 1
+                    self.last_error = exc
                     break
-                envelope = self._decode(frame)
-                if not isinstance(envelope, Envelope):
-                    raise TransportError(f"expected Envelope, got {type(envelope).__name__}")
                 if self.obs.enabled:
                     tid = _traced_tid(envelope.payload)
                     if tid is not None:
@@ -112,8 +132,13 @@ class AioTransport:
                             src=envelope.src,
                             msg=type(envelope.payload).__name__,
                         )
-                self.handler(envelope.src, envelope.payload)
+                try:
+                    self.handler(envelope.src, envelope.payload)
+                except Exception as exc:
+                    self.handler_errors += 1
+                    self.last_error = exc
         finally:
+            del self._inbound[task]
             writer.close()
 
     async def send(self, dst: str, msg: Any) -> None:
@@ -147,15 +172,22 @@ class AioTransport:
                 self._writers.pop(dst, None)
 
     async def close(self) -> None:
-        """Stop accepting and tear down all connections."""
+        """Stop accepting and tear down all connections.
+
+        Inbound readers are ended by closing their connections — they
+        see end-of-stream and return — rather than by cancellation,
+        which asyncio's stream server reports as an error per task.
+        """
         self._closed = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for writer in self._writers.values():
             writer.close()
         self._writers.clear()
-        for task in list(self._reader_tasks):
-            task.cancel()
-        if self._reader_tasks:
-            await asyncio.gather(*self._reader_tasks, return_exceptions=True)
+        readers = list(self._inbound)
+        for writer in self._inbound.values():
+            writer.close()
+        if readers:
+            await asyncio.gather(*readers, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()

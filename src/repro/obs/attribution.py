@@ -13,7 +13,7 @@ order     ③④ abcast submit→delivery      order ②③④ at the *blocking*
 certify   verdict + apply                  voting replica
 notify    ⑦ completion→client             certify   verdict at the voter
                                            ledger    own-verdict broadcast
-                                                     (ledger mode, §14)
+                                                     (§14)
                                            vote      ⑤ voter→decider
                                            resequence incoming-vote
                                                      broadcast (§14)

@@ -145,7 +145,7 @@ def build_server_registry(server: Any) -> MetricRegistry:
         "sdur_ledger_outbox",
         unit="records",
         help="VoteRecords proposed but not yet self-delivered (ledger stall depth).",
-        fn=lambda srv=server: srv.ledger.in_flight if srv.ledger is not None else 0,
+        fn=lambda srv=server: srv.ledger.in_flight,
     )
     registry.gauge(
         "sdur_admission_inflight",

@@ -1,10 +1,12 @@
 """Ordered vote ledger: log-sequenced global-transaction termination.
 
-The seed protocol applied certification votes the moment they arrived
-(:meth:`SdurServer._on_vote` mutated the pending entry directly), which
-made two questions — "has partition p voted?" and "is transaction t
-still pending?" — depend on vote-*arrival* timing.  Both questions feed
-decisions that must be identical at every replica of a partition:
+This package is the termination protocol (docs/PROTOCOL.md §14): one
+:class:`VoteLedger` per server owns the vote path end to end.  Read
+literally, the paper applies certification votes the moment they arrive
+(Algorithm 2 lines 13–14, 21–22), which makes two questions — "has
+partition p voted?" and "is transaction t still pending?" — depend on
+vote-*arrival* timing.  Both questions feed decisions that must be
+identical at every replica of a partition:
 
 * whether a later local transaction may leap a pending global in the
   reorder path (a global whose votes arrived early has already completed

@@ -40,7 +40,7 @@ class TestReplicaAgreement:
         report.raise_if_failed()
 
     def test_swapped_versions_detected(self):
-        """The optimistic-mode reorder race: two replicas commit the same
+        """The arrival-time reorder race: two replicas commit the same
         two transactions at swapped versions."""
         recorder = HistoryRecorder()
         commit(recorder, "s1", tid(1), "p0", 1)

@@ -1,91 +1,24 @@
 """Direct tests of the deterministic-certification machinery.
 
-These drive one SdurServer by hand — crafted deliveries and votes, no
-Paxos, no client — to pin down the exact semantics of the snapshot gate,
-deferred verdicts, dooming, and dependency resolution (the protocol
-corrections documented in DESIGN.md).
+These drive one SdurServer by hand — crafted deliveries, no Paxos, no
+client — to pin down the exact semantics of the snapshot gate, deferred
+verdicts, dooming, and dependency resolution (the protocol corrections
+documented in DESIGN.md).  Votes enter the way they do in the shipped
+system: as ``VoteRecord``s delivered through the partition's own log.
+The loopback fabric of tests/core/test_vote_ledger.py plays that log for
+the server's own verdicts; ``remote_vote`` delivers p1's.  What a vote does at *arrival* is the
+ledger's business (tests/core/test_vote_ledger.py).
 """
 
-from repro.core.config import SdurConfig, TerminationMode
-from repro.core.directory import ClusterDirectory
-from repro.core.messages import OutcomeNotice, Vote
-from repro.core.partitioning import PartitionMap
-from repro.core.server import SdurServer
-from repro.core.transaction import Outcome, ReadsetDigest, TxnId, TxnProjection
-from repro.net.topology import US_EAST, Topology
-from repro.runtime.sim import SimWorld
+from repro.core.transaction import TxnId
+from repro.termination import VoteRecord
+from tests.core.test_vote_ledger import make_server, outcome_of, proj, votes_sent
 
 
-class FakeFabric:
-    """Captures abcasts instead of running consensus."""
-
-    def __init__(self):
-        self.broadcasts = []
-
-    def abcast(self, partition, value):
-        self.broadcasts.append((partition, value))
-
-
-def make_server(world=None):
-    world = world or SimWorld(seed=1)
-    topology = Topology()
-    for name in ("s1", "s2", "q1", "q2", "client"):
-        topology.add(name, US_EAST)
-    directory = ClusterDirectory(
-        partitions={"p0": ["s1", "s2"], "p1": ["q1", "q2"]},
-        preferred={"p0": "s1", "p1": "q1"},
-        topology=topology,
-    )
-    runtime = world.runtime_for("s1")
-    sent = []
-    # Dumb sinks for everything s1 sends.
-    for name in ("s2", "q1", "q2", "client"):
-        world.network.register(name, lambda src, msg, n=name: sent.append((n, msg)))
-    server = SdurServer(
-        runtime=runtime,
-        partition="p0",
-        directory=directory,
-        partition_map=PartitionMap.by_index(2),
-        fabric=FakeFabric(),
-        # Optimistic termination: these tests pin the seed's arrival-time
-        # vote semantics (votes below act the moment handle() sees them).
-        # Ledger-mode semantics are covered by tests/core/test_vote_ledger.py.
-        config=SdurConfig(
-            vote_timeout=None,
-            gossip_interval=None,
-            termination_mode=TerminationMode.OPTIMISTIC,
-        ),
-    )
-    runtime.listen(server.handle)
-    return world, server, sent
-
-
-def proj(seq, reads, writes, partitions=("p0", "p1"), snapshot=0, client="client"):
-    return TxnProjection(
-        tid=TxnId("c", seq),
-        partition="p0",
-        readset=ReadsetDigest.exact(reads),
-        writeset={k: seq for k in writes},
-        snapshot=snapshot,
-        partitions=tuple(partitions),
-        coordinator="s1",
-        client=client,
-    )
-
-
-def votes_sent(sent, seq):
-    return [
-        (node, msg)
-        for node, msg in sent
-        if isinstance(msg, Vote) and msg.tid == TxnId("c", seq)
-    ]
-
-
-def outcome_of(sent, seq):
-    for node, msg in sent:
-        if isinstance(msg, OutcomeNotice) and msg.tid == TxnId("c", seq):
-            return msg.outcome
-    return None
+def remote_vote(server, seq, vote):
+    """p1's verdict for transaction ``seq`` reaches its log position."""
+    record = VoteRecord(tid=TxnId("c", seq), partition="p1", vote=vote)
+    server.on_adeliver(1000 + seq, record)
 
 
 class TestDeferral:
@@ -93,7 +26,7 @@ class TestDeferral:
         world, server, sent = make_server()
         server.on_adeliver(0, proj(1, reads=["a"], writes=["a"]))
         world.run_for(0.1)
-        assert votes_sent(sent, 1), "first global votes immediately"
+        assert votes_sent(sent, 1), "first global votes as soon as its verdict is ordered"
         # g2 writes what g1 read: symmetric conflict -> defer, no vote yet.
         server.on_adeliver(1, proj(2, reads=["a", "b"], writes=["b"], snapshot=0))
         world.run_for(0.1)
@@ -108,7 +41,7 @@ class TestDeferral:
         server.on_adeliver(1, proj(2, reads=["a", "b"], writes=["b"]))
         world.run_for(0.1)
         # p1 votes abort for g1: g1 aborts, the dependency evaporates.
-        server.handle("q1", Vote(tid=TxnId("c", 1), partition="p1", vote="abort"))
+        remote_vote(server, 1, "abort")
         world.run_for(0.1)
         assert outcome_of(sent, 1) == "abort"
         g2_votes = votes_sent(sent, 2)
@@ -119,7 +52,7 @@ class TestDeferral:
         server.on_adeliver(0, proj(1, reads=["a"], writes=["a"]))
         server.on_adeliver(1, proj(2, reads=["a", "b"], writes=["b"]))
         world.run_for(0.1)
-        server.handle("q1", Vote(tid=TxnId("c", 1), partition="p1", vote="commit"))
+        remote_vote(server, 1, "commit")
         world.run_for(0.1)
         assert outcome_of(sent, 1) == "commit"
         g2_votes = votes_sent(sent, 2)
@@ -141,7 +74,7 @@ class TestDeferral:
         world.run_for(0.1)
         assert server.stats.deferred == 2
         assert not votes_sent(sent, 3)
-        server.handle("q1", Vote(tid=TxnId("c", 1), partition="p1", vote="commit"))
+        remote_vote(server, 1, "commit")
         world.run_for(0.1)
         assert [m.vote for _, m in votes_sent(sent, 2)] and all(
             m.vote == "abort" for _, m in votes_sent(sent, 2)
@@ -157,55 +90,18 @@ class TestDeferral:
         world.run_for(0.1)
         assert server.pending.position_of(TxnId("c", 2)) == 1
         # g1 aborts -> the local commits.
-        server.handle("q1", Vote(tid=TxnId("c", 1), partition="p1", vote="abort"))
+        remote_vote(server, 1, "abort")
         world.run_for(0.1)
         assert outcome_of(sent, 2) == "commit"
         assert server.store.read_latest("z").value == 2
 
 
-class TestSnapshotGate:
-    def test_future_snapshot_stalls_delivery_until_sc_catches_up(self):
-        world, server, sent = make_server()
-        # Pending global g1 holds SC at 0.
-        server.on_adeliver(0, proj(1, reads=["a"], writes=["a"]))
-        # t2 was read at another replica that already applied g1: its
-        # snapshot (1) is ahead of this replica.
-        server.on_adeliver(
-            1, proj(2, reads=["b"], writes=["b"], partitions=("p0",), snapshot=1)
-        )
-        world.run_for(0.1)
-        assert len(server._stalled) == 1
-        assert server.dc == 1  # t2 not yet counted
-        # g1 commits -> SC reaches 1 -> the gate opens.
-        server.handle("q1", Vote(tid=TxnId("c", 1), partition="p1", vote="commit"))
-        world.run_for(0.1)
-        assert server.sc == 2
-        assert outcome_of(sent, 2) == "commit"
-        assert not server._stalled
-
-    def test_gate_preserves_delivery_order(self):
-        world, server, sent = make_server()
-        server.on_adeliver(0, proj(1, reads=["a"], writes=["a"]))
-        server.on_adeliver(
-            1, proj(2, reads=["b"], writes=["b"], partitions=("p0",), snapshot=1)
-        )
-        # A third delivery with a satisfied snapshot still queues behind.
-        server.on_adeliver(
-            2, proj(3, reads=["c"], writes=["c"], partitions=("p0",), snapshot=0)
-        )
-        world.run_for(0.1)
-        assert len(server._stalled) == 2
-        server.handle("q1", Vote(tid=TxnId("c", 1), partition="p1", vote="commit"))
-        world.run_for(0.1)
-        # Commit versions follow delivery order: g1=1, t2=2, t3=3.
-        assert server.store.read_latest("b").version == 2
-        assert server.store.read_latest("c").version == 3
-
-
-class TestVoteBuffering:
+class TestEarlyVotes:
     def test_early_votes_apply_on_delivery(self):
         world, server, sent = make_server()
-        server.handle("q1", Vote(tid=TxnId("c", 1), partition="p1", vote="commit"))
+        remote_vote(server, 1, "commit")
+        world.run_for(0.01)
+        assert TxnId("c", 1) not in server.pending
         server.on_adeliver(0, proj(1, reads=["a"], writes=["a"]))
         world.run_for(0.1)
         assert outcome_of(sent, 1) == "commit"
@@ -213,11 +109,12 @@ class TestVoteBuffering:
     def test_early_votes_for_deferred_txn_apply_at_decision(self):
         world, server, sent = make_server()
         server.on_adeliver(0, proj(1, reads=["a"], writes=["a"]))
-        # p1's commit vote for g2 arrives before g2 is even decided here.
-        server.handle("q1", Vote(tid=TxnId("c", 2), partition="p1", vote="commit"))
+        # p1's commit vote for g2 is ledgered before g2 is even delivered here.
+        remote_vote(server, 2, "commit")
+        world.run_for(0.01)
         server.on_adeliver(1, proj(2, reads=["a", "b"], writes=["b"]))
         world.run_for(0.1)
         assert not votes_sent(sent, 2)  # still deferred
-        server.handle("q1", Vote(tid=TxnId("c", 1), partition="p1", vote="abort"))
+        remote_vote(server, 1, "abort")
         world.run_for(0.1)
         assert outcome_of(sent, 2) == "commit"

@@ -1,15 +1,16 @@
-"""Ledger-mode termination semantics (docs/PROTOCOL.md §14).
+"""Termination semantics at one server (docs/PROTOCOL.md §14).
 
-Counterpart to tests/core/test_server_deferral.py, which pins the
-optimistic (arrival-time) vote semantics.  Here every vote — our own
-verdict and every remote partition's — takes effect only at its delivery
-position in the partition's own log, so nothing about termination
-depends on message-arrival timing.  These tests drive one SdurServer by
-hand; the loopback fabric below plays the partition's atomic broadcast
-by feeding own-partition proposals back to ``on_adeliver`` in order.
+Every vote — our own verdict and every remote partition's — takes effect
+only at its delivery position in the partition's own log, so nothing
+about termination depends on message-arrival timing.  These tests drive
+one SdurServer by hand and watch what reaches the wire and the client;
+the loopback fabric below plays the partition's atomic broadcast by
+feeding own-partition proposals back to ``on_adeliver`` in order.  The
+component's own branches are covered without a server in
+``tests/termination/test_ledger_component.py``.
 """
 
-from repro.core.config import SdurConfig, TerminationMode
+from repro.core.config import SdurConfig
 from repro.core.directory import ClusterDirectory
 from repro.core.messages import AbortRequest, OutcomeNotice, Vote
 from repro.core.partitioning import PartitionMap
@@ -69,7 +70,6 @@ def make_server(fabric=None, retry_interval=None, world=None):
         directory=directory,
         partition_map=PartitionMap.by_index(2),
         fabric=fabric,
-        # termination_mode deliberately not set: the default must be LEDGER.
         config=SdurConfig(
             vote_timeout=None,
             gossip_interval=None,
@@ -130,10 +130,9 @@ def abort_request(seq, involved=("p0", "p1")):
 
 
 class TestOwnVerdict:
-    def test_default_config_runs_ledger_mode(self):
+    def test_every_server_terminates_through_a_ledger(self):
         _, server, _ = make_server()
-        assert server.config.termination_mode is TerminationMode.LEDGER
-        assert server.ledger is not None
+        assert type(server.ledger) is VoteLedger
 
     def test_vote_emitted_only_at_self_delivery(self):
         fabric = CaptureFabric()
@@ -228,66 +227,6 @@ class TestProposalPath:
         count = len(vote_records(fabric, 1))
         world.run_for(0.3)
         assert len(vote_records(fabric, 1)) == count
-
-    def test_ledger_proposals_are_idempotent(self):
-        proposals = []
-        world = SimWorld(seed=1)
-        ledger = VoteLedger(
-            world.runtime_for("s1"),
-            "p0",
-            lambda partition, value: proposals.append(value),
-            retry_interval=None,
-        )
-        tid = TxnId("c", 1)
-        ledger.ledger(tid, "p1", "commit")
-        ledger.ledger(tid, "p1", "commit")  # both p1 replicas sent the Vote
-        assert len(proposals) == 1
-        assert ledger.on_delivered(proposals[0]) is True
-        assert ledger.on_delivered(proposals[0]) is False
-        ledger.ledger(tid, "p1", "commit")  # already applied: no re-propose
-        assert len(proposals) == 1
-
-    def test_retry_reproposes_only_records_a_full_interval_old(self):
-        """One timer serves the whole outbox; when it fires, a record
-        queued a moment ago is still in flight and is left alone."""
-        world = SimWorld(seed=1)
-        runtime = world.runtime_for("s1")
-        proposed = []
-        ledger = VoteLedger(
-            runtime,
-            "p0",
-            lambda partition, record: proposed.append(
-                (round(runtime.now(), 3), record.tid.seq)
-            ),
-            retry_interval=0.25,
-        )
-        ledger.ledger(TxnId("c", 1), "p0", "commit")
-        world.run_for(0.2)
-        ledger.ledger(TxnId("c", 2), "p0", "commit")
-        world.run_for(0.1)  # t = 0.3: the timer fired at 0.25 for #1 alone
-        assert proposed == [(0.0, 1), (0.2, 2), (0.25, 1)]
-        world.run_for(0.18)  # t = 0.48: re-armed for #2, the oldest survivor
-        assert proposed[3:] == [(0.45, 2)]
-        ledger.on_delivered(VoteRecord(tid=TxnId("c", 2), partition="p0", vote="commit"))
-        world.run_for(0.3)  # t = 0.78: #1 again a full interval after 0.25 and 0.5
-        assert proposed[4:] == [(0.5, 1), (0.75, 1)]
-        ledger.on_delivered(VoteRecord(tid=TxnId("c", 1), partition="p0", vote="commit"))
-        world.run_for(1.0)
-        assert len(proposed) == 6 and ledger.in_flight == 0
-
-    def test_early_buffer_is_bounded(self):
-        world = SimWorld(seed=1)
-        ledger = VoteLedger(
-            world.runtime_for("s1"), "p0", lambda p, v: None,
-            retry_interval=None, limit=2,
-        )
-        for seq in (1, 2, 3):
-            ledger.buffer_early(
-                VoteRecord(tid=TxnId("c", seq), partition="p1", vote="commit")
-            )
-        assert ledger.take_early(TxnId("c", 1)) == {}  # oldest evicted
-        assert ledger.take_early(TxnId("c", 3)) == {"p1": "commit"}
-        assert ledger.take_early(TxnId("c", 3)) == {}  # take pops
 
 
 class TestCycleRule:

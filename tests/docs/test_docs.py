@@ -48,6 +48,33 @@ def test_documented_experiment_ids_are_registered(doc):
     assert not unknown, f"{doc.name} cites unregistered experiments {unknown}"
 
 
+#: Ablation ids (``A1`` … ``A8``) and names of things that no longer exist.
+ABLATION_ID_RE = re.compile(r"\bA\d+\b")
+RETIRED_NAMES = (
+    "termination_mode",
+    "TerminationMode",
+    "with_termination",
+    "ablation_vote_ledger",
+    "bench_a6",
+)
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+def test_no_doc_cites_a_retired_ablation_or_termination_switch(doc):
+    """A6 (ledger vs arrival-time termination) and the
+    ``SdurConfig.termination_mode`` switch it exercised left ``src/`` in
+    PR 14; a doc still naming them — in any spelling, not only
+    ``python -m repro.experiments A6`` — advertises something that
+    cannot be run."""
+    from repro.experiments.__main__ import REGISTRY
+
+    text = doc.read_text()
+    unknown = set(ABLATION_ID_RE.findall(text)) - set(REGISTRY)
+    assert not unknown, f"{doc.name} cites unregistered ablations {sorted(unknown)}"
+    stale = [name for name in RETIRED_NAMES if name in text]
+    assert not stale, f"{doc.name} cites retired names {stale}"
+
+
 def test_every_server_counter_is_documented_in_protocol_md():
     """docs/PROTOCOL.md §14 must list every counter server_stats() exports."""
     from tests.conftest import make_cluster

@@ -3,14 +3,17 @@
 The same setup as ``tests/integration/test_latency_model.py`` — single
 unloaded client, uniform one-way delays, zero CPU costs — but with a
 :class:`SpanRecorder` installed, so the resulting trace's hop arithmetic
-is exactly Figure 1's.
+is exactly the latency model's — Figure 1's own with
+``optimistic_oracle=True`` (votes act on arrival,
+``tests/oracles/optimistic_termination.py``), Figure 1 plus the §14.4
+vote tax otherwise.
 """
 
 from __future__ import annotations
 
 from repro.consensus.replica import PaxosConfig
 from repro.core.client import TxnResult
-from repro.core.config import SdurConfig, TerminationMode
+from repro.core.config import SdurConfig
 from repro.core.partitioning import PartitionMap
 from repro.geo.deployments import wan1_deployment
 from repro.harness.cluster import SdurCluster
@@ -19,6 +22,7 @@ from repro.obs.recorder import SpanRecorder
 from repro.obs.spans import TxnTrace, build_traces
 from repro.runtime.sim import SimWorld
 from tests.conftest import read_program, run_txn, update_program
+from tests.oracles import optimistic_termination
 
 DELTA = 0.005
 INTER = 0.060
@@ -26,7 +30,7 @@ INTER = 0.060
 
 def traced_commit(
     is_global: bool,
-    termination: TerminationMode = TerminationMode.OPTIMISTIC,
+    optimistic_oracle: bool = False,
     read_only: bool = False,
 ) -> tuple[TxnResult, TxnTrace, SimWorld]:
     """Run one traced transaction; returns (result, its trace, the world)."""
@@ -37,12 +41,7 @@ def traced_commit(
         seed=13,
         obs=SpanRecorder(),
     )
-    cluster = SdurCluster(
-        world,
-        deployment,
-        PartitionMap.by_index(2),
-        SdurConfig(termination_mode=termination),
-    )
+    cluster = SdurCluster(world, deployment, PartitionMap.by_index(2), SdurConfig())
     for partition in deployment.partition_ids:
         for node in deployment.directory.servers_of(partition):
             cluster._add_server(
@@ -53,6 +52,8 @@ def traced_commit(
                 ),
             )
     client = cluster.add_client(region=deployment.preferred_region["p0"])
+    if optimistic_oracle:
+        optimistic_termination.install(cluster)
     cluster.start()
     world.run_for(1.0)
     keys = ["0/a", "1/b"] if is_global else ["0/a", "0/b"]

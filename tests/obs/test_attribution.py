@@ -1,8 +1,9 @@
-"""Latency attribution reproduces Figure 1's hop arithmetic term-by-term."""
+"""Latency attribution reproduces the latency model's hop arithmetic
+term-by-term: the shipped system's 8δ+2Δ, and Figure 1's own 4δ+2Δ on
+the arrival-time oracle."""
 
 import pytest
 
-from repro.core.config import TerminationMode
 from repro.obs.attribution import attribute, hops_str, match_hops, summarize
 from tests.obs.conftest import DELTA, INTER, traced_commit
 
@@ -43,8 +44,8 @@ class TestFigure1Attribution:
         assert a.measured == pytest.approx(4 * DELTA, abs=1e-3)
         assert [t.name for t in a.terms] == ["request", "order", "notify"]
 
-    def test_wan1_global_optimistic_is_exactly_4_delta_2_inter(self):
-        result, trace, _ = traced_commit(is_global=True)
+    def test_wan1_global_oracle_is_exactly_4_delta_2_inter(self):
+        result, trace, _ = traced_commit(is_global=True, optimistic_oracle=True)
         assert result.committed
         a = attribute(trace, DELTA, INTER)
         assert a is not None and a.matched
@@ -53,28 +54,24 @@ class TestFigure1Attribution:
         assert [t.name for t in a.terms] == ["request", "order", "vote", "notify"]
         assert a.breakdown() == "request δ + order 2δ+Δ + vote Δ + notify δ"
 
-    def test_wan1_global_ledger_adds_ledger_and_resequence_terms(self):
-        result, trace, _ = traced_commit(
-            is_global=True, termination=TerminationMode.LEDGER
-        )
+    def test_wan1_global_adds_ledger_and_resequence_terms(self):
+        result, trace, _ = traced_commit(is_global=True)
         assert result.committed
         a = attribute(trace, DELTA, INTER)
         assert a is not None and a.matched
-        assert a.formula() == "8δ+2Δ"  # +4δ vote tax over the optimistic 4δ+2Δ
-        names = [t.name for t in a.terms]
-        assert "ledger" in names and "resequence" in names
+        assert a.formula() == "8δ+2Δ"  # +4δ vote tax over Figure 1's 4δ+2Δ
+        assert a.breakdown() == (
+            "request δ + order 2δ+Δ + ledger 2δ + vote Δ + resequence 2δ + notify δ"
+        )
 
     @pytest.mark.parametrize(
-        "is_global,termination",
-        [
-            (False, TerminationMode.OPTIMISTIC),
-            (True, TerminationMode.OPTIMISTIC),
-            (False, TerminationMode.LEDGER),
-            (True, TerminationMode.LEDGER),
-        ],
+        "is_global,optimistic_oracle",
+        [(False, False), (True, False), (False, True), (True, True)],
     )
-    def test_terms_sum_to_measured_within_one_percent(self, is_global, termination):
-        _, trace, _ = traced_commit(is_global=is_global, termination=termination)
+    def test_terms_sum_to_measured_within_one_percent(self, is_global, optimistic_oracle):
+        _, trace, _ = traced_commit(
+            is_global=is_global, optimistic_oracle=optimistic_oracle
+        )
         a = attribute(trace, DELTA, INTER)
         assert a is not None
         # Telescoping makes this exact, not just within the 1 % slack.
@@ -103,9 +100,11 @@ class TestSummarize:
         assert summary is not None
         assert summary.count == 2
         assert summary.agreement == 1.0
-        assert summary.formula == "4δ+2Δ"
+        assert summary.formula == "8δ+2Δ"
         assert summary.max_residual < 1e-9
-        assert summary.breakdown() == "request δ + order 2δ+Δ + vote Δ + notify δ"
+        assert summary.breakdown() == (
+            "request δ + order 2δ+Δ + ledger 2δ + vote Δ + resequence 2δ + notify δ"
+        )
         total = sum(mean for _, mean, _ in summary.term_means)
         assert total == pytest.approx(summary.mean_measured, abs=1e-9)
 

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.config import TerminationMode
 from repro.obs.chrome import chrome_trace_events, chrome_trace_json, write_chrome_trace
 from repro.obs.spans import build_traces
 from repro.obs.timeline import render_timeline
@@ -13,11 +12,8 @@ from tests.obs.conftest import traced_commit
 
 @pytest.fixture(scope="module")
 def ledger_world():
-    """One traced global commit in ledger mode (the richest event set)."""
-    result, trace, world = traced_commit(
-        is_global=True, termination=TerminationMode.LEDGER
-    )
-    return result, trace, world
+    """One traced global commit (the richest event set)."""
+    return traced_commit(is_global=True)
 
 
 @pytest.fixture(scope="module")

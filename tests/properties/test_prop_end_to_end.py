@@ -24,6 +24,7 @@ from repro.core.partitioning import PartitionMap
 from repro.geo.deployments import lan_deployment, wan1_deployment
 from repro.harness.cluster import build_cluster
 from tests.conftest import update_program
+from tests.oracles import optimistic_termination
 
 config_strategy = st.fixed_dictionaries(
     {
@@ -39,15 +40,13 @@ config_strategy = st.fixed_dictionaries(
 )
 
 
-def run_system(params, num_txns=30, termination=None):
+def run_system(params, num_txns=30, optimistic_oracle=False):
     num_partitions = 2 if params["wan"] else params["num_partitions"]
     config = SdurConfig(
         reorder_threshold=params["reorder_threshold"],
         delay_mode=DelayMode.FIXED if params["delay_fixed"] else DelayMode.OFF,
         delay_fixed=params["delay_fixed"],
     )
-    if termination is not None:
-        config = config.with_termination(termination)
     if params["wan"]:
         cluster = build_cluster(
             wan1_deployment(2),
@@ -69,6 +68,8 @@ def run_system(params, num_txns=30, termination=None):
         cluster.add_client(bloom_readsets=params["bloom"], bloom_fp_rate=0.01)
         for _ in range(3)
     ]
+    if optimistic_oracle:
+        optimistic_termination.install(cluster)
     cluster.start()
     recorder = cluster.attach_recorder()
     cluster.world.run_for(0.5)

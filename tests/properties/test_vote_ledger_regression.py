@@ -13,17 +13,20 @@ are promoted here as fixed, always-run regressions:
   cross-partition deferral cycle where each partition waits for the
   other's vote forever; the run completes 0 of 30 transactions.
 
-The ledger (the default termination mode) fixes both: votes take effect
-only at their delivery position in the receiving partition's own log,
-and abort requests break deferral cycles deterministically (the cycle's
-minimal transaction id aborts).  The guard tests pin that the optimistic
-baseline still exhibits each failure — if one starts passing, the
-example no longer discriminates and should be re-shrunk.
+The ledger (the termination protocol, ``repro.termination``) fixes both:
+votes take effect only at their delivery position in the receiving
+partition's own log, and abort requests break deferral cycles
+deterministically (the cycle's minimal transaction id aborts).  The
+guard tests pin that the arrival-time oracle
+(``tests/oracles/optimistic_termination.py``, installed through
+``server.ledger``) still exhibits each failure — if one starts passing,
+the example no longer discriminates and should be re-shrunk.
 """
+
+import pytest
 
 from repro.checker.agreement import replica_agreement
 from repro.checker.serializability import check_serializability
-from repro.core.config import TerminationMode
 from tests.properties.test_prop_end_to_end import run_system
 
 #: Falsifying example for the reorder-divergence manifestation.
@@ -51,6 +54,25 @@ DEADLOCK_EXAMPLE = dict(
 )
 
 
+#: Known liveness gap of the ledger itself (PROTOCOL.md §14.3 "Known
+#: gap"): a wait cycle through pending-list *order*.  At p1 the entry
+#: the requested transaction defers on already holds an abort vote but
+#: sits behind a head that waits, through p0, on the requested
+#: transaction; the chain walk sees it "resolving normally" and stops.
+#: Found by ``test_prop_end_to_end`` from a fresh example database while
+#: PR 14 was verified; the PR 13 commit wedges identically (8 of 30).
+ORDER_CYCLE_EXAMPLE = dict(
+    num_partitions=2,
+    wan=True,
+    reorder_threshold=4,
+    keyspace=4,
+    global_p=0.25774400292109023,
+    seed=193,
+    delay_fixed=0.0,
+    bloom=False,
+)
+
+
 def assert_sound(params):
     cluster, recorder, done = run_system(dict(params))
     assert len(done) >= 30, f"workload did not complete ({len(done)}/30)"
@@ -59,7 +81,7 @@ def assert_sound(params):
 
 
 class TestLedgerFixesKnownExamples:
-    """Default config (ledger mode): both examples must be clean."""
+    """The system as shipped: both examples must be clean."""
 
     def test_reorder_divergence_example(self):
         assert_sound(REORDER_EXAMPLE)
@@ -68,26 +90,34 @@ class TestLedgerFixesKnownExamples:
         assert_sound(DEADLOCK_EXAMPLE)
 
 
+class TestKnownGap:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="order-edge wait cycle not broken by the §14.3 cycle rule (ROADMAP nemesis iv)",
+    )
+    def test_order_cycle_example(self):
+        """Strict: the fix must promote this into TestLedgerFixesKnownExamples."""
+        assert_sound(ORDER_CYCLE_EXAMPLE)
+
+
 class TestOptimisticStillFails:
-    """The baseline keeps the bugs — the examples stay discriminating."""
+    """The oracle keeps the bugs — the examples stay discriminating."""
 
     def test_reorder_example_diverges_under_optimistic(self):
         cluster, recorder, done = run_system(
-            dict(REORDER_EXAMPLE), termination=TerminationMode.OPTIMISTIC
+            dict(REORDER_EXAMPLE), optimistic_oracle=True
         )
         assert len(done) >= 30
         report = replica_agreement(recorder, cluster.replica_counts())
         assert not report.ok, (
-            "optimistic mode no longer diverges on the shrunk example; "
+            "the optimistic oracle no longer diverges on the shrunk example; "
             "re-shrink or retire the regression"
         )
         assert any("divergence" in issue for issue in report.issues)
 
     def test_deadlock_example_stalls_under_optimistic(self):
-        _, _, done = run_system(
-            dict(DEADLOCK_EXAMPLE), termination=TerminationMode.OPTIMISTIC
-        )
+        _, _, done = run_system(dict(DEADLOCK_EXAMPLE), optimistic_oracle=True)
         assert len(done) < 30, (
-            "optimistic mode no longer deadlocks on the shrunk example; "
+            "the optimistic oracle no longer deadlocks on the shrunk example; "
             "re-shrink or retire the regression"
         )

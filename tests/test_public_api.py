@@ -20,6 +20,13 @@ class TestPublicApi:
         assert "ShardExecConfig" in repro.core.__all__
         for removed in ("CertExecutorMode", "ShardBackend"):
             assert removed not in repro.core.__all__
+        # One termination path: no mode to select, in the package or the config.
+        import repro.core.config
+
+        assert "TerminationMode" not in repro.core.__all__
+        assert not hasattr(repro.core.config, "TerminationMode")
+        assert not hasattr(repro.SdurConfig, "with_termination")
+        assert "termination_mode" not in repro.SdurConfig.__dataclass_fields__
 
     def test_core_entry_points_exported(self):
         for name in (
