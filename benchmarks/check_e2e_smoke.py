@@ -30,11 +30,13 @@ REPO = Path(__file__).resolve().parents[1]
 DEFAULT_RESULT = REPO / "benchmarks" / "e2e" / "out" / "result.json"
 
 #: Median ``committed_tps`` (calibrated 1/s) of the full 15 s suite on the
-#: commit that last moved it; see docs/PERFORMANCE.md §3.
+#: commit that last moved it; see docs/PERFORMANCE.md §3.  The three
+#: closed loops last moved with the Phase-2 wire path; ``local_open100``
+#: is its offered rate and has not moved since the benchmark was defined.
 REFERENCE_TPS = {
-    "local_closed": 537.0,
-    "mix20_closed": 336.0,
-    "ro80_closed": 1249.0,
+    "local_closed": 629.0,
+    "mix20_closed": 412.0,
+    "ro80_closed": 1203.0,
     "local_open100": 113.0,
 }
 FLOOR = 3.0

@@ -24,8 +24,6 @@ class InstanceState:
     has_accepted: bool = False
     #: ballot -> set of acceptor ids that reported Accepted at that ballot.
     votes: dict[Ballot, set[str]] = field(default_factory=dict)
-    #: ballot -> the value those votes are for.
-    vote_values: dict[Ballot, Any] = field(default_factory=dict)
     chosen: bool = False
     chosen_value: Any = None
 
@@ -73,7 +71,6 @@ class PaxosLog:
             return False
         voters = entry.votes.setdefault(ballot, set())
         voters.add(acceptor)
-        entry.vote_values[ballot] = value
         if len(voters) >= quorum:
             self.mark_chosen(instance, value)
             return True
@@ -82,7 +79,7 @@ class PaxosLog:
     def mark_chosen(self, instance: int, value: Any) -> None:
         entry = self.state(instance)
         if entry.chosen:
-            if repr(entry.chosen_value) != repr(value):
+            if entry.chosen_value is not value and entry.chosen_value != value:
                 raise ConsensusError(
                     f"instance {instance} chosen twice with different values"
                 )
@@ -91,7 +88,6 @@ class PaxosLog:
         entry.chosen_value = value
         # Vote bookkeeping is no longer needed once chosen.
         entry.votes.clear()
-        entry.vote_values.clear()
 
     def advance_to(self, instance: int) -> None:
         """Move the delivery cursor forward (checkpoint installation).

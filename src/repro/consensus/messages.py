@@ -96,27 +96,40 @@ class Accept(Message):
 class Accepted(Message):
     """Phase 2b: an acceptor accepted (Figure 1's message ④).
 
-    By default sent to the proposing coordinator only; the coordinator
-    then relays a :class:`Chosen`.  With
-    ``PaxosConfig.accepted_broadcast`` acceptors broadcast to the whole
-    group instead, letting every replica learn after two message delays
-    (an ablation over the paper's deployment).
+    By default sent to the proposing coordinator only, with ``value``
+    ``None``: a ``(ballot, instance)`` pair names exactly one value and
+    the coordinator that proposed it still holds it, so the vote does
+    not carry it back.  The coordinator then relays a :class:`Chosen`.
+    With ``PaxosConfig.accepted_broadcast`` acceptors broadcast to the
+    whole group instead, letting every replica learn after two message
+    delays (an ablation over the paper's deployment); a learner can hear
+    such a vote before the ``Accept`` it answers, so there the vote
+    keeps the value.
     """
 
     group: str
     ballot: Ballot
     instance: int
-    value: Any
+    value: Any = None
 
 
 @message
 @dataclass(frozen=True)
 class Chosen(Message):
-    """Coordinator → followers: ``value`` is decided at ``instance``."""
+    """Coordinator → followers: ``instance`` is decided.
+
+    The relay after a quorum names the value instead of carrying it:
+    ``ballot`` is the ballot it was chosen at and ``value`` is ``None``;
+    a follower that accepted at that ballot holds the value already, and
+    one that did not asks for it with a one-instance
+    :class:`LearnRequest`.  The answer to a ``LearnRequest`` is the
+    value-bearing form: ``value`` set, ``ballot`` ``None``.
+    """
 
     group: str
     instance: int
-    value: Any
+    value: Any = None
+    ballot: Ballot | None = None
 
 
 @message

@@ -8,9 +8,14 @@ values through Phase 2.  Acceptors answer the coordinator with ``Accepted``
 message delays — 4δ local commits in WAN 1); the coordinator then relays
 a ``Chosen`` so followers learn one hop later, which is what produces the
 paper's 3δ+3Δ WAN 2 global-commit latency (the co-located replica of the
-remote partition learns via the relay, then forwards its vote).  Setting
+remote partition learns via the relay, then forwards its vote).  Neither
+the vote nor the relay carries the value back to replicas that already
+hold it: both name it by ``(ballot, instance)``, and a follower the
+``Accept`` never reached answers the relay with a one-instance
+``LearnRequest`` at once.  Setting
 ``PaxosConfig.accepted_broadcast`` switches to acceptor-broadcast
-learning (two delays at every replica) as an ablation.
+learning (two delays at every replica) as an ablation; a learner can
+hear a broadcast vote before the ``Accept``, so those keep the value.
 
 Values are delivered to the application strictly in instance order.
 Gap instances left by a failed leader are filled with
@@ -461,17 +466,22 @@ class PaxosReplica:
             entry.accepted_ballot = msg.ballot
             entry.accepted_value = msg.value
             entry.has_accepted = True
-            accepted = Accepted(
-                group=self.group_id,
-                ballot=msg.ballot,
-                instance=msg.instance,
-                value=msg.value,
-            )
             if self.config.accepted_broadcast:
+                # A learner can hear this vote before the Accept it
+                # answers, so a broadcast vote carries the value.
+                accepted = Accepted(
+                    group=self.group_id,
+                    ballot=msg.ballot,
+                    instance=msg.instance,
+                    value=msg.value,
+                )
                 for member in self.members:
                     self.runtime.send(member, accepted)
             else:
-                self.runtime.send(src, accepted)
+                self.runtime.send(
+                    src,
+                    Accepted(group=self.group_id, ballot=msg.ballot, instance=msg.instance),
+                )
             self._arm_catchup()
         else:
             self.runtime.send(
@@ -484,10 +494,18 @@ class PaxosReplica:
             )
 
     def _on_accepted(self, src: str, msg: Accepted) -> None:
-        chose = self.log.record_vote(msg.instance, msg.ballot, msg.value, src, self.quorum)
+        if self.config.accepted_broadcast:
+            value = msg.value
+        elif msg.ballot == self._my_ballot and msg.instance in self._proposed:
+            # The vote names the value: (ballot, instance) is the one this
+            # leader proposed at its current ballot and still holds.
+            value = self._proposed[msg.instance]
+        else:
+            return  # a stale vote: an older ballot, or already delivered
+        chose = self.log.record_vote(msg.instance, msg.ballot, value, src, self.quorum)
         if chose:
             if not self.config.accepted_broadcast:
-                chosen = Chosen(group=self.group_id, instance=msg.instance, value=msg.value)
+                chosen = Chosen(group=self.group_id, instance=msg.instance, ballot=msg.ballot)
                 for member in self.members:
                     if member != self.runtime.node_id:
                         self.runtime.send(member, chosen)
@@ -495,7 +513,23 @@ class PaxosReplica:
                 self._deliver(instance, value)
 
     def _on_chosen(self, src: str, msg: Chosen) -> None:
-        self.log.mark_chosen(msg.instance, msg.value)
+        if msg.ballot is None:
+            self.log.mark_chosen(msg.instance, msg.value)
+        elif not self.log.is_chosen(msg.instance):
+            entry = self.log.state(msg.instance)
+            if entry.has_accepted and entry.accepted_ballot == msg.ballot:
+                self.log.mark_chosen(msg.instance, entry.accepted_value)
+            else:
+                # The Accept at that ballot never got here: ask for the
+                # value now rather than wait for the catch-up timer.
+                self.runtime.send(
+                    src,
+                    LearnRequest(
+                        group=self.group_id,
+                        from_instance=msg.instance,
+                        to_instance=msg.instance,
+                    ),
+                )
         for instance, value in self.log.pop_deliverable():
             self._deliver(instance, value)
         self._arm_catchup()

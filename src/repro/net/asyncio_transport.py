@@ -5,11 +5,29 @@ selected wire codec — the JSON codec of :mod:`repro.net.message` by
 default, or the struct-packed binary codec of :mod:`repro.net.codec`
 (``codec="packed"``) — wrapped in an :class:`Envelope` carrying the
 sender's node id.  Both endpoints must run the same codec; the frame
-layout is codec-independent.  Connections are opened lazily per
-destination and cached; links are quasi-reliable in the sense of the
-paper's model (TCP delivers in order while both endpoints live; on
-connection failure the message is dropped and higher layers — Paxos —
-recover).
+layout is codec-independent.
+
+The send side has one writer per connection.  :meth:`AioTransport.post`
+frames the message, appends the frame to its destination's outbox and
+arms one flush for the current loop turn; the flush hands every
+destination all it has queued as **one** ``write`` — no task, lock or
+``drain()`` per message.  An :class:`Envelope` carries only the sender,
+so a frame does not depend on where it goes: posting the *same message
+object* to several peers in one turn (every ``for member in members:
+send(member, msg)`` loop of Paxos, gossip and the ledger) encodes it
+once.  A message addressed to this node never touches a socket: its
+handler is scheduled with ``call_soon``, in FIFO order and never
+re-entrantly.  :meth:`AioTransport.send` is the awaitable form of the
+same path.
+
+Connections are opened lazily per destination, in the background, and
+cached; links are quasi-reliable in the sense of the paper's model (TCP
+delivers in order while both endpoints live; on connection failure what
+was queued is dropped and higher layers — Paxos — recover).  Unsent
+bytes are bounded: a destination whose outbox plus socket write buffer
+passes :data:`_MAX_UNSENT` — a peer that stopped reading — is treated
+as a failed connection (aborted, outbox dropped, ``sends_dropped``
+counted, reconnected on the next send).
 
 The receive side fails loudly enough to be noticed: an exception raised
 by the handler is counted (``handler_errors``) and the connection lives
@@ -33,6 +51,12 @@ from repro.obs.recorder import NULL_RECORDER, ObsRecorder, traced_tid as _traced
 
 _LEN_BYTES = 4
 _MAX_FRAME = 64 * 1024 * 1024
+#: Most bytes one destination may have unsent (outbox + socket write
+#: buffer) before its connection is given up on: room for the largest
+#: legal frame behind another one.
+_MAX_UNSENT = 2 * _MAX_FRAME
+#: ``_last_msg`` when no message has been framed in this loop turn.
+_NO_MESSAGE = object()
 
 
 @message
@@ -64,6 +88,20 @@ async def _read_frame(reader: asyncio.StreamReader) -> bytes | None:
         return None
 
 
+class _Outbox:
+    """Frames queued for one destination, and their total size."""
+
+    __slots__ = ("frames", "size")
+
+    def __init__(self) -> None:
+        self.frames: list[bytes] = []
+        self.size = 0
+
+    def clear(self) -> None:
+        self.frames.clear()
+        self.size = 0
+
+
 class AioTransport:
     """One node's TCP endpoint: listens for peers and sends to a directory."""
 
@@ -85,7 +123,14 @@ class AioTransport:
         self.obs = obs if obs is not None else NULL_RECORDER
         self._server: asyncio.AbstractServer | None = None
         self._writers: dict[str, asyncio.StreamWriter] = {}
-        self._send_locks: dict[str, asyncio.Lock] = {}
+        #: Frames posted per destination since its last write.
+        self._outbox: dict[str, _Outbox] = {}
+        #: Background connection attempts, by destination.
+        self._connecting: dict[str, asyncio.Task] = {}
+        self._flush_armed = False
+        #: The message framed last in this loop turn, and its frame.
+        self._last_msg: Any = _NO_MESSAGE
+        self._last_frame = b""
         #: Live inbound connections: reader task -> the writer that ends it.
         self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._closed = False
@@ -96,6 +141,14 @@ class AioTransport:
         self.frames_rejected = 0
         #: The latest exception behind either counter, traceback attached.
         self.last_error: Exception | None = None
+        #: Send side: frames handed to a socket, the ``write`` calls that
+        #: carried them, their bytes, messages encoded (a broadcast counts
+        #: once), and frames dropped with a failed or stalled connection.
+        self.frames_sent = 0
+        self.writes = 0
+        self.bytes_sent = 0
+        self.encodes = 0
+        self.sends_dropped = 0
 
     async def start(self) -> None:
         """Bind and start accepting peer connections."""
@@ -122,27 +175,33 @@ class AioTransport:
                     self.frames_rejected += 1
                     self.last_error = exc
                     break
-                if self.obs.enabled:
-                    tid = _traced_tid(envelope.payload)
-                    if tid is not None:
-                        self.obs.event(
-                            "net.recv",
-                            self.node_id,
-                            tid,
-                            src=envelope.src,
-                            msg=type(envelope.payload).__name__,
-                        )
-                try:
-                    self.handler(envelope.src, envelope.payload)
-                except Exception as exc:
-                    self.handler_errors += 1
-                    self.last_error = exc
+                self._deliver(envelope.src, envelope.payload)
         finally:
             del self._inbound[task]
             writer.close()
 
-    async def send(self, dst: str, msg: Any) -> None:
-        """Send ``msg`` to ``dst``; drops silently on connection failure."""
+    def _deliver(self, src: str, msg: Any) -> None:
+        """Hand one received (or self-addressed) message to the handler."""
+        if self._closed:
+            return
+        if self.obs.enabled:
+            tid = _traced_tid(msg)
+            if tid is not None:
+                self.obs.event(
+                    "net.recv", self.node_id, tid, src=src, msg=type(msg).__name__
+                )
+        try:
+            self.handler(src, msg)
+        except Exception as exc:
+            self.handler_errors += 1
+            self.last_error = exc
+
+    def post(self, dst: str, msg: Any) -> None:
+        """Queue ``msg`` for ``dst``; this loop turn's flush writes it.
+
+        Never blocks and never delivers before it returns.  What is
+        queued behind a connection that fails is dropped silently.
+        """
         if self._closed:
             return
         if self.obs.enabled:
@@ -151,25 +210,92 @@ class AioTransport:
                 self.obs.event(
                     "net.send", self.node_id, tid, dst=dst, msg=type(msg).__name__
                 )
-        frame = _frame(self._encode(Envelope(src=self.node_id, payload=msg)))
-        lock = self._send_locks.setdefault(dst, asyncio.Lock())
-        async with lock:
-            writer = self._writers.get(dst)
-            if writer is None or writer.is_closing():
-                try:
-                    host, port = self.directory[dst]
-                except KeyError:
-                    raise TransportError(f"unknown destination {dst!r}") from None
-                try:
-                    _, writer = await asyncio.open_connection(host, port)
-                except OSError:
-                    return  # Peer down: quasi-reliable link drops the message.
-                self._writers[dst] = writer
+        if dst == self.node_id:
+            asyncio.get_running_loop().call_soon(self._deliver, dst, msg)
+            return
+        outbox = self._outbox.get(dst)
+        if outbox is None:
+            if dst not in self.directory:
+                raise TransportError(f"unknown destination {dst!r}")
+            outbox = self._outbox[dst] = _Outbox()
+        if msg is not self._last_msg:
+            # ``_encode`` is looked up per call: benchmarks/e2e replaces
+            # it on the instance to count and time encodes.
+            self._last_frame = _frame(self._encode(Envelope(src=self.node_id, payload=msg)))
+            self._last_msg = msg
+            self.encodes += 1
+        outbox.frames.append(self._last_frame)
+        outbox.size += len(self._last_frame)
+        if not self._flush_armed:
+            self._flush_armed = True
+            asyncio.get_running_loop().call_soon(self._flush)
+
+    def _flush(self) -> None:
+        """Hand each destination everything queued for it as one ``write``."""
+        self._flush_armed = False
+        self._last_msg = _NO_MESSAGE
+        if self._closed:
+            return
+        for dst, outbox in self._outbox.items():
+            self._flush_to(dst, outbox)
+
+    def _flush_to(self, dst: str, outbox: _Outbox) -> None:
+        if not outbox.frames:
+            return
+        writer = self._writers.get(dst)
+        unsent = outbox.size
+        if writer is not None:
+            if writer.is_closing():
+                writer = None
+            else:
+                unsent += writer.transport.get_write_buffer_size()
+        if unsent > _MAX_UNSENT:
+            self._drop(dst)
+        elif writer is not None:
+            self.writes += 1
+            self.frames_sent += len(outbox.frames)
+            self.bytes_sent += outbox.size
+            writer.write(b"".join(outbox.frames))
+            outbox.clear()
+        elif dst not in self._connecting:
+            self._connecting[dst] = asyncio.get_running_loop().create_task(
+                self._connect(dst)
+            )
+
+    async def _connect(self, dst: str) -> None:
+        host, port = self.directory[dst]
+        try:
+            _, writer = await asyncio.open_connection(host, port)
+        except OSError:
+            self._drop(dst)  # Peer down: quasi-reliable link drops what was queued.
+            return
+        finally:
+            del self._connecting[dst]
+        self._writers[dst] = writer
+        self._flush_to(dst, self._outbox[dst])
+
+    def _drop(self, dst: str) -> None:
+        """Give up on ``dst``'s connection and on everything queued for it."""
+        outbox = self._outbox[dst]
+        self.sends_dropped += len(outbox.frames)
+        outbox.clear()
+        writer = self._writers.pop(dst, None)
+        if writer is not None:
+            # abort(), not close(): close() waits for the peer to take
+            # the buffered bytes, which is the thing that is not happening.
+            writer.transport.abort()
+
+    async def send(self, dst: str, msg: Any) -> None:
+        """Awaitable :meth:`post`: queue, let this turn's flush run, then
+        honour the socket's own flow control."""
+        self.post(dst, msg)
+        await asyncio.sleep(0)  # the flush armed by post() is ahead of us
+        writer = self._writers.get(dst)
+        if writer is not None:
             try:
-                writer.write(frame)
                 await writer.drain()
-            except (ConnectionError, OSError):
-                self._writers.pop(dst, None)
+            except OSError:
+                pass
 
     async def close(self) -> None:
         """Stop accepting and tear down all connections.
@@ -177,17 +303,24 @@ class AioTransport:
         Inbound readers are ended by closing their connections — they
         see end-of-stream and return — rather than by cancellation,
         which asyncio's stream server reports as an error per task.
+        Connection attempts still in flight are cancelled, which closes
+        their sockets.  From here on :meth:`post`, the flush and
+        self-delivery do nothing.
         """
         self._closed = True
         if self._server is not None:
             self._server.close()
+        connecting = list(self._connecting.values())
+        for task in connecting:
+            task.cancel()
         for writer in self._writers.values():
             writer.close()
         self._writers.clear()
+        self._outbox.clear()
         readers = list(self._inbound)
         for writer in self._inbound.values():
             writer.close()
-        if readers:
-            await asyncio.gather(*readers, return_exceptions=True)
+        if readers or connecting:
+            await asyncio.gather(*readers, *connecting, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()

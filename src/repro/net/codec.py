@@ -50,7 +50,7 @@ import struct
 from typing import Any, Callable
 
 from repro.errors import CodecError
-from repro.net.message import decode_message, encode_message, registry
+from repro.net.message import decode_message, encode_message, field_names, registry
 
 _INT64 = struct.Struct(">q")
 _DOUBLE = struct.Struct(">d")
@@ -98,16 +98,13 @@ def _encode_into(out: bytearray, value: Any) -> None:
         out.append(0x62)  # b
         _write_varint(out, len(value))
         out += value
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        tag = type(value).__name__
-        if tag not in registry:
-            raise CodecError(f"dataclass {tag} is not a registered message")
-        raw = tag.encode()
+    elif (names := field_names.get(type(value))) is not None:
+        raw = type(value).__name__.encode()
         out.append(0x4D)  # M
         _write_varint(out, len(raw))
         out += raw
-        for field in dataclasses.fields(value):
-            _encode_into(out, getattr(value, field.name))
+        for name in names:
+            _encode_into(out, getattr(value, name))
     elif isinstance(value, (list, tuple)):
         out.append(0x6C if isinstance(value, list) else 0x74)  # l / t
         _write_varint(out, len(value))
@@ -127,6 +124,8 @@ def _encode_into(out: bytearray, value: Any) -> None:
         for key, item in value.items():
             _encode_into(out, key)
             _encode_into(out, item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        raise CodecError(f"dataclass {type(value).__name__} is not a registered message")
     else:
         raise CodecError(
             f"cannot encode value of type {type(value).__name__}: {value!r}"
@@ -212,8 +211,7 @@ def _decode_from(reader: _Reader) -> Any:
         cls = registry.get(name)
         if cls is None:
             raise CodecError(f"unknown message tag {name!r}")
-        fields = dataclasses.fields(cls)
-        return cls(**{field.name: _decode_from(reader) for field in fields})
+        return cls(**{field: _decode_from(reader) for field in field_names[cls]})
     raise CodecError(f"unknown packed type tag {tag:#x}")
 
 

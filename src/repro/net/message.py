@@ -36,6 +36,11 @@ _T = TypeVar("_T")
 #: Wire tag -> message class.
 registry: dict[str, type] = {}
 
+#: Registered message class -> its field names in declaration order,
+#: resolved once at registration.  Both codecs walk a message through
+#: this table instead of asking :mod:`dataclasses` per object per message.
+field_names: dict[type, tuple[str, ...]] = {}
+
 
 def message(cls: Type[_T]) -> Type[_T]:
     """Class decorator registering a dataclass as a wire message.
@@ -50,6 +55,7 @@ def message(cls: Type[_T]) -> Type[_T]:
     if existing is not None and existing is not cls:
         raise CodecError(f"duplicate message tag {tag!r}")
     registry[tag] = cls
+    field_names[cls] = tuple(field.name for field in dataclasses.fields(cls))
     return cls
 
 
@@ -59,15 +65,10 @@ def message(cls: Type[_T]) -> Type[_T]:
 def _encode_value(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        tag = type(value).__name__
-        if tag not in registry:
-            raise CodecError(f"dataclass {tag} is not a registered message")
-        fields = {
-            field.name: _encode_value(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
-        return {"__msg__": tag, "f": fields}
+    names = field_names.get(type(value))
+    if names is not None:
+        fields = {name: _encode_value(getattr(value, name)) for name in names}
+        return {"__msg__": type(value).__name__, "f": fields}
     if isinstance(value, bytes):
         return {"__b64__": base64.b64encode(value).decode("ascii")}
     if isinstance(value, (set, frozenset)):
@@ -84,6 +85,8 @@ def _encode_value(value: Any) -> Any:
                 [_encode_value(key), _encode_value(item)] for key, item in value.items()
             ]
         }
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        raise CodecError(f"dataclass {type(value).__name__} is not a registered message")
     raise CodecError(f"cannot encode value of type {type(value).__name__}: {value!r}")
 
 

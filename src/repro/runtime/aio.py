@@ -2,9 +2,13 @@
 
 An :class:`AioWorld` holds the node directory (``node_id -> (host, port)``)
 and mints :class:`AioNodeRuntime` instances.  Each node runtime owns an
-:class:`~repro.net.asyncio_transport.AioTransport`; ``send`` schedules the
-write as a task so protocol cores stay non-blocking, matching the
-fire-and-forget semantics of the simulated transport.
+:class:`~repro.net.asyncio_transport.AioTransport`; ``send`` posts the
+message to the transport's outbox — written, with everything else bound
+for the same peer, by one flush per loop turn — so protocol cores stay
+non-blocking, matching the fire-and-forget semantics of the simulated
+transport.  A message a node sends to itself skips the socket: its
+handler runs on the next loop turn.  A closed runtime is quiet: its
+timers are cancelled and sends do nothing.
 
 Integration tests build small clusters on localhost ports and verify that
 the unmodified SDUR and Paxos cores commit transactions over real TCP.
@@ -26,7 +30,7 @@ from repro.obs.recorder import (
     default_tracing,
     register_recorder,
 )
-from repro.runtime.base import Runtime, TimerHandle
+from repro.runtime.base import DEAD_TIMER, Runtime, TimerHandle
 from repro.sim.rng import RngRegistry
 
 
@@ -69,13 +73,32 @@ class AioWorld:
 
 
 class _AioTimer:
-    """Cancellable wrapper over ``loop.call_later``."""
+    """Cancellable ``loop.call_later`` that its runtime can find again:
+    it sits in ``live`` from arming until it fires or is cancelled."""
 
-    def __init__(self, handle: asyncio.TimerHandle) -> None:
-        self._handle = handle
+    __slots__ = ("_live", "_callback", "_handle")
+
+    def __init__(
+        self, live: set["_AioTimer"], delay: float, callback: Callable[[], None]
+    ) -> None:
+        self._live = live
+        self._callback = callback
+        self._handle: asyncio.TimerHandle | None = asyncio.get_running_loop().call_later(
+            delay, self._fire
+        )
+        live.add(self)
+
+    def _fire(self) -> None:
+        self._live.discard(self)
+        # The handle holds this bound method: let go of it, or every
+        # fired timer is a reference cycle for the collector to find.
+        self._handle = None
+        self._callback()
 
     def cancel(self) -> None:
-        self._handle.cancel()
+        self._live.discard(self)
+        if self._handle is not None:
+            self._handle.cancel()
 
 
 class AioNodeRuntime(Runtime):
@@ -87,7 +110,9 @@ class AioNodeRuntime(Runtime):
         self.obs = world.obs
         self._handler: Callable[[str, Any], None] | None = None
         self._transport: AioTransport | None = None
-        self._send_tasks: set[asyncio.Task] = set()
+        #: Timers armed and neither fired nor cancelled; ``close`` cancels them.
+        self._timers: set[_AioTimer] = set()
+        self._closed = False
 
     async def start(self) -> None:
         """Bind the TCP endpoint; requires :meth:`listen` to have been called."""
@@ -99,10 +124,11 @@ class AioNodeRuntime(Runtime):
         await self._transport.start()
 
     async def close(self) -> None:
-        for task in list(self._send_tasks):
-            task.cancel()
-        if self._send_tasks:
-            await asyncio.gather(*self._send_tasks, return_exceptions=True)
+        """Cancel every live timer and close the transport; afterwards no
+        callback of this node runs and ``send`` / ``set_timer`` do nothing."""
+        self._closed = True
+        for timer in list(self._timers):
+            timer.cancel()
         if self._transport is not None:
             await self._transport.close()
 
@@ -111,15 +137,13 @@ class AioNodeRuntime(Runtime):
         return asyncio.get_running_loop().time()
 
     def send(self, dst: str, msg: Any) -> None:
-        if self._transport is None:
-            return
-        task = asyncio.get_running_loop().create_task(self._transport.send(dst, msg))
-        self._send_tasks.add(task)
-        task.add_done_callback(self._send_tasks.discard)
+        if self._transport is not None:
+            self._transport.post(dst, msg)
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
-        handle = asyncio.get_running_loop().call_later(delay, callback)
-        return _AioTimer(handle)
+        if self._closed:
+            return DEAD_TIMER
+        return _AioTimer(self._timers, delay, callback)
 
     def listen(self, handler: Callable[[str, Any], None]) -> None:
         self._handler = handler
@@ -132,7 +156,7 @@ class AioNodeRuntime(Runtime):
         if cost <= 0:
             fn()
         else:
-            asyncio.get_running_loop().call_later(cost, fn)
+            self.set_timer(cost, fn)
 
     def latency_estimate(self, dst: str) -> float:
         return self.world.delay_estimates.get((self.node_id, dst), 0.0)

@@ -16,6 +16,17 @@ class TimerHandle(Protocol):
     def cancel(self) -> None: ...
 
 
+class _DeadTimer:
+    """The handle a node that has crashed or closed hands out: nothing
+    was armed, so there is nothing to cancel."""
+
+    def cancel(self) -> None:
+        return None
+
+
+DEAD_TIMER = _DeadTimer()
+
+
 class Runtime(ABC):
     """Clock, timers, messaging, and randomness for one node.
 

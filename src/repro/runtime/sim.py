@@ -22,7 +22,7 @@ from repro.obs.recorder import (
     default_tracing,
     register_recorder,
 )
-from repro.runtime.base import Runtime, TimerHandle
+from repro.runtime.base import DEAD_TIMER, Runtime, TimerHandle
 from repro.sim.kernel import Kernel, ScheduledEvent
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.rng import RngRegistry
@@ -147,7 +147,7 @@ class SimNodeRuntime(Runtime):
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         if self._crashed:
-            return _DEAD_TIMER
+            return DEAD_TIMER
         event = self.world.kernel.schedule(delay, self._fire_timer, callback)
         self._timers.append(event)
         if len(self._timers) > 64:
@@ -192,13 +192,3 @@ class SimNodeRuntime(Runtime):
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()
-
-
-class _DeadTimer:
-    """Timer handle returned once a node has crashed."""
-
-    def cancel(self) -> None:
-        return None
-
-
-_DEAD_TIMER = _DeadTimer()

@@ -39,6 +39,33 @@ class TestChoosing:
             log.mark_chosen(0, "v2")
         log.mark_chosen(0, "v1")  # idempotent re-choice is fine
 
+    def test_duplicate_choice_is_checked_by_identity_then_equality(self):
+        class Value:
+            """Equal by payload; counts comparisons; ``repr`` must not be used."""
+
+            compared = 0
+
+            def __init__(self, payload):
+                self.payload = payload
+
+            def __eq__(self, other):
+                Value.compared += 1
+                return isinstance(other, Value) and self.payload == other.payload
+
+            def __repr__(self):
+                raise AssertionError("mark_chosen rendered a whole value to compare it")
+
+        log = PaxosLog()
+        value = Value("v")
+        log.mark_chosen(0, value)
+        log.mark_chosen(0, value)  # the same object: not even compared
+        assert Value.compared == 0
+        log.mark_chosen(0, Value("v"))  # an equal copy (a decoded re-send)
+        assert Value.compared == 1
+        with pytest.raises(ConsensusError):
+            log.mark_chosen(0, Value("other"))
+        assert log.state(0).chosen_value is value
+
     def test_negative_instance_rejected(self):
         with pytest.raises(ConsensusError):
             PaxosLog().state(-1)

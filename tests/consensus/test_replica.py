@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.consensus.messages import Accept, Accepted, Chosen, LearnRequest
 from repro.consensus.replica import PaxosConfig, PaxosReplica
 from repro.errors import ConfigurationError
 from repro.runtime.sim import SimWorld
@@ -255,3 +256,183 @@ class TestDurability:
         reopened = WriteAheadLog(wal_paths["b"])
         assert len(reopened) == 1
         reopened.close()
+
+
+def tap(world: SimWorld, node: str, replica: PaxosReplica) -> list:
+    """Record ``(src, msg)`` for every message ``node`` receives."""
+    heard = []
+
+    def handler(src, msg):
+        heard.append((src, msg))
+        replica.handle(src, msg)
+
+    world.runtime_for(node).listen(handler)
+    return heard
+
+
+def of_type(heard, cls):
+    return [(src, msg) for src, msg in heard if isinstance(msg, cls)]
+
+
+class TestValueFreeVotesAndDecisions:
+    """Point-to-point ``Accepted`` and the ``Chosen`` relay name the value
+    by ``(ballot, instance)`` instead of carrying it (PROTOCOL.md §4)."""
+
+    #: No timer can rescue a follower: what delivers is the protocol.
+    NO_TIMERS = dict(catchup_interval=None, commit_index_interval=None, accept_retry=60.0)
+
+    def test_loss_free_path_carries_the_value_once(self, world):
+        replicas, delivered = make_group(world)
+        heard = {m: tap(world, m, replicas[m]) for m in replicas}
+        for replica in replicas.values():
+            replica.start()
+        world.run(until=1.0)
+        replicas["a"].propose("v0")
+        world.run(until=2.0)
+        assert all(delivered[m] == [(0, "v0")] for m in delivered)
+        votes = of_type(heard["a"], Accepted)
+        assert len(votes) == 3 and all(msg.value is None for _, msg in votes)
+        for follower in ("b", "c"):
+            [(src, chosen)] = of_type(heard[follower], Chosen)
+            assert src == "a" and chosen.value is None and chosen.ballot == (1, 0)
+            assert not of_type(heard["a"], LearnRequest)
+            # One value object, not an accepted and a chosen copy.
+            entry = replicas[follower].log.state(0)
+            assert entry.chosen_value is entry.accepted_value
+
+    def test_follower_that_missed_the_accept_asks_once_and_delivers(self, world):
+        config = PaxosConfig(static_leader="a", **self.NO_TIMERS)
+        replicas, delivered = make_group(world, config=config)
+        heard_a = tap(world, "a", replicas["a"])
+        heard_c = tap(world, "c", replicas["c"])
+        for replica in replicas.values():
+            replica.start()
+        world.run(until=1.0)
+        world.network.cut_link("a", "c")
+        replicas["a"].propose("v0")  # the Accept to c is lost here
+        world.network.heal_link("a", "c")  # before a has a quorum to relay
+        world.run(until=2.0)
+        assert not of_type(heard_c, Accept)
+        learn = [msg for src, msg in of_type(heard_a, LearnRequest) if src == "c"]
+        assert [(m.from_instance, m.to_instance) for m in learn] == [(0, 0)]
+        named, carried = [msg for _, msg in of_type(heard_c, Chosen)]
+        assert (named.value, named.ballot) == (None, (1, 0))
+        assert (carried.value, carried.ballot) == ("v0", None)
+        assert delivered["c"] == delivered["a"] == delivered["b"] == [(0, "v0")]
+
+    def test_chosen_at_another_ballot_than_accepted_is_asked_for_not_guessed(self, world):
+        config = PaxosConfig(static_leader="a", **self.NO_TIMERS)
+        replicas, delivered = make_group(world, config=config)
+        heard_a = tap(world, "a", replicas["a"])
+        for replica in replicas.values():
+            replica.start()
+        world.run(until=1.0)
+        follower = replicas["c"]
+        b1, b2 = (1, 0), (2, 0)
+        follower.handle("a", Accept(group="g", ballot=b1, instance=0, value="v"))
+        follower.handle("a", Accept(group="g", ballot=b2, instance=0, value="v"))
+        follower.handle("a", Chosen(group="g", instance=0, ballot=b1))
+        assert delivered["c"] == [] and not follower.log.is_chosen(0)
+        world.run(until=2.0)
+        learn = [msg for src, msg in of_type(heard_a, LearnRequest) if src == "c"]
+        assert [(m.from_instance, m.to_instance) for m in learn] == [(0, 0)]
+        # Named at the ballot it did accept last, it needs no one's help.
+        follower.handle("a", Chosen(group="g", instance=0, ballot=b2))
+        assert delivered["c"] == [(0, "v")]
+
+    def test_stale_value_free_vote_changes_nothing(self, world):
+        """A vote captured before a failover, replayed into the next
+        leader, names a ballot that leader never proposed at."""
+        config = PaxosConfig(
+            static_leader=None, heartbeat_interval=0.05, suspect_timeout=0.2
+        )
+        replicas, delivered = make_group(world, config=config)
+        heard_a = tap(world, "a", replicas["a"])
+        for replica in replicas.values():
+            replica.start()
+        world.run(until=1.0)
+        assert replicas["a"].is_leader
+        replicas["a"].propose("before")
+        world.run(until=2.0)
+        old_vote = next(msg for src, msg in of_type(heard_a, Accepted) if src == "c")
+        world.crash("a")
+        world.run(until=4.0)
+        leader = next(r for m, r in replicas.items() if m != "a" and r.is_leader)
+        leader.propose("after")
+        world.run(until=5.0)
+        assert old_vote.value is None and old_vote.ballot != leader._my_ballot
+
+        def state():
+            return (
+                {i: (e.chosen, e.chosen_value, dict(e.votes)) for i, e in leader.log._instances.items()},
+                leader.log.next_to_deliver,
+                dict(leader._proposed),
+            )
+
+        before = state()
+        # Same instance at the dead leader's ballot; an undecided instance
+        # at it; and the current ballot for an instance already delivered
+        # (so no longer in ``_proposed``).
+        for vote in (
+            old_vote,
+            Accepted(group="g", ballot=old_vote.ballot, instance=7),
+            Accepted(group="g", ballot=leader._my_ballot, instance=1),
+        ):
+            leader.handle("c", vote)
+            leader.handle("a", vote)
+        assert state() == before
+        leader.propose("later")
+        world.run(until=6.0)
+        survivors = [delivered[m] for m in delivered if m != "a"]
+        assert survivors[0] == survivors[1]
+        assert [v for _, v in survivors[0]] == ["before", "after", "later"]
+
+    def test_broadcast_votes_keep_the_value_and_learn_in_two_delays(self):
+        world = SimWorld(seed=3)
+        config = PaxosConfig(static_leader="a", accepted_broadcast=True, **self.NO_TIMERS)
+        replicas, delivered = make_group(world, config=config)
+        heard_b = tap(world, "b", replicas["b"])
+        for replica in replicas.values():
+            replica.start()
+        world.run(until=1.0)
+        start = world.now
+        replicas["a"].propose("v")
+        while not delivered["b"]:
+            world.kernel.step()
+        # Accept (one delay), then the acceptors' broadcast votes (two).
+        assert world.now - start == pytest.approx(0.002)
+        votes = of_type(heard_b, Accepted)
+        assert votes and all(msg.value == "v" for _, msg in votes)
+        world.run(until=2.0)
+        assert not of_type(heard_b, Chosen)
+        assert all(delivered[m] == [(0, "v")] for m in delivered)
+
+
+class TestWireSize:
+    def test_votes_and_decisions_are_a_fraction_of_the_accept(self):
+        """The two-key projection of ``benchmarks/e2e/micro.py``'s
+        ``sample_messages()``, framed as the transport frames it."""
+        from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
+        from repro.net.asyncio_transport import Envelope, _frame
+        from repro.net.message import encode_message
+
+        keys = ["0/obj8398", "0/obj1309"]
+        value = TxnProjection(
+            tid=TxnId("c0~0badcafe", 4242),
+            partition="p0",
+            readset=ReadsetDigest.exact(keys),
+            writeset={key: 4242 for key in keys},
+            snapshot=4200,
+            partitions=("p0",),
+            coordinator="s1",
+            client="c0",
+        )
+
+        def framed(msg):
+            return len(_frame(encode_message(Envelope(src="s1", payload=msg))))
+
+        accept = framed(Accept(group="p0", ballot=(1, 0), instance=4242, value=value))
+        accepted = framed(Accepted(group="p0", ballot=(1, 0), instance=4242))
+        chosen = framed(Chosen(group="p0", instance=4242, ballot=(1, 0)))
+        assert 400 < accept < 600
+        assert accepted < 200 and chosen < 200

@@ -34,8 +34,8 @@ def free_ports(count):
     return ports
 
 
-async def build_aio_cluster(num_partitions=2, replicas=3):
-    """A full SDUR deployment over localhost TCP."""
+async def build_aio_cluster(num_partitions=2, replicas=3, session_server="s1"):
+    """A full SDUR deployment over localhost TCP (``s1`` leads ``p0``)."""
     server_names = [
         f"s{p * replicas + r + 1}" for p in range(num_partitions) for r in range(replicas)
     ]
@@ -94,7 +94,7 @@ async def build_aio_cluster(num_partitions=2, replicas=3):
         client_runtime,
         directory,
         partition_map,
-        ClientConfig(session_server="s1", commit_timeout=2.0, read_timeout=1.0),
+        ClientConfig(session_server=session_server, commit_timeout=2.0, read_timeout=1.0),
     )
     client_runtime.listen(client.handle)
 

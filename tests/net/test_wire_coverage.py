@@ -168,6 +168,26 @@ def test_roundtrip(msg):
     assert type(decoded) is type(msg)
 
 
+#: The value-free forms Phase 2 actually sends (docs/PROTOCOL.md §4): a
+#: point-to-point vote and the coordinator's relay name the value by
+#: ``(ballot, instance)``.  (``SAMPLES`` keeps the value-bearing forms:
+#: the broadcast-mode vote and the answer to a ``LearnRequest``.)
+VALUE_FREE = [
+    Accepted(group="p0", ballot=(3, 1), instance=9),
+    Chosen(group="p0", instance=9, ballot=(3, 1)),
+]
+
+
+@pytest.mark.parametrize("msg", VALUE_FREE, ids=lambda m: type(m).__name__)
+def test_value_free_phase2_messages_roundtrip_both_codecs(msg):
+    from repro.net.codec import packed_roundtrip
+
+    assert msg.value is None
+    for decoded in (roundtrip(msg), packed_roundtrip(msg)):
+        assert decoded == msg and type(decoded) is type(msg)
+        assert decoded.value is None and decoded.ballot == (3, 1)
+
+
 def test_bloom_digest_still_queries_after_roundtrip():
     decoded = roundtrip(BLOOM_PROJ)
     assert decoded.readset.contains_any(["1/x"])
