@@ -28,7 +28,6 @@ from repro.core.directory import ClusterDirectory
 from repro.core.partitioning import PartitionMap
 from repro.core.pending import PendingList, PendingTxn
 from repro.core.server import SdurServer
-from repro.core.shardexec import ShardExecConfig
 from repro.core.transaction import Outcome, TxnId, TxnProjection
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "SdurConfig",
     "SdurServer",
     "ServiceCosts",
-    "ShardExecConfig",
     "TxnId",
     "TxnProjection",
     "TxnResult",

@@ -9,14 +9,17 @@ observation: deferred-update throughput scales when delivery and
 certification are decoupled into a pipeline).  :class:`DeliveryBatcher`
 groups consecutive atomic-broadcast deliveries into *delivery batches*
 (size- and time-window-bounded on the runtime's clock) that the server
-certifies in one pass (``SdurServer._run_batch``).
+certifies in one pass (``SdurServer._run_batch``).  It is the only way
+a delivered value reaches the server: "off" is ``SdurConfig``'s default
+batch of one, which flushes inside ``add`` and never arms a timer.
 
 Determinism is untouched: a batch boundary is invisible to protocol
 state.  Values are processed strictly in delivery order, and the batch
 fast path is taken only in regimes where it is provably equivalent to
 the sequential path (see ``SdurServer._batch_fast_ok`` and
 docs/PROTOCOL.md §18 for the argument); everything else falls back to
-the ordinary one-value ingest.
+the ordinary one-value ingest (``tests/oracles/sequential_ingest.py``
+sends every value down it, as the reference).
 
 This module is deliberately dependency-free (the config dataclass is
 imported by :mod:`repro.core.config`, mirroring ``AdmissionConfig``),
@@ -43,14 +46,8 @@ class BatchingConfig:
     #: a time-triggered flush (bounded on the sim/aio runtime clock).
     max_wait: float = 0.002
     #: Vote records grouped into one ``VoteRecordGroup`` log value
-    #: (1 = propose each record individually, as without batching).
+    #: (1 = propose each record individually).
     ledger_group: int = 16
-    #: Measure reply-path codec savings: on every ``OutcomeBatch`` flush
-    #: the server also encodes the equivalent individual notices through
-    #: the JSON codec and accumulates the byte difference in
-    #: ``codec_bytes_saved``.  Costs two extra encodes per flush — off by
-    #: default; benchmarks and the codec ablation turn it on.
-    measure_codec_savings: bool = False
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -67,8 +64,8 @@ class DeliveryBatcher:
     """Buffers abcast deliveries into size/time-bounded batches.
 
     ``add`` is called from the delivery callback with each value (and
-    its CPU-model cost); ``flush`` receives the buffered
-    ``(value, cost)`` pairs, in delivery order, when either
+    its CPU-model cost); ``flush`` receives the buffered values, in
+    delivery order, and the sum of their costs when either
 
     * the buffer reaches ``max_batch`` entries (size trigger), or
     * ``max_wait`` elapses after the first buffered entry (time
@@ -82,13 +79,14 @@ class DeliveryBatcher:
     def __init__(
         self,
         config: BatchingConfig,
-        flush: Callable[[list[tuple[Any, float]]], None],
+        flush: Callable[[list[Any], float], None],
         set_timer: Callable[[float, Callable[[], None]], Any],
     ) -> None:
         self.config = config
         self._flush = flush
         self._set_timer = set_timer
-        self._buffer: list[tuple[Any, float]] = []
+        self._buffer: list[Any] = []
+        self._cost = 0.0
         self._timer_armed = False
         #: Flush-trigger counters (unit-tested; the server aggregates
         #: batch-level stats separately).
@@ -100,7 +98,8 @@ class DeliveryBatcher:
 
     def add(self, value: Any, cost: float = 0.0) -> None:
         """Buffer one delivery; flush if the size bound is reached."""
-        self._buffer.append((value, cost))
+        self._buffer.append(value)
+        self._cost += cost
         if len(self._buffer) >= self.config.max_batch:
             self.flushed_by_size += 1
             self._flush_now()
@@ -120,6 +119,6 @@ class DeliveryBatcher:
             self._flush_now()
 
     def _flush_now(self) -> None:
-        items = self._buffer
-        self._buffer = []
-        self._flush(items)
+        values, cost = self._buffer, self._cost
+        self._buffer, self._cost = [], 0.0
+        self._flush(values, cost)

@@ -68,11 +68,6 @@ class CertifierCounters:
         self.ctest_calls = 0
         self.index_hits = 0
         self.index_fallbacks = 0
-        # Sharded-executor counters (docs/PROTOCOL.md §19); stay zero
-        # under the serial certifier.
-        self.shard_certify_calls = 0
-        self.shard_merge_ns = 0
-        self.shard_imbalance_max = 0
 
 
 class _WriteSegments:
@@ -160,63 +155,33 @@ class KeyConflictIndex:
     # WindowListener
     # ------------------------------------------------------------------
     def record_added(self, record: CommittedRecord) -> None:
+        version = record.version
+        ws_keys = record.ws_keys
         readset = record.readset
-        self.add_committed_slice(
-            record.version,
-            record.ws_keys,
-            readset.keys if readset.is_exact else None,
-            None if readset.is_exact else readset,
-        )
-
-    def record_evicted(self, record: CommittedRecord) -> None:
-        readset = record.readset
-        self.evict_committed_slice(
-            record.version,
-            record.ws_keys,
-            readset.keys if readset.is_exact else (),
-            drop_blooms=not readset.is_exact,
-        )
-
-    # ------------------------------------------------------------------
-    # Slice-level mutation primitives (shared with the sharded executor,
-    # which routes each record's keys to per-shard index slices —
-    # docs/PROTOCOL.md §19)
-    # ------------------------------------------------------------------
-    def add_committed_slice(
-        self,
-        version: int,
-        ws_keys,
-        read_keys,
-        bloom_digest: ReadsetDigest | None,
-    ) -> None:
-        """Index a committed record (or a key-range slice of one).
-
-        ``read_keys`` is ``None`` when the record's readset travelled as
-        a bloom; ``bloom_digest`` carries it instead (routed to exactly
-        one shard slice by the sharded executor, since a bloom cannot be
-        split by key).
-        """
+        last_writer = self._last_writer
         for key in ws_keys:
-            self._last_writer[key] = version
-        if read_keys is not None:
-            for key in read_keys:
-                self._last_reader[key] = version
-        if bloom_digest is not None:
-            self._bloom_records.append((version, bloom_digest))
+            last_writer[key] = version
+        if readset.is_exact:
+            last_reader = self._last_reader
+            for key in readset.keys:
+                last_reader[key] = version
+        else:
+            # A bloom cannot be indexed by key: kept whole, probed per record.
+            self._bloom_records.append((version, readset))
         self._segments.add(version, ws_keys, self._floor)
 
-    def evict_committed_slice(
-        self, version: int, ws_keys, read_keys, *, drop_blooms: bool
-    ) -> None:
-        """Retire a committed record (or slice) evicted from the window."""
+    def record_evicted(self, record: CommittedRecord) -> None:
+        version = record.version
         self._floor = max(self._floor, version)
-        for key in ws_keys:
+        for key in record.ws_keys:
             if self._last_writer.get(key) == version:
                 del self._last_writer[key]
-        for key in read_keys:
-            if self._last_reader.get(key) == version:
-                del self._last_reader[key]
-        if drop_blooms:
+        readset = record.readset
+        if readset.is_exact:
+            for key in readset.keys:
+                if self._last_reader.get(key) == version:
+                    del self._last_reader[key]
+        else:
             while self._bloom_records and self._bloom_records[0][0] <= version:
                 self._bloom_records.popleft()
         # Segments purge lazily at merge time; stale entries are inert
@@ -263,9 +228,15 @@ class KeyConflictIndex:
     def committed_forward_conflict(self, txn: TxnProjection) -> bool:
         """``txn.rs ∩ ws(r)`` for any committed ``r`` after the snapshot."""
         readset = txn.readset
-        if readset.is_exact:
-            return self.forward_conflict_keys(readset.keys, txn.snapshot)
-        return self._segments.bloom_conflict(readset, txn.snapshot)
+        snapshot = txn.snapshot
+        if not readset.is_exact:
+            return self._segments.bloom_conflict(readset, snapshot)
+        last_writer = self._last_writer
+        for key in readset.keys:
+            version = last_writer.get(key)
+            if version is not None and version > snapshot:
+                return True
+        return False
 
     def committed_backward_conflict(
         self, txn: TxnProjection, counters: CertifierCounters
@@ -276,50 +247,14 @@ class KeyConflictIndex:
         whose readsets travelled as blooms are probed one by one (the
         fallback the counters track).
         """
-        return self.backward_conflict_keys(txn.ws_keys, txn.snapshot, counters)
-
-    # ------------------------------------------------------------------
-    # Key-slice queries (the sharded executor probes each shard with the
-    # slice of the transaction's keys the shard owns)
-    # ------------------------------------------------------------------
-    def forward_conflict_keys(self, read_keys, snapshot: int) -> bool:
-        """Was any of ``read_keys`` written after ``snapshot``?"""
-        last_writer = self._last_writer
-        for key in read_keys:
-            version = last_writer.get(key)
-            if version is not None and version > snapshot:
-                return True
-        return False
-
-    def bloom_forward_conflict(self, digest: ReadsetDigest, snapshot: int) -> bool:
-        """Does any write after ``snapshot`` hit the bloom readset?"""
-        return self._segments.bloom_conflict(digest, snapshot)
-
-    def has_bloom_records(self) -> bool:
-        return bool(self._bloom_records)
-
-    def backward_conflict_keys(
-        self,
-        ws_keys,
-        snapshot: int,
-        counters: CertifierCounters,
-        probe_keys=None,
-    ) -> bool:
-        """Was any of ``ws_keys`` read (exactly) after ``snapshot``, or do
-        the bloom-readset records kept here hit ``probe_keys``?
-
-        ``probe_keys`` defaults to ``ws_keys``; the sharded executor
-        passes the transaction's *full* write set because a bloom record
-        lives in exactly one shard slice yet may cover keys any shard
-        owns (a bloom cannot be split by key).
-        """
+        ws_keys = txn.ws_keys
+        snapshot = txn.snapshot
         last_reader = self._last_reader
         for key in ws_keys:
             version = last_reader.get(key)
             if version is not None and version > snapshot:
                 return True
         if self._bloom_records and self._bloom_records[-1][0] > snapshot:
-            targets = ws_keys if probe_keys is None else probe_keys
             # Newest-first so the walk touches only post-snapshot records;
             # the verdict is a disjunction, so probe order cannot change it.
             probed = 0
@@ -328,7 +263,7 @@ class KeyConflictIndex:
                 if version <= snapshot:
                     break
                 probed += 1
-                if digest.contains_any(targets):
+                if digest.contains_any(ws_keys):
                     hit = True
                     break
             counters.ctest_calls += probed
@@ -392,18 +327,37 @@ class KeyConflictIndex:
             self.entry_added(entry)
 
 
-class PendingQueryMixin:
-    """Pending-list queries shared by the indexed and sharded certifiers.
+class IndexedCertifier:
+    """Certification strategy backed by :class:`KeyConflictIndex`."""
 
-    Subclasses provide ``pending``, ``counters``, and ``pending_index``
-    — one *unsharded* :class:`KeyConflictIndex` mirroring the pending
-    list (pending entries are few and churn fast, so sharding them buys
-    nothing; see docs/PROTOCOL.md §19).
-    """
+    def __init__(
+        self,
+        window: CertificationWindow,
+        pending: PendingList,
+        counters: CertifierCounters | None = None,
+    ) -> None:
+        self.window = window
+        self.pending = pending
+        self.counters = counters if counters is not None else CertifierCounters()
+        self.index = KeyConflictIndex(window.capacity, floor=window.floor)
+        self.index.rebuild(window, pending)
+        window.listener = self.index
+        pending.listener = self.index
 
-    pending: PendingList
-    counters: CertifierCounters
-    pending_index: KeyConflictIndex
+    # -- Algorithm 2 line 49: the committed-window test -----------------
+    def certify(self, txn: TxnProjection) -> bool | None:
+        if txn.snapshot < self.window.floor:
+            return None
+        counters = self.counters
+        fallbacks_before = counters.index_fallbacks
+        verdict = True
+        if self.index.committed_forward_conflict(txn):
+            verdict = False
+        elif txn.is_global and txn.writeset:
+            if self.index.committed_backward_conflict(txn, counters):
+                verdict = False
+        self._count_query(fallbacks_before)
+        return verdict
 
     def _count_query(self, fallbacks_before: int) -> None:
         """A query is a *hit* unless it needed a per-record bloom fallback."""
@@ -415,9 +369,9 @@ class PendingQueryMixin:
     def outcome_conflicts(self, txn: TxnProjection) -> list[TxnId]:
         counters = self.counters
         fallbacks_before = counters.index_fallbacks
-        conflicting = self.pending_index.pending_forward_conflicts(txn)
+        conflicting = self.index.pending_forward_conflicts(txn)
         if txn.is_global and txn.writeset:
-            conflicting |= self.pending_index.pending_backward_conflicts(txn, counters)
+            conflicting |= self.index.pending_backward_conflicts(txn, counters)
         self._count_query(fallbacks_before)
         if not conflicting:
             return []
@@ -444,11 +398,11 @@ class PendingQueryMixin:
         """
         counters = self.counters
         fallbacks_before = counters.index_fallbacks
-        conflicts_a = self.pending_index.pending_forward_conflicts(txn)
+        conflicts_a = self.index.pending_forward_conflicts(txn)
         if conflicts_a:
             self._count_query(fallbacks_before)
             return None
-        conflicts_d = self.pending_index.pending_backward_conflicts(txn, counters)
+        conflicts_d = self.index.pending_backward_conflicts(txn, counters)
         self._count_query(fallbacks_before)
         position = len(self.pending)
         for entry in reversed(self.pending):
@@ -460,55 +414,3 @@ class PendingQueryMixin:
                 break
             position -= 1
         return position
-
-
-class IndexedCertifier(PendingQueryMixin):
-    """Certification strategy backed by :class:`KeyConflictIndex`."""
-
-    def __init__(
-        self,
-        window: CertificationWindow,
-        pending: PendingList,
-        counters: CertifierCounters | None = None,
-    ) -> None:
-        self.window = window
-        self.pending = pending
-        self.counters = counters if counters is not None else CertifierCounters()
-        self.index = KeyConflictIndex(window.capacity, floor=window.floor)
-        self.index.rebuild(window, pending)
-        window.listener = self.index
-        pending.listener = self.index
-        # One index mirrors both sides here; the mixin queries it for
-        # the pending half.
-        self.pending_index = self.index
-
-    # -- Algorithm 2 line 49: the committed-window test -----------------
-    def certify(self, txn: TxnProjection) -> bool | None:
-        if txn.snapshot < self.window.floor:
-            return None
-        counters = self.counters
-        fallbacks_before = counters.index_fallbacks
-        verdict = True
-        if self.index.committed_forward_conflict(txn):
-            verdict = False
-        elif txn.is_global and txn.writeset:
-            if self.index.committed_backward_conflict(txn, counters):
-                verdict = False
-        self._count_query(fallbacks_before)
-        return verdict
-
-    # -- A delivered run of fast-path locals ------------------------------
-    def begin_run(self, projs: list[TxnProjection]) -> None:
-        """Nothing to prepare: every in-run commit reaches the index
-        through the window listener before the next member certifies."""
-
-    def end_run(self) -> None:
-        """No per-run load shape to report (the sharded certifier
-        returns its phase-1 plan here)."""
-
-    # -- CPU model: serial certification charges the flat cost ------------
-    def single_cost(self, proj: TxnProjection, certify_cost: float) -> float:
-        return certify_cost
-
-    def batch_cost(self, projs: list[TxnProjection], certify_cost: float) -> float:
-        return sum(self.single_cost(proj, certify_cost) for proj in projs)

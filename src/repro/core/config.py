@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.core.batch import BatchingConfig
-from repro.core.shardexec import ShardExecConfig
+from repro.errors import ConfigurationError
 from repro.overload.admission import AdmissionConfig
 
 
@@ -64,12 +64,6 @@ class SdurConfig:
     #: Committed records retained for certification (the paper's last-K
     #: bloom filters).  Transactions older than the window abort.
     history_window: int = 50_000
-    #: ``None`` (default) certifies in delivery order against the key
-    #: index (docs/PROTOCOL.md §15).  A ``ShardExecConfig`` instead fans
-    #: each delivered batch's committed-window checks out over
-    #: key-range shards and merges verdicts in delivery order — the
-    #: cost-model instrument of docs/PROTOCOL.md §19 (ablation A8).
-    shardexec: ShardExecConfig | None = None
 
     # -- Global-transaction termination (docs/PROTOCOL.md §14) ----------
     #: Re-proposal period for vote records not yet seen delivered (the
@@ -121,12 +115,11 @@ class SdurConfig:
     admission: AdmissionConfig | None = None
 
     # -- Batched delivery (docs/PROTOCOL.md §18) --------------------------
-    #: Group consecutive abcast deliveries into delivery batches that are
-    #: certified in one pass, with vote records grouped per log value and
-    #: client replies batched per destination.  ``None`` (default)
-    #: processes every delivery individually, as the paper's prototype
-    #: and all pre-§18 experiments do.
-    batching: BatchingConfig | None = None
+    #: Every abcast delivery reaches the server through a delivery
+    #: batch: certified in one pass, vote records grouped per log value,
+    #: client replies batched per destination.  The default is the batch
+    #: of one — each delivery processed alone, as Algorithm 2 is written.
+    batching: BatchingConfig = BatchingConfig(max_batch=1, max_wait=0.0, ledger_group=1)
 
     # -- Client notification ---------------------------------------------
     #: Every replica (not just the coordinator) sends the outcome to the
@@ -142,6 +135,13 @@ class SdurConfig:
     # -- CPU model -------------------------------------------------------
     costs: ServiceCosts = field(default_factory=ServiceCosts)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.batching, BatchingConfig):
+            raise ConfigurationError(
+                "batching must be a BatchingConfig (a batch of one, the "
+                f"default, is \"off\"), got {self.batching!r}"
+            )
+
     def with_reordering(self, threshold: int) -> "SdurConfig":
         """Copy with reordering enabled at ``threshold``."""
         return self._replace(reorder_threshold=threshold)
@@ -153,16 +153,9 @@ class SdurConfig:
         """Copy with the given admission policy (``None`` disables)."""
         return self._replace(admission=admission)
 
-    def with_batching(self, batching: BatchingConfig | None) -> "SdurConfig":
-        """Copy with the given delivery-batching policy (``None`` disables)."""
+    def with_batching(self, batching: BatchingConfig) -> "SdurConfig":
+        """Copy with the given delivery-batching policy."""
         return self._replace(batching=batching)
-
-    def with_shard_executor(
-        self, shardexec: ShardExecConfig | None = None
-    ) -> "SdurConfig":
-        """Copy with the sharded certification executor enabled
-        (``None`` means the defaults: 4 shards, seed 0)."""
-        return self._replace(shardexec=shardexec or ShardExecConfig())
 
     def _replace(self, **changes: object) -> "SdurConfig":
         from dataclasses import replace

@@ -99,9 +99,10 @@ class OutcomeNotice(Message):
 class OutcomeBatch(Message):
     """Server → client: several outcomes in one message (§18).
 
-    With delivery batching on, a server buffers the outcome notices a
-    batch produces and sends one ``OutcomeBatch`` per destination client
-    instead of one :class:`OutcomeNotice` per transaction.  Order inside
+    A server buffers the outcome notices a delivery batch of more than
+    one value produces and sends one ``OutcomeBatch`` per destination
+    client instead of one :class:`OutcomeNotice` per transaction (a
+    batch of one value replies with the notice itself).  Order inside
     ``outcomes`` is completion order; clients process entries in order,
     so the observable effect is identical to individual notices.
     """

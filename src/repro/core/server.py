@@ -40,6 +40,7 @@ from typing import Any
 from repro.consensus.abcast import AbcastFabric
 from repro.core.batch import DeliveryBatcher
 from repro.core.certifier import CertificationWindow, CommittedRecord
+from repro.core.certindex import IndexedCertifier
 from repro.core.checkpoint import (
     CheckpointReply,
     CheckpointRequest,
@@ -67,12 +68,11 @@ from repro.core.messages import (
 )
 from repro.core.partitioning import PartitionMap
 from repro.core.pending import PendingList, PendingTxn
-from repro.core.shardexec import ShardPlan, build_certifier
 from repro.core.snapshots import GlobalSnapshotBuilder
 from repro.core.transaction import Outcome, TxnId, TxnProjection
 from repro.errors import ConfigurationError, ProtocolError, SnapshotTooOldError
 from repro.obs.recorder import NULL_RECORDER
-from repro.overload.admission import AdmissionController, AdmissionDecision
+from repro.overload.admission import AdmissionController, AdmissionDecision, AdmitAll
 from repro.reconfig.epochs import VersionedRouting
 from repro.reconfig.messages import (
     BeginSplit,
@@ -125,15 +125,16 @@ class ServerStats:
         #: Aborts whose cause was a cycle-rule doom (a subset of
         #: ``aborted_deferred`` — not added into :attr:`aborted`).
         self.vote_ledger_aborts = 0
-        #: Commit requests admitted by the §16 admission controller
+        #: Commit requests admitted by the §16 admission policy
         #: (always counted, even with admission off, so the O-suite can
         #: compare offered vs accepted load across ablations).
         self.admitted = 0
         #: Ingress refused with a ``Busy`` reply (rate, in-flight, or
         #: queue-depth bound); 0 forever when admission is off.
         self.shed_total = 0
-        #: Current delivery backlog: stalled deliveries + pending list
-        #: (a gauge, refreshed at every admission check and delivery).
+        #: Current delivery backlog — delivered and not yet completed:
+        #: buffered + stalled deliveries + the pending list (a gauge,
+        #: refreshed at every admission check and stalled delivery).
         self.queue_depth = 0
         #: High-water mark of :attr:`queue_depth` over the run.
         self.queue_depth_max = 0
@@ -143,8 +144,8 @@ class ServerStats:
         #: Write-key observations fed to the hot-key tracker; stays 0
         #: unless the harness attaches one (docs/PROTOCOL.md §17).
         self.hotkey_updates = 0
-        #: Delivery batches processed (docs/PROTOCOL.md §18); stays 0
-        #: with batching off, where every delivery is ingested alone.
+        #: Delivery batches processed (docs/PROTOCOL.md §18); equals
+        #: the deliveries at the default batch of one.
         self.batches_delivered = 0
         #: Largest delivery batch processed so far (a high-water mark;
         #: at most ``BatchingConfig.max_batch``).
@@ -153,21 +154,6 @@ class ServerStats:
         #: certify/apply loop (the fast path only — fallback values are
         #: priced by the ordinary counters).
         self.batch_certify_ns = 0
-        #: Reply-path bytes saved by grouped ``OutcomeBatch`` replies on
-        #: the packed codec vs individual JSON notices; only accumulates
-        #: when ``BatchingConfig.measure_codec_savings`` is on.
-        self.codec_bytes_saved = 0
-        #: Per-shard conflict probes executed by the sharded
-        #: certification executor (docs/PROTOCOL.md §19); stays 0
-        #: without it.
-        self.shard_certify_calls = 0
-        #: Wall-clock nanoseconds spent in the delivery-order merge loop
-        #: that folds per-shard verdicts back into the log (§19.2).
-        self.shard_merge_ns = 0
-        #: High-water mark of shard load imbalance per pre-certified
-        #: batch: ``max_shard_units * num_shards * 100 / total_units``
-        #: (100 = perfectly balanced; N*100 = all work on one shard).
-        self.shard_imbalance_max = 0
         #: Resync requests sent after a peer's gossip delta started
         #: beyond this server's watermark (docs/PROTOCOL.md §6).
         self.gossip_resyncs = 0
@@ -219,19 +205,19 @@ class SdurServer:
         if initial_data:
             self.store.seed(initial_data)
         self.stats = ServerStats()
-        #: Admission controller (docs/PROTOCOL.md §16); ``None`` = every
-        #: request accepted, queues unbounded (the pre-§16 behavior,
-        #: kept runnable as the O4 ablation baseline).
-        self.admission: AdmissionController | None = (
-            AdmissionController(self.config.admission)
-            if self.config.admission is not None
-            else None
+        #: Admission policy (docs/PROTOCOL.md §16), chosen once, here:
+        #: without a configured bound every request is accepted and the
+        #: queues are unbounded (the pre-§16 behavior, kept runnable as
+        #: the O4 ablation baseline).
+        self.admission: AdmissionController | AdmitAll = (
+            AdmitAll()
+            if self.config.admission is None
+            else AdmissionController(self.config.admission)
         )
         self.window = CertificationWindow(self.config.history_window)
         self.pending = PendingList()
-        #: Conflict-check strategy over window + pending list: the key
-        #: index, sharded when ``config.shardexec`` is set
-        #: (docs/PROTOCOL.md §15, §19).
+        #: Conflict checks over window + pending list: the key index
+        #: (docs/PROTOCOL.md §15).
         self._attach_certifier()
         #: Delivered-transactions counter (Algorithm 2's ``DC``).
         self.dc = 0
@@ -257,25 +243,23 @@ class SdurServer:
             retry_interval=self.config.ledger_retry_interval,
             vote_timeout=self.config.vote_timeout,
             limit=self._completed_limit,
-            group_size=(
-                self.config.batching.ledger_group
-                if self.config.batching is not None
-                else 1
-            ),
+            group_size=self.config.batching.ledger_group,
         )
-        #: Batched delivery pipeline (docs/PROTOCOL.md §18); ``None``
-        #: ingests every delivery individually, as Algorithm 2 is written.
-        self.batcher: DeliveryBatcher | None = None
-        if self.config.batching is not None:
-            self.batcher = DeliveryBatcher(
-                self.config.batching,
-                flush=self._on_batch_ready,
-                set_timer=runtime.set_timer,
-            )
-        #: True while a delivery batch is being processed; completion
-        #: notices produced inside the batch buffer into per-destination
+        #: The one way a delivered value reaches this server
+        #: (docs/PROTOCOL.md §18).  At the default batch of one the size
+        #: trigger fires inside ``add`` and no timer is ever armed.
+        self.batcher = DeliveryBatcher(
+            self.config.batching,
+            flush=self._on_batch_ready,
+            set_timer=runtime.set_timer,
+        )
+        #: The one-pass loop applies at certification time, so it runs
+        #: only where applying is free under the CPU model (§18.2).
+        self._apply_is_free = not self.config.costs.apply
+        #: True while a batch of more than one value is being processed:
+        #: its completion notices buffer into per-destination
         #: :class:`OutcomeBatch` replies flushed at the batch boundary.
-        self._in_batch = False
+        self._grouping_replies = False
         #: client node id -> [(tid, outcome)] buffered this batch.
         self._reply_buffer: dict[str, list[tuple[TxnId, str]]] = {}
         #: Reads waiting for this replica to catch up to their snapshot.
@@ -336,23 +320,7 @@ class SdurServer:
         self._hist_batch_size = self.registry.histogram(
             "sdur_batch_size",
             unit="deliveries",
-            help="Delivery batch size distribution (§18).",
-        )
-        self._hist_shard_occupancy = self.registry.histogram(
-            "sdur_shard_occupancy",
-            unit="ratio",
-            help=(
-                "Per-shard share of a pre-certified batch's probe work, "
-                "normalized so 1.0 = a perfectly balanced shard (§19)."
-            ),
-        )
-        self._hist_shard_merge_stall = self.registry.histogram(
-            "sdur_shard_merge_stall",
-            unit="seconds",
-            help=(
-                "Wall time the delivery-order merge loop spent folding "
-                "per-shard verdicts back into the log, per batch (§19)."
-            ),
+            help="Size distribution of delivery batches of more than one value (§18).",
         )
 
     # ------------------------------------------------------------------
@@ -479,8 +447,9 @@ class SdurServer:
     # Admission control (docs/PROTOCOL.md §16)
     # ------------------------------------------------------------------
     def _queue_depth(self) -> int:
-        """Delivery backlog gauge: stalled deliveries + pending entries."""
-        depth = len(self._stalled) + len(self.pending)
+        """Delivery backlog gauge — delivered and not yet completed:
+        buffered and stalled deliveries + pending entries."""
+        depth = len(self.batcher) + len(self._stalled) + len(self.pending)
         self.stats.queue_depth = depth
         if depth > self.stats.queue_depth_max:
             self.stats.queue_depth_max = depth
@@ -499,11 +468,9 @@ class SdurServer:
         explicit — a :class:`Busy` reply — never a silent drop, so the
         client backs off instead of suspecting a crash.
         """
-        depth = self._queue_depth()
-        if self.admission is None:
-            self.stats.admitted += 1
-            return True
-        decision = self.admission.admit_commit(request.tid, self.runtime.now(), depth)
+        decision = self.admission.admit_commit(
+            request.tid, self.runtime.now(), self._queue_depth()
+        )
         self._sync_admission_stats()
         if decision.admitted:
             return True
@@ -554,12 +521,11 @@ class SdurServer:
             # Our key range is still in flight from the source partition.
             self._parked_reads.append(msg)
             return
-        if self.admission is not None:
-            decision = self.admission.admit_read(self.runtime.now(), self._queue_depth())
-            if not decision.admitted:
-                self._sync_admission_stats()
-                self._send_busy(msg.reply_to, msg.tid, decision, op_id=msg.op_id)
-                return
+        decision = self.admission.admit_read(self.runtime.now(), self._queue_depth())
+        if not decision.admitted:
+            self._sync_admission_stats()
+            self._send_busy(msg.reply_to, msg.tid, decision, op_id=msg.op_id)
+            return
         self.runtime.execute(self.config.costs.read, lambda: self._serve_read(msg))
 
     def _retiring_owner_of(self, key: str) -> bool:
@@ -691,56 +657,26 @@ class SdurServer:
     def on_adeliver(self, instance: int, value: Any) -> None:
         """Callback wired to this partition's Paxos replica."""
         self._last_instance = max(self._last_instance, instance)
-        cost = self._certify_cost(value)
-        if self.batcher is not None:
-            self.batcher.add(value, cost)
-            return
-        self.runtime.execute(cost, lambda: self._ingest(value))
+        self.batcher.add(value, self._certify_cost(value))
 
     def _certify_cost(self, value: Any) -> float:
-        """Simulated CPU charged for certifying one delivered value.
-
-        The certifier prices it: flat for the key index (§15); under the
-        sharded executor the critical path — the most loaded shard's
-        share of the transaction's key probes (§19.3) — which is how
-        parallel certification shows up in the simulated-time
-        benchmarks.
-        """
+        """Simulated CPU charged for certifying one delivered value."""
         if not isinstance(value, TxnProjection):
             return 0.0
-        base = self.config.costs.certify
-        if not base:
-            return base
-        return self.certifier.single_cost(value, base)
+        return self.config.costs.certify
 
-    def _on_batch_ready(self, items: list[tuple[Any, float]]) -> None:
+    def _on_batch_ready(self, values: list[Any], cost: float) -> None:
         """A delivery batch flushed (size or time bound): run it.
 
         The whole batch is charged as one CPU-model execution — the sum
         of its members' costs — which is the batching win under nonzero
         service costs: one scheduler round instead of one per value.
-        The transactions' single-certification charges are replaced by
-        what the certifier prices the run at: their sum for the key
-        index; under the sharded executor the batch critical path —
-        each member's cost splits across the shards its keys map to,
-        and the batch pays the most loaded shard (§19.3).
         """
-        values = [value for value, _ in items]
-        total_cost = sum(cost for _, cost in items)
-        certify = self.config.costs.certify
-        if certify:
-            txns = [value for value in values if isinstance(value, TxnProjection)]
-            if txns:
-                singles = sum(
-                    cost for value, cost in items if isinstance(value, TxnProjection)
-                )
-                total_cost += self.certifier.batch_cost(txns, certify) - singles
-        self.runtime.execute(total_cost, lambda: self._run_batch(values))
+        self.runtime.execute(cost, lambda: self._run_batch(values))
 
     def flush_batches(self) -> None:
         """Force out buffered deliveries and replies (quiescence, tests)."""
-        if self.batcher is not None:
-            self.batcher.flush_now()
+        self.batcher.flush_now()
         self.ledger.flush_group()
         self._flush_replies()
 
@@ -755,14 +691,19 @@ class SdurServer:
         delivered onto an empty, ungated pending list is certified
         against the window alone, finds no pending conflicts, inserts
         at position 0, and completes immediately — so certify-and-apply
-        in one step is the same state transition.  Every condition below
-        is stable or conservative over the run it guards: the pending
-        list stays empty (fast-path locals never enter it), and ``sc``
-        only grows, so a snapshot rejected here merely falls back to the
-        (gating) sequential ingest.
+        in one step is the same state transition.  Completing
+        *immediately* is also why applying must be free: a non-zero
+        apply cost makes the sequential path hold ``_applying``, stall
+        what is delivered behind it and reply only once the charge is
+        served, and the loop has no such schedule.  Every other
+        condition below is stable or conservative over the run it
+        guards: the pending list stays empty (fast-path locals never
+        enter it), and ``sc`` only grows, so a snapshot rejected here
+        merely falls back to the (gating) sequential ingest.
         """
         return (
-            isinstance(value, TxnProjection)
+            self._apply_is_free
+            and isinstance(value, TxnProjection)
             and value.is_local
             and not self.pending
             and not self._stalled
@@ -783,20 +724,25 @@ class SdurServer:
         every other value — globals, vote records, deferrals, gated or
         duplicate deliveries, reconfiguration values — falls back to the
         ordinary one-value ingest, preserving its exact semantics.
+        A batch of one value replies as it goes: with nothing to group,
+        its notice leaves at the instant the sequential path sends it.
         """
         self.stats.batches_delivered += 1
-        if len(values) > self.stats.batch_size_max:
-            self.stats.batch_size_max = len(values)
-        if self.telemetry_enabled:
-            self._hist_batch_size.observe(float(len(values)))
-        self._in_batch = True
+        size = len(values)
+        if size > self.stats.batch_size_max:
+            self.stats.batch_size_max = size
+        grouped = size > 1
+        if grouped and self.telemetry_enabled:
+            # A batch of one is counted, not sized: a per-delivery
+            # observation costs BENCH_telemetry 3.7 % for a constant.
+            self._hist_batch_size.observe(float(size))
+        self._grouping_replies = grouped
         try:
             index = 0
-            total = len(values)
-            while index < total:
+            while index < size:
                 if self._batch_fast_ok(values[index]):
                     end = index + 1
-                    while end < total and self._batch_fast_ok(values[end]):
+                    while end < size and self._batch_fast_ok(values[end]):
                         end += 1
                     self._commit_local_run(values[index:end])
                     index = end
@@ -804,7 +750,7 @@ class SdurServer:
                     self._ingest(values[index])
                     index += 1
         finally:
-            self._in_batch = False
+            self._grouping_replies = False
         self.ledger.flush_group()
         self._flush_replies()
 
@@ -813,21 +759,15 @@ class SdurServer:
 
         Intra-batch conflict carry-forward is the certifier's business:
         each commit appends to the certification window — whose listener
-        feeds the key index, or the sharded executor's carry-forward set
-        (§19.2) — *before* the next member is certified, so a later
-        member reading an earlier member's write hits the same
+        feeds the key index — *before* the next member is certified, so
+        a later member reading an earlier member's write hits the same
         certification abort the sequential path produces.
         """
         obs = self._obs
-        telemetry = self.telemetry_enabled
-        hist_latency = self._hist_commit_latency
-        certifier = self.certifier
-        window = self.window
-        store = self.store
-        costs_apply = self.config.costs.apply
-        applied = 0
+        certify = self.certifier.certify
+        # Fast-path locals commit at their own delivery instant.
+        delivered_at = self.runtime.now() if self.telemetry_enabled else 0.0
         started = perf_counter_ns()
-        certifier.begin_run(projs)
         for proj in projs:
             self.dc += 1
             tid = proj.tid
@@ -842,7 +782,7 @@ class SdurServer:
                     dc=self.dc,
                     is_global=False,
                 )
-            verdict = certifier.certify(proj)
+            verdict = certify(proj)
             if obs.enabled:
                 obs.event(
                     "server.certify",
@@ -858,57 +798,15 @@ class SdurServer:
                     self.stats_bucket("stale" if verdict is None else "certification"),
                 )
                 continue
-            version = self.sc + 1
-            store.apply(proj.writeset, version)
-            ws_keys = proj.ws_keys
-            window.add(
-                CommittedRecord(
-                    tid=tid,
-                    version=version,
-                    readset=proj.readset,
-                    ws_keys=ws_keys,
-                    is_global=False,
-                )
-            )
-            self.snapshot_builder.on_local_commit(tid, version, proj.partitions, False)
-            if self.on_commit_hook is not None:
-                self.on_commit_hook(tid, self.partition, version, proj)
-            if self.hot_keys is not None and ws_keys:
-                for key in ws_keys:
-                    self.hot_keys.observe(key)
-                self.stats.hotkey_updates += len(ws_keys)
-            self.stats.committed_local += 1
-            applied += 1
-            if telemetry:
-                # Fast-path locals commit at their own delivery instant.
-                hist_latency.observe(0.0)
+            self._apply_commit(proj, delivered_at)
             if obs.enabled:
                 obs.event(
                     "server.complete", self.node_id, tid, outcome=Outcome.COMMIT.value
                 )
-            self.runtime.trace(
-                "sdur.commit", tid=str(tid), version=version, is_global=False
-            )
             self._record_completed(tid, Outcome.COMMIT)
             self._notify_client(proj, Outcome.COMMIT)
-        shard_plan = certifier.end_run()
         self.stats.batch_certify_ns += perf_counter_ns() - started
-        if telemetry and shard_plan is not None:
-            self._observe_shard_plan(shard_plan)
-        if applied and costs_apply > 0:
-            # Charge the CPU model for the applies in one execution;
-            # later work queues behind it on the node's FIFO executor.
-            self.runtime.execute(applied * costs_apply, lambda: None)
         self._drain_waiting_reads()
-
-    def _observe_shard_plan(self, plan: ShardPlan) -> None:
-        """Feed a sharded run's load shape to the §19.4 histograms."""
-        self._hist_shard_merge_stall.observe(plan.merge_ns / 1e9)
-        total = plan.total_units
-        if total:
-            num = len(plan.shard_units)
-            for count in plan.shard_units:
-                self._hist_shard_occupancy.observe(count * num / total)
 
     def _flush_replies(self) -> None:
         """Send buffered outcomes as one :class:`OutcomeBatch` per client."""
@@ -916,31 +814,10 @@ class SdurServer:
             return
         buffer = self._reply_buffer
         self._reply_buffer = {}
-        measure = (
-            self.config.batching is not None
-            and self.config.batching.measure_codec_savings
-        )
         for client, outcomes in buffer.items():
-            batch = OutcomeBatch(partition=self.partition, outcomes=tuple(outcomes))
-            if measure:
-                self._measure_codec_savings(batch)
-            self.runtime.send(client, batch)
-
-    def _measure_codec_savings(self, batch: OutcomeBatch) -> None:
-        from repro.net.codec import encode_packed
-        from repro.net.message import encode_message
-
-        individual = sum(
-            len(
-                encode_message(
-                    OutcomeNotice(tid=tid, outcome=outcome, partition=batch.partition)
-                )
+            self.runtime.send(
+                client, OutcomeBatch(partition=self.partition, outcomes=tuple(outcomes))
             )
-            for tid, outcome in batch.outcomes
-        )
-        saved = individual - len(encode_packed(batch))
-        if saved > 0:
-            self.stats.codec_bytes_saved += saved
 
     def _gate_blocks(self, value: Any) -> bool:
         """Must this delivery wait for the store to reach its snapshot?
@@ -1278,37 +1155,7 @@ class SdurServer:
                 "server.complete", self.node_id, proj.tid, outcome=outcome.value
             )
         if outcome is Outcome.COMMIT:
-            version = self.sc + 1
-            self.store.apply(proj.writeset, version)
-            self.window.add(
-                CommittedRecord(
-                    tid=proj.tid,
-                    version=version,
-                    readset=proj.readset,
-                    ws_keys=proj.ws_keys,
-                    is_global=proj.is_global,
-                )
-            )
-            self.snapshot_builder.on_local_commit(
-                proj.tid, version, proj.partitions, proj.is_global
-            )
-            if self.on_commit_hook is not None:
-                self.on_commit_hook(proj.tid, self.partition, version, proj)
-            if self.hot_keys is not None and proj.ws_keys:
-                for key in proj.ws_keys:
-                    self.hot_keys.observe(key)
-                self.stats.hotkey_updates += len(proj.ws_keys)
-            if proj.is_global:
-                self.stats.committed_global += 1
-            else:
-                self.stats.committed_local += 1
-            if self.telemetry_enabled:
-                self._hist_commit_latency.observe(
-                    self.runtime.now() - entry.delivered_at
-                )
-            self.runtime.trace(
-                "sdur.commit", tid=str(proj.tid), version=version, is_global=proj.is_global
-            )
+            self._apply_commit(proj, entry.delivered_at)
         else:
             if entry.cycle_victim:
                 self.stats.vote_ledger_aborts += 1
@@ -1322,12 +1169,45 @@ class SdurServer:
             self._migration.barrier.discard(proj.tid)
             self._maybe_capture_migration()
 
+    def _apply_commit(self, proj: TxnProjection, delivered_at: float) -> None:
+        """Install one committed projection as the next version: store,
+        certification window, snapshot gossip, hooks and counters."""
+        tid = proj.tid
+        ws_keys = proj.ws_keys
+        is_global = proj.is_global
+        version = self.sc + 1
+        self.store.apply(proj.writeset, version)
+        self.window.add(
+            CommittedRecord(
+                tid=tid,
+                version=version,
+                readset=proj.readset,
+                ws_keys=ws_keys,
+                is_global=is_global,
+            )
+        )
+        self.snapshot_builder.on_local_commit(tid, version, proj.partitions, is_global)
+        if self.on_commit_hook is not None:
+            self.on_commit_hook(tid, self.partition, version, proj)
+        if self.hot_keys is not None and ws_keys:
+            for key in ws_keys:
+                self.hot_keys.observe(key)
+            self.stats.hotkey_updates += len(ws_keys)
+        if is_global:
+            self.stats.committed_global += 1
+        else:
+            self.stats.committed_local += 1
+        if self.telemetry_enabled:
+            self._hist_commit_latency.observe(self.runtime.now() - delivered_at)
+        self.runtime.trace(
+            "sdur.commit", tid=str(tid), version=version, is_global=is_global
+        )
+
     def _record_completed(self, tid: TxnId, outcome: Outcome) -> None:
         self._completed[tid] = outcome.value
         while len(self._completed) > self._completed_limit:
             self._completed.popitem(last=False)
-        if self.admission is not None:
-            self.admission.note_completed(tid)
+        self.admission.note_completed(tid)
 
     def _notify_client(self, proj: TxnProjection, outcome: Outcome) -> None:
         if proj.client and self._should_notify(proj):
@@ -1335,8 +1215,8 @@ class SdurServer:
                 self._obs.event(
                     "server.notify", self.node_id, proj.tid, outcome=outcome.value
                 )
-            if self._in_batch:
-                # Batched replies (§18): buffered per destination and
+            if self._grouping_replies:
+                # Batched replies (§18.4): buffered per destination and
                 # flushed as one OutcomeBatch at the batch boundary.
                 self._reply_buffer.setdefault(proj.client, []).append(
                     (proj.tid, outcome.value)
@@ -1410,7 +1290,7 @@ class SdurServer:
             return "a commit is being applied"
         # Buffered (un-ingested) deliveries block quiescence: a checkpoint
         # claims coverage through _last_instance, which they count toward.
-        if self.batcher is not None and len(self.batcher):
+        if len(self.batcher):
             return f"{len(self.batcher)} delivery(ies) buffered in the batcher"
         return None
 
@@ -1477,16 +1357,13 @@ class SdurServer:
         self.latest_checkpoint = checkpoint.to_bytes()
 
     def _attach_certifier(self) -> None:
-        """(Re)bind the conflict-check strategy to ``self.window``.
+        """(Re)bind the certifier to ``self.window``.
 
         Runs at construction and whenever the window is replaced
         wholesale (checkpoint restore, migration install): the key
-        index — sharded iff ``config.shardexec`` is set — is rebuilt
-        from the window's records and the pending list, so verdicts
-        keep matching the scan oracle's."""
-        self.certifier = build_certifier(
-            self.window, self.pending, self.stats, self.config.shardexec
-        )
+        index is rebuilt from the window's records and the pending
+        list, so verdicts keep matching the scan oracle's."""
+        self.certifier = IndexedCertifier(self.window, self.pending, self.stats)
 
     # ------------------------------------------------------------------
     # Reconfiguration: live partition splits (repro.reconfig)

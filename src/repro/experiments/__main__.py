@@ -29,7 +29,6 @@ from collections.abc import Callable
 from repro.experiments import (
     ablation_batching,
     ablation_multicast,
-    ablation_shardexec,
     ext_failover,
     ablation_bloom,
     ablation_learning,
@@ -65,7 +64,6 @@ REGISTRY: dict[str, tuple[str, Callable[[bool], ExperimentTable]]] = {
     "A3": ("Paxos learning-strategy ablation", lambda q: ablation_learning.run(quick=q)),
     "A4": ("Paxos value-batching ablation", lambda q: ablation_batching.run(quick=q)),
     "A5": ("SDUR vs genuine atomic multicast", lambda q: ablation_multicast.run(quick=q)),
-    "A8": ("Sharded vs serial certification executor", lambda q: ablation_shardexec.run(quick=q)),
     "E1": ("Availability under leader failover", lambda q: ext_failover.run(quick=q)),
     "E2": ("Live partition split under load", lambda q: reconfig.run(quick=q)),
     "E3": ("Autonomous elasticity (autoscale)", lambda q: autoscale.run(quick=q)),

@@ -182,3 +182,26 @@ class AdmissionController:
     def note_completed(self, tid: object) -> None:
         """Release ``tid``'s slot (the transaction completed locally)."""
         self._inflight.pop(tid, None)
+
+
+class AdmitAll:
+    """The no-bounds policy a server runs when ``SdurConfig.admission``
+    is ``None``: every request admitted, nothing tracked.  It counts
+    commit admissions so offered and accepted load stay comparable
+    across the O4 ablation."""
+
+    shed_total = 0
+    inflight = 0
+
+    def __init__(self) -> None:
+        self.admitted = 0
+
+    def admit_commit(self, tid: object, now: float, queue_depth: int) -> AdmissionDecision:
+        self.admitted += 1
+        return AdmissionDecision.ADMIT
+
+    def admit_read(self, now: float, queue_depth: int) -> AdmissionDecision:
+        return AdmissionDecision.ADMIT
+
+    def note_completed(self, tid: object) -> None:
+        """Nothing to release: no slot was taken."""

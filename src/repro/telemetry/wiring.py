@@ -41,17 +41,13 @@ SERVER_WIRE_COUNTERS: tuple[tuple[str, str, str, str], ...] = (
     ("index_fallbacks", "counter", "queries", "Index queries that fell back to record probes."),
     ("admitted", "counter", "requests", "Commit requests admitted by admission control."),
     ("shed_total", "counter", "requests", "Ingress refused with a Busy reply."),
-    ("queue_depth", "gauge", "deliveries", "Current delivery backlog (stalled + pending)."),
+    ("queue_depth", "gauge", "deliveries", "Current delivery backlog (buffered + stalled + pending)."),
     ("queue_depth_max", "gauge", "deliveries", "High-water mark of the delivery backlog."),
     ("stall_depth_max", "gauge", "deliveries", "High-water mark of the stall queue alone."),
     ("hotkey_updates", "counter", "keys", "Write-key observations fed to the hot-key tracker."),
     ("batches_delivered", "counter", "batches", "Delivery batches processed (§18)."),
     ("batch_size_max", "gauge", "deliveries", "Largest delivery batch processed."),
     ("batch_certify_ns", "counter", "nanoseconds", "Wall time inside the one-pass batch loop."),
-    ("codec_bytes_saved", "counter", "bytes", "Reply bytes saved by packed OutcomeBatch replies."),
-    ("shard_certify_calls", "counter", "probes", "Per-shard conflict probes by the sharded executor (§19)."),
-    ("shard_merge_ns", "counter", "nanoseconds", "Wall time in the delivery-order verdict merge loop (§19)."),
-    ("shard_imbalance_max", "gauge", "percent", "High-water shard load imbalance (100 = balanced, §19)."),
     ("gossip_resyncs", "counter", "requests", "Gossip resync requests sent after a missed delta (§6)."),
 )
 
@@ -151,7 +147,7 @@ def build_server_registry(server: Any) -> MetricRegistry:
         "sdur_admission_inflight",
         unit="transactions",
         help="Admitted transactions not yet completed (0 with admission off).",
-        fn=lambda srv=server: srv.admission.inflight if srv.admission is not None else 0,
+        fn=lambda srv=server: srv.admission.inflight,
     )
     return registry
 

@@ -95,7 +95,7 @@ class VoteLedger:
         self.limit = limit
         #: Records grouped into one :class:`VoteRecordGroup` proposal
         #: (docs/PROTOCOL.md §18).  1 = propose each record as its own
-        #: log value, exactly the pre-batching behavior.
+        #: log value (the default batch of one).
         self.group_size = group_size
         #: Records awaiting the next grouped proposal (leader only; the
         #: retry path keeps re-proposing from the outbox individually,

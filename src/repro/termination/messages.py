@@ -40,8 +40,8 @@ class VoteRecord(Message):
 class VoteRecordGroup(Message):
     """Several vote records proposed as one log value (§18).
 
-    With delivery batching on, the ledger groups up to
-    ``BatchingConfig.ledger_group`` buffered records into one atomic
+    With ``BatchingConfig.ledger_group`` > 1 the ledger groups up to
+    that many buffered records into one atomic
     broadcast proposal, paying one consensus instance instead of one per
     vote.  On delivery the server applies the member records strictly in
     ``records`` order, so every per-vote effect lands exactly as if the

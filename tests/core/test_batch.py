@@ -4,9 +4,12 @@ import pytest
 
 from repro.core.batch import BatchingConfig, DeliveryBatcher
 from repro.core.config import SdurConfig
-from repro.core.transaction import Outcome
+from repro.core.messages import Busy, CommitRequest, OutcomeBatch, OutcomeNotice
+from repro.core.transaction import Outcome, ReadsetDigest, TxnId, TxnProjection
 from repro.errors import ConfigurationError
+from repro.overload.admission import AdmissionConfig
 from tests.conftest import make_cluster, run_txn, update_program
+from tests.properties.test_batch_differential import BATCH_OF_ONE, build_server
 
 
 class TestBatchingConfig:
@@ -51,7 +54,9 @@ class TestDeliveryBatcher:
         flushed = []
         timer = ManualTimer()
         batcher = DeliveryBatcher(
-            BatchingConfig(**kwargs), flush=flushed.append, set_timer=timer
+            BatchingConfig(**kwargs),
+            flush=lambda values, cost: flushed.append((values, cost)),
+            set_timer=timer,
         )
         return batcher, flushed, timer
 
@@ -61,7 +66,7 @@ class TestDeliveryBatcher:
         batcher.add("b", 2.0)
         assert flushed == [] and len(batcher) == 2
         batcher.add("c", 3.0)
-        assert flushed == [[("a", 1.0), ("b", 2.0), ("c", 3.0)]]
+        assert flushed == [(["a", "b", "c"], 6.0)]
         assert len(batcher) == 0
         assert batcher.flushed_by_size == 1
         assert batcher.flushed_by_timer == 0
@@ -74,7 +79,7 @@ class TestDeliveryBatcher:
         assert len(timer.armed) == 1  # armed once, not per add
         assert timer.armed[0][0] == 0.005
         timer.fire_all()
-        assert flushed == [[("a", 0.0), ("b", 0.0)]]
+        assert flushed == [(["a", "b"], 0.0)]
         assert batcher.flushed_by_timer == 1
 
     def test_timer_fire_on_empty_buffer_is_noop(self):
@@ -82,7 +87,7 @@ class TestDeliveryBatcher:
         batcher.add("a", 0.0)
         batcher.add("b", 0.0)  # size flush; the armed timer is now stale
         timer.fire_all()
-        assert flushed == [[("a", 0.0), ("b", 0.0)]]
+        assert flushed == [(["a", "b"], 0.0)]
         assert batcher.flushed_by_timer == 0
 
     def test_timer_rearms_for_the_next_window(self):
@@ -92,7 +97,7 @@ class TestDeliveryBatcher:
         batcher.add("b", 0.0)
         assert len(timer.armed) == 1  # a fresh window arms a fresh timer
         timer.fire_all()
-        assert flushed == [[("a", 0.0)], [("b", 0.0)]]
+        assert flushed == [(["a"], 0.0), (["b"], 0.0)]
 
     def test_flush_now_forces_partial_batch_out(self):
         batcher, flushed, _ = self.make(max_batch=100)
@@ -100,7 +105,7 @@ class TestDeliveryBatcher:
         assert flushed == []
         batcher.add("a", 0.0)
         batcher.flush_now()
-        assert flushed == [[("a", 0.0)]]
+        assert flushed == [(["a"], 0.0)]
 
 
 def batching_cluster(batching: BatchingConfig, num_partitions=2):
@@ -128,12 +133,7 @@ class TestBatchedCluster:
         assert server.stats.batch_size_max >= 1
         assert server.stats.batch_certify_ns > 0
         stats = cluster.server_stats()["s1"]
-        for counter in (
-            "batches_delivered",
-            "batch_size_max",
-            "batch_certify_ns",
-            "codec_bytes_saved",
-        ):
+        for counter in ("batches_delivered", "batch_size_max", "batch_certify_ns"):
             assert counter in stats
 
     def test_global_transactions_terminate_under_batching(self):
@@ -155,15 +155,6 @@ class TestBatchedCluster:
         cluster.world.run_for(2.0)
         assert sorted(r.outcome.value for r in done) == ["abort", "commit"]
 
-    def test_codec_savings_counter_accumulates_when_enabled(self):
-        cluster, client = batching_cluster(
-            BatchingConfig(max_wait=0.002, measure_codec_savings=True)
-        )
-        for _ in range(2):
-            run_txn(cluster, client, update_program(["0/k0"]))
-        cluster.world.run_for(0.5)
-        assert cluster.servers["s1"].server.stats.codec_bytes_saved > 0
-
     def test_checkpoint_quiescence_waits_for_buffered_deliveries(self):
         # A batcher holding undelivered values must block quiescence:
         # a checkpoint taken now would claim coverage through
@@ -175,3 +166,79 @@ class TestBatchedCluster:
         assert "batcher" in server._checkpoint_blocker()
         server.batcher._buffer.clear()
         assert server._checkpoint_blocker() is None
+
+
+# The cases below drive one raw server on the differential suite's script
+# runtime: sends are recorded and timers never fire, so buffered
+# deliveries stay buffered until flushed by hand.
+
+
+def local_proj(seq: int, client: str = "c") -> TxnProjection:
+    return TxnProjection(
+        tid=TxnId(client, seq),
+        partition="p0",
+        readset=ReadsetDigest.exact([f"0/r{seq}"]),
+        writeset={f"0/w{seq}": seq},
+        snapshot=0,
+        partitions=("p0",),
+        coordinator="s0",
+        client=client,
+    )
+
+
+class TestReplyGrouping:
+    def test_two_outcomes_for_one_client_flush_as_one_batch(self):
+        server = build_server(BatchingConfig(max_batch=2, max_wait=5.0), 0)
+        server.on_adeliver(0, local_proj(0))
+        assert server.runtime.sent == []  # buffered: nothing ingested yet
+        server.on_adeliver(1, local_proj(1))
+        assert server.runtime.sent == [
+            (
+                "c",
+                OutcomeBatch(
+                    partition="p0",
+                    outcomes=((TxnId("c", 0), "commit"), (TxnId("c", 1), "commit")),
+                ),
+            )
+        ]
+
+    @pytest.mark.parametrize(
+        "batching",
+        [BATCH_OF_ONE, BatchingConfig(max_batch=8, max_wait=5.0)],
+        ids=["default", "timer-flushed"],
+    )
+    def test_a_batch_of_one_value_replies_with_a_notice(self, batching):
+        """Nothing to group: the reply leaves as the sequential path's
+        ``OutcomeNotice``, whatever bound let the lone value through."""
+        server = build_server(batching, 0)
+        server.on_adeliver(0, local_proj(0))
+        server.flush_batches()
+        assert server.runtime.sent == [
+            ("c", OutcomeNotice(tid=TxnId("c", 0), outcome="commit", partition="p0"))
+        ]
+        assert server.stats.batches_delivered == 1
+
+
+class TestBufferedDeliveriesCountAsBacklog:
+    def test_queue_gate_sees_deliveries_parked_in_the_batcher(self):
+        """The admission gauge and the checkpoint agree on what is
+        outstanding: delivered and not yet completed (PROTOCOL.md §16.1)."""
+        server = build_server(
+            BatchingConfig(max_batch=8, max_wait=5.0),
+            0,
+            admission=AdmissionConfig(max_queue_depth=4),
+        )
+        for seq in range(5):
+            server.on_adeliver(seq, local_proj(seq))
+        assert len(server.batcher) == 5 and server.sc == 0
+        assert "batcher" in server._checkpoint_blocker()
+        request = local_proj(9, client="late")
+        server.handle("late", CommitRequest(tid=request.tid, projections={"p0": request}))
+        assert server.stats.queue_depth == 5
+        assert server.runtime.sent == [
+            (
+                "late",
+                Busy(tid=request.tid, server="s0", reason="queue", retry_after=0.05),
+            )
+        ]
+        assert server.stats.shed_total == 1

@@ -25,10 +25,12 @@ from repro.core.certindex import (
 )
 from repro.core.checkpoint import window_from_wire, window_to_wire
 from repro.core.pending import PendingList, PendingTxn
-from repro.core.shardexec import ShardExecConfig, ShardedCertifier, build_certifier
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
+from repro.reconfig.epochs import ConfigChange
+from repro.reconfig.messages import InstallMigration
 
 from tests.oracles.scan_certifier import ScanCertifier
+from tests.properties.test_batch_differential import BATCH_OF_ONE, build_server
 
 
 def proj(
@@ -346,15 +348,30 @@ class TestRebuild:
 
 
 class TestFactory:
-    def test_build_certifier_selects_on_shardexec(self):
-        window = CertificationWindow(8)
-        pending = PendingList()
-        assert isinstance(
-            build_certifier(window, pending, None, None), IndexedCertifier
+    def test_migration_install_rebuilds_the_certifier(self):
+        """A split install replaces the window wholesale; the certifier
+        must be rebuilt over the *new* one, floor included."""
+        server = build_server(BATCH_OF_ONE, 0)
+        before = server.certifier
+        server.await_migration()
+        change = ConfigChange(
+            new_epoch=1,
+            source="p1",
+            new_partition="p0",
+            new_members=("s0",),
+            new_preferred="s0",
+            split_salt="x",
         )
-        assert isinstance(
-            build_certifier(window, pending, None, ShardExecConfig()), ShardedCertifier
+        server.on_adeliver(
+            0, InstallMigration(change=change, chains={"0/k0": ((7, 1),)}, source_sc=7)
         )
+        assert isinstance(server.certifier, IndexedCertifier)
+        assert server.certifier is not before
+        assert server.certifier.window is server.window
+        assert server.window.listener is server.certifier.index
+        assert server.window.floor == 7
+        stale = proj("stale", reads=["0/k0"], snapshot=6)
+        assert server.certifier.certify(stale) is None
 
     def test_scan_oracle_detaches_stale_index(self):
         window = CertificationWindow(8)

@@ -56,6 +56,15 @@ RETIRED_NAMES = (
     "with_termination",
     "ablation_vote_ledger",
     "bench_a6",
+    # PR 19: the sharded executor, its ablation (A8, caught by the
+    # registry check below) and benchmark, the codec-savings knob, and
+    # the absent batcher.
+    "shardexec",
+    "ShardExecConfig",
+    "with_shard_executor",
+    "bench_shardcert",
+    "measure_codec_savings",
+    "batching=None",
 )
 
 
@@ -63,9 +72,9 @@ RETIRED_NAMES = (
 def test_no_doc_cites_a_retired_ablation_or_termination_switch(doc):
     """A6 (ledger vs arrival-time termination) and the
     ``SdurConfig.termination_mode`` switch it exercised left ``src/`` in
-    PR 14; a doc still naming them — in any spelling, not only
-    ``python -m repro.experiments A6`` — advertises something that
-    cannot be run."""
+    PR 14, A8 and the sharded executor in PR 19; a doc still naming
+    them — in any spelling, not only ``python -m repro.experiments A6``
+    — advertises something that cannot be run."""
     from repro.experiments.__main__ import REGISTRY
 
     text = doc.read_text()
@@ -109,25 +118,23 @@ def test_every_registry_metric_is_documented_in_observability_md():
     )
 
 
-CONFIG_REF_RE = re.compile(r"\b(SdurConfig|ShardExecConfig|BatchingConfig)\.([A-Za-z_]\w*)")
+CONFIG_REF_RE = re.compile(r"\b(SdurConfig|BatchingConfig)\.([A-Za-z_]\w*)")
 
 
 @pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
 def test_cited_config_knobs_exist(doc):
-    """Every ``SdurConfig.<name>`` / ``ShardExecConfig.<name>`` /
-    ``BatchingConfig.<name>`` a doc cites must be a dataclass field (or
-    a method) of that class today — removing a knob must not leave the
-    docs advertising it."""
+    """Every ``SdurConfig.<name>`` / ``BatchingConfig.<name>`` a doc
+    cites must be a dataclass field (or a method) of that class today —
+    removing a knob must not leave the docs advertising it."""
     from dataclasses import fields
 
     from repro.core.batch import BatchingConfig
     from repro.core.config import SdurConfig
-    from repro.core.shardexec import ShardExecConfig
 
     known = {
         cls.__name__: {f.name for f in fields(cls)}
         | {name for name in vars(cls) if callable(getattr(cls, name))}
-        for cls in (SdurConfig, ShardExecConfig, BatchingConfig)
+        for cls in (SdurConfig, BatchingConfig)
     }
     stale = sorted(
         f"{cls_name}.{name}"

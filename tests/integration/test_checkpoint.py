@@ -19,6 +19,12 @@ from repro.geo.deployments import lan_deployment
 from repro.harness.cluster import build_cluster
 from repro.storage.wal import WriteAheadLog
 from tests.conftest import run_txn, update_program
+from tests.properties.test_batch_differential import (
+    build_server,
+    concretize,
+    replay,
+    state_of,
+)
 
 
 def checkpointing_cluster(wals, seed=3, checkpoint_interval=0.2):
@@ -135,6 +141,61 @@ class TestCheckpointTaking:
         server = cluster.servers["s1"].server
         with pytest.raises(ProtocolError):
             server.restore_checkpoint(server.latest_checkpoint)
+
+
+class TestRestoredCertifier:
+    def test_trajectory_equals_an_unrestored_one(self):
+        """The key index carries no checkpoint state: a restore replaces
+        the window wholesale and the certifier is rebuilt over the new
+        one, so a restored server certifies the rest of the log exactly
+        as a server that never stopped."""
+        batching = BatchingConfig(max_batch=4)
+        ops = [("txn", False, [i % 6], [(i + 1) % 6], 0) for i in range(10)]
+        ops += [("txn", False, [i % 6], [(i + 2) % 6], i % 8) for i in range(12)]
+        values = concretize(ops)
+        warmup, tail = values[:10], values[10:]
+
+        unrestored = replay(build_server(batching, 0), values)
+
+        first = replay(build_server(batching, 0), warmup)
+        restored = build_server(batching, 0)
+        before = restored.certifier
+        restored.restore_checkpoint(first.take_checkpoint())
+        assert restored.certifier is not before
+        assert restored.certifier.window is restored.window
+        assert restored.window.listener is restored.certifier.index
+        for instance, value in enumerate(tail, start=len(warmup)):
+            restored.on_adeliver(instance, value)
+        restored.flush_batches()
+
+        # `_completed` and the reply stream are not checkpointed; what
+        # the log determines must match.
+        determined = ("sc", "dc", "store", "window", "floor", "pending")
+        expect, got = state_of(unrestored), state_of(restored)
+        assert {k: got[k] for k in determined} == {k: expect[k] for k in determined}
+        assert got["outcomes"] == expect["outcomes"][len(warmup) :]
+        assert 0 < restored.stats.aborted_certification < len(tail)
+
+    def test_floor_is_honoured(self):
+        """A snapshot below the restored window's floor is unknowable to
+        the rebuilt certifier, exactly as it was before the checkpoint."""
+        ops = [("txn", False, [i % 6], [(i + 1) % 6], 0) for i in range(24)]
+        first = replay(build_server(BatchingConfig(max_batch=4), 0), concretize(ops))
+        assert first.window.floor > 0  # history_window is 16
+        restored = build_server(BatchingConfig(max_batch=4), 0)
+        restored.restore_checkpoint(first.take_checkpoint())
+        assert restored.window.floor == first.window.floor
+        stale = TxnProjection(
+            tid=TxnId("c", 999),
+            partition="p0",
+            readset=ReadsetDigest.exact(["0/k0"]),
+            writeset={"0/k0": 1},
+            snapshot=restored.window.floor - 1,
+            partitions=("p0",),
+            coordinator="s0",
+            client="c",
+        )
+        assert restored.certifier.certify(stale) is None
 
 
 class TestCheckpointedRecovery:

@@ -25,7 +25,15 @@ from tests.oracles.scan_certifier import ScanCertifier
 NUM_PARTITIONS = 2
 
 
-def run(bloom: bool, scan: bool):
+def install_scan(cluster):
+    for handle in cluster.servers.values():
+        server = handle.server
+        server.certifier = ScanCertifier(server.window, server.pending, server.stats)
+
+
+def run(bloom: bool, oracle=None):
+    """One seeded run; ``oracle(cluster)`` swaps a reference
+    implementation in before ``start()``."""
     deployment = wan1_deployment(NUM_PARTITIONS)
     cluster = build_cluster(
         deployment,
@@ -47,10 +55,8 @@ def run(bloom: bool, scan: bool):
                 items_per_partition=40,  # small: real conflicts and aborts
             )
             pairs.append((client, workload))
-    if scan:
-        for handle in cluster.servers.values():
-            server = handle.server
-            server.certifier = ScanCertifier(server.window, server.pending, server.stats)
+    if oracle is not None:
+        oracle(cluster)
     result = run_experiment(cluster, pairs, warmup=0.0, measure=4.0, drain=3.0)
     outcomes = [
         (r.tid, r.outcome, r.finished, r.abort_reason) for r in result.collector.results
@@ -63,8 +69,8 @@ def run(bloom: bool, scan: bool):
 
 @pytest.mark.parametrize("bloom", [False, True], ids=["exact", "bloom"])
 def test_scan_oracle_cluster_matches_index(bloom):
-    index_outcomes, index_stores, index_run = run(bloom, scan=False)
-    scan_outcomes, scan_stores, scan_run = run(bloom, scan=True)
+    index_outcomes, index_stores, index_run = run(bloom)
+    scan_outcomes, scan_stores, scan_run = run(bloom, oracle=install_scan)
     assert scan_outcomes == index_outcomes
     assert scan_stores == index_stores
     # The run must have exercised what it claims to compare.

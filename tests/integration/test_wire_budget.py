@@ -33,12 +33,14 @@ traffic in this deployment.
 
 This is the regression guard for the four cuts of the Phase-2 wire path
 and for any later change that re-adds a hop, an encode or a copy of the
-value.
+value.  It is also the counted guard that the default ingest path is a
+batch of one replying with notices: every delivery is its own batch and
+no ``OutcomeBatch`` is ever sent.
 """
 
 import asyncio
 
-from repro.core.messages import CommitRequest
+from repro.core.messages import CommitRequest, OutcomeBatch
 from repro.core.transaction import TxnProjection
 from tests.conftest import update_program
 from tests.integration.test_asyncio_e2e import build_aio_cluster, execute
@@ -62,10 +64,12 @@ def test_local_commit_stays_inside_its_wire_budget():
         try:
             transports = [runtime._transport for runtime in world._runtimes.values()]
             set_encodes = [0]
+            outcome_batches = [0]
             for transport in transports:
                 # Wrapped on the instance, as benchmarks/e2e/layers.py does.
                 def counting(envelope, encode=transport._encode):
                     set_encodes[0] += carries_the_sets(envelope.payload)
+                    outcome_batches[0] += isinstance(envelope.payload, OutcomeBatch)
                     return encode(envelope)
 
                 transport._encode = counting
@@ -74,7 +78,7 @@ def test_local_commit_stays_inside_its_wire_budget():
                 return {
                     name: sum(getattr(transport, name) for transport in transports)
                     for name in ("frames_sent", "encodes", "writes", "bytes_sent", "sends_dropped")
-                } | {"set_encodes": set_encodes[0]}
+                } | {"set_encodes": set_encodes[0], "outcome_batches": outcome_batches[0]}
 
             async def delivered_everywhere(count):
                 for _ in range(300):
@@ -94,12 +98,17 @@ def test_local_commit_stays_inside_its_wire_budget():
                 assert result.committed and not result.is_global
             await delivered_everywhere(COMMITS + 1)  # the followers' last Chosen
             after = totals()
+            for server, replica in servers:
+                # A batch of one: every delivery was its own batch.
+                assert server.stats.batches_delivered == replica.log.next_to_deliver
+                assert server.stats.batch_size_max == 1
             return {name: (after[name] - before[name]) / COMMITS for name in after}
         finally:
             await world.close_all()
 
     per_commit = asyncio.run(body())
     assert per_commit["sends_dropped"] == 0
+    assert per_commit["outcome_batches"] == 0, per_commit
     # The 13 the protocol needs, plus timer traffic (parent: 15 + timers).
     assert 13 <= per_commit["frames_sent"] <= 14, per_commit
     # CommitRequest, ClientPropose, one Accept (parent: 10).

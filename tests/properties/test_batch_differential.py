@@ -1,5 +1,5 @@
-"""Differential property: the batched pipeline is bit-identical to the
-sequential one (docs/PROTOCOL.md §18.2).
+"""Differential property: the shipped ingest path is bit-identical to
+the sequential oracle (docs/PROTOCOL.md §18.2).
 
 Certification is deterministic: a server's state is a function of its
 delivery sequence alone (PROTOCOL.md §14's invariant).  Batching must
@@ -8,11 +8,14 @@ processed but never *what* they produce.  This suite scripts the full,
 identical delivery sequence — local and global projections, noop ticks,
 vote records for both the partition's own verdicts and remote ones
 (including contradictory and duplicate votes), duplicate deliveries —
-into two raw servers, one sequential and one batched with
-hypothesis-chosen batch bounds and flush points, and requires their
-final states to match exactly: store contents, SC/DC, certification
-window, completed map, abort buckets, pending remainder, and the
-per-client outcome stream (flattened from ``OutcomeBatch`` replies).
+into two raw servers — the oracle of
+``tests/oracles/sequential_ingest.py``, where every value takes the
+general one-value path, and a shipped server with hypothesis-chosen
+batch bounds (the default batch of one included) and flush points — and
+requires their final states to match exactly: store contents, SC/DC,
+certification window, completed map, abort buckets, pending remainder,
+and the per-client outcome stream (flattened from ``OutcomeBatch``
+replies).
 
 Both servers' own vote *proposals* are dropped by a stub fabric — in a
 cluster, proposal timing alters log interleavings legitimately, so the
@@ -34,6 +37,8 @@ from repro.core.partitioning import PartitionMap
 from repro.core.server import SdurServer
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 from repro.termination.messages import VoteRecord
+
+from tests.oracles.sequential_ingest import sequential
 
 KEYS = [f"0/k{i}" for i in range(6)]
 
@@ -82,7 +87,13 @@ class DropFabric:
         return None
 
 
-def build_server(batching: BatchingConfig | None, reorder_threshold: int) -> SdurServer:
+#: The shipped default: every delivery is its own batch.
+BATCH_OF_ONE = SdurConfig().batching
+
+
+def build_server(
+    batching: BatchingConfig, reorder_threshold: int, **config_overrides
+) -> SdurServer:
     config = SdurConfig(
         costs=ServiceCosts(),
         history_window=16,  # small: snapshots can fall below the floor
@@ -90,6 +101,7 @@ def build_server(batching: BatchingConfig | None, reorder_threshold: int) -> Sdu
         vote_timeout=None,
         gossip_interval=None,
         batching=batching,
+        **config_overrides,
     )
     return SdurServer(
         runtime=ScriptRuntime(),
@@ -101,6 +113,11 @@ def build_server(batching: BatchingConfig | None, reorder_threshold: int) -> Sdu
         fabric=DropFabric(),
         config=config,
     )
+
+
+def build_oracle(reorder_threshold: int) -> SdurServer:
+    """A batch of one that never takes the one-pass loop."""
+    return sequential(build_server(BATCH_OF_ONE, reorder_threshold))
 
 
 # One abstract step of the delivery script.  Vote/dup steps carry a raw
@@ -135,7 +152,7 @@ def concretize(ops) -> list[object]:
     list drains (hanging entries are compared too, via the pendings of
     scripts whose votes arrive mid-sequence).
     """
-    oracle = build_server(batching=None, reorder_threshold=0)
+    oracle = build_oracle(reorder_threshold=0)
     values: list[object] = []
     projections: list[TxnProjection] = []
     globals_: list[TxnProjection] = []
@@ -199,11 +216,10 @@ def concretize(ops) -> list[object]:
     return values
 
 
-def replay(values, batching, flush_points, reorder_threshold) -> SdurServer:
-    server = build_server(batching, reorder_threshold)
+def replay(server: SdurServer, values, flush_points=frozenset()) -> SdurServer:
     for instance, value in enumerate(values):
         server.on_adeliver(instance, value)
-        if batching is not None and instance in flush_points:
+        if instance in flush_points:
             server.flush_batches()
     server.flush_batches()
     return server
@@ -255,24 +271,46 @@ def test_batched_state_is_bit_identical_to_sequential(
     ops, max_batch, ledger_group, flush_points, reorder_threshold
 ):
     values = concretize(ops)
-    sequential = replay(values, None, set(), reorder_threshold)
-    batched = replay(
+    oracle = replay(build_oracle(reorder_threshold), values)
+    shipped = replay(
+        build_server(
+            BatchingConfig(max_batch=max_batch, ledger_group=ledger_group),
+            reorder_threshold,
+        ),
         values,
-        BatchingConfig(max_batch=max_batch, ledger_group=ledger_group),
         flush_points,
-        reorder_threshold,
     )
-    assert state_of(batched) == state_of(sequential)
+    assert state_of(shipped) == state_of(oracle)
+    # The oracle really is the other body: the one-pass loop never ran.
+    assert oracle.stats.batch_certify_ns == 0
     if values:
-        assert batched.stats.batches_delivered >= 1
+        assert shipped.stats.batches_delivered >= 1
+
+
+LOCAL_OPS = [("txn", False, [i % len(KEYS)], [(i + 1) % len(KEYS)], 0) for i in range(12)]
 
 
 def test_fast_path_actually_engages():
     """Guard against the fast path silently never firing (the property
     above would still pass if every value fell back to ``_ingest``)."""
-    ops = [("txn", False, [i % len(KEYS)], [(i + 1) % len(KEYS)], 0) for i in range(12)]
-    values = concretize(ops)
-    batched = replay(values, BatchingConfig(max_batch=4), set(), 0)
+    values = concretize(LOCAL_OPS)
+    batched = replay(build_server(BatchingConfig(max_batch=4), 0), values)
     assert batched.stats.committed_local == 12
     assert batched.stats.batch_certify_ns > 0
     assert batched.stats.batch_size_max == 4
+
+
+def test_default_takes_the_loop_and_the_oracle_does_not():
+    """Guard against the differential comparing the loop with itself:
+    for the same script the shipped default (a batch of one) runs
+    ``_commit_local_run`` on every delivery and the oracle never does —
+    and a batch of one replies as it goes, with plain notices."""
+    values = concretize(LOCAL_OPS)
+    shipped = replay(build_server(BATCH_OF_ONE, 0), values)
+    oracle = replay(build_oracle(0), values)
+    assert shipped.stats.batch_certify_ns > 0
+    assert oracle.stats.batch_certify_ns == 0
+    assert shipped.stats.batches_delivered == oracle.stats.batches_delivered == 12
+    assert state_of(shipped) == state_of(oracle)
+    assert shipped.runtime.sent == oracle.runtime.sent
+    assert all(isinstance(msg, OutcomeNotice) for _, msg in shipped.runtime.sent)

@@ -35,10 +35,6 @@ LEGACY_KEYS = [
     "batches_delivered",
     "batch_size_max",
     "batch_certify_ns",
-    "codec_bytes_saved",
-    "shard_certify_calls",
-    "shard_merge_ns",
-    "shard_imbalance_max",
     "gossip_resyncs",
 ]
 

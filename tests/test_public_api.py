@@ -16,10 +16,13 @@ class TestPublicApi:
 
         for name in repro.core.__all__:
             assert hasattr(repro.core, name), f"repro.core.__all__ names missing {name}"
-        # One certification seam: the strategy switches are gone.
-        assert "ShardExecConfig" in repro.core.__all__
-        for removed in ("CertExecutorMode", "ShardBackend"):
+        # One certification seam: the strategy switches are gone, and
+        # so is the sharded executor they once selected.
+        for removed in ("CertExecutorMode", "ShardBackend", "ShardExecConfig"):
             assert removed not in repro.core.__all__
+            assert not hasattr(repro.core, removed)
+        assert not hasattr(repro.SdurConfig, "with_shard_executor")
+        assert "shardexec" not in repro.SdurConfig.__dataclass_fields__
         # One termination path: no mode to select, in the package or the config.
         import repro.core.config
 
@@ -27,6 +30,24 @@ class TestPublicApi:
         assert not hasattr(repro.core.config, "TerminationMode")
         assert not hasattr(repro.SdurConfig, "with_termination")
         assert "termination_mode" not in repro.SdurConfig.__dataclass_fields__
+
+    def test_batching_is_never_none(self):
+        """One ingest path: "off" is a batch of one, not an absent batcher."""
+        import pytest
+
+        from repro.errors import ConfigurationError
+
+        default = repro.SdurConfig().batching
+        assert isinstance(default, repro.BatchingConfig)
+        assert (default.max_batch, default.max_wait, default.ledger_group) == (1, 0.0, 1)
+        with pytest.raises(ConfigurationError, match="batching"):
+            repro.SdurConfig(batching=None)
+        assert len(repro.SdurConfig.__dataclass_fields__) == 20
+        assert set(repro.BatchingConfig.__dataclass_fields__) == {
+            "max_batch",
+            "max_wait",
+            "ledger_group",
+        }
 
     def test_core_entry_points_exported(self):
         for name in (
