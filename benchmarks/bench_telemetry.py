@@ -92,9 +92,6 @@ class _StubRuntime:
     def latency_estimate(self, dst: str) -> float:
         return 0.0
 
-    def trace(self, category: str, **detail) -> None:
-        return None
-
 
 class _DeadTimerHandle:
     def cancel(self) -> None:

@@ -82,23 +82,21 @@ class AutoscaleController:
         if decision.action == "split":
             self.splits_triggered += 1
             self.events.append((now, "split", decision.partition, ""))
-            self.cluster.world.tracer.emit(
-                "autoscale",
-                "autoscale.split",
-                partition=decision.partition,
-                pressure=round(pressures.get(decision.partition, 0.0), 1),
-            )
+            if self.cluster.obs.enabled:
+                self.cluster.obs.event(
+                    "autoscale.split", "autoscale", None, partition=decision.partition,
+                    pressure=round(pressures.get(decision.partition, 0.0), 1),
+                )
             self.cluster.split_partition(decision.partition)
             self._attach_trackers()
         elif decision.action == "merge":
             self.merges_triggered += 1
             self.events.append((now, "merge", decision.partition, decision.into))
-            self.cluster.world.tracer.emit(
-                "autoscale",
-                "autoscale.merge",
-                absorbed=decision.partition,
-                into=decision.into,
-            )
+            if self.cluster.obs.enabled:
+                self.cluster.obs.event(
+                    "autoscale.merge", "autoscale", None,
+                    absorbed=decision.partition, into=decision.into,
+                )
             self.cluster.merge_partitions(
                 absorbed=decision.partition, into=decision.into
             )

@@ -109,6 +109,10 @@ class LeaderElector:
         new_leader = alive[0] if alive else None
         if new_leader != self._leader:
             self._leader = new_leader
-            self.runtime.trace("leader.change", group=self.group_id, leader=new_leader)
+            if self.runtime.obs.enabled:
+                self.runtime.obs.event(
+                    "leader.change", self.runtime.node_id, None,
+                    group=self.group_id, leader=new_leader,
+                )
             if self.on_change is not None:
                 self.on_change(new_leader)

@@ -271,7 +271,4 @@ class GenuineMulticast:
             del self._pending[candidate.mid]
             self._delivered.add(candidate.mid)
             self.delivered_count += 1
-            self.runtime.trace(
-                "amcast.deliver", mid=candidate.mid, ts=candidate.final
-            )
             self.on_deliver(candidate.mid, candidate.payload)

@@ -315,7 +315,11 @@ class PaxosReplica:
         self._promises = {}
         from_instance = self.log.next_to_deliver
         prepare = Prepare(group=self.group_id, ballot=self._my_ballot, from_instance=from_instance)
-        self.runtime.trace("paxos.phase1.begin", group=self.group_id, ballot=self._my_ballot)
+        if self.runtime.obs.enabled:
+            self.runtime.obs.event(
+                "paxos.phase1.begin", self.runtime.node_id, None,
+                group=self.group_id, ballot=self._my_ballot,
+            )
         for member in self.members:
             self.runtime.send(member, prepare)
         self._arm_phase1_retry(self._my_ballot)
@@ -356,9 +360,11 @@ class PaxosReplica:
         backlog, self._pending = self._pending, deque()
         for value in backlog:
             self._send_accept(self._claim_instance(), value)
-        self.runtime.trace(
-            "paxos.phase1.complete", group=self.group_id, next_instance=self._next_instance
-        )
+        if self.runtime.obs.enabled:
+            self.runtime.obs.event(
+                "paxos.phase1.complete", self.runtime.node_id, None,
+                group=self.group_id, next_instance=self._next_instance,
+            )
 
     # ------------------------------------------------------------------
     # Phase 2
@@ -604,11 +610,6 @@ class PaxosReplica:
             for item in value.values:
                 self.delivered_count += 1
                 self.on_deliver(instance, item)
-            self.runtime.trace(
-                "paxos.deliver.batch", group=self.group_id, instance=instance,
-                size=len(value.values),
-            )
             return
         self.delivered_count += 1
-        self.runtime.trace("paxos.deliver", group=self.group_id, instance=instance)
         self.on_deliver(instance, value)

@@ -510,6 +510,9 @@ class SdurClient:
         state.read_partitions[msg.key] = msg.partition
         if msg.partition not in state.st:
             state.st[msg.partition] = msg.snapshot  # Algorithm 1 line 13
+        timer = state.read_timers.pop(msg.op_id, None)
+        if timer is not None:
+            timer.cancel()  # answered: nothing left to retry
         if msg.op_id in state.single_ops:
             state.read_versions[msg.key] = msg.item_version
             del state.single_ops[msg.op_id]
@@ -766,6 +769,19 @@ class SdurClient:
             return  # duplicate notice for an already-restarted txn
         self._restart(state)
 
+    @staticmethod
+    def _disarm(state: _ActiveTxn) -> None:
+        """A transaction that left ``_active`` lets go of its retry
+        timers: each closure pins the whole ``_ActiveTxn`` — generator,
+        read/write sets, the built request — for a full timeout, only
+        to find the transaction gone and return."""
+        for timer in state.read_timers.values():
+            timer.cancel()
+        state.read_timers.clear()
+        if state.commit_timer is not None:
+            state.commit_timer.cancel()
+            state.commit_timer = None
+
     def _restart(self, state: _ActiveTxn) -> None:
         """Re-run a transaction under a fresh id and the current routing.
 
@@ -781,6 +797,7 @@ class SdurClient:
                 abort_reason="stale configuration (epoch retry limit)",
             )
             return
+        self._disarm(state)
         self.stats.epoch_retries += 1
         self._seq += 1
         tid = TxnId(client=self._id_namespace, seq=self._seq)
@@ -795,18 +812,18 @@ class SdurClient:
             epoch_restarts=state.epoch_restarts + 1,
         )
         self._active[tid] = fresh
-        self.runtime.trace(
-            "client.epoch_restart",
-            old=str(state.tid),
-            new=str(tid),
-            epoch=self.routing.epoch,
-        )
+        if self._obs.enabled:
+            self._obs.event(
+                "client.epoch_restart", self.node_id, None,
+                old=str(state.tid), new=str(tid), epoch=self.routing.epoch,
+            )
         self._launch(fresh)
 
     def _finish(
         self, state: _ActiveTxn, outcome: Outcome, abort_reason: str | None = None
     ) -> None:
         self._active.pop(state.tid, None)
+        self._disarm(state)
         if self._obs.enabled:
             self._obs.event(
                 "client.done", self.node_id, state.tid, outcome=outcome.value

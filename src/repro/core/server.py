@@ -85,94 +85,8 @@ from repro.reconfig.messages import (
 from repro.reconfig.migration import SplitSource, flatten_chains, moved_chains
 from repro.runtime.base import Runtime
 from repro.storage.mvstore import MultiVersionStore
-from repro.telemetry.wiring import build_server_registry
+from repro.telemetry.wiring import ServerStats, build_server_registry
 from repro.termination import VoteLedger, VoteRecord, VoteRecordGroup
-
-
-class ServerStats:
-    """Counters a server accumulates (read by the experiment harness)."""
-
-    def __init__(self) -> None:
-        self.committed_local = 0
-        self.committed_global = 0
-        self.aborted_certification = 0
-        self.aborted_stale_snapshot = 0
-        self.aborted_reorder = 0
-        self.aborted_votes = 0
-        self.aborted_recovery = 0
-        self.aborted_deferred = 0
-        self.aborted_epoch = 0
-        self.deferred = 0
-        self.reordered = 0
-        self.noops_sent = 0
-        self.checkpoints = 0
-        self.reads_served = 0
-        self.reads_routed = 0
-        #: Per-record pairwise conflict tests evaluated (the scan
-        #: certifier's unit of work; the index only performs these on
-        #: its bloom-record fallback path).  docs/PROTOCOL.md §15.
-        self.ctest_calls = 0
-        #: Certification queries answered entirely from the key index.
-        self.index_hits = 0
-        #: Queries that fell back to probing bloom-readset records
-        #: individually (exact readsets never fall back).
-        self.index_fallbacks = 0
-        #: Vote records delivered through this partition's own log
-        #: (docs/PROTOCOL.md §14).
-        self.votes_ordered = 0
-        #: Deferral cycles broken by the deterministic lowest-TxnId rule.
-        self.cycles_resolved = 0
-        #: Aborts whose cause was a cycle-rule doom (a subset of
-        #: ``aborted_deferred`` — not added into :attr:`aborted`).
-        self.vote_ledger_aborts = 0
-        #: Commit requests admitted by the §16 admission policy
-        #: (always counted, even with admission off, so the O-suite can
-        #: compare offered vs accepted load across ablations).
-        self.admitted = 0
-        #: Ingress refused with a ``Busy`` reply (rate, in-flight, or
-        #: queue-depth bound); 0 forever when admission is off.
-        self.shed_total = 0
-        #: Current delivery backlog — delivered and not yet completed:
-        #: buffered + stalled deliveries + the pending list (a gauge,
-        #: refreshed at every admission check and stalled delivery).
-        self.queue_depth = 0
-        #: High-water mark of :attr:`queue_depth` over the run.
-        self.queue_depth_max = 0
-        #: High-water mark of the stall queue alone (the §16 bound's
-        #: second component; unbounded growth here was the pre-§16 bug).
-        self.stall_depth_max = 0
-        #: Write-key observations fed to the hot-key tracker; stays 0
-        #: unless the harness attaches one (docs/PROTOCOL.md §17).
-        self.hotkey_updates = 0
-        #: Delivery batches processed (docs/PROTOCOL.md §18); equals
-        #: the deliveries at the default batch of one.
-        self.batches_delivered = 0
-        #: Largest delivery batch processed so far (a high-water mark;
-        #: at most ``BatchingConfig.max_batch``).
-        self.batch_size_max = 0
-        #: Wall-clock nanoseconds spent inside the one-pass batch
-        #: certify/apply loop (the fast path only — fallback values are
-        #: priced by the ordinary counters).
-        self.batch_certify_ns = 0
-        #: Resync requests sent after a peer's gossip delta started
-        #: beyond this server's watermark (docs/PROTOCOL.md §6).
-        self.gossip_resyncs = 0
-
-    @property
-    def committed(self) -> int:
-        return self.committed_local + self.committed_global
-
-    @property
-    def aborted(self) -> int:
-        return (
-            self.aborted_certification
-            + self.aborted_stale_snapshot
-            + self.aborted_reorder
-            + self.aborted_votes
-            + self.aborted_recovery
-            + self.aborted_deferred
-            + self.aborted_epoch
-        )
 
 
 class SdurServer:
@@ -378,7 +292,8 @@ class SdurServer:
         horizon = self.sc - self.config.store_gc_keep
         if horizon > self.store.gc_horizon:
             dropped = self.store.collect_garbage(horizon)
-            self.runtime.trace("sdur.gc", horizon=horizon, dropped=dropped)
+            if self._obs.enabled:
+                self._obs.event("server.gc", self.node_id, None, horizon=horizon, dropped=dropped)
         self.runtime.set_timer(self.config.store_gc_interval, self._gc_tick)
 
     def _gossip_tick(self) -> None:
@@ -501,9 +416,6 @@ class SdurServer:
                     op_id=op_id,
                 ),
             )
-        self.runtime.trace(
-            "sdur.shed", tid=str(tid), reason=decision.value, op_id=op_id
-        )
 
     # ------------------------------------------------------------------
     # Reads (Algorithm 2 lines 7–10)
@@ -793,10 +705,7 @@ class SdurServer:
                     ),
                 )
             if not verdict:
-                self._finish_aborted(
-                    proj,
-                    self.stats_bucket("stale" if verdict is None else "certification"),
-                )
+                self._abort_uncertified(proj, verdict)
                 continue
             self._apply_commit(proj, delivered_at)
             if obs.enabled:
@@ -934,7 +843,8 @@ class SdurServer:
         if tid in self.ledger.aborted_early:
             # An abort-request won the race (§IV-F): never certify.
             self.ledger.discard(tid)
-            self._finish_aborted(proj, self.stats_bucket("recovery"))
+            self.stats.aborted_recovery += 1
+            self._finish_aborted(proj, "recovery")
             self._drain()
             return
         if proj.epoch < self.routing.ownership_epoch(self.partition):
@@ -956,12 +866,8 @@ class SdurServer:
                     "stale" if verdict is None else ("commit" if verdict else "abort")
                 ),
             )
-        if verdict is None:
-            self._finish_aborted(proj, self.stats_bucket("stale"))
-            self._drain()
-            return
         if not verdict:
-            self._finish_aborted(proj, self.stats_bucket("certification"))
+            self._abort_uncertified(proj, verdict)
             self._drain()
             return
         deps = set(self.certifier.outcome_conflicts(proj))
@@ -985,14 +891,14 @@ class SdurServer:
         else:
             position = self.certifier.find_reorder_position(proj, self.dc)
             if position is None:
-                self._finish_aborted(proj, self.stats_bucket("reorder"))
+                self.stats.aborted_reorder += 1
+                self._finish_aborted(proj, "reorder")
                 self._drain()
                 return
             if position < len(self.pending):
                 self.stats.reordered += 1
                 if obs.enabled:
                     obs.event("server.reorder", self.node_id, tid, position=position)
-                self.runtime.trace("sdur.reorder", tid=str(tid), position=position)
             entry.votes[self.partition] = Outcome.COMMIT.value
             self.pending.insert(position, entry)
         self._drain()
@@ -1026,7 +932,6 @@ class SdurServer:
         entry.votes[self.partition] = Outcome.ABORT.value
         if entry.proj.is_global:
             self.ledger.cast(entry.proj, Outcome.ABORT)
-        self.runtime.trace("sdur.doomed", tid=str(entry.tid))
 
     def _doom_and_release(self, entry: PendingTxn) -> None:
         """Doom ``entry`` on the ledger's say-so (the §14.3 cycle rule)
@@ -1041,23 +946,15 @@ class SdurServer:
         else:
             entry.votes[self.partition] = Outcome.COMMIT.value
 
-    def stats_bucket(self, kind: str) -> str:
-        """Record an abort in its stats bucket; returns ``kind`` back."""
-        if kind == "certification":
-            self.stats.aborted_certification += 1
-        elif kind == "stale":
+    def _abort_uncertified(self, proj: TxnProjection, verdict: bool | None) -> None:
+        """Certification said no: ``None`` is a snapshot below the window
+        floor, ``False`` a conflict with a committed transaction."""
+        if verdict is None:
             self.stats.aborted_stale_snapshot += 1
-        elif kind == "reorder":
-            self.stats.aborted_reorder += 1
-        elif kind == "votes":
-            self.stats.aborted_votes += 1
-        elif kind == "recovery":
-            self.stats.aborted_recovery += 1
-        elif kind == "deferred":
-            self.stats.aborted_deferred += 1
-        elif kind == "epoch":
-            self.stats.aborted_epoch += 1
-        return kind
+            self._finish_aborted(proj, "stale")
+        else:
+            self.stats.aborted_certification += 1
+            self._finish_aborted(proj, "certification")
 
     def _finish_aborted(self, proj: TxnProjection, reason: str) -> None:
         """Complete a transaction that failed before entering the pending list."""
@@ -1067,12 +964,12 @@ class SdurServer:
                 self.node_id,
                 proj.tid,
                 outcome=Outcome.ABORT.value,
+                reason=reason,
             )
         self._record_completed(proj.tid, Outcome.ABORT)
         if proj.is_global:
             self.ledger.cast(proj, Outcome.ABORT)
         self._notify_client(proj, Outcome.ABORT)
-        self.runtime.trace("sdur.abort", tid=str(proj.tid), reason=reason)
 
     def _finish_stale_epoch(self, proj: TxnProjection) -> None:
         """Abort a delivered wrong-epoch projection; teach the client.
@@ -1082,19 +979,21 @@ class SdurServer:
         under a fresh transaction id — servers de-duplicate deliveries by
         tid, and the old id is burned at every involved partition).
         """
-        self.stats_bucket("epoch")
+        self.stats.aborted_epoch += 1
         self._record_completed(proj.tid, Outcome.ABORT)
         if proj.is_global:
             self.ledger.cast(proj, Outcome.ABORT)
         if proj.client and self._should_notify(proj):
             self.runtime.send(proj.client, self._stale_notice(proj))
-        self.runtime.trace("sdur.abort", tid=str(proj.tid), reason="epoch")
 
     def _reject_stale_epoch(self, proj: TxnProjection) -> None:
         """Refuse a wrong-epoch commit request before broadcasting anything."""
         if proj.client:
             self.runtime.send(proj.client, self._stale_notice(proj))
-        self.runtime.trace("sdur.reject_epoch", tid=str(proj.tid), epoch=proj.epoch)
+        if self._obs.enabled:
+            self._obs.event(
+                "reconfig.reject_epoch", self.node_id, None, txn=str(proj.tid), epoch=proj.epoch
+            )
 
     def _stale_notice(self, proj: TxnProjection) -> StaleEpochNotice:
         return StaleEpochNotice(
@@ -1150,17 +1049,23 @@ class SdurServer:
             raise ProtocolError(f"completing {entry.tid} which is not the head")
         self.pending.pop_head()
         proj = entry.proj
-        if self._obs.enabled:
-            self._obs.event(
-                "server.complete", self.node_id, proj.tid, outcome=outcome.value
-            )
+        obs = self._obs
         if outcome is Outcome.COMMIT:
+            if obs.enabled:
+                obs.event("server.complete", self.node_id, proj.tid, outcome=outcome.value)
             self._apply_commit(proj, entry.delivered_at)
         else:
             if entry.cycle_victim:
                 self.stats.vote_ledger_aborts += 1
-            self.stats_bucket("deferred" if entry.doomed else "votes")
-            self.runtime.trace("sdur.abort", tid=str(proj.tid), reason="votes")
+            if entry.doomed:
+                self.stats.aborted_deferred += 1
+            else:
+                self.stats.aborted_votes += 1
+            if obs.enabled:
+                obs.event(
+                    "server.complete", self.node_id, proj.tid, outcome=outcome.value,
+                    reason="deferred" if entry.doomed else "votes",
+                )
         self._record_completed(proj.tid, outcome)
         self._notify_client(proj, outcome)
         self._resolve_dependents(proj.tid, committed=outcome is Outcome.COMMIT)
@@ -1199,9 +1104,6 @@ class SdurServer:
             self.stats.committed_local += 1
         if self.telemetry_enabled:
             self._hist_commit_latency.observe(self.runtime.now() - delivered_at)
-        self.runtime.trace(
-            "sdur.commit", tid=str(tid), version=version, is_global=is_global
-        )
 
     def _record_completed(self, tid: TxnId, outcome: Outcome) -> None:
         self._completed[tid] = outcome.value
@@ -1319,9 +1221,11 @@ class SdurServer:
         )
         self.latest_checkpoint = checkpoint.to_bytes()
         self.stats.checkpoints += 1
-        self.runtime.trace(
-            "sdur.checkpoint", next_instance=checkpoint.next_instance, sc=checkpoint.sc
-        )
+        if self._obs.enabled:
+            self._obs.event(
+                "server.checkpoint", self.node_id, None,
+                next_instance=checkpoint.next_instance, sc=checkpoint.sc,
+            )
         if self.checkpoint_hook is not None:
             self.checkpoint_hook(checkpoint.next_instance)
         return checkpoint
@@ -1387,12 +1291,12 @@ class SdurServer:
             barrier={entry.tid for entry in self.pending},
             retiring_map=pre_map if change.is_merge else None,
         )
-        self.runtime.trace(
-            "sdur.begin_merge" if change.is_merge else "sdur.begin_split",
-            epoch=change.new_epoch,
-            new_partition=change.new_partition,
-            barrier=len(self._migration.barrier),
-        )
+        if self._obs.enabled:
+            self._obs.event(
+                "reconfig.begin_merge" if change.is_merge else "reconfig.begin_split",
+                self.node_id, None, epoch=change.new_epoch,
+                new_partition=change.new_partition, barrier=len(self._migration.barrier),
+            )
         # Push the new directory to every server of the other partitions
         # (idempotent at receivers).  The new partition's members were
         # constructed with it; a merge's absorbing replicas instead apply
@@ -1427,9 +1331,11 @@ class SdurServer:
             self.store.dump(), self.partition_map, migration.change.new_partition
         )
         migration.moved_keys = frozenset(chains)
-        self.runtime.trace(
-            "sdur.capture_migration", keys=len(chains), source_sc=self.sc
-        )
+        if self._obs.enabled:
+            self._obs.event(
+                "reconfig.capture_migration", self.node_id, None,
+                keys=len(chains), source_sc=self.sc,
+            )
         if self.is_partition_leader():
             prior = (
                 tuple(
@@ -1475,9 +1381,11 @@ class SdurServer:
         self._attach_certifier()
         self.snapshot_builder.absorb_migration(msg.source_sc)
         self._migration_pending = False
-        self.runtime.trace(
-            "sdur.install_migration", keys=len(msg.chains), source_sc=msg.source_sc
-        )
+        if self._obs.enabled:
+            self._obs.event(
+                "reconfig.install_migration", self.node_id, None,
+                keys=len(msg.chains), source_sc=msg.source_sc,
+            )
         parked = self._parked_reads
         self._parked_reads = []
         for read in parked:
@@ -1517,12 +1425,11 @@ class SdurServer:
         self.window = CertificationWindow(self.config.history_window, floor=version)
         self._attach_certifier()
         self.snapshot_builder.absorb_migration(version)
-        self.runtime.trace(
-            "sdur.install_merge",
-            keys=len(msg.chains),
-            version=version,
-            absorbed=msg.change.source,
-        )
+        if self._obs.enabled:
+            self._obs.event(
+                "reconfig.install_merge", self.node_id, None,
+                keys=len(msg.chains), version=version, absorbed=msg.change.source,
+            )
         self._on_config_advanced(msg.change)
         self._drain_waiting_reads()
         if self.is_partition_leader():
@@ -1539,9 +1446,11 @@ class SdurServer:
             # Everything is gone; reads parked here now forward to the
             # absorbing partition, which has installed the state.
             self._requeue_waiting_reads()
-            self.runtime.trace("sdur.finish_merge", evicted=dropped)
-        else:
-            self.runtime.trace("sdur.finish_split", evicted=dropped)
+        if self._obs.enabled:
+            self._obs.event(
+                "reconfig.finish_merge" if migration.change.is_merge else "reconfig.finish_split",
+                self.node_id, None, evicted=dropped,
+            )
 
     def _on_config_snapshot(self, msg: ConfigSnapshot) -> None:
         """Directory changes learned outside our own log (gossip/push).
@@ -1566,9 +1475,10 @@ class SdurServer:
                 break
             if self.routing.apply(change):
                 self._on_config_advanced(change)
-                self.runtime.trace(
-                    "sdur.config_learned", epoch=change.new_epoch
-                )
+                if self._obs.enabled:
+                    self._obs.event(
+                        "reconfig.config_learned", self.node_id, None, epoch=change.new_epoch
+                    )
         # Learned epochs may unblock the stall queue's head.
         self._pump()
 
@@ -1633,5 +1543,6 @@ class SdurServer:
         for server in self.directory.all_servers():
             if server not in own:
                 self.runtime.send(server, request)
-        self.runtime.trace("sdur.config_catchup", epoch=self.routing.epoch)
+        if self._obs.enabled:
+            self._obs.event("reconfig.config_catchup", self.node_id, None, epoch=self.routing.epoch)
         self._maybe_arm_config_catchup()

@@ -84,7 +84,7 @@ def _measure(
     run = run_experiment(cluster, [(client, workload)], warmup=2.0, measure=20.0)
     mean = run.summary().latency.mean
     summary = summarize(
-        [attribute(t, DELTA, INTER_DELTA) for t in run.collector.traces.values()]
+        [attribute(t, DELTA, INTER_DELTA) for t in run.traces().values()]
     )
     return mean - 2 * DELTA, summary  # strip the execution phase (two reads)
 

@@ -393,7 +393,6 @@ def build_cluster(
     jitter_fraction: float = 0.0,
     codec_roundtrip: bool = False,
     codec: str = "json",
-    trace: bool = False,
     paxos_config: PaxosConfig | None = None,
     paxos_config_factory: "Callable[[str, str], PaxosConfig] | None" = None,
 ) -> SdurCluster:
@@ -419,7 +418,6 @@ def build_cluster(
         seed=seed,
         codec_roundtrip=codec_roundtrip,
         codec=codec,
-        trace=trace,
         obs=SpanRecorder() if config.tracing else None,
     )
     cluster = SdurCluster(world, deployment, partition_map, config)

@@ -15,11 +15,13 @@ modules need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.checker.history import HistoryRecorder
 from repro.core.client import SdurClient, TxnResult
 from repro.harness.cluster import SdurCluster
 from repro.metrics.collector import MetricsCollector, WorkloadSummary
+from repro.obs.spans import TxnTrace, build_traces
 from repro.workload.base import Workload
 from repro.workload.overload import LoadShape
 
@@ -155,6 +157,10 @@ class ExperimentRun:
     window_start: float
     window_end: float
 
+    def __post_init__(self) -> None:
+        # As the run ended: the cluster may be driven further afterwards.
+        self._server_stats = self.cluster.server_stats()
+
     def summary(self, **filters: object) -> WorkloadSummary:
         return self.collector.summary(self.window_start, self.window_end, **filters)
 
@@ -163,7 +169,31 @@ class ExperimentRun:
 
     def counter(self, name: str) -> int:
         """Cluster-wide total of one server protocol counter."""
-        return self.collector.counter_total(name)
+        return sum(counters.get(name, 0) for counters in self._server_stats.values())
+
+    def traces(self) -> dict[Any, TxnTrace]:
+        """tid -> span tree of each traced transaction (none with tracing off)."""
+        return build_traces(getattr(self.cluster.obs, "events", []))
+
+
+def _run(
+    cluster: SdurCluster,
+    collector: MetricsCollector,
+    recorder: HistoryRecorder | None,
+    drivers: list[ClosedLoopDriver] | list[OpenLoopDriver],
+    warmup: float,
+    measure: float,
+    drain: float,
+) -> ExperimentRun:
+    """The measured run both loops share: warm up, measure, stop, drain."""
+    cluster.start()
+    for driver in drivers:
+        driver.start()
+    cluster.world.run(until=warmup + measure)
+    for driver in drivers:
+        driver.stop()
+    cluster.world.run(until=warmup + measure + drain)
+    return ExperimentRun(cluster, collector, recorder, warmup, warmup + measure)
 
 
 def run_experiment(
@@ -182,29 +212,7 @@ def run_experiment(
         ClosedLoopDriver(client, workload, collector, recorder, think_time=think_time)
         for client, workload in pairs
     ]
-    cluster.start()
-    for driver in drivers:
-        driver.start()
-    cluster.world.run(until=warmup + measure)
-    for driver in drivers:
-        driver.stop()
-    cluster.world.run(until=warmup + measure + drain)
-    collector.ingest_server_stats(cluster.server_stats())
-    if cluster.telemetry is not None:
-        # Hand the live series + health verdicts to the experiment
-        # table layer (the G1 checker reads both off the collector).
-        collector.telemetry = cluster.telemetry
-        collector.health = cluster.health()
-    obs = getattr(cluster.world, "obs", None)
-    if obs is not None and obs.enabled:
-        collector.ingest_obs(obs)
-    return ExperimentRun(
-        cluster=cluster,
-        collector=collector,
-        recorder=recorder,
-        window_start=warmup,
-        window_end=warmup + measure,
-    )
+    return _run(cluster, collector, recorder, drivers, warmup, measure, drain)
 
 
 def run_open_loop(
@@ -223,26 +231,4 @@ def run_open_loop(
         OpenLoopDriver(client, workload, collector, shape, recorder, retry_storm)
         for client, workload, shape in trios
     ]
-    cluster.start()
-    for driver in drivers:
-        driver.start()
-    cluster.world.run(until=warmup + measure)
-    for driver in drivers:
-        driver.stop()
-    cluster.world.run(until=warmup + measure + drain)
-    collector.ingest_server_stats(cluster.server_stats())
-    if cluster.telemetry is not None:
-        # Hand the live series + health verdicts to the experiment
-        # table layer (the G1 checker reads both off the collector).
-        collector.telemetry = cluster.telemetry
-        collector.health = cluster.health()
-    obs = getattr(cluster.world, "obs", None)
-    if obs is not None and obs.enabled:
-        collector.ingest_obs(obs)
-    return ExperimentRun(
-        cluster=cluster,
-        collector=collector,
-        recorder=recorder,
-        window_start=warmup,
-        window_end=warmup + measure,
-    )
+    return _run(cluster, collector, recorder, drivers, warmup, measure, drain)

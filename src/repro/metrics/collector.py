@@ -9,14 +9,9 @@ the workload drivers.  Summaries are computed over a measurement window
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
 
 from repro.core.client import TxnResult
 from repro.metrics.stats import LatencySummary, cdf_points
-
-if TYPE_CHECKING:
-    from repro.obs.recorder import ObsRecorder
-    from repro.obs.spans import TxnTrace
 
 
 @dataclass(frozen=True)
@@ -39,43 +34,9 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.results: list[TxnResult] = []
-        #: node -> protocol counters, as reported by the servers at the
-        #: end of a run (``SdurServer.stats`` via ``ingest_server_stats``).
-        self.server_counters: dict[str, dict[str, int]] = {}
-        #: tid -> span tree, when the run traced (``ingest_obs``).
-        self.traces: dict[Any, TxnTrace] = {}
-        #: The run's TelemetrySampler, when the cluster had telemetry
-        #: enabled (attached by the harness driver); None otherwise.
-        self.telemetry: Any | None = None
-        #: The health monitor's end-of-run report (``cluster.health()``).
-        self.health: dict | None = None
 
     def record(self, result: TxnResult) -> None:
         self.results.append(result)
-
-    def ingest_server_stats(self, stats: dict[str, dict[str, int]]) -> None:
-        """Absorb per-server protocol counters (merged by node id).
-
-        Experiment tables read these through :meth:`counter_total` — e.g.
-        ``votes_ordered`` / ``cycles_resolved`` / ``vote_ledger_aborts``
-        for the vote-ledger ablation.
-        """
-        for node_id, counters in stats.items():
-            merged = self.server_counters.setdefault(node_id, {})
-            merged.update(counters)
-
-    def ingest_obs(self, recorder: ObsRecorder) -> None:
-        """Fold a tracing recorder's events into per-transaction traces."""
-        events = getattr(recorder, "events", None)
-        if not events:
-            return
-        from repro.obs.spans import build_traces
-
-        self.traces.update(build_traces(events))
-
-    def counter_total(self, name: str) -> int:
-        """Sum of one protocol counter across every reporting server."""
-        return sum(counters.get(name, 0) for counters in self.server_counters.values())
 
     def __len__(self) -> int:
         return len(self.results)

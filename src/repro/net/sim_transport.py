@@ -30,7 +30,6 @@ from repro.obs.recorder import NULL_RECORDER, ObsRecorder, traced_tid as _traced
 from repro.sim.kernel import Kernel
 from repro.sim.latency import LatencyModel
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import NULL_TRACER, Tracer
 
 #: Signature of a node's message handler: ``handler(src_node_id, message)``.
 Handler = Callable[[str, Any], None]
@@ -46,7 +45,6 @@ class SimNetwork:
         rng: RngRegistry,
         codec_roundtrip: bool = False,
         loss_probability: float = 0.0,
-        tracer: Tracer | None = None,
         strict: bool = True,
         obs: ObsRecorder | None = None,
         codec: str = "json",
@@ -63,7 +61,6 @@ class SimNetwork:
         #: wiring bugs in tests); non-strict drops them like a real
         #: network drops traffic to departed processes.
         self.strict = strict
-        self.tracer = tracer or NULL_TRACER
         self.obs = obs if obs is not None else NULL_RECORDER
         #: Monotonic id pairing a traced send with its delivery.
         self._hop = 0
@@ -93,7 +90,8 @@ class SimNetwork:
     def crash(self, node_id: str) -> None:
         """Crash-stop ``node_id``: it never sends or receives again."""
         self._crashed.add(node_id)
-        self.tracer.emit(node_id, "net.crash")
+        if self.obs.enabled:
+            self.obs.event("net.crash", node_id, None)
 
     def is_crashed(self, node_id: str) -> bool:
         return node_id in self._crashed
@@ -118,12 +116,14 @@ class SimNetwork:
         if extra < 0 or jitter < 0:
             raise ValueError("degrade extra/jitter must be non-negative")
         self._degraded[node_id] = (extra, jitter)
-        self.tracer.emit(node_id, "net.degrade", extra=extra, jitter=jitter)
+        if self.obs.enabled:
+            self.obs.event("net.degrade", node_id, None, extra=extra, jitter=jitter)
 
     def restore(self, node_id: str) -> None:
         """Undo :meth:`degrade`; no-op if the node was healthy."""
         self._degraded.pop(node_id, None)
-        self.tracer.emit(node_id, "net.restore")
+        if self.obs.enabled:
+            self.obs.event("net.restore", node_id, None)
 
     def is_degraded(self, node_id: str) -> bool:
         return node_id in self._degraded
@@ -148,7 +148,8 @@ class SimNetwork:
             if self.strict:
                 raise UnknownNodeError(f"send to unregistered node {dst!r}")
             self.messages_dropped += 1
-            self.tracer.emit(src, "net.drop.unknown", dst=dst, msg=type(msg).__name__)
+            if self.obs.enabled:
+                self.obs.event("net.drop.unknown", src, None, dst=dst, msg=type(msg).__name__)
             return
         self.messages_sent += 1
         if src in self._crashed or dst in self._crashed:
@@ -156,12 +157,14 @@ class SimNetwork:
             return
         if self.link_is_cut(src, dst):
             self.messages_dropped += 1
-            self.tracer.emit(src, "net.drop.cut", dst=dst, msg=type(msg).__name__)
+            if self.obs.enabled:
+                self.obs.event("net.drop.cut", src, None, dst=dst, msg=type(msg).__name__)
             return
         # In-process hand-offs (self sends) are never lost.
         if src != dst and self.loss_probability and self._loss_rng.random() < self.loss_probability:
             self.messages_dropped += 1
-            self.tracer.emit(src, "net.drop.loss", dst=dst, msg=type(msg).__name__)
+            if self.obs.enabled:
+                self.obs.event("net.drop.loss", src, None, dst=dst, msg=type(msg).__name__)
             return
         payload = msg
         if self.codec_roundtrip:
@@ -203,5 +206,4 @@ class SimNetwork:
             self.messages_dropped += 1
             return
         self.messages_delivered += 1
-        self.tracer.emit(dst, "net.deliver", src=src, msg=type(msg).__name__)
         handler(src, msg)

@@ -39,6 +39,18 @@ kind                 recorded at
 ``server.notify``    the answering server sends the outcome (⑦)
 ===================  =============================================== =
 
+Not tied to a transaction (``tid`` is ``None``, so ``build_traces`` skips
+them; where one is concerned it rides along as ``txn=``): the
+reconfiguration milestones ``reconfig.begin_split`` / ``.begin_merge`` /
+``.capture_migration`` / ``.install_migration`` / ``.install_merge`` /
+``.finish_split`` / ``.finish_merge`` / ``.config_learned`` /
+``.config_catchup`` / ``.reject_epoch``; ``server.checkpoint``,
+``server.gc``; ``leader.change``, ``paxos.phase1.begin`` / ``.complete``;
+``ledger.abort_request``, ``ledger.cycle_break``, ``client.epoch_restart``;
+the simulated network's ``net.crash`` / ``.degrade`` / ``.restore`` /
+``.drop.unknown`` / ``.drop.cut`` / ``.drop.loss``; ``autoscale.split`` /
+``.merge``.
+
 A :class:`SpanRecorder` is bound to one world's clock and accumulates
 :class:`ObsEvent` rows; :mod:`repro.obs.spans` folds them into per-
 transaction span trees.

@@ -30,7 +30,7 @@ from repro.obs.recorder import (
     default_tracing,
     register_recorder,
 )
-from repro.runtime.base import DEAD_TIMER, Runtime, TimerHandle
+from repro.runtime.base import DEAD_TIMER, LiveTimer, Runtime, TimerHandle
 from repro.sim.rng import RngRegistry
 
 
@@ -72,35 +72,6 @@ class AioWorld:
         await asyncio.gather(*(runtime.close() for runtime in self._runtimes.values()))
 
 
-class _AioTimer:
-    """Cancellable ``loop.call_later`` that its runtime can find again:
-    it sits in ``live`` from arming until it fires or is cancelled."""
-
-    __slots__ = ("_live", "_callback", "_handle")
-
-    def __init__(
-        self, live: set["_AioTimer"], delay: float, callback: Callable[[], None]
-    ) -> None:
-        self._live = live
-        self._callback = callback
-        self._handle: asyncio.TimerHandle | None = asyncio.get_running_loop().call_later(
-            delay, self._fire
-        )
-        live.add(self)
-
-    def _fire(self) -> None:
-        self._live.discard(self)
-        # The handle holds this bound method: let go of it, or every
-        # fired timer is a reference cycle for the collector to find.
-        self._handle = None
-        self._callback()
-
-    def cancel(self) -> None:
-        self._live.discard(self)
-        if self._handle is not None:
-            self._handle.cancel()
-
-
 class AioNodeRuntime(Runtime):
     """Per-node :class:`Runtime` over asyncio TCP."""
 
@@ -111,7 +82,7 @@ class AioNodeRuntime(Runtime):
         self._handler: Callable[[str, Any], None] | None = None
         self._transport: AioTransport | None = None
         #: Timers armed and neither fired nor cancelled; ``close`` cancels them.
-        self._timers: set[_AioTimer] = set()
+        self._timers: set[LiveTimer] = set()
         self._closed = False
 
     async def start(self) -> None:
@@ -143,7 +114,7 @@ class AioNodeRuntime(Runtime):
     def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         if self._closed:
             return DEAD_TIMER
-        return _AioTimer(self._timers, delay, callback)
+        return LiveTimer(self._timers, asyncio.get_running_loop().call_later, delay, callback)
 
     def listen(self, handler: Callable[[str, Any], None]) -> None:
         self._handler = handler

@@ -27,6 +27,39 @@ class _DeadTimer:
 DEAD_TIMER = _DeadTimer()
 
 
+class LiveTimer:
+    """A cancellable timer that its runtime can find again: it sits in
+    ``live`` from arming until it fires or is cancelled, so a runtime
+    that stops can cancel what is still armed.  ``call_later`` is the
+    scheduler's own (``loop.call_later``, ``kernel.schedule``)."""
+
+    __slots__ = ("_live", "_callback", "_handle")
+
+    def __init__(
+        self,
+        live: set["LiveTimer"],
+        call_later: Callable[[float, Callable[[], None]], TimerHandle],
+        delay: float,
+        callback: Callable[[], None],
+    ) -> None:
+        self._live = live
+        self._callback = callback
+        self._handle: TimerHandle | None = call_later(delay, self._fire)
+        live.add(self)
+
+    def _fire(self) -> None:
+        self._live.discard(self)
+        # The handle holds this bound method: let go of it, or every
+        # fired timer is a reference cycle for the collector to find.
+        self._handle = None
+        self._callback()
+
+    def cancel(self) -> None:
+        self._live.discard(self)
+        if self._handle is not None:
+            self._handle.cancel()
+
+
 class Runtime(ABC):
     """Clock, timers, messaging, and randomness for one node.
 
@@ -79,6 +112,3 @@ class Runtime(ABC):
         This models the operator-configured delay table the paper's
         *delaying* technique consults (``delay(x, p)`` in Algorithm 2).
         """
-
-    def trace(self, category: str, **detail: Any) -> None:
-        """Emit a trace event; no-op unless the runtime wires a tracer."""

@@ -1,7 +1,7 @@
 """Simulation-backed runtime.
 
 :class:`SimWorld` owns the shared simulation machinery — kernel, topology,
-latency model, network, RNG registry, tracer — and mints one
+latency model, network, RNG registry, recorder — and mints one
 :class:`SimNodeRuntime` per node.  Experiments build a world, create
 protocol cores with per-node runtimes, then drive ``world.kernel``.
 """
@@ -22,12 +22,11 @@ from repro.obs.recorder import (
     default_tracing,
     register_recorder,
 )
-from repro.runtime.base import DEAD_TIMER, Runtime, TimerHandle
-from repro.sim.kernel import Kernel, ScheduledEvent
+from repro.runtime.base import DEAD_TIMER, LiveTimer, Runtime, TimerHandle
+from repro.sim.kernel import Kernel
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.rng import RngRegistry
 from repro.sim.service import ServiceStation
-from repro.sim.tracing import Tracer
 
 
 class SimWorld:
@@ -40,7 +39,6 @@ class SimWorld:
         seed: int = 0,
         codec_roundtrip: bool = False,
         loss_probability: float = 0.0,
-        trace: bool = False,
         obs: ObsRecorder | None = None,
         codec: str = "json",
     ) -> None:
@@ -50,7 +48,6 @@ class SimWorld:
             latency = ConstantLatency(0.001)
         self.latency = latency
         self.rng = RngRegistry(seed)
-        self.tracer = Tracer(enabled=trace, clock=lambda: self.kernel.now)
         # Causal tracing (repro.obs): a recorder can be passed in, or one
         # is created when the process-wide default is on (--trace).
         if obs is None and default_tracing():
@@ -66,7 +63,6 @@ class SimWorld:
             self.rng,
             codec_roundtrip=codec_roundtrip,
             loss_probability=loss_probability,
-            tracer=self.tracer,
             obs=self.obs,
             codec=codec,
             # Worlds model real deployments: traffic to departed nodes
@@ -134,7 +130,8 @@ class SimNodeRuntime(Runtime):
         self.obs = world.obs
         self._cpu = ServiceStation(world.kernel, name=f"{node_id}.cpu")
         self._crashed = False
-        self._timers: list[ScheduledEvent] = []
+        #: Timers armed and neither fired nor cancelled; a crash cancels them.
+        self._timers: set[LiveTimer] = set()
 
     # -- Runtime interface ---------------------------------------------
     def now(self) -> float:
@@ -148,15 +145,7 @@ class SimNodeRuntime(Runtime):
     def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         if self._crashed:
             return DEAD_TIMER
-        event = self.world.kernel.schedule(delay, self._fire_timer, callback)
-        self._timers.append(event)
-        if len(self._timers) > 64:
-            self._timers = [timer for timer in self._timers if not timer.cancelled]
-        return event
-
-    def _fire_timer(self, callback: Callable[[], None]) -> None:
-        if not self._crashed:
-            callback()
+        return LiveTimer(self._timers, self.world.kernel.schedule, delay, callback)
 
     def listen(self, handler: Callable[[str, Any], None]) -> None:
         self.world.network.register(self.node_id, handler)
@@ -179,9 +168,6 @@ class SimNodeRuntime(Runtime):
     def latency_estimate(self, dst: str) -> float:
         return self.world.latency.expected(self.node_id, dst)
 
-    def trace(self, category: str, **detail: Any) -> None:
-        self.world.tracer.emit(self.node_id, category, **detail)
-
     # -- Simulation extras ---------------------------------------------
     @property
     def cpu(self) -> ServiceStation:
@@ -189,6 +175,5 @@ class SimNodeRuntime(Runtime):
 
     def _crash(self) -> None:
         self._crashed = True
-        for timer in self._timers:
+        for timer in list(self._timers):
             timer.cancel()
-        self._timers.clear()

@@ -9,8 +9,6 @@ This package provides the substrate on which all simulated experiments run:
 * :mod:`repro.sim.latency` — pluggable message-latency models.
 * :mod:`repro.sim.service` — FIFO single-server queues used to model CPU
   service time at a node.
-* :mod:`repro.sim.tracing` — structured event traces for debugging and
-  assertions in tests.
 
 The kernel is deliberately small and dependency-free; everything above it
 (transport, consensus, SDUR) is written sans-io against the runtime
@@ -27,7 +25,6 @@ from repro.sim.latency import (
 )
 from repro.sim.rng import RngRegistry
 from repro.sim.service import ServiceStation
-from repro.sim.tracing import TraceEvent, Tracer
 
 __all__ = [
     "Kernel",
@@ -40,6 +37,4 @@ __all__ = [
     "UniformLatency",
     "CompositeLatency",
     "ServiceStation",
-    "Tracer",
-    "TraceEvent",
 ]

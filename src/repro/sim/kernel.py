@@ -58,8 +58,12 @@ class ScheduledEvent:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Prevent the callback from running; safe to call repeatedly."""
+        """Prevent the callback from running; safe to call repeatedly.
+        The heap slot stays until popped, so what it would have run on is
+        dropped here, not pinned until then (as ``asyncio.Handle.cancel``)."""
         self.cancelled = True
+        self.callback = None
+        self.args = ()
 
     def __lt__(self, other: "ScheduledEvent") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)

@@ -341,9 +341,12 @@ class VoteLedger:
     def _arm_vote_timeout(self, entry: PendingTxn) -> None:
         if self.vote_timeout is None:
             return
+        # The closure holds the id alone: it outlives most entries by a
+        # full timeout, and must not keep their projections alive.
+        tid = entry.tid
 
         def fire() -> None:
-            current = self.pending.get(entry.tid)
+            current = self.pending.get(tid)
             if current is None or current.has_all_votes():
                 return
             for partition in current.missing_votes():
@@ -361,7 +364,10 @@ class VoteLedger:
                         client=current.proj.client,
                     ),
                 )
-            self.runtime.trace("sdur.abort_request", tid=str(entry.tid))
+            if self._obs.enabled:
+                self._obs.event(
+                    "ledger.abort_request", self.runtime.node_id, None, txn=str(current.tid)
+                )
             self.runtime.set_timer(self.vote_timeout, fire)
 
         self.runtime.set_timer(self.vote_timeout, fire)
@@ -429,6 +435,9 @@ class VoteLedger:
             victim = dep
         self.stats.cycles_resolved += 1
         victim.cycle_victim = True
-        self.runtime.trace("sdur.cycle_break", tid=str(victim.tid))
+        if self._obs.enabled:
+            self._obs.event(
+                "ledger.cycle_break", self.runtime.node_id, None, txn=str(victim.tid)
+            )
         self._doom(victim)
         self._drain()

@@ -65,6 +65,14 @@ RETIRED_NAMES = (
     "bench_shardcert",
     "measure_codec_savings",
     "batching=None",
+    # PR 20: the second event log, and the copies of cluster state the
+    # metrics collector carried.
+    "repro.sim.tracing",
+    "Tracer",
+    "runtime.trace",
+    "ingest_server_stats",
+    "counter_total",
+    "stats_bucket",
 )
 
 
@@ -99,23 +107,36 @@ def test_every_server_counter_is_documented_in_protocol_md():
     assert not missing, f"counters absent from docs/PROTOCOL.md: {sorted(missing)}"
 
 
+#: ``| `metric` | kind | unit | meaning |`` rows of the metric schema.
+METRIC_ROW_RE = re.compile(r"^\| `(\w+)` \| (\w+) \| (\w+) \| (.+) \|$", re.MULTILINE)
+
+
 def test_every_registry_metric_is_documented_in_observability_md():
     """docs/OBSERVABILITY.md §19 must list every metric the telemetry
-    registries declare — server and autoscale alike — so dashboards can
-    be built from the doc without reading wiring.py."""
+    registries declare — server and autoscale alike — *as declared*:
+    the kind, the unit, and the help text as the meaning, so dashboards
+    can be built from the doc without reading wiring.py and the doc
+    cannot drift into a second wording of it."""
     from tests.conftest import make_cluster
 
     cluster = make_cluster(1)
     cluster.enable_autoscale()
-    names = {spec.name for spec in cluster.autoscale.registry.specs()}
+    declared = {spec.name: spec for spec in cluster.autoscale.registry.specs()}
     for handle in cluster.servers.values():
-        names |= {spec.name for spec in handle.server.registry.specs()}
-    assert names, "registries declared nothing"
+        declared.update({spec.name: spec for spec in handle.server.registry.specs()})
+    assert declared, "registries declared nothing"
     observability = (REPO / "docs" / "OBSERVABILITY.md").read_text()
-    missing = {name for name in names if f"`{name}`" not in observability}
-    assert not missing, (
-        f"metrics absent from docs/OBSERVABILITY.md: {sorted(missing)}"
-    )
+    listed = {row[0]: row[1:] for row in METRIC_ROW_RE.findall(observability)}
+    missing = sorted(set(declared) - set(listed))
+    assert not missing, f"metrics absent from docs/OBSERVABILITY.md: {missing}"
+    drifted = {
+        name: (listed[name], (spec.kind, spec.unit, spec.help))
+        for name, spec in declared.items()
+        if listed[name] != (spec.kind, spec.unit, spec.help)
+    }
+    assert not drifted, f"listed (kind, unit, meaning) != declared: {drifted}"
+    undeclared = sorted(set(listed) - set(declared))
+    assert not undeclared, f"docs/OBSERVABILITY.md lists undeclared metrics: {undeclared}"
 
 
 CONFIG_REF_RE = re.compile(r"\b(SdurConfig|BatchingConfig)\.([A-Za-z_]\w*)")

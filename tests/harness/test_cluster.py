@@ -7,9 +7,10 @@ from repro.core.partitioning import PartitionMap
 from repro.errors import ConfigurationError
 from repro.geo.deployments import lan_deployment
 from repro.harness.cluster import build_cluster
-from repro.harness.driver import ClosedLoopDriver, run_experiment
+from repro.harness.driver import ClosedLoopDriver, run_experiment, run_open_loop
 from repro.metrics.collector import MetricsCollector
 from repro.workload.microbench import MicroBenchmark
+from repro.workload.overload import ConstantRate
 from tests.conftest import make_cluster, run_txn, update_program
 
 
@@ -131,3 +132,46 @@ class TestDriver:
         )
         assert run.recorder is not None
         assert run.recorder.commits
+
+
+class TestExperimentRunReadsTheCluster:
+    """Server counters and traces come from the cluster the run holds,
+    not from copies in the collector — closed and open loop alike."""
+
+    @staticmethod
+    def _runs(config=None):
+        workload = MicroBenchmark(1, 0, 0.0, items_per_partition=100)
+        closed_cluster = make_cluster(num_partitions=1, config=config)
+        yield run_experiment(
+            closed_cluster, [(closed_cluster.add_client(), workload)], warmup=0.2, measure=1.0
+        )
+        open_cluster = make_cluster(num_partitions=1, config=config)
+        yield run_open_loop(
+            open_cluster,
+            [(open_cluster.add_client(), workload, ConstantRate(50.0))],
+            warmup=0.2,
+            measure=1.0,
+        )
+
+    def test_counter_is_the_end_of_run_total_across_servers(self):
+        for run in self._runs():
+            committed = run.counter("committed_local")
+            assert committed == sum(
+                stats["committed_local"] for stats in run.cluster.server_stats().values()
+            )
+            # Three replicas each commit what the one client saw commit.
+            assert committed == 3 * len([r for r in run.collector.results if r.committed])
+            assert run.counter("no_such_counter") == 0
+            # A snapshot: driving the cluster further does not move it.
+            client = next(iter(run.cluster.clients.values()))
+            assert run_txn(run.cluster, client, update_program(["0/k1"])).committed
+            run.cluster.world.run_for(0.5)
+            assert run.counter("committed_local") == committed
+
+    def test_traces_are_built_from_the_cluster_recorder(self):
+        for run in self._runs(SdurConfig(tracing=True)):
+            traces = run.traces()
+            assert set(traces) == {r.tid for r in run.collector.results}
+            assert all(trace.find("client.done") for trace in traces.values())
+        for run in self._runs():
+            assert run.traces() == {}  # tracing off: nothing to build

@@ -78,9 +78,6 @@ class ScriptRuntime:
     def latency_estimate(self, dst: str) -> float:
         return 0.0
 
-    def trace(self, category: str, **detail) -> None:
-        return None
-
 
 class DropFabric:
     def abcast(self, group: str, value) -> None:

@@ -73,6 +73,23 @@ class TestTimers:
 
         asyncio.run(body())
 
+    def test_finished_transactions_leave_no_client_timer_armed(self):
+        """Two read retries and one commit retry are armed per update
+        (1 s / 2 s here); an outcome must disarm them, not leave them —
+        and the transaction state their closures hold — for the timeout."""
+
+        async def body():
+            world, client, _ = await build_aio_cluster()
+            try:
+                for _ in range(5):
+                    result = await execute(client, update_program(["0/x", "0/y"]))
+                    assert result.committed
+                assert not client.runtime._timers  # parent: 3 per transaction
+            finally:
+                await world.close_all()
+
+        asyncio.run(body())
+
 
 class TestClosedNodeIsQuiet:
     def test_nothing_runs_is_sent_or_is_reported_after_close_all(self, capfd):

@@ -92,9 +92,3 @@ class TestSimNodeRuntime:
         a.execute(0.0, lambda: done.append(1))
         world.run()
         assert done == []
-
-    def test_trace_goes_to_world_tracer(self):
-        world = SimWorld(seed=1, trace=True)
-        runtime = world.runtime_for("a")
-        runtime.trace("custom.event", value=9)
-        assert world.tracer.count(category="custom.event", node="a") == 1

@@ -121,9 +121,6 @@ class _StubRuntime:
     def latency_estimate(self, dst):
         return 0.0
 
-    def trace(self, category, **detail):
-        return None
-
 
 def _deliver(server: SdurServer, start: int, count: int) -> None:
     rng = random.Random(start)

@@ -11,6 +11,7 @@ import pytest
 from tests.conftest import make_cluster, run_txn, update_program
 from repro.errors import ConfigurationError
 from repro.telemetry import SERVER_WIRE_COUNTERS, MetricRegistry
+from repro.telemetry.wiring import SERVER_COUNTERS, ServerStats
 
 #: The exact dict server_stats() has exported since the §16/§18/§19 PRs.
 LEGACY_KEYS = [
@@ -104,6 +105,32 @@ class TestServerStatsRetrofit:
 
     def test_wire_table_matches_legacy_schema(self):
         assert [wire for wire, _, _, _ in SERVER_WIRE_COUNTERS] == LEGACY_KEYS
+
+    def test_the_table_is_the_single_source(self):
+        """Every ``ServerStats`` attribute has exactly one row; the one
+        row without an attribute is the derived ``aborted``."""
+        rows = [row.attr for row in SERVER_COUNTERS]
+        assert len(rows) == len(set(rows))
+        assert sorted(ServerStats.__slots__) == sorted(set(rows) - {"aborted"})
+        stats = ServerStats()
+        assert not hasattr(stats, "__dict__")  # nothing is declared off the table
+        assert all(getattr(stats, attr) == 0 for attr in ServerStats.__slots__)
+        assert [row.attr for row in SERVER_COUNTERS if row.wire] == LEGACY_KEYS
+        cluster = make_cluster(1)
+        registry = next(iter(cluster.servers.values())).server.registry
+        declared = [spec.name for spec in registry.specs()]
+        assert declared[: len(rows)] == [f"sdur_{attr}" for attr in rows]
+
+    def test_abort_bucket_rows_sum_to_aborted(self):
+        buckets = [row.attr for row in SERVER_COUNTERS if row.abort_bucket]
+        assert len(buckets) == 7 and all(attr.startswith("aborted_") for attr in buckets)
+        stats = ServerStats()
+        for weight, attr in enumerate(buckets, start=1):
+            setattr(stats, attr, 10**weight)
+        stats.vote_ledger_aborts = 5  # a subset of aborted_deferred: not a bucket
+        assert stats.aborted == sum(10**w for w in range(1, 8))
+        stats.committed_local, stats.committed_global = 2, 3
+        assert stats.committed == 5
 
     def test_every_server_metric_is_declared_with_help(self):
         cluster = make_cluster(1)

@@ -38,9 +38,6 @@ class StubRuntime:
     def set_timer(self, delay, callback):
         self.timers.append((self.clock + delay, callback))
 
-    def trace(self, category, **detail):
-        pass
-
 
 class StubRouting:
     """``knows_partition`` + ``directory.servers_of`` over one dict."""

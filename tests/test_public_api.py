@@ -49,6 +49,30 @@ class TestPublicApi:
             "ledger_group",
         }
 
+    def test_one_observability_plane(self):
+        """One event recorder (``repro.obs``), one counter declaration
+        (``repro.telemetry.wiring``), and a collector of client results."""
+        import pytest
+
+        import repro.sim
+        from repro.metrics import MetricsCollector
+        from repro.runtime.base import Runtime
+        from repro.runtime.sim import SimWorld
+
+        for removed in ("Tracer", "TraceEvent"):
+            assert removed not in repro.sim.__all__ and not hasattr(repro.sim, removed)
+        assert not hasattr(Runtime, "trace")
+        with pytest.raises(TypeError, match="trace"):
+            SimWorld(trace=True)
+        assert not hasattr(SimWorld(), "tracer")
+        for removed in ("ingest_server_stats", "counter_total", "ingest_obs"):
+            assert not hasattr(MetricsCollector, removed)
+        assert set(vars(MetricsCollector())) == {"results"}
+        from repro.core.server import SdurServer, ServerStats
+        from repro.telemetry.wiring import ServerStats as Declared
+
+        assert ServerStats is Declared and not hasattr(SdurServer, "stats_bucket")
+
     def test_core_entry_points_exported(self):
         for name in (
             "build_cluster",
