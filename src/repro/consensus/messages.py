@@ -37,7 +37,7 @@ class Batch(Message):
     Delivery unpacks the batch in order.
     """
 
-    values: tuple = ()
+    values: tuple[Any, ...] = ()
 
 
 @message

@@ -51,8 +51,8 @@ from repro.consensus.messages import (
     Prepare,
     Promise,
 )
-from repro.errors import ConfigurationError
-from repro.net.message import decode_message, encode_message
+from repro.errors import CodecError, ConfigurationError, StorageError
+from repro.net.codec import decode_packed, encode_packed
 from repro.runtime.base import Runtime
 from repro.storage.wal import WriteAheadLog
 
@@ -172,12 +172,20 @@ class PaxosReplica:
     def _recover_from_wal(self) -> None:
         assert self.config.wal is not None
         first_instance: int | None = None
-        for record in self.config.wal:
-            instance_bytes, payload = record[:8], record[8:]
-            instance = int.from_bytes(instance_bytes, "big")
+        for lsn, record in enumerate(self.config.wal):
+            instance = int.from_bytes(record[:8], "big")
             if first_instance is None:
                 first_instance = instance
-            value = decode_message(payload)
+            try:
+                value = decode_packed(record[8:])
+            except CodecError as exc:
+                # The CRC held, so these are the bytes that were written:
+                # nothing below can repair them, and skipping the record
+                # would leave a hole in the log.
+                raise StorageError(
+                    f"WAL record {lsn} (instance {instance}) of group "
+                    f"{self.group_id} does not decode: {exc}"
+                ) from exc
             self.log.mark_chosen(instance, value)
         if first_instance is not None and first_instance > self.log.next_to_deliver:
             # The log was compacted below a checkpoint: everything before
@@ -603,7 +611,7 @@ class PaxosReplica:
     def _deliver(self, instance: int, value: Any, log_to_wal: bool = True) -> None:
         self._proposed.pop(instance, None)
         if log_to_wal and self.config.wal is not None:
-            self.config.wal.append(instance.to_bytes(8, "big") + encode_message(value))
+            self.config.wal.append(instance.to_bytes(8, "big") + encode_packed(value))
         if isinstance(value, PaxosNoop):
             return
         if isinstance(value, Batch):

@@ -34,6 +34,7 @@ from gossip within one period (vectors are allowed to be outdated).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.core.certifier import CertificationWindow, CommittedRecord
 from repro.core.transaction import ReadsetDigest, TxnId
@@ -49,7 +50,7 @@ class WindowRecord(Message):
     tid: TxnId
     version: int
     readset: ReadsetDigest
-    ws_keys: frozenset
+    ws_keys: frozenset[str]
     is_global: bool
 
 
@@ -65,9 +66,9 @@ class ServerCheckpoint(Message):
     dc: int
     reorder_threshold: int
     #: key -> ((version, value), ...) ascending.
-    chains: dict = field(default_factory=dict)
+    chains: dict[str, Any] = field(default_factory=dict)
     gc_horizon: int = 0
-    window: tuple = ()
+    window: tuple[WindowRecord, ...] = ()
     window_floor: int = 0
 
     def to_bytes(self) -> bytes:

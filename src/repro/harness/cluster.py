@@ -392,7 +392,6 @@ def build_cluster(
     intra_delay: float | None = None,
     jitter_fraction: float = 0.0,
     codec_roundtrip: bool = False,
-    codec: str = "json",
     paxos_config: PaxosConfig | None = None,
     paxos_config_factory: "Callable[[str, str], PaxosConfig] | None" = None,
 ) -> SdurCluster:
@@ -417,7 +416,6 @@ def build_cluster(
         jitter_fraction=jitter_fraction,
         seed=seed,
         codec_roundtrip=codec_roundtrip,
-        codec=codec,
         obs=SpanRecorder() if config.tracing else None,
     )
     cluster = SdurCluster(world, deployment, partition_map, config)

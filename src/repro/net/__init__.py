@@ -1,12 +1,16 @@
 """Cluster messaging fabric.
 
-* :mod:`repro.net.message` — tagged-dataclass message codec (JSON wire
-  format with support for bytes, sets, tuples, and nested messages).
+* :mod:`repro.net.message` — the ``@message`` registry and the tagged
+  JSON encoding over it (checkpoints, dumps, the codec tests' oracle).
+* :mod:`repro.net.codec` — the wire codec: every registered class
+  compiled into a positional ``struct`` encoder / decoder; what TCP
+  frames and WAL records are made of.
 * :mod:`repro.net.topology` — nodes, regions, and the region-aware latency
   model (intra-region delay δ, inter-region delay Δ).
 * :mod:`repro.net.sim_transport` — the simulated network: per-link delays,
   crash-stop failures, link cuts, optional message loss, and an optional
-  codec round-trip that proves every message is serializable.
+  round trip through the wire codec that proves every message is
+  serializable.
 * :mod:`repro.net.asyncio_transport` — a real TCP transport with
   length-prefixed frames, used by the asyncio runtime in integration
   tests.

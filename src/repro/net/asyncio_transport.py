@@ -1,11 +1,9 @@
 """Real TCP transport for the asyncio runtime.
 
-Frames are length-prefixed (4-byte big-endian) messages produced by the
-selected wire codec — the JSON codec of :mod:`repro.net.message` by
-default, or the struct-packed binary codec of :mod:`repro.net.codec`
-(``codec="packed"``) — wrapped in an :class:`Envelope` carrying the
-sender's node id.  Both endpoints must run the same codec; the frame
-layout is codec-independent.
+Frames are length-prefixed (4-byte big-endian) messages in the
+schema-compiled binary encoding of :mod:`repro.net.codec` — the one
+wire codec; there is nothing to select — wrapped in an
+:class:`Envelope` carrying the sender's node id.
 
 The send side has one writer per connection.  :meth:`AioTransport.post`
 frames the message, appends the frame to its destination's outbox and
@@ -45,7 +43,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import TransportError
-from repro.net.codec import get_codec
+from repro.net.codec import decode_packed, encode_packed
 from repro.net.message import Message, message
 from repro.obs.recorder import NULL_RECORDER, ObsRecorder, traced_tid as _traced_tid
 
@@ -111,15 +109,13 @@ class AioTransport:
         directory: dict[str, tuple[str, int]],
         handler: Callable[[str, Any], None],
         obs: ObsRecorder | None = None,
-        codec: str = "json",
     ) -> None:
         if node_id not in directory:
             raise TransportError(f"node {node_id!r} missing from directory")
         self.node_id = node_id
         self.directory = directory
         self.handler = handler
-        self.codec = codec
-        self._encode, self._decode = get_codec(codec)
+        self._encode, self._decode = encode_packed, decode_packed
         self.obs = obs if obs is not None else NULL_RECORDER
         self._server: asyncio.AbstractServer | None = None
         self._writers: dict[str, asyncio.StreamWriter] = {}

@@ -1,18 +1,20 @@
-"""Tagged-dataclass message codec.
+"""The message registry, and the tagged-JSON codec over it.
 
 Every protocol message in the system is a frozen dataclass registered with
-the :func:`message` decorator.  Registration assigns a wire tag (the class
-name by default) and enables encoding to a compact JSON wire format that
-round-trips the Python value types we actually use in messages:
+the :func:`message` decorator.  Registration assigns a tag (the class
+name) that both codecs put on the wire.  What travels between nodes and
+into the WAL is the schema-compiled binary encoding of
+:mod:`repro.net.codec`, compiled from the registry on first use; this
+module's JSON encoding is self-describing and diffable, and stays for
+what that is worth: the checkpoint format (:mod:`repro.core.checkpoint`),
+a readable dump of any message, ``get_codec("json")``, and the oracle the
+binary codec is tested against.  It round-trips the value types messages
+use:
 
 * dataclass messages (nested arbitrarily),
 * ``bytes`` (base64), ``frozenset``/``set``, ``tuple``,
 * dicts with non-string keys,
 * ``None``, ``bool``, ``int``, ``float``, ``str``, lists.
-
-The simulated transport can be configured to round-trip every message
-through this codec, which proves in tests that nothing unserializable ever
-crosses a (simulated) wire; the asyncio transport uses it for real.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ _T = TypeVar("_T")
 registry: dict[str, type] = {}
 
 #: Registered message class -> its field names in declaration order,
-#: resolved once at registration.  Both codecs walk a message through
-#: this table instead of asking :mod:`dataclasses` per object per message.
+#: resolved once at registration.  The JSON codec walks a message
+#: through this table instead of asking :mod:`dataclasses` per object;
+#: the binary codec reads it to know a registered class when it sees one.
 field_names: dict[type, tuple[str, ...]] = {}
 
 
@@ -132,5 +135,5 @@ def decode_message(data: bytes) -> Any:
 
 
 def roundtrip(msg: Any) -> Any:
-    """Encode then decode (used by the paranoid simulated transport)."""
+    """Encode then decode through JSON (a test helper)."""
     return decode_message(encode_message(msg))

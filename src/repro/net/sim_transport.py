@@ -14,8 +14,7 @@ failure modes the paper's model allows:
 With ``codec_roundtrip=True`` every message is encoded and decoded through
 the wire codec before delivery, proving that the exact objects the
 protocols exchange are serializable — the same property the asyncio
-transport needs for real.  ``codec`` selects which codec round-trips:
-the JSON codec (default) or the struct-packed binary one
+transport needs for real — and through the same codec
 (:mod:`repro.net.codec`).
 """
 
@@ -25,7 +24,7 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.errors import UnknownNodeError
-from repro.net.codec import get_codec
+from repro.net.codec import decode_packed, encode_packed
 from repro.obs.recorder import NULL_RECORDER, ObsRecorder, traced_tid as _traced_tid
 from repro.sim.kernel import Kernel
 from repro.sim.latency import LatencyModel
@@ -47,15 +46,12 @@ class SimNetwork:
         loss_probability: float = 0.0,
         strict: bool = True,
         obs: ObsRecorder | None = None,
-        codec: str = "json",
     ) -> None:
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError(f"loss_probability must be in [0, 1), got {loss_probability!r}")
         self.kernel = kernel
         self.latency = latency
         self.codec_roundtrip = codec_roundtrip
-        self.codec = codec
-        self._encode, self._decode = get_codec(codec)
         self.loss_probability = loss_probability
         #: Strict mode raises on sends to unregistered nodes (catches
         #: wiring bugs in tests); non-strict drops them like a real
@@ -168,9 +164,9 @@ class SimNetwork:
             return
         payload = msg
         if self.codec_roundtrip:
-            wire = self._encode(msg)
+            wire = encode_packed(msg)
             self.bytes_sent += len(wire)
-            payload = self._decode(wire)
+            payload = decode_packed(wire)
         delay = self.latency.sample(src, dst, self._rng)
         # Self hand-offs skip the penalty: local compute slowness is the
         # CPU model's job, not the network's.

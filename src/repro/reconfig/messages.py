@@ -30,6 +30,7 @@ log outside any transaction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.core.transaction import TxnId
 from repro.net.message import Message, message
@@ -52,7 +53,7 @@ class InstallMigration(Message):
     change: ConfigChange
     #: key -> tuple of (version, value) pairs, ascending by version —
     #: the full multi-version chains so old snapshots stay readable.
-    chains: dict = field(default_factory=dict)
+    chains: dict[str, Any] = field(default_factory=dict)
     #: Source partition's snapshot counter at capture; the new
     #: partition's store resumes from here so migrated versions keep
     #: their original commit versions.

@@ -40,7 +40,6 @@ class SimWorld:
         codec_roundtrip: bool = False,
         loss_probability: float = 0.0,
         obs: ObsRecorder | None = None,
-        codec: str = "json",
     ) -> None:
         self.kernel = Kernel()
         self.topology = topology if topology is not None else Topology()
@@ -64,7 +63,6 @@ class SimWorld:
             codec_roundtrip=codec_roundtrip,
             loss_probability=loss_probability,
             obs=self.obs,
-            codec=codec,
             # Worlds model real deployments: traffic to departed nodes
             # (e.g. clients of a previous incarnation during WAL
             # recovery) is dropped, not an error.

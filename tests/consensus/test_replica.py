@@ -257,6 +257,79 @@ class TestDurability:
         assert len(reopened) == 1
         reopened.close()
 
+    @staticmethod
+    def _recover(wal: WriteAheadLog):
+        """A fresh replica of node ``a`` started from ``wal`` alone."""
+        world = SimWorld(seed=9)
+        redelivered = []
+        runtime = world.runtime_for("a")
+        replica = PaxosReplica(
+            runtime, "g", ["a", "b", "c"], PaxosConfig(static_leader="b", wal=wal),
+            on_deliver=lambda i, v: redelivered.append((i, v)),
+        )
+        replica.start()
+        return replica, redelivered
+
+    def test_file_wal_replays_to_the_identical_log(self, tmp_path):
+        """Records are an 8-byte instance + the wire codec's image of the
+        value: what the shipped replica wrote, a reopened file replays."""
+        from repro.consensus.messages import Batch, PaxosNoop
+        from tests.net.test_wire_coverage import BLOOM_PROJ, PROJ, SAMPLES
+
+        values = [PROJ, BLOOM_PROJ, Batch(values=(PROJ, "v", 7)), PaxosNoop(), "plain", *SAMPLES]
+        world = SimWorld(seed=4)
+        paths = {m: tmp_path / f"{m}.wal" for m in ("a", "b", "c")}
+        wals = {m: WriteAheadLog(path) for m, path in paths.items()}
+        replicas, delivered = make_group(world, wals=wals)
+        for replica in replicas.values():
+            replica.start()
+        world.run(until=1.0)
+        for value in values:
+            replicas["a"].propose(value)
+        world.run(until=5.0)
+        for wal in wals.values():
+            wal.close()
+        original = replicas["a"].log
+        assert original.next_to_deliver == len(values)
+
+        with WriteAheadLog(paths["a"]) as reopened:
+            assert [int.from_bytes(record[:8], "big") for record in reopened] == list(
+                range(len(values))
+            )
+            recovered, redelivered = self._recover(reopened)
+        assert recovered.log.next_to_deliver == original.next_to_deliver
+        for instance, value in enumerate(values):
+            replayed = recovered.log.state(instance)
+            assert replayed.chosen and replayed.chosen_value == value
+            assert type(replayed.chosen_value) is type(value)
+            assert replayed.chosen_value == original.state(instance).chosen_value
+        assert redelivered == delivered["a"]
+
+    def test_a_crc_valid_record_that_does_not_decode_fails_loudly(self, tmp_path):
+        """The WAL's CRC guards the disk, not the writer: a record whose
+        bytes were wrong when they were written is named, not skipped."""
+        from repro.errors import CodecError, StorageError
+        from repro.net.codec import encode_packed
+        from tests.net.test_wire_coverage import PROJ
+
+        good = encode_packed(PROJ)
+        flipped = bytearray(good)
+        flipped[0] ^= 0x20  # the type tag: 'M' -> 'm'
+        path = tmp_path / "a.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append((0).to_bytes(8, "big") + good)
+            wal.append((1).to_bytes(8, "big") + bytes(flipped))
+        with WriteAheadLog(path) as reopened:  # both CRCs hold
+            assert len(reopened) == 2
+            with pytest.raises(StorageError, match=r"record 1 \(instance 1\) of group g") as info:
+                self._recover(reopened)
+        assert isinstance(info.value.__cause__, CodecError)
+        # Too short to hold an instance and a value: the same failure.
+        with WriteAheadLog() as wal:
+            wal.append(b"\x00\x00\x07")
+            with pytest.raises(StorageError, match=r"record 0 \(instance 7\)"):
+                self._recover(wal)
+
 
 def tap(world: SimWorld, node: str, replica: PaxosReplica) -> list:
     """Record ``(src, msg)`` for every message ``node`` receives."""
@@ -414,7 +487,7 @@ class TestWireSize:
         ``sample_messages()``, framed as the transport frames it."""
         from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
         from repro.net.asyncio_transport import Envelope, _frame
-        from repro.net.message import encode_message
+        from repro.net.codec import encode_packed
 
         keys = ["0/obj8398", "0/obj1309"]
         value = TxnProjection(
@@ -429,10 +502,11 @@ class TestWireSize:
         )
 
         def framed(msg):
-            return len(_frame(encode_message(Envelope(src="s1", payload=msg))))
+            return len(_frame(encode_packed(Envelope(src="s1", payload=msg))))
 
         accept = framed(Accept(group="p0", ballot=(1, 0), instance=4242, value=value))
         accepted = framed(Accepted(group="p0", ballot=(1, 0), instance=4242))
         chosen = framed(Chosen(group="p0", instance=4242, ballot=(1, 0)))
-        assert 400 < accept < 600
-        assert accepted < 200 and chosen < 200
+        # Framed as JSON (through PR 20): 501 / 151 / 149 bytes.
+        assert 150 < accept < 200
+        assert accepted < 60 and chosen < 60

@@ -197,7 +197,7 @@ class TestDuplicateDelivery:
         assert result.committed
         sc_before = server.sc
         # Rebuild an identical projection and redeliver it.
-        from repro.core.transaction import ReadsetDigest, TxnProjection
+        from repro.core.transaction import TxnProjection
 
         duplicate = TxnProjection(
             tid=record.tid,

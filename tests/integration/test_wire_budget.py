@@ -27,9 +27,15 @@ bytes (51 %) if a broadcast frame is counted once, as it is encoded.
 The issue's "at most 60 %" is met by the encoded bytes only: the two
 ``Accept`` and two ``Chosen`` frames still cross the wire once per
 follower, and 964 of the bytes are the four read messages this change
-does not touch.  The gate is therefore 65 % of the parent's wire bytes.
-The fractional 0.04 is the leader's commit-index advert, the only timer
-traffic in this deployment.
+does not touch.  The fractional 0.04 is the leader's commit-index
+advert, the only timer traffic in this deployment.
+
+Measured again with the same script when the schema-compiled codec
+(``repro.net.codec``) replaced tagged JSON on the wire (PR 21): the
+counts are **unchanged** — 13.0 frames, 11 encodes (3.00 set-carrying),
+11 writes; a codec must not add a hop — and the same frames are
+**1 377 bytes** on the wire per commit (3 742 before: 36.8 %, and
+22.6 % of PR 17's parent).  The byte gate is that figure plus 10 %.
 
 This is the regression guard for the four cuts of the Phase-2 wire path
 and for any later change that re-adds a hop, an encode or a copy of the
@@ -46,8 +52,10 @@ from tests.conftest import update_program
 from tests.integration.test_asyncio_e2e import build_aio_cluster, execute
 
 COMMITS = 50
-#: Bytes per commit of this script on the parent commit (see above).
-PARENT_BYTES_PER_COMMIT = 6082
+#: Wire bytes per commit of this script (see above), and the headroom
+#: a change may use before it has to say why.
+MEASURED_BYTES_PER_COMMIT = 1377
+HEADROOM = 1.10
 
 
 def carries_the_sets(msg) -> bool:
@@ -117,4 +125,4 @@ def test_local_commit_stays_inside_its_wire_budget():
     assert per_commit["encodes"] <= per_commit["frames_sent"] - 2, per_commit
     # Same-turn frames for one peer share a write.
     assert per_commit["writes"] < per_commit["frames_sent"], per_commit
-    assert per_commit["bytes_sent"] <= 0.65 * PARENT_BYTES_PER_COMMIT, per_commit
+    assert per_commit["bytes_sent"] <= HEADROOM * MEASURED_BYTES_PER_COMMIT, per_commit

@@ -172,16 +172,17 @@ class TestFailingLoudly:
 
     def test_non_envelope_message_is_rejected(self):
         async def body(ta, tb, inbox_a, inbox_b):
-            from repro.net.message import encode_message
+            from repro.net.codec import encode_packed
 
             host, port = tb.directory["b"]
             reader, writer = await asyncio.open_connection(host, port)
-            data = encode_message(_Echo(text="naked"))
+            data = encode_packed(_Echo(text="naked"))
             writer.write(len(data).to_bytes(4, "big") + data)
             await writer.drain()
             assert await reader.read() == b""
             writer.close()
             assert tb.frames_rejected == 1 and not inbox_b
+            assert "expected Envelope, got _Echo" in str(tb.last_error)
 
         asyncio.run(_run_pair(body))
 

@@ -1,10 +1,14 @@
-"""Wire-format coverage: every protocol message round-trips the codec.
+"""Wire-format coverage: every protocol message round-trips the codecs.
 
 The simulated transport only exercises serialization when
 ``codec_roundtrip`` is on; this test builds a representative instance of
-*every* registered protocol message and proves it survives the wire, so
-the asyncio transport can carry anything the protocols produce.
+*every* registered protocol message and proves it survives the JSON
+codec (checkpoints, dumps — and the oracle ``tests/net/test_codec.py``
+holds the wire codec against, sample by sample), and that the wire
+codec's compiler understands every annotation the registry declares.
 """
+
+import typing
 
 import pytest
 
@@ -213,3 +217,41 @@ def test_every_registered_message_has_a_sample():
     }
     missing = registered - covered
     assert not missing, f"messages without wire-coverage samples: {missing}"
+
+
+#: Fields that take the tagged path without being annotated ``Any``,
+#: with the reason each may.  Empty: keep it that way if you can.
+TAGGED_ALLOW_LIST: dict[tuple[str, str], str] = {}
+
+
+def _mentions_any(tp) -> bool:
+    return tp is typing.Any or any(_mentions_any(arg) for arg in typing.get_args(tp))
+
+
+def test_only_any_annotated_fields_take_the_tagged_path():
+    """A new message whose annotation the schema compiler does not
+    understand must fail here, not silently run on the slow path."""
+    import importlib
+    import pkgutil
+
+    import repro
+    from repro.net.codec import tagged_fields
+    from repro.net.message import registry
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)  # every @message in the tree
+    tagged, declared = set(), set()
+    for name, cls in registry.items():
+        if not cls.__module__.startswith("repro."):
+            continue  # test-local messages answer for themselves
+        tagged |= {(name, field) for field in tagged_fields(cls)}
+        declared |= {
+            (name, field)
+            for field, tp in typing.get_type_hints(cls).items()
+            if _mentions_any(tp)
+        }
+    assert tagged - set(TAGGED_ALLOW_LIST) == declared
+    assert not set(TAGGED_ALLOW_LIST) - tagged, "stale allow-list entries"
+    # The hot ones, by name, so a refactor of this test cannot hollow it out.
+    assert {("Accept", "value"), ("Envelope", "payload"), ("TxnProjection", "writeset")} <= declared
+    assert ("TxnProjection", "readset") not in tagged and ("Accept", "ballot") not in tagged

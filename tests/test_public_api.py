@@ -73,6 +73,24 @@ class TestPublicApi:
 
         assert ServerStats is Declared and not hasattr(SdurServer, "stats_bucket")
 
+    def test_one_wire_codec(self):
+        """One codec on the wire and in the WAL: nothing takes a
+        ``codec`` argument, and the JSON one is only reachable by name."""
+        import inspect
+
+        from repro.net import codec
+        from repro.net.asyncio_transport import AioTransport
+        from repro.net.sim_transport import SimNetwork
+        from repro.runtime.sim import SimWorld
+
+        for entry in (AioTransport, SimNetwork, SimWorld, repro.build_cluster):
+            assert "codec" not in inspect.signature(entry).parameters, entry
+        assert "codec_roundtrip" in inspect.signature(SimWorld).parameters
+        transport = AioTransport("a", {"a": ("127.0.0.1", 1)}, lambda src, msg: None)
+        assert (transport._encode, transport._decode) == codec.get_codec("packed")
+        assert not hasattr(transport, "codec") and not hasattr(SimWorld().network, "codec")
+        assert sorted(codec.CODECS) == ["json", "packed"]
+
     def test_core_entry_points_exported(self):
         for name in (
             "build_cluster",
