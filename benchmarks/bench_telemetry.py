@@ -38,7 +38,8 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT)]  # repro, tests.oracles
 
 from repro.core.config import SdurConfig, ServiceCosts  # noqa: E402
 from repro.core.directory import ClusterDirectory  # noqa: E402
@@ -46,6 +47,7 @@ from repro.core.partitioning import PartitionMap  # noqa: E402
 from repro.core.server import SdurServer  # noqa: E402
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection  # noqa: E402
 from repro.telemetry import TelemetryConfig, TelemetrySampler  # noqa: E402
+from tests.oracles.stub_runtime import DropFabric, StubRuntime  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_telemetry.json"
 
@@ -62,50 +64,6 @@ SAMPLE_INTERVAL = 1.0  # Hz target for the enabled cell
 CLOCK_STRIDE = 4096
 
 
-class _StubRuntime:
-    """Immediate-execution runtime, as in bench_batch.py: inline
-    ``execute``, dead timers, frozen ``now`` — the bench measures the
-    Python path, not simulated time."""
-
-    def __init__(self) -> None:
-        self.node_id = "s0"
-        self.sent = 0
-
-    def now(self) -> float:
-        return 0.0
-
-    def send(self, dst: str, msg) -> None:
-        self.sent += 1
-
-    def set_timer(self, delay: float, callback):
-        return _DEAD_TIMER
-
-    def listen(self, handler) -> None:
-        return None
-
-    def rng(self, name: str) -> random.Random:
-        return random.Random(name)
-
-    def execute(self, cost: float, fn) -> None:
-        fn()
-
-    def latency_estimate(self, dst: str) -> float:
-        return 0.0
-
-
-class _DeadTimerHandle:
-    def cancel(self) -> None:
-        return None
-
-
-_DEAD_TIMER = _DeadTimerHandle()
-
-
-class _DropFabric:
-    def abcast(self, group: str, value) -> None:
-        return None
-
-
 def _build_server() -> SdurServer:
     config = SdurConfig(
         costs=ServiceCosts(read=5e-5, certify=2e-4, apply=3e-4),
@@ -113,11 +71,11 @@ def _build_server() -> SdurServer:
         vote_timeout=None,
     )
     return SdurServer(
-        runtime=_StubRuntime(),
+        runtime=StubRuntime(record=False),
         partition="p0",
         directory=ClusterDirectory(partitions={"p0": ["s0"]}, preferred={"p0": "s0"}),
         partition_map=PartitionMap.by_index(1),
-        fabric=_DropFabric(),
+        fabric=DropFabric(),
         config=config,
     )
 

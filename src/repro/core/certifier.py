@@ -1,6 +1,10 @@
 """Certification: the heart of deferred update replication.
 
-Implements the paper's two tests and the reorder-position search:
+The paper's conflict test and the window it runs over.  The queries —
+``certify``, ``outcome_conflicts``, ``find_reorder_position`` — belong to
+:class:`repro.core.certindex.IndexedCertifier`; Algorithm 2's O(window)
+scan of the same three is the differential oracle
+``tests/oracles/scan_certifier.py``.
 
 * ``ctest(t, t')`` (Algorithm 2 lines 46–47)::
 
@@ -17,16 +21,6 @@ Implements the paper's two tests and the reorder-position search:
   Algorithm 2 line 49).  The window retains the last ``history_window``
   records, mirroring the paper's "last K bloom filters" (§V); snapshots
   older than the window abort conservatively.
-
-* ``find_reorder_position`` (Algorithm 2 lines 55–60): the leftmost slot
-  in the pending list where a local transaction can be inserted ahead of
-  pending globals.
-
-  Note on line 58: the paper's text reads ``PL[k].rt < DC``, but its own
-  comment ("no leaping globals after threshold") and the determinism
-  argument in §IV-G.3 require the opposite comparison — a local may only
-  leap a global whose threshold has *not* yet been reached, i.e.
-  ``PL[k].rt >= DC``.  We implement the stated intent.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Protocol
 
-from repro.core.pending import PendingList
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 
 
@@ -130,101 +123,3 @@ class CertificationWindow:
         if start == 0:
             return iter(self._records)
         return islice(self._records, start, None)
-
-    def span_after(self, snapshot: int) -> int:
-        """How many committed records a scan from ``snapshot`` must check."""
-        return len(self._versions) - bisect_right(self._versions, snapshot)
-
-    def certify(self, txn: TxnProjection) -> bool | None:
-        """Check ``txn`` against every commit it did not observe.
-
-        Returns True (pass), False (conflict), or ``None`` when the
-        snapshot predates the window and the outcome is unknowable —
-        callers abort in that case, as the paper's prototype does when a
-        transaction outlives the retained bloom filters.
-        """
-        if txn.snapshot < self._floor:
-            return None
-        for record in self.records_after(txn.snapshot):
-            if not ctest(txn, record.readset, record.ws_keys):
-                return False
-        return True
-
-
-def outcome_conflicts(txn: TxnProjection, pending: PendingList) -> list[TxnId]:
-    """Pending transactions whose *outcome* decides ``txn``'s verdict.
-
-    ``txn`` conflicts with pending ``e`` when ``txn.rs ∩ e.ws ≠ ∅`` (its
-    reads are stale if ``e`` commits) or — for global ``txn`` — when
-    ``txn.ws ∩ e.rs ≠ ∅`` (the symmetric test of §III-B).  The paper
-    aborts immediately in these cases; a deterministic implementation
-    must instead *defer* until each ``e`` resolves, because whether ``e``
-    is still pending (vs already completed) at ``txn``'s delivery varies
-    with vote-arrival timing across replicas.  Doomed entries are *not*
-    skipped: deferring on them resolves to the same verdict when they
-    abort, and skipping them would itself be timing-dependent.
-    """
-    conflicting: list[TxnId] = []
-    for entry in pending:
-        other = entry.proj
-        if other.ws_keys and txn.readset.contains_any(other.ws_keys):
-            conflicting.append(entry.tid)
-            continue
-        if txn.is_global and txn.writeset and other.readset.contains_any(txn.writeset.keys()):
-            conflicting.append(entry.tid)
-    return conflicting
-
-
-def certify_against_pending(txn: TxnProjection, pending: PendingList) -> bool:
-    """Global-transaction check against all pending transactions.
-
-    (Algorithm 2 lines 51–52.)  Pending transactions were delivered
-    earlier and may commit in a different relative order at other
-    partitions, so the symmetric ``ctest`` must hold against each.
-    """
-    for entry in pending:
-        if not ctest(txn, entry.proj.readset, entry.proj.ws_keys):
-            return False
-    return True
-
-
-def find_reorder_position(
-    txn: TxnProjection, pending: PendingList, delivered_count: int
-) -> int | None:
-    """Leftmost pending-list slot for local ``txn``; ``None`` = abort.
-
-    Position ``i`` is valid when (Algorithm 2 lines 55–60):
-
-    a. no earlier entry's writes intersect ``txn``'s reads
-       (its reads would be stale),
-    b. every entry at or after ``i`` is global (locals are never
-       reordered among themselves),
-    c. no leaped global has reached its reorder threshold
-       (``rt >= delivered_count``; see the module docstring for why the
-       comparison differs from the paper's literal line 58), and
-    d. leaping must not invalidate votes already sent: ``txn``'s reads
-       and writes must be disjoint from each leaped global's writes and
-       reads.
-    """
-    entries = list(pending)
-    total = len(entries)
-    # suffix_ok[i]: conditions (b), (c), (d) hold for every k >= i.
-    suffix_ok = [False] * (total + 1)
-    suffix_ok[total] = True
-    for index in range(total - 1, -1, -1):
-        entry = entries[index]
-        ok = (
-            entry.proj.is_global
-            and entry.rt >= delivered_count
-            and not txn.readset.contains_any(entry.proj.ws_keys)
-            and not entry.proj.readset.contains_any(txn.writeset.keys())
-        )
-        suffix_ok[index] = ok and suffix_ok[index + 1]
-    # Scan left to right maintaining condition (a) incrementally.
-    for position in range(total + 1):
-        if suffix_ok[position]:
-            return position
-        if position < total and txn.readset.contains_any(entries[position].proj.ws_keys):
-            # Condition (a) fails for every slot right of this entry.
-            return None
-    return None

@@ -28,8 +28,8 @@ mutation listeners:
   key-indexed either; they are kept in a version-ordered side list and
   probed individually — the only remaining per-record fallback, counted
   in ``index_fallbacks``;
-* the same maps keyed by pending ``TxnId`` serve ``outcome_conflicts``,
-  ``certify_against_pending``, and ``find_reorder_position``.
+* the same maps keyed by pending ``TxnId`` serve ``outcome_conflicts``
+  and ``find_reorder_position``.
 
 Verdict invariance (why the index and the scan are bit-identical, which
 matters because certification decides commit order on every replica):
@@ -378,9 +378,6 @@ class IndexedCertifier:
         # Report in pending order, exactly as the scan does.
         return [entry.tid for entry in self.pending if entry.tid in conflicting]
 
-    def certify_against_pending(self, txn: TxnProjection) -> bool:
-        return not self.outcome_conflicts(txn)
-
     # -- Algorithm 2 lines 55–60: the reorder-position search -----------
     def find_reorder_position(self, txn: TxnProjection, delivered_count: int) -> int | None:
         """Index-assisted leftmost slot; equivalent to the scan.
@@ -395,6 +392,11 @@ class IndexedCertifier:
         entry that cannot be leaped (non-global, threshold reached, or in
         D), found by walking from the tail until the first such entry —
         no digest probes, and the walk stops at the leap boundary.
+
+        Line 58 of the paper reads ``PL[k].rt < DC``, but its own comment
+        ("no leaping globals after threshold") and §IV-G.3's determinism
+        argument require the opposite: a local may only leap a global
+        whose threshold is *not* yet reached (``rt >= DC``), as here.
         """
         counters = self.counters
         fallbacks_before = counters.index_fallbacks

@@ -49,6 +49,15 @@ from repro.reconfig.epochs import VersionedRouting
 from repro.reconfig.messages import ConfigSnapshot, GetConfig, StaleEpochNotice
 from repro.runtime.base import Runtime, TimerHandle
 
+#: Restarts one transaction may take because the directory changed
+#: under it (split or merge) before giving up.
+MAX_EPOCH_RETRIES = 3
+#: Growth factor of the read / commit / ``Busy`` retry delays.
+BACKOFF_MULTIPLIER = 2.0
+#: A ``GetConfig`` unanswered for this long is presumed lost (crash, cut
+#: link, dropped frame): the next newer-epoch read response pulls again.
+CONFIG_PULL_RETRY = 1.0
+
 
 @dataclass(frozen=True)
 class Read:
@@ -118,16 +127,12 @@ class ClientConfig:
     #: Reject writes to keys not previously read (the paper assumes
     #: ``ws ⊆ rs``; §II-B).
     enforce_no_blind_writes: bool = True
-    #: How many times one transaction may restart because the directory
-    #: changed under it (partition split) before giving up.
-    max_epoch_retries: int = 3
     # -- Retry backoff (docs/PROTOCOL.md §16) ---------------------------
     #: Retry delays grow geometrically: the n-th read/commit timeout
-    #: retry waits ``timeout * backoff_multiplier**n`` (capped at
+    #: retry waits ``timeout * BACKOFF_MULTIPLIER**n`` (capped at
     #: ``backoff_cap``), and each delay is jittered so that clients a
     #: shed or failover synchronized do not retry in lockstep.
     backoff_cap: float = 2.0
-    backoff_multiplier: float = 2.0
     #: Fraction of each delay randomized away (0 = deterministic timing).
     backoff_jitter: float = 0.5
     #: Base delay before resubmitting work a server refused with ``Busy``
@@ -270,9 +275,10 @@ class SdurClient:
         self._incarnation = runtime.rng("txn-id").getrandbits(32)
         self._id_namespace = f"{runtime.node_id}~{self._incarnation:08x}"
         self._active: dict[TxnId, _ActiveTxn] = {}
-        #: True while a GetConfig is outstanding (debounces the requests
-        #: triggered by epoch sniffing on read responses).
-        self._config_in_flight = False
+        #: No new GetConfig before this time: debounces the requests
+        #: triggered by epoch sniffing on read responses, yet expires, so
+        #: a lost request or reply does not silence later ones.
+        self._config_quiet_until = 0.0
         #: Unresponsive servers -> suspicion expiry time (client-side
         #: failure detection: a suspected server is deprioritized for
         #: reads and commit resends until the suspicion expires).
@@ -283,7 +289,7 @@ class SdurClient:
             return BackoffPolicy(
                 base=base,
                 cap=max(config.backoff_cap, base),
-                multiplier=config.backoff_multiplier,
+                multiplier=BACKOFF_MULTIPLIER,
                 jitter=config.backoff_jitter,
             )
 
@@ -749,15 +755,16 @@ class SdurClient:
     # Reconfiguration (epoch-versioned routing)
     # ------------------------------------------------------------------
     def _request_config(self, server: str) -> None:
-        if self._config_in_flight:
+        now = self.runtime.now()
+        if now < self._config_quiet_until:
             return
-        self._config_in_flight = True
+        self._config_quiet_until = now + CONFIG_PULL_RETRY
         self.runtime.send(
             server, GetConfig(reply_to=self.node_id, since_epoch=self.routing.epoch)
         )
 
     def _on_config_snapshot(self, msg: ConfigSnapshot) -> None:
-        self._config_in_flight = False
+        self._config_quiet_until = 0.0
         self.routing.apply_all(msg.changes)
 
     def _on_stale_epoch(self, msg: StaleEpochNotice) -> None:
@@ -790,7 +797,7 @@ class SdurClient:
         the restart must *not* reuse the id.
         """
         self._active.pop(state.tid, None)
-        if state.epoch_restarts >= self.config.max_epoch_retries:
+        if state.epoch_restarts >= MAX_EPOCH_RETRIES:
             self._finish(
                 state,
                 Outcome.ABORT,

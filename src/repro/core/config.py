@@ -72,9 +72,6 @@ class SdurConfig:
     ledger_retry_interval: float | None = 0.25
 
     # -- Liveness and recovery ------------------------------------------
-    #: Interval of no-op ticks while globals await their threshold
-    #: (only armed when ``reorder_threshold > 0``).
-    noop_interval: float = 0.01
     #: Abort-request timeout for pending globals missing votes;
     #: ``None`` disables the recovery protocol.
     vote_timeout: float | None = 5.0
@@ -83,8 +80,6 @@ class SdurConfig:
     #: Gossip period for snapshot-vector construction; ``None`` disables
     #: (read-only transactions then need another vector source).
     gossip_interval: float | None = 0.05
-    #: Recent global commits retained/gossiped for vector construction.
-    gossip_history: int = 256
 
     # -- Checkpointing ----------------------------------------------------
     #: Period at which the server tries to checkpoint its delivery-path
@@ -99,13 +94,6 @@ class SdurConfig:
     #: Number of most recent commit versions kept readable by snapshots
     #: when GC runs; older snapshot reads abort with "snapshot too old".
     store_gc_keep: int = 10_000
-
-    # -- Reconfiguration (docs/PROTOCOL.md §13, §17) ----------------------
-    #: While a delivered transaction is stalled because it carries an
-    #: epoch this replica has not learned yet, pull the change log from
-    #: peers at this period (the push of the ``ConfigSnapshot`` may have
-    #: been lost).  ``None`` disables the backstop.
-    config_catchup_interval: float | None = 0.25
 
     # -- Admission control (docs/PROTOCOL.md §16) -------------------------
     #: Token-bucket admission + bounded ingress/stall queues in front of

@@ -24,10 +24,13 @@ invariant is enforced structurally by the termination component
 (``self.ledger``, :mod:`repro.termination`, docs/PROTOCOL.md §14): votes
 are values ordered through the partition's own log and take effect only
 at delivery.  This module decides verdicts (certification, deferral,
-dooming) and completes the pending list's head; *when a vote counts* is
-known to the ledger alone, which the server calls at fixed points —
-admit, cast, vote arrived, record delivered, abort request delivered,
-partition learned, batch boundary.
+dooming) and completes the pending list's head; two components own the
+rest and are called at fixed points only.  *When a vote counts* is known
+to the ledger alone — admit, cast, vote arrived, record delivered, abort
+request delivered, partition learned, batch boundary.  *What a live split
+or merge asks of this replica* is known to ``self.reconfig`` alone
+(:mod:`repro.reconfig.participant`, whose docstring lists its points;
+docs/PROTOCOL.md §13, §17).
 """
 
 from __future__ import annotations
@@ -74,19 +77,16 @@ from repro.errors import ConfigurationError, ProtocolError, SnapshotTooOldError
 from repro.obs.recorder import NULL_RECORDER
 from repro.overload.admission import AdmissionController, AdmissionDecision, AdmitAll
 from repro.reconfig.epochs import VersionedRouting
-from repro.reconfig.messages import (
-    BeginSplit,
-    ConfigSnapshot,
-    FinishSplit,
-    GetConfig,
-    InstallMigration,
-    StaleEpochNotice,
-)
-from repro.reconfig.migration import SplitSource, flatten_chains, moved_chains
+from repro.reconfig.messages import InstallMigration
+from repro.reconfig.participant import ReconfigParticipant, replay
 from repro.runtime.base import Runtime
 from repro.storage.mvstore import MultiVersionStore
 from repro.telemetry.wiring import ServerStats, build_server_registry
 from repro.termination import VoteLedger, VoteRecord, VoteRecordGroup
+
+#: Interval of no-op ticks while globals await their reorder threshold
+#: (only armed when ``reorder_threshold > 0``).
+NOOP_INTERVAL = 0.01
 
 
 class SdurServer:
@@ -182,18 +182,31 @@ class SdurServer:
         self._stalled: deque[Any] = deque()
         self._applying = False
         self._noop_armed = False
-        #: Source-side split in flight (barrier + captured key range).
-        self._migration: SplitSource | None = None
-        #: New-partition side: block transaction processing until the
-        #: migrated state is installed (see :meth:`await_migration`).
-        self._migration_pending = False
-        #: Reads parked while awaiting the migration install.
-        self._parked_reads: list[ReadRequest] = []
-        #: Commit requests tagged with a future epoch (directory change
-        #: still in flight to this node); replayed once it arrives.
-        self._premature_requests: list[CommitRequest] = []
         self.snapshot_builder = GlobalSnapshotBuilder(
-            self.routing.directory.partition_ids, partition, history=self.config.gossip_history
+            self.routing.directory.partition_ids, partition
+        )
+        #: Reconfiguration component (docs/PROTOCOL.md §13, §17): epoch
+        #: switch, migration, config push / pull, wrong-epoch refusal.
+        self.reconfig = ReconfigParticipant(
+            runtime,
+            partition,
+            self.routing,
+            self.store,
+            self.pending,
+            self.snapshot_builder,
+            fabric,
+            self.stats,
+            replace_window=self._replace_window,
+            partition_learned=lambda: self.ledger.on_partition_learned(),
+            is_leader=lambda: self.is_partition_leader(),
+            resubmit=self.submit,
+            reroute_read=self._on_read,
+            requeue_waiting_reads=lambda: replay(
+                self._waiting_reads, lambda waiting: self._on_read(waiting[1], waiting[2])
+            ),
+            drain_waiting_reads=self._drain_waiting_reads,
+            pump=self._pump,
+            merge_hook=lambda: self.on_merge_hook,
         )
         #: Injected by the harness: is this node its partition's leader?
         self.is_partition_leader: Callable[[], bool] = lambda: True
@@ -208,8 +221,6 @@ class SdurServer:
         #: install applies the absorbed state as one synthetic commit;
         #: the history checker records it as a virtual writer.
         self.on_merge_hook: Callable[[str, int, frozenset[str]], None] | None = None
-        #: Epoch catch-up backstop armed (see _maybe_arm_config_catchup).
-        self._catchup_armed = False
         #: Called with the first uncovered instance after each checkpoint
         #: (the harness wires it to the Paxos replica's WAL compaction).
         self.checkpoint_hook: Callable[[int], None] | None = None
@@ -260,14 +271,9 @@ class SdurServer:
         return self.store.current_version
 
     def await_migration(self) -> None:
-        """Gate this (new-partition) replica until its state arrives.
-
-        Called by the harness on servers of a freshly split-off
-        partition: transaction deliveries stall and reads park until the
-        ``InstallMigration`` value is delivered through the new
-        partition's own log.
-        """
-        self._migration_pending = True
+        """The harness, on a replica of a freshly split-off partition:
+        gate it until its state arrives (``reconfig.await_install``)."""
+        self.reconfig.await_install()
 
     def start(self) -> None:
         """Arm periodic duties (snapshot gossip, version GC)."""
@@ -339,23 +345,13 @@ class SdurServer:
                 self.runtime.send(
                     src, self.snapshot_builder.payload_since(msg.have_through, resync=True)
                 )
-        elif isinstance(msg, GetConfig):
-            self.runtime.send(
-                msg.reply_to,
-                ConfigSnapshot(
-                    epoch=self.routing.epoch,
-                    changes=self.routing.changes_since(msg.since_epoch),
-                ),
-            )
-        elif isinstance(msg, ConfigSnapshot):
-            self._on_config_snapshot(msg)
         elif isinstance(msg, CheckpointRequest):
             self.runtime.send(
                 msg.reply_to,
                 CheckpointReply(partition=self.partition, blob=self.latest_checkpoint),
             )
         else:
-            return False
+            return self.reconfig.handle(msg)
         return True
 
     # ------------------------------------------------------------------
@@ -422,16 +418,14 @@ class SdurServer:
     # ------------------------------------------------------------------
     def _on_read(self, src: str, msg: ReadRequest) -> None:
         key_partition = self.partition_map.partition_of(msg.key)
-        if key_partition != self.partition and not self._retiring_owner_of(msg.key):
+        if key_partition != self.partition and not self.reconfig.still_serves(msg.key):
             # Prototype routing (§V): forward to the nearest replica of the
             # right partition; it replies directly to the client.
             self.stats.reads_routed += 1
             target = self.directory.nearest_server(key_partition, self.node_id)
             self.runtime.send(target, msg)
             return
-        if self._migration_pending:
-            # Our key range is still in flight from the source partition.
-            self._parked_reads.append(msg)
+        if self.reconfig.park_read(msg):
             return
         decision = self.admission.admit_read(self.runtime.now(), self._queue_depth())
         if not decision.admitted:
@@ -439,22 +433,6 @@ class SdurServer:
             self._send_busy(msg.reply_to, msg.tid, decision, op_id=msg.op_id)
             return
         self.runtime.execute(self.config.costs.read, lambda: self._serve_read(msg))
-
-    def _retiring_owner_of(self, key: str) -> bool:
-        """Is this a merging-away replica that still holds ``key``?
-
-        Between ``BeginSplit`` and ``FinishSplit`` of a merge the key
-        routes to the absorbing partition, which may not have installed
-        the state yet; forwarding there would ping-pong the read back.
-        The chains are still here — serve locally until eviction.
-        """
-        migration = self._migration
-        return (
-            migration is not None
-            and migration.change.is_merge
-            and migration.retiring_map is not None
-            and migration.retiring_map.partition_of(key) == self.partition
-        )
 
     def _serve_read(self, msg: ReadRequest) -> None:
         snapshot = msg.snapshot if msg.snapshot is not None else self.sc
@@ -522,18 +500,9 @@ class SdurServer:
                 request.tid,
                 partitions=sorted(request.projections),
             )
+        if not self.reconfig.screen(request):
+            return  # parked until its epoch arrives, or rejected as stale
         projections = request.projections
-        for proj in projections.values():
-            if proj.epoch > self.routing.epoch:
-                # The client routed under a directory change that has not
-                # reached this node yet; replay once it arrives.
-                self._premature_requests.append(request)
-                return
-            if proj.epoch < self.routing.ownership_epoch(proj.partition):
-                # Stale routing: some key may have moved.  Reject before
-                # anything is broadcast; one notice carries the fix.
-                self._reject_stale_epoch(proj)
-                return
         remote = [p for p in projections if p != self.partition]
         for partition in remote:
             self.fabric.abcast(partition, projections[partition])
@@ -620,10 +589,7 @@ class SdurServer:
             and not self.pending
             and not self._stalled
             and not self._applying
-            and not self._migration_pending
-            and self._migration is None
-            and value.epoch <= self.routing.epoch
-            and value.epoch >= self.routing.ownership_epoch(self.partition)
+            and self.reconfig.steady(value)
             and value.snapshot <= self.sc
             and value.tid not in self.ledger.aborted_early
         )
@@ -739,38 +705,19 @@ class SdurServer:
         transactions that are already globally decided (their commit was
         visible to the snapshot), so it cannot deadlock.
 
-        A replica of a freshly split-off partition additionally gates
-        every transaction until its migrated state is installed — the
-        gate clears at the ``InstallMigration`` delivery, the same log
-        position at every replica.
-
-        A projection carrying an epoch this replica has not learned yet
-        stalls too.  The certification window must reflect every change
-        the epoch implies *before* the transaction is checked — the
-        sharp case is a merge: an epoch-N transaction writing absorbed
-        keys must not commit at the absorbing partition before the
-        merged state is installed, or the install would bury its writes.
-        The stall is FIFO (log order preserved) and cannot deadlock: an
-        affected partition's own change sits *earlier* in its log than
-        any projection carrying the new epoch (clients learn the epoch
-        only after the change was delivered somewhere), an absorbing
-        partition's gap is cleared by ``InstallMigration`` which
-        bypasses this queue, and unaffected replicas learn pushed
-        changes out of band (with a pull backstop if the push was lost).
+        A projection also waits while reconfiguration says so — a
+        migrated state not installed yet, an epoch not learned yet
+        (:meth:`ReconfigParticipant.must_wait` has the argument).
         """
         if not isinstance(value, TxnProjection):
             return False
-        return (
-            self._migration_pending
-            or value.epoch > self.routing.epoch
-            or value.snapshot > self.sc
-        )
+        return self.reconfig.must_wait(value) or value.snapshot > self.sc
 
     def _ingest(self, value: Any) -> None:
         if isinstance(value, InstallMigration):
             # Must bypass the stall queue: it is what clears the
             # migration gate the stalled transactions are waiting on.
-            self._deliver_install_migration(value)
+            self.reconfig.deliver(value)
             self._pump()
             return
         if self._applying or self._stalled or self._gate_blocks(value):
@@ -778,7 +725,7 @@ class SdurServer:
             if len(self._stalled) > self.stats.stall_depth_max:
                 self.stats.stall_depth_max = len(self._stalled)
             self._queue_depth()
-            self._maybe_arm_config_catchup()
+            self.reconfig.stalled_on(self._stalled[0])
             return
         self._process_value(value)
         self._pump()
@@ -794,13 +741,7 @@ class SdurServer:
             self.ledger.deliver(value)
         elif isinstance(value, ThresholdChange):
             self._deliver_threshold_change(value)
-        elif isinstance(value, BeginSplit):
-            self._deliver_begin_split(value)
-        elif isinstance(value, FinishSplit):
-            self._deliver_finish_split(value)
-        elif isinstance(value, InstallMigration):
-            self._deliver_install_migration(value)
-        else:
+        elif not self.reconfig.deliver(value):
             raise ProtocolError(f"unexpected broadcast value {type(value).__name__}")
 
     def _pump(self) -> None:
@@ -810,7 +751,7 @@ class SdurServer:
             if self._applying or not self._stalled:
                 return
             if self._gate_blocks(self._stalled[0]):
-                self._maybe_arm_config_catchup()
+                self.reconfig.stalled_on(self._stalled[0])
                 return
             self._process_value(self._stalled.popleft())
 
@@ -847,12 +788,15 @@ class SdurServer:
             self._finish_aborted(proj, "recovery")
             self._drain()
             return
-        if proj.epoch < self.routing.ownership_epoch(self.partition):
-            # Routed under an epoch older than this partition's last
-            # ownership change: the projection may misplace moved keys.
-            # Deterministic — the ownership epoch changes only at the
-            # BeginSplit position in this partition's own log.
-            self._finish_stale_epoch(proj)
+        notice = self.reconfig.stale_at_delivery(proj)
+        if notice is not None:
+            # Routed under a superseded ownership epoch: abort, and
+            # teach the client the changes it is missing.
+            self._record_completed(tid, Outcome.ABORT)
+            if proj.is_global:
+                self.ledger.cast(proj, Outcome.ABORT)
+            if proj.client and self._should_notify(proj):
+                self.runtime.send(proj.client, notice)
             self._drain()
             return
         rt = self.dc + self.reorder_threshold
@@ -971,38 +915,6 @@ class SdurServer:
             self.ledger.cast(proj, Outcome.ABORT)
         self._notify_client(proj, Outcome.ABORT)
 
-    def _finish_stale_epoch(self, proj: TxnProjection) -> None:
-        """Abort a delivered wrong-epoch projection; teach the client.
-
-        Instead of a plain abort notice the client receives the directory
-        changes it is missing, so one retry suffices (the retry runs
-        under a fresh transaction id — servers de-duplicate deliveries by
-        tid, and the old id is burned at every involved partition).
-        """
-        self.stats.aborted_epoch += 1
-        self._record_completed(proj.tid, Outcome.ABORT)
-        if proj.is_global:
-            self.ledger.cast(proj, Outcome.ABORT)
-        if proj.client and self._should_notify(proj):
-            self.runtime.send(proj.client, self._stale_notice(proj))
-
-    def _reject_stale_epoch(self, proj: TxnProjection) -> None:
-        """Refuse a wrong-epoch commit request before broadcasting anything."""
-        if proj.client:
-            self.runtime.send(proj.client, self._stale_notice(proj))
-        if self._obs.enabled:
-            self._obs.event(
-                "reconfig.reject_epoch", self.node_id, None, txn=str(proj.tid), epoch=proj.epoch
-            )
-
-    def _stale_notice(self, proj: TxnProjection) -> StaleEpochNotice:
-        return StaleEpochNotice(
-            tid=proj.tid,
-            partition=self.partition,
-            epoch=self.routing.epoch,
-            changes=self.routing.changes_since(proj.epoch),
-        )
-
     # ------------------------------------------------------------------
     # Completion (Algorithm 2 lines 23–40)
     # ------------------------------------------------------------------
@@ -1070,9 +982,7 @@ class SdurServer:
         self._notify_client(proj, outcome)
         self._resolve_dependents(proj.tid, committed=outcome is Outcome.COMMIT)
         self._drain_waiting_reads()
-        if self._migration is not None and not self._migration.captured:
-            self._migration.barrier.discard(proj.tid)
-            self._maybe_capture_migration()
+        self.reconfig.on_completed(proj.tid)
 
     def _apply_commit(self, proj: TxnProjection, delivered_at: float) -> None:
         """Install one committed projection as the next version: store,
@@ -1158,16 +1068,12 @@ class SdurServer:
         return any(entry.rt > self.dc for entry in self.pending.globals_pending())
 
     def _arm_noop_ticker(self) -> None:
-        if (
-            self._noop_armed
-            or self.reorder_threshold <= 0
-            or self.config.noop_interval is None
-        ):
+        if self._noop_armed or self.reorder_threshold <= 0:
             return
         if not self._threshold_blocked():
             return
         self._noop_armed = True
-        self.runtime.set_timer(self.config.noop_interval, self._noop_tick)
+        self.runtime.set_timer(NOOP_INTERVAL, self._noop_tick)
 
     def _noop_tick(self) -> None:
         self._noop_armed = False
@@ -1177,7 +1083,7 @@ class SdurServer:
             self.fabric.abcast(self.partition, NoopTick())
             self.stats.noops_sent += 1
         self._noop_armed = True
-        self.runtime.set_timer(self.config.noop_interval, self._noop_tick)
+        self.runtime.set_timer(NOOP_INTERVAL, self._noop_tick)
 
     # ------------------------------------------------------------------
     # Checkpointing (bounded recovery; see repro.core.checkpoint)
@@ -1269,280 +1175,8 @@ class SdurServer:
         list, so verdicts keep matching the scan oracle's."""
         self.certifier = IndexedCertifier(self.window, self.pending, self.stats)
 
-    # ------------------------------------------------------------------
-    # Reconfiguration: live partition splits (repro.reconfig)
-    # ------------------------------------------------------------------
-    def _deliver_begin_split(self, msg: BeginSplit) -> None:
-        """Source-partition replicas switch epochs at this log position.
-
-        From here on, projections tagged with an older epoch abort
-        deterministically (the per-range write fence), while new-epoch
-        transactions on the retained key range keep committing.  The
-        moving range is captured once every transaction already in the
-        pending list at this position has completed.
-        """
-        change = msg.change
-        pre_map = self.routing.partition_map
-        if not self.routing.apply(change):
-            return  # duplicate proposal of an already-applied change
-        self._on_config_advanced(change)
-        self._migration = SplitSource(
-            change=change,
-            barrier={entry.tid for entry in self.pending},
-            retiring_map=pre_map if change.is_merge else None,
-        )
-        if self._obs.enabled:
-            self._obs.event(
-                "reconfig.begin_merge" if change.is_merge else "reconfig.begin_split",
-                self.node_id, None, epoch=change.new_epoch,
-                new_partition=change.new_partition, barrier=len(self._migration.barrier),
-            )
-        # Push the new directory to every server of the other partitions
-        # (idempotent at receivers).  The new partition's members were
-        # constructed with it; a merge's absorbing replicas instead apply
-        # the change at their own InstallMigration log position.
-        snapshot = ConfigSnapshot(
-            epoch=self.routing.epoch, changes=tuple(self.routing.changes)
-        )
-        skip = set(self.directory.servers_of(self.partition)) | set(change.new_members)
-        if change.is_merge:
-            skip |= set(self.directory.servers_of(change.new_partition))
-        for server in self.directory.all_servers():
-            if server not in skip:
-                self.runtime.send(server, snapshot)
-        # Parked snapshot reads for moved keys must re-route.
-        self._requeue_waiting_reads()
-        self._maybe_capture_migration()
-
-    def _maybe_capture_migration(self) -> None:
-        """Ship the moving key range once the write barrier drains.
-
-        Every replica computes the same capture at the same store version
-        (the barrier derives from the shared log); only the partition
-        leader proposes the install, to avoid duplicate proposals.  The
-        captured chains keep their original commit versions, so old
-        snapshots remain readable at the new partition.
-        """
-        migration = self._migration
-        if migration is None or not migration.ready_to_capture:
-            return
-        migration.captured = True
-        chains = moved_chains(
-            self.store.dump(), self.partition_map, migration.change.new_partition
-        )
-        migration.moved_keys = frozenset(chains)
-        if self._obs.enabled:
-            self._obs.event(
-                "reconfig.capture_migration", self.node_id, None,
-                keys=len(chains), source_sc=self.sc,
-            )
-        if self.is_partition_leader():
-            prior = (
-                tuple(
-                    c
-                    for c in self.routing.changes
-                    if c.new_epoch < migration.change.new_epoch
-                )
-                if migration.change.is_merge
-                else ()
-            )
-            self.fabric.abcast(
-                migration.change.new_partition,
-                InstallMigration(
-                    change=migration.change,
-                    chains=chains,
-                    source_sc=self.sc,
-                    gc_horizon=self.store.gc_horizon,
-                    prior_changes=prior,
-                ),
-            )
-
-    def _deliver_install_migration(self, msg: InstallMigration) -> None:
-        """New-partition replicas install the moved range and open up.
-
-        The store resumes at the source's snapshot counter and the
-        certification window floors there: a snapshot predating the
-        migration aborts conservatively (its reads were served by the
-        source, whose commits this window never saw).
-        """
-        if msg.change.is_merge:
-            self._deliver_install_merge(msg)
-            return
-        if not self._migration_pending:
-            return  # duplicate delivery
-        self.store.restore(
-            {key: list(chain) for key, chain in msg.chains.items()},
-            current_version=msg.source_sc,
-            gc_horizon=msg.gc_horizon,
-        )
-        self.window = CertificationWindow(
-            self.config.history_window, floor=msg.source_sc
-        )
+    def _replace_window(self, floor: int) -> None:
+        """Start an empty window at ``floor`` (a migration installed
+        state whose earlier commits this replica never certified)."""
+        self.window = CertificationWindow(self.config.history_window, floor=floor)
         self._attach_certifier()
-        self.snapshot_builder.absorb_migration(msg.source_sc)
-        self._migration_pending = False
-        if self._obs.enabled:
-            self._obs.event(
-                "reconfig.install_migration", self.node_id, None,
-                keys=len(msg.chains), source_sc=msg.source_sc,
-            )
-        parked = self._parked_reads
-        self._parked_reads = []
-        for read in parked:
-            self._on_read(read.reply_to, read)
-        if self.is_partition_leader():
-            self.fabric.abcast(msg.change.source, FinishSplit(change=msg.change))
-
-    def _deliver_install_merge(self, msg: InstallMigration) -> None:
-        """Absorbing-partition replicas fold in the absorbed keyspace.
-
-        This log position is where absorbing replicas apply the merge
-        change itself — their epoch bump happens at the same point in
-        their own delivery sequence, exactly like a split source's bump
-        at ``BeginSplit`` (docs/PROTOCOL.md §17).
-
-        The absorbed partition's commit versions come from a different
-        snapshot-counter sequence, so the chains cannot be installed
-        verbatim: each is flattened to its latest value and the whole
-        batch applies as one synthetic commit above *both* counters.
-        The gc horizon rises to that version — a snapshot predating the
-        merge aborts conservatively rather than reading absorbed keys as
-        absent — and the certification window floors there for the same
-        reason the split install's does.
-        """
-        for change in sorted(msg.prior_changes, key=lambda c: c.new_epoch):
-            if change.new_epoch >= msg.change.new_epoch:
-                continue
-            if self.routing.apply(change):
-                self._on_config_advanced(change)
-        if not self.routing.apply(msg.change):
-            return  # duplicate delivery
-        version = max(self.sc, msg.source_sc) + 1
-        self.store.apply(flatten_chains(msg.chains), version)
-        self.store.collect_garbage(version)
-        if self.on_merge_hook is not None:
-            self.on_merge_hook(self.partition, version, frozenset(msg.chains))
-        self.window = CertificationWindow(self.config.history_window, floor=version)
-        self._attach_certifier()
-        self.snapshot_builder.absorb_migration(version)
-        if self._obs.enabled:
-            self._obs.event(
-                "reconfig.install_merge", self.node_id, None,
-                keys=len(msg.chains), version=version, absorbed=msg.change.source,
-            )
-        self._on_config_advanced(msg.change)
-        self._drain_waiting_reads()
-        if self.is_partition_leader():
-            self.fabric.abcast(msg.change.source, FinishSplit(change=msg.change))
-
-    def _deliver_finish_split(self, msg: FinishSplit) -> None:
-        """Source replicas evict the migrated chains (now owned elsewhere)."""
-        migration = self._migration
-        if migration is None or migration.change.new_epoch != msg.change.new_epoch:
-            return  # duplicate or stale
-        dropped = self.store.evict_keys(migration.moved_keys)
-        self._migration = None
-        if migration.change.is_merge:
-            # Everything is gone; reads parked here now forward to the
-            # absorbing partition, which has installed the state.
-            self._requeue_waiting_reads()
-        if self._obs.enabled:
-            self._obs.event(
-                "reconfig.finish_merge" if migration.change.is_merge else "reconfig.finish_split",
-                self.node_id, None, evicted=dropped,
-            )
-
-    def _on_config_snapshot(self, msg: ConfigSnapshot) -> None:
-        """Directory changes learned outside our own log (gossip/push).
-
-        Safe for unaffected partitions: their ownership epoch is
-        untouched, so certification verdicts cannot change — only
-        routing metadata (vote fan-out, read forwarding) improves.
-
-        A change affecting *this* partition is never applied here: the
-        source side switches at its ``BeginSplit`` log position, a merge
-        target at its ``InstallMigration`` position.  Applying early
-        would fork the barrier computation (or the install point) across
-        replicas of the same partition.  The loop breaks instead of
-        skipping — later changes would leave an epoch gap.
-        """
-        for change in sorted(msg.changes, key=lambda c: c.new_epoch):
-            if change.new_epoch <= self.routing.epoch:
-                continue
-            if change.source == self.partition or (
-                change.is_merge and change.new_partition == self.partition
-            ):
-                break
-            if self.routing.apply(change):
-                self._on_config_advanced(change)
-                if self._obs.enabled:
-                    self._obs.event(
-                        "reconfig.config_learned", self.node_id, None, epoch=change.new_epoch
-                    )
-        # Learned epochs may unblock the stall queue's head.
-        self._pump()
-
-    def _on_config_advanced(self, change: Any) -> None:
-        """Housekeeping common to every newly applied directory change.
-
-        A merge creates no partition: there is no group to join and no
-        snapshot-vector column to add (the directory keeps the absorbed
-        partition addressable for in-flight votes).
-        """
-        if not change.is_merge:
-            self.fabric.add_group(
-                change.new_partition, list(change.new_members), change.new_preferred
-            )
-            self.snapshot_builder.add_partition(change.new_partition)
-        self.ledger.on_partition_learned()
-        self._flush_premature_requests()
-
-    def _flush_premature_requests(self) -> None:
-        if not self._premature_requests:
-            return
-        pending = self._premature_requests
-        self._premature_requests = []
-        for request in pending:
-            self.submit(request)
-
-    def _requeue_waiting_reads(self) -> None:
-        """Re-route parked snapshot reads after a routing change."""
-        waiting = self._waiting_reads
-        self._waiting_reads = []
-        for _snapshot, reply_to, read in waiting:
-            self._on_read(reply_to, read)
-
-    def _epoch_gated(self, value: Any) -> bool:
-        return isinstance(value, TxnProjection) and value.epoch > self.routing.epoch
-
-    def _maybe_arm_config_catchup(self) -> None:
-        """Pull missing directory changes while the stall head waits.
-
-        Normally the change arrives as a pushed ``ConfigSnapshot`` (or,
-        for an absorbing partition, as its own ``InstallMigration``);
-        this timer is the liveness backstop when the push was lost.
-        """
-        if (
-            self._catchup_armed
-            or self.config.config_catchup_interval is None
-            or not self._stalled
-            or not self._epoch_gated(self._stalled[0])
-        ):
-            return
-        self._catchup_armed = True
-        self.runtime.set_timer(
-            self.config.config_catchup_interval, self._config_catchup_tick
-        )
-
-    def _config_catchup_tick(self) -> None:
-        self._catchup_armed = False
-        if not self._stalled or not self._epoch_gated(self._stalled[0]):
-            return
-        request = GetConfig(reply_to=self.node_id, since_epoch=self.routing.epoch)
-        own = set(self.directory.servers_of(self.partition))
-        for server in self.directory.all_servers():
-            if server not in own:
-                self.runtime.send(server, request)
-        if self._obs.enabled:
-            self._obs.event("reconfig.config_catchup", self.node_id, None, epoch=self.routing.epoch)
-        self._maybe_arm_config_catchup()

@@ -34,11 +34,16 @@ from repro.errors import ConfigurationError
 
 _VERSION = itemgetter(0)
 
+#: Recent global commits retained and gossiped for vector construction.
+GOSSIP_HISTORY = 256
+
 
 class GlobalSnapshotBuilder:
     """One server's view of the global snapshot frontier."""
 
-    def __init__(self, partitions: list[str], own_partition: str, history: int = 256) -> None:
+    def __init__(
+        self, partitions: list[str], own_partition: str, history: int = GOSSIP_HISTORY
+    ) -> None:
         if own_partition not in partitions:
             raise ConfigurationError(f"{own_partition!r} not in {partitions!r}")
         self.partitions = list(partitions)

@@ -20,8 +20,10 @@ Modules:
 * :mod:`repro.reconfig.messages` — the wire protocol (``BeginSplit``,
   ``InstallMigration``, ``FinishSplit``, ``StaleEpochNotice``, …),
   shared by splits and merges via ``ConfigChange.kind``.
-* :mod:`repro.reconfig.migration` — source-side migration state: the
-  write barrier and the captured key-range snapshot.
+* :mod:`repro.reconfig.participant` — :class:`ReconfigParticipant`, the
+  state machine one replica runs through a split or merge (write
+  barrier, key-range capture, installs, eviction, config push / pull);
+  the server calls it at fixed points and it never sees the server.
 * :mod:`repro.reconfig.coordinator` — planning helpers that allocate
   partition/server names and build a :class:`ConfigChange`.
 """
@@ -36,7 +38,7 @@ from repro.reconfig.messages import (
     InstallMigration,
     StaleEpochNotice,
 )
-from repro.reconfig.migration import SplitSource, flatten_chains, moved_chains
+from repro.reconfig.participant import ReconfigParticipant, moved_chains
 from repro.reconfig.routing import MergePartitionMap, SplitPartitionMap, key_moves
 
 __all__ = [
@@ -47,12 +49,11 @@ __all__ = [
     "GetConfig",
     "InstallMigration",
     "MergePartitionMap",
+    "ReconfigParticipant",
     "SplitPartitionMap",
-    "SplitSource",
     "StaleEpochNotice",
     "VersionedRouting",
     "directory_with_split",
-    "flatten_chains",
     "key_moves",
     "moved_chains",
     "plan_merge",

@@ -10,13 +10,7 @@ geometric write-key segments.
 
 import pytest
 
-from repro.core.certifier import (
-    CertificationWindow,
-    CommittedRecord,
-    certify_against_pending,
-    find_reorder_position,
-    outcome_conflicts,
-)
+from repro.core.certifier import CertificationWindow, CommittedRecord
 from repro.core.certindex import (
     CertifierCounters,
     IndexedCertifier,
@@ -29,7 +23,12 @@ from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 from repro.reconfig.epochs import ConfigChange
 from repro.reconfig.messages import InstallMigration
 
-from tests.oracles.scan_certifier import ScanCertifier
+from tests.oracles.scan_certifier import (
+    ScanCertifier,
+    certify,
+    find_reorder_position,
+    outcome_conflicts,
+)
 from tests.properties.test_batch_differential import BATCH_OF_ONE, build_server
 
 
@@ -98,7 +97,7 @@ class TestCertifyEquivalence:
         certifier, window, _ = indexed()
         window.add(record(1, reads=["g"], writes=["x"]))
         txn = proj("t", **kwargs)
-        assert window.certify(txn) is expected
+        assert certify(window, txn) is expected
         assert certifier.certify(txn) is expected
 
     def test_snapshot_below_floor_is_unknowable(self):
@@ -119,7 +118,7 @@ class TestCertifyEquivalence:
         window.add(record(3, writes=["k"]))  # evicts v1
         assert window.floor == 1
         txn = proj("t", reads=["k"], writes=["k"], snapshot=1)
-        assert window.certify(txn) is False
+        assert certify(window, txn) is False
         assert certifier.certify(txn) is False
 
     def test_bloom_committed_readset_checked_backward(self):
@@ -128,10 +127,10 @@ class TestCertifyEquivalence:
         certifier, window, _ = indexed()
         window.add(record(1, reads=["g"], writes=[], bloom=True))
         txn = proj("t", reads=["q"], writes=["g"], partitions=("p0", "p1"))
-        assert window.certify(txn) is False
+        assert certify(window, txn) is False
         assert certifier.certify(txn) is False
         clean = proj("u", reads=["q"], writes=["zz"], partitions=("p0", "p1"))
-        assert window.certify(clean) is certifier.certify(clean) is True
+        assert certify(window, clean) is certifier.certify(clean) is True
 
 
 class TestPendingEquivalence:
@@ -145,16 +144,6 @@ class TestPendingEquivalence:
         assert certifier.outcome_conflicts(txn) == outcome_conflicts(txn, pending)
         assert len(certifier.outcome_conflicts(txn)) == 3  # two forward + one backward
 
-    def test_certify_against_pending_matches(self):
-        certifier, _, pending = indexed()
-        pending.append(
-            pending_entry(proj("g1", reads=["x"], writes=["x"], partitions=("p0", "p1")))
-        )
-        hit = proj("g2", reads=["x"], writes=["y"], partitions=("p0", "p1"))
-        miss = proj("g3", reads=["y"], writes=["y"], partitions=("p0", "p1"))
-        assert certifier.certify_against_pending(hit) is certify_against_pending(hit, pending)
-        assert certifier.certify_against_pending(miss) is certify_against_pending(miss, pending)
-
     def test_removal_clears_the_index(self):
         certifier, _, pending = indexed()
         entry = pending_entry(proj("g", reads=["x"], writes=["x"], partitions=("p0", "p1")))
@@ -167,9 +156,8 @@ class TestPendingEquivalence:
         certifier, _, pending = indexed()
         pending.append(pending_entry(proj("g", reads=["x"], writes=["x"], partitions=("p0", "p1"))))
         pending.pop_head()
-        assert certifier.certify_against_pending(
-            proj("t", reads=["x"], writes=["x"], partitions=("p0", "p1"))
-        )
+        txn = proj("t", reads=["x"], writes=["x"], partitions=("p0", "p1"))
+        assert certifier.outcome_conflicts(txn) == []
 
     def test_bloom_pending_readset_probed(self):
         certifier, _, pending = indexed()
@@ -334,7 +322,7 @@ class TestRebuild:
             dict(reads=["w2"], writes=["w2"], snapshot=2),
         ]:
             txn = proj("t", **kwargs)
-            assert certifier.certify(txn) is window.certify(txn)
+            assert certifier.certify(txn) is certify(window, txn)
 
     def test_rebuild_includes_pending(self):
         window = CertificationWindow(capacity=4)

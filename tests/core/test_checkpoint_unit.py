@@ -12,6 +12,8 @@ from repro.core.transaction import ReadsetDigest, TxnId
 from repro.errors import ProtocolError
 from repro.net.message import encode_message, roundtrip
 
+from tests.oracles.scan_certifier import certify
+
 
 def sample_checkpoint():
     window = CertificationWindow(capacity=10)
@@ -82,8 +84,8 @@ class TestWindowWire:
             coordinator="s",
             client="c",
         )
-        assert window.certify(txn) == restored.certify(txn)
-        assert window.certify(txn) is False  # k2 written at version 2 > 1
+        assert certify(window, txn) == certify(restored, txn)
+        assert certify(window, txn) is False  # k2 written at version 2 > 1
 
     def test_floor_survives(self):
         restored = window_from_wire((), capacity=3, floor=9)

@@ -169,3 +169,40 @@ class TestTermination:
         r2 = run_txn(cluster, client, update_program(["0/a"]))
         assert r1.tid != r2.tid
         assert r2.tid.seq > r1.tid.seq
+
+
+class TestConfigPull:
+    def test_lost_config_reply_does_not_stop_later_pulls(self, cluster, client):
+        """A read response carrying a newer epoch makes the client pull
+        the change log.  If that pull (or its reply) is lost, a later
+        epoch-bearing response must pull again — the debounce expires —
+        instead of leaving the client on the old routing until an abort
+        and a ``StaleEpochNotice`` teach it."""
+        from repro.core.client import CONFIG_PULL_RETRY
+        from repro.reconfig.messages import ConfigSnapshot
+
+        cluster.split_partition("p0")
+        cluster.world.run_for(2.0)
+        dropped = []
+
+        def lossy(src, msg):
+            if isinstance(msg, ConfigSnapshot) and not dropped:
+                dropped.append(msg)
+                return
+            client.handle(src, msg)
+
+        client.runtime.listen(lossy)
+
+        def program(txn):
+            yield Read("1/c")  # p1 is untouched by the split, but knows of it
+
+        assert run_txn(cluster, client, program, read_only=True).committed
+        cluster.world.run_for(0.5)
+        assert dropped and client.routing.epoch == 0
+        # Inside the debounce window a second response does not pull again.
+        assert run_txn(cluster, client, program, read_only=True).committed
+        cluster.world.run_for(CONFIG_PULL_RETRY)
+        assert client.routing.epoch == 0 and len(dropped) == 1
+        assert run_txn(cluster, client, program, read_only=True).committed
+        cluster.world.run_for(0.5)
+        assert client.routing.epoch == 1

@@ -25,8 +25,6 @@ vote records reach the servers only as scripted log values.
 
 from __future__ import annotations
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core.batch import BatchingConfig
@@ -39,49 +37,9 @@ from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 from repro.termination.messages import VoteRecord
 
 from tests.oracles.sequential_ingest import sequential
+from tests.oracles.stub_runtime import DropFabric, StubRuntime
 
 KEYS = [f"0/k{i}" for i in range(6)]
-
-
-class ScriptRuntime:
-    """Immediate-execution runtime: timers are collected, never fired —
-    batched flushes happen only via scripted ``flush_batches`` calls, so
-    both servers see time-independent schedules."""
-
-    def __init__(self) -> None:
-        self.node_id = "s0"
-        self.sent: list[tuple[str, object]] = []
-        self.timers: list[tuple[float, object]] = []
-
-    def now(self) -> float:
-        return 0.0
-
-    def send(self, dst: str, msg) -> None:
-        self.sent.append((dst, msg))
-
-    def set_timer(self, delay, callback):
-        self.timers.append((delay, callback))
-        return self
-
-    def cancel(self) -> None:
-        return None
-
-    def listen(self, handler) -> None:
-        return None
-
-    def rng(self, name: str) -> random.Random:
-        return random.Random(name)
-
-    def execute(self, cost: float, fn) -> None:
-        fn()
-
-    def latency_estimate(self, dst: str) -> float:
-        return 0.0
-
-
-class DropFabric:
-    def abcast(self, group: str, value) -> None:
-        return None
 
 
 #: The shipped default: every delivery is its own batch.
@@ -101,7 +59,7 @@ def build_server(
         **config_overrides,
     )
     return SdurServer(
-        runtime=ScriptRuntime(),
+        runtime=StubRuntime(),
         partition="p0",
         directory=ClusterDirectory(
             partitions={"p0": ["s0"], "p1": ["s9"]}, preferred={"p0": "s0", "p1": "s9"}

@@ -5,8 +5,7 @@ bloom readset digests, pending-list churn (append, reorder insert,
 pop, remove), and a mid-history checkpoint roundtrip — through an
 :class:`IndexedCertifier` and a :class:`ScanCertifier` fed identically,
 and asserts every query answers *bit-identically*: ``certify``,
-``outcome_conflicts``, ``certify_against_pending``, and
-``find_reorder_position``.  Certification decides commit order at every
+``outcome_conflicts`` and ``find_reorder_position``.  Certification decides commit order at every
 replica, so one divergent verdict is a replica-divergence bug; this
 suite is the evidence behind the "identical outcomes" claim of
 docs/PROTOCOL.md §15 (``tests/integration/test_scan_oracle_cluster.py``
@@ -157,9 +156,6 @@ class TestDifferential:
                 indexed, scan = (side.certifier for side in sides)
                 assert indexed.certify(txn) is scan.certify(txn)
                 assert indexed.outcome_conflicts(txn) == scan.outcome_conflicts(txn)
-                assert indexed.certify_against_pending(
-                    txn
-                ) is scan.certify_against_pending(txn)
                 local = make_proj(
                     88_888, reads, writes, False,
                     snapshot=snapshot, bloom=False,

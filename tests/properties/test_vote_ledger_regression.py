@@ -93,7 +93,7 @@ class TestLedgerFixesKnownExamples:
 class TestKnownGap:
     @pytest.mark.xfail(
         strict=True,
-        reason="order-edge wait cycle not broken by the §14.3 cycle rule (ROADMAP nemesis iv)",
+        reason="order-edge wait cycle not broken by the §14.3 cycle rule (ROADMAP item 0)",
     )
     def test_order_cycle_example(self):
         """Strict: the fix must promote this into TestLedgerFixesKnownExamples."""

@@ -23,6 +23,8 @@ from repro.core.partitioning import PartitionMap
 from repro.core.server import SdurServer
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 
+from tests.oracles.stub_runtime import DropFabric, StubRuntime
+
 TELEMETRY_FILES = [
     instruments_module.__file__.replace("instruments.py", name)
     for name in (
@@ -88,40 +90,6 @@ def test_enabled_histogram_does_allocate():
 # ----------------------------------------------------------------------
 
 
-class _DropFabric:
-    def abcast(self, group, value):
-        return None
-
-
-class _StubRuntime:
-    node_id = "s0"
-
-    def now(self):
-        return 0.0
-
-    def send(self, dst, msg):
-        return None
-
-    def set_timer(self, delay, callback):
-        class _T:
-            def cancel(self):
-                return None
-
-        return _T()
-
-    def listen(self, handler):
-        return None
-
-    def rng(self, name):
-        return random.Random(name)
-
-    def execute(self, cost, fn):
-        fn()
-
-    def latency_estimate(self, dst):
-        return 0.0
-
-
 def _deliver(server: SdurServer, start: int, count: int) -> None:
     rng = random.Random(start)
     for seq in range(start, start + count):
@@ -140,11 +108,11 @@ def _deliver(server: SdurServer, start: int, count: int) -> None:
 
 def test_server_hot_path_disabled_touches_no_telemetry_code():
     server = SdurServer(
-        runtime=_StubRuntime(),
+        runtime=StubRuntime(record=False),
         partition="p0",
         directory=ClusterDirectory(partitions={"p0": ["s0"]}, preferred={"p0": "s0"}),
         partition_map=PartitionMap.by_index(1),
-        fabric=_DropFabric(),
+        fabric=DropFabric(),
         config=SdurConfig(
             costs=ServiceCosts(), gossip_interval=None, vote_timeout=None
         ),

@@ -18,25 +18,9 @@ from repro.core.transaction import Outcome, ReadsetDigest, TxnId, TxnProjection
 from repro.runtime.sim import SimWorld
 from repro.termination import VoteLedger, VoteRecord, VoteRecordGroup
 
+from tests.oracles.stub_runtime import StubRuntime
+
 INVOLVED = ("p0", "p1")
-
-
-class StubRuntime:
-    node_id = "s1"
-
-    def __init__(self):
-        self.clock = 0.0
-        self.sent = []
-        self.timers = []
-
-    def now(self):
-        return self.clock
-
-    def send(self, dst, msg):
-        self.sent.append((dst, msg))
-
-    def set_timer(self, delay, callback):
-        self.timers.append((self.clock + delay, callback))
 
 
 class StubRouting:
@@ -56,7 +40,7 @@ class StubRouting:
 def make(runtime=None, **kwargs):
     """A ledger for partition p0 plus everything it was handed."""
     rig = SimpleNamespace(
-        runtime=runtime or StubRuntime(),
+        runtime=runtime or StubRuntime("s1"),
         routing=StubRouting(),
         pending=PendingList(),
         completed={},

@@ -42,12 +42,30 @@ class TestPublicApi:
         assert (default.max_batch, default.max_wait, default.ledger_group) == (1, 0.0, 1)
         with pytest.raises(ConfigurationError, match="batching"):
             repro.SdurConfig(batching=None)
-        assert len(repro.SdurConfig.__dataclass_fields__) == 20
+        assert len(repro.SdurConfig.__dataclass_fields__) == 17
         assert set(repro.BatchingConfig.__dataclass_fields__) == {
             "max_batch",
             "max_wait",
             "ledger_group",
         }
+
+    def test_options_nobody_set_are_constants(self):
+        """Five fields no caller ever assigned became module constants
+        beside their one reader (the ratchet only goes down)."""
+        from repro.core import client, server, snapshots
+        from repro.reconfig import participant
+
+        assert len(repro.ClientConfig.__dataclass_fields__) == 13
+        for config, removed in (
+            (repro.SdurConfig, ("noop_interval", "gossip_history", "config_catchup_interval")),
+            (repro.ClientConfig, ("max_epoch_retries", "backoff_multiplier")),
+        ):
+            for name in removed:
+                assert name not in config.__dataclass_fields__
+        assert server.NOOP_INTERVAL == 0.01
+        assert snapshots.GOSSIP_HISTORY == 256
+        assert participant.CONFIG_CATCHUP_INTERVAL == 0.25
+        assert (client.MAX_EPOCH_RETRIES, client.BACKOFF_MULTIPLIER) == (3, 2.0)
 
     def test_one_observability_plane(self):
         """One event recorder (``repro.obs``), one counter declaration
