@@ -9,17 +9,16 @@ observation: deferred-update throughput scales when delivery and
 certification are decoupled into a pipeline).  :class:`DeliveryBatcher`
 groups consecutive atomic-broadcast deliveries into *delivery batches*
 (size- and time-window-bounded on the runtime's clock) that the server
-certifies in one pass (``SdurServer._run_batch``).  It is the only way
+runs as one execution (``SdurServer._run_batch``).  It is the only way
 a delivered value reaches the server: "off" is ``SdurConfig``'s default
 batch of one, which flushes inside ``add`` and never arms a timer.
 
 Determinism is untouched: a batch boundary is invisible to protocol
-state.  Values are processed strictly in delivery order, and the batch
-fast path is taken only in regimes where it is provably equivalent to
-the sequential path (see ``SdurServer._batch_fast_ok`` and
-docs/PROTOCOL.md §18 for the argument); everything else falls back to
-the ordinary one-value ingest (``tests/oracles/sequential_ingest.py``
-sends every value down it, as the reference).
+state.  Values are processed strictly in delivery order, each through
+the ordinary one-value ingest; a local that meets an empty pending list
+completes at delivery rather than entering and leaving it
+(``SdurServer._completes_at_delivery``, docs/PROTOCOL.md §18.2 —
+``tests/oracles/sequential_ingest.py`` answers False, as the reference).
 
 This module is deliberately dependency-free (the config dataclass is
 imported by :mod:`repro.core.config`, mirroring ``AdmissionConfig``),

@@ -163,6 +163,20 @@ class Txn:
         self._owner.record_write(key, value)
 
 
+@dataclass
+class _ReadOp:
+    """One read in flight: what its answer, its re-sends and its
+    cancellation all need, in one place."""
+
+    op_id: int
+    key: str
+    #: Re-sends so far: picks the replica (rank rotation) and the step
+    #: of the timeout's backoff.
+    attempt: int = 0
+    #: The one armed timer: the read timeout, or a ``Busy`` backoff.
+    timer: TimerHandle | None = None
+
+
 class _ActiveTxn:
     """Book-keeping for one in-flight transaction at the client."""
 
@@ -201,25 +215,16 @@ class _ActiveTxn:
         #: Pre-pinned vector for read-only transactions.
         self.vector: dict[str, int] | None = None
         self.next_op = 0
-        #: op_id -> retry attempts made (read failover bookkeeping).
-        self.read_attempts: dict[int, int] = {}
-        #: op_id -> armed retry timer (cancelled when a ``Busy`` reply
-        #: reschedules the read: a busy server answered, it is not dead).
-        self.read_timers: dict[int, TimerHandle] = {}
-        #: op_id -> last server the read was sent to (suspicion target).
-        self.read_targets: dict[int, str] = {}
-        #: op_id -> key, for single reads in flight.
-        self.single_ops: dict[int, str] = {}
-        #: Batch state for an in-flight ReadMany.
-        self.batch_ops: dict[int, str] = {}
-        self.batch_values: dict[str, Any] = {}
-        self.failed: str | None = None
-        self.committing = False
+        #: The yielded ``Read`` / ``ReadMany`` being served, the reads it
+        #: still waits for (by op id) and the values it has so far.
+        self.op: Read | ReadMany | None = None
+        self.reads: dict[int, _ReadOp] = {}
+        self.values: dict[str, Any] = {}
         self.resend_count = 0
-        self.last_commit_target: str | None = None
-        #: The built request, kept for idempotent resubmission after a
-        #: ``Busy`` shed (same tid; delivery-side dedup absorbs races).
+        #: The built request, from the moment it is first sent: kept for
+        #: idempotent re-sending (same tid; delivery-side dedup absorbs races).
         self.commit_request: CommitRequest | None = None
+        #: The one armed timer: the commit timeout, or a ``Busy`` backoff.
         self.commit_timer: TimerHandle | None = None
         self.busy_retries = 0
 
@@ -372,9 +377,9 @@ class SdurClient:
         elif isinstance(msg, SnapshotVectorReply):
             self._on_vector(msg)
         elif isinstance(msg, OutcomeNotice):
-            self._on_outcome(msg)
+            self._on_outcomes(((msg.tid, msg.outcome),))
         elif isinstance(msg, OutcomeBatch):
-            self._on_outcome_batch(msg)
+            self._on_outcomes(msg.outcomes)
         elif isinstance(msg, Busy):
             self._on_busy(msg)
         elif isinstance(msg, StaleEpochNotice):
@@ -409,98 +414,84 @@ class SdurClient:
     # Program driving
     # ------------------------------------------------------------------
     def _advance(self, state: _ActiveTxn, send_value: Any) -> None:
-        if state.failed is not None:
-            return
         try:
             op = state.gen.send(send_value)
         except StopIteration:
             self._commit(state)
             return
-        if isinstance(op, Read):
-            self._do_read(state, op.key)
-        elif isinstance(op, ReadMany):
-            self._do_read_many(state, op.keys)
-        else:
+        if not isinstance(op, (Read, ReadMany)):
             raise ProtocolError(f"{state.tid}: program yielded {op!r}")
-
-    def _do_read(self, state: _ActiveTxn, key: str) -> None:
-        state.rs_keys.add(key)
-        if key in state.ws:
-            # Read-your-writes from the local buffer (Algorithm 1 lines 7–8).
-            self._advance(state, state.ws[key])
-            return
-        op_id = self._issue_read(state, key)
-        state.single_ops[op_id] = key
-
-    def _do_read_many(self, state: _ActiveTxn, keys: tuple[str, ...]) -> None:
-        unique = list(dict.fromkeys(keys))
-        state.batch_values = {}
-        state.batch_ops = {}
+        # ``Read(k)`` is a ``ReadMany`` of one whose result is unwrapped.
+        state.op = op
         remote = []
-        for key in unique:
+        for key in dict.fromkeys((op.key,) if isinstance(op, Read) else op.keys):
             state.rs_keys.add(key)
             if key in state.ws:
-                state.batch_values[key] = state.ws[key]
+                # Read-your-writes from the local buffer (Algorithm 1 lines 7–8).
+                state.values[key] = state.ws[key]
             else:
                 remote.append(key)
-        if not remote:
-            values, state.batch_values = state.batch_values, {}
-            self._advance(state, values)
-            return
         for key in remote:
-            op_id = self._issue_read(state, key)
-            state.batch_ops[op_id] = key
+            self._issue_read(state, key)
+        if not remote:
+            self._resume(state)
 
-    def _issue_read(self, state: _ActiveTxn, key: str) -> int:
-        op_id = state.next_op
+    def _resume(self, state: _ActiveTxn) -> None:
+        """Every key of the yielded read is in: hand the program its value."""
+        values, state.values = state.values, {}
+        self._advance(state, values[state.op.key] if isinstance(state.op, Read) else values)
+
+    def _issue_read(self, state: _ActiveTxn, key: str) -> None:
+        op = state.reads[state.next_op] = _ReadOp(state.next_op, key)
         state.next_op += 1
-        self._send_read(state, op_id, key, attempt=0)
-        if self.config.read_timeout is not None:
-            self._arm_read_retry(state, op_id, key)
-        return op_id
+        self._send_read(state, op)
 
-    def _send_read(self, state: _ActiveTxn, op_id: int, key: str, attempt: int) -> None:
-        partition = self.partition_map.partition_of(key)
+    def _send_read(self, state: _ActiveTxn, op: _ReadOp) -> None:
+        """Send ``op`` to the replica its attempt count selects and arm
+        its timeout."""
+        partition = self.partition_map.partition_of(op.key)
         if state.vector is not None:
             snapshot: int | None = state.vector.get(partition, 0)
         else:
             snapshot = state.st.get(partition)
         if self.config.direct_reads:
             ranked = self._responsive(self.directory.ranked_servers(partition, self.node_id))
-            target = ranked[attempt % len(ranked)]
+            target = ranked[op.attempt % len(ranked)]
         else:
             target = self.config.session_server
-        state.read_targets[op_id] = target
         self.runtime.send(
             target,
             ReadRequest(
                 tid=state.tid,
-                op_id=op_id,
-                key=key,
+                op_id=op.op_id,
+                key=op.key,
                 snapshot=snapshot,
                 reply_to=self.node_id,
             ),
         )
+        if self._read_backoff is not None:
+            # Successive waits grow exponentially (capped, jittered): fast
+            # first failover, no retry storm against a slow partition.
+            delay = self._read_backoff.delay(op.attempt, self._backoff_rng)
+            self._arm_read(state, op, delay, suspect=target)
 
-    def _arm_read_retry(self, state: _ActiveTxn, op_id: int, key: str) -> None:
+    def _arm_read(self, state: _ActiveTxn, op: _ReadOp, delay: float, suspect: str | None) -> None:
+        """The one way a read is re-sent: after ``delay``, to the
+        next-nearest replica.  ``suspect`` is the server that let a
+        timeout pass; one that said ``Busy`` answered — it is loaded, not
+        dead — and the next replica may have the headroom it lacked."""
+
         def fire() -> None:
-            if state.tid not in self._active:
-                return
-            if op_id not in state.single_ops and op_id not in state.batch_ops:
-                return  # answered in the meantime
-            stale_target = state.read_targets.get(op_id)
-            if stale_target is not None:
-                self._suspect(stale_target)
-            attempt = state.read_attempts.get(op_id, 0) + 1
-            state.read_attempts[op_id] = attempt
-            self._send_read(state, op_id, key, attempt)
-            self._arm_read_retry(state, op_id, key)
+            if state.reads.get(op.op_id) is not op:
+                return  # answered (or the transaction ended) in the meantime
+            if suspect is not None:
+                self._suspect(suspect)
+            op.attempt += 1
+            self._send_read(state, op)
 
-        # Successive waits grow exponentially (capped, jittered): fast
-        # first failover, no retry storm against a slow partition.
-        attempt = state.read_attempts.get(op_id, 0)
-        delay = self._read_backoff.delay(attempt, self._backoff_rng)
-        state.read_timers[op_id] = self.runtime.set_timer(delay, fire)
+        if op.timer is not None:
+            op.timer.cancel()
+        op.timer = self.runtime.set_timer(delay, fire)
 
     def _on_read_response(self, src: str, msg: ReadResponse) -> None:
         if msg.epoch > self.routing.epoch:
@@ -516,34 +507,27 @@ class SdurClient:
         state.read_partitions[msg.key] = msg.partition
         if msg.partition not in state.st:
             state.st[msg.partition] = msg.snapshot  # Algorithm 1 line 13
-        timer = state.read_timers.pop(msg.op_id, None)
-        if timer is not None:
-            timer.cancel()  # answered: nothing left to retry
-        if msg.op_id in state.single_ops:
-            state.read_versions[msg.key] = msg.item_version
-            del state.single_ops[msg.op_id]
-            self._advance(state, msg.value)
-        elif msg.op_id in state.batch_ops:
-            key = state.batch_ops.pop(msg.op_id)
-            if msg.snapshot != state.st[msg.partition]:
-                # Torn batch: the paper's Algorithm 1 reads sequentially,
-                # so the first read pins the partition snapshot before any
-                # other is issued.  Our parallel ReadMany issues
-                # first-contact reads concurrently; if a commit lands in
-                # between, siblings can execute at different snapshots and
-                # certification (which starts from the pinned st) would
-                # miss the interleaved writer.  Repair by re-reading the
-                # inconsistent key at the pinned snapshot — one extra
-                # round trip, only when a commit raced the batch.
-                retry_op = self._issue_read(state, key)
-                state.batch_ops[retry_op] = key
-                return
-            state.read_versions[msg.key] = msg.item_version
-            state.batch_values[key] = msg.value
-            if not state.batch_ops:
-                values, state.batch_values = state.batch_values, {}
-                self._advance(state, values)
-        # else: duplicate/stale response; ignore.
+        op = state.reads.pop(msg.op_id, None)
+        if op is None:
+            return  # duplicate/stale response; ignore
+        if op.timer is not None:
+            op.timer.cancel()  # answered: nothing left to retry
+        if msg.snapshot != state.st[msg.partition]:
+            # Torn batch: the paper's Algorithm 1 reads sequentially,
+            # so the first read pins the partition snapshot before any
+            # other is issued.  Our parallel ReadMany issues
+            # first-contact reads concurrently; if a commit lands in
+            # between, siblings can execute at different snapshots and
+            # certification (which starts from the pinned st) would
+            # miss the interleaved writer.  Repair by re-reading the
+            # inconsistent key at the pinned snapshot — one extra
+            # round trip, only when a commit raced the batch.
+            self._issue_read(state, op.key)
+            return
+        state.read_versions[msg.key] = msg.item_version
+        state.values[op.key] = msg.value
+        if not state.reads:
+            self._resume(state)
 
     def _on_vector(self, msg: SnapshotVectorReply) -> None:
         state = self._active.get(msg.tid)
@@ -560,7 +544,6 @@ class SdurClient:
             # Read-only: commits without certification (§III-A).
             self._finish(state, Outcome.COMMIT)
             return
-        state.committing = True
         # Pick the target first: the projections name it as coordinator,
         # which determines which server answers the client (Figure 1 ⑦).
         target = self._commit_target_for(state)
@@ -571,13 +554,10 @@ class SdurClient:
             # with fresh reads rather than certify an unsound mix.
             self._restart(state)
             return
-        state.last_commit_target = target
         state.commit_request = request
         if self._obs.enabled:
             self._obs.event("client.commit", self.node_id, state.tid, target=target)
-        self.runtime.send(target, request)
-        if self.config.commit_timeout is not None:
-            self._arm_commit_retry(state, request)
+        self._send_commit(state, target)
 
     def _build_commit_request(
         self, state: _ActiveTxn, coordinator: str
@@ -633,43 +613,45 @@ class SdurClient:
         ranked = self.directory.ranked_servers(partitions[0], self.node_id)
         return self._responsive(ranked)[0]
 
-    def _arm_commit_retry(self, state: _ActiveTxn, request: CommitRequest) -> None:
-        previous_target = (
-            state.last_commit_target
-            if state.last_commit_target is not None
-            else self.config.session_server
-        )
+    def _send_commit(self, state: _ActiveTxn, target: str) -> None:
+        """Send the built request to ``target`` and arm its timeout."""
+        self.runtime.send(target, state.commit_request)
+        if self._commit_backoff is not None:
+            delay = self._commit_backoff.delay(state.resend_count, self._backoff_rng)
+            self._arm_commit(state, delay, suspect=target)
+
+    def _arm_commit(self, state: _ActiveTxn, delay: float, suspect: str | None) -> None:
+        """The one way a commit is re-sent: the *same* request after
+        ``delay`` (delivery-side tid dedup makes that idempotent).
+        ``suspect`` is the server that let a timeout pass: the request
+        fails over to another server of the involved partitions.  One
+        that said ``Busy`` answered, so the request goes wherever a fresh
+        commit would."""
 
         def fire() -> None:
-            if state.tid not in self._active or not state.committing:
+            if state.tid not in self._active:
                 return
-            self._suspect(previous_target)
-            # Fail over to another server of the involved partitions,
-            # preferring ones not currently suspected.
-            partitions = sorted(request.projections)
-            servers = self._responsive(self.directory.servers_union(partitions))
-            state.resend_count += 1
-            self.stats.commit_resends += 1
-            target = servers[(state.resend_count - 1) % len(servers)]
-            state.last_commit_target = target
-            self.runtime.send(target, request)
-            self._arm_commit_retry(state, request)
+            if suspect is not None:
+                self._suspect(suspect)
+                partitions = sorted(state.commit_request.projections)
+                servers = self._responsive(self.directory.servers_union(partitions))
+                state.resend_count += 1
+                self.stats.commit_resends += 1
+                target = servers[(state.resend_count - 1) % len(servers)]
+            else:
+                target = self._commit_target_for(state)
+            self._send_commit(state, target)
 
-        delay = self._commit_backoff.delay(state.resend_count, self._backoff_rng)
+        if state.commit_timer is not None:
+            state.commit_timer.cancel()
         state.commit_timer = self.runtime.set_timer(delay, fire)
 
-    def _on_outcome(self, msg: OutcomeNotice) -> None:
-        state = self._active.get(msg.tid)
-        if state is None:
-            return  # later replica notices for an already-finished txn
-        self._finish(state, Outcome(msg.outcome))
-
-    def _on_outcome_batch(self, msg: OutcomeBatch) -> None:
-        """Grouped outcomes from a batching server (§18), in completion
-        order — observably identical to the individual notices."""
-        for tid, outcome in msg.outcomes:
+    def _on_outcomes(self, outcomes: tuple[tuple[TxnId, str], ...]) -> None:
+        """One notice, or a batching server's grouped ones (§18) in
+        completion order — observably identical to individual notices."""
+        for tid, outcome in outcomes:
             state = self._active.get(tid)
-            if state is not None:
+            if state is not None:  # else a later replica's notice; finished
                 self._finish(state, Outcome(outcome))
 
     # ------------------------------------------------------------------
@@ -687,69 +669,25 @@ class SdurClient:
                 "client.busy", self.node_id, msg.tid, server=msg.server, reason=msg.reason
             )
         if msg.op_id is not None:
-            self._on_read_shed(state, msg)
+            op = state.reads.get(msg.op_id)
+            if op is not None:  # else another replica answered in the meantime
+                delay = max(
+                    msg.retry_after, self._busy_backoff.delay(op.attempt, self._backoff_rng)
+                )
+                self._arm_read(state, op, delay, suspect=None)
             return
-        if not state.committing:
-            return  # stale shed for a commit that already finished
+        if state.commit_request is None:
+            return  # stale shed: nothing of this transaction awaits an outcome
         state.busy_retries += 1
         if state.busy_retries > self.config.max_busy_retries:
             self.stats.shed_aborts += 1
             self._finish(state, Outcome.ABORT, abort_reason=f"shed ({msg.reason})")
             return
-        # The timeout retry would suspect the server and fail over; a
-        # shed wants neither, so disarm it and resubmit the *same*
-        # request after backing off (tid dedup makes this idempotent).
-        if state.commit_timer is not None:
-            state.commit_timer.cancel()
-            state.commit_timer = None
         delay = max(
             msg.retry_after,
             self._busy_backoff.delay(state.busy_retries - 1, self._backoff_rng),
         )
-        request = state.commit_request
-        assert request is not None  # committing implies a built request
-
-        def resubmit() -> None:
-            if state.tid not in self._active or not state.committing:
-                return
-            target = self._commit_target_for(state)
-            state.last_commit_target = target
-            self.runtime.send(target, request)
-            if self.config.commit_timeout is not None:
-                self._arm_commit_retry(state, request)
-
-        self.runtime.set_timer(delay, resubmit)
-
-    def _on_read_shed(self, state: _ActiveTxn, msg: Busy) -> None:
-        op_id = msg.op_id
-        assert op_id is not None
-        if op_id in state.single_ops:
-            key = state.single_ops[op_id]
-        elif op_id in state.batch_ops:
-            key = state.batch_ops[op_id]
-        else:
-            return  # another replica answered in the meantime
-        timer = state.read_timers.pop(op_id, None)
-        if timer is not None:
-            timer.cancel()
-        attempt = state.read_attempts.get(op_id, 0) + 1
-        state.read_attempts[op_id] = attempt
-        delay = max(
-            msg.retry_after, self._busy_backoff.delay(attempt - 1, self._backoff_rng)
-        )
-
-        def resend() -> None:
-            if state.tid not in self._active:
-                return
-            if op_id not in state.single_ops and op_id not in state.batch_ops:
-                return
-            # The bumped attempt rotates to the next-nearest replica,
-            # which may have headroom the shedding one lacked.
-            self._send_read(state, op_id, key, attempt)
-            if self._read_backoff is not None:
-                self._arm_read_retry(state, op_id, key)
-
-        self.runtime.set_timer(delay, resend)
+        self._arm_commit(state, delay, suspect=None)
 
     # ------------------------------------------------------------------
     # Reconfiguration (epoch-versioned routing)
@@ -778,13 +716,15 @@ class SdurClient:
 
     @staticmethod
     def _disarm(state: _ActiveTxn) -> None:
-        """A transaction that left ``_active`` lets go of its retry
-        timers: each closure pins the whole ``_ActiveTxn`` — generator,
-        read/write sets, the built request — for a full timeout, only
-        to find the transaction gone and return."""
-        for timer in state.read_timers.values():
-            timer.cancel()
-        state.read_timers.clear()
+        """A transaction that left ``_active`` lets go of its timers —
+        every one sits in a read's or the commit's slot: each closure
+        pins the whole ``_ActiveTxn`` — generator, read/write sets, the
+        built request — for a full timeout or backoff, only to find the
+        transaction gone and return."""
+        for op in state.reads.values():
+            if op.timer is not None:
+                op.timer.cancel()
+        state.reads.clear()
         if state.commit_timer is not None:
             state.commit_timer.cancel()
             state.commit_timer = None
@@ -835,7 +775,6 @@ class SdurClient:
             self._obs.event(
                 "client.done", self.node_id, state.tid, outcome=outcome.value
             )
-        state.failed = abort_reason or (None if outcome is Outcome.COMMIT else "aborted")
         keys = state.rs_keys | set(state.ws)
         partitions = self.partition_map.partitions_of(keys) if keys else ()
         if outcome is Outcome.COMMIT:

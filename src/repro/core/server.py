@@ -24,8 +24,11 @@ invariant is enforced structurally by the termination component
 (``self.ledger``, :mod:`repro.termination`, docs/PROTOCOL.md §14): votes
 are values ordered through the partition's own log and take effect only
 at delivery.  This module decides verdicts (certification, deferral,
-dooming) and completes the pending list's head; two components own the
-rest and are called at fixed points only.  *When a vote counts* is known
+dooming) and completes the pending list's head — or, for a local that
+meets an empty list, completes it at delivery (docs/PROTOCOL.md §18.2):
+every delivered value takes the one path ``_run_batch`` → ``_ingest`` →
+``_deliver_txn``.  Two components own the rest and are called at fixed
+points only.  *When a vote counts* is known
 to the ledger alone — admit, cast, vote arrived, record delivered, abort
 request delivered, partition learned, batch boundary.  *What a live split
 or merge asks of this replica* is known to ``self.reconfig`` alone
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from collections.abc import Callable
-from time import perf_counter_ns
 from typing import Any
 
 from repro.consensus.abcast import AbcastFabric
@@ -167,8 +169,8 @@ class SdurServer:
             flush=self._on_batch_ready,
             set_timer=runtime.set_timer,
         )
-        #: The one-pass loop applies at certification time, so it runs
-        #: only where applying is free under the CPU model (§18.2).
+        #: Completing at delivery applies at certification time, so it
+        #: happens only where applying is free under the CPU model (§18.2).
         self._apply_is_free = not self.config.costs.apply
         #: True while a batch of more than one value is being processed:
         #: its completion notices buffer into per-destination
@@ -561,49 +563,12 @@ class SdurServer:
         self.ledger.flush_group()
         self._flush_replies()
 
-    def _batch_fast_ok(self, value: Any) -> bool:
-        """May ``value`` take the one-pass batch path?
-
-        The fast path commits a run of *local* projections straight
-        through certification into the window, skipping the pending
-        list and the per-value delivery machinery.  It is taken only
-        when the sequential path would behave identically by
-        construction (docs/PROTOCOL.md §18.2): a local projection
-        delivered onto an empty, ungated pending list is certified
-        against the window alone, finds no pending conflicts, inserts
-        at position 0, and completes immediately — so certify-and-apply
-        in one step is the same state transition.  Completing
-        *immediately* is also why applying must be free: a non-zero
-        apply cost makes the sequential path hold ``_applying``, stall
-        what is delivered behind it and reply only once the charge is
-        served, and the loop has no such schedule.  Every other
-        condition below is stable or conservative over the run it
-        guards: the pending list stays empty (fast-path locals never
-        enter it), and ``sc`` only grows, so a snapshot rejected here
-        merely falls back to the (gating) sequential ingest.
-        """
-        return (
-            self._apply_is_free
-            and isinstance(value, TxnProjection)
-            and value.is_local
-            and not self.pending
-            and not self._stalled
-            and not self._applying
-            and self.reconfig.steady(value)
-            and value.snapshot <= self.sc
-            and value.tid not in self.ledger.aborted_early
-        )
-
     def _run_batch(self, values: list[Any]) -> None:
-        """Process one delivery batch, in delivery order.
-
-        Maximal runs of fast-path-eligible local projections are
-        certified and applied in one pass (:meth:`_commit_local_run`);
-        every other value — globals, vote records, deferrals, gated or
-        duplicate deliveries, reconfiguration values — falls back to the
-        ordinary one-value ingest, preserving its exact semantics.
-        A batch of one value replies as it goes: with nothing to group,
-        its notice leaves at the instant the sequential path sends it.
+        """Process one delivery batch: every value, in delivery order,
+        through the one-value ingest.  What a batch of more than one adds
+        is grouping — one CPU-model execution, one vote-record group and
+        one :class:`OutcomeBatch` per client at the boundary; a batch of
+        one replies as it goes, with a plain notice.
         """
         self.stats.batches_delivered += 1
         size = len(values)
@@ -616,72 +581,12 @@ class SdurServer:
             self._hist_batch_size.observe(float(size))
         self._grouping_replies = grouped
         try:
-            index = 0
-            while index < size:
-                if self._batch_fast_ok(values[index]):
-                    end = index + 1
-                    while end < size and self._batch_fast_ok(values[end]):
-                        end += 1
-                    self._commit_local_run(values[index:end])
-                    index = end
-                else:
-                    self._ingest(values[index])
-                    index += 1
+            for value in values:
+                self._ingest(value)
         finally:
             self._grouping_replies = False
         self.ledger.flush_group()
         self._flush_replies()
-
-    def _commit_local_run(self, projs: list[TxnProjection]) -> None:
-        """One-pass certification of a run of fast-path local projections.
-
-        Intra-batch conflict carry-forward is the certifier's business:
-        each commit appends to the certification window — whose listener
-        feeds the key index — *before* the next member is certified, so
-        a later member reading an earlier member's write hits the same
-        certification abort the sequential path produces.
-        """
-        obs = self._obs
-        certify = self.certifier.certify
-        # Fast-path locals commit at their own delivery instant.
-        delivered_at = self.runtime.now() if self.telemetry_enabled else 0.0
-        started = perf_counter_ns()
-        for proj in projs:
-            self.dc += 1
-            tid = proj.tid
-            if tid in self._completed or tid in self.pending:
-                continue  # duplicate delivery (e.g. client retry); ignore
-            if obs.enabled:
-                obs.event(
-                    "server.deliver",
-                    self.node_id,
-                    tid,
-                    partition=self.partition,
-                    dc=self.dc,
-                    is_global=False,
-                )
-            verdict = certify(proj)
-            if obs.enabled:
-                obs.event(
-                    "server.certify",
-                    self.node_id,
-                    tid,
-                    verdict=(
-                        "stale" if verdict is None else ("commit" if verdict else "abort")
-                    ),
-                )
-            if not verdict:
-                self._abort_uncertified(proj, verdict)
-                continue
-            self._apply_commit(proj, delivered_at)
-            if obs.enabled:
-                obs.event(
-                    "server.complete", self.node_id, tid, outcome=Outcome.COMMIT.value
-                )
-            self._record_completed(tid, Outcome.COMMIT)
-            self._notify_client(proj, Outcome.COMMIT)
-        self.stats.batch_certify_ns += perf_counter_ns() - started
-        self._drain_waiting_reads()
 
     def _flush_replies(self) -> None:
         """Send buffered outcomes as one :class:`OutcomeBatch` per client."""
@@ -714,13 +619,10 @@ class SdurServer:
         return self.reconfig.must_wait(value) or value.snapshot > self.sc
 
     def _ingest(self, value: Any) -> None:
-        if isinstance(value, InstallMigration):
-            # Must bypass the stall queue: it is what clears the
-            # migration gate the stalled transactions are waiting on.
-            self.reconfig.deliver(value)
-            self._pump()
-            return
-        if self._applying or self._stalled or self._gate_blocks(value):
+        behind = self._applying or self._stalled or self._gate_blocks(value)
+        # An install bypasses the stall queue: it is what clears the
+        # migration gate the stalled transactions are waiting on.
+        if behind and not isinstance(value, InstallMigration):
             self._stalled.append(value)
             if len(self._stalled) > self.stats.stall_depth_max:
                 self.stats.stall_depth_max = len(self._stalled)
@@ -731,16 +633,17 @@ class SdurServer:
         self._pump()
 
     def _process_value(self, value: Any) -> None:
+        """Take one ungated value in; the caller drains the pending list."""
         if isinstance(value, TxnProjection):
             self._deliver_txn(value)
         elif isinstance(value, NoopTick):
-            self._deliver_noop()
+            self.dc += 1
         elif isinstance(value, AbortRequest):
             self.ledger.on_abort_request(value)
         elif isinstance(value, (VoteRecord, VoteRecordGroup)):
             self.ledger.deliver(value)
         elif isinstance(value, ThresholdChange):
-            self._deliver_threshold_change(value)
+            self.reorder_threshold = value.value
         elif not self.reconfig.deliver(value):
             raise ProtocolError(f"unexpected broadcast value {type(value).__name__}")
 
@@ -754,13 +657,6 @@ class SdurServer:
                 self.reconfig.stalled_on(self._stalled[0])
                 return
             self._process_value(self._stalled.popleft())
-
-    def _deliver_noop(self) -> None:
-        self.dc += 1
-        self._drain()
-
-    def _deliver_threshold_change(self, msg: ThresholdChange) -> None:
-        self.reorder_threshold = msg.value
 
     def request_threshold_change(self, value: int) -> None:
         """Broadcast a new reorder threshold to this partition (§IV-E)."""
@@ -786,7 +682,6 @@ class SdurServer:
             self.ledger.discard(tid)
             self.stats.aborted_recovery += 1
             self._finish_aborted(proj, "recovery")
-            self._drain()
             return
         notice = self.reconfig.stale_at_delivery(proj)
         if notice is not None:
@@ -797,7 +692,6 @@ class SdurServer:
                 self.ledger.cast(proj, Outcome.ABORT)
             if proj.client and self._should_notify(proj):
                 self.runtime.send(proj.client, notice)
-            self._drain()
             return
         rt = self.dc + self.reorder_threshold
         verdict = self.certifier.certify(proj)
@@ -812,7 +706,11 @@ class SdurServer:
             )
         if not verdict:
             self._abort_uncertified(proj, verdict)
-            self._drain()
+            return
+        if self._completes_at_delivery(proj):
+            self.stats.completed_at_delivery += 1
+            self._commit(proj, self.runtime.now() if self.telemetry_enabled else 0.0)
+            self._drain_waiting_reads()
             return
         deps = set(self.certifier.outcome_conflicts(proj))
         entry = PendingTxn(
@@ -837,7 +735,6 @@ class SdurServer:
             if position is None:
                 self.stats.aborted_reorder += 1
                 self._finish_aborted(proj, "reorder")
-                self._drain()
                 return
             if position < len(self.pending):
                 self.stats.reordered += 1
@@ -845,7 +742,21 @@ class SdurServer:
                     obs.event("server.reorder", self.node_id, tid, position=position)
             entry.votes[self.partition] = Outcome.COMMIT.value
             self.pending.insert(position, entry)
-        self._drain()
+
+    def _completes_at_delivery(self, proj: TxnProjection) -> bool:
+        """Is the pending list a detour for this certified projection?
+
+        A local that meets an empty pending list has no pending conflict
+        to defer on and nothing to leap: the general path inserts it at
+        position 0 and ``_drain`` pops it again in the same call — when
+        applying is free under the CPU model (docs/PROTOCOL.md §18.2);
+        a charged apply holds ``_applying`` and replies once it is served,
+        which only the pending list's head can do.  Reconfiguration
+        misses nothing either: a write barrier's members are pending
+        entries, so an empty list has no barrier to leave.  The sequential
+        oracle (``tests/oracles/sequential_ingest.py``) answers False.
+        """
+        return proj.is_local and not self.pending and self._apply_is_free
 
     # ------------------------------------------------------------------
     # Deferred-verdict resolution
@@ -961,11 +872,8 @@ class SdurServer:
             raise ProtocolError(f"completing {entry.tid} which is not the head")
         self.pending.pop_head()
         proj = entry.proj
-        obs = self._obs
         if outcome is Outcome.COMMIT:
-            if obs.enabled:
-                obs.event("server.complete", self.node_id, proj.tid, outcome=outcome.value)
-            self._apply_commit(proj, entry.delivered_at)
+            self._commit(proj, entry.delivered_at)
         else:
             if entry.cycle_victim:
                 self.stats.vote_ledger_aborts += 1
@@ -973,20 +881,25 @@ class SdurServer:
                 self.stats.aborted_deferred += 1
             else:
                 self.stats.aborted_votes += 1
-            if obs.enabled:
-                obs.event(
+            if self._obs.enabled:
+                self._obs.event(
                     "server.complete", self.node_id, proj.tid, outcome=outcome.value,
                     reason="deferred" if entry.doomed else "votes",
                 )
-        self._record_completed(proj.tid, outcome)
-        self._notify_client(proj, outcome)
+            self._record_completed(proj.tid, outcome)
+            self._notify_client(proj, outcome)
         self._resolve_dependents(proj.tid, committed=outcome is Outcome.COMMIT)
         self._drain_waiting_reads()
         self.reconfig.on_completed(proj.tid)
 
-    def _apply_commit(self, proj: TxnProjection, delivered_at: float) -> None:
-        """Install one committed projection as the next version: store,
-        certification window, snapshot gossip, hooks and counters."""
+    def _commit(self, proj: TxnProjection, delivered_at: float) -> None:
+        """Commit ``proj``: install it as the next version — store,
+        certification window, snapshot gossip, hooks and counters — then
+        record the outcome and answer the client."""
+        if self._obs.enabled:
+            self._obs.event(
+                "server.complete", self.node_id, proj.tid, outcome=Outcome.COMMIT.value
+            )
         tid = proj.tid
         ws_keys = proj.ws_keys
         is_global = proj.is_global
@@ -1014,6 +927,8 @@ class SdurServer:
             self.stats.committed_local += 1
         if self.telemetry_enabled:
             self._hist_commit_latency.observe(self.runtime.now() - delivered_at)
+        self._record_completed(tid, Outcome.COMMIT)
+        self._notify_client(proj, Outcome.COMMIT)
 
     def _record_completed(self, tid: TxnId, outcome: Outcome) -> None:
         self._completed[tid] = outcome.value

@@ -13,7 +13,6 @@ calls the participant at these fixed points and nowhere else:
 ``submit``          :meth:`screen` — pass, park until the epoch arrives,
                     or reject a stale commit request
 ``_gate_blocks``    :meth:`must_wait` — install pending or epoch unlearned
-``_batch_fast_ok``  :meth:`steady` — no change in flight, epoch current
 ``_deliver_txn``    :meth:`stale_at_delivery` — the notice for a
                     projection routed under a superseded ownership
 ``_ingest`` /       :meth:`deliver` — ``BeginSplit``, ``InstallMigration``
@@ -228,16 +227,6 @@ class ReconfigParticipant:
         out of band (:meth:`stalled_on` pulls if the push was lost).
         """
         return self._awaiting_install or proj.epoch > self.routing.epoch
-
-    def steady(self, proj: TxnProjection) -> bool:
-        """No change in flight here and ``proj``'s epoch is current: the
-        server may take its one-pass path."""
-        routing = self.routing
-        return (
-            self._migration is None
-            and not self._awaiting_install
-            and routing.ownership_epoch(self.partition) <= proj.epoch <= routing.epoch
-        )
 
     def stale_at_delivery(self, proj: TxnProjection) -> StaleEpochNotice | None:
         """The notice for a delivered wrong-epoch projection, else None.

@@ -67,7 +67,7 @@ SERVER_COUNTERS: tuple[CounterRow, ...] = (
     CounterRow("hotkey_updates", "counter", "keys", "Write-key observations fed to the hot-key tracker."),
     CounterRow("batches_delivered", "counter", "batches", "Delivery batches processed (§18)."),
     CounterRow("batch_size_max", "gauge", "deliveries", "Largest delivery batch processed."),
-    CounterRow("batch_certify_ns", "counter", "nanoseconds", "Wall time inside the one-pass batch loop."),
+    CounterRow("completed_at_delivery", "counter", "transactions", "Locals committed at delivery, never entering the pending list (§18.2)."),
     CounterRow("gossip_resyncs", "counter", "requests", "Gossip resync requests sent after a missed delta (§6)."),
     _bucket("aborted_certification", "Certification conflicts."),
     _bucket("aborted_stale_snapshot", "Snapshot older than the certification window."),

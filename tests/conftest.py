@@ -83,6 +83,13 @@ def run_txn(
     return results[0]
 
 
+def inflight_read(client: SdurClient):
+    """``(state, op)`` of the client's one in-flight read."""
+    (state,) = client._active.values()
+    (op,) = state.reads.values()
+    return state, op
+
+
 def update_program(keys: list[str], bump: int = 1):
     """Read all keys, write each incremented (ints; None reads as 0)."""
 

@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 from repro.overload.admission import AdmissionConfig
 from repro.overload.backoff import BackoffPolicy
 
-from tests.conftest import make_cluster, run_txn, update_program
+from tests.conftest import inflight_read, make_cluster, run_txn, update_program
 
 
 class TestBackoffPolicy:
@@ -129,9 +129,8 @@ class TestTimeoutBackoff:
         results = []
         client.execute(update_program(["0/x"]), results.append)
         cluster.world.run_for(1.5)
-        state = next(iter(client._active.values()))
         # Retries at +0.2, +0.4, +0.8 → 3 attempts recorded by t=1.5.
-        assert max(state.read_attempts.values()) == 3
+        assert inflight_read(client)[1].attempt == 3
 
     def test_suspected_dict_prunes_expired_entries(self):
         cluster = make_cluster(1)

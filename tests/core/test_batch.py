@@ -131,9 +131,9 @@ class TestBatchedCluster:
         assert server.sc == 3
         assert server.stats.batches_delivered >= 1
         assert server.stats.batch_size_max >= 1
-        assert server.stats.batch_certify_ns > 0
+        assert server.stats.completed_at_delivery > 0
         stats = cluster.server_stats()["s1"]
-        for counter in ("batches_delivered", "batch_size_max", "batch_certify_ns"):
+        for counter in ("batches_delivered", "batch_size_max", "completed_at_delivery"):
             assert counter in stats
 
     def test_global_transactions_terminate_under_batching(self):

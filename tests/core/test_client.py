@@ -7,10 +7,14 @@ each test targets one client-side behaviour.
 
 import pytest
 
-from repro.core.client import Read, ReadMany
+from repro.core.client import ClientConfig, Read, ReadMany, SdurClient
+from repro.core.directory import ClusterDirectory
+from repro.core.messages import Busy, OutcomeNotice, ReadRequest, ReadResponse
+from repro.core.partitioning import PartitionMap
 from repro.core.transaction import Outcome
 from repro.errors import ProtocolError
 from tests.conftest import make_cluster, run_txn, update_program
+from tests.oracles.stub_runtime import StubRuntime
 
 
 @pytest.fixture
@@ -206,3 +210,77 @@ class TestConfigPull:
         assert run_txn(cluster, client, program, read_only=True).committed
         cluster.world.run_for(0.5)
         assert client.routing.epoch == 1
+
+
+class TestOneReadPath:
+    """``Read(k)`` is a ``ReadMany`` of one whose result is unwrapped:
+    the two spellings send the same messages and finish with the same
+    ``TxnResult``, fault or no fault.  Driven by hand on the stub
+    runtime — its timers never fire on their own; the newest is called."""
+
+    def run(self, spelling, fault):
+        runtime = StubRuntime("c1")
+        directory = ClusterDirectory(
+            partitions={"p0": ["s1", "s2", "s3"]}, preferred={"p0": "s1"}
+        )
+        config = ClientConfig(session_server="s1", read_timeout=1.0, backoff_jitter=0.0)
+        client = SdurClient(runtime, directory, PartitionMap.by_index(1), config)
+
+        def program(txn):
+            if spelling == "Read":
+                value = yield Read("0/k")
+            else:
+                value = (yield ReadMany(("0/k",)))["0/k"]
+            txn.write("0/k", value + 1)
+
+        def answer(op_id, snapshot):
+            client.handle(
+                runtime.sent[-1][0],
+                ReadResponse(
+                    tid=tid, op_id=op_id, key="0/k", value=7, snapshot=snapshot,
+                    item_version=snapshot, partition="p0",
+                ),
+            )
+
+        results = []
+        tid = client.execute(program, results.append)
+        if fault == "timeout":
+            runtime.clock = 1.0
+            runtime.timers[-1][1]()
+        elif fault == "busy":
+            client.handle("s1", Busy(tid=tid, server="s1", reason="queue", retry_after=0.5, op_id=0))
+            runtime.clock = 0.5
+            runtime.timers[-1][1]()
+        elif fault == "torn":
+            # Any response of the transaction pins its partition's
+            # snapshot; the read's own answer then names another one.
+            answer(op_id=99, snapshot=2)
+            answer(op_id=0, snapshot=3)
+        answer(op_id=1 if fault == "torn" else 0, snapshot=2)
+        client.handle("s1", OutcomeNotice(tid=tid, outcome="commit", partition="p0"))
+        return runtime.sent, results, set(client._suspected)
+
+    @pytest.mark.parametrize(
+        "fault, read_targets, suspected",
+        [
+            (None, ["s1"], set()),
+            # Suspecting s1 ranks it last; attempt 1 of [s2, s3, s1] is s3.
+            ("timeout", ["s1", "s3"], {"s1"}),
+            ("busy", ["s1", "s2"], set()),
+            ("torn", ["s1", "s1"], set()),
+        ],
+    )
+    def test_read_and_read_many_of_one_are_the_same_transaction(
+        self, fault, read_targets, suspected
+    ):
+        sent, results, suspects = self.run("Read", fault)
+        assert (sent, results, suspects) == self.run("ReadMany", fault)
+        reads = [(dst, msg) for dst, msg in sent if isinstance(msg, ReadRequest)]
+        assert [dst for dst, _ in reads] == read_targets and suspects == suspected
+        # The re-read after a torn first contact is a new op at the pin.
+        assert [(m.op_id, m.snapshot) for _, m in reads][-1] == (
+            (1, 2) if fault == "torn" else (0, None)
+        )
+        (result,) = results
+        assert result.committed and result.read_versions == {"0/k": 2}
+        assert result.writes == {"0/k": 8}

@@ -3,7 +3,7 @@
 from repro.core.client import Read
 from repro.core.config import SdurConfig
 from repro.core.transaction import Outcome
-from tests.conftest import make_cluster, run_txn, update_program
+from tests.conftest import inflight_read, make_cluster, run_txn, update_program
 
 
 class TestStoreGc:
@@ -86,13 +86,12 @@ class TestStoreGc:
         # Intercept: respond to the in-flight read with an error.
         from repro.core.messages import ReadResponse
 
-        state = next(iter(client._active.values()))
-        op_id = next(iter(state.single_ops))
+        state, op = inflight_read(client)
         client.handle(
             "s1",
             ReadResponse(
                 tid=state.tid,
-                op_id=op_id,
+                op_id=op.op_id,
                 key="0/x",
                 value=None,
                 snapshot=1,

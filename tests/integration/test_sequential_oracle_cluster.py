@@ -2,10 +2,10 @@
 oracle.
 
 Two seed-matched WAN 1 runs (the deployment and workload of
-``test_scan_oracle_cluster.py``) — one untouched (every delivery a batch
-of one, local projections through the one-pass loop), one with
+``test_scan_oracle_cluster.py``) — one untouched (a local that meets an
+empty pending list completes at delivery), one with
 ``tests.oracles.sequential_ingest.install`` applied before ``start()``
-(every value down the general one-value path) — must be
+(every commit through the pending list) — must be
 indistinguishable to clients, *finish times included*, and leave
 byte-identical stores.  Finish times are the sharp part: a reply that
 left one simulator event later, or two same-instant sends in the other
@@ -26,12 +26,12 @@ def test_sequential_oracle_cluster_matches_the_shipped_default():
     assert oracle_outcomes == shipped_outcomes
     assert oracle_stores == shipped_stores
     # The run must have exercised what it claims to compare: commits and
-    # aborts, locals through the loop on one side only, globals and
-    # reordered locals down the general path on both.
+    # aborts, locals completed at delivery on one side only, globals and
+    # reordered locals through the pending list on both.
     committed = sum(1 for _, outcome, _, _ in shipped_outcomes if outcome.value == "commit")
     assert 0 < committed < len(shipped_outcomes)
-    assert shipped.counter("batch_certify_ns") > 0
-    assert oracle.counter("batch_certify_ns") == 0
+    assert shipped.counter("completed_at_delivery") > 0
+    assert oracle.counter("completed_at_delivery") == 0
     assert shipped.counter("committed_global") == oracle.counter("committed_global") > 0
     assert shipped.counter("reordered") == oracle.counter("reordered") > 0
     assert shipped.counter("batches_delivered") == oracle.counter("batches_delivered")

@@ -11,7 +11,9 @@ cancelled event kept its callback until the heap slot was popped).
 
 import gc
 
+from repro.core.client import ReadMany
 from repro.core.config import SdurConfig
+from repro.core.messages import Busy, ReadResponse
 from repro.core.pending import PendingTxn
 from repro.sim.kernel import Kernel
 from tests.conftest import make_cluster, run_txn, update_program
@@ -47,6 +49,56 @@ class TestSimTimerPlateau:
         # cancelled ones are forgotten (parent: fired ones never were).
         assert listed <= world.kernel.pending_count
         assert listed < 40
+
+
+class TestBusyBackoffIsDisarmed:
+    """The admission path: a ``Busy`` backoff sits in the read's / the
+    commit's one timer slot, so the transaction's end cancels it.
+    Parent: the handle was dropped and the closure kept the whole
+    ``_ActiveTxn`` for ``retry_after``."""
+
+    def client(self):
+        cluster = make_cluster(2, config=SdurConfig(gossip_interval=None))
+        # No timeouts: a Busy backoff is the only timer this client arms.
+        client = cluster.add_client()
+        cluster.start()
+        cluster.world.run_for(0.5)
+        return cluster, client
+
+    def test_commit_shed_then_outcome(self):
+        """A shed reaches the client (from a server an earlier resend
+        went to) just before the outcome of the admitted copy does."""
+        cluster, client = self.client()
+        results = []
+        tid = client.execute(update_program(["0/a"]), results.append)
+        state = client._active[tid]
+        while state.commit_request is None:
+            assert cluster.world.kernel.step()
+        client.handle("s1", Busy(tid=tid, server="s1", reason="queue", retry_after=1.5))
+        assert len(client.runtime._timers) == 1
+        cluster.world.run_for(0.5)
+        assert results[0].committed and not client._active
+        assert not client.runtime._timers
+
+    def test_read_shed_then_sibling_read_error(self):
+        cluster, client = self.client()
+        results = []
+
+        def program(txn):
+            yield ReadMany(("0/a", "0/b"))
+
+        tid = client.execute(program, results.append)
+        client.handle("s1", Busy(tid=tid, server="s1", reason="queue", retry_after=1.5, op_id=0))
+        assert len(client.runtime._timers) == 1
+        client.handle(
+            "s1",
+            ReadResponse(
+                tid=tid, op_id=1, key="0/b", value=None, snapshot=1, item_version=0,
+                partition="p0", error="snapshot 1 below gc horizon 5",
+            ),
+        )
+        assert not results[0].committed and not client._active
+        assert not client.runtime._timers
 
 
 class TestCancelledEventPinsNothing:

@@ -61,3 +61,6 @@ class DropFabric:
 
     def abcast(self, group: str, value) -> None:
         return None
+
+    def add_group(self, name: str, members, preferred) -> None:
+        return None

@@ -9,8 +9,8 @@ identical delivery sequence — local and global projections, noop ticks,
 vote records for both the partition's own verdicts and remote ones
 (including contradictory and duplicate votes), duplicate deliveries —
 into two raw servers — the oracle of
-``tests/oracles/sequential_ingest.py``, where every value takes the
-general one-value path, and a shipped server with hypothesis-chosen
+``tests/oracles/sequential_ingest.py``, where every commit goes through
+the pending list, and a shipped server with hypothesis-chosen
 batch bounds (the default batch of one included) and flush points — and
 requires their final states to match exactly: store contents, SC/DC,
 certification window, completed map, abort buckets, pending remainder,
@@ -34,6 +34,8 @@ from repro.core.messages import NoopTick, OutcomeBatch, OutcomeNotice
 from repro.core.partitioning import PartitionMap
 from repro.core.server import SdurServer
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
+from repro.reconfig.coordinator import plan_split
+from repro.reconfig.messages import BeginSplit
 from repro.termination.messages import VoteRecord
 
 from tests.oracles.sequential_ingest import sequential
@@ -71,7 +73,7 @@ def build_server(
 
 
 def build_oracle(reorder_threshold: int) -> SdurServer:
-    """A batch of one that never takes the one-pass loop."""
+    """A batch of one that completes nothing at delivery."""
     return sequential(build_server(BATCH_OF_ONE, reorder_threshold))
 
 
@@ -236,8 +238,8 @@ def test_batched_state_is_bit_identical_to_sequential(
         flush_points,
     )
     assert state_of(shipped) == state_of(oracle)
-    # The oracle really is the other body: the one-pass loop never ran.
-    assert oracle.stats.batch_certify_ns == 0
+    # The oracle really is the other side: nothing completed at delivery.
+    assert oracle.stats.completed_at_delivery == 0
     if values:
         assert shipped.stats.batches_delivered >= 1
 
@@ -246,26 +248,61 @@ LOCAL_OPS = [("txn", False, [i % len(KEYS)], [(i + 1) % len(KEYS)], 0) for i in 
 
 
 def test_fast_path_actually_engages():
-    """Guard against the fast path silently never firing (the property
-    above would still pass if every value fell back to ``_ingest``)."""
+    """Guard against completion at delivery silently never firing (the
+    property above would still pass if every commit entered the pending
+    list)."""
     values = concretize(LOCAL_OPS)
     batched = replay(build_server(BatchingConfig(max_batch=4), 0), values)
     assert batched.stats.committed_local == 12
-    assert batched.stats.batch_certify_ns > 0
+    assert batched.stats.completed_at_delivery == 12
     assert batched.stats.batch_size_max == 4
 
 
-def test_default_takes_the_loop_and_the_oracle_does_not():
-    """Guard against the differential comparing the loop with itself:
-    for the same script the shipped default (a batch of one) runs
-    ``_commit_local_run`` on every delivery and the oracle never does —
-    and a batch of one replies as it goes, with plain notices."""
+def test_default_completes_at_delivery_the_oracle_does_not():
+    """Guard against the differential comparing a path with itself:
+    for the same script the shipped default (a batch of one) completes
+    every local at delivery and the oracle none — and a batch of one
+    replies as it goes, with plain notices."""
     values = concretize(LOCAL_OPS)
     shipped = replay(build_server(BATCH_OF_ONE, 0), values)
     oracle = replay(build_oracle(0), values)
-    assert shipped.stats.batch_certify_ns > 0
-    assert oracle.stats.batch_certify_ns == 0
+    assert shipped.stats.completed_at_delivery == 12
+    assert oracle.stats.completed_at_delivery == 0
     assert shipped.stats.batches_delivered == oracle.stats.batches_delivered == 12
     assert state_of(shipped) == state_of(oracle)
     assert shipped.runtime.sent == oracle.runtime.sent
     assert all(isinstance(msg, OutcomeNotice) for _, msg in shipped.runtime.sent)
+
+
+def test_local_during_a_captured_split_completes_at_delivery_like_the_oracle():
+    """A split that has captured its key range but not finished
+    (``BeginSplit`` delivered onto an empty barrier, ``FinishSplit`` not
+    yet) no longer keeps a local from completing at delivery: the gate
+    and the stale-epoch check have passed it, and a barrier member would
+    have kept the pending list non-empty."""
+
+    def run(server: SdurServer) -> SdurServer:
+        change = plan_split(server.routing, "p0", new_members=("n1",))
+        server.on_adeliver(0, BeginSplit(change=change))
+        migration = server.reconfig._migration
+        assert migration is not None and migration.captured and not server.pending
+        stays = next(k for k in KEYS if server.partition_map.partition_of(k) == "p0")
+        proj = TxnProjection(
+            tid=TxnId("c", 0),
+            partition="p0",
+            readset=ReadsetDigest.exact([stays]),
+            writeset={stays: 1},
+            snapshot=0,
+            partitions=("p0",),
+            coordinator="s0",
+            client="c",
+            epoch=change.new_epoch,
+        )
+        return replay(server, [proj])
+
+    shipped, oracle = run(build_server(BATCH_OF_ONE, 0)), run(build_oracle(0))
+    assert shipped.stats.completed_at_delivery == 1
+    assert oracle.stats.completed_at_delivery == 0
+    assert shipped.stats.committed_local == 1
+    assert state_of(shipped) == state_of(oracle)
+    assert shipped.runtime.sent == oracle.runtime.sent

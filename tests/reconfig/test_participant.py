@@ -198,8 +198,6 @@ class TestBeginAndCapture:
         rig.store.apply({"0/late": 1}, 2)
         rig.part.deliver(FinishSplit(change=change))  # nothing left to evict
         assert sorted(rig.store.keys()) == kept + ["0/late"]
-        # ... and with no change in flight the one-pass path is open again.
-        assert rig.part.steady(proj(1, epoch=1))
 
     def test_values_of_other_protocols_are_not_ours(self):
         rig = make()
@@ -222,7 +220,6 @@ class TestSplitInstall:
     def test_gated_until_the_install_then_open(self):
         rig, install = self.child()
         assert rig.part.must_wait(proj(1, partition="p3", epoch=1))
-        assert not rig.part.steady(proj(1, partition="p3", epoch=1))
         assert rig.part.park_read(read("0/a")) is True
         rig.part.deliver(install)
         assert rig.store.current_version == 9 and rig.store.gc_horizon == 2
@@ -231,7 +228,6 @@ class TestSplitInstall:
         assert [r.key for r in rig.rerouted] == ["0/a"]
         assert rig.part.park_read(read("0/a")) is False
         assert not rig.part.must_wait(proj(2, partition="p3", epoch=1))
-        assert rig.part.steady(proj(2, partition="p3", epoch=1))
         assert proposed(rig, FinishSplit) == [("p0", FinishSplit(change=install.change))]
 
     def test_duplicate_install_is_a_no_op(self):
@@ -471,6 +467,31 @@ def test_server_holds_no_reconfiguration_rule():
     assert _uses(tree, PROTOCOL_VALUES) == ["InstallMigration"]
     state = {"_migration", "_migration_pending", "_parked_reads", "_premature_requests"}
     assert _uses(tree, state) == []
+
+
+def test_server_states_the_commit_path_once():
+    """One delivery path (docs/PROTOCOL.md §18.2): ``server.py`` asks the
+    certifier for a verdict at one call site and emits ``server.deliver``
+    and ``server.certify`` from one site each."""
+    tree = ast.parse((SRC / "core" / "server.py").read_text())
+    # Every mention, not only calls: an alias (``certify = ...certify``)
+    # is how a second loop would spell it.
+    on_certifier = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "certify"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "certifier"
+    ]
+    assert len(on_certifier) == 1
+    events = {"server.deliver", "server.certify"}
+    literals = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in events
+    ]
+    assert sorted(literals) == sorted(events)
 
 
 def test_participant_does_not_know_the_server():

@@ -35,7 +35,7 @@ LEGACY_KEYS = [
     "hotkey_updates",
     "batches_delivered",
     "batch_size_max",
-    "batch_certify_ns",
+    "completed_at_delivery",
     "gossip_resyncs",
 ]
 
