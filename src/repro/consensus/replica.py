@@ -17,6 +17,22 @@ hold it: both name it by ``(ballot, instance)``, and a follower the
 learning (two delays at every replica) as an ablation; a learner can
 hear a broadcast vote before the ``Accept``, so those keep the value.
 
+**Turn group commit.**  A leader past Phase 1 does not open an instance
+per proposal: it buffers proposals and closes the buffer once the
+runtime's current loop turn is done (:meth:`Runtime.at_turn_end`) —
+one value goes out as a bare ``Accept``, two or more as one
+:class:`~repro.consensus.messages.Batch` in one instance, which
+followers, the WAL and recovery treat as any other value and delivery
+unpacks item by item (one ``on_deliver`` per value).  It adds no
+latency: on the asyncio runtime the buffer closes at the flush that
+would have written the ``Accept`` anyway, and the batch grows with
+however many proposals one turn brought.  Where there are no turns —
+the simulator, hand-driven runtimes — the buffer closes at once and
+every instance holds one value, as before.  ``PaxosConfig.batch_window``
+stays as the timer-closed variant through the same ``_flush_batch``:
+the simulator has no loop turn to batch on, and ablation A4 is its
+only view of Paxos batching.
+
 Values are delivered to the application strictly in instance order.
 Gap instances left by a failed leader are filled with
 :class:`~repro.consensus.messages.PaxosNoop`, which is consumed internally
@@ -87,8 +103,10 @@ class PaxosConfig:
     #: paper's deployment: acceptors answer the coordinator, which relays a
     #: Chosen — followers learn one hop later (Figure 1's ③④ then commit).
     accepted_broadcast: bool = False
-    #: Leader-side value batching: accumulate proposals for up to this many
-    #: seconds and decide them in one consensus instance.  0 disables.
+    #: Leader-side value batching on a timer: accumulate proposals for up
+    #: to this many seconds and decide them in one consensus instance.
+    #: 0 (the default) closes each batch at the end of the loop turn
+    #: instead — a batch of one wherever the runtime has no turns.
     batch_window: float = 0.0
 
 
@@ -128,8 +146,9 @@ class PaxosReplica:
         self._retry_armed = False
         self._accept_retry_armed = False
         self._catchup_armed = False
+        #: Proposals for the instance this leader has not yet opened.
         self._batch_buffer: list[Any] = []
-        self._batch_timer_armed = False
+        self._batch_armed = False
         # Statistics.
         self.delivered_count = 0
         self.proposed_count = 0
@@ -244,10 +263,7 @@ class PaxosReplica:
         leader = self.elector.leader
         if leader == self.runtime.node_id:
             if self._phase1_complete:
-                if self.config.batch_window > 0:
-                    self._enqueue_batch(value)
-                else:
-                    self._send_accept(self._claim_instance(), value)
+                self._enqueue_batch(value)
             else:
                 self._pending.append(value)
         elif leader is not None:
@@ -257,22 +273,26 @@ class PaxosReplica:
             self._arm_propose_retry()
 
     def _enqueue_batch(self, value: Any) -> None:
+        """Buffer a proposal for the leader's next instance, which closes
+        at the end of this loop turn or, with a ``batch_window``, when
+        that window's timer fires."""
         self._batch_buffer.append(value)
-        if self._batch_timer_armed:
+        if self._batch_armed:
             return
-        self._batch_timer_armed = True
-
-        def flush() -> None:
-            self._batch_timer_armed = False
-            self._flush_batch()
-
-        self.runtime.set_timer(self.config.batch_window, flush)
+        self._batch_armed = True
+        if self.config.batch_window > 0:
+            self.runtime.set_timer(self.config.batch_window, self._flush_batch)
+        else:
+            self.runtime.at_turn_end(self._flush_batch)
 
     def _flush_batch(self) -> None:
+        """Close the batch: one value is a bare ``Accept``, more are one
+        :class:`Batch` in one instance."""
+        self._batch_armed = False
         if not self._batch_buffer:
             return
         if not (self.is_leader and self._phase1_complete):
-            # Leadership moved mid-window: re-route each value.
+            # Leadership moved before the batch closed: re-route each value.
             backlog, self._batch_buffer = self._batch_buffer, []
             for value in backlog:
                 self._route_proposal(value)

@@ -183,6 +183,9 @@ class SdurServer:
         #: Deliveries stalled behind a blocked head global (see _head_blocked).
         self._stalled: deque[Any] = deque()
         self._applying = False
+        #: Deliveries handed to ``runtime.execute`` that ``_run_batch`` has
+        #: not yet taken: counted in ``_last_instance``, not yet applied.
+        self._queued_for_cpu = 0
         self._noop_armed = False
         self.snapshot_builder = GlobalSnapshotBuilder(
             self.routing.directory.partition_ids, partition
@@ -555,6 +558,7 @@ class SdurServer:
         of its members' costs — which is the batching win under nonzero
         service costs: one scheduler round instead of one per value.
         """
+        self._queued_for_cpu += len(values)
         self.runtime.execute(cost, lambda: self._run_batch(values))
 
     def flush_batches(self) -> None:
@@ -570,8 +574,9 @@ class SdurServer:
         one :class:`OutcomeBatch` per client at the boundary; a batch of
         one replies as it goes, with a plain notice.
         """
-        self.stats.batches_delivered += 1
         size = len(values)
+        self._queued_for_cpu -= size
+        self.stats.batches_delivered += 1
         if size > self.stats.batch_size_max:
             self.stats.batch_size_max = size
         grouped = size > 1
@@ -1015,6 +1020,8 @@ class SdurServer:
         # claims coverage through _last_instance, which they count toward.
         if len(self.batcher):
             return f"{len(self.batcher)} delivery(ies) buffered in the batcher"
+        if self._queued_for_cpu:
+            return f"{self._queued_for_cpu} delivery(ies) queued for the CPU"
         return None
 
     def _checkpoint_tick(self) -> None:

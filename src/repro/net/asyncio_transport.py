@@ -16,7 +16,11 @@ send(member, msg)`` loop of Paxos, gossip and the ledger) encodes it
 once.  A message addressed to this node never touches a socket: its
 handler is scheduled with ``call_soon``, in FIFO order and never
 re-entrantly.  :meth:`AioTransport.send` is the awaitable form of the
-same path.
+same path.  :meth:`AioTransport.at_flush` runs a callable at the start
+of that flush, ahead of its writes — how
+:meth:`~repro.runtime.aio.AioNodeRuntime.at_turn_end` closes a loop turn,
+so what a turn-end hook posts (the leader's one ``Accept`` for the turn's
+proposals) leaves in the turn it would have left in anyway.
 
 Connections are opened lazily per destination, in the background, and
 cached; links are quasi-reliable in the sense of the paper's model (TCP
@@ -27,17 +31,25 @@ passes :data:`_MAX_UNSENT` — a peer that stopped reading — is treated
 as a failed connection (aborted, outbox dropped, ``sends_dropped``
 counted, reconnected on the next send).
 
-The receive side fails loudly enough to be noticed: an exception raised
-by the handler is counted (``handler_errors``) and the connection lives
-on — one bad message must not silence a peer — while a frame that is
-well delimited but undecodable, not an :class:`Envelope`, or oversized
-is counted (``frames_rejected``) and closes the connection, since the
-byte stream can no longer be trusted.
+The receive side has no task per connection: each inbound connection is
+an :class:`asyncio.Protocol` whose ``data_received`` appends the chunk to
+what an earlier chunk left incomplete, then decodes and hands to the
+handler every complete frame in it before it returns — frames are
+delivered in the loop turn their bytes arrive in, where a reader task
+would have been woken through a future one turn later, two
+``readexactly`` calls per frame.  It fails loudly enough to be noticed:
+an exception raised by the handler is counted (``handler_errors``) and
+the rest of the chunk is still delivered — one bad message must not
+silence a peer — while a frame that is well delimited but undecodable,
+not an :class:`Envelope`, or oversized (refused from its header, before
+any body arrives) is counted (``frames_rejected``) and closes the
+connection, since the byte stream can no longer be trusted.
 """
 
 from __future__ import annotations
 
 import asyncio
+import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
@@ -47,7 +59,8 @@ from repro.net.codec import decode_packed, encode_packed
 from repro.net.message import Message, message
 from repro.obs.recorder import NULL_RECORDER, ObsRecorder, traced_tid as _traced_tid
 
-_LEN_BYTES = 4
+_LEN = struct.Struct(">I")
+_LEN_BYTES = _LEN.size
 _MAX_FRAME = 64 * 1024 * 1024
 #: Most bytes one destination may have unsent (outbox + socket write
 #: buffer) before its connection is given up on: room for the largest
@@ -69,21 +82,7 @@ class Envelope(Message):
 def _frame(data: bytes) -> bytes:
     if len(data) > _MAX_FRAME:
         raise TransportError(f"frame too large: {len(data)} bytes")
-    return len(data).to_bytes(_LEN_BYTES, "big") + data
-
-
-async def _read_frame(reader: asyncio.StreamReader) -> bytes | None:
-    try:
-        header = await reader.readexactly(_LEN_BYTES)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    length = int.from_bytes(header, "big")
-    if length > _MAX_FRAME:
-        raise TransportError(f"peer announced oversized frame: {length} bytes")
-    try:
-        return await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
+    return _LEN.pack(len(data)) + data
 
 
 class _Outbox:
@@ -98,6 +97,74 @@ class _Outbox:
     def clear(self) -> None:
         self.frames.clear()
         self.size = 0
+
+
+class _Inbound(asyncio.Protocol):
+    """One inbound connection, parsed where its bytes land: each
+    ``data_received`` decodes and delivers every complete frame of the
+    chunk before it returns and keeps only the incomplete tail."""
+
+    def __init__(self, owner: "AioTransport") -> None:
+        self._owner = owner
+        self._conn: asyncio.Transport | None = None
+        #: The start of a frame the previous chunks ended in.
+        self._tail = bytearray()
+        #: Bytes ``_tail`` must hold before a frame in it can be complete.
+        self._wanted = _LEN_BYTES
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._conn = transport
+        owner = self._owner
+        owner._inbound[transport] = asyncio.get_running_loop().create_future()
+        if owner._closed:
+            transport.close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._owner._inbound.pop(self._conn).set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        tail = self._tail
+        if tail:
+            tail += data
+            if len(tail) < self._wanted:
+                return
+            data = bytes(tail)
+            tail.clear()
+        owner = self._owner
+        size = len(data)
+        offset = 0
+        wanted = _LEN_BYTES
+        while size - offset >= _LEN_BYTES:
+            start = offset + _LEN_BYTES
+            (length,) = _LEN.unpack_from(data, offset)
+            if length > _MAX_FRAME:
+                self._reject(TransportError(f"peer announced oversized frame: {length} bytes"))
+                return
+            end = start + length
+            if end > size:
+                wanted = end - offset
+                break
+            offset = end
+            try:
+                # ``_decode`` is looked up per frame: benchmarks/e2e
+                # replaces it on the instance to count and time decodes.
+                envelope = owner._decode(data[start:end])
+                if not isinstance(envelope, Envelope):
+                    raise TransportError(f"expected Envelope, got {type(envelope).__name__}")
+            except Exception as exc:
+                self._reject(exc)
+                return
+            owner._deliver(envelope.src, envelope.payload)
+        if offset < size:
+            tail += memoryview(data)[offset:]
+            self._wanted = wanted
+
+    def _reject(self, exc: Exception) -> None:
+        """The byte stream can no longer be trusted: count it, close it."""
+        self._owner.frames_rejected += 1
+        self._owner.last_error = exc
+        self._tail.clear()
+        self._conn.close()
 
 
 class AioTransport:
@@ -124,13 +191,16 @@ class AioTransport:
         #: Background connection attempts, by destination.
         self._connecting: dict[str, asyncio.Task] = {}
         self._flush_armed = False
+        #: Callables to run at the next flush, before its writes.
+        self._flush_hooks: list[Callable[[], None]] = []
         #: The message framed last in this loop turn, and its frame.
         self._last_msg: Any = _NO_MESSAGE
         self._last_frame = b""
-        #: Live inbound connections: reader task -> the writer that ends it.
-        self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: Live inbound connections -> a future resolved when each is lost.
+        self._inbound: dict[asyncio.BaseTransport, asyncio.Future] = {}
         self._closed = False
-        #: Exceptions raised by ``handler`` (the connection is kept).
+        #: Exceptions raised by ``handler`` or a flush hook (the
+        #: connection is kept, the flush still writes).
         self.handler_errors = 0
         #: Inbound frames refused — undecodable, not an Envelope, or
         #: oversized — each of which closed its connection.
@@ -149,32 +219,8 @@ class AioTransport:
     async def start(self) -> None:
         """Bind and start accepting peer connections."""
         host, port = self.directory[self.node_id]
-        self._server = await asyncio.start_server(self._on_connection, host, port)
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._inbound[task] = writer
-        try:
-            while not self._closed:
-                try:
-                    frame = await _read_frame(reader)
-                    if frame is None:
-                        break
-                    envelope = self._decode(frame)
-                    if not isinstance(envelope, Envelope):
-                        raise TransportError(
-                            f"expected Envelope, got {type(envelope).__name__}"
-                        )
-                except Exception as exc:
-                    self.frames_rejected += 1
-                    self.last_error = exc
-                    break
-                self._deliver(envelope.src, envelope.payload)
-        finally:
-            del self._inbound[task]
-            writer.close()
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(lambda: _Inbound(self), host, port)
 
     def _deliver(self, src: str, msg: Any) -> None:
         """Hand one received (or self-addressed) message to the handler."""
@@ -226,8 +272,29 @@ class AioTransport:
             self._flush_armed = True
             asyncio.get_running_loop().call_soon(self._flush)
 
+    def at_flush(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` when this loop turn's flush starts, before it
+        writes: whatever ``fn`` posts leaves in the same writes."""
+        if self._closed:
+            return
+        self._flush_hooks.append(fn)
+        if not self._flush_armed:
+            self._flush_armed = True
+            asyncio.get_running_loop().call_soon(self._flush)
+
     def _flush(self) -> None:
-        """Hand each destination everything queued for it as one ``write``."""
+        """Run the flush hooks, then hand each destination everything
+        queued for it as one ``write``."""
+        hooks = self._flush_hooks
+        while hooks and not self._closed:  # a hook may add one
+            self._flush_hooks = []
+            for fn in hooks:
+                try:
+                    fn()
+                except Exception as exc:
+                    self.handler_errors += 1
+                    self.last_error = exc
+            hooks = self._flush_hooks
         self._flush_armed = False
         self._last_msg = _NO_MESSAGE
         if self._closed:
@@ -296,12 +363,10 @@ class AioTransport:
     async def close(self) -> None:
         """Stop accepting and tear down all connections.
 
-        Inbound readers are ended by closing their connections — they
-        see end-of-stream and return — rather than by cancellation,
-        which asyncio's stream server reports as an error per task.
-        Connection attempts still in flight are cancelled, which closes
-        their sockets.  From here on :meth:`post`, the flush and
-        self-delivery do nothing.
+        Inbound connections are closed and awaited until each is lost;
+        connection attempts still in flight are cancelled, which closes
+        their sockets.  From here on :meth:`post`, the flush, its hooks
+        and self-delivery do nothing.
         """
         self._closed = True
         if self._server is not None:
@@ -313,10 +378,11 @@ class AioTransport:
             writer.close()
         self._writers.clear()
         self._outbox.clear()
-        readers = list(self._inbound)
-        for writer in self._inbound.values():
-            writer.close()
-        if readers or connecting:
-            await asyncio.gather(*readers, *connecting, return_exceptions=True)
+        self._flush_hooks.clear()
+        lost = list(self._inbound.values())
+        for conn in list(self._inbound):
+            conn.close()
+        if lost or connecting:
+            await asyncio.gather(*lost, *connecting, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()

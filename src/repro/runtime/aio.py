@@ -7,8 +7,9 @@ message to the transport's outbox — written, with everything else bound
 for the same peer, by one flush per loop turn — so protocol cores stay
 non-blocking, matching the fire-and-forget semantics of the simulated
 transport.  A message a node sends to itself skips the socket: its
-handler runs on the next loop turn.  A closed runtime is quiet: its
-timers are cancelled and sends do nothing.
+handler runs on the next loop turn.  ``at_turn_end`` hooks run at that
+same flush, before its writes.  A closed runtime is quiet: its timers
+are cancelled and sends do nothing.
 
 Integration tests build small clusters on localhost ports and verify that
 the unmodified SDUR and Paxos cores commit transactions over real TCP.
@@ -131,3 +132,11 @@ class AioNodeRuntime(Runtime):
 
     def latency_estimate(self, dst: str) -> float:
         return self.world.delay_estimates.get((self.node_id, dst), 0.0)
+
+    def at_turn_end(self, fn: Callable[[], None]) -> None:
+        # The flush that writes this turn's sends runs after every
+        # callback already scheduled for the turn, so it closes the turn.
+        if self._transport is None:
+            fn()
+        else:
+            self._transport.at_flush(fn)

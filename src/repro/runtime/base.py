@@ -112,3 +112,16 @@ class Runtime(ABC):
         This models the operator-configured delay table the paper's
         *delaying* technique consults (``delay(x, p)`` in Algorithm 2).
         """
+
+    def at_turn_end(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` once the work of the current event-loop turn is done
+        — everything already delivered has been handled — and before
+        what it sends leaves the node.
+
+        This default runs ``fn`` now: the simulator delivers one event at
+        a time and a hand-driven runtime has no turns, so there is
+        nothing to wait for (the Paxos leader's turn group commit is then
+        a batch of one).  :class:`~repro.runtime.aio.AioNodeRuntime`
+        runs it at its transport's per-turn flush, ahead of the writes.
+        """
+        fn()

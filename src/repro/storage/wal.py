@@ -4,15 +4,18 @@ The paper's Paxos logged delivered values with Berkeley DB so a server's
 committed state could be recovered from disk.  This module provides the
 equivalent: an append-only log of byte records, each framed as::
 
-    [4-byte length][4-byte CRC32][payload]
+    [4-byte length][4-byte payload CRC32][4-byte header CRC32][payload]
 
-Recovery replays records until the file ends or a torn tail is found —
-a last frame that is short or fails its CRC — and truncates that tail
-(standard WAL semantics: a torn final record means the write never
-committed).  A frame that fails its CRC with further bytes *after* it
-is not a torn write but corruption of acknowledged data: recovery
-raises :class:`~repro.errors.StorageError` instead of silently dropping
-every later record.
+where the header CRC covers the eight bytes before it.  Recovery replays
+records until the file ends or a torn tail is found — a header cut
+short, a CRC-valid length that runs past the end of the file, or a last
+frame whose payload fails its CRC — and truncates that tail (standard
+WAL semantics: a torn final record means the write never committed).
+Everything else is corruption of acknowledged data, and recovery raises
+:class:`~repro.errors.StorageError` instead of silently dropping every
+later record: a complete header that fails its own CRC (a flipped bit in
+a length would otherwise read as a torn tail), or a payload that fails
+its CRC with further bytes *after* it.
 
 ``path=None`` gives an in-memory log with the same interface, which the
 simulation uses so experiments stay filesystem-free.
@@ -21,13 +24,21 @@ simulation uses so experiments stay filesystem-free.
 from __future__ import annotations
 
 import os
+import struct
 import zlib
 from pathlib import Path
 from typing import Iterator
 
 from repro.errors import StorageError
 
-_HEADER = 8
+#: Length and payload CRC; the header CRC that follows covers them.
+_HEAD = struct.Struct(">II")
+_HEADER = _HEAD.size + 4
+
+
+def _frame(record: bytes) -> bytes:
+    head = _HEAD.pack(len(record), zlib.crc32(record))
+    return head + zlib.crc32(head).to_bytes(4, "big") + record
 
 
 class WriteAheadLog:
@@ -55,8 +66,15 @@ class WriteAheadLog:
             data = fh.read()
         offset = 0
         while offset + _HEADER <= len(data):
-            length = int.from_bytes(data[offset : offset + 4], "big")
-            crc = int.from_bytes(data[offset + 4 : offset + 8], "big")
+            head = data[offset : offset + _HEAD.size]
+            head_crc = int.from_bytes(data[offset + _HEAD.size : offset + _HEADER], "big")
+            if zlib.crc32(head) != head_crc:
+                raise StorageError(
+                    f"{self.path}: record LSN {len(self._records)} at byte "
+                    f"offset {offset} has a header that fails its CRC; refusing "
+                    "to read its length or truncate acknowledged records"
+                )
+            length, crc = _HEAD.unpack(head)
             end = offset + _HEADER + length
             if end > len(data):
                 break  # torn tail
@@ -87,12 +105,7 @@ class WriteAheadLog:
         record = bytes(record)
         self._records.append(record)
         if self._file is not None:
-            frame = (
-                len(record).to_bytes(4, "big")
-                + zlib.crc32(record).to_bytes(4, "big")
-                + record
-            )
-            self._file.write(frame)
+            self._file.write(_frame(record))
             self._file.flush()
             if self.fsync:
                 os.fsync(self._file.fileno())
@@ -120,12 +133,7 @@ class WriteAheadLog:
             temp_path = self.path.with_suffix(self.path.suffix + ".compact")
             with open(temp_path, "wb") as fh:
                 for record in records:
-                    frame = (
-                        len(record).to_bytes(4, "big")
-                        + zlib.crc32(record).to_bytes(4, "big")
-                        + record
-                    )
-                    fh.write(frame)
+                    fh.write(_frame(record))
                 fh.flush()
                 if self.fsync:
                     os.fsync(fh.fileno())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consensus.messages import Accept, Accepted, Chosen, LearnRequest
+from repro.consensus.messages import Accept, Accepted, Batch, Chosen, LearnRequest
 from repro.consensus.replica import PaxosConfig, PaxosReplica
 from repro.errors import ConfigurationError
 from repro.runtime.sim import SimWorld
@@ -510,3 +510,136 @@ class TestWireSize:
         # Framed as JSON (through PR 20): 501 / 151 / 149 bytes.
         assert 150 < accept < 200
         assert accepted < 60 and chosen < 60
+
+
+def with_turns(world: SimWorld, node: str):
+    """Give ``node``'s sim runtime loop turns: a turn-end hook runs after
+    every event already due at this instant, the way the asyncio
+    runtime runs it after every callback already scheduled."""
+    runtime = world.runtime_for(node)
+    runtime.at_turn_end = lambda fn: world.kernel.schedule(0.0, fn)
+    return runtime
+
+
+class TestTurnGroupCommit:
+    """The leader closes one instance per loop turn (PROTOCOL.md §4)."""
+
+    def test_a_runtime_without_turns_opens_one_instance_per_value(self):
+        from tests.oracles.stub_runtime import StubRuntime
+
+        runtimes = {m: StubRuntime(m) for m in "abc"}
+        delivered = {m: [] for m in "abc"}
+        replicas = {
+            m: PaxosReplica(
+                runtimes[m], "g", list("abc"), PaxosConfig(static_leader="a"),
+                on_deliver=lambda i, v, m=m: delivered[m].append((i, v)),
+            )
+            for m in "abc"
+        }
+
+        def pump():
+            while any(runtime.sent for runtime in runtimes.values()):
+                for src, runtime in runtimes.items():
+                    sent, runtime.sent = runtime.sent, []
+                    for dst, msg in sent:
+                        replicas[dst].handle(src, msg)
+
+        for replica in replicas.values():
+            replica.start()
+        pump()  # Phase 1
+        for i in range(3):
+            replicas["a"].propose(f"v{i}")  # one turn, if there were turns
+        accepts = [msg for dst, msg in runtimes["a"].sent if dst == "b"]
+        assert [(m.instance, m.value) for m in accepts] == [(i, f"v{i}") for i in range(3)]
+        pump()
+        assert all(delivered[m] == [(i, f"v{i}") for i in range(3)] for m in "abc")
+
+    def test_one_turn_of_proposals_is_one_batch_instance(self, world):
+        replicas, delivered = make_group(world)
+        heard_b = tap(world, "b", replicas["b"])
+        with_turns(world, "a")
+        for replica in replicas.values():
+            replica.start()
+        world.run(until=1.0)
+        for i in range(3):
+            replicas["a"].propose(f"v{i}")
+        world.run(until=2.0)
+        [(_, accept)] = of_type(heard_b, Accept)
+        assert accept.value == Batch(values=("v0", "v1", "v2"))
+        # Delivery unpacks it: one on_deliver per value, all at instance 0.
+        assert all(delivered[m] == [(0, f"v{i}") for i in range(3)] for m in delivered)
+        assert all(replica.log.next_to_deliver == 1 for replica in replicas.values())
+        # A lone proposal in a later turn is a bare Accept.
+        replicas["a"].propose("alone")
+        world.run(until=3.0)
+        assert of_type(heard_b, Accept)[-1][1].value == "alone"
+        assert delivered["b"][-1] == (1, "alone")
+
+    def test_leader_change_with_a_full_turn_buffer_reroutes_each_value_once(self):
+        """``z`` leads, is cut off, ``a`` takes over; in the turn ``a``
+        buffers three proposals, ``z``'s heartbeat arrives and ``a``
+        steps down.  The turn's close re-routes every buffered value to
+        the new leader exactly once and opens no instance."""
+        from repro.consensus.messages import ClientPropose, Heartbeat
+
+        world = SimWorld(seed=6)
+        config = PaxosConfig(static_leader=None, heartbeat_interval=0.05, suspect_timeout=0.2)
+        replicas, delivered = make_group(world, members=("z", "a", "b"), config=config)
+        heard_z = tap(world, "z", replicas["z"])
+        with_turns(world, "a")
+        for replica in replicas.values():
+            replica.start()
+        world.run(until=1.0)
+        for peer in ("a", "b"):
+            world.network.cut_link("z", peer)
+        world.run(until=2.0)
+        a = replicas["a"]
+        assert a.is_leader and a._phase1_complete
+        for peer in ("a", "b"):
+            world.network.heal_link("z", peer)
+        values = ["v0", "v1", "v2"]
+        for value in values:
+            a.propose(value)
+        a.elector.on_heartbeat("z", Heartbeat(group="g", leader_hint="z"))  # same turn
+        assert a.leader == "z" and a._batch_buffer == values
+        opened = a._next_instance
+        world.run(until=2.5)
+        assert a._batch_buffer == [] and a._next_instance == opened
+        rerouted = [msg.value for src, msg in of_type(heard_z, ClientPropose) if src == "a"]
+        assert rerouted == values
+
+    def test_a_batch_instance_survives_wal_replay(self, world):
+        wals = {m: WriteAheadLog() for m in "abc"}
+        replicas, delivered = make_group(world, wals=wals)
+        with_turns(world, "a")
+        for replica in replicas.values():
+            replica.start()
+        world.run(until=1.0)
+        for i in range(3):
+            replicas["a"].propose(f"v{i}")
+        world.run(until=2.0)
+        expected = [(0, f"v{i}") for i in range(3)]
+        assert delivered["a"] == expected and len(wals["a"]) == 1
+        recovered, redelivered = TestDurability._recover(wals["a"])
+        assert redelivered == expected
+        assert recovered.log.next_to_deliver == 1
+        assert recovered.log.state(0).chosen_value == Batch(values=("v0", "v1", "v2"))
+
+    def test_a_batch_accepted_by_a_minority_is_adopted_by_the_next_leader(self):
+        world = SimWorld(seed=7)
+        config = PaxosConfig(static_leader=None, heartbeat_interval=0.05, suspect_timeout=0.2)
+        replicas, delivered = make_group(world, config=config)
+        with_turns(world, "a")
+        for replica in replicas.values():
+            replica.start()
+        world.run(until=1.0)
+        world.network.cut_link("a", "c")  # only b will hold the Accept
+        replicas["a"].propose("v0")
+        replicas["a"].propose("v1")
+        while not replicas["b"].log.accepted_at_or_above(0):
+            world.kernel.step()
+        world.crash("a")  # before any vote comes back: nothing was chosen
+        assert not any(delivered.values())
+        world.run(until=4.0)
+        assert replicas["b"].is_leader
+        assert delivered["b"] == delivered["c"] == [(0, "v0"), (0, "v1")]

@@ -19,6 +19,7 @@ from repro.core.partitioning import PartitionMap
 from repro.core.transaction import Outcome
 from repro.net.topology import Topology
 from repro.runtime.aio import AioWorld
+from repro.storage.wal import WriteAheadLog
 from tests.conftest import update_program
 
 
@@ -34,8 +35,10 @@ def free_ports(count):
     return ports
 
 
-async def build_aio_cluster(num_partitions=2, replicas=3, session_server="s1"):
-    """A full SDUR deployment over localhost TCP (``s1`` leads ``p0``)."""
+async def build_aio_cluster(num_partitions=2, replicas=3, session_server="s1", wals=None):
+    """A full SDUR deployment over localhost TCP (``s1`` leads ``p0``).
+
+    ``wals``, when a dict, receives an in-memory WAL per server name."""
     server_names = [
         f"s{p * replicas + r + 1}" for p in range(num_partitions) for r in range(replicas)
     ]
@@ -74,7 +77,10 @@ async def build_aio_cluster(num_partitions=2, replicas=3, session_server="s1"):
                 runtime,
                 pid,
                 members,
-                PaxosConfig(static_leader=members[0]),
+                PaxosConfig(
+                    static_leader=members[0],
+                    wal=None if wals is None else wals.setdefault(name, WriteAheadLog()),
+                ),
                 on_deliver=server.on_adeliver,
             )
             fabric.attach_replica(pid, replica)

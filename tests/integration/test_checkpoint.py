@@ -1,5 +1,7 @@
 """Checkpointing: bounded recovery, WAL compaction, state transfer."""
 
+from collections import Counter
+
 import pytest
 
 from repro.consensus.replica import PaxosConfig
@@ -9,7 +11,7 @@ from repro.core.checkpoint import (
     CheckpointRequest,
     ServerCheckpoint,
 )
-from repro.core.config import SdurConfig
+from repro.core.config import SdurConfig, ServiceCosts
 from repro.core.messages import NoopTick
 from repro.core.partitioning import PartitionMap
 from repro.core.pending import PendingTxn
@@ -17,7 +19,10 @@ from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 from repro.errors import ProtocolError
 from repro.geo.deployments import lan_deployment
 from repro.harness.cluster import build_cluster
+from repro.harness.driver import ClosedLoopDriver
+from repro.metrics.collector import MetricsCollector
 from repro.storage.wal import WriteAheadLog
+from repro.workload.microbench import MicroBenchmark
 from tests.conftest import run_txn, update_program
 from tests.properties.test_batch_differential import (
     build_server,
@@ -113,6 +118,7 @@ class TestCheckpointTaking:
             ("stalled", lambda s: s._stalled.append(NoopTick())),
             ("being applied", lambda s: setattr(s, "_applying", True)),
             ("batcher", lambda s: s.batcher.add(NoopTick(), 0.0)),
+            ("queued for the CPU", lambda s: setattr(s, "_queued_for_cpu", 1)),
         ],
     )
     def test_refusal_names_the_blocker(self, cause, block):
@@ -129,6 +135,55 @@ class TestCheckpointTaking:
         block(server)
         with pytest.raises(ProtocolError, match=cause):
             server.take_checkpoint()
+
+    def test_no_checkpoint_claims_a_delivery_still_queued_for_the_cpu(self):
+        """A delivery handed to ``runtime.execute`` has already advanced
+        the coverage bound a checkpoint claims (``next_instance``); with
+        a nonzero certify cost the CPU model holds it for a while, and a
+        checkpoint taken then would compact the WAL below a transaction
+        its state does not contain.  At every checkpoint, each value the
+        replica delivered must have reached ``_run_batch``."""
+        cluster = build_cluster(
+            lan_deployment(2),
+            PartitionMap.by_index(2),
+            SdurConfig(checkpoint_interval=0.003, costs=ServiceCosts(certify=0.002)),
+            seed=3,
+        )
+        delivered, ingested, unapplied = Counter(), Counter(), []
+        for name, handle in cluster.servers.items():
+            server, replica = handle.server, handle.replica
+
+            def on_deliver(instance, value, name=name, inner=replica.on_deliver):
+                delivered[name] += 1
+                inner(instance, value)
+
+            def run_batch(values, name=name, inner=server._run_batch):
+                ingested[name] += len(values)
+                inner(values)
+
+            def hook(next_instance, name=name, inner=server.checkpoint_hook):
+                unapplied.append(delivered[name] - ingested[name])
+                inner(next_instance)
+
+            replica.on_deliver = on_deliver
+            server._run_batch = run_batch
+            server.checkpoint_hook = hook
+        collector = MetricsCollector()
+        drivers = [
+            ClosedLoopDriver(
+                cluster.add_client(),
+                MicroBenchmark(2, i % 2, 0.0, items_per_partition=100),
+                collector,
+            )
+            for i in range(6)
+        ]
+        cluster.start()
+        for driver in drivers:
+            driver.start()
+        cluster.world.run_for(1.0)
+        assert len(collector.results) > 100 and len(unapplied) > 100
+        early = sum(1 for n in unapplied if n)
+        assert early == 0, f"{early} of {len(unapplied)} checkpoints claimed unapplied deliveries"
 
     def test_restore_requires_fresh_server(self):
         wals = {}

@@ -41,15 +41,23 @@ This is the regression guard for the four cuts of the Phase-2 wire path
 and for any later change that re-adds a hop, an encode or a copy of the
 value.  It is also the counted guard that the default ingest path is a
 batch of one replying with notices: every delivery is its own batch and
-no ``OutcomeBatch`` is ever sent.
+no ``OutcomeBatch`` is ever sent.  The script is serial, so the leader's
+turn group commit (PROTOCOL.md §4) never has two proposals in one turn:
+each instance is a bare ``Accept`` and the counts above hold unchanged.
+
+The second test is the concurrent counterpart: four clients committing
+at once on one partition, where the group commit has to show — fewer
+instances and WAL records than commits, one ``on_deliver`` per
+committed value.
 """
 
 import asyncio
 
+from repro.core.client import SdurClient
 from repro.core.messages import CommitRequest, OutcomeBatch
 from repro.core.transaction import TxnProjection
 from tests.conftest import update_program
-from tests.integration.test_asyncio_e2e import build_aio_cluster, execute
+from tests.integration.test_asyncio_e2e import build_aio_cluster, execute, free_ports
 
 COMMITS = 50
 #: Wire bytes per commit of this script (see above), and the headroom
@@ -126,3 +134,68 @@ def test_local_commit_stays_inside_its_wire_budget():
     # Same-turn frames for one peer share a write.
     assert per_commit["writes"] < per_commit["frames_sent"], per_commit
     assert per_commit["bytes_sent"] <= HEADROOM * MEASURED_BYTES_PER_COMMIT, per_commit
+
+
+async def more_clients(world, like, count):
+    """``count`` more clients configured as ``like``, started on ``world``."""
+    clients = []
+    for i, port in enumerate(free_ports(count), start=1):
+        name = f"client{i}"
+        world.directory[name] = ("127.0.0.1", port)
+        runtime = world.runtime_for(name)
+        client = SdurClient(
+            runtime, like.routing.directory, like.routing.partition_map, like.config
+        )
+        runtime.listen(client.handle)
+        await runtime.start()
+        clients.append(client)
+    return clients
+
+
+def test_concurrent_commits_share_instances():
+    per_client = 20
+
+    async def body():
+        wals = {}
+        world, first, servers = await build_aio_cluster(
+            num_partitions=1, session_server="s2", wals=wals
+        )
+        try:
+            clients = [first, *await more_clients(world, first, 3)]
+            delivered = {}
+            for server, replica in servers:
+                count = delivered[replica.runtime.node_id] = [0]
+
+                def on_deliver(instance, value, inner=replica.on_deliver, count=count):
+                    count[0] += isinstance(value, TxnProjection)
+                    inner(instance, value)
+
+                replica.on_deliver = on_deliver
+
+            async def commits(j, client):
+                for i in range(per_client):
+                    keys = [f"0/c{j}x{i}", f"0/c{j}y{i}"]  # no two clients conflict
+                    assert (await execute(client, update_program(keys))).committed
+
+            await asyncio.gather(*(commits(j, c) for j, c in enumerate(clients)))
+            total = per_client * len(clients)
+            for _ in range(300):
+                if all(count[0] == total for count in delivered.values()):
+                    break
+                await asyncio.sleep(0.01)
+            return total, delivered, {
+                replica.runtime.node_id: (
+                    replica.log.next_to_deliver, len(wals[replica.runtime.node_id])
+                )
+                for _, replica in servers
+            }
+        finally:
+            await world.close_all()
+
+    total, delivered, logs = asyncio.run(body())
+    # One on_deliver per committed value, at every replica.
+    assert all(count[0] == total for count in delivered.values()), delivered
+    for name, (instances, records) in logs.items():
+        # Fewer instances, and WAL records, than commits: a turn's
+        # proposals share one.
+        assert instances == records < total, (name, logs)

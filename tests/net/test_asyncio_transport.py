@@ -230,6 +230,30 @@ class TestOneWriterPerConnection:
 
         asyncio.run(body())
 
+    def test_flush_hooks_post_into_the_same_write_and_a_raising_one_is_counted(self):
+        async def body():
+            transports, inboxes = await _start_nodes(["a", "b"])
+            ta = transports["a"]
+            try:
+                await ta.send("b", _Echo(text="connect"))
+                await _drain(lambda: inboxes["b"])
+                writes = ta.writes
+
+                def boom():
+                    raise RuntimeError("hook bug")
+
+                ta.at_flush(lambda: ta.post("b", _Echo(text="from a hook")))
+                ta.at_flush(boom)
+                ta.post("b", _Echo(text="posted"))
+                await _drain(lambda: len(inboxes["b"]) == 3)
+                assert [m.text for _, m in inboxes["b"]] == ["connect", "posted", "from a hook"]
+                assert ta.writes - writes == 1
+                assert ta.handler_errors == 1 and isinstance(ta.last_error, RuntimeError)
+            finally:
+                await _close_all(transports)
+
+        asyncio.run(body())
+
     def test_one_message_object_to_three_peers_is_encoded_once(self):
         async def body():
             transports, inboxes = await _start_nodes(["a", "b", "c", "d"])
@@ -428,3 +452,113 @@ class TestBoundedUnsentBytes:
                 await stalled.wait_closed()
 
         asyncio.run(body())
+
+
+class _Conn:
+    """The socket side of an inbound connection, for feeding it by hand."""
+
+    def __init__(self):
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+
+
+def frames_of(*texts):
+    from repro.net.asyncio_transport import Envelope, _frame
+    from repro.net.codec import encode_packed
+
+    return [_frame(encode_packed(Envelope(src="a", payload=_Echo(text=t)))) for t in texts]
+
+
+def feed(chunks, handler=None):
+    """Hand ``chunks`` to one inbound connection of node ``b``; returns
+    the transport, the connection and what the handler received."""
+    from repro.net.asyncio_transport import _Inbound
+
+    seen = []
+
+    async def body():
+        transport = AioTransport(
+            "b", {"b": ("127.0.0.1", 0)}, handler or (lambda src, msg: seen.append(msg.text))
+        )
+        conn = _Conn()
+        protocol = _Inbound(transport)
+        protocol.connection_made(conn)
+        for chunk in chunks:
+            if conn.closed:
+                break
+            protocol.data_received(bytes(chunk))
+        return transport, conn
+
+    transport, conn = asyncio.run(body())
+    return transport, conn, seen
+
+
+class TestFrameParser:
+    """Frames are parsed and delivered in the ``data_received`` call their
+    last byte arrives in, however the stream is cut into chunks."""
+
+    def test_one_chunk_of_many_frames_delivers_them_all_in_order(self):
+        texts = [str(i) for i in range(50)]
+        transport, conn, seen = feed([b"".join(frames_of(*texts))])
+        assert seen == texts and not conn.closed
+        assert transport.frames_rejected == transport.handler_errors == 0
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 64])
+    def test_frames_split_across_chunks_arrive_whole_and_in_order(self, size):
+        texts = ["a", "bb" * 40, "", "ccc"]
+        stream = b"".join(frames_of(*texts))
+        chunks = [stream[i : i + size] for i in range(0, len(stream), size)]
+        transport, conn, seen = feed(chunks)
+        assert seen == texts and not conn.closed and transport.frames_rejected == 0
+
+    def test_a_frame_is_delivered_in_the_call_that_completes_it(self):
+        from repro.net.asyncio_transport import _Inbound
+
+        first, second = frames_of("first", "second")
+        seen = []
+
+        async def body():
+            transport = AioTransport("b", {"b": ("127.0.0.1", 0)}, lambda s, m: seen.append(m.text))
+            protocol = _Inbound(transport)
+            protocol.connection_made(_Conn())
+            protocol.data_received(first[:-1])
+            assert seen == []
+            protocol.data_received(first[-1:] + second[:2])
+            assert seen == ["first"]
+            protocol.data_received(second[2:])
+            assert seen == ["first", "second"]
+
+        asyncio.run(body())
+
+    @pytest.mark.parametrize("split", [4, 2], ids=["whole-header", "split-header"])
+    def test_an_oversized_header_is_rejected_before_any_body(self, split):
+        from repro.net.asyncio_transport import _MAX_FRAME
+
+        header = (_MAX_FRAME + 1).to_bytes(4, "big")
+        good = frames_of("before")[0]
+        transport, conn, seen = feed([good + header[:split], header[split:], b"x" * 100])
+        assert seen == ["before"] and conn.closed
+        assert transport.frames_rejected == 1
+        assert "oversized" in str(transport.last_error)
+
+    def test_a_raising_handler_mid_chunk_spares_the_rest_of_the_chunk(self):
+        seen = []
+
+        def handler(src, msg):
+            if msg.text == "boom":
+                raise RuntimeError("handler bug")
+            seen.append(msg.text)
+
+        texts = ["a", "b", "boom", "c", "d"]
+        transport, conn, _ = feed([b"".join(frames_of(*texts))], handler)
+        assert seen == ["a", "b", "c", "d"] and not conn.closed
+        assert transport.handler_errors == 1 and transport.frames_rejected == 0
+        assert isinstance(transport.last_error, RuntimeError)
+
+    def test_a_bad_frame_mid_chunk_closes_the_connection_after_the_good_ones(self):
+        good = frames_of("a", "b", "never")
+        garbage = b"\x00\x00\x00\x07garbage"
+        transport, conn, seen = feed([good[0] + good[1] + garbage + good[2]])
+        assert seen == ["a", "b"] and conn.closed and transport.frames_rejected == 1

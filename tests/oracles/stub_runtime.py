@@ -5,11 +5,15 @@ the reconfiguration participant — through its fixed points.
 
 ``execute`` runs inline, ``now()`` is a clock the test sets, and timers
 are never fired: they are listed as ``(due, callback)`` for the test to
-call.  Imports nothing but the standard library — the benchmarks' CI
-job installs no test dependencies.
+call.  It has no loop turns, so ``at_turn_end`` is the
+:class:`~repro.runtime.base.Runtime` default (run now).  Imports nothing
+but the standard library and ``repro`` — the benchmarks' CI job installs
+no test dependencies.
 """
 
 import random
+
+from repro.runtime.base import Runtime
 
 
 class _DeadTimer:
@@ -20,7 +24,7 @@ class _DeadTimer:
 _DEAD_TIMER = _DeadTimer()
 
 
-class StubRuntime:
+class StubRuntime(Runtime):
     def __init__(self, node_id: str = "s0", record: bool = True) -> None:
         self.node_id = node_id
         self.clock = 0.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import _HEADER, WriteAheadLog
 
 
 class TestInMemory:
@@ -76,12 +76,41 @@ class TestFileBacked:
             log.append(b"evil")
             log.append(b"third")
         data = bytearray(path.read_bytes())
-        evil_offset = 8 + len(b"first")
-        data[evil_offset + 8] ^= 0xFF  # first payload byte of record 1
+        evil_offset = _HEADER + len(b"first")
+        data[evil_offset + _HEADER] ^= 0xFF  # first payload byte of record 1
         path.write_bytes(bytes(data))
         with pytest.raises(StorageError, match=rf"LSN 1 at byte offset {evil_offset}\b"):
             WriteAheadLog(path)
         assert path.read_bytes() == bytes(data)  # nothing was truncated
+
+    @pytest.mark.parametrize("byte", [0, 3], ids=["past-eof", "inside-the-file"])
+    def test_corrupt_length_refuses_to_start(self, tmp_path, byte):
+        """A flipped bit in a length field is not a torn tail, wherever
+        the bad length points: the header's own CRC catches it before the
+        length is believed (a length past EOF used to truncate there,
+        dropping the record and every acknowledged one after it)."""
+        path = tmp_path / "wal.log"
+        with WriteAheadLog(path) as log:
+            for payload in (b"first", b"second", b"third", b"fourth"):
+                log.append(payload)
+        data = bytearray(path.read_bytes())
+        second = _HEADER + len(b"first")
+        data[second + byte] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match=rf"LSN 1 at byte offset {second}\b.*header"):
+            WriteAheadLog(path)
+        assert path.read_bytes() == bytes(data)  # nothing was truncated
+
+    def test_short_header_is_a_torn_tail(self, tmp_path):
+        path = tmp_path / "wal.log"
+        with WriteAheadLog(path) as log:
+            log.append(b"kept")
+            log.append(b"torn")
+        data = path.read_bytes()
+        path.write_bytes(data[: _HEADER + len(b"kept") + _HEADER - 1])
+        with WriteAheadLog(path) as recovered:
+            assert list(recovered) == [b"kept"]
+        assert len(path.read_bytes()) == _HEADER + len(b"kept")
 
     def test_empty_and_missing_files(self, tmp_path):
         missing = WriteAheadLog(tmp_path / "sub" / "new.log")
