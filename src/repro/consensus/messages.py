@@ -31,10 +31,9 @@ class PaxosNoop(Message):
 class Batch(Message):
     """Several application values decided in one consensus instance.
 
-    With ``PaxosConfig.batch_window > 0`` the leader accumulates
-    proposals for up to that long and runs one Phase 2 for the lot —
-    trading a little latency for far fewer consensus messages per value.
-    Delivery unpacks the batch in order.
+    The leader proposes one when a loop turn brought it two or more
+    proposals (turn group commit, :mod:`repro.consensus.replica`) and
+    runs one Phase 2 for the lot.  Delivery unpacks the batch in order.
     """
 
     values: tuple[Any, ...] = ()

@@ -25,13 +25,9 @@ one value goes out as a bare ``Accept``, two or more as one
 followers, the WAL and recovery treat as any other value and delivery
 unpacks item by item (one ``on_deliver`` per value).  It adds no
 latency: on the asyncio runtime the buffer closes at the flush that
-would have written the ``Accept`` anyway, and the batch grows with
-however many proposals one turn brought.  Where there are no turns —
-the simulator, hand-driven runtimes — the buffer closes at once and
-every instance holds one value, as before.  ``PaxosConfig.batch_window``
-stays as the timer-closed variant through the same ``_flush_batch``:
-the simulator has no loop turn to batch on, and ablation A4 is its
-only view of Paxos batching.
+would have written the ``Accept`` anyway, on the simulator once every
+event due at the same instant has run, and the batch grows with
+however many proposals one turn brought.
 
 Values are delivered to the application strictly in instance order.
 Gap instances left by a failed leader are filled with
@@ -103,11 +99,6 @@ class PaxosConfig:
     #: paper's deployment: acceptors answer the coordinator, which relays a
     #: Chosen — followers learn one hop later (Figure 1's ③④ then commit).
     accepted_broadcast: bool = False
-    #: Leader-side value batching on a timer: accumulate proposals for up
-    #: to this many seconds and decide them in one consensus instance.
-    #: 0 (the default) closes each batch at the end of the loop turn
-    #: instead — a batch of one wherever the runtime has no turns.
-    batch_window: float = 0.0
 
 
 class PaxosReplica:
@@ -274,15 +265,10 @@ class PaxosReplica:
 
     def _enqueue_batch(self, value: Any) -> None:
         """Buffer a proposal for the leader's next instance, which closes
-        at the end of this loop turn or, with a ``batch_window``, when
-        that window's timer fires."""
+        at the end of this loop turn."""
         self._batch_buffer.append(value)
-        if self._batch_armed:
-            return
-        self._batch_armed = True
-        if self.config.batch_window > 0:
-            self.runtime.set_timer(self.config.batch_window, self._flush_batch)
-        else:
+        if not self._batch_armed:
+            self._batch_armed = True
             self.runtime.at_turn_end(self._flush_batch)
 
     def _flush_batch(self) -> None:

@@ -27,7 +27,6 @@ import time
 from collections.abc import Callable
 
 from repro.experiments import (
-    ablation_batching,
     ablation_multicast,
     ext_failover,
     ablation_bloom,
@@ -62,7 +61,6 @@ REGISTRY: dict[str, tuple[str, Callable[[bool], ExperimentTable]]] = {
     "A1": ("Bloom-digest certification ablation", lambda q: ablation_bloom.run(quick=q)),
     "A2": ("Reorder-threshold sweep ablation", lambda q: ablation_threshold.run(quick=q)),
     "A3": ("Paxos learning-strategy ablation", lambda q: ablation_learning.run(quick=q)),
-    "A4": ("Paxos value-batching ablation", lambda q: ablation_batching.run(quick=q)),
     "A5": ("SDUR vs genuine atomic multicast", lambda q: ablation_multicast.run(quick=q)),
     "E1": ("Availability under leader failover", lambda q: ext_failover.run(quick=q)),
     "E2": ("Live partition split under load", lambda q: reconfig.run(quick=q)),

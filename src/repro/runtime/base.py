@@ -118,10 +118,11 @@ class Runtime(ABC):
         — everything already delivered has been handled — and before
         what it sends leaves the node.
 
-        This default runs ``fn`` now: the simulator delivers one event at
-        a time and a hand-driven runtime has no turns, so there is
-        nothing to wait for (the Paxos leader's turn group commit is then
-        a batch of one).  :class:`~repro.runtime.aio.AioNodeRuntime`
-        runs it at its transport's per-turn flush, ahead of the writes.
+        This default runs ``fn`` now, for hand-driven runtimes that have
+        no turns (the Paxos leader's turn group commit is then a batch of
+        one).  :class:`~repro.runtime.aio.AioNodeRuntime` runs it at its
+        transport's per-turn flush, ahead of the writes;
+        :class:`~repro.runtime.sim.SimNodeRuntime` runs it on a zero-delay
+        timer, after every event already due at this simulated instant.
         """
         fn()

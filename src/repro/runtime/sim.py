@@ -166,6 +166,11 @@ class SimNodeRuntime(Runtime):
     def latency_estimate(self, dst: str) -> float:
         return self.world.latency.expected(self.node_id, dst)
 
+    def at_turn_end(self, fn: Callable[[], None]) -> None:
+        # A zero-delay timer runs after every event already due at this
+        # instant: the simulator's version of asyncio's call_soon flush.
+        self.set_timer(0.0, fn)
+
     # -- Simulation extras ---------------------------------------------
     @property
     def cpu(self) -> ServiceStation:

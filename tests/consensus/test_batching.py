@@ -1,87 +1,146 @@
-"""Tests for leader-side value batching in Paxos."""
+"""Turn group commit: the Paxos leader opens one instance per loop turn.
 
-from repro.consensus.replica import PaxosConfig
+On the simulator a turn is one simulated instant: every proposal the
+leader takes in at the same instant shares one instance (PROTOCOL.md §4).
+"""
+
+import pytest
+
+from repro.checker.agreement import replica_agreement
+from repro.checker.serializability import check_serializability
+from repro.consensus.messages import Accept, Batch, ClientPropose
+from repro.core.config import SdurConfig
+from repro.core.partitioning import PartitionMap
+from repro.experiments.scalability import COSTS, LAN_DELTA
+from repro.geo.deployments import lan_deployment
+from repro.harness.cluster import build_cluster
+from repro.harness.driver import run_experiment
 from repro.runtime.sim import SimWorld
-from tests.consensus.test_replica import make_group
+from repro.workload.microbench import MicroBenchmark
+from tests.consensus.test_replica import make_group, of_type, tap
+
+
+def started(world, **kwargs):
+    replicas, delivered = make_group(world, **kwargs)
+    heard = {m: tap(world, m, replicas[m]) for m in replicas}
+    for replica in replicas.values():
+        replica.start()
+    world.run(until=1.0)
+    return replicas, delivered, heard
 
 
 class TestBatching:
     def test_values_delivered_in_submission_order(self, world):
-        config = PaxosConfig(static_leader="a", batch_window=0.01)
-        replicas, delivered = make_group(world, config=config)
-        for replica in replicas.values():
-            replica.start()
-        world.run(until=1.0)
-        for i in range(10):
-            replicas["a"].propose(f"v{i}")
+        """One instant's proposals are one ``Batch`` instance, unpacked
+        in submission order at every replica."""
+        replicas, delivered, heard = started(world)
+        values = [f"v{i}" for i in range(10)]
+        for value in values:
+            replicas["a"].propose(value)
         world.run(until=2.0)
-        values = [v for _, v in delivered["a"]]
-        assert values == [f"v{i}" for i in range(10)]
-        assert delivered["b"] == delivered["a"] == delivered["c"]
+        [(_, accept)] = of_type(heard["b"], Accept)
+        assert (accept.instance, accept.value) == (0, Batch(values=tuple(values)))
+        assert all(delivered[m] == [(0, v) for v in values] for m in delivered)
 
     def test_batching_uses_fewer_instances(self, world):
-        config = PaxosConfig(static_leader="a", batch_window=0.02)
-        replicas, delivered = make_group(world, config=config)
-        for replica in replicas.values():
-            replica.start()
-        world.run(until=1.0)
-        for i in range(20):
-            replicas["a"].propose(i)
+        """Four turns of five proposals are four instances."""
+        replicas, delivered, _ = started(world)
+        for turn in range(4):
+            for i in range(5):
+                replicas["a"].propose((turn, i))
+            world.run_for(0.0)  # the turn closes
         world.run(until=2.0)
-        assert len(delivered["a"]) == 20
-        instances = {i for i, _ in delivered["a"]}
-        assert len(instances) < 5, f"expected few instances, got {len(instances)}"
+        assert [v for _, v in delivered["c"]] == [(t, i) for t in range(4) for i in range(5)]
+        assert [i for i, _ in delivered["c"]] == [t for t in range(4) for _ in range(5)]
+        assert replicas["c"].log.next_to_deliver == 4
 
     def test_batching_reduces_message_count(self):
-        def messages_for(batch_window):
+        def messages_for(one_turn: bool) -> int:
             world = SimWorld(seed=6)
-            config = PaxosConfig(static_leader="a", batch_window=batch_window)
-            replicas, delivered = make_group(world, config=config)
-            for replica in replicas.values():
-                replica.start()
-            world.run(until=1.0)
+            replicas, delivered, _ = started(world)
             baseline = world.network.messages_sent
             for i in range(50):
                 replicas["a"].propose(i)
+                if not one_turn:
+                    world.run_for(0.0)
             world.run(until=3.0)
-            assert len(delivered["b"]) == 50
+            assert [v for _, v in delivered["b"]] == list(range(50))
             return world.network.messages_sent - baseline
 
-        assert messages_for(0.02) < messages_for(0.0) / 3
+        assert messages_for(one_turn=True) < messages_for(one_turn=False) / 3
 
     def test_single_value_batch_not_wrapped(self, world):
-        """A lone proposal inside a window is proposed bare (no Batch
-        envelope), keeping the common low-load case allocation-free."""
-        config = PaxosConfig(static_leader="a", batch_window=0.01)
-        replicas, delivered = make_group(world, config=config)
-        for replica in replicas.values():
-            replica.start()
-        world.run(until=1.0)
-        replicas["a"].propose("solo")
-        world.run(until=2.0)
-        entry = replicas["a"].log.state(0)
-        assert entry.chosen_value == "solo"
-
-    def test_batch_window_adds_bounded_latency(self, world):
-        config = PaxosConfig(static_leader="a", batch_window=0.05)
-        replicas, delivered = make_group(world, config=config)
-        for replica in replicas.values():
-            replica.start()
-        world.run(until=1.0)
+        """A lone proposal goes out as a bare ``Accept`` (no ``Batch``
+        envelope) in the instant it was made: closing the turn adds no
+        latency."""
+        replicas, delivered, heard = started(world)
         start = world.now
-        replicas["a"].propose("v")
+        replicas["a"].propose("solo")
         while not delivered["a"]:
             world.kernel.step()
-        latency = world.now - start
-        assert 0.05 <= latency < 0.07  # window + one Phase-2 round
+        [(_, accept)] = of_type(heard["b"], Accept)
+        assert accept.value == "solo"
+        assert replicas["a"].log.state(0).chosen_value == "solo"
+        assert world.now - start == pytest.approx(0.002)  # Accept, then Accepted
 
     def test_forwarded_proposals_also_batch(self, world):
-        config = PaxosConfig(static_leader="a", batch_window=0.02)
-        replicas, delivered = make_group(world, config=config)
-        for replica in replicas.values():
-            replica.start()
-        world.run(until=1.0)
-        for i in range(6):
-            replicas["b"].propose(f"fwd{i}")
+        """Forwards sent in one instant land at the leader in one instant
+        and share its instance."""
+        replicas, delivered, heard = started(world)
+        values = [f"fwd{i}" for i in range(6)]
+        for value in values:
+            replicas["b"].propose(value)
         world.run(until=2.0)
-        assert [v for _, v in delivered["c"]] == [f"fwd{i}" for i in range(6)]
+        assert [msg.value for _, msg in of_type(heard["a"], ClientPropose)] == values
+        [(_, accept)] = of_type(heard["c"], Accept)
+        assert accept.value == Batch(values=tuple(values))
+        assert [v for _, v in delivered["c"]] == values
+
+    def test_a_leader_that_crashes_with_a_full_turn_buffer_sends_no_accept(self, world):
+        """The turn's close is a timer of the leader's node, so a crash in
+        the same instant cancels it: nothing leaves, nothing is decided."""
+        replicas, delivered, heard = started(world)
+        for i in range(3):
+            replicas["a"].propose(f"v{i}")
+        world.crash("a")
+        world.run(until=2.0)
+        assert not of_type(heard["b"], Accept) and not of_type(heard["c"], Accept)
+        assert not any(delivered.values())
+        assert replicas["a"]._next_instance == 0
+
+
+class TestBatchesInACluster:
+    def test_an_s2_shaped_run_decides_batches_and_stays_serializable(self):
+        """S2's shape, shortened: LAN, the CPU model, closed-loop clients
+        with globals.  Proposals that coincide at a leader share an
+        instance, and the checkers judge that path."""
+        deployment = lan_deployment(2)
+        cluster = build_cluster(
+            deployment,
+            PartitionMap.by_index(2),
+            SdurConfig(costs=COSTS),
+            seed=71,
+            intra_delay=LAN_DELTA,
+        )
+        pairs = [
+            (
+                cluster.add_client(region=deployment.preferred_region[partition]),
+                MicroBenchmark(2, int(partition[1:]), 0.2, items_per_partition=200),
+            )
+            for partition in deployment.partition_ids
+            for _ in range(6)
+        ]
+        run = run_experiment(
+            cluster, pairs, warmup=0.2, measure=1.0, drain=1.0, record_history=True
+        )
+        leaders = [h.replica for h in cluster.servers.values() if h.replica.is_leader]
+        batches = [
+            entry.chosen_value
+            for replica in leaders
+            for entry in replica.log._instances.values()
+            if isinstance(entry.chosen_value, Batch)
+        ]
+        assert batches and all(len(batch.values) >= 2 for batch in batches)
+        assert run.summary().committed > 100
+        check_serializability(run.recorder).raise_if_failed()
+        replica_agreement(run.recorder, cluster.replica_counts()).raise_if_failed()

@@ -54,6 +54,7 @@ class TestBasicAgreement:
         world.run(until=1.0)
         for i in range(20):
             replicas["a"].propose(f"v{i}")
+            world.run_for(0.0)  # the turn closes: one instance per value
         world.run(until=5.0)
         expected = [(i, f"v{i}") for i in range(20)]
         assert all(delivered[m] == expected for m in delivered)
@@ -191,6 +192,7 @@ class TestLearningStrategies:
         world.run(until=1.0)
         for i in range(5):
             replicas["b"].propose(f"v{i}")
+            world.run_for(0.001)  # each forward reaches the leader in its own turn
         world.run(until=3.0)
         expected = [(i, f"v{i}") for i in range(5)]
         assert all(delivered[m] == expected for m in delivered)
@@ -221,6 +223,7 @@ class TestDurability:
         world.run(until=1.0)
         for i in range(3):
             replicas["a"].propose(f"v{i}")
+            world.run_for(0.0)
         world.run(until=2.0)
         assert len(delivered["a"]) == 3
         # "Restart" node a: a fresh replica recovering from the same WAL.
@@ -286,6 +289,7 @@ class TestDurability:
         world.run(until=1.0)
         for value in values:
             replicas["a"].propose(value)
+            world.run_for(0.0)
         world.run(until=5.0)
         for wal in wals.values():
             wal.close()
@@ -382,7 +386,8 @@ class TestValueFreeVotesAndDecisions:
             replica.start()
         world.run(until=1.0)
         world.network.cut_link("a", "c")
-        replicas["a"].propose("v0")  # the Accept to c is lost here
+        replicas["a"].propose("v0")
+        world.run_for(0.0)  # the turn closes and the Accept to c is lost
         world.network.heal_link("a", "c")  # before a has a quorum to relay
         world.run(until=2.0)
         assert not of_type(heard_c, Accept)
@@ -512,15 +517,6 @@ class TestWireSize:
         assert accepted < 60 and chosen < 60
 
 
-def with_turns(world: SimWorld, node: str):
-    """Give ``node``'s sim runtime loop turns: a turn-end hook runs after
-    every event already due at this instant, the way the asyncio
-    runtime runs it after every callback already scheduled."""
-    runtime = world.runtime_for(node)
-    runtime.at_turn_end = lambda fn: world.kernel.schedule(0.0, fn)
-    return runtime
-
-
 class TestTurnGroupCommit:
     """The leader closes one instance per loop turn (PROTOCOL.md §4)."""
 
@@ -557,7 +553,6 @@ class TestTurnGroupCommit:
     def test_one_turn_of_proposals_is_one_batch_instance(self, world):
         replicas, delivered = make_group(world)
         heard_b = tap(world, "b", replicas["b"])
-        with_turns(world, "a")
         for replica in replicas.values():
             replica.start()
         world.run(until=1.0)
@@ -586,7 +581,6 @@ class TestTurnGroupCommit:
         config = PaxosConfig(static_leader=None, heartbeat_interval=0.05, suspect_timeout=0.2)
         replicas, delivered = make_group(world, members=("z", "a", "b"), config=config)
         heard_z = tap(world, "z", replicas["z"])
-        with_turns(world, "a")
         for replica in replicas.values():
             replica.start()
         world.run(until=1.0)
@@ -611,7 +605,6 @@ class TestTurnGroupCommit:
     def test_a_batch_instance_survives_wal_replay(self, world):
         wals = {m: WriteAheadLog() for m in "abc"}
         replicas, delivered = make_group(world, wals=wals)
-        with_turns(world, "a")
         for replica in replicas.values():
             replica.start()
         world.run(until=1.0)
@@ -629,7 +622,6 @@ class TestTurnGroupCommit:
         world = SimWorld(seed=7)
         config = PaxosConfig(static_leader=None, heartbeat_interval=0.05, suspect_timeout=0.2)
         replicas, delivered = make_group(world, config=config)
-        with_turns(world, "a")
         for replica in replicas.values():
             replica.start()
         world.run(until=1.0)

@@ -139,23 +139,25 @@ def test_every_registry_metric_is_documented_in_observability_md():
     assert not undeclared, f"docs/OBSERVABILITY.md lists undeclared metrics: {undeclared}"
 
 
-CONFIG_REF_RE = re.compile(r"\b(SdurConfig|BatchingConfig)\.([A-Za-z_]\w*)")
+CONFIG_REF_RE = re.compile(r"\b(SdurConfig|BatchingConfig|PaxosConfig)\.([A-Za-z_]\w*)")
 
 
 @pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
 def test_cited_config_knobs_exist(doc):
-    """Every ``SdurConfig.<name>`` / ``BatchingConfig.<name>`` a doc
-    cites must be a dataclass field (or a method) of that class today —
-    removing a knob must not leave the docs advertising it."""
+    """Every ``SdurConfig.<name>`` / ``BatchingConfig.<name>`` /
+    ``PaxosConfig.<name>`` a doc cites must be a dataclass field (or a
+    method) of that class today — removing a knob must not leave the docs
+    advertising it."""
     from dataclasses import fields
 
+    from repro.consensus.replica import PaxosConfig
     from repro.core.batch import BatchingConfig
     from repro.core.config import SdurConfig
 
     known = {
         cls.__name__: {f.name for f in fields(cls)}
         | {name for name in vars(cls) if callable(getattr(cls, name))}
-        for cls in (SdurConfig, BatchingConfig)
+        for cls in (SdurConfig, BatchingConfig, PaxosConfig)
     }
     stale = sorted(
         f"{cls_name}.{name}"
@@ -163,3 +165,15 @@ def test_cited_config_knobs_exist(doc):
         if name not in known[cls_name]
     )
     assert not stale, f"{doc.name} cites config knobs that do not exist: {stale}"
+
+
+def test_sim_tables_hold_every_registered_experiment():
+    """``benchmarks/sim_tables.md`` is the quick suite's markdown report
+    without its wall-clock lines; the CI ``sim-tables`` job regenerates it
+    under ``PYTHONHASHSEED=0`` and diffs.  It holds one section per
+    registered experiment, in registry order."""
+    from repro.experiments.__main__ import REGISTRY
+
+    text = (REPO / "benchmarks" / "sim_tables.md").read_text()
+    assert re.findall(r"^## (\w+) — ", text, re.MULTILINE) == list(REGISTRY)
+    assert "wall time" not in text

@@ -6,7 +6,9 @@ the reconfiguration participant — through its fixed points.
 ``execute`` runs inline, ``now()`` is a clock the test sets, and timers
 are never fired: they are listed as ``(due, callback)`` for the test to
 call.  It has no loop turns, so ``at_turn_end`` is the
-:class:`~repro.runtime.base.Runtime` default (run now).  Imports nothing
+:class:`~repro.runtime.base.Runtime` default (run now): a Paxos leader on
+it opens one instance per proposal, where the simulator and the asyncio
+runtime batch each turn's proposals into one.  Imports nothing
 but the standard library and ``repro`` — the benchmarks' CI job installs
 no test dependencies.
 """

@@ -27,6 +27,8 @@ import pytest
 
 from repro.checker.agreement import replica_agreement
 from repro.checker.serializability import check_serializability
+from repro.runtime.base import Runtime
+from repro.runtime.sim import SimNodeRuntime
 from tests.properties.test_prop_end_to_end import run_system
 
 #: Falsifying example for the reorder-divergence manifestation.
@@ -61,6 +63,8 @@ DEADLOCK_EXAMPLE = dict(
 #: transaction; the chain walk sees it "resolving normally" and stops.
 #: Found by ``test_prop_end_to_end`` from a fresh example database while
 #: PR 14 was verified; the PR 13 commit wedges identically (8 of 30).
+#: It was found before the simulator had loop turns, and wedges only on
+#: that schedule (the ``turnless`` fixture below).
 ORDER_CYCLE_EXAMPLE = dict(
     num_partitions=2,
     wan=True,
@@ -69,6 +73,24 @@ ORDER_CYCLE_EXAMPLE = dict(
     global_p=0.25774400292109023,
     seed=193,
     delay_fixed=0.0,
+    bloom=False,
+)
+
+
+#: The same class, found with simulator loop turns on by the end-to-end
+#: property from a fresh example database; it wedges 0 of 30 with turns
+#: and without.  Three concurrent globals with transaction delaying: B
+#: holds commit votes from both partitions but sits behind A at p0 and
+#: behind C at p1.  A's verdict at p1 and C's at p0 defer on B, and B has
+#: the smallest id, so the cycle rule dooms neither.
+ORDER_CYCLE_DELAYING_EXAMPLE = dict(
+    num_partitions=2,
+    wan=True,
+    reorder_threshold=0,
+    keyspace=3,
+    global_p=0.5625,
+    seed=2082,
+    delay_fixed=0.01,
     bloom=False,
 )
 
@@ -90,14 +112,30 @@ class TestLedgerFixesKnownExamples:
         assert_sound(DEADLOCK_EXAMPLE)
 
 
+@pytest.fixture
+def turnless(monkeypatch):
+    """The schedule ``ORDER_CYCLE_EXAMPLE`` was found on: every server's
+    turn-end hook runs at once, so each Paxos instance holds one value.
+    Under the simulator's loop turns the example completes 30/30."""
+    monkeypatch.setattr(SimNodeRuntime, "at_turn_end", Runtime.at_turn_end)
+
+
 class TestKnownGap:
     @pytest.mark.xfail(
         strict=True,
         reason="order-edge wait cycle not broken by the §14.3 cycle rule (ROADMAP item 0)",
     )
-    def test_order_cycle_example(self):
+    def test_order_cycle_example(self, turnless):
         """Strict: the fix must promote this into TestLedgerFixesKnownExamples."""
         assert_sound(ORDER_CYCLE_EXAMPLE)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="order-edge wait cycle through a decided entry (ROADMAP item 0)",
+    )
+    def test_order_cycle_delaying_example(self):
+        """Strict: the fix must promote this into TestLedgerFixesKnownExamples."""
+        assert_sound(ORDER_CYCLE_DELAYING_EXAMPLE)
 
 
 class TestOptimisticStillFails:

@@ -52,10 +52,13 @@ class TestPublicApi:
     def test_options_nobody_set_are_constants(self):
         """Five fields no caller ever assigned became module constants
         beside their one reader (the ratchet only goes down)."""
+        from repro.consensus.replica import PaxosConfig
         from repro.core import client, server, snapshots
         from repro.reconfig import participant
 
         assert len(repro.ClientConfig.__dataclass_fields__) == 13
+        # One Paxos batching rule, the loop turn: no timer-closed variant.
+        assert len(PaxosConfig.__dataclass_fields__) == 10
         for config, removed in (
             (repro.SdurConfig, ("noop_interval", "gossip_history", "config_catchup_interval")),
             (repro.ClientConfig, ("max_epoch_retries", "backoff_multiplier")),
