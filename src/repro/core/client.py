@@ -11,16 +11,18 @@ with :meth:`Txn.write`, and return to request commit::
         txn.write("account/a", a - 10)
         txn.write("account/b", b + 10)
 
-The client runs the program sans-io: each yielded read is sent to the
-nearest replica of the key's partition (or through the session server
-when ``direct_reads`` is off, matching the paper's prototype §V); the
-first read in a partition pins that partition's snapshot (Algorithm 1
-line 13); writes are buffered and shipped only at commit (line 16).
+The client runs the program sans-io: each yielded read becomes one
+request per partition, sent to the nearest replica of that partition
+(or through the session server when ``direct_reads`` is off, matching
+the paper's prototype §V); the first read in a partition pins that
+partition's snapshot (Algorithm 1 line 13); writes are buffered and
+shipped only at commit (line 16).
 
 Update transactions terminate via a :class:`CommitRequest` to the
 client's session (preferred) server.  Read-only transactions commit
-without certification; multi-partition read-only transactions first
-obtain a globally-consistent snapshot vector (§III-A).
+without certification; a multi-partition read-only transaction reads at
+a globally-consistent snapshot vector (§III-A), which the answer to its
+first read carries.
 """
 
 from __future__ import annotations
@@ -33,12 +35,10 @@ from repro.core.directory import ClusterDirectory
 from repro.core.messages import (
     Busy,
     CommitRequest,
-    GetSnapshotVector,
     OutcomeBatch,
     OutcomeNotice,
     ReadRequest,
     ReadResponse,
-    SnapshotVectorReply,
 )
 from repro.core.partitioning import PartitionMap
 from repro.core.transaction import Outcome, ReadsetDigest, TxnId, TxnProjection
@@ -110,7 +110,8 @@ class ClientConfig:
     #: (Algorithm 1).  Off = route everything through the session server
     #: (the prototype of §V).
     direct_reads: bool = True
-    #: Fetch a globally-consistent vector for read-only transactions.
+    #: Read a multi-partition read-only transaction at a
+    #: globally-consistent vector (asked for with its first read).
     readonly_snapshot: bool = True
     #: Ship readsets as bloom digests (must match the servers' setting).
     bloom_readsets: bool = False
@@ -165,11 +166,14 @@ class Txn:
 
 @dataclass
 class _ReadOp:
-    """One read in flight: what its answer, its re-sends and its
-    cancellation all need, in one place."""
+    """One read request in flight — one partition's keys: what its
+    answers, its re-sends and its cancellation all need, in one place."""
 
     op_id: int
-    key: str
+    #: The keys not answered yet.  A server whose newer map moved some of
+    #: them forwards those, and their partition answers under the same
+    #: op id, so one request can take more than one answer.
+    keys: list[str]
     #: Re-sends so far: picks the replica (rank rotation) and the step
     #: of the timeout's backoff.
     attempt: int = 0
@@ -212,8 +216,12 @@ class _ActiveTxn:
         self.ws: dict[str, Any] = {}
         #: partition -> pinned snapshot (Algorithm 1's ``t.st``).
         self.st: dict[str, int] = {}
-        #: Pre-pinned vector for read-only transactions.
+        #: A multi-partition read-only transaction reads at a snapshot
+        #: vector (§III-A), which the answer to its first read brings.
+        self.needs_vector = False
         self.vector: dict[str, int] | None = None
+        #: Keys of other partitions, held back until that answer arrives.
+        self.held: list[str] = []
         self.next_op = 0
         #: The yielded ``Read`` / ``ReadMany`` being served, the reads it
         #: still waits for (by op id) and the values it has so far.
@@ -355,18 +363,12 @@ class SdurClient:
                 label=state.label,
                 read_only=state.read_only,
             )
-        needs_vector = (
+        state.needs_vector = (
             state.read_only
             and self.config.readonly_snapshot
             and len(self.directory.partition_ids) > 1
         )
-        if needs_vector:
-            self.runtime.send(
-                self.config.session_server,
-                GetSnapshotVector(tid=state.tid, reply_to=self.node_id),
-            )
-        else:
-            self._advance(state, None)
+        self._advance(state, None)
 
     # ------------------------------------------------------------------
     # Message entry point
@@ -374,8 +376,6 @@ class SdurClient:
     def handle(self, src: str, msg: Any) -> bool:
         if isinstance(msg, ReadResponse):
             self._on_read_response(src, msg)
-        elif isinstance(msg, SnapshotVectorReply):
-            self._on_vector(msg)
         elif isinstance(msg, OutcomeNotice):
             self._on_outcomes(((msg.tid, msg.outcome),))
         elif isinstance(msg, OutcomeBatch):
@@ -431,9 +431,9 @@ class SdurClient:
                 state.values[key] = state.ws[key]
             else:
                 remote.append(key)
-        for key in remote:
-            self._issue_read(state, key)
-        if not remote:
+        if remote:
+            self._issue_reads(state, remote)
+        else:
             self._resume(state)
 
     def _resume(self, state: _ActiveTxn) -> None:
@@ -441,15 +441,29 @@ class SdurClient:
         values, state.values = state.values, {}
         self._advance(state, values[state.op.key] if isinstance(state.op, Read) else values)
 
-    def _issue_read(self, state: _ActiveTxn, key: str) -> None:
-        op = state.reads[state.next_op] = _ReadOp(state.next_op, key)
-        state.next_op += 1
-        self._send_read(state, op)
+    def _issue_reads(self, state: _ActiveTxn, keys: list[str]) -> None:
+        """One request per partition of ``keys``.  Still without the
+        vector it needs, a transaction sends one partition's keys — its
+        session server's, if it reads there — and holds the rest back
+        until the answer brings the vector."""
+        groups: dict[str, list[str]] = {}
+        for key in keys:
+            groups.setdefault(self.partition_map.partition_of(key), []).append(key)
+        if state.needs_vector and state.vector is None:
+            first = self.directory.partition_of_server(self.config.session_server)
+            if first not in groups:
+                first = next(iter(groups))
+            state.held = [key for p, group in groups.items() if p != first for key in group]
+            groups = {first: groups[first]}
+        for group in groups.values():
+            op = state.reads[state.next_op] = _ReadOp(state.next_op, group)
+            state.next_op += 1
+            self._send_read(state, op)
 
     def _send_read(self, state: _ActiveTxn, op: _ReadOp) -> None:
-        """Send ``op`` to the replica its attempt count selects and arm
-        its timeout."""
-        partition = self.partition_map.partition_of(op.key)
+        """Send ``op``'s unanswered keys to the replica its attempt count
+        selects and arm its timeout."""
+        partition = self.partition_map.partition_of(op.keys[0])
         if state.vector is not None:
             snapshot: int | None = state.vector.get(partition, 0)
         else:
@@ -464,9 +478,10 @@ class SdurClient:
             ReadRequest(
                 tid=state.tid,
                 op_id=op.op_id,
-                key=op.key,
+                keys=tuple(op.keys),
                 snapshot=snapshot,
                 reply_to=self.node_id,
+                want_vector=state.needs_vector and state.vector is None,
             ),
         )
         if self._read_backoff is not None:
@@ -504,37 +519,41 @@ class SdurClient:
         if msg.error is not None:
             self._finish(state, Outcome.ABORT, abort_reason=msg.error)
             return
-        state.read_partitions[msg.key] = msg.partition
-        if msg.partition not in state.st:
-            state.st[msg.partition] = msg.snapshot  # Algorithm 1 line 13
-        op = state.reads.pop(msg.op_id, None)
+        if msg.vector is not None and state.vector is None:
+            state.vector = msg.vector
+            held, state.held = state.held, []
+            if held:
+                self._issue_reads(state, held)
+        if state.vector is not None:
+            pinned = state.vector.get(msg.partition, 0)
+        else:
+            pinned = state.st.setdefault(msg.partition, msg.snapshot)  # Algorithm 1 line 13
+        op = state.reads.get(msg.op_id)
         if op is None:
             return  # duplicate/stale response; ignore
-        if op.timer is not None:
-            op.timer.cancel()  # answered: nothing left to retry
-        if msg.snapshot != state.st[msg.partition]:
-            # Torn batch: the paper's Algorithm 1 reads sequentially,
-            # so the first read pins the partition snapshot before any
-            # other is issued.  Our parallel ReadMany issues
-            # first-contact reads concurrently; if a commit lands in
-            # between, siblings can execute at different snapshots and
-            # certification (which starts from the pinned st) would
-            # miss the interleaved writer.  Repair by re-reading the
-            # inconsistent key at the pinned snapshot — one extra
-            # round trip, only when a commit raced the batch.
-            self._issue_read(state, op.key)
+        items = [item for item in msg.items() if item[0] in op.keys]
+        if not items:
+            return  # another answer to the same keys came first
+        answered = [key for key, _, _ in items]
+        op.keys = [key for key in op.keys if key not in answered]
+        if not op.keys:
+            del state.reads[msg.op_id]
+            if op.timer is not None:
+                op.timer.cancel()  # answered: nothing left to retry
+        if msg.snapshot != pinned:
+            # A request's keys are read at one snapshot, so a partition's
+            # answers disagree only when a server forwarded keys that a
+            # split or merge moved into a partition this transaction had
+            # pinned already.  Certification starts from the pin and would
+            # miss a writer in between: re-read those keys at the pin.
+            self._issue_reads(state, answered)
             return
-        state.read_versions[msg.key] = msg.item_version
-        state.values[op.key] = msg.value
+        for key, value, version in items:
+            state.read_partitions[key] = msg.partition
+            state.read_versions[key] = version
+            state.values[key] = value
         if not state.reads:
             self._resume(state)
-
-    def _on_vector(self, msg: SnapshotVectorReply) -> None:
-        state = self._active.get(msg.tid)
-        if state is None or state.vector is not None:
-            return
-        state.vector = dict(msg.vector)
-        self._advance(state, None)
 
     # ------------------------------------------------------------------
     # Termination (Algorithm 1 lines 17–20)

@@ -2,7 +2,8 @@
 
 Three kinds of traffic:
 
-* client ↔ server — reads, snapshot vectors, commit requests, outcomes;
+* client ↔ server — reads (a read-only transaction's snapshot vector
+  rides its first one), commit requests, outcomes;
 * values inside per-partition atomic broadcast — transaction projections,
   no-op ticks (liveness for the reorder threshold), abort requests
   (recovery), threshold changes;
@@ -26,20 +27,26 @@ from repro.net.message import Message, message
 @message
 @dataclass(frozen=True)
 class ReadRequest(Message):
-    """Read ``key`` at ``snapshot`` (``None`` = establish the snapshot)."""
+    """Read ``keys`` — one partition's keys — at one ``snapshot``
+    (``None`` = establish the snapshot)."""
 
     tid: TxnId
     op_id: int
-    key: str
+    keys: tuple[str, ...]
     snapshot: int | None
     #: Node to send the response to (the client, even for routed reads).
     reply_to: str
+    #: A read-only transaction's first read: answer with the serving
+    #: server's snapshot vector (§III-A) and read at its own entry.
+    want_vector: bool = False
 
 
 @message
 @dataclass(frozen=True)
 class ReadResponse(Message):
-    """Value of ``key`` plus the snapshot the partition pinned for us."""
+    """The values of a request's keys, all read at one ``snapshot``:
+    the first in ``key`` / ``value`` / ``item_version``, the rest in
+    ``more``."""
 
     tid: TxnId
     op_id: int
@@ -55,24 +62,14 @@ class ReadResponse(Message):
     #: Serving server's configuration epoch; a client seeing a higher
     #: epoch than its own pulls the new directory (``GetConfig``).
     epoch: int = 0
+    #: ``(key, value, item_version)`` of every further key read.
+    more: tuple[tuple[str, Any, int], ...] = ()
+    #: The vector ``snapshot`` was taken from, when the request wanted one.
+    vector: dict[str, int] | None = None
 
-
-@message
-@dataclass(frozen=True)
-class GetSnapshotVector(Message):
-    """Ask a server for its current globally-consistent snapshot vector."""
-
-    tid: TxnId
-    reply_to: str
-
-
-@message
-@dataclass(frozen=True)
-class SnapshotVectorReply(Message):
-    """A consistent vector of per-partition snapshot counters."""
-
-    tid: TxnId
-    vector: dict[str, int]
+    def items(self) -> tuple[tuple[str, Any, int], ...]:
+        """``(key, value, item_version)`` of every key read."""
+        return ((self.key, self.value, self.item_version), *self.more)
 
 
 @message

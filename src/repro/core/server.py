@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from collections.abc import Callable
+from dataclasses import replace
 from typing import Any
 
 from repro.consensus.abcast import AbcastFabric
@@ -60,14 +61,12 @@ from repro.core.messages import (
     Busy,
     CommitGossip,
     CommitRequest,
-    GetSnapshotVector,
     GossipResync,
     NoopTick,
     OutcomeBatch,
     OutcomeNotice,
     ReadRequest,
     ReadResponse,
-    SnapshotVectorReply,
     ThresholdChange,
     Vote,
 )
@@ -179,7 +178,7 @@ class SdurServer:
         #: client node id -> [(tid, outcome)] buffered this batch.
         self._reply_buffer: dict[str, list[tuple[TxnId, str]]] = {}
         #: Reads waiting for this replica to catch up to their snapshot.
-        self._waiting_reads: list[tuple[int, str, ReadRequest]] = []
+        self._waiting_reads: list[tuple[int, ReadRequest]] = []
         #: Deliveries stalled behind a blocked head global (see _head_blocked).
         self._stalled: deque[Any] = deque()
         self._applying = False
@@ -207,7 +206,8 @@ class SdurServer:
             resubmit=self.submit,
             reroute_read=self._on_read,
             requeue_waiting_reads=lambda: replay(
-                self._waiting_reads, lambda waiting: self._on_read(waiting[1], waiting[2])
+                self._waiting_reads,
+                lambda waiting: self._on_read(waiting[1].reply_to, waiting[1]),
             ),
             drain_waiting_reads=self._drain_waiting_reads,
             pump=self._pump,
@@ -340,9 +340,6 @@ class SdurServer:
                 self.submit(msg)
         elif isinstance(msg, Vote):
             self.ledger.on_vote(src, msg)
-        elif isinstance(msg, GetSnapshotVector):
-            vector = self.snapshot_builder.vector()
-            self.runtime.send(msg.reply_to, SnapshotVectorReply(tid=msg.tid, vector=vector))
         elif isinstance(msg, CommitGossip):
             self._on_gossip(src, msg)
         elif isinstance(msg, GossipResync):
@@ -422,37 +419,64 @@ class SdurServer:
     # Reads (Algorithm 2 lines 7–10)
     # ------------------------------------------------------------------
     def _on_read(self, src: str, msg: ReadRequest) -> None:
-        key_partition = self.partition_map.partition_of(msg.key)
-        if key_partition != self.partition and not self.reconfig.still_serves(msg.key):
-            # Prototype routing (§V): forward to the nearest replica of the
-            # right partition; it replies directly to the client.
-            self.stats.reads_routed += 1
-            target = self.directory.nearest_server(key_partition, self.node_id)
-            self.runtime.send(target, msg)
-            return
         if self.reconfig.park_read(msg):
             return
+        own: list[str] = []
+        elsewhere: dict[str, list[str]] = {}
+        for key in msg.keys:
+            partition = self.partition_map.partition_of(key)
+            if partition == self.partition or self.reconfig.still_serves(key):
+                own.append(key)
+            else:
+                elsewhere.setdefault(partition, []).append(key)
+        # A read-only transaction's first read: the keys read here and
+        # the keys forwarded are read at entries of this one vector.
+        vector = self.snapshot_builder.vector() if msg.want_vector and own else None
+        for partition, keys in elsewhere.items():
+            # Prototype routing (§V), or keys a newer map moved: forward
+            # to the nearest replica of their partition, under the same op
+            # id; it replies directly to the client.
+            self.stats.reads_routed += 1
+            forward = msg if len(keys) == len(msg.keys) else replace(msg, keys=tuple(keys))
+            if vector is not None:
+                forward = replace(forward, snapshot=vector.get(partition, 0), want_vector=False)
+            self.runtime.send(self.directory.nearest_server(partition, self.node_id), forward)
+        if not own:
+            return
+        if elsewhere:
+            msg = replace(msg, keys=tuple(own))
         decision = self.admission.admit_read(self.runtime.now(), self._queue_depth())
         if not decision.admitted:
             self._sync_admission_stats()
             self._send_busy(msg.reply_to, msg.tid, decision, op_id=msg.op_id)
             return
-        self.runtime.execute(self.config.costs.read, lambda: self._serve_read(msg))
+        self.runtime.execute(
+            self.config.costs.read * len(own), lambda: self._serve_read(msg, vector)
+        )
 
-    def _serve_read(self, msg: ReadRequest) -> None:
-        snapshot = msg.snapshot if msg.snapshot is not None else self.sc
+    def _serve_read(self, msg: ReadRequest, vector: dict[str, int] | None = None) -> None:
+        """Read every key of ``msg`` at one snapshot and answer in one
+        response.  The snapshot is ``vector``'s own entry when the client
+        asked for a vector, else the pinned one, else ``SC`` (Algorithm 2
+        line 8).  A vector's own entry never exceeds ``SC``, so only a
+        pinned snapshot can wait."""
+        if vector is not None:
+            snapshot = vector[self.partition]
+        else:
+            snapshot = msg.snapshot if msg.snapshot is not None else self.sc
         if snapshot > self.sc:
             # This replica lags the snapshot the client pinned elsewhere;
             # answer once the partition catches up.
-            self._waiting_reads.append((snapshot, msg.reply_to, msg))
+            self._waiting_reads.append((snapshot, msg))
             return
+        keys = msg.keys
         try:
-            item = self.store.read(msg.key, snapshot)
+            first, *rest = [self.store.read(key, snapshot) for key in keys]
         except SnapshotTooOldError as exc:
             response = ReadResponse(
                 tid=msg.tid,
                 op_id=msg.op_id,
-                key=msg.key,
+                key=keys[0],
                 value=None,
                 snapshot=snapshot,
                 item_version=0,
@@ -462,32 +486,33 @@ class SdurServer:
             )
             self.runtime.send(msg.reply_to, response)
             return
-        self.stats.reads_served += 1
+        self.stats.reads_served += len(keys)
         self.runtime.send(
             msg.reply_to,
             ReadResponse(
                 tid=msg.tid,
                 op_id=msg.op_id,
-                key=msg.key,
-                value=item.value,
+                key=keys[0],
+                value=first.value,
                 snapshot=snapshot,
-                item_version=item.version,
+                item_version=first.version,
                 partition=self.partition,
                 epoch=self.routing.epoch,
+                more=tuple(
+                    (key, item.value, item.version) for key, item in zip(keys[1:], rest)
+                ),
+                vector=vector,
             ),
         )
 
     def _drain_waiting_reads(self) -> None:
         if not self._waiting_reads:
             return
-        still_waiting = []
-        ready = []
-        for snapshot, reply_to, msg in self._waiting_reads:
-            if snapshot <= self.sc:
-                ready.append(msg)
-            else:
-                still_waiting.append((snapshot, reply_to, msg))
-        self._waiting_reads = still_waiting
+        sc = self.sc
+        ready = [msg for snapshot, msg in self._waiting_reads if snapshot <= sc]
+        self._waiting_reads = [
+            (snapshot, msg) for snapshot, msg in self._waiting_reads if snapshot > sc
+        ]
         for msg in ready:
             self._serve_read(msg)
 

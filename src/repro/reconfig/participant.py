@@ -21,8 +21,9 @@ calls the participant at these fixed points and nowhere else:
 ``_ingest`` /       :meth:`stalled_on` — the stall queue's head; arms the
 ``_pump``           config pull while that head is epoch-gated
 ``_complete``       :meth:`on_completed` — one barrier member less
-``_on_read``        :meth:`still_serves` (a retiring merge source keeps
-                    its keys until eviction) and :meth:`park_read`
+``_on_read``        :meth:`park_read` (the whole request) and, per key,
+                    :meth:`still_serves` (a retiring merge source keeps
+                    its keys until eviction)
 ``handle``          :meth:`handle` — ``GetConfig`` / ``ConfigSnapshot``
 ``await_migration`` :meth:`await_install` — the harness, on a split child
 ==================  ====================================================
@@ -274,8 +275,10 @@ class ReconfigParticipant:
         )
 
     def park_read(self, read: ReadRequest) -> bool:
-        """Park ``read`` while the key range is still in flight from the
-        source partition; False once the replica is open."""
+        """Park ``read`` — all its keys, before any is routed — while the
+        key range is still in flight from the source partition; the
+        install replays it through the server, which then serves its own
+        keys and forwards the rest.  False once the replica is open."""
         if self._awaiting_install:
             self._parked_reads.append(read)
         return self._awaiting_install

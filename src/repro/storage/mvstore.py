@@ -84,11 +84,20 @@ class MultiVersionStore:
         self._current_version = version
 
     def seed(self, items: dict[Any, Any]) -> None:
-        """Load initial data as version 0 (before any transaction commits)."""
+        """Load initial data as version 0 (before any transaction commits).
+
+        Seeded values repeat — a benchmark seeds every key with ``0`` — so
+        every key seeded with the same object shares one version-0 record
+        (immutable, so sharing it changes no read, GC or checkpoint).
+        """
         if self._current_version != 0:
             raise StorageError("seed() must run before any apply()")
+        shared: dict[int, VersionedValue] = {}
         for key, value in items.items():
-            self._versions.setdefault(key, []).append(VersionedValue(0, value))
+            base = shared.get(id(value))
+            if base is None:
+                base = shared[id(value)] = VersionedValue(0, value)
+            self._versions.setdefault(key, []).append(base)
 
     def restore(
         self,

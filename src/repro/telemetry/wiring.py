@@ -52,7 +52,7 @@ SERVER_COUNTERS: tuple[CounterRow, ...] = (
     CounterRow("aborted", "counter", "transactions", "Transactions aborted (all causes)."),
     CounterRow("reordered", "counter", "transactions", "Locals reordered past pending globals."),
     CounterRow("noops_sent", "counter", "messages", "Gossip no-ops broadcast to advance DC."),
-    CounterRow("reads_served", "counter", "requests", "Snapshot reads answered locally."),
+    CounterRow("reads_served", "counter", "keys", "Keys read by snapshot reads answered locally."),
     CounterRow("votes_ordered", "counter", "records", "VoteRecords delivered through the partition log."),
     CounterRow("cycles_resolved", "counter", "cycles", "Deferral cycles broken by the lowest-TxnId rule."),
     CounterRow("vote_ledger_aborts", "counter", "transactions", "Aborts caused by a cycle-rule doom."),

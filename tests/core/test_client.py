@@ -284,3 +284,75 @@ class TestOneReadPath:
         (result,) = results
         assert result.committed and result.read_versions == {"0/k": 2}
         assert result.writes == {"0/k": 8}
+
+
+class TestOneRequestPerPartition:
+    """A yielded read becomes one request per partition; a read-only
+    transaction's vector rides the answer to its first one.  Driven by
+    hand on the stub runtime."""
+
+    def client(self, session="s1"):
+        runtime = StubRuntime("c1")
+        directory = ClusterDirectory(
+            partitions={"p0": ["s1", "s2", "s3"], "p1": ["s4", "s5", "s6"]},
+            preferred={"p0": "s1", "p1": "s4"},
+        )
+        config = ClientConfig(session_server=session, read_timeout=1.0, backoff_jitter=0.0)
+        return runtime, SdurClient(runtime, directory, PartitionMap.by_index(2), config)
+
+    @staticmethod
+    def requests(runtime):
+        return [(dst, msg) for dst, msg in runtime.sent if isinstance(msg, ReadRequest)]
+
+    def test_read_only_vector_rides_the_session_partitions_read(self):
+        runtime, client = self.client(session="s4")
+        seen, results = {}, []
+
+        def program(txn):
+            seen.update((yield ReadMany(("0/a", "1/x", "0/b"))))
+
+        tid = client.execute(program, results.append, read_only=True)
+        # The session server's partition goes first and asks for the
+        # vector; p0's keys wait for it.
+        ((dst, first),) = self.requests(runtime)
+        assert (dst, first.keys, first.snapshot, first.want_vector) == ("s4", ("1/x",), None, True)
+        client.handle("s4", ReadResponse(
+            tid=tid, op_id=first.op_id, key="1/x", value="x", snapshot=9, item_version=8,
+            partition="p1", vector={"p0": 4, "p1": 9},
+        ))
+        ((dst, second),) = self.requests(runtime)[1:]
+        assert (dst, second.keys, second.snapshot, second.want_vector) == (
+            "s1", ("0/a", "0/b"), 4, False
+        )
+        assert not results
+        client.handle("s1", ReadResponse(
+            tid=tid, op_id=second.op_id, key="0/a", value="a", snapshot=4, item_version=3,
+            partition="p0", more=(("0/b", "b", 2),),
+        ))
+        (result,) = results
+        assert result.committed and result.read_versions == {"1/x": 8, "0/a": 3, "0/b": 2}
+        assert seen == {"0/a": "a", "1/x": "x", "0/b": "b"}
+        assert len(self.requests(runtime)) == 2
+
+    def test_one_request_answered_from_two_partitions(self):
+        """A server whose newer map moved ``0/b`` forwards it; the new
+        partition answers it under the same op id, and the read is whole
+        only then."""
+        runtime, client = self.client()
+        results = []
+        tid = client.execute(update_program(["0/a", "0/b"]), results.append)
+        ((dst, request),) = self.requests(runtime)
+        assert (dst, request.keys) == ("s1", ("0/a", "0/b"))
+        client.handle("s1", ReadResponse(
+            tid=tid, op_id=request.op_id, key="0/a", value=1, snapshot=5, item_version=5,
+            partition="p0",
+        ))
+        (state,) = client._active.values()
+        assert [op.keys for op in state.reads.values()] == [["0/b"]]
+        client.handle("s7", ReadResponse(
+            tid=tid, op_id=request.op_id, key="0/b", value=2, snapshot=5, item_version=4,
+            partition="p2",
+        ))
+        # Whole: the program ran on, and ``0/b``'s new home sends the
+        # transaction round again under the routing it will learn.
+        assert client.stats.epoch_retries == 1 and not results

@@ -120,7 +120,7 @@ class TestReadPath:
         cluster.world.topology.add("probe", "us-east")
         cluster.world.network.register("probe", lambda src, msg: inbox.append(msg))
         request = ReadRequest(
-            tid=TxnId("probe", 1), op_id=0, key="0/k0", snapshot=2, reply_to="probe"
+            tid=TxnId("probe", 1), op_id=0, keys=("0/k0",), snapshot=2, reply_to="probe"
         )
         cluster.world.network.send("probe", "s2", request)
         cluster.world.run_for(0.5)

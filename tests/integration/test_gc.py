@@ -61,7 +61,7 @@ class TestStoreGc:
         cluster.world.network.send(
             "probe",
             "s1",
-            ReadRequest(tid=TxnId("probe", 1), op_id=0, key="0/x", snapshot=1, reply_to="probe"),
+            ReadRequest(tid=TxnId("probe", 1), op_id=0, keys=("0/x",), snapshot=1, reply_to="probe"),
         )
         cluster.world.run_for(0.5)
         assert len(inbox) == 1

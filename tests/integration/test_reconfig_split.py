@@ -11,8 +11,11 @@ spanning a split are a documented limitation (see docs/PROTOCOL.md,
 "Reconfiguration epochs").
 """
 
+from collections import defaultdict
+
 from repro.checker.agreement import replica_agreement
 from repro.checker.serializability import check_serializability
+from repro.core.messages import ReadResponse
 from repro.harness.faults import FaultSchedule
 from repro.reconfig import key_moves
 from tests.conftest import make_cluster, run_txn, update_program
@@ -115,6 +118,57 @@ class TestLiveSplit:
         result = run_txn(cluster, clients[0], update_program([moved, stayed]))
         assert result.committed
         assert set(result.partitions) == {"p0", "p2"}
+
+    def test_split_lands_under_in_flight_read_manys(self):
+        """A client reads a partition's keys with one request.  When the
+        split lands under it, the source serves the keys it kept and
+        forwards the moved ones to the new partition under the same op
+        id: one request, two answers, and the histories stay clean."""
+        cluster = make_cluster(num_partitions=2, seed=10)
+        seeded = {f"0/k{i}": 0 for i in range(16)}
+        seeded.update({f"1/k{i}": 0 for i in range(4)})
+        cluster.seed(seeded)
+        clients = [cluster.add_client() for _ in range(4)]
+        answered_by = defaultdict(set)
+        for client in clients:
+
+            def tap(src, msg, client=client):
+                if isinstance(msg, ReadResponse):
+                    answered_by[(msg.tid, msg.op_id)].add(msg.partition)
+                client.handle(src, msg)
+
+            client.runtime.listen(tap)
+        cluster.start()
+        recorder = cluster.attach_recorder()
+        cluster.world.run_for(0.5)
+        FaultSchedule().split(cluster.world.now + 0.2, "p0").arm(cluster)
+        rng = cluster.world.rng.stream("split-reads")
+        done = []
+
+        def issue(client, remaining):
+            keys = sorted({f"0/k{rng.randrange(16)}" for _ in range(3)})
+            if rng.random() < 0.2:
+                keys.append(f"1/k{rng.randrange(4)}")
+
+            def on_done(result):
+                done.append(result)
+                if remaining > 1:
+                    issue(client, remaining - 1)
+
+            client.execute(update_program(keys), on_done)
+
+        for client in clients:
+            issue(client, 40)
+        cluster.world.run_for(30.0)
+        for result in done:
+            recorder.record_result(result)
+
+        assert cluster.routing.epoch == 1
+        assert len(done) == 4 * 40 and any(r.committed for r in done)
+        split = [op for op, partitions in answered_by.items() if partitions == {"p0", "p2"}]
+        assert split, "no request was split across the old and the new partition"
+        check_serializability(recorder).raise_if_failed()
+        replica_agreement(recorder, cluster.replica_counts()).raise_if_failed()
 
     def test_split_without_load_is_clean(self):
         cluster = make_cluster(num_partitions=2, seed=3)

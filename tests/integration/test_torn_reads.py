@@ -1,15 +1,15 @@
 """Regression: parallel ReadMany must see one snapshot per partition.
 
 The paper's Algorithm 1 reads sequentially, so the first read pins the
-partition's snapshot before any other read is issued.  Our client issues
-``ReadMany`` first-contact reads in parallel for latency; with link
-jitter, sibling reads of one partition can be served at different
-snapshot counters if a commit lands between them.  The client must
-detect the tear (server responses carry the snapshot used) and re-read
-at the pinned snapshot — otherwise certification, which starts from the
-pinned ``st``, misses the interleaved writer and non-serializable
-executions slip through (found by the end-to-end property test; see
-DESIGN.md).
+partition's snapshot before any other read is issued.  A ``ReadMany``
+reads its partitions in parallel for latency.  When each key was its own
+request, sibling reads of one partition could be served at different
+snapshot counters if a commit landed between them (a torn batch), and
+certification, which starts from the pinned ``st``, missed the
+interleaved writer: non-serializable executions slipped through (found
+by the end-to-end property test; see DESIGN.md).  A partition's keys now
+share one request, read at one snapshot, so the tear cannot happen;
+these tests keep the property.
 """
 
 from repro.core.client import ReadMany

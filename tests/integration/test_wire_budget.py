@@ -1,12 +1,12 @@
-"""The wire budget of a local commit, counted rather than timed.
+"""The wire budget of a commit, counted rather than timed.
 
 Timing gates flake; counters do not.  One partition of three replicas
 with a static leader (``s1``) and one client whose session server is a
 follower (``s2``), so the ``ClientPropose`` hop is on the path.  A local
-two-key update needs thirteen frames::
+two-key update needs eleven frames::
 
-    client -> s2   2 ReadRequest, 1 CommitRequest
-    s2 -> client   2 ReadResponse, 1 OutcomeNotice
+    client -> s2   1 ReadRequest, 1 CommitRequest
+    s2 -> client   1 ReadResponse, 1 OutcomeNotice
     s2 -> s1       1 ClientPropose, 1 Accepted
     s1 -> s2, s3   2 Accept, 2 Chosen
     s3 -> s1       1 Accepted
@@ -21,31 +21,35 @@ task, one encode and one ``write`` per message, the leader's ``Accept``
 and ``Accepted`` to itself over TCP, value-carrying ``Accepted`` and
 ``Chosen``), by wrapping ``_encode`` and ``StreamWriter.write``: 15.04
 frames, 15.04 writes, 10.00 set-carrying encodes and 6 082 bytes per
-commit.  This change: 13.0 frames, 11 encodes (3.00 set-carrying), 11
-writes and 3 742 bytes on the wire, 61.5 % of the parent's — 3 099
-bytes (51 %) if a broadcast frame is counted once, as it is encoded.
-The issue's "at most 60 %" is met by the encoded bytes only: the two
-``Accept`` and two ``Chosen`` frames still cross the wire once per
-follower, and 964 of the bytes are the four read messages this change
-does not touch.  The fractional 0.04 is the leader's commit-index
-advert, the only timer traffic in this deployment.
+commit.  Cutting those four Phase-2 copies left 13.0 frames, 11 encodes
+(3.00 set-carrying), 11 writes and 3 742 bytes on the wire.  The
+fractional 0.04 is the leader's commit-index advert, the only timer
+traffic in this deployment.
 
-Measured again with the same script when the schema-compiled codec
-(``repro.net.codec``) replaced tagged JSON on the wire (PR 21): the
-counts are **unchanged** — 13.0 frames, 11 encodes (3.00 set-carrying),
-11 writes; a codec must not add a hop — and the same frames are
-**1 377 bytes** on the wire per commit (3 742 before: 36.8 %, and
-22.6 % of PR 17's parent).  The byte gate is that figure plus 10 %.
+Measured again when the schema-compiled codec (``repro.net.codec``)
+replaced tagged JSON on the wire: the counts are **unchanged** — a codec
+must not add a hop — and the same frames are 1 377 bytes per commit.
 
-This is the regression guard for the four cuts of the Phase-2 wire path
-and for any later change that re-adds a hop, an encode or a copy of the
-value.  It is also the counted guard that the default ingest path is a
-batch of one replying with notices: every delivery is its own batch and
-no ``OutcomeBatch`` is ever sent.  The script is serial, so the leader's
-turn group commit (PROTOCOL.md §4) never has two proposals in one turn:
-each instance is a bare ``Accept`` and the counts above hold unchanged.
+Measured again when a partition's keys came to share one
+``ReadRequest`` and one ``ReadResponse`` (PROTOCOL.md §2): 11.0 frames,
+9 encodes (3.00 set-carrying), 11 writes and **1 224 bytes** per
+commit.  The byte gate is that figure plus 10 %.
 
-The second test is the concurrent counterpart: four clients committing
+This is the regression guard for the cuts of the Phase-2 wire path and
+of the read path, and for any later change that re-adds a hop, an
+encode or a copy of the value.  It is also the counted guard that the
+default ingest path is a batch of one replying with notices: every
+delivery is its own batch and no ``OutcomeBatch`` is ever sent.  The
+script is serial, so the leader's turn group commit (PROTOCOL.md §4)
+never has two proposals in one turn: each instance is a bare ``Accept``
+and the counts above hold unchanged.
+
+The read-only test counts a read-only transaction's frames on a
+two-partition cluster: its snapshot vector (PROTOCOL.md §6) rides the
+answer to its first read, so two keys of one partition cost one request
+and one response, and one key in each partition two of each.
+
+The last test is the concurrent counterpart: four clients committing
 at once on one partition, where the group commit has to show — fewer
 instances and WAL records than commits, one ``on_deliver`` per
 committed value.
@@ -56,13 +60,13 @@ import asyncio
 from repro.core.client import SdurClient
 from repro.core.messages import CommitRequest, OutcomeBatch
 from repro.core.transaction import TxnProjection
-from tests.conftest import update_program
+from tests.conftest import read_program, update_program
 from tests.integration.test_asyncio_e2e import build_aio_cluster, execute, free_ports
 
 COMMITS = 50
 #: Wire bytes per commit of this script (see above), and the headroom
 #: a change may use before it has to say why.
-MEASURED_BYTES_PER_COMMIT = 1377
+MEASURED_BYTES_PER_COMMIT = 1224
 HEADROOM = 1.10
 
 
@@ -125,15 +129,56 @@ def test_local_commit_stays_inside_its_wire_budget():
     per_commit = asyncio.run(body())
     assert per_commit["sends_dropped"] == 0
     assert per_commit["outcome_batches"] == 0, per_commit
-    # The 13 the protocol needs, plus timer traffic (parent: 15 + timers).
-    assert 13 <= per_commit["frames_sent"] <= 14, per_commit
+    # The 11 the protocol needs, plus timer traffic (13 with a request
+    # and a response per key read).
+    assert 11 <= per_commit["frames_sent"] <= 12, per_commit
     # CommitRequest, ClientPropose, one Accept (parent: 10).
     assert per_commit["set_encodes"] == 3, per_commit
     # A broadcast is framed once: Accept x2 and Chosen x2 are two encodes.
     assert per_commit["encodes"] <= per_commit["frames_sent"] - 2, per_commit
-    # Same-turn frames for one peer share a write.
-    assert per_commit["writes"] < per_commit["frames_sent"], per_commit
+    # Same-turn frames for one peer share a write (none do in this serial
+    # script now that a partition's reads are one request).
+    assert per_commit["writes"] <= per_commit["frames_sent"], per_commit
     assert per_commit["bytes_sent"] <= HEADROOM * MEASURED_BYTES_PER_COMMIT, per_commit
+
+
+def test_read_only_transaction_pays_one_request_per_partition():
+    async def body():
+        world, client, _ = await build_aio_cluster(num_partitions=2, session_server="s2")
+        try:
+            # Every message to or from the client, by type: one frame each.
+            to_client, from_client = [], []
+            for name, runtime in world._runtimes.items():
+                def counting(dst, msg, send=runtime.send, src=name):
+                    if "client" in (src, dst):
+                        (from_client if src == "client" else to_client).append(type(msg).__name__)
+                    send(dst, msg)
+
+                runtime.send = counting
+
+            async def frames(keys):
+                to_client.clear()
+                from_client.clear()
+                result = await execute(client, read_program(keys), read_only=True)
+                assert result.committed and result.read_only
+                await asyncio.sleep(0.05)  # nothing else arrives
+                return len(from_client) + len(to_client)
+
+            await frames(["0/x", "1/y"])  # connections open, first-use paths run
+            # Two keys of one partition: one request, and one response that
+            # brings the vector (6 frames when the vector had a round trip
+            # of its own and each key another).
+            assert await frames(["0/a", "0/b"]) == 2
+            assert from_client == ["ReadRequest"] and to_client == ["ReadResponse"]
+            # One key in each partition: the second request leaves with the
+            # first answer's vector (6 frames with a vector round trip).
+            assert await frames(["0/c", "1/d"]) == 4
+            assert from_client == ["ReadRequest"] * 2
+            assert to_client == ["ReadResponse"] * 2
+        finally:
+            await world.close_all()
+
+    asyncio.run(body())
 
 
 async def more_clients(world, like, count):

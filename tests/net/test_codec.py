@@ -110,7 +110,7 @@ def test_subclasses_of_int_and_str_travel_as_their_base_value():
 
     notice = packed_roundtrip(OutcomeNotice(tid=TID, outcome=Outcome.COMMIT, partition="p0"))
     assert notice.outcome == "commit" and type(notice.outcome) is str
-    request = packed_roundtrip(ReadRequest(TID, Level.HIGH, "k", None, "c9"))
+    request = packed_roundtrip(ReadRequest(TID, Level.HIGH, ("k",), None, "c9"))
     assert request.op_id == 3 and type(request.op_id) is int
     # The same on the tagged path.
     response = packed_roundtrip(_edge([Outcome.ABORT, Level.HIGH]))
@@ -239,7 +239,7 @@ MISFITS = {
     "TxnId.client": _proj(tid=TxnId(None, 1)),
     "ReadsetDigest.keys": _proj(readset=ReadsetDigest(keys={"0/a"})),
     "ReadsetDigest.bloom": _proj(readset=ReadsetDigest(bloom="filter")),
-    "ReadRequest.snapshot": ReadRequest(TID, 0, "k", "latest", "c9"),
+    "ReadRequest.snapshot": ReadRequest(TID, 0, ("k",), "latest", "c9"),
     "Accept.ballot": Accept("p0", (1, 0, 0), 9, None),
     "Accept.instance": Accept("p0", (1, 0), None, None),
     "CommitGossip.resync": CommitGossip(partition="p0", sc=1, resync=1),

@@ -31,14 +31,12 @@ from repro.core.messages import (
     Busy,
     CommitGossip,
     CommitRequest,
-    GetSnapshotVector,
     GossipResync,
     NoopTick,
     OutcomeBatch,
     OutcomeNotice,
     ReadRequest,
     ReadResponse,
-    SnapshotVectorReply,
     ThresholdChange,
     Vote,
 )
@@ -100,8 +98,8 @@ SAMPLES = [
     Nack(group="p0", rejected_ballot=(3, 1), promised_ballot=(4, 2)),
     Heartbeat(group="p0", leader_hint="s1"),
     # SDUR
-    ReadRequest(tid=TID, op_id=3, key="0/a", snapshot=None, reply_to="c9"),
-    ReadRequest(tid=TID, op_id=3, key="0/a", snapshot=11, reply_to="c9"),
+    ReadRequest(tid=TID, op_id=3, keys=("0/a",), snapshot=None, reply_to="c9"),
+    ReadRequest(tid=TID, op_id=3, keys=("0/a", "0/b"), snapshot=11, reply_to="c9"),
     ReadResponse(
         tid=TID, op_id=3, key="0/a", value={"nested": [1, 2]}, snapshot=11,
         item_version=4, partition="p0",
@@ -110,8 +108,15 @@ SAMPLES = [
         tid=TID, op_id=3, key="0/a", value=None, snapshot=1, item_version=0,
         partition="p0", error="snapshot 1 below gc horizon 5",
     ),
-    GetSnapshotVector(tid=TID, reply_to="c9"),
-    SnapshotVectorReply(tid=TID, vector={"p0": 4, "p1": 9}),
+    # A read-only transaction's first read: one partition's keys, and the
+    # vector (§III-A) the answer was read at.
+    ReadRequest(
+        tid=TID, op_id=0, keys=("0/a", "0/b"), snapshot=None, reply_to="c9", want_vector=True
+    ),
+    ReadResponse(
+        tid=TID, op_id=0, key="0/a", value=7, snapshot=4, item_version=3, partition="p0",
+        more=(("0/b", [1, None], 2),), vector={"p0": 4, "p1": 9},
+    ),
     CommitRequest(tid=TID, projections={"p0": PROJ, "p1": BLOOM_PROJ}),
     OutcomeNotice(tid=TID, outcome="commit", partition="p0"),
     # Batched replies (docs/PROTOCOL.md §18): one frame per client per batch.

@@ -123,7 +123,7 @@ def complete(rig, seq):
 
 
 def read(key, seq=1):
-    return ReadRequest(tid=tid(seq), op_id=0, key=key, snapshot=None, reply_to="client")
+    return ReadRequest(tid=tid(seq), op_id=0, keys=(key,), snapshot=None, reply_to="client")
 
 
 def sent(rig, kind):
@@ -225,7 +225,7 @@ class TestSplitInstall:
         assert rig.store.current_version == 9 and rig.store.gc_horizon == 2
         assert rig.store.read("0/a", 5).value == "x"  # history came along
         assert rig.floors == [9]
-        assert [r.key for r in rig.rerouted] == ["0/a"]
+        assert [r.keys for r in rig.rerouted] == [("0/a",)]
         assert rig.part.park_read(read("0/a")) is False
         assert not rig.part.must_wait(proj(2, partition="p3", epoch=1))
         assert proposed(rig, FinishSplit) == [("p0", FinishSplit(change=install.change))]

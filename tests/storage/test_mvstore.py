@@ -106,6 +106,40 @@ class TestGarbageCollection:
         assert store.read("x", snapshot=2).value == 1
 
 
+class TestSharedSeed:
+    """Keys seeded with one object share one version-0 record; reads,
+    GC and checkpoints cannot tell."""
+
+    def seeded(self):
+        store = MultiVersionStore()
+        listed = [1, 2]
+        store.seed({"a": 0, "b": 0, "c": listed, "d": listed, "e": [1, 2]})
+        return store
+
+    def test_one_record_per_seeded_object(self):
+        store = self.seeded()
+        base = [store.versions_of(key)[0] for key in "abcde"]
+        assert base[0] is base[1] and base[2] is base[3]
+        assert base[3] is not base[4] and base[3] == base[4]
+
+    def test_reads_gc_and_checkpoint_see_private_chains(self):
+        store = self.seeded()
+        store.apply({"a": 5}, 1)
+        store.apply({"a": 6, "c": "new"}, 2)
+        assert [store.read(key, 0).value for key in "abc"] == [0, 0, [1, 2]]
+        assert [store.read(key, 2).value for key in "abcd"] == [6, 0, "new", [1, 2]]
+        assert store.collect_garbage(2) == 3  # a: versions 0 and 1; c: version 0
+        assert store.read("b", 2).value == 0 and store.read("d", 2).value == [1, 2]
+        with pytest.raises(SnapshotTooOldError):
+            store.read("b", 1)
+        dump = store.dump()
+        assert dump["a"] == [(2, 6)] and dump["b"] == [(0, 0)] and dump["c"] == [(2, "new")]
+        restored = MultiVersionStore()
+        restored.restore(dump, current_version=2, gc_horizon=store.gc_horizon)
+        assert restored.dump() == dump
+        assert all(restored.read(key, 2) == store.read(key, 2) for key in "abcde")
+
+
 class TestProperties:
     @given(
         writes=st.lists(
