@@ -38,7 +38,6 @@ kernel) → :mod:`repro.net` (messages, topology, transports) →
 """
 
 from repro.baseline.dur import build_classic_dur
-from repro.core.batch import BatchingConfig
 from repro.core.client import ClientConfig, Read, ReadMany, SdurClient, TxnResult
 from repro.core.config import DelayMode, SdurConfig, ServiceCosts
 from repro.core.partitioning import PartitionMap
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissionConfig",
-    "BatchingConfig",
     "ClientConfig",
     "ClosedLoopDriver",
     "OpenLoopDriver",

@@ -35,7 +35,6 @@ from repro.core.directory import ClusterDirectory
 from repro.core.messages import (
     Busy,
     CommitRequest,
-    OutcomeBatch,
     OutcomeNotice,
     ReadRequest,
     ReadResponse,
@@ -377,9 +376,7 @@ class SdurClient:
         if isinstance(msg, ReadResponse):
             self._on_read_response(src, msg)
         elif isinstance(msg, OutcomeNotice):
-            self._on_outcomes(((msg.tid, msg.outcome),))
-        elif isinstance(msg, OutcomeBatch):
-            self._on_outcomes(msg.outcomes)
+            self._on_outcome(msg)
         elif isinstance(msg, Busy):
             self._on_busy(msg)
         elif isinstance(msg, StaleEpochNotice):
@@ -665,13 +662,10 @@ class SdurClient:
             state.commit_timer.cancel()
         state.commit_timer = self.runtime.set_timer(delay, fire)
 
-    def _on_outcomes(self, outcomes: tuple[tuple[TxnId, str], ...]) -> None:
-        """One notice, or a batching server's grouped ones (§18) in
-        completion order — observably identical to individual notices."""
-        for tid, outcome in outcomes:
-            state = self._active.get(tid)
-            if state is not None:  # else a later replica's notice; finished
-                self._finish(state, Outcome(outcome))
+    def _on_outcome(self, msg: OutcomeNotice) -> None:
+        state = self._active.get(msg.tid)
+        if state is not None:  # else a later replica's notice; finished
+            self._finish(state, Outcome(msg.outcome))
 
     # ------------------------------------------------------------------
     # Overload sheds (docs/PROTOCOL.md §16)

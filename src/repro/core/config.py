@@ -5,8 +5,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.core.batch import BatchingConfig
-from repro.errors import ConfigurationError
 from repro.overload.admission import AdmissionConfig
 
 
@@ -37,10 +35,6 @@ class ServiceCosts:
     certify: float = 0.0
     apply: float = 0.0
 
-    @property
-    def any_nonzero(self) -> bool:
-        return bool(self.read or self.certify or self.apply)
-
 
 @dataclass(frozen=True)
 class SdurConfig:
@@ -64,12 +58,6 @@ class SdurConfig:
     #: Committed records retained for certification (the paper's last-K
     #: bloom filters).  Transactions older than the window abort.
     history_window: int = 50_000
-
-    # -- Global-transaction termination (docs/PROTOCOL.md §14) ----------
-    #: Re-proposal period for vote records not yet seen delivered (the
-    #: immediate proposal can die with a crashed or superseded leader);
-    #: ``None`` disables retries (tests only).
-    ledger_retry_interval: float | None = 0.25
 
     # -- Liveness and recovery ------------------------------------------
     #: Abort-request timeout for pending globals missing votes;
@@ -102,13 +90,6 @@ class SdurConfig:
     #: behavior, kept as the O4 ablation baseline.
     admission: AdmissionConfig | None = None
 
-    # -- Batched delivery (docs/PROTOCOL.md §18) --------------------------
-    #: Every abcast delivery reaches the server through a delivery
-    #: batch: certified in one pass, vote records grouped per log value,
-    #: client replies batched per destination.  The default is the batch
-    #: of one — each delivery processed alone, as Algorithm 2 is written.
-    batching: BatchingConfig = BatchingConfig(max_batch=1, max_wait=0.0, ledger_group=1)
-
     # -- Client notification ---------------------------------------------
     #: Every replica (not just the coordinator) sends the outcome to the
     #: client.  Costlier but robust to coordinator crashes.
@@ -123,13 +104,6 @@ class SdurConfig:
     # -- CPU model -------------------------------------------------------
     costs: ServiceCosts = field(default_factory=ServiceCosts)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.batching, BatchingConfig):
-            raise ConfigurationError(
-                "batching must be a BatchingConfig (a batch of one, the "
-                f"default, is \"off\"), got {self.batching!r}"
-            )
-
     def with_reordering(self, threshold: int) -> "SdurConfig":
         """Copy with reordering enabled at ``threshold``."""
         return self._replace(reorder_threshold=threshold)
@@ -140,10 +114,6 @@ class SdurConfig:
     def with_admission(self, admission: AdmissionConfig | None) -> "SdurConfig":
         """Copy with the given admission policy (``None`` disables)."""
         return self._replace(admission=admission)
-
-    def with_batching(self, batching: BatchingConfig) -> "SdurConfig":
-        """Copy with the given delivery-batching policy."""
-        return self._replace(batching=batching)
 
     def _replace(self, **changes: object) -> "SdurConfig":
         from dataclasses import replace

@@ -93,25 +93,6 @@ class OutcomeNotice(Message):
 
 @message
 @dataclass(frozen=True)
-class OutcomeBatch(Message):
-    """Server → client: several outcomes in one message (§18).
-
-    A server buffers the outcome notices a delivery batch of more than
-    one value produces and sends one ``OutcomeBatch`` per destination
-    client instead of one :class:`OutcomeNotice` per transaction (a
-    batch of one value replies with the notice itself).  Order inside
-    ``outcomes`` is completion order; clients process entries in order,
-    so the observable effect is identical to individual notices.
-    """
-
-    partition: str
-    #: ``(tid, Outcome.value)`` per completed transaction, in completion
-    #: order.
-    outcomes: tuple[tuple[TxnId, str], ...]
-
-
-@message
-@dataclass(frozen=True)
 class Busy(Message):
     """Server → client: work refused by admission control (§16).
 

@@ -26,11 +26,11 @@ are values ordered through the partition's own log and take effect only
 at delivery.  This module decides verdicts (certification, deferral,
 dooming) and completes the pending list's head — or, for a local that
 meets an empty list, completes it at delivery (docs/PROTOCOL.md §18.2):
-every delivered value takes the one path ``_run_batch`` → ``_ingest`` →
+every delivered value takes the one path ``on_adeliver`` → ``_ingest`` →
 ``_deliver_txn``.  Two components own the rest and are called at fixed
 points only.  *When a vote counts* is known
 to the ledger alone — admit, cast, vote arrived, record delivered, abort
-request delivered, partition learned, batch boundary.  *What a live split
+request delivered, partition learned.  *What a live split
 or merge asks of this replica* is known to ``self.reconfig`` alone
 (:mod:`repro.reconfig.participant`, whose docstring lists its points;
 docs/PROTOCOL.md §13, §17).
@@ -44,7 +44,6 @@ from dataclasses import replace
 from typing import Any
 
 from repro.consensus.abcast import AbcastFabric
-from repro.core.batch import DeliveryBatcher
 from repro.core.certifier import CertificationWindow, CommittedRecord
 from repro.core.certindex import IndexedCertifier
 from repro.core.checkpoint import (
@@ -63,7 +62,6 @@ from repro.core.messages import (
     CommitRequest,
     GossipResync,
     NoopTick,
-    OutcomeBatch,
     OutcomeNotice,
     ReadRequest,
     ReadResponse,
@@ -83,11 +81,14 @@ from repro.reconfig.participant import ReconfigParticipant, replay
 from repro.runtime.base import Runtime
 from repro.storage.mvstore import MultiVersionStore
 from repro.telemetry.wiring import ServerStats, build_server_registry
-from repro.termination import VoteLedger, VoteRecord, VoteRecordGroup
+from repro.termination import VoteLedger, VoteRecord
 
 #: Interval of no-op ticks while globals await their reorder threshold
 #: (only armed when ``reorder_threshold > 0``).
 NOOP_INTERVAL = 0.01
+#: Re-proposal period of vote records not yet seen delivered: the
+#: immediate proposal can die with a crashed or superseded leader.
+LEDGER_RETRY_INTERVAL = 0.25
 
 
 class SdurServer:
@@ -155,34 +156,19 @@ class SdurServer:
             drain=self._drain,
             stats=self.stats,
             is_leader=lambda: self.is_partition_leader(),
-            retry_interval=self.config.ledger_retry_interval,
+            retry_interval=LEDGER_RETRY_INTERVAL,
             vote_timeout=self.config.vote_timeout,
             limit=self._completed_limit,
-            group_size=self.config.batching.ledger_group,
-        )
-        #: The one way a delivered value reaches this server
-        #: (docs/PROTOCOL.md §18).  At the default batch of one the size
-        #: trigger fires inside ``add`` and no timer is ever armed.
-        self.batcher = DeliveryBatcher(
-            self.config.batching,
-            flush=self._on_batch_ready,
-            set_timer=runtime.set_timer,
         )
         #: Completing at delivery applies at certification time, so it
         #: happens only where applying is free under the CPU model (§18.2).
         self._apply_is_free = not self.config.costs.apply
-        #: True while a batch of more than one value is being processed:
-        #: its completion notices buffer into per-destination
-        #: :class:`OutcomeBatch` replies flushed at the batch boundary.
-        self._grouping_replies = False
-        #: client node id -> [(tid, outcome)] buffered this batch.
-        self._reply_buffer: dict[str, list[tuple[TxnId, str]]] = {}
         #: Reads waiting for this replica to catch up to their snapshot.
         self._waiting_reads: list[tuple[int, ReadRequest]] = []
         #: Deliveries stalled behind a blocked head global (see _head_blocked).
         self._stalled: deque[Any] = deque()
         self._applying = False
-        #: Deliveries handed to ``runtime.execute`` that ``_run_batch`` has
+        #: Deliveries handed to ``runtime.execute`` that ``_ingest`` has
         #: not yet taken: counted in ``_last_instance``, not yet applied.
         self._queued_for_cpu = 0
         self._noop_armed = False
@@ -236,8 +222,8 @@ class SdurServer:
         self._started = False
         #: §19 live telemetry.  The registry is always built — counters
         #: and gauges are *bound* readers over existing state, so
-        #: declaring them costs nothing on the hot path — but the two
-        #: histograms only record when ``telemetry_enabled`` is set
+        #: declaring them costs nothing on the hot path — but the
+        #: histogram only records when ``telemetry_enabled`` is set
         #: (``cluster.enable_telemetry()``), keeping the disabled path
         #: allocation-free (tests/telemetry/test_overhead.py).
         self.telemetry_enabled = False
@@ -246,11 +232,6 @@ class SdurServer:
             "sdur_commit_latency",
             unit="seconds",
             help="Delivery-to-commit latency per committed transaction.",
-        )
-        self._hist_batch_size = self.registry.histogram(
-            "sdur_batch_size",
-            unit="deliveries",
-            help="Size distribution of delivery batches of more than one value (§18).",
         )
 
     # ------------------------------------------------------------------
@@ -361,8 +342,8 @@ class SdurServer:
     # ------------------------------------------------------------------
     def _queue_depth(self) -> int:
         """Delivery backlog gauge — delivered and not yet completed:
-        buffered and stalled deliveries + pending entries."""
-        depth = len(self.batcher) + len(self._stalled) + len(self.pending)
+        stalled deliveries + pending entries."""
+        depth = len(self._stalled) + len(self.pending)
         self.stats.queue_depth = depth
         if depth > self.stats.queue_depth_max:
             self.stats.queue_depth_max = depth
@@ -566,68 +547,14 @@ class SdurServer:
     # Delivery (Algorithm 2 lines 15–22)
     # ------------------------------------------------------------------
     def on_adeliver(self, instance: int, value: Any) -> None:
-        """Callback wired to this partition's Paxos replica."""
+        """Callback wired to this partition's Paxos replica: each value is
+        one CPU-model execution, charged the certify cost if it is a
+        projection, that ingests it.  Grouping happens at the log: a
+        loop turn's proposals share one Paxos instance (§4)."""
         self._last_instance = max(self._last_instance, instance)
-        self.batcher.add(value, self._certify_cost(value))
-
-    def _certify_cost(self, value: Any) -> float:
-        """Simulated CPU charged for certifying one delivered value."""
-        if not isinstance(value, TxnProjection):
-            return 0.0
-        return self.config.costs.certify
-
-    def _on_batch_ready(self, values: list[Any], cost: float) -> None:
-        """A delivery batch flushed (size or time bound): run it.
-
-        The whole batch is charged as one CPU-model execution — the sum
-        of its members' costs — which is the batching win under nonzero
-        service costs: one scheduler round instead of one per value.
-        """
-        self._queued_for_cpu += len(values)
-        self.runtime.execute(cost, lambda: self._run_batch(values))
-
-    def flush_batches(self) -> None:
-        """Force out buffered deliveries and replies (quiescence, tests)."""
-        self.batcher.flush_now()
-        self.ledger.flush_group()
-        self._flush_replies()
-
-    def _run_batch(self, values: list[Any]) -> None:
-        """Process one delivery batch: every value, in delivery order,
-        through the one-value ingest.  What a batch of more than one adds
-        is grouping — one CPU-model execution, one vote-record group and
-        one :class:`OutcomeBatch` per client at the boundary; a batch of
-        one replies as it goes, with a plain notice.
-        """
-        size = len(values)
-        self._queued_for_cpu -= size
-        self.stats.batches_delivered += 1
-        if size > self.stats.batch_size_max:
-            self.stats.batch_size_max = size
-        grouped = size > 1
-        if grouped and self.telemetry_enabled:
-            # A batch of one is counted, not sized: a per-delivery
-            # observation costs BENCH_telemetry 3.7 % for a constant.
-            self._hist_batch_size.observe(float(size))
-        self._grouping_replies = grouped
-        try:
-            for value in values:
-                self._ingest(value)
-        finally:
-            self._grouping_replies = False
-        self.ledger.flush_group()
-        self._flush_replies()
-
-    def _flush_replies(self) -> None:
-        """Send buffered outcomes as one :class:`OutcomeBatch` per client."""
-        if not self._reply_buffer:
-            return
-        buffer = self._reply_buffer
-        self._reply_buffer = {}
-        for client, outcomes in buffer.items():
-            self.runtime.send(
-                client, OutcomeBatch(partition=self.partition, outcomes=tuple(outcomes))
-            )
+        self._queued_for_cpu += 1
+        cost = self.config.costs.certify if isinstance(value, TxnProjection) else 0.0
+        self.runtime.execute(cost, lambda: self._ingest(value))
 
     def _gate_blocks(self, value: Any) -> bool:
         """Must this delivery wait for the store to reach its snapshot?
@@ -649,6 +576,7 @@ class SdurServer:
         return self.reconfig.must_wait(value) or value.snapshot > self.sc
 
     def _ingest(self, value: Any) -> None:
+        self._queued_for_cpu -= 1
         behind = self._applying or self._stalled or self._gate_blocks(value)
         # An install bypasses the stall queue: it is what clears the
         # migration gate the stalled transactions are waiting on.
@@ -670,7 +598,7 @@ class SdurServer:
             self.dc += 1
         elif isinstance(value, AbortRequest):
             self.ledger.on_abort_request(value)
-        elif isinstance(value, (VoteRecord, VoteRecordGroup)):
+        elif isinstance(value, VoteRecord):
             self.ledger.deliver(value)
         elif isinstance(value, ThresholdChange):
             self.reorder_threshold = value.value
@@ -972,13 +900,6 @@ class SdurServer:
                 self._obs.event(
                     "server.notify", self.node_id, proj.tid, outcome=outcome.value
                 )
-            if self._grouping_replies:
-                # Batched replies (§18.4): buffered per destination and
-                # flushed as one OutcomeBatch at the batch boundary.
-                self._reply_buffer.setdefault(proj.client, []).append(
-                    (proj.tid, outcome.value)
-                )
-                return
             self.runtime.send(
                 proj.client,
                 OutcomeNotice(tid=proj.tid, outcome=outcome.value, partition=self.partition),
@@ -1041,10 +962,8 @@ class SdurServer:
             return f"{len(self._stalled)} stalled delivery(ies)"
         if self._applying:
             return "a commit is being applied"
-        # Buffered (un-ingested) deliveries block quiescence: a checkpoint
-        # claims coverage through _last_instance, which they count toward.
-        if len(self.batcher):
-            return f"{len(self.batcher)} delivery(ies) buffered in the batcher"
+        # Un-ingested deliveries block quiescence: a checkpoint claims
+        # coverage through _last_instance, which they count toward.
         if self._queued_for_cpu:
             return f"{self._queued_for_cpu} delivery(ies) queued for the CPU"
         return None

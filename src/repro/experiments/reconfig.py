@@ -28,6 +28,9 @@ from repro.workload.microbench import MicroBenchmark
 #: Heavy per-transaction CPU so one partition saturates around 1000 tps
 #: — the split's capacity gain, not client count, must be the limiter.
 COSTS = ServiceCosts(read=0.00005, certify=0.0005, apply=0.0005)
+#: Closed-loop clients: enough that the split pair, not the clients,
+#: bounds throughput after the split (eight leave it client-bound).
+CLIENTS = 12
 
 LAN_DELTA = 0.0005
 SPLIT_AT = 6.0
@@ -35,6 +38,7 @@ RUN_FOR = 14.0
 
 
 def run(quick: bool = False) -> ExperimentTable:
+    """One shape in quick and full mode: a smaller one cannot show the gain."""
     deployment = lan_deployment(2)
     cluster = build_cluster(
         deployment,
@@ -45,7 +49,7 @@ def run(quick: bool = False) -> ExperimentTable:
     )
     collector = MetricsCollector()
     drivers = []
-    for _ in range(8 if quick else 12):
+    for _ in range(CLIENTS):
         client = cluster.add_client(
             region=deployment.preferred_region["p0"],
             commit_timeout=1.0,

@@ -9,8 +9,8 @@ which ``MetricRegistry.wire_counters()`` replays bit-identically.
 Everything is *bound* (lambdas over the live objects), so building a
 registry costs nothing on the hot path — the server keeps its plain
 ``stats.x += 1`` and the readers only run at sample/export time.  The
-two histograms (`sdur_commit_latency`, `sdur_batch_size`) are the
-exception: the server observes into them directly, guarded by
+histogram `sdur_commit_latency` is the exception: the server observes
+into it directly, guarded by
 ``server.telemetry_enabled`` so the disabled path stays allocation-free
 (``tests/telemetry/test_overhead.py``).
 """
@@ -61,12 +61,10 @@ SERVER_COUNTERS: tuple[CounterRow, ...] = (
     CounterRow("index_fallbacks", "counter", "queries", "Index queries that fell back to record probes."),
     CounterRow("admitted", "counter", "requests", "Commit requests admitted by admission control."),
     CounterRow("shed_total", "counter", "requests", "Ingress refused with a Busy reply."),
-    CounterRow("queue_depth", "gauge", "deliveries", "Current delivery backlog (buffered + stalled + pending)."),
+    CounterRow("queue_depth", "gauge", "deliveries", "Current delivery backlog (stalled + pending)."),
     CounterRow("queue_depth_max", "gauge", "deliveries", "High-water mark of the delivery backlog."),
     CounterRow("stall_depth_max", "gauge", "deliveries", "High-water mark of the stall queue alone."),
     CounterRow("hotkey_updates", "counter", "keys", "Write-key observations fed to the hot-key tracker."),
-    CounterRow("batches_delivered", "counter", "batches", "Delivery batches processed (§18)."),
-    CounterRow("batch_size_max", "gauge", "deliveries", "Largest delivery batch processed."),
     CounterRow("completed_at_delivery", "counter", "transactions", "Locals committed at delivery, never entering the pending list (§18.2)."),
     CounterRow("gossip_resyncs", "counter", "requests", "Gossip resync requests sent after a missed delta (§6)."),
     _bucket("aborted_certification", "Certification conflicts."),

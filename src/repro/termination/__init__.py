@@ -31,6 +31,6 @@ wait cycle aborts, identically at all replicas.
 """
 
 from repro.termination.ledger import VoteLedger
-from repro.termination.messages import VoteRecord, VoteRecordGroup
+from repro.termination.messages import VoteRecord
 
-__all__ = ["VoteLedger", "VoteRecord", "VoteRecordGroup"]
+__all__ = ["VoteLedger", "VoteRecord"]

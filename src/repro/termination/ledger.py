@@ -4,8 +4,8 @@ One :class:`VoteLedger` lives inside each :class:`SdurServer`
 (``server.ledger``) and owns the whole vote path of docs/PROTOCOL.md
 §14, whose table lists the fixed points at which the server calls it —
 :meth:`admit`, :meth:`cast`, :meth:`on_vote`, :meth:`deliver`,
-:meth:`on_abort_request`, :meth:`on_partition_learned`,
-:meth:`flush_group`.  The server never looks at a vote itself.
+:meth:`on_abort_request`, :meth:`on_partition_learned`.  The server
+never looks at a vote itself.
 
 Everything the ledger needs arrives as a constructor argument — runtime,
 partition, abcast, the routing view, the pending list, a
@@ -46,7 +46,7 @@ from repro.core.pending import PendingList, PendingTxn
 from repro.core.transaction import Outcome, TxnId, TxnProjection
 from repro.obs.recorder import NULL_RECORDER
 from repro.runtime.base import Runtime
-from repro.termination.messages import VoteRecord, VoteRecordGroup
+from repro.termination.messages import VoteRecord
 
 if TYPE_CHECKING:
     from repro.reconfig.epochs import VersionedRouting
@@ -70,7 +70,6 @@ class VoteLedger:
         retry_interval: float | None = 0.25,
         vote_timeout: float | None = None,
         limit: int = 200_000,
-        group_size: int = 1,
     ) -> None:
         self.runtime = runtime
         self._obs = getattr(runtime, "obs", NULL_RECORDER)
@@ -93,14 +92,6 @@ class VoteLedger:
         #: ``None`` disables the recovery protocol.
         self.vote_timeout = vote_timeout
         self.limit = limit
-        #: Records grouped into one :class:`VoteRecordGroup` proposal
-        #: (docs/PROTOCOL.md §18).  1 = propose each record as its own
-        #: log value (the default batch of one).
-        self.group_size = group_size
-        #: Records awaiting the next grouped proposal (leader only; the
-        #: retry path keeps re-proposing from the outbox individually,
-        #: so a never-flushed group costs latency, not liveness).
-        self._group: list[VoteRecord] = []
         #: (tid, voting partition) -> None for every record already
         #: delivered, insertion-ordered so the memory stays bounded.
         self._applied: OrderedDict[tuple[TxnId, str], None] = OrderedDict()
@@ -159,19 +150,13 @@ class VoteLedger:
         if self._completed(msg.tid) is None:
             self.propose(msg.tid, msg.partition, msg.vote)
 
-    def deliver(self, value: VoteRecord | VoteRecordGroup) -> None:
-        """Vote records reached their position in our own log.
+    def deliver(self, record: VoteRecord) -> None:
+        """A vote record reached its position in our own log.
 
-        Grouped records (§18) take effect strictly in group order,
-        exactly as if delivered as individual values.  Records do not
-        bump ``dc`` (they are not transactions and must not advance
-        reorder thresholds) and are never snapshot-gated.
+        Records a Paxos ``Batch`` carries arrive one call each, in batch
+        order.  Records do not bump ``dc`` (they are not transactions and
+        must not advance reorder thresholds) and are never snapshot-gated.
         """
-        records = value.records if isinstance(value, VoteRecordGroup) else (value,)
-        for record in records:
-            self._deliver_record(record)
-
-    def _deliver_record(self, record: VoteRecord) -> None:
         key = (record.tid, record.partition)
         if key in self._applied:
             return  # duplicate proposal: an outbox retry raced the leader's
@@ -244,36 +229,8 @@ class VoteLedger:
         record = VoteRecord(tid=tid, partition=partition, vote=vote, involved=involved)
         self._outbox[key] = (record, self.runtime.now())
         if self.is_leader():
-            if self.group_size > 1:
-                self._group.append(record)
-                if len(self._group) >= self.group_size:
-                    self.flush_group()
-            else:
-                self._abcast(self.partition, record)
+            self._abcast(self.partition, record)
         self._arm_retry()
-
-    def flush_group(self) -> None:
-        """Propose the buffered records as one grouped log value.
-
-        Called by the server at every delivery-batch boundary (and when
-        the group fills).  Records already seen delivered — a retry or
-        another replica's proposal won the race — are dropped here; a
-        stale survivor is still harmless thanks to delivery-side dedup.
-        """
-        if not self._group:
-            return
-        records = tuple(
-            record
-            for record in self._group
-            if (record.tid, record.partition) not in self._applied
-        )
-        self._group.clear()
-        if not records:
-            return
-        if len(records) == 1:
-            self._abcast(self.partition, records[0])
-        else:
-            self._abcast(self.partition, VoteRecordGroup(records=records))
 
     def _arm_retry(self) -> None:
         if self._retry_armed or self.retry_interval is None or not self._outbox:

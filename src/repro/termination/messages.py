@@ -33,22 +33,3 @@ class VoteRecord(Message):
     #: All partitions of the transaction, for the Vote fan-out emitted on
     #: self-delivery of an own-verdict record; empty for relayed votes.
     involved: tuple[str, ...] = ()
-
-
-@message
-@dataclass(frozen=True)
-class VoteRecordGroup(Message):
-    """Several vote records proposed as one log value (§18).
-
-    With ``BatchingConfig.ledger_group`` > 1 the ledger groups up to
-    that many buffered records into one atomic
-    broadcast proposal, paying one consensus instance instead of one per
-    vote.  On delivery the server applies the member records strictly in
-    ``records`` order, so every per-vote effect lands exactly as if the
-    records had been delivered back to back as individual values —
-    grouping changes how votes travel, never what they do.  Duplicate
-    members (a retry racing the grouped proposal) are absorbed by the
-    ledger's per-record delivery dedup.
-    """
-
-    records: tuple[VoteRecord, ...]

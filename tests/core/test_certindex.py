@@ -29,7 +29,7 @@ from tests.oracles.scan_certifier import (
     find_reorder_position,
     outcome_conflicts,
 )
-from tests.properties.test_batch_differential import BATCH_OF_ONE, build_server
+from tests.properties.test_batch_differential import build_server
 
 
 def proj(
@@ -339,7 +339,7 @@ class TestFactory:
     def test_migration_install_rebuilds_the_certifier(self):
         """A split install replaces the window wholesale; the certifier
         must be rebuilt over the *new* one, floor included."""
-        server = build_server(BATCH_OF_ONE, 0)
+        server = build_server(0)
         before = server.certifier
         server.await_migration()
         change = ConfigChange(

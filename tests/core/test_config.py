@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import DelayMode, SdurConfig, ServiceCosts
+from repro.core.config import DelayMode, SdurConfig
 
 
 class TestSdurConfig:
@@ -28,13 +28,6 @@ class TestSdurConfig:
     def test_frozen(self):
         with pytest.raises(Exception):
             SdurConfig().reorder_threshold = 5  # type: ignore[misc]
-
-
-class TestServiceCosts:
-    def test_any_nonzero(self):
-        assert not ServiceCosts().any_nonzero
-        assert ServiceCosts(read=0.001).any_nonzero
-        assert ServiceCosts(apply=0.001).any_nonzero
 
 
 class TestDelayMode:

@@ -2,9 +2,11 @@
 
 from repro.core.client import Read
 from repro.core.config import DelayMode, SdurConfig, ServiceCosts
-from repro.core.messages import NoopTick
-from repro.core.transaction import Outcome
+from repro.core.messages import Busy, CommitRequest, NoopTick, OutcomeNotice
+from repro.core.transaction import Outcome, ReadsetDigest, TxnId, TxnProjection
+from repro.overload.admission import AdmissionConfig
 from tests.conftest import make_cluster, run_txn, update_program
+from tests.properties.test_batch_differential import build_server
 
 
 def started_cluster(num_partitions=2, config=None, **kwargs):
@@ -86,6 +88,68 @@ class TestStats:
         cluster.world.run_for(2.0)
         stats = cluster.servers["s1"].server.stats
         assert stats.aborted_certification + stats.aborted_reorder == 1
+
+
+# The cases below drive one raw server on the differential suite's script
+# runtime: execute runs inline, sends are recorded, timers never fire.
+
+
+def local_proj(seq: int, client: str = "c", snapshot: int = 0) -> TxnProjection:
+    return TxnProjection(
+        tid=TxnId(client, seq),
+        partition="p0",
+        readset=ReadsetDigest.exact([f"0/r{seq}"]),
+        writeset={f"0/w{seq}": seq},
+        snapshot=snapshot,
+        partitions=("p0",),
+        coordinator="s0",
+        client=client,
+    )
+
+
+class TestCompletionAtDelivery:
+    """A certified local that meets an empty pending list commits at
+    delivery (docs/PROTOCOL.md §18.2)."""
+
+    def test_locals_in_a_cluster_complete_at_delivery(self):
+        cluster, client = started_cluster()
+        for _ in range(3):
+            assert run_txn(cluster, client, update_program(["0/k0"])).outcome is Outcome.COMMIT
+        cluster.world.run_for(0.5)
+        server = cluster.servers["s1"].server
+        assert server.sc == 3 and not server.pending
+        assert server.stats.completed_at_delivery == 3
+        assert cluster.server_stats()["s1"]["completed_at_delivery"] == 3
+
+    def test_a_delivered_local_replies_with_one_notice_at_once(self):
+        server = build_server(0)
+        server.on_adeliver(0, local_proj(0))
+        assert server.runtime.sent == [
+            ("c", OutcomeNotice(tid=TxnId("c", 0), outcome="commit", partition="p0"))
+        ]
+        assert server.sc == 1 and server.stats.completed_at_delivery == 1
+
+
+class TestBacklog:
+    def test_queue_gate_sees_stalled_deliveries(self):
+        """The admission gauge and the checkpoint agree on what is
+        outstanding: delivered and not yet completed (PROTOCOL.md §16.1)."""
+        server = build_server(0, admission=AdmissionConfig(max_queue_depth=4))
+        for seq in range(5):
+            # Snapshot 1 is ahead of SC 0: every one waits at the gate.
+            server.on_adeliver(seq, local_proj(seq, snapshot=1))
+        assert len(server._stalled) == 5 and server.sc == 0
+        assert "stalled" in server._checkpoint_blocker()
+        request = local_proj(9, client="late")
+        server.handle("late", CommitRequest(tid=request.tid, projections={"p0": request}))
+        assert server.stats.queue_depth == 5
+        assert server.runtime.sent == [
+            (
+                "late",
+                Busy(tid=request.tid, server="s0", reason="queue", retry_after=0.05),
+            )
+        ]
+        assert server.stats.shed_total == 1
 
 
 class TestReadPath:

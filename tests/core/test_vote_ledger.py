@@ -70,12 +70,9 @@ def make_server(fabric=None, retry_interval=None, world=None):
         directory=directory,
         partition_map=PartitionMap.by_index(2),
         fabric=fabric,
-        config=SdurConfig(
-            vote_timeout=None,
-            gossip_interval=None,
-            ledger_retry_interval=retry_interval,
-        ),
+        config=SdurConfig(vote_timeout=None, gossip_interval=None),
     )
+    server.ledger.retry_interval = retry_interval
     if isinstance(fabric, LoopbackFabric):
         fabric.server = server
     runtime.listen(server.handle)

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from repro.consensus.replica import PaxosConfig
-from repro.core.batch import BatchingConfig
 from repro.core.checkpoint import (
     CheckpointReply,
     CheckpointRequest,
@@ -117,7 +116,6 @@ class TestCheckpointTaking:
             ("pending list", lambda s: s.pending.append(_pending_entry())),
             ("stalled", lambda s: s._stalled.append(NoopTick())),
             ("being applied", lambda s: setattr(s, "_applying", True)),
-            ("batcher", lambda s: s.batcher.add(NoopTick(), 0.0)),
             ("queued for the CPU", lambda s: setattr(s, "_queued_for_cpu", 1)),
         ],
     )
@@ -127,7 +125,7 @@ class TestCheckpointTaking:
         cluster = build_cluster(
             lan_deployment(1),
             PartitionMap.by_index(1),
-            SdurConfig(batching=BatchingConfig(max_wait=5.0)),
+            SdurConfig(),
             seed=3,
         )
         server = cluster.servers["s1"].server
@@ -142,7 +140,7 @@ class TestCheckpointTaking:
         a nonzero certify cost the CPU model holds it for a while, and a
         checkpoint taken then would compact the WAL below a transaction
         its state does not contain.  At every checkpoint, each value the
-        replica delivered must have reached ``_run_batch``."""
+        replica delivered must have reached ``_ingest``."""
         cluster = build_cluster(
             lan_deployment(2),
             PartitionMap.by_index(2),
@@ -157,16 +155,16 @@ class TestCheckpointTaking:
                 delivered[name] += 1
                 inner(instance, value)
 
-            def run_batch(values, name=name, inner=server._run_batch):
-                ingested[name] += len(values)
-                inner(values)
+            def ingest(value, name=name, inner=server._ingest):
+                ingested[name] += 1
+                inner(value)
 
             def hook(next_instance, name=name, inner=server.checkpoint_hook):
                 unapplied.append(delivered[name] - ingested[name])
                 inner(next_instance)
 
             replica.on_deliver = on_deliver
-            server._run_batch = run_batch
+            server._ingest = ingest
             server.checkpoint_hook = hook
         collector = MetricsCollector()
         drivers = [
@@ -204,16 +202,15 @@ class TestRestoredCertifier:
         the window wholesale and the certifier is rebuilt over the new
         one, so a restored server certifies the rest of the log exactly
         as a server that never stopped."""
-        batching = BatchingConfig(max_batch=4)
         ops = [("txn", False, [i % 6], [(i + 1) % 6], 0) for i in range(10)]
         ops += [("txn", False, [i % 6], [(i + 2) % 6], i % 8) for i in range(12)]
         values = concretize(ops)
         warmup, tail = values[:10], values[10:]
 
-        unrestored = replay(build_server(batching, 0), values)
+        unrestored = replay(build_server(0), values)
 
-        first = replay(build_server(batching, 0), warmup)
-        restored = build_server(batching, 0)
+        first = replay(build_server(0), warmup)
+        restored = build_server(0)
         before = restored.certifier
         restored.restore_checkpoint(first.take_checkpoint())
         assert restored.certifier is not before
@@ -221,7 +218,6 @@ class TestRestoredCertifier:
         assert restored.window.listener is restored.certifier.index
         for instance, value in enumerate(tail, start=len(warmup)):
             restored.on_adeliver(instance, value)
-        restored.flush_batches()
 
         # `_completed` and the reply stream are not checkpointed; what
         # the log determines must match.
@@ -235,9 +231,9 @@ class TestRestoredCertifier:
         """A snapshot below the restored window's floor is unknowable to
         the rebuilt certifier, exactly as it was before the checkpoint."""
         ops = [("txn", False, [i % 6], [(i + 1) % 6], 0) for i in range(24)]
-        first = replay(build_server(BatchingConfig(max_batch=4), 0), concretize(ops))
+        first = replay(build_server(0), concretize(ops))
         assert first.window.floor > 0  # history_window is 16
-        restored = build_server(BatchingConfig(max_batch=4), 0)
+        restored = build_server(0)
         restored.restore_checkpoint(first.take_checkpoint())
         assert restored.window.floor == first.window.floor
         stale = TxnProjection(

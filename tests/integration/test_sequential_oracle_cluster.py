@@ -12,8 +12,8 @@ left one simulator event later, or two same-instant sends in the other
 order, would shift the network's jitter draws and every latency after
 it.  This is the cluster-wide form of the per-log equivalence
 ``tests/properties/test_batch_differential.py`` pins, and the tier-1
-guard that making the batch of one the default changed nothing a client
-can see.
+guard that completing a local at delivery changes nothing a client can
+see.
 """
 
 from tests.integration.test_scan_oracle_cluster import run
@@ -34,4 +34,4 @@ def test_sequential_oracle_cluster_matches_the_shipped_default():
     assert oracle.counter("completed_at_delivery") == 0
     assert shipped.counter("committed_global") == oracle.counter("committed_global") > 0
     assert shipped.counter("reordered") == oracle.counter("reordered") > 0
-    assert shipped.counter("batches_delivered") == oracle.counter("batches_delivered")
+    assert shipped.counter("votes_ordered") == oracle.counter("votes_ordered") > 0

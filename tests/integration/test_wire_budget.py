@@ -37,9 +37,9 @@ commit.  The byte gate is that figure plus 10 %.
 
 This is the regression guard for the cuts of the Phase-2 wire path and
 of the read path, and for any later change that re-adds a hop, an
-encode or a copy of the value.  It is also the counted guard that the
-default ingest path is a batch of one replying with notices: every
-delivery is its own batch and no ``OutcomeBatch`` is ever sent.  The
+encode or a copy of the value.  It is also the counted guard that a
+commit's reply is one ``OutcomeNotice``, the one reply type the server
+sends and the one ``benchmarks/e2e/layers.py`` stamps.  The
 script is serial, so the leader's turn group commit (PROTOCOL.md §4)
 never has two proposals in one turn: each instance is a bare ``Accept``
 and the counts above hold unchanged.
@@ -58,7 +58,7 @@ committed value.
 import asyncio
 
 from repro.core.client import SdurClient
-from repro.core.messages import CommitRequest, OutcomeBatch
+from repro.core.messages import CommitRequest, OutcomeNotice
 from repro.core.transaction import TxnProjection
 from tests.conftest import read_program, update_program
 from tests.integration.test_asyncio_e2e import build_aio_cluster, execute, free_ports
@@ -84,12 +84,12 @@ def test_local_commit_stays_inside_its_wire_budget():
         try:
             transports = [runtime._transport for runtime in world._runtimes.values()]
             set_encodes = [0]
-            outcome_batches = [0]
+            notices = [0]
             for transport in transports:
                 # Wrapped on the instance, as benchmarks/e2e/layers.py does.
                 def counting(envelope, encode=transport._encode):
                     set_encodes[0] += carries_the_sets(envelope.payload)
-                    outcome_batches[0] += isinstance(envelope.payload, OutcomeBatch)
+                    notices[0] += isinstance(envelope.payload, OutcomeNotice)
                     return encode(envelope)
 
                 transport._encode = counting
@@ -98,7 +98,7 @@ def test_local_commit_stays_inside_its_wire_budget():
                 return {
                     name: sum(getattr(transport, name) for transport in transports)
                     for name in ("frames_sent", "encodes", "writes", "bytes_sent", "sends_dropped")
-                } | {"set_encodes": set_encodes[0], "outcome_batches": outcome_batches[0]}
+                } | {"set_encodes": set_encodes[0], "notices": notices[0]}
 
             async def delivered_everywhere(count):
                 for _ in range(300):
@@ -118,17 +118,13 @@ def test_local_commit_stays_inside_its_wire_budget():
                 assert result.committed and not result.is_global
             await delivered_everywhere(COMMITS + 1)  # the followers' last Chosen
             after = totals()
-            for server, replica in servers:
-                # A batch of one: every delivery was its own batch.
-                assert server.stats.batches_delivered == replica.log.next_to_deliver
-                assert server.stats.batch_size_max == 1
             return {name: (after[name] - before[name]) / COMMITS for name in after}
         finally:
             await world.close_all()
 
     per_commit = asyncio.run(body())
     assert per_commit["sends_dropped"] == 0
-    assert per_commit["outcome_batches"] == 0, per_commit
+    assert per_commit["notices"] == 1, per_commit
     # The 11 the protocol needs, plus timer traffic (13 with a request
     # and a response per key read).
     assert 11 <= per_commit["frames_sent"] <= 12, per_commit

@@ -33,7 +33,6 @@ from repro.core.messages import (
     CommitRequest,
     GossipResync,
     NoopTick,
-    OutcomeBatch,
     OutcomeNotice,
     ReadRequest,
     ReadResponse,
@@ -51,7 +50,7 @@ from repro.reconfig.messages import (
     InstallMigration,
     StaleEpochNotice,
 )
-from repro.termination.messages import VoteRecord, VoteRecordGroup
+from repro.termination.messages import VoteRecord
 
 TID = TxnId("c9", 42)
 PROJ = TxnProjection(
@@ -119,8 +118,6 @@ SAMPLES = [
     ),
     CommitRequest(tid=TID, projections={"p0": PROJ, "p1": BLOOM_PROJ}),
     OutcomeNotice(tid=TID, outcome="commit", partition="p0"),
-    # Batched replies (docs/PROTOCOL.md §18): one frame per client per batch.
-    OutcomeBatch(partition="p0", outcomes=((TID, "commit"), (TxnId("c9", 43), "abort"))),
     NoopTick(),
     AbortRequest(
         tid=TID, partition="p1", requester="p0", involved=("p0", "p1"), client="c9"
@@ -133,12 +130,6 @@ SAMPLES = [
     # Vote ledger (docs/PROTOCOL.md §14): own verdict and relayed flavor.
     VoteRecord(tid=TID, partition="p0", vote="commit", involved=("p0", "p1")),
     VoteRecord(tid=TID, partition="p1", vote="abort"),
-    VoteRecordGroup(
-        records=(
-            VoteRecord(tid=TID, partition="p0", vote="commit", involved=("p0", "p1")),
-            VoteRecord(tid=TxnId("c9", 43), partition="p0", vote="abort"),
-        )
-    ),
     CommitGossip(
         partition="p0",
         sc=9,

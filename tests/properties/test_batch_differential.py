@@ -2,20 +2,18 @@
 the sequential oracle (docs/PROTOCOL.md §18.2).
 
 Certification is deterministic: a server's state is a function of its
-delivery sequence alone (PROTOCOL.md §14's invariant).  Batching must
-not touch that function — a batch boundary may change *when* values are
-processed but never *what* they produce.  This suite scripts the full,
-identical delivery sequence — local and global projections, noop ticks,
-vote records for both the partition's own verdicts and remote ones
-(including contradictory and duplicate votes), duplicate deliveries —
-into two raw servers — the oracle of
+delivery sequence alone (PROTOCOL.md §14's invariant).  Completing a
+local at delivery must not touch that function — it skips the pending
+list's insert and pop, never what they produce.  This suite scripts the
+full, identical delivery sequence — local and global projections, noop
+ticks, vote records for both the partition's own verdicts and remote
+ones (including contradictory and duplicate votes), duplicate
+deliveries — into two raw servers — the oracle of
 ``tests/oracles/sequential_ingest.py``, where every commit goes through
-the pending list, and a shipped server with hypothesis-chosen
-batch bounds (the default batch of one included) and flush points — and
-requires their final states to match exactly: store contents, SC/DC,
-certification window, completed map, abort buckets, pending remainder,
-and the per-client outcome stream (flattened from ``OutcomeBatch``
-replies).
+the pending list, and a shipped server — and requires their final
+states to match exactly: store contents, SC/DC, certification window,
+completed map, abort buckets, pending remainder, and the per-client
+outcome stream.
 
 Both servers' own vote *proposals* are dropped by a stub fabric — in a
 cluster, proposal timing alters log interleavings legitimately, so the
@@ -27,10 +25,9 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.batch import BatchingConfig
 from repro.core.config import SdurConfig, ServiceCosts
 from repro.core.directory import ClusterDirectory
-from repro.core.messages import NoopTick, OutcomeBatch, OutcomeNotice
+from repro.core.messages import NoopTick, OutcomeNotice
 from repro.core.partitioning import PartitionMap
 from repro.core.server import SdurServer
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
@@ -44,20 +41,13 @@ from tests.oracles.stub_runtime import DropFabric, StubRuntime
 KEYS = [f"0/k{i}" for i in range(6)]
 
 
-#: The shipped default: every delivery is its own batch.
-BATCH_OF_ONE = SdurConfig().batching
-
-
-def build_server(
-    batching: BatchingConfig, reorder_threshold: int, **config_overrides
-) -> SdurServer:
+def build_server(reorder_threshold: int, **config_overrides) -> SdurServer:
     config = SdurConfig(
         costs=ServiceCosts(),
         history_window=16,  # small: snapshots can fall below the floor
         reorder_threshold=reorder_threshold,
         vote_timeout=None,
         gossip_interval=None,
-        batching=batching,
         **config_overrides,
     )
     return SdurServer(
@@ -73,8 +63,8 @@ def build_server(
 
 
 def build_oracle(reorder_threshold: int) -> SdurServer:
-    """A batch of one that completes nothing at delivery."""
-    return sequential(build_server(BATCH_OF_ONE, reorder_threshold))
+    """A shipped server that completes nothing at delivery."""
+    return sequential(build_server(reorder_threshold))
 
 
 # One abstract step of the delivery script.  Vote/dup steps carry a raw
@@ -173,12 +163,9 @@ def concretize(ops) -> list[object]:
     return values
 
 
-def replay(server: SdurServer, values, flush_points=frozenset()) -> SdurServer:
+def replay(server: SdurServer, values) -> SdurServer:
     for instance, value in enumerate(values):
         server.on_adeliver(instance, value)
-        if instance in flush_points:
-            server.flush_batches()
-    server.flush_batches()
     return server
 
 
@@ -187,12 +174,11 @@ def state_of(server: SdurServer) -> dict:
         key: [(vv.version, vv.value) for vv in chain]
         for key, chain in server.store._versions.items()
     }
-    outcomes: list[tuple[str, TxnId, str]] = []
-    for dst, msg in server.runtime.sent:
-        if isinstance(msg, OutcomeNotice):
-            outcomes.append((dst, msg.tid, msg.outcome))
-        elif isinstance(msg, OutcomeBatch):
-            outcomes.extend((dst, tid, outcome) for tid, outcome in msg.outcomes)
+    outcomes = [
+        (dst, msg.tid, msg.outcome)
+        for dst, msg in server.runtime.sent
+        if isinstance(msg, OutcomeNotice)
+    ]
     return {
         "sc": server.sc,
         "dc": server.dc,
@@ -219,29 +205,15 @@ def state_of(server: SdurServer) -> dict:
 @settings(deadline=None, max_examples=60)
 @given(
     ops=st.lists(op_strategy, min_size=1, max_size=50),
-    max_batch=st.sampled_from([1, 2, 7, 32]),
-    ledger_group=st.sampled_from([1, 4]),
-    flush_points=st.sets(st.integers(0, 49), max_size=8),
     reorder_threshold=st.sampled_from([0, 2]),
 )
-def test_batched_state_is_bit_identical_to_sequential(
-    ops, max_batch, ledger_group, flush_points, reorder_threshold
-):
+def test_shipped_state_is_bit_identical_to_sequential(ops, reorder_threshold):
     values = concretize(ops)
     oracle = replay(build_oracle(reorder_threshold), values)
-    shipped = replay(
-        build_server(
-            BatchingConfig(max_batch=max_batch, ledger_group=ledger_group),
-            reorder_threshold,
-        ),
-        values,
-        flush_points,
-    )
+    shipped = replay(build_server(reorder_threshold), values)
     assert state_of(shipped) == state_of(oracle)
     # The oracle really is the other side: nothing completed at delivery.
     assert oracle.stats.completed_at_delivery == 0
-    if values:
-        assert shipped.stats.batches_delivered >= 1
 
 
 LOCAL_OPS = [("txn", False, [i % len(KEYS)], [(i + 1) % len(KEYS)], 0) for i in range(12)]
@@ -252,23 +224,21 @@ def test_fast_path_actually_engages():
     property above would still pass if every commit entered the pending
     list)."""
     values = concretize(LOCAL_OPS)
-    batched = replay(build_server(BatchingConfig(max_batch=4), 0), values)
-    assert batched.stats.committed_local == 12
-    assert batched.stats.completed_at_delivery == 12
-    assert batched.stats.batch_size_max == 4
+    shipped = replay(build_server(0), values)
+    assert shipped.stats.committed_local == 12
+    assert shipped.stats.completed_at_delivery == 12
 
 
 def test_default_completes_at_delivery_the_oracle_does_not():
     """Guard against the differential comparing a path with itself:
-    for the same script the shipped default (a batch of one) completes
-    every local at delivery and the oracle none — and a batch of one
-    replies as it goes, with plain notices."""
+    for the same script the shipped server completes every local at
+    delivery and the oracle none — and both reply as they go, with
+    plain notices."""
     values = concretize(LOCAL_OPS)
-    shipped = replay(build_server(BATCH_OF_ONE, 0), values)
+    shipped = replay(build_server(0), values)
     oracle = replay(build_oracle(0), values)
     assert shipped.stats.completed_at_delivery == 12
     assert oracle.stats.completed_at_delivery == 0
-    assert shipped.stats.batches_delivered == oracle.stats.batches_delivered == 12
     assert state_of(shipped) == state_of(oracle)
     assert shipped.runtime.sent == oracle.runtime.sent
     assert all(isinstance(msg, OutcomeNotice) for _, msg in shipped.runtime.sent)
@@ -300,7 +270,7 @@ def test_local_during_a_captured_split_completes_at_delivery_like_the_oracle():
         )
         return replay(server, [proj])
 
-    shipped, oracle = run(build_server(BATCH_OF_ONE, 0)), run(build_oracle(0))
+    shipped, oracle = run(build_server(0)), run(build_oracle(0))
     assert shipped.stats.completed_at_delivery == 1
     assert oracle.stats.completed_at_delivery == 0
     assert shipped.stats.committed_local == 1

@@ -33,8 +33,6 @@ LEGACY_KEYS = [
     "queue_depth_max",
     "stall_depth_max",
     "hotkey_updates",
-    "batches_delivered",
-    "batch_size_max",
     "completed_at_delivery",
     "gossip_resyncs",
 ]

@@ -12,11 +12,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.consensus.messages import Batch, Chosen
+from repro.consensus.replica import PaxosReplica
 from repro.core.messages import AbortRequest, Vote
 from repro.core.pending import PendingList, PendingTxn
 from repro.core.transaction import Outcome, ReadsetDigest, TxnId, TxnProjection
 from repro.runtime.sim import SimWorld
-from repro.termination import VoteLedger, VoteRecord, VoteRecordGroup
+from repro.termination import VoteLedger, VoteRecord
 
 from tests.oracles.stub_runtime import StubRuntime
 
@@ -138,17 +140,26 @@ class TestCastAndDeliver:
         assert len(rig.proposals) == 1 and rig.ledger.in_flight == 0
 
     def test_group_members_take_effect_in_group_order(self):
+        """Records proposed in one loop turn share one Paxos ``Batch``
+        instance; the replica unpacks it into one ``deliver`` per record,
+        in batch order, and a duplicate member is absorbed."""
         rig = make()
+        replica = PaxosReplica(
+            rig.runtime,
+            "p0",
+            ["s1", "s2"],
+            on_deliver=lambda instance, value: rig.ledger.deliver(value),
+        )
         entry = pend(rig, 1, partitions=("p0", "p1", "p2"))
-        rig.ledger.deliver(
-            VoteRecordGroup(
-                records=(
-                    record(1, "p1", "commit"),
-                    record(1, "p1", "abort"),  # same key: the first one won
-                    record(1, "p2", "abort"),
-                )
+        batch = Batch(
+            values=(
+                record(1, "p1", "commit"),
+                record(1, "p1", "abort"),  # same key: the first one won
+                record(1, "p2", "abort"),
             )
         )
+        replica.handle("s2", Chosen(group="p0", instance=0, value=batch))
+        assert replica.log.next_to_deliver == 1
         assert entry.votes == {"p1": "commit", "p2": "abort"}
         assert rig.stats.votes_ordered == 2 and len(rig.drains) == 2
 

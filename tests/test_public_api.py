@@ -31,27 +31,27 @@ class TestPublicApi:
         assert not hasattr(repro.SdurConfig, "with_termination")
         assert "termination_mode" not in repro.SdurConfig.__dataclass_fields__
 
-    def test_batching_is_never_none(self):
-        """One ingest path: "off" is a batch of one, not an absent batcher."""
-        import pytest
+    def test_one_batching_rule(self):
+        """Values are grouped once, at the log — a loop turn's proposals
+        share one Paxos instance — so there is no delivery batcher, no
+        knob for it, and no grouped vote record or reply."""
+        import importlib.util
 
-        from repro.errors import ConfigurationError
+        import repro.core.messages
+        import repro.termination
 
-        default = repro.SdurConfig().batching
-        assert isinstance(default, repro.BatchingConfig)
-        assert (default.max_batch, default.max_wait, default.ledger_group) == (1, 0.0, 1)
-        with pytest.raises(ConfigurationError, match="batching"):
-            repro.SdurConfig(batching=None)
-        assert len(repro.SdurConfig.__dataclass_fields__) == 17
-        assert set(repro.BatchingConfig.__dataclass_fields__) == {
-            "max_batch",
-            "max_wait",
-            "ledger_group",
-        }
+        assert importlib.util.find_spec("repro.core.batch") is None
+        assert "BatchingConfig" not in repro.__all__ and not hasattr(repro, "BatchingConfig")
+        assert len(repro.SdurConfig.__dataclass_fields__) == 15
+        assert "batching" not in repro.SdurConfig.__dataclass_fields__
+        assert not hasattr(repro.SdurConfig, "with_batching")
+        assert not hasattr(repro.SdurServer, "flush_batches")
+        assert not hasattr(repro.core.messages, "OutcomeBatch")
+        assert not hasattr(repro.termination, "VoteRecordGroup")
 
     def test_options_nobody_set_are_constants(self):
-        """Five fields no caller ever assigned became module constants
-        beside their one reader (the ratchet only goes down)."""
+        """Six fields no production caller ever assigned became module
+        constants beside their one reader (the ratchet only goes down)."""
         from repro.consensus.replica import PaxosConfig
         from repro.core import client, server, snapshots
         from repro.reconfig import participant
@@ -60,12 +60,21 @@ class TestPublicApi:
         # One Paxos batching rule, the loop turn: no timer-closed variant.
         assert len(PaxosConfig.__dataclass_fields__) == 10
         for config, removed in (
-            (repro.SdurConfig, ("noop_interval", "gossip_history", "config_catchup_interval")),
+            (
+                repro.SdurConfig,
+                (
+                    "noop_interval",
+                    "gossip_history",
+                    "config_catchup_interval",
+                    "ledger_retry_interval",
+                ),
+            ),
             (repro.ClientConfig, ("max_epoch_retries", "backoff_multiplier")),
         ):
             for name in removed:
                 assert name not in config.__dataclass_fields__
         assert server.NOOP_INTERVAL == 0.01
+        assert server.LEDGER_RETRY_INTERVAL == 0.25
         assert snapshots.GOSSIP_HISTORY == 256
         assert participant.CONFIG_CATCHUP_INTERVAL == 0.25
         assert (client.MAX_EPOCH_RETRIES, client.BACKOFF_MULTIPLIER) == (3, 2.0)
