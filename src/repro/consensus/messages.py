@@ -82,12 +82,18 @@ class Promise(Message):
 @message
 @dataclass(frozen=True)
 class Accept(Message):
-    """Phase 2a: the leader asks acceptors to accept ``value`` at ``instance``."""
+    """Phase 2a: the leader asks acceptors to accept ``value`` at ``instance``.
+
+    ``floor`` is the group floor: no member's ``next_to_deliver`` is below
+    it as far as the leader has heard, so every replica may forget the
+    instances under it (PROTOCOL.md §4, "What a replica forgets").
+    """
 
     group: str
     ballot: Ballot
     instance: int
     value: Any
+    floor: int = 0
 
 
 @message
@@ -103,13 +109,16 @@ class Accepted(Message):
     whole group instead, letting every replica learn after two message
     delays (an ablation over the paper's deployment); a learner can hear
     such a vote before the ``Accept`` it answers, so there the vote
-    keeps the value.
+    keeps the value.  ``next_to_deliver`` is the acceptor's delivery
+    cursor when it answered: the leader builds the group floor of its
+    next ``Accept`` from these reports.
     """
 
     group: str
     ballot: Ballot
     instance: int
     value: Any = None
+    next_to_deliver: int = 0
 
 
 @message

@@ -188,6 +188,10 @@ class AioTransport:
         self._writers: dict[str, asyncio.StreamWriter] = {}
         #: Frames posted per destination since its last write.
         self._outbox: dict[str, _Outbox] = {}
+        #: The outboxes this turn's posts made non-empty, in that order:
+        #: the flush visits only these.  A backlog held while a connection
+        #: opens is written by ``_connect``.
+        self._posted: list[tuple[str, _Outbox]] = []
         #: Background connection attempts, by destination.
         self._connecting: dict[str, asyncio.Task] = {}
         self._flush_armed = False
@@ -266,6 +270,8 @@ class AioTransport:
             self._last_frame = _frame(self._encode(Envelope(src=self.node_id, payload=msg)))
             self._last_msg = msg
             self.encodes += 1
+        if not outbox.frames:
+            self._posted.append((dst, outbox))
         outbox.frames.append(self._last_frame)
         outbox.size += len(self._last_frame)
         if not self._flush_armed:
@@ -299,7 +305,8 @@ class AioTransport:
         self._last_msg = _NO_MESSAGE
         if self._closed:
             return
-        for dst, outbox in self._outbox.items():
+        posted, self._posted = self._posted, []
+        for dst, outbox in posted:
             self._flush_to(dst, outbox)
 
     def _flush_to(self, dst: str, outbox: _Outbox) -> None:
@@ -378,6 +385,7 @@ class AioTransport:
             writer.close()
         self._writers.clear()
         self._outbox.clear()
+        self._posted.clear()
         self._flush_hooks.clear()
         lost = list(self._inbound.values())
         for conn in list(self._inbound):

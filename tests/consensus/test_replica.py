@@ -5,6 +5,7 @@ import pytest
 from repro.consensus.messages import Accept, Accepted, Batch, Chosen, LearnRequest
 from repro.consensus.replica import PaxosConfig, PaxosReplica
 from repro.errors import ConfigurationError
+from repro.net.codec import decode_packed
 from repro.runtime.sim import SimWorld
 from repro.storage.wal import WriteAheadLog
 
@@ -293,20 +294,23 @@ class TestDurability:
         world.run(until=5.0)
         for wal in wals.values():
             wal.close()
-        original = replicas["a"].log
-        assert original.next_to_deliver == len(values)
+        assert replicas["a"].log.next_to_deliver == len(values)
 
         with WriteAheadLog(paths["a"]) as reopened:
-            assert [int.from_bytes(record[:8], "big") for record in reopened] == list(
-                range(len(values))
-            )
+            records = list(reopened)
             recovered, redelivered = self._recover(reopened)
-        assert recovered.log.next_to_deliver == original.next_to_deliver
+        # What the original wrote (its log has forgotten the delivered
+        # prefix; the WAL keeps it).
+        assert [int.from_bytes(record[:8], "big") for record in records] == list(
+            range(len(values))
+        )
+        written = [decode_packed(record[8:]) for record in records]
+        assert written == values and list(map(type, written)) == list(map(type, values))
+        assert recovered.log.next_to_deliver == len(values)
         for instance, value in enumerate(values):
             replayed = recovered.log.state(instance)
             assert replayed.chosen and replayed.chosen_value == value
             assert type(replayed.chosen_value) is type(value)
-            assert replayed.chosen_value == original.state(instance).chosen_value
         assert redelivered == delivered["a"]
 
     def test_a_crc_valid_record_that_does_not_decode_fails_loudly(self, tmp_path):
@@ -442,7 +446,10 @@ class TestValueFreeVotesAndDecisions:
 
         def state():
             return (
-                {i: (e.chosen, e.chosen_value, dict(e.votes)) for i, e in leader.log._instances.items()},
+                {
+                    i: (e.chosen, e.chosen_value, dict(e.votes or {}))
+                    for i, e in leader.log._instances.items()
+                },
                 leader.log.next_to_deliver,
                 dict(leader._proposed),
             )
@@ -509,12 +516,19 @@ class TestWireSize:
         def framed(msg):
             return len(_frame(encode_packed(Envelope(src="s1", payload=msg))))
 
-        accept = framed(Accept(group="p0", ballot=(1, 0), instance=4242, value=value))
-        accepted = framed(Accepted(group="p0", ballot=(1, 0), instance=4242))
+        accept = framed(
+            Accept(group="p0", ballot=(1, 0), instance=4242, value=value, floor=4240)
+        )
+        accepted = framed(
+            Accepted(group="p0", ballot=(1, 0), instance=4242, next_to_deliver=4241)
+        )
         chosen = framed(Chosen(group="p0", instance=4242, ballot=(1, 0)))
-        # Framed as JSON (through PR 20): 501 / 151 / 149 bytes.
+        # Framed as tagged JSON, the earlier wire codec: 501 / 151 / 149 bytes.  The
+        # group floor an Accept carries and the cursor an Accepted reports
+        # (PROTOCOL.md §4, "What a replica forgets") are 8 bytes each:
+        # 178 / 55 bytes before them, 186 / 63 with them.
         assert 150 < accept < 200
-        assert accepted < 60 and chosen < 60
+        assert accepted < 68 and chosen < 60
 
 
 class TestTurnGroupCommit:
@@ -616,7 +630,8 @@ class TestTurnGroupCommit:
         recovered, redelivered = TestDurability._recover(wals["a"])
         assert redelivered == expected
         assert recovered.log.next_to_deliver == 1
-        assert recovered.log.state(0).chosen_value == Batch(values=("v0", "v1", "v2"))
+        [record] = wals["a"]
+        assert decode_packed(record[8:]) == Batch(values=("v0", "v1", "v2"))
 
     def test_a_batch_accepted_by_a_minority_is_adopted_by_the_next_leader(self):
         world = SimWorld(seed=7)

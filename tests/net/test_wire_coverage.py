@@ -89,8 +89,8 @@ SAMPLES = [
     ClientPropose(group="p0", value=PROJ),
     Prepare(group="p0", ballot=(3, 1), from_instance=12),
     Promise(group="p0", ballot=(3, 1), accepted={5: ((2, 0), PROJ), 6: ((1, 1), "v")}),
-    Accept(group="p0", ballot=(3, 1), instance=9, value=BLOOM_PROJ),
-    Accepted(group="p0", ballot=(3, 1), instance=9, value=BLOOM_PROJ),
+    Accept(group="p0", ballot=(3, 1), instance=9, value=BLOOM_PROJ, floor=7),
+    Accepted(group="p0", ballot=(3, 1), instance=9, value=BLOOM_PROJ, next_to_deliver=8),
     Chosen(group="p0", instance=9, value=PROJ),
     CommitIndex(group="p0", next_to_deliver=10),
     LearnRequest(group="p0", from_instance=3, to_instance=9),

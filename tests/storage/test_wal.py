@@ -137,6 +137,41 @@ class TestFileBacked:
         assert list(WriteAheadLog(tmp_path / "wal.log")) == [b"durable"]
 
 
+class TestNoRecordInMemory:
+    """A file-backed log holds an 8-byte offset per record, not the record."""
+
+    def test_ten_thousand_appends_keep_under_100_kib_of_heap(self, tmp_path):
+        import tracemalloc
+
+        record = bytes(350)  # about one framed two-key projection
+        with WriteAheadLog(tmp_path / "wal.log") as log:
+            tracemalloc.start()
+            try:
+                for _ in range(10_000):
+                    log.append(record)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # Mirroring the payloads would hold over 3.5 MB.
+            assert held < 100 * 1024, held
+            assert len(log) == 10_000 and log[-1] == record
+            assert sum(1 for _ in log) == 10_000
+
+    def test_a_record_damaged_after_it_was_written_is_refused_on_read(self, tmp_path):
+        path = tmp_path / "wal.log"
+        with WriteAheadLog(path) as log:
+            log.append(b"first")
+            log.append(b"second")
+            data = bytearray(path.read_bytes())
+            data[_HEADER] ^= 0xFF  # first payload byte of record 0
+            path.write_bytes(bytes(data))
+            assert log[1] == b"second"
+            with pytest.raises(StorageError, match=r"LSN 0 at byte offset 0\b"):
+                log[0]
+            with pytest.raises(StorageError, match=r"LSN 0"):
+                list(log)
+
+
 class TestRewrite:
     def test_in_memory_rewrite(self):
         log = WriteAheadLog()
