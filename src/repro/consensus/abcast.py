@@ -47,13 +47,6 @@ class AbcastFabric:
         #: application layer) but survives a crashed hint — used when
         #: leaders are elected rather than pinned.
         self.redundant_submit = redundant_submit
-        #: Values this node handed to each partition's broadcast, by
-        #: partition id.  Read to report log traffic: the vote ledger
-        #: re-sequences every vote, so proposal counts exceed an
-        #: arrival-time termination's by roughly one record per vote
-        #: (duplicates from retry timers included;
-        #: tests/integration/test_optimistic_oracle_cluster.py).
-        self.proposed: dict[str, int] = {}
 
     def add_group(
         self, partition: str, members: list[str] | tuple[str, ...], hint: str | None = None
@@ -112,7 +105,6 @@ class AbcastFabric:
                     partition=partition,
                     value=type(value).__name__,
                 )
-        self.proposed[partition] = self.proposed.get(partition, 0) + 1
         replica = self.local_replicas.get(partition)
         if replica is not None:
             replica.propose(value)

@@ -77,6 +77,22 @@ from repro.runtime.base import Runtime
 from repro.storage.wal import WriteAheadLog
 
 
+#: Resend Prepare if Phase 1 has not completed after this long.
+PHASE1_RETRY = 0.5
+#: Resend Accept for instances still un-chosen after this long (recovers
+#: from lost messages).
+ACCEPT_RETRY = 1.0
+#: Re-forward buffered proposals when no leader is known.
+PROPOSE_RETRY = 0.5
+#: Follower catch-up: with a persistent delivery gap, ask the leader to
+#: re-send Chosen after this long.
+CATCHUP_INTERVAL = 0.5
+#: Leader-side commit-index advert period (liveness for the *tail*
+#: instance whose Accept and Chosen were both lost — followers cannot
+#: detect a gap they have no evidence of).
+COMMIT_INDEX_INTERVAL = 0.5
+
+
 @dataclass
 class PaxosConfig:
     """Tuning knobs for one Paxos group."""
@@ -85,21 +101,6 @@ class PaxosConfig:
     static_leader: str | None = None
     heartbeat_interval: float = 0.05
     suspect_timeout: float = 0.25
-    #: Resend Prepare if Phase 1 has not completed after this long.
-    phase1_retry: float = 0.5
-    #: Resend Accept for instances still un-chosen after this long
-    #: (recovers from lost messages).
-    accept_retry: float = 1.0
-    #: Re-forward buffered proposals when no leader is known.
-    propose_retry: float = 0.5
-    #: Follower catch-up: with a persistent delivery gap, ask the leader to
-    #: re-send Chosen after this long; ``None`` disables (only safe on
-    #: loss-free links).
-    catchup_interval: float | None = 0.5
-    #: Leader-side commit-index advert period (liveness for the *tail*
-    #: instance whose Accept and Chosen were both lost — followers cannot
-    #: detect a gap they have no evidence of).  ``None`` disables.
-    commit_index_interval: float | None = 0.5
     #: Optional durable log of delivered values.
     wal: WriteAheadLog | None = None
     #: When True, acceptors broadcast Phase-2b to the whole group so every
@@ -173,10 +174,7 @@ class PaxosReplica:
         if self.config.wal is not None:
             self._recover_from_wal()
         self.elector.start()
-        if self.config.commit_index_interval is not None:
-            self.runtime.set_timer(
-                self.config.commit_index_interval, self._commit_index_tick
-            )
+        self.runtime.set_timer(COMMIT_INDEX_INTERVAL, self._commit_index_tick)
 
     def _commit_index_tick(self) -> None:
         if self.is_leader and self.log.next_to_deliver > 0:
@@ -186,9 +184,7 @@ class PaxosReplica:
             for member in self.members:
                 if member != self.runtime.node_id:
                     self.runtime.send(member, advert)
-        self.runtime.set_timer(
-            self.config.commit_index_interval, self._commit_index_tick
-        )
+        self.runtime.set_timer(COMMIT_INDEX_INTERVAL, self._commit_index_tick)
 
     def _recover_from_wal(self) -> None:
         assert self.config.wal is not None
@@ -317,7 +313,7 @@ class PaxosReplica:
                 for value in backlog:
                     self._route_proposal(value)
 
-        self.runtime.set_timer(self.config.propose_retry, retry)
+        self.runtime.set_timer(PROPOSE_RETRY, retry)
 
     # ------------------------------------------------------------------
     # Leadership / Phase 1
@@ -360,7 +356,7 @@ class PaxosReplica:
                     self.runtime.send(member, prepare)
                 self._arm_phase1_retry(ballot)
 
-        self.runtime.set_timer(self.config.phase1_retry, retry)
+        self.runtime.set_timer(PHASE1_RETRY, retry)
 
     def _complete_phase1(self) -> None:
         """Adopt discovered values, fill gaps, open the pipeline."""
@@ -441,7 +437,7 @@ class PaxosReplica:
             if stuck:
                 self._arm_accept_retry()
 
-        self.runtime.set_timer(self.config.accept_retry, retry)
+        self.runtime.set_timer(ACCEPT_RETRY, retry)
 
     # ------------------------------------------------------------------
     # Message handling
@@ -606,7 +602,7 @@ class PaxosReplica:
 
     def _arm_catchup(self) -> None:
         """Watch for persistent delivery gaps and re-request decisions."""
-        if self._catchup_armed or self.config.catchup_interval is None:
+        if self._catchup_armed:
             return
         if self.log.max_seen_instance < self.log.next_to_deliver:
             return  # no gap
@@ -630,7 +626,7 @@ class PaxosReplica:
                 self.runtime.send(peer, request)
             self._arm_catchup()
 
-        self.runtime.set_timer(self.config.catchup_interval, fire)
+        self.runtime.set_timer(CATCHUP_INTERVAL, fire)
 
     def _on_nack(self, src: str, msg: Nack) -> None:
         self._highest_round_seen = max(self._highest_round_seen, msg.promised_ballot[0])

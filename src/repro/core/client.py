@@ -12,11 +12,10 @@ with :meth:`Txn.write`, and return to request commit::
         txn.write("account/b", b + 10)
 
 The client runs the program sans-io: each yielded read becomes one
-request per partition, sent to the nearest replica of that partition
-(or through the session server when ``direct_reads`` is off, matching
-the paper's prototype §V); the first read in a partition pins that
-partition's snapshot (Algorithm 1 line 13); writes are buffered and
-shipped only at commit (line 16).
+request per partition, sent to the nearest responsive replica of that
+partition; the first read in a partition pins that partition's snapshot
+(Algorithm 1 line 13); writes are buffered and shipped only at commit
+(line 16), and only to keys the transaction read (``ws ⊆ rs``, §II-B).
 
 Update transactions terminate via a :class:`CommitRequest` to the
 client's session (preferred) server.  Read-only transactions commit
@@ -51,8 +50,24 @@ from repro.runtime.base import Runtime, TimerHandle
 #: Restarts one transaction may take because the directory changed
 #: under it (split or merge) before giving up.
 MAX_EPOCH_RETRIES = 3
-#: Growth factor of the read / commit / ``Busy`` retry delays.
+#: Retry delays grow geometrically: the n-th read/commit timeout retry
+#: waits ``timeout * BACKOFF_MULTIPLIER**n``, capped at ``BACKOFF_CAP``,
+#: and each delay is jittered so that clients a shed or failover
+#: synchronized do not retry in lockstep (docs/PROTOCOL.md §16).
 BACKOFF_MULTIPLIER = 2.0
+BACKOFF_CAP = 2.0
+#: Fraction of each retry delay randomized away (0 = deterministic timing).
+BACKOFF_JITTER = 0.5
+#: Base delay before resubmitting a commit a server refused with ``Busy``
+#: (grows with the same multiplier and cap; the server's ``retry_after``
+#: hint is honoured as a floor).
+BUSY_BACKOFF_BASE = 0.05
+#: ``Busy`` resubmissions for one commit before giving up and reporting
+#: the transaction shed.
+MAX_BUSY_RETRIES = 4
+#: How long an unresponsive server stays suspected (skipped when choosing
+#: read/commit targets) after a timeout fired against it.
+SUSPECT_TTL = 5.0
 #: A ``GetConfig`` unanswered for this long is presumed lost (crash, cut
 #: link, dropped frame): the next newer-epoch read response pulls again.
 CONFIG_PULL_RETRY = 1.0
@@ -105,14 +120,7 @@ class ClientConfig:
 
     #: Preferred server near the client (commit requests go here).
     session_server: str
-    #: Send reads straight to the nearest replica of the key's partition
-    #: (Algorithm 1).  Off = route everything through the session server
-    #: (the prototype of §V).
-    direct_reads: bool = True
-    #: Read a multi-partition read-only transaction at a
-    #: globally-consistent vector (asked for with its first read).
-    readonly_snapshot: bool = True
-    #: Ship readsets as bloom digests (must match the servers' setting).
+    #: Ship readsets as bloom digests instead of exact key sets.
     bloom_readsets: bool = False
     bloom_fp_rate: float = 0.001
     #: Re-send the commit request if no outcome arrives (failover);
@@ -121,27 +129,6 @@ class ClientConfig:
     #: Re-issue an unanswered read to the next-nearest replica after this
     #: long (read failover across a partition's replicas); ``None`` disables.
     read_timeout: float | None = None
-    #: How long an unresponsive server stays suspected (skipped when
-    #: choosing read/commit targets) after a timeout fired against it.
-    suspect_ttl: float = 5.0
-    #: Reject writes to keys not previously read (the paper assumes
-    #: ``ws ⊆ rs``; §II-B).
-    enforce_no_blind_writes: bool = True
-    # -- Retry backoff (docs/PROTOCOL.md §16) ---------------------------
-    #: Retry delays grow geometrically: the n-th read/commit timeout
-    #: retry waits ``timeout * BACKOFF_MULTIPLIER**n`` (capped at
-    #: ``backoff_cap``), and each delay is jittered so that clients a
-    #: shed or failover synchronized do not retry in lockstep.
-    backoff_cap: float = 2.0
-    #: Fraction of each delay randomized away (0 = deterministic timing).
-    backoff_jitter: float = 0.5
-    #: Base delay before resubmitting work a server refused with ``Busy``
-    #: (grows with the same multiplier/cap; the server's ``retry_after``
-    #: hint is honored as a floor).
-    busy_backoff_base: float = 0.02
-    #: ``Busy`` resubmissions for one commit before giving up and
-    #: reporting the transaction shed.
-    max_busy_retries: int = 16
 
 
 #: A transaction program: generator yielding Read/ReadMany operations.
@@ -176,7 +163,7 @@ class _ReadOp:
     #: Re-sends so far: picks the replica (rank rotation) and the step
     #: of the timeout's backoff.
     attempt: int = 0
-    #: The one armed timer: the read timeout, or a ``Busy`` backoff.
+    #: The armed read timeout.
     timer: TimerHandle | None = None
 
 
@@ -191,7 +178,6 @@ class _ActiveTxn:
         read_only: bool,
         started: float,
         label: str,
-        enforce_no_blind_writes: bool,
         epoch_restarts: int = 0,
     ) -> None:
         self.tid = tid
@@ -202,7 +188,6 @@ class _ActiveTxn:
         self.read_only = read_only
         self.started = started
         self.label = label
-        self.enforce_no_blind_writes = enforce_no_blind_writes
         self.epoch_restarts = epoch_restarts
         self.gen = program(Txn(self))
         self.rs_keys: set[str] = set()
@@ -238,7 +223,7 @@ class _ActiveTxn:
     def record_write(self, key: str, value: Any) -> None:
         if self.read_only:
             raise ProtocolError(f"{self.tid}: write in a read-only transaction")
-        if self.enforce_no_blind_writes and key not in self.rs_keys:
+        if key not in self.rs_keys:
             raise ProtocolError(
                 f"{self.tid}: blind write to {key!r} (paper assumes ws ⊆ rs; "
                 f"read the key first)"
@@ -256,9 +241,9 @@ class ClientStats:
         self.commit_resends = 0
         #: Transactions restarted because the directory changed under them.
         self.epoch_retries = 0
-        #: ``Busy`` sheds received (reads and commits; §16).
+        #: Commit requests refused with ``Busy`` (§16).
         self.busy_replies = 0
-        #: Commits abandoned after exhausting ``max_busy_retries``.
+        #: Commits abandoned after exhausting ``MAX_BUSY_RETRIES``.
         self.shed_aborts = 0
 
 
@@ -300,12 +285,12 @@ class SdurClient:
         def policy(base: float) -> BackoffPolicy:
             return BackoffPolicy(
                 base=base,
-                cap=max(config.backoff_cap, base),
+                cap=max(BACKOFF_CAP, base),
                 multiplier=BACKOFF_MULTIPLIER,
-                jitter=config.backoff_jitter,
+                jitter=BACKOFF_JITTER,
             )
 
-        self._busy_backoff = policy(config.busy_backoff_base)
+        self._busy_backoff = policy(BUSY_BACKOFF_BASE)
         self._read_backoff = (
             policy(config.read_timeout) if config.read_timeout is not None else None
         )
@@ -346,7 +331,6 @@ class SdurClient:
             read_only=read_only,
             started=self.runtime.now(),
             label=label,
-            enforce_no_blind_writes=self.config.enforce_no_blind_writes,
         )
         self._active[tid] = state
         self.stats.started += 1
@@ -362,11 +346,7 @@ class SdurClient:
                 label=state.label,
                 read_only=state.read_only,
             )
-        state.needs_vector = (
-            state.read_only
-            and self.config.readonly_snapshot
-            and len(self.directory.partition_ids) > 1
-        )
+        state.needs_vector = state.read_only and len(self.directory.partition_ids) > 1
         self._advance(state, None)
 
     # ------------------------------------------------------------------
@@ -392,7 +372,7 @@ class SdurClient:
     # ------------------------------------------------------------------
     def _suspect(self, server: str) -> None:
         now = self.runtime.now()
-        self._suspected[server] = now + self.config.suspect_ttl
+        self._suspected[server] = now + SUSPECT_TTL
         # Prune expired suspicions while we are here: the dict only grows
         # on this path, so a long-lived client otherwise accumulates an
         # entry for every server it ever timed out against.
@@ -459,17 +439,15 @@ class SdurClient:
 
     def _send_read(self, state: _ActiveTxn, op: _ReadOp) -> None:
         """Send ``op``'s unanswered keys to the replica its attempt count
-        selects and arm its timeout."""
+        selects and arm its timeout: the one way a read is re-sent is
+        after that timeout, to the next-nearest replica."""
         partition = self.partition_map.partition_of(op.keys[0])
         if state.vector is not None:
             snapshot: int | None = state.vector.get(partition, 0)
         else:
             snapshot = state.st.get(partition)
-        if self.config.direct_reads:
-            ranked = self._responsive(self.directory.ranked_servers(partition, self.node_id))
-            target = ranked[op.attempt % len(ranked)]
-        else:
-            target = self.config.session_server
+        ranked = self._responsive(self.directory.ranked_servers(partition, self.node_id))
+        target = ranked[op.attempt % len(ranked)]
         self.runtime.send(
             target,
             ReadRequest(
@@ -481,29 +459,21 @@ class SdurClient:
                 want_vector=state.needs_vector and state.vector is None,
             ),
         )
-        if self._read_backoff is not None:
-            # Successive waits grow exponentially (capped, jittered): fast
-            # first failover, no retry storm against a slow partition.
-            delay = self._read_backoff.delay(op.attempt, self._backoff_rng)
-            self._arm_read(state, op, delay, suspect=target)
-
-    def _arm_read(self, state: _ActiveTxn, op: _ReadOp, delay: float, suspect: str | None) -> None:
-        """The one way a read is re-sent: after ``delay``, to the
-        next-nearest replica.  ``suspect`` is the server that let a
-        timeout pass; one that said ``Busy`` answered — it is loaded, not
-        dead — and the next replica may have the headroom it lacked."""
+        if self._read_backoff is None:
+            return
 
         def fire() -> None:
             if state.reads.get(op.op_id) is not op:
                 return  # answered (or the transaction ended) in the meantime
-            if suspect is not None:
-                self._suspect(suspect)
+            self._suspect(target)
             op.attempt += 1
             self._send_read(state, op)
 
-        if op.timer is not None:
-            op.timer.cancel()
-        op.timer = self.runtime.set_timer(delay, fire)
+        # Successive waits grow exponentially (capped, jittered): fast
+        # first failover, no retry storm against a slow partition.
+        op.timer = self.runtime.set_timer(
+            self._read_backoff.delay(op.attempt, self._backoff_rng), fire
+        )
 
     def _on_read_response(self, src: str, msg: ReadResponse) -> None:
         if msg.epoch > self.routing.epoch:
@@ -681,18 +651,10 @@ class SdurClient:
             self._obs.event(
                 "client.busy", self.node_id, msg.tid, server=msg.server, reason=msg.reason
             )
-        if msg.op_id is not None:
-            op = state.reads.get(msg.op_id)
-            if op is not None:  # else another replica answered in the meantime
-                delay = max(
-                    msg.retry_after, self._busy_backoff.delay(op.attempt, self._backoff_rng)
-                )
-                self._arm_read(state, op, delay, suspect=None)
-            return
         if state.commit_request is None:
             return  # stale shed: nothing of this transaction awaits an outcome
         state.busy_retries += 1
-        if state.busy_retries > self.config.max_busy_retries:
+        if state.busy_retries > MAX_BUSY_RETRIES:
             self.stats.shed_aborts += 1
             self._finish(state, Outcome.ABORT, abort_reason=f"shed ({msg.reason})")
             return
@@ -768,7 +730,6 @@ class SdurClient:
             read_only=state.read_only,
             started=state.started,
             label=state.label,
-            enforce_no_blind_writes=state.enforce_no_blind_writes,
             epoch_restarts=state.epoch_restarts + 1,
         )
         self._active[tid] = fresh

@@ -52,9 +52,6 @@ class SdurConfig:
     delay_fixed: float = 0.0
 
     # -- Certification (§III-B, §V) -------------------------------------
-    #: Ship readsets as bloom digests instead of exact key sets.
-    bloom_readsets: bool = False
-    bloom_fp_rate: float = 0.001
     #: Committed records retained for certification (the paper's last-K
     #: bloom filters).  Transactions older than the window abort.
     history_window: int = 50_000
@@ -103,19 +100,3 @@ class SdurConfig:
 
     # -- CPU model -------------------------------------------------------
     costs: ServiceCosts = field(default_factory=ServiceCosts)
-
-    def with_reordering(self, threshold: int) -> "SdurConfig":
-        """Copy with reordering enabled at ``threshold``."""
-        return self._replace(reorder_threshold=threshold)
-
-    def with_delaying(self, mode: DelayMode, fixed: float = 0.0) -> "SdurConfig":
-        return self._replace(delay_mode=mode, delay_fixed=fixed)
-
-    def with_admission(self, admission: AdmissionConfig | None) -> "SdurConfig":
-        """Copy with the given admission policy (``None`` disables)."""
-        return self._replace(admission=admission)
-
-    def _replace(self, **changes: object) -> "SdurConfig":
-        from dataclasses import replace
-
-        return replace(self, **changes)

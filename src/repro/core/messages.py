@@ -110,9 +110,6 @@ class Busy(Message):
     reason: str
     #: Client backoff floor hint in seconds.
     retry_after: float = 0.0
-    #: Set for shed reads: which in-flight read op was refused
-    #: (``None`` = the commit request was refused).
-    op_id: int | None = None
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,7 @@ from repro.core.snapshots import GlobalSnapshotBuilder
 from repro.core.transaction import Outcome, TxnId, TxnProjection
 from repro.errors import ConfigurationError, ProtocolError, SnapshotTooOldError
 from repro.obs.recorder import NULL_RECORDER
+from repro.overload import admission as admission_policy
 from repro.overload.admission import AdmissionController, AdmissionDecision, AdmitAll
 from repro.reconfig.epochs import VersionedRouting
 from repro.reconfig.messages import InstallMigration
@@ -373,13 +374,7 @@ class SdurServer:
         self._send_busy(client, request.tid, decision)
         return False
 
-    def _send_busy(
-        self,
-        reply_to: str,
-        tid: TxnId,
-        decision: AdmissionDecision,
-        op_id: int | None = None,
-    ) -> None:
+    def _send_busy(self, reply_to: str, tid: TxnId, decision: AdmissionDecision) -> None:
         if self._obs.enabled:
             self._obs.event(
                 "server.shed", self.node_id, tid, reason=decision.value
@@ -391,8 +386,7 @@ class SdurServer:
                     tid=tid,
                     server=self.node_id,
                     reason=decision.value,
-                    retry_after=self.admission.config.retry_after,
-                    op_id=op_id,
+                    retry_after=admission_policy.RETRY_AFTER,
                 ),
             )
 
@@ -414,9 +408,9 @@ class SdurServer:
         # the keys forwarded are read at entries of this one vector.
         vector = self.snapshot_builder.vector() if msg.want_vector and own else None
         for partition, keys in elsewhere.items():
-            # Prototype routing (§V), or keys a newer map moved: forward
-            # to the nearest replica of their partition, under the same op
-            # id; it replies directly to the client.
+            # Keys a newer map moved: forward to the nearest replica of
+            # their partition, under the same op id; it replies directly
+            # to the client.
             self.stats.reads_routed += 1
             forward = msg if len(keys) == len(msg.keys) else replace(msg, keys=tuple(keys))
             if vector is not None:
@@ -426,11 +420,9 @@ class SdurServer:
             return
         if elsewhere:
             msg = replace(msg, keys=tuple(own))
-        decision = self.admission.admit_read(self.runtime.now(), self._queue_depth())
-        if not decision.admitted:
-            self._sync_admission_stats()
-            self._send_busy(msg.reply_to, msg.tid, decision, op_id=msg.op_id)
-            return
+        # Reads are never shed, but each one samples the delivery backlog
+        # into the ``queue_depth`` gauges.
+        self._queue_depth()
         self.runtime.execute(
             self.config.costs.read * len(own), lambda: self._serve_read(msg, vector)
         )

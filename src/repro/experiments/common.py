@@ -92,7 +92,8 @@ def run_geo_microbench(params: GeoRunParams) -> GeoRunResult:
     """Build, run, and summarize one geo microbenchmark configuration."""
     deployment = _build_deployment(params)
     config = params.config or SdurConfig()
-    config = config._replace(
+    config = replace(
+        config,
         reorder_threshold=params.reorder_threshold,
         delay_mode=params.delay_mode,
         delay_fixed=params.delay_fixed,

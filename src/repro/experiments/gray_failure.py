@@ -67,7 +67,7 @@ def g1_once(quick: bool = False) -> dict[str, Any]:
     cluster = build_cluster(
         deployment,
         PartitionMap.by_index(1),
-        SdurConfig(costs=COSTS).with_admission(ADMISSION),
+        SdurConfig(costs=COSTS, admission=ADMISSION),
         seed=71,
         intra_delay=LAN_DELTA,
     )

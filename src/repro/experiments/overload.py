@@ -55,18 +55,13 @@ ADMISSION = AdmissionConfig(
     burst=32.0,
     max_inflight=256,
     max_queue_depth=64,
-    retry_after=0.05,
 )
 
-#: Client-side shed handling: resubmit a few times with fast backoff,
-#: then report the transaction shed (keeps O4's shed rate visible in
-#: the timeline instead of queueing retries past the run's end).
-CLIENT_KNOBS = dict(
-    commit_timeout=2.0,
-    read_timeout=1.0,
-    busy_backoff_base=0.05,
-    max_busy_retries=4,
-)
+#: Client-side failover timeouts.  Shed handling is the client's own: a
+#: few resubmissions with fast backoff, then the transaction is reported
+#: shed (``client.MAX_BUSY_RETRIES``), which keeps O4's shed rate visible
+#: in the timeline instead of queueing retries past the run's end.
+CLIENT_KNOBS = dict(commit_timeout=2.0, read_timeout=1.0)
 
 
 def _check(run: ExperimentRun) -> str:
@@ -112,7 +107,7 @@ def run_o1(quick: bool = False) -> ExperimentTable:
     cluster = build_cluster(
         deployment,
         PartitionMap.by_index(2),
-        SdurConfig(costs=COSTS).with_admission(ADMISSION),
+        SdurConfig(costs=COSTS, admission=ADMISSION),
         seed=71,
         intra_delay=LAN_DELTA,
     )
@@ -190,8 +185,10 @@ def run_o2(quick: bool = False) -> ExperimentTable:
     cluster = build_cluster(
         deployment,
         PartitionMap.by_index(2),
-        SdurConfig(notify_all_replicas=True, vote_timeout=2.0).with_admission(
-            AdmissionConfig(max_inflight=512, max_queue_depth=128)
+        SdurConfig(
+            notify_all_replicas=True,
+            vote_timeout=2.0,
+            admission=AdmissionConfig(max_inflight=512, max_queue_depth=128),
         ),
         seed=71,
         paxos_config=PaxosConfig(
@@ -258,7 +255,7 @@ def run_o3(quick: bool = False) -> ExperimentTable:
     cluster = build_cluster(
         deployment,
         PartitionMap.by_index(1),
-        SdurConfig(costs=COSTS).with_admission(ADMISSION),
+        SdurConfig(costs=COSTS, admission=ADMISSION),
         seed=71,
         intra_delay=LAN_DELTA,
     )
@@ -321,9 +318,7 @@ def o4_once(
     clients = 4
     rate_per_client = overload_factor * CAPACITY / clients
     deployment = lan_deployment(1)
-    config = SdurConfig(costs=COSTS)
-    if admission_on:
-        config = config.with_admission(ADMISSION)
+    config = SdurConfig(costs=COSTS, admission=ADMISSION if admission_on else None)
     cluster = build_cluster(
         deployment, PartitionMap.by_index(1), config, seed=71, intra_delay=LAN_DELTA
     )

@@ -1,7 +1,7 @@
 """Token-bucket admission control and bounded-queue load leveling.
 
 The controller sits in front of one :class:`~repro.core.server.SdurServer`
-and answers a single question per ingress message: *admit or shed?*  It
+and answers a single question per commit request: *admit or shed?*  It
 combines three classic production guards (throttling / rate limiting and
 queue-based load leveling):
 
@@ -29,6 +29,12 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
+#: Admission slots auto-expire after this long (leak guard for
+#: coordinators that never see the transaction complete locally).
+INFLIGHT_TTL = 30.0
+#: Retry-after hint carried in Busy replies (clients treat it as the
+#: floor of their backoff, not a promise).
+RETRY_AFTER = 0.05
 
 class AdmissionDecision(str, enum.Enum):
     """Outcome of one admission check (the shed reason travels in Busy)."""
@@ -64,15 +70,6 @@ class AdmissionConfig:
     max_inflight: int = 256
     #: Shed commits while ``stalled + pending`` is at or above this.
     max_queue_depth: int = 512
-    #: Admission slots auto-expire after this long (leak guard for
-    #: coordinators that never see the transaction complete locally).
-    inflight_ttl: float = 30.0
-    #: Retry-after hint carried in Busy replies (clients treat it as the
-    #: floor of their backoff, not a promise).
-    retry_after: float = 0.05
-    #: Also shed snapshot reads while the queue bound is tripped (reads
-    #: bypass the bucket: they never enter the delivery path).
-    shed_reads: bool = False
 
     def __post_init__(self) -> None:
         if self.rate is not None and self.rate <= 0:
@@ -83,8 +80,6 @@ class AdmissionConfig:
             raise ConfigurationError("max_inflight must be at least 1")
         if self.max_queue_depth < 1:
             raise ConfigurationError("max_queue_depth must be at least 1")
-        if self.inflight_ttl <= 0:
-            raise ConfigurationError("inflight_ttl must be positive")
 
 
 class TokenBucket:
@@ -168,15 +163,8 @@ class AdmissionController:
         if self.bucket is not None and not self.bucket.try_take(now):
             self.shed_rate += 1
             return AdmissionDecision.SHED_RATE
-        self._inflight[tid] = now + self.config.inflight_ttl
+        self._inflight[tid] = now + INFLIGHT_TTL
         self.admitted += 1
-        return AdmissionDecision.ADMIT
-
-    def admit_read(self, now: float, queue_depth: int) -> AdmissionDecision:
-        """Decide one read (only the queue bound, and only if enabled)."""
-        if self.config.shed_reads and queue_depth >= self.config.max_queue_depth:
-            self.shed_queue += 1
-            return AdmissionDecision.SHED_QUEUE
         return AdmissionDecision.ADMIT
 
     def note_completed(self, tid: object) -> None:
@@ -198,9 +186,6 @@ class AdmitAll:
 
     def admit_commit(self, tid: object, now: float, queue_depth: int) -> AdmissionDecision:
         self.admitted += 1
-        return AdmissionDecision.ADMIT
-
-    def admit_read(self, now: float, queue_depth: int) -> AdmissionDecision:
         return AdmissionDecision.ADMIT
 
     def note_completed(self, tid: object) -> None:

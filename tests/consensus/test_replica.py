@@ -1,7 +1,10 @@
 """Integration-grade tests for the MultiPaxos replica (on the sim runtime)."""
 
+from unittest.mock import patch
+
 import pytest
 
+from repro.consensus import replica as replica_module
 from repro.consensus.messages import Accept, Accepted, Batch, Chosen, LearnRequest
 from repro.consensus.replica import PaxosConfig, PaxosReplica
 from repro.errors import ConfigurationError
@@ -169,14 +172,15 @@ class TestFaultTolerance:
 
     def test_message_loss_recovered_by_retries(self):
         world = SimWorld(seed=5, loss_probability=0.2)
-        config = PaxosConfig(static_leader="a", accept_retry=0.3, phase1_retry=0.3)
-        replicas, delivered = make_group(world, config=config)
-        for replica in replicas.values():
-            replica.start()
-        world.run(until=2.0)
-        for i in range(10):
-            replicas["a"].propose(f"v{i}")
-        world.run(until=20.0)
+        config = PaxosConfig(static_leader="a")
+        with patch.multiple(replica_module, ACCEPT_RETRY=0.3, PHASE1_RETRY=0.3):
+            replicas, delivered = make_group(world, config=config)
+            for replica in replicas.values():
+                replica.start()
+            world.run(until=2.0)
+            for i in range(10):
+                replicas["a"].propose(f"v{i}")
+            world.run(until=20.0)
         values = [v for _, v in delivered["a"]]
         assert values == [f"v{i}" for i in range(10)]
         assert delivered["b"] == delivered["a"]
@@ -359,8 +363,13 @@ class TestValueFreeVotesAndDecisions:
     """Point-to-point ``Accepted`` and the ``Chosen`` relay name the value
     by ``(ballot, instance)`` instead of carrying it (PROTOCOL.md §4)."""
 
-    #: No timer can rescue a follower: what delivers is the protocol.
-    NO_TIMERS = dict(catchup_interval=None, commit_index_interval=None, accept_retry=60.0)
+    @pytest.fixture
+    def no_timers(self):
+        """No timer can rescue a follower: what delivers is the protocol."""
+        with patch.multiple(
+            replica_module, CATCHUP_INTERVAL=60.0, COMMIT_INDEX_INTERVAL=60.0, ACCEPT_RETRY=60.0
+        ):
+            yield
 
     def test_loss_free_path_carries_the_value_once(self, world):
         replicas, delivered = make_group(world)
@@ -381,8 +390,8 @@ class TestValueFreeVotesAndDecisions:
             entry = replicas[follower].log.state(0)
             assert entry.chosen_value is entry.accepted_value
 
-    def test_follower_that_missed_the_accept_asks_once_and_delivers(self, world):
-        config = PaxosConfig(static_leader="a", **self.NO_TIMERS)
+    def test_follower_that_missed_the_accept_asks_once_and_delivers(self, world, no_timers):
+        config = PaxosConfig(static_leader="a")
         replicas, delivered = make_group(world, config=config)
         heard_a = tap(world, "a", replicas["a"])
         heard_c = tap(world, "c", replicas["c"])
@@ -402,8 +411,10 @@ class TestValueFreeVotesAndDecisions:
         assert (carried.value, carried.ballot) == ("v0", None)
         assert delivered["c"] == delivered["a"] == delivered["b"] == [(0, "v0")]
 
-    def test_chosen_at_another_ballot_than_accepted_is_asked_for_not_guessed(self, world):
-        config = PaxosConfig(static_leader="a", **self.NO_TIMERS)
+    def test_chosen_at_another_ballot_than_accepted_is_asked_for_not_guessed(
+        self, world, no_timers
+    ):
+        config = PaxosConfig(static_leader="a")
         replicas, delivered = make_group(world, config=config)
         heard_a = tap(world, "a", replicas["a"])
         for replica in replicas.values():
@@ -472,9 +483,9 @@ class TestValueFreeVotesAndDecisions:
         assert survivors[0] == survivors[1]
         assert [v for _, v in survivors[0]] == ["before", "after", "later"]
 
-    def test_broadcast_votes_keep_the_value_and_learn_in_two_delays(self):
+    def test_broadcast_votes_keep_the_value_and_learn_in_two_delays(self, no_timers):
         world = SimWorld(seed=3)
-        config = PaxosConfig(static_leader="a", accepted_broadcast=True, **self.NO_TIMERS)
+        config = PaxosConfig(static_leader="a", accepted_broadcast=True)
         replicas, delivered = make_group(world, config=config)
         heard_b = tap(world, "b", replicas["b"])
         for replica in replicas.values():

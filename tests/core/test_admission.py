@@ -1,10 +1,14 @@
 """Admission control (docs/PROTOCOL.md §16): units and server behavior."""
 
+from unittest.mock import patch
+
 import pytest
 
+from repro.core import client as client_module
 from repro.core.config import SdurConfig
 from repro.core.transaction import Outcome, TxnId
 from repro.errors import ConfigurationError
+from repro.overload import admission
 from repro.overload.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -46,7 +50,6 @@ class TestAdmissionConfigValidation:
             {"burst": 0.0},
             {"max_inflight": 0},
             {"max_queue_depth": 0},
-            {"inflight_ttl": 0.0},
         ):
             with pytest.raises(ConfigurationError):
                 AdmissionConfig(**kwargs)
@@ -87,18 +90,12 @@ class TestAdmissionController:
         assert ctl.inflight == 1 and ctl.shed_total == 0
 
     def test_inflight_ttl_leak_guard(self):
-        ctl = AdmissionController(AdmissionConfig(max_inflight=1, inflight_ttl=5.0))
-        assert ctl.admit_commit(tid(1), 0.0, 0).admitted
+        ctl = AdmissionController(AdmissionConfig(max_inflight=1))
+        with patch.object(admission, "INFLIGHT_TTL", 5.0):
+            assert ctl.admit_commit(tid(1), 0.0, 0).admitted
         assert ctl.admit_commit(tid(2), 1.0, 0) is AdmissionDecision.SHED_INFLIGHT
         # tid 1's coordinator never learned the outcome; the slot expires.
         assert ctl.admit_commit(tid(2), 6.0, 0).admitted
-
-    def test_read_shedding_opt_in(self):
-        ctl = AdmissionController(AdmissionConfig(max_queue_depth=4))
-        assert ctl.admit_read(0.0, queue_depth=100).admitted  # off by default
-        ctl2 = AdmissionController(AdmissionConfig(max_queue_depth=4, shed_reads=True))
-        assert ctl2.admit_read(0.0, queue_depth=4) is AdmissionDecision.SHED_QUEUE
-        assert ctl2.admit_read(0.0, queue_depth=3).admitted
 
 
 class TestServerAdmission:
@@ -116,32 +113,34 @@ class TestServerAdmission:
     def test_rate_shed_busy_reply_and_client_retry(self):
         """A shed commit is refused with Busy; the client resubmits the
         same tid after backing off and eventually commits."""
-        config = SdurConfig().with_admission(
-            AdmissionConfig(rate=1.0, burst=1.0, retry_after=0.05)
-        )
+        config = SdurConfig(admission=AdmissionConfig(rate=1.0, burst=1.0))
         cluster = make_cluster(1, config=config)
-        client = cluster.add_client(busy_backoff_base=0.05, backoff_jitter=0.0)
-        cluster.start()
-        first = run_txn(cluster, client, update_program(["0/a"]))
-        assert first.committed
-        # Bucket now empty (burst 1): the next commit gets shed at least
-        # once, then admitted after ~1 s of refill via backoff retries.
-        second = run_txn(cluster, client, update_program(["0/b"]))
+        # Enough resubmissions to outlast the refill: the default gives
+        # up after 0.75 s of backoff.
+        with patch.multiple(client_module, BACKOFF_JITTER=0.0, MAX_BUSY_RETRIES=16):
+            client = cluster.add_client()
+            cluster.start()
+            first = run_txn(cluster, client, update_program(["0/a"]))
+            assert first.committed
+            # Bucket now empty (burst 1): the next commit gets shed at least
+            # once, then admitted after ~1 s of refill via backoff retries.
+            second = run_txn(cluster, client, update_program(["0/b"]))
         assert second.committed
         assert client.stats.busy_replies >= 1
         session = client.config.session_server
         assert cluster.server_stats()[session]["shed_total"] >= 1
 
     def test_shed_exhaustion_aborts_with_reason(self):
-        config = SdurConfig().with_admission(AdmissionConfig(rate=0.001, burst=1.0))
+        config = SdurConfig(admission=AdmissionConfig(rate=0.001, burst=1.0))
         cluster = make_cluster(1, config=config)
-        client = cluster.add_client(
-            busy_backoff_base=0.01, backoff_cap=0.02, max_busy_retries=2
-        )
-        cluster.start()
-        first = run_txn(cluster, client, update_program(["0/a"]))
-        assert first.committed  # consumed the only token for ~17 min
-        second = run_txn(cluster, client, update_program(["0/b"]))
+        with patch.multiple(
+            client_module, BUSY_BACKOFF_BASE=0.01, BACKOFF_CAP=0.02, MAX_BUSY_RETRIES=2
+        ):
+            client = cluster.add_client()
+            cluster.start()
+            first = run_txn(cluster, client, update_program(["0/a"]))
+            assert first.committed  # consumed the only token for ~17 min
+            second = run_txn(cluster, client, update_program(["0/b"]))
         assert not second.committed
         assert second.abort_reason == "shed (rate)"
         assert client.stats.shed_aborts == 1
@@ -162,9 +161,9 @@ class TestServerAdmission:
             assert counter in stats
 
     def test_busy_does_not_suspect_the_server(self):
-        config = SdurConfig().with_admission(AdmissionConfig(rate=1.0, burst=1.0))
+        config = SdurConfig(admission=AdmissionConfig(rate=1.0, burst=1.0))
         cluster = make_cluster(1, config=config)
-        client = cluster.add_client(busy_backoff_base=0.05, commit_timeout=5.0)
+        client = cluster.add_client(commit_timeout=5.0)
         cluster.start()
         run_txn(cluster, client, update_program(["0/a"]))
         run_txn(cluster, client, update_program(["0/b"]))

@@ -1,11 +1,14 @@
 """Client backoff with jitter (§16) and suspicion-dict hygiene."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 
+from repro.core import client as client_module
 from repro.core.config import SdurConfig
 from repro.errors import ConfigurationError
+from repro.overload import admission
 from repro.overload.admission import AdmissionConfig
 from repro.overload.backoff import BackoffPolicy
 
@@ -54,22 +57,22 @@ class TestClientBusyBackoffTiming:
     def test_resubmits_follow_the_deterministic_envelope(self):
         """With jitter 0 the k-th Busy resubmission lands exactly
         ``base * 2**(k-1)`` after the shed (floored by retry_after)."""
-        config = SdurConfig().with_admission(
-            # One token, then ~forever to refill: every retry sheds too.
-            AdmissionConfig(rate=0.0001, burst=1.0, retry_after=0.0)
-        )
-        cluster = make_cluster(1, config=config)
-        client = cluster.add_client(
-            busy_backoff_base=0.1,
-            backoff_cap=0.4,
-            backoff_jitter=0.0,
-            max_busy_retries=3,
-        )
-        cluster.start()
-        first = run_txn(cluster, client, update_program(["0/a"]))
-        assert first.committed
-        start = cluster.world.now
-        second = run_txn(cluster, client, update_program(["0/b"]), timeout=30.0)
+        # One token, then ~forever to refill: every retry sheds too.
+        config = SdurConfig(admission=AdmissionConfig(rate=0.0001, burst=1.0))
+        with patch.object(admission, "RETRY_AFTER", 0.0), patch.multiple(
+            client_module,
+            BUSY_BACKOFF_BASE=0.1,
+            BACKOFF_CAP=0.4,
+            BACKOFF_JITTER=0.0,
+            MAX_BUSY_RETRIES=3,
+        ):
+            cluster = make_cluster(1, config=config)
+            client = cluster.add_client()
+            cluster.start()
+            first = run_txn(cluster, client, update_program(["0/a"]))
+            assert first.committed
+            start = cluster.world.now
+            second = run_txn(cluster, client, update_program(["0/b"]), timeout=30.0)
         assert not second.committed and second.abort_reason == "shed (rate)"
         # Sheds at ~0 (initial), then resubmits after 0.1, 0.2, 0.4 —
         # the abort lands right after the third shed reply.
@@ -78,20 +81,20 @@ class TestClientBusyBackoffTiming:
         assert client.stats.busy_replies == 4  # initial + 3 resubmissions
 
     def test_retry_after_floors_the_delay(self):
-        config = SdurConfig().with_admission(
-            AdmissionConfig(rate=0.0001, burst=1.0, retry_after=0.5)
-        )
-        cluster = make_cluster(1, config=config)
-        client = cluster.add_client(
-            busy_backoff_base=0.01,
-            backoff_cap=0.02,
-            backoff_jitter=0.0,
-            max_busy_retries=2,
-        )
-        cluster.start()
-        run_txn(cluster, client, update_program(["0/a"]))
-        start = cluster.world.now
-        second = run_txn(cluster, client, update_program(["0/b"]), timeout=30.0)
+        config = SdurConfig(admission=AdmissionConfig(rate=0.0001, burst=1.0))
+        with patch.object(admission, "RETRY_AFTER", 0.5), patch.multiple(
+            client_module,
+            BUSY_BACKOFF_BASE=0.01,
+            BACKOFF_CAP=0.02,
+            BACKOFF_JITTER=0.0,
+            MAX_BUSY_RETRIES=2,
+        ):
+            cluster = make_cluster(1, config=config)
+            client = cluster.add_client()
+            cluster.start()
+            run_txn(cluster, client, update_program(["0/a"]))
+            start = cluster.world.now
+            second = run_txn(cluster, client, update_program(["0/b"]), timeout=30.0)
         assert not second.committed
         # Two resubmissions, each floored to the server's 0.5 s hint.
         assert second.finished - start >= 1.0
@@ -104,7 +107,8 @@ class TestTimeoutBackoff:
         from repro.core.messages import CommitRequest
 
         cluster = make_cluster(1)
-        client = cluster.add_client(commit_timeout=0.2, backoff_jitter=0.0)
+        with patch.object(client_module, "BACKOFF_JITTER", 0.0):
+            client = cluster.add_client(commit_timeout=0.2)
         cluster.start()
         original_send = client.runtime.send
         client.runtime.send = lambda dst, msg: (
@@ -122,7 +126,8 @@ class TestTimeoutBackoff:
         """Read-timeout retries back off exponentially against a silent
         partition (all replicas crashed)."""
         cluster = make_cluster(1)
-        client = cluster.add_client(read_timeout=0.2, backoff_jitter=0.0)
+        with patch.object(client_module, "BACKOFF_JITTER", 0.0):
+            client = cluster.add_client(read_timeout=0.2)
         cluster.start()
         for node in list(cluster.servers):
             cluster.crash_server(node)
@@ -134,12 +139,13 @@ class TestTimeoutBackoff:
 
     def test_suspected_dict_prunes_expired_entries(self):
         cluster = make_cluster(1)
-        client = cluster.add_client(suspect_ttl=0.5)
+        client = cluster.add_client()
         cluster.start()
-        client._suspect("s1")
-        client._suspect("s2")
-        assert set(client._suspected) == {"s1", "s2"}
-        cluster.world.run_for(1.0)
-        # Next suspicion write prunes everything already expired.
-        client._suspect("s3")
+        with patch.object(client_module, "SUSPECT_TTL", 0.5):
+            client._suspect("s1")
+            client._suspect("s2")
+            assert set(client._suspected) == {"s1", "s2"}
+            cluster.world.run_for(1.0)
+            # Next suspicion write prunes everything already expired.
+            client._suspect("s3")
         assert set(client._suspected) == {"s3"}

@@ -5,11 +5,14 @@ protocol core, so exercising it without servers would test nothing — but
 each test targets one client-side behaviour.
 """
 
+from unittest.mock import patch
+
 import pytest
 
+from repro.core import client as client_module
 from repro.core.client import ClientConfig, Read, ReadMany, SdurClient
 from repro.core.directory import ClusterDirectory
-from repro.core.messages import Busy, OutcomeNotice, ReadRequest, ReadResponse
+from repro.core.messages import OutcomeNotice, ReadRequest, ReadResponse
 from repro.core.partitioning import PartitionMap
 from repro.core.transaction import Outcome
 from repro.errors import ProtocolError
@@ -121,18 +124,6 @@ class TestWrites:
         with pytest.raises(ProtocolError, match="read-only"):
             run_txn(cluster, client, program, read_only=True)
 
-    def test_blind_writes_allowed_when_disabled(self, cluster):
-        client = cluster.add_client(enforce_no_blind_writes=False)
-        cluster.start()
-        cluster.world.run_for(0.5)
-
-        def program(txn):
-            yield Read("0/a")  # establishes the p0 snapshot
-            txn.write("0/a", 1)
-            txn.write("0/b", 2)  # blind, but allowed now
-
-        assert run_txn(cluster, client, program).committed
-
 
 class TestTermination:
     def test_update_commits_and_applies(self, cluster, client):
@@ -223,8 +214,9 @@ class TestOneReadPath:
         directory = ClusterDirectory(
             partitions={"p0": ["s1", "s2", "s3"]}, preferred={"p0": "s1"}
         )
-        config = ClientConfig(session_server="s1", read_timeout=1.0, backoff_jitter=0.0)
-        client = SdurClient(runtime, directory, PartitionMap.by_index(1), config)
+        config = ClientConfig(session_server="s1", read_timeout=1.0)
+        with patch.object(client_module, "BACKOFF_JITTER", 0.0):
+            client = SdurClient(runtime, directory, PartitionMap.by_index(1), config)
 
         def program(txn):
             if spelling == "Read":
@@ -247,10 +239,6 @@ class TestOneReadPath:
         if fault == "timeout":
             runtime.clock = 1.0
             runtime.timers[-1][1]()
-        elif fault == "busy":
-            client.handle("s1", Busy(tid=tid, server="s1", reason="queue", retry_after=0.5, op_id=0))
-            runtime.clock = 0.5
-            runtime.timers[-1][1]()
         elif fault == "torn":
             # Any response of the transaction pins its partition's
             # snapshot; the read's own answer then names another one.
@@ -266,7 +254,6 @@ class TestOneReadPath:
             (None, ["s1"], set()),
             # Suspecting s1 ranks it last; attempt 1 of [s2, s3, s1] is s3.
             ("timeout", ["s1", "s3"], {"s1"}),
-            ("busy", ["s1", "s2"], set()),
             ("torn", ["s1", "s1"], set()),
         ],
     )
@@ -297,8 +284,9 @@ class TestOneRequestPerPartition:
             partitions={"p0": ["s1", "s2", "s3"], "p1": ["s4", "s5", "s6"]},
             preferred={"p0": "s1", "p1": "s4"},
         )
-        config = ClientConfig(session_server=session, read_timeout=1.0, backoff_jitter=0.0)
-        return runtime, SdurClient(runtime, directory, PartitionMap.by_index(2), config)
+        config = ClientConfig(session_server=session, read_timeout=1.0)
+        with patch.object(client_module, "BACKOFF_JITTER", 0.0):
+            return runtime, SdurClient(runtime, directory, PartitionMap.by_index(2), config)
 
     @staticmethod
     def requests(runtime):

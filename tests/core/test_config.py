@@ -10,20 +10,7 @@ class TestSdurConfig:
         config = SdurConfig()
         assert config.reorder_threshold == 0
         assert config.delay_mode is DelayMode.OFF
-        assert not config.bloom_readsets
         assert config.store_gc_interval is None
-
-    def test_with_reordering_copies(self):
-        base = SdurConfig()
-        tuned = base.with_reordering(16)
-        assert tuned.reorder_threshold == 16
-        assert base.reorder_threshold == 0
-        assert tuned.history_window == base.history_window
-
-    def test_with_delaying_copies(self):
-        tuned = SdurConfig().with_delaying(DelayMode.FIXED, fixed=0.02)
-        assert tuned.delay_mode is DelayMode.FIXED
-        assert tuned.delay_fixed == 0.02
 
     def test_frozen(self):
         with pytest.raises(Exception):

@@ -1,8 +1,7 @@
 """Unit-level tests of server behaviours (Algorithm 2) on small clusters."""
 
-from repro.core.client import Read
 from repro.core.config import DelayMode, SdurConfig, ServiceCosts
-from repro.core.messages import Busy, CommitRequest, NoopTick, OutcomeNotice
+from repro.core.messages import Busy, CommitRequest, NoopTick, OutcomeNotice, ReadRequest
 from repro.core.transaction import Outcome, ReadsetDigest, TxnId, TxnProjection
 from repro.overload.admission import AdmissionConfig
 from tests.conftest import make_cluster, run_txn, update_program
@@ -154,28 +153,33 @@ class TestBacklog:
 
 class TestReadPath:
     def test_read_routed_through_session_server(self):
+        """A server asked for keys of another partition forwards them to
+        that partition's nearest replica, under the same op id, which
+        answers the reader directly — the path that serves keys a newer
+        map moved."""
         cluster = make_cluster(num_partitions=2)
         cluster.seed({"1/k": 42})
-        client = cluster.add_client(direct_reads=False, session_server="s1")
         cluster.start()
         cluster.world.run_for(0.5)
-        seen = {}
-
-        def program(txn):
-            seen["v"] = yield Read("1/k")
-
-        run_txn(cluster, client, program, read_only=True)
-        assert seen["v"] == 42
+        inbox = []
+        cluster.world.topology.add("probe", "us-east")
+        cluster.world.network.register("probe", lambda src, msg: inbox.append(msg))
+        request = ReadRequest(
+            tid=TxnId("probe", 1), op_id=7, keys=("1/k",), snapshot=None, reply_to="probe"
+        )
+        cluster.world.network.send("probe", "s1", request)
+        cluster.world.run_for(0.5)
         assert cluster.servers["s1"].server.stats.reads_routed == 1
+        [response] = inbox
+        assert (response.op_id, response.partition, response.key, response.value) == (
+            7, "p1", "1/k", 42,
+        )
 
     def test_lagging_replica_holds_read_until_caught_up(self):
         """A read at a snapshot the replica has not applied yet must wait,
         not answer stale (Algorithm 2 retrieves 'most recent <= st')."""
         cluster, client = started_cluster()
         server = cluster.servers["s2"].server  # p0 follower
-        from repro.core.messages import ReadRequest
-        from repro.core.transaction import TxnId
-
         run_txn(cluster, client, update_program(["0/k0"]))  # sc -> 1
         cluster.world.run_for(0.5)
         # Ask s2 for a FUTURE snapshot (2): must park, then answer after

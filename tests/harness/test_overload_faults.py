@@ -102,7 +102,7 @@ class TestRegionLossHeal:
             deployment,
             PartitionMap.by_index(1),
             SdurConfig(),
-            paxos_config=PaxosConfig(catchup_interval=0.5),
+            paxos_config=PaxosConfig(),
         )
         cluster.seed({"0/x": 0})
         return deployment, cluster

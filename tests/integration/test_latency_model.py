@@ -126,8 +126,8 @@ class TestFigure1:
                     partition,
                     PaxosConfig(static_leader=deployment.directory.preferred_of(partition)),
                 )
-        # No snapshot-vector round trip: measure the raw remote read.
-        client = cluster.add_client(region="eu", readonly_snapshot=False)
+        # The read-only transaction's vector rides its one remote read.
+        client = cluster.add_client(region="eu")
         cluster.start()
         world.run_for(1.0)
         from repro.core.client import Read

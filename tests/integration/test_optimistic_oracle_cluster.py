@@ -15,8 +15,11 @@ and an unloaded WAN 1 global commit costs exactly two local broadcasts
 shipped system's 8δ + 2Δ (docs/PROTOCOL.md §14.4).
 """
 
+from unittest.mock import patch
+
 import pytest
 
+from repro.consensus.abcast import AbcastFabric
 from repro.core.config import SdurConfig
 from repro.core.partitioning import PartitionMap
 from repro.geo.deployments import wan1_deployment, wan2_deployment
@@ -31,6 +34,24 @@ NUM_PARTITIONS = 2
 
 
 def run(deployment_name: str, reorder_threshold: int, oracle: bool):
+    """One run and the number of values every server handed to a
+    partition's broadcast (duplicates from retry timers included),
+    counted by wrapping ``AbcastFabric.abcast`` before anything binds it
+    — the vote ledger keeps the bound method it was built with."""
+    proposals = 0
+    abcast = AbcastFabric.abcast
+
+    def counting(fabric, partition, value):
+        nonlocal proposals
+        proposals += 1
+        abcast(fabric, partition, value)
+
+    with patch.object(AbcastFabric, "abcast", counting):
+        result = _run(deployment_name, reorder_threshold, oracle)
+    return result, proposals
+
+
+def _run(deployment_name: str, reorder_threshold: int, oracle: bool):
     build = wan1_deployment if deployment_name == "wan1" else wan2_deployment
     deployment = build(NUM_PARTITIONS)
     cluster = build_cluster(
@@ -53,13 +74,7 @@ def run(deployment_name: str, reorder_threshold: int, oracle: bool):
             pairs.append((client, workload))
     if oracle:
         optimistic_termination.install(cluster)
-    result = run_experiment(cluster, pairs, warmup=1.0, measure=5.0, drain=4.0)
-    fabrics = {
-        id(handle.server.fabric): handle.server.fabric
-        for handle in cluster.servers.values()
-    }
-    proposals = sum(sum(fabric.proposed.values()) for fabric in fabrics.values())
-    return result, proposals
+    return run_experiment(cluster, pairs, warmup=1.0, measure=5.0, drain=4.0)
 
 
 @pytest.mark.parametrize(

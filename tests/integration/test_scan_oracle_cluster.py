@@ -38,7 +38,7 @@ def run(bloom: bool, oracle=None):
     cluster = build_cluster(
         deployment,
         PartitionMap.by_index(NUM_PARTITIONS),
-        SdurConfig(reorder_threshold=4, bloom_readsets=bloom),
+        SdurConfig(reorder_threshold=4),
         seed=7,
         jitter_fraction=0.1,
     )

@@ -11,9 +11,8 @@ cancelled event kept its callback until the heap slot was popped).
 
 import gc
 
-from repro.core.client import ReadMany
 from repro.core.config import SdurConfig
-from repro.core.messages import Busy, ReadResponse
+from repro.core.messages import Busy
 from repro.core.pending import PendingTxn
 from repro.sim.kernel import Kernel
 from tests.conftest import make_cluster, run_txn, update_program
@@ -52,8 +51,8 @@ class TestSimTimerPlateau:
 
 
 class TestBusyBackoffIsDisarmed:
-    """The admission path: a ``Busy`` backoff sits in the read's / the
-    commit's one timer slot, so the transaction's end cancels it.
+    """The admission path: a ``Busy`` backoff sits in the commit's one
+    timer slot, so the transaction's end cancels it.
     Parent: the handle was dropped and the closure kept the whole
     ``_ActiveTxn`` for ``retry_after``."""
 
@@ -78,26 +77,6 @@ class TestBusyBackoffIsDisarmed:
         assert len(client.runtime._timers) == 1
         cluster.world.run_for(0.5)
         assert results[0].committed and not client._active
-        assert not client.runtime._timers
-
-    def test_read_shed_then_sibling_read_error(self):
-        cluster, client = self.client()
-        results = []
-
-        def program(txn):
-            yield ReadMany(("0/a", "0/b"))
-
-        tid = client.execute(program, results.append)
-        client.handle("s1", Busy(tid=tid, server="s1", reason="queue", retry_after=1.5, op_id=0))
-        assert len(client.runtime._timers) == 1
-        client.handle(
-            "s1",
-            ReadResponse(
-                tid=tid, op_id=1, key="0/b", value=None, snapshot=1, item_version=0,
-                partition="p0", error="snapshot 1 below gc horizon 5",
-            ),
-        )
-        assert not results[0].committed and not client._active
         assert not client.runtime._timers
 
 

@@ -123,9 +123,10 @@ SAMPLES = [
         tid=TID, partition="p1", requester="p0", involved=("p0", "p1"), client="c9"
     ),
     ThresholdChange(value=16),
-    # Admission control (docs/PROTOCOL.md §16): shed commit and shed read.
+    # Admission control (docs/PROTOCOL.md §16): a shed commit with the
+    # server's hint, and one with a zero hint.
     Busy(tid=TID, server="s1", reason="rate", retry_after=0.05),
-    Busy(tid=TID, server="s1", reason="queue", retry_after=0.05, op_id=3),
+    Busy(tid=TID, server="s1", reason="queue", retry_after=0.0),
     Vote(tid=TID, partition="p1", vote="abort"),
     # Vote ledger (docs/PROTOCOL.md §14): own verdict and relayed flavor.
     VoteRecord(tid=TID, partition="p0", vote="commit", involved=("p0", "p1")),

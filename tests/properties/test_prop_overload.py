@@ -9,15 +9,19 @@ resubmission, a lost callback on shed, or a shed transaction leaking
 into a replica's log would all break these invariants.
 """
 
+from unittest.mock import patch
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.checker.agreement import replica_agreement
 from repro.checker.serializability import check_serializability
+from repro.core import client as client_module
 from repro.core.config import SdurConfig
 from repro.core.partitioning import PartitionMap
 from repro.geo.deployments import lan_deployment
 from repro.harness.cluster import build_cluster
+from repro.overload import admission
 from repro.overload.admission import AdmissionConfig
 from tests.conftest import update_program
 
@@ -42,13 +46,22 @@ class TestSheddingExactlyOnce:
     )
     @given(params=admission_strategy)
     def test_every_txn_one_outcome_and_no_double_apply(self, params):
-        config = SdurConfig().with_admission(
-            AdmissionConfig(
+        with patch.object(admission, "RETRY_AFTER", 0.01), patch.multiple(
+            client_module,
+            BUSY_BACKOFF_BASE=0.02,
+            BACKOFF_CAP=0.2,
+            MAX_BUSY_RETRIES=params["max_busy_retries"],
+        ):
+            self._run(params)
+
+    @staticmethod
+    def _run(params):
+        config = SdurConfig(
+            admission=AdmissionConfig(
                 rate=params["rate"],
                 burst=params["burst"],
                 max_inflight=params["max_inflight"],
                 max_queue_depth=params["max_queue_depth"],
-                retry_after=0.01,
             )
         )
         cluster = build_cluster(
@@ -60,14 +73,7 @@ class TestSheddingExactlyOnce:
             jitter_fraction=0.3,
         )
         cluster.seed({"0/hot": 0})
-        clients = [
-            cluster.add_client(
-                busy_backoff_base=0.02,
-                backoff_cap=0.2,
-                max_busy_retries=params["max_busy_retries"],
-            )
-            for _ in range(3)
-        ]
+        clients = [cluster.add_client() for _ in range(3)]
         cluster.start()
         recorder = cluster.attach_recorder()
         num_txns = 24

@@ -12,9 +12,12 @@ Liveness is NOT asserted when a majority is crashed (Paxos cannot and
 must not make progress then).
 """
 
+from unittest.mock import patch
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.consensus import replica as replica_module
 from repro.consensus.replica import PaxosConfig, PaxosReplica
 from repro.runtime.sim import SimWorld
 
@@ -51,6 +54,18 @@ cut_heal_strategy = st.fixed_dictionaries(
 
 
 def run_chaos(params):
+    """Every retry and catch-up timer at 0.3 s, faster than production's."""
+    with patch.multiple(
+        replica_module,
+        PHASE1_RETRY=0.3,
+        ACCEPT_RETRY=0.3,
+        PROPOSE_RETRY=0.3,
+        CATCHUP_INTERVAL=0.3,
+    ):
+        return _run_chaos(params)
+
+
+def _run_chaos(params):
     world = SimWorld(seed=params["seed"], loss_probability=params["loss"])
     delivered = {member: [] for member in MEMBERS}
     replicas = {}
@@ -60,10 +75,6 @@ def run_chaos(params):
             static_leader="a" if params["static_leader"] else None,
             heartbeat_interval=0.05,
             suspect_timeout=0.25,
-            phase1_retry=0.3,
-            accept_retry=0.3,
-            propose_retry=0.3,
-            catchup_interval=0.3,
         )
         replica = PaxosReplica(
             runtime,
@@ -144,13 +155,17 @@ class TestPaxosSafety:
         (checked at every ``forget_below``), whatever links are cut; once
         all heal, every value is delivered everywhere in one order and
         every log is back to a short suffix (PROTOCOL.md §4)."""
+        with patch.multiple(
+            replica_module, ACCEPT_RETRY=0.3, CATCHUP_INTERVAL=0.3, COMMIT_INDEX_INTERVAL=0.3
+        ):
+            self._forgetting_under_cut_and_heal(params)
+
+    @staticmethod
+    def _forgetting_under_cut_and_heal(params):
         world = SimWorld(seed=params["seed"])
         delivered = {member: [] for member in MEMBERS}
         replicas = {}
-        config = PaxosConfig(
-            static_leader="a", accept_retry=0.3, catchup_interval=0.3,
-            commit_index_interval=0.3,
-        )
+        config = PaxosConfig(static_leader="a")
         for member in MEMBERS:
             runtime = world.runtime_for(member)
             replica = PaxosReplica(
@@ -203,15 +218,19 @@ class TestPaxosSafety:
         """Under loss, leader-side retries recover everything the leader
         itself accepted; forwarded proposals are at-most-once (the
         documented contract — SDUR's client retries above this layer)."""
+        with patch.multiple(
+            replica_module, PHASE1_RETRY=0.3, ACCEPT_RETRY=0.3, CATCHUP_INTERVAL=0.3
+        ):
+            self._lossy_links(seed)
+
+    @staticmethod
+    def _lossy_links(seed):
         world = SimWorld(seed=seed, loss_probability=0.15)
         delivered = {member: [] for member in MEMBERS}
         replicas = {}
         for member in MEMBERS:
             runtime = world.runtime_for(member)
-            config = PaxosConfig(
-                static_leader="a", phase1_retry=0.3, accept_retry=0.3,
-                catchup_interval=0.3,
-            )
+            config = PaxosConfig(static_leader="a")
             replica = PaxosReplica(
                 runtime, "g", MEMBERS, config,
                 on_deliver=lambda i, v, m=member: delivered[m].append(v),
