@@ -18,7 +18,8 @@ partition; the first read in a partition pins that partition's snapshot
 (line 16), and only to keys the transaction read (``ws ⊆ rs``, §II-B).
 
 Update transactions terminate via a :class:`CommitRequest` to the
-client's session (preferred) server.  Read-only transactions commit
+preferred server of the session server's partition, the coordinator of
+Figure 1 (docs/PROTOCOL.md §3).  Read-only transactions commit
 without certification; a multi-partition read-only transaction reads at
 a globally-consistent snapshot vector (§III-A), which the answer to its
 first read carries.
@@ -40,7 +41,7 @@ from repro.core.messages import (
 )
 from repro.core.partitioning import PartitionMap
 from repro.core.transaction import Outcome, ReadsetDigest, TxnId, TxnProjection
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.recorder import NULL_RECORDER
 from repro.overload.backoff import BackoffPolicy
 from repro.reconfig.epochs import VersionedRouting
@@ -118,7 +119,8 @@ class TxnResult:
 class ClientConfig:
     """Client-side knobs."""
 
-    #: Preferred server near the client (commit requests go here).
+    #: Server near the client.  Commit requests go to the preferred
+    #: server of its partition; reads go to the nearest replica.
     session_server: str
     #: Ship readsets as bloom digests instead of exact key sets.
     bloom_readsets: bool = False
@@ -589,11 +591,18 @@ class SdurClient:
         return CommitRequest(tid=state.tid, projections=projections)
 
     def _commit_target_for(self, state: _ActiveTxn) -> str:
-        """The session server, unless it is currently suspected — then the
+        """The preferred server of the session server's partition (Figure
+        1's coordinator: a follower would forward to the leader and learn
+        the outcome a relay later), or the session server itself if it
+        replicates no partition.  A suspected target gives way to the
         nearest responsive server of the first involved partition."""
-        session = self.config.session_server
-        if self._suspected.get(session, 0.0) <= self.runtime.now():
-            return session
+        target = self.config.session_server
+        try:
+            target = self.directory.preferred_of(self.directory.partition_of_server(target))
+        except ConfigurationError:
+            pass
+        if self._suspected.get(target, 0.0) <= self.runtime.now():
+            return target
         keys = state.rs_keys | set(state.ws)
         partitions = self.partition_map.partitions_of(keys)
         ranked = self.directory.ranked_servers(partitions[0], self.node_id)

@@ -12,10 +12,11 @@ import pytest
 from repro.core import client as client_module
 from repro.core.client import ClientConfig, Read, ReadMany, SdurClient
 from repro.core.directory import ClusterDirectory
-from repro.core.messages import OutcomeNotice, ReadRequest, ReadResponse
+from repro.core.messages import CommitRequest, OutcomeNotice, ReadRequest, ReadResponse
 from repro.core.partitioning import PartitionMap
 from repro.core.transaction import Outcome
 from repro.errors import ProtocolError
+from repro.net.topology import Topology
 from tests.conftest import make_cluster, run_txn, update_program
 from tests.oracles.stub_runtime import StubRuntime
 
@@ -344,3 +345,63 @@ class TestOneRequestPerPartition:
         # Whole: the program ran on, and ``0/b``'s new home sends the
         # transaction round again under the routing it will learn.
         assert client.stats.epoch_retries == 1 and not results
+
+
+class TestCommitTarget:
+    """A commit goes to the preferred server of the session server's
+    partition, the coordinator Figure 1 draws; reads go to the nearest
+    replica whatever the session.  Driven by hand on the stub runtime,
+    with the client in the region of ``s3`` and ``s5``."""
+
+    @staticmethod
+    def commit(session, keys, suspected=()):
+        """Run an update of ``keys`` to its commit request: the read
+        targets, and the commit request's target and request."""
+        runtime = StubRuntime("c1")
+        topology = Topology()
+        for node in ("c1", "s3", "s5", "gw"):
+            topology.add(node, "west")
+        for node in ("s1", "s2", "s4", "s6"):
+            topology.add(node, "east")
+        directory = ClusterDirectory(
+            partitions={"p0": ["s1", "s2", "s3"], "p1": ["s4", "s5", "s6"]},
+            preferred={"p0": "s1", "p1": "s4"},
+            topology=topology,
+        )
+        client = SdurClient(
+            runtime, directory, PartitionMap.by_index(2), ClientConfig(session_server=session)
+        )
+        for server in suspected:
+            client._suspect(server)
+        tid = client.execute(update_program(list(keys)), lambda result: None)
+        reads = [(dst, msg) for dst, msg in runtime.sent if isinstance(msg, ReadRequest)]
+        for dst, request in reads:
+            client.handle(dst, ReadResponse(
+                tid=tid, op_id=request.op_id, key=request.keys[0], value=0, snapshot=1,
+                item_version=1, partition=f"p{request.keys[0][0]}",
+            ))
+        ((target, request),) = [
+            (dst, msg) for dst, msg in runtime.sent if isinstance(msg, CommitRequest)
+        ]
+        return [dst for dst, _ in reads], target, request
+
+    def test_a_follower_session_commits_at_its_partitions_preferred_server(self):
+        # The follower would forward a ClientPropose to s1 and answer
+        # only after s1's Chosen reached it: two hops more than Figure 1.
+        for keys in (["0/a"], ["1/x"], ["0/a", "1/x"]):
+            reads, target, request = self.commit("s2", keys)
+            assert reads == [{"0": "s3", "1": "s5"}[key[0]] for key in keys]
+            assert target == "s1"
+            assert {p.coordinator for p in request.projections.values()} == {"s1"}
+
+    def test_a_suspected_preferred_server_gives_way_to_the_nearest_responsive_replica(self):
+        _, target, request = self.commit("s2", ["0/a"], suspected=["s1"])
+        assert target == "s3"
+        assert request.projections["p0"].coordinator == "s3"
+        _, target, _ = self.commit("s2", ["0/a"], suspected=["s1", "s3"])
+        assert target == "s2"
+
+    def test_a_session_server_of_no_partition_keeps_the_commit(self):
+        _, target, request = self.commit("gw", ["0/a", "1/x"])
+        assert target == "gw"
+        assert {p.coordinator for p in request.projections.values()} == {"gw"}

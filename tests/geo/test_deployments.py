@@ -1,5 +1,7 @@
 """Unit tests for the WAN 1 / WAN 2 / LAN deployment builders."""
 
+from unittest.mock import patch
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -104,3 +106,44 @@ class TestClients:
         deployment = wan1_deployment(2)
         client = deployment.add_client(US_WEST)
         assert deployment.session_server_for(client) == "s1"
+
+
+class TestSessionServersAreCoordinators:
+    """A client commits at the preferred server of its session server's
+    partition (PROTOCOL.md §3).  Every simulated client's session server
+    already is that server, so the rule cannot move a simulated row; this
+    guard fails the day a deployment or experiment hands out a follower."""
+
+    @staticmethod
+    def coordinates(directory, session):
+        return directory.preferred_of(directory.partition_of_server(session)) == session
+
+    @pytest.mark.parametrize(
+        "deployment",
+        [wan1_deployment(2), wan1_deployment(4), wan2_deployment(3), lan_deployment(2)],
+        ids=["wan1x2", "wan1x4", "wan2x3", "lanx2"],
+    )
+    def test_every_region_is_handed_a_preferred_server(self, deployment):
+        for region in (EU, US_EAST, US_WEST):
+            session = deployment.session_server_for(deployment.add_client(region))
+            assert self.coordinates(deployment.directory, session), (region, session)
+
+    @pytest.mark.parametrize("runner", ["run_o1", "run_o2", "run_o3", "run_o4"])
+    def test_the_overload_suites_sessions_are_preferred_servers(self, runner):
+        """Each scenario is stopped where its load starts, clients built."""
+        from repro.experiments import overload
+
+        class Built(Exception):
+            pass
+
+        def stop(cluster, *args, **kwargs):
+            raise Built(cluster)
+
+        with patch.object(overload, "run_open_loop", stop):
+            with pytest.raises(Built) as built:
+                getattr(overload, runner)(quick=True)
+        (cluster,) = built.value.args
+        assert cluster.clients
+        for client in cluster.clients.values():
+            session = client.config.session_server
+            assert self.coordinates(cluster.directory, session), session

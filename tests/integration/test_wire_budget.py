@@ -2,19 +2,20 @@
 
 Timing gates flake; counters do not.  One partition of three replicas
 with a static leader (``s1``) and one client whose session server is a
-follower (``s2``), so the ``ClientPropose`` hop is on the path.  A local
-two-key update needs eleven frames::
+follower (``s2``).  The client reads at the nearest replica and commits
+at its session partition's preferred server, ``s1`` (PROTOCOL.md §3), so
+the leader coordinates and no ``ClientPropose`` hop is on the path.  A
+local two-key update needs ten frames::
 
-    client -> s2   1 ReadRequest, 1 CommitRequest
-    s2 -> client   1 ReadResponse, 1 OutcomeNotice
-    s2 -> s1       1 ClientPropose, 1 Accepted
+    client -> s1   1 ReadRequest, 1 CommitRequest
+    s1 -> client   1 ReadResponse, 1 OutcomeNotice
     s1 -> s2, s3   2 Accept, 2 Chosen
-    s3 -> s1       1 Accepted
+    s2, s3 -> s1   2 Accepted
 
-and three encodes of a message that carries the transaction's read and
-write sets: the ``CommitRequest``, the ``ClientPropose`` and **one**
-``Accept`` (a broadcast is framed once; votes and decisions name the
-value by ``(ballot, instance)``; the leader does not TCP itself).
+and two encodes of a message that carries the transaction's read and
+write sets: the ``CommitRequest`` and **one** ``Accept`` (a broadcast is
+framed once; votes and decisions name the value by ``(ballot,
+instance)``; the leader does not TCP itself).
 
 Measured with this script on the parent commit (9a81d75: one asyncio
 task, one encode and one ``write`` per message, the leader's ``Accept``
@@ -39,17 +40,23 @@ Measured again when replicas began forgetting what every member has
 delivered (PROTOCOL.md §4, "What a replica forgets"): each ``Accept``
 carries the group floor and each ``Accepted`` its sender's delivery
 cursor, 8 bytes apiece, and a commit carries two of each — 1 224 + 32 =
-**1 256 bytes** per commit, frame and encode counts unchanged.  The byte
-gate is that figure plus 10 %.
+1 256 bytes per commit, frame and encode counts unchanged.
+
+Measured again when a follower's client began committing at the leader
+instead of through the follower: the ``ClientPropose`` the follower
+forwarded (one frame, one set-carrying encode) is gone, and so is the
+follower's wait for the ``Chosen`` relay before it could reply.  10.0
+frames, 8 encodes (2.00 set-carrying), 10 writes and **1 087 bytes**
+per commit.  The byte gate is that figure plus 10 %.
 
 This is the regression guard for the cuts of the Phase-2 wire path and
 of the read path, and for any later change that re-adds a hop, an
 encode or a copy of the value.  It is also the counted guard that a
-commit's reply is one ``OutcomeNotice``, the one reply type the server
-sends and the one ``benchmarks/e2e/layers.py`` stamps.  The
-script is serial, so the leader's turn group commit (PROTOCOL.md §4)
-never has two proposals in one turn: each instance is a bare ``Accept``
-and the counts above hold unchanged.
+commit's reply is one ``OutcomeNotice``, from the coordinator, the one
+reply type the server sends and the one ``benchmarks/e2e/layers.py``
+stamps.  The script is serial, so the leader's turn group commit
+(PROTOCOL.md §4) never has two proposals in one turn: each instance is
+a bare ``Accept`` and the counts above hold unchanged.
 
 The read-only test counts a read-only transaction's frames on a
 two-partition cluster: its snapshot vector (PROTOCOL.md §6) rides the
@@ -64,6 +71,7 @@ committed value.
 
 import asyncio
 
+from repro.consensus.messages import ClientPropose
 from repro.core.client import SdurClient
 from repro.core.messages import CommitRequest, OutcomeNotice
 from repro.core.transaction import TxnProjection
@@ -73,7 +81,7 @@ from tests.integration.test_asyncio_e2e import build_aio_cluster, execute, free_
 COMMITS = 50
 #: Wire bytes per commit of this script (see above), and the headroom
 #: a change may use before it has to say why.
-MEASURED_BYTES_PER_COMMIT = 1256
+MEASURED_BYTES_PER_COMMIT = 1087
 HEADROOM = 1.10
 
 
@@ -92,11 +100,16 @@ def test_local_commit_stays_inside_its_wire_budget():
             transports = [runtime._transport for runtime in world._runtimes.values()]
             set_encodes = [0]
             notices = [0]
+            notices_from_s1 = [0]
+            proposes = [0]
             for transport in transports:
                 # Wrapped on the instance, as benchmarks/e2e/layers.py does.
                 def counting(envelope, encode=transport._encode):
                     set_encodes[0] += carries_the_sets(envelope.payload)
-                    notices[0] += isinstance(envelope.payload, OutcomeNotice)
+                    if isinstance(envelope.payload, OutcomeNotice):
+                        notices[0] += 1
+                        notices_from_s1[0] += envelope.src == "s1"
+                    proposes[0] += isinstance(envelope.payload, ClientPropose)
                     return encode(envelope)
 
                 transport._encode = counting
@@ -105,7 +118,12 @@ def test_local_commit_stays_inside_its_wire_budget():
                 return {
                     name: sum(getattr(transport, name) for transport in transports)
                     for name in ("frames_sent", "encodes", "writes", "bytes_sent", "sends_dropped")
-                } | {"set_encodes": set_encodes[0], "notices": notices[0]}
+                } | {
+                    "set_encodes": set_encodes[0],
+                    "notices": notices[0],
+                    "notices_from_s1": notices_from_s1[0],
+                    "proposes": proposes[0],
+                }
 
             async def delivered_everywhere(count):
                 for _ in range(300):
@@ -131,12 +149,17 @@ def test_local_commit_stays_inside_its_wire_budget():
 
     per_commit = asyncio.run(body())
     assert per_commit["sends_dropped"] == 0
+    # One reply, from the coordinator: the leader s1, not the follower
+    # session server s2 that waited for s1's Chosen to learn the outcome.
     assert per_commit["notices"] == 1, per_commit
-    # The 11 the protocol needs, plus timer traffic (13 with a request
-    # and a response per key read).
-    assert 11 <= per_commit["frames_sent"] <= 12, per_commit
-    # CommitRequest, ClientPropose, one Accept (parent: 10).
-    assert per_commit["set_encodes"] == 3, per_commit
+    assert per_commit["notices_from_s1"] == 1, per_commit
+    # The commit request reaches the leader itself: nothing to forward.
+    assert per_commit["proposes"] == 0, per_commit
+    # The 10 the protocol needs, plus timer traffic (11 with s2 as the
+    # coordinator, which forwarded a ClientPropose to s1).
+    assert 10 <= per_commit["frames_sent"] <= 11, per_commit
+    # CommitRequest and one Accept (3 with the ClientPropose).
+    assert per_commit["set_encodes"] == 2, per_commit
     # A broadcast is framed once: Accept x2 and Chosen x2 are two encodes.
     assert per_commit["encodes"] <= per_commit["frames_sent"] - 2, per_commit
     # Same-turn frames for one peer share a write (none do in this serial
