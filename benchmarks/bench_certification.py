@@ -38,7 +38,7 @@ from time import perf_counter
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(_ROOT / "src"), str(_ROOT)]  # repro, tests.oracles
 
-from repro.core.certifier import CertificationWindow, CommittedRecord  # noqa: E402
+from repro.core.certifier import CertificationWindow, window_entry  # noqa: E402
 from repro.core.certindex import IndexedCertifier  # noqa: E402
 from repro.core.pending import PendingList, PendingTxn  # noqa: E402
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection  # noqa: E402
@@ -70,12 +70,12 @@ def _build_state(window_size: int, bloom: bool, pending_depth: int):
         reads = [f"k{rng.randrange(keyspace)}" for _ in range(READS_PER_TXN)]
         writes = [f"k{rng.randrange(keyspace)}" for _ in range(WRITES_PER_TXN)]
         window.add(
-            CommittedRecord(
-                tid=TxnId("h", version),
-                version=version,
-                readset=_digest(reads, bloom),
-                ws_keys=frozenset(writes),
-                is_global=rng.random() < GLOBAL_FRACTION,
+            window_entry(
+                TxnId("h", version),
+                version,
+                _digest(reads, bloom),
+                writes,
+                rng.random() < GLOBAL_FRACTION,
             )
         )
     pending = PendingList()
@@ -130,15 +130,7 @@ def _measure(
         if verdict:
             certifier.outcome_conflicts(txn)
             version += 1
-            window.add(
-                CommittedRecord(
-                    tid=txn.tid,
-                    version=version,
-                    readset=txn.readset,
-                    ws_keys=frozenset(writes),
-                    is_global=is_global,
-                )
-            )
+            window.add(window_entry(txn.tid, version, txn.readset, writes, is_global))
         latencies.append(perf_counter() - t0)
     elapsed = sum(latencies)
     latencies.sort()

@@ -80,7 +80,7 @@ def main() -> None:
             restarted.restore_server(name, blobs[name])
     restarted.start()
     restarted.world.run_for(1.0)
-    value = restarted.servers["s1"].server.store.read_latest("0/counter0").value
+    _, value = restarted.servers["s1"].server.store.read_latest("0/counter0")
     print(f"   recovered s1: SC={restarted.servers['s1'].server.sc}, counter0={value}")
 
     print("3. replacing replica s2 from a peer checkpoint (state transfer) ...")
@@ -101,8 +101,8 @@ def main() -> None:
     new_client.execute(bump(["0/counter0"]), results.append)
     replaced.world.run_for(1.0)
     assert results and results[0].committed
-    print(f"   and it serves new commits: counter0 -> "
-          f"{fresh.store.read_latest('0/counter0').value}")
+    _, value = fresh.store.read_latest("0/counter0")
+    print(f"   and it serves new commits: counter0 -> {value}")
     print("\nall steps passed")
 
 

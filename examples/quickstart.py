@@ -72,7 +72,8 @@ def main() -> None:
     print("\nfinal state, read from a p0 replica:")
     server = cluster.servers["s1"].server
     for key in ("0/alice", "0/bob"):
-        print(f"  {key} = {server.store.read_latest(key).value}")
+        _, value = server.store.read_latest(key)
+        print(f"  {key} = {value}")
 
 
 if __name__ == "__main__":

@@ -21,28 +21,61 @@ scan of the same three is the differential oracle
   Algorithm 2 line 49).  The window retains the last ``history_window``
   records, mirroring the paper's "last K bloom filters" (§V); snapshots
   older than the window abort conservatively.
+
+The window keeps each commit as one plain tuple of atoms (a
+:data:`WindowEntry`), never as an object: CPython's collector stops
+tracking an exact tuple of untracked items after one young collection,
+so ``history_window`` retained commits cost full collections nothing
+(docs/PROTOCOL.md §15).  :class:`CommittedRecord` is the readable form,
+rebuilt only where a reader needs one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
+
+#: One committed transaction as the window keeps it:
+#: ``(version, client, seq, readset, ws_keys, is_global)``.  ``version``
+#: is the partition's snapshot counter after the commit; ``client`` and
+#: ``seq`` are its :class:`TxnId`; ``readset`` is the exact keys as a
+#: tuple, or the bloom digest's bytes; ``ws_keys`` is a tuple.
+WindowEntry = tuple[int, str, int, "tuple[str, ...] | bytes", tuple[str, ...], bool]
+
+
+def window_entry(
+    tid: TxnId,
+    version: int,
+    readset: ReadsetDigest,
+    ws_keys: Iterable[str],
+    is_global: bool,
+) -> WindowEntry:
+    """Pack one committed transaction into a window entry."""
+    keys = readset.keys
+    return (
+        version,
+        tid.client,
+        tid.seq,
+        readset.bloom if keys is None else tuple(keys),
+        tuple(ws_keys),
+        is_global,
+    )
+
+
+def _readset_digest(readset: tuple[str, ...] | bytes) -> ReadsetDigest:
+    """The :class:`ReadsetDigest` an entry's readset was packed from."""
+    if isinstance(readset, bytes):
+        return ReadsetDigest(bloom=readset)
+    return ReadsetDigest(keys=frozenset(readset))
 
 
 @dataclass(frozen=True, slots=True)
 class CommittedRecord:
-    """What certification remembers about one committed transaction.
-
-    ``slots=True`` matters at scale: the window holds ``history_window``
-    of these live (50k by default), and dropping the per-instance
-    ``__dict__`` roughly halves the GC-tracked objects the collector
-    re-scans on every full collection — measurable on the delivery hot
-    path (benchmarks/bench_batch.py)."""
+    """What certification remembers about one committed transaction, in
+    readable form: a window entry unpacked (:meth:`of`) for checkpoints
+    and for the scan oracle.  The window itself never holds one."""
 
     tid: TxnId
     #: Partition snapshot counter after this transaction applied.
@@ -51,37 +84,55 @@ class CommittedRecord:
     ws_keys: frozenset[str]
     is_global: bool
 
+    @classmethod
+    def of(cls, entry: WindowEntry) -> CommittedRecord:
+        version, client, seq, readset, ws_keys, is_global = entry
+        return cls(
+            TxnId(client, seq), version, _readset_digest(readset), frozenset(ws_keys), is_global
+        )
 
-def ctest(txn: TxnProjection, other_readset: ReadsetDigest, other_ws_keys: frozenset[str]) -> bool:
-    """Does ``txn`` pass certification against one earlier transaction?
 
-    Returns True when no conflict exists.  ``other_*`` describe a
-    transaction delivered (and possibly committed) before ``txn``.
+def ctest(txn: TxnProjection, committed: WindowEntry) -> bool:
+    """Does ``txn`` pass certification against one committed transaction?
+
+    Returns True when no conflict exists.  ``committed`` is the window
+    entry of a transaction delivered and committed before ``txn``; it is
+    probed as it is stored, so a scan allocates nothing per entry.
     """
-    if other_ws_keys and txn.readset.contains_any(other_ws_keys):
+    _version, _client, _seq, readset, ws_keys, _is_global = committed
+    if ws_keys and txn.readset.contains_any(ws_keys):
         return False
-    if txn.is_global and txn.writeset and other_readset.contains_any(txn.writeset.keys()):
-        return False
+    if txn.is_global and txn.writeset:
+        if isinstance(readset, bytes):
+            return not _readset_digest(readset).contains_any(txn.writeset)
+        return not any(key in readset for key in txn.writeset)
     return True
 
 
 class WindowListener(Protocol):
     """Observes window mutations (the key-conflict index mirrors them)."""
 
-    def record_added(self, record: CommittedRecord) -> None: ...
+    def record_added(self, entry: WindowEntry) -> None: ...
 
-    def record_evicted(self, record: CommittedRecord) -> None: ...
+    def record_evicted(self, entry: WindowEntry) -> None: ...
 
 
 class CertificationWindow:
-    """Sliding window of committed records, ordered by commit version."""
+    """Sliding window of committed entries, ordered by commit version.
+
+    One list holds the entries; evicting advances a head offset and
+    clears the slot, and the list drops its evicted prefix once that
+    passes half its length.  Eviction is O(1) amortized and the list
+    never holds more than ``2 * capacity`` slots.
+    """
 
     def __init__(self, capacity: int, floor: int = 0) -> None:
         if capacity < 1:
             raise ValueError("window capacity must be positive")
         self.capacity = capacity
-        self._records: deque[CommittedRecord] = deque()
-        self._versions: list[int] = []
+        self._entries: list[WindowEntry | None] = []
+        #: Index of the oldest live entry; the slots before it are evicted.
+        self._head = 0
         #: Snapshots at or below the floor can no longer be certified
         #: (non-zero when restored from a checkpoint).
         self._floor = floor
@@ -93,33 +144,29 @@ class CertificationWindow:
         return self._floor
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._entries) - self._head
 
-    def add(self, record: CommittedRecord) -> None:
-        """Append a committed record (versions must be increasing)."""
-        if self._versions and record.version <= self._versions[-1]:
-            raise ValueError(
-                f"record version {record.version} not above {self._versions[-1]}"
-            )
-        self._records.append(record)
-        self._versions.append(record.version)
+    def __iter__(self) -> Iterator[WindowEntry]:
+        """Live entries, oldest first."""
+        return iter(self._entries[self._head :])
+
+    def add(self, entry: WindowEntry) -> None:
+        """Append a committed entry (versions must be increasing)."""
+        entries = self._entries
+        version = entry[0]
+        if len(entries) > self._head and version <= entries[-1][0]:
+            raise ValueError(f"record version {version} not above {entries[-1][0]}")
+        entries.append(entry)
         evicted = None
-        if len(self._records) > self.capacity:
-            evicted = self._records.popleft()
-            del self._versions[0]
-            self._floor = evicted.version
+        if len(entries) - self._head > self.capacity:
+            evicted = entries[self._head]
+            entries[self._head] = None
+            self._head += 1
+            self._floor = evicted[0]
+            if 2 * self._head >= len(entries):
+                del entries[: self._head]
+                self._head = 0
         if self.listener is not None:
-            self.listener.record_added(record)
+            self.listener.record_added(entry)
             if evicted is not None:
                 self.listener.record_evicted(evicted)
-
-    def records_after(self, snapshot: int) -> Iterator[CommittedRecord]:
-        """Committed records with ``version > snapshot`` (oldest first).
-
-        Returns an iterator: ``deque`` indexing is O(k) per access, so
-        ``islice`` keeps the traversal linear instead of quadratic.
-        """
-        start = bisect_right(self._versions, snapshot)
-        if start == 0:
-            return iter(self._records)
-        return islice(self._records, start, None)

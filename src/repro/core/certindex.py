@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.core.certifier import CertificationWindow, CommittedRecord
+from repro.core.certifier import CertificationWindow, WindowEntry
 from repro.core.pending import PendingList, PendingTxn
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 
@@ -91,7 +91,7 @@ class _WriteSegments:
         #: Oldest → newest: [record span, min version, max version, keys].
         self._segments: list[list] = []
 
-    def add(self, version: int, ws_keys: frozenset[str], floor: int) -> None:
+    def add(self, version: int, ws_keys: tuple[str, ...], floor: int) -> None:
         if not ws_keys:
             return
         segments = self._segments
@@ -154,31 +154,28 @@ class KeyConflictIndex:
     # ------------------------------------------------------------------
     # WindowListener
     # ------------------------------------------------------------------
-    def record_added(self, record: CommittedRecord) -> None:
-        version = record.version
-        ws_keys = record.ws_keys
-        readset = record.readset
+    def record_added(self, entry: WindowEntry) -> None:
+        version, _client, _seq, readset, ws_keys, _is_global = entry
         last_writer = self._last_writer
         for key in ws_keys:
             last_writer[key] = version
-        if readset.is_exact:
+        if isinstance(readset, tuple):
             last_reader = self._last_reader
-            for key in readset.keys:
+            for key in readset:
                 last_reader[key] = version
         else:
             # A bloom cannot be indexed by key: kept whole, probed per record.
-            self._bloom_records.append((version, readset))
+            self._bloom_records.append((version, ReadsetDigest(bloom=readset)))
         self._segments.add(version, ws_keys, self._floor)
 
-    def record_evicted(self, record: CommittedRecord) -> None:
-        version = record.version
+    def record_evicted(self, entry: WindowEntry) -> None:
+        version, _client, _seq, readset, ws_keys, _is_global = entry
         self._floor = max(self._floor, version)
-        for key in record.ws_keys:
+        for key in ws_keys:
             if self._last_writer.get(key) == version:
                 del self._last_writer[key]
-        readset = record.readset
-        if readset.is_exact:
-            for key in readset.keys:
+        if isinstance(readset, tuple):
+            for key in readset:
                 if self._last_reader.get(key) == version:
                     del self._last_reader[key]
         else:
@@ -321,8 +318,8 @@ class KeyConflictIndex:
     # ------------------------------------------------------------------
     def rebuild(self, window: CertificationWindow, pending: PendingList) -> None:
         """Re-derive the index from a restored window and pending list."""
-        for record in window.records_after(-1):
-            self.record_added(record)
+        for entry in window:
+            self.record_added(entry)
         for entry in pending:
             self.entry_added(entry)
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.certifier import CertificationWindow, CommittedRecord
+from repro.core.certifier import CertificationWindow, CommittedRecord, window_entry
 from repro.core.transaction import ReadsetDigest, TxnId
 from repro.errors import ProtocolError
 from repro.net.message import Message, decode_message, encode_message, message
@@ -102,6 +102,8 @@ class CheckpointReply(Message):
 
 
 def window_to_wire(window: CertificationWindow) -> tuple:
+    """Each window entry, unpacked into its readable wire form."""
+    records = map(CommittedRecord.of, window)
     return tuple(
         WindowRecord(
             tid=record.tid,
@@ -110,7 +112,7 @@ def window_to_wire(window: CertificationWindow) -> tuple:
             ws_keys=record.ws_keys,
             is_global=record.is_global,
         )
-        for record in window.records_after(-1)
+        for record in records
     )
 
 
@@ -118,12 +120,8 @@ def window_from_wire(records: tuple, capacity: int, floor: int) -> Certification
     window = CertificationWindow(capacity, floor=floor)
     for record in records:
         window.add(
-            CommittedRecord(
-                tid=record.tid,
-                version=record.version,
-                readset=record.readset,
-                ws_keys=frozenset(record.ws_keys),
-                is_global=record.is_global,
+            window_entry(
+                record.tid, record.version, record.readset, record.ws_keys, record.is_global
             )
         )
     return window

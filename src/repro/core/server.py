@@ -44,7 +44,7 @@ from dataclasses import replace
 from typing import Any
 
 from repro.consensus.abcast import AbcastFabric
-from repro.core.certifier import CertificationWindow, CommittedRecord
+from repro.core.certifier import CertificationWindow, window_entry
 from repro.core.certindex import IndexedCertifier
 from repro.core.checkpoint import (
     CheckpointReply,
@@ -140,8 +140,10 @@ class SdurServer:
         self.dc = 0
         #: Current reorder threshold (changeable via ThresholdChange).
         self.reorder_threshold = self.config.reorder_threshold
-        #: Recently completed transactions (tid -> outcome), bounded.
-        self._completed: OrderedDict[TxnId, str] = OrderedDict()
+        #: Recently completed transactions, bounded: ``(client, seq) ->
+        #: outcome``, keyed by the tid's atoms so the collector stops
+        #: tracking the keys (docs/PROTOCOL.md §15).
+        self._completed: OrderedDict[tuple[str, int], str] = OrderedDict()
         self._completed_limit = 4 * self.config.history_window
         #: Termination component (docs/PROTOCOL.md §14): owns every vote,
         #: the vote timeout, the abort-request branches and the set of
@@ -152,7 +154,7 @@ class SdurServer:
             fabric.abcast,
             routing=self.routing,
             pending=self.pending,
-            completed=self._completed.get,
+            completed=self._completed_outcome,
             doom=self._doom_and_release,
             drain=self._drain,
             stats=self.stats,
@@ -444,7 +446,7 @@ class SdurServer:
             return
         keys = msg.keys
         try:
-            first, *rest = [self.store.read(key, snapshot) for key in keys]
+            (version, value), *rest = [self.store.read(key, snapshot) for key in keys]
         except SnapshotTooOldError as exc:
             response = ReadResponse(
                 tid=msg.tid,
@@ -466,13 +468,14 @@ class SdurServer:
                 tid=msg.tid,
                 op_id=msg.op_id,
                 key=keys[0],
-                value=first.value,
+                value=value,
                 snapshot=snapshot,
-                item_version=first.version,
+                item_version=version,
                 partition=self.partition,
                 epoch=self.routing.epoch,
                 more=tuple(
-                    (key, item.value, item.version) for key, item in zip(keys[1:], rest)
+                    (key, item_value, item_version)
+                    for key, (item_version, item_value) in zip(keys[1:], rest)
                 ),
                 vector=vector,
             ),
@@ -615,7 +618,7 @@ class SdurServer:
     def _deliver_txn(self, proj: TxnProjection) -> None:
         self.dc += 1
         tid = proj.tid
-        if tid in self._completed or tid in self.pending:
+        if (tid.client, tid.seq) in self._completed or tid in self.pending:
             return  # duplicate delivery (e.g. client retry); ignore
         obs = self._obs
         if obs.enabled:
@@ -821,6 +824,7 @@ class SdurServer:
         if head is not entry:
             raise ProtocolError(f"completing {entry.tid} which is not the head")
         self.pending.pop_head()
+        self.ledger.release(entry.tid)
         proj = entry.proj
         if outcome is Outcome.COMMIT:
             self._commit(proj, entry.delivered_at)
@@ -851,23 +855,15 @@ class SdurServer:
                 "server.complete", self.node_id, proj.tid, outcome=Outcome.COMMIT.value
             )
         tid = proj.tid
-        ws_keys = proj.ws_keys
         is_global = proj.is_global
         version = self.sc + 1
         self.store.apply(proj.writeset, version)
-        self.window.add(
-            CommittedRecord(
-                tid=tid,
-                version=version,
-                readset=proj.readset,
-                ws_keys=ws_keys,
-                is_global=is_global,
-            )
-        )
+        self.window.add(window_entry(tid, version, proj.readset, proj.writeset, is_global))
         self.snapshot_builder.on_local_commit(tid, version, proj.partitions, is_global)
         if self.on_commit_hook is not None:
             self.on_commit_hook(tid, self.partition, version, proj)
-        if self.hot_keys is not None and ws_keys:
+        if self.hot_keys is not None and proj.writeset:
+            ws_keys = proj.ws_keys
             for key in ws_keys:
                 self.hot_keys.observe(key)
             self.stats.hotkey_updates += len(ws_keys)
@@ -880,8 +876,12 @@ class SdurServer:
         self._record_completed(tid, Outcome.COMMIT)
         self._notify_client(proj, Outcome.COMMIT)
 
+    def _completed_outcome(self, tid: TxnId) -> str | None:
+        """The recorded outcome of a recently completed ``tid``, if any."""
+        return self._completed.get((tid.client, tid.seq))
+
     def _record_completed(self, tid: TxnId, outcome: Outcome) -> None:
-        self._completed[tid] = outcome.value
+        self._completed[(tid.client, tid.seq)] = outcome.value
         while len(self._completed) > self._completed_limit:
             self._completed.popitem(last=False)
         self.admission.note_completed(tid)

@@ -10,7 +10,7 @@
 """
 
 from repro.storage.bloom import BloomFilter
-from repro.storage.mvstore import MultiVersionStore, VersionedValue
+from repro.storage.mvstore import MultiVersionStore
 from repro.storage.wal import WriteAheadLog
 
-__all__ = ["MultiVersionStore", "VersionedValue", "BloomFilter", "WriteAheadLog"]
+__all__ = ["MultiVersionStore", "BloomFilter", "WriteAheadLog"]

@@ -9,23 +9,29 @@ of a partition without locking (Section III-A).
 Versions are appended in strictly increasing order — the SDUR server
 applies writesets in commit order — so each key's version list is sorted
 and reads are a binary search.
+
+A version is a plain ``(version, value)`` tuple.  CPython's collector
+stops tracking an exact tuple of untracked items after its first young
+collection, so committed history costs full collections nothing
+(docs/PROTOCOL.md §15).  A value that is itself tracked (a list, say)
+keeps its pair tracked, as it would any record.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterator
 
 from repro.errors import SnapshotTooOldError, StorageError
 
+#: One committed version of one key: ``(version, value)``.
+Version = tuple[int, Any]
 
-@dataclass(frozen=True, slots=True)
-class VersionedValue:
-    """One committed version of one key."""
+#: What a key reads as before its first version (see :meth:`read`).
+_ABSENT: Version = (0, None)
 
-    version: int
-    value: Any
+_version_of = itemgetter(0)
 
 
 class MultiVersionStore:
@@ -38,7 +44,7 @@ class MultiVersionStore:
     """
 
     def __init__(self) -> None:
-        self._versions: dict[Any, list[VersionedValue]] = {}
+        self._versions: dict[Any, list[Version]] = {}
         self._current_version = 0
         self._gc_horizon = 0
 
@@ -80,23 +86,23 @@ class MultiVersionStore:
             chain = versions.get(key)
             if chain is None:
                 chain = versions[key] = []
-            chain.append(VersionedValue(version, value))
+            chain.append((version, value))
         self._current_version = version
 
     def seed(self, items: dict[Any, Any]) -> None:
         """Load initial data as version 0 (before any transaction commits).
 
         Seeded values repeat — a benchmark seeds every key with ``0`` — so
-        every key seeded with the same object shares one version-0 record
-        (immutable, so sharing it changes no read, GC or checkpoint).
+        every key seeded with the same object shares one ``(0, value)``
+        tuple (immutable, so sharing it changes no read, GC or checkpoint).
         """
         if self._current_version != 0:
             raise StorageError("seed() must run before any apply()")
-        shared: dict[int, VersionedValue] = {}
+        shared: dict[int, Version] = {}
         for key, value in items.items():
             base = shared.get(id(value))
             if base is None:
-                base = shared[id(value)] = VersionedValue(0, value)
+                base = shared[id(value)] = (0, value)
             self._versions.setdefault(key, []).append(base)
 
     def restore(
@@ -118,22 +124,20 @@ class MultiVersionStore:
             versions = [v for v, _ in chain]
             if versions != sorted(versions) or len(set(versions)) != len(versions):
                 raise StorageError(f"non-monotone version chain for {key!r}")
-            self._versions[key] = [VersionedValue(v, value) for v, value in chain]
+            self._versions[key] = [(v, value) for v, value in chain]
         self._current_version = current_version
         self._gc_horizon = gc_horizon
 
     def dump(self) -> dict[Any, list[tuple[int, Any]]]:
         """The inverse of :meth:`restore` (checkpoint creation)."""
-        return {
-            key: [(vv.version, vv.value) for vv in chain]
-            for key, chain in self._versions.items()
-        }
+        return {key: list(chain) for key, chain in self._versions.items()}
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def read(self, key: Any, snapshot: int | None = None) -> VersionedValue:
-        """Most recent version of ``key`` with ``version <= snapshot``.
+    def read(self, key: Any, snapshot: int | None = None) -> Version:
+        """Most recent ``(version, value)`` of ``key`` with ``version <=
+        snapshot``: the stored pair itself, so a read allocates nothing.
 
         ``snapshot=None`` reads the latest committed version.  A key with
         no version at or below the snapshot reads as ``(0, None)`` — the
@@ -148,16 +152,16 @@ class MultiVersionStore:
             )
         chain = self._versions.get(key)
         if not chain:
-            return VersionedValue(0, None)
-        index = bisect_right(chain, snapshot, key=lambda vv: vv.version)
+            return _ABSENT
+        index = bisect_right(chain, snapshot, key=_version_of)
         if index == 0:
-            return VersionedValue(0, None)
+            return _ABSENT
         return chain[index - 1]
 
-    def read_latest(self, key: Any) -> VersionedValue:
+    def read_latest(self, key: Any) -> Version:
         return self.read(key, None)
 
-    def versions_of(self, key: Any) -> list[VersionedValue]:
+    def versions_of(self, key: Any) -> list[Version]:
         """All retained versions of ``key`` (oldest first); for tests."""
         return list(self._versions.get(key, ()))
 
@@ -189,7 +193,7 @@ class MultiVersionStore:
             raise StorageError("gc horizon cannot move backwards")
         dropped = 0
         for key, chain in self._versions.items():
-            index = bisect_right(chain, horizon, key=lambda vv: vv.version)
+            index = bisect_right(chain, horizon, key=_version_of)
             if index > 1:
                 dropped += index - 1
                 self._versions[key] = chain[index - 1 :]

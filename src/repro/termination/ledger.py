@@ -4,8 +4,8 @@ One :class:`VoteLedger` lives inside each :class:`SdurServer`
 (``server.ledger``) and owns the whole vote path of docs/PROTOCOL.md
 §14, whose table lists the fixed points at which the server calls it —
 :meth:`admit`, :meth:`cast`, :meth:`on_vote`, :meth:`deliver`,
-:meth:`on_abort_request`, :meth:`on_partition_learned`.  The server
-never looks at a vote itself.
+:meth:`on_abort_request`, :meth:`on_partition_learned`, :meth:`release`.
+The server never looks at a vote itself.
 
 Everything the ledger needs arrives as a constructor argument — runtime,
 partition, abcast, the routing view, the pending list, a
@@ -45,7 +45,7 @@ from repro.core.messages import AbortRequest, Vote
 from repro.core.pending import PendingList, PendingTxn
 from repro.core.transaction import Outcome, TxnId, TxnProjection
 from repro.obs.recorder import NULL_RECORDER
-from repro.runtime.base import Runtime
+from repro.runtime.base import Runtime, TimerHandle
 from repro.termination.messages import VoteRecord
 
 if TYPE_CHECKING:
@@ -92,12 +92,17 @@ class VoteLedger:
         #: ``None`` disables the recovery protocol.
         self.vote_timeout = vote_timeout
         self.limit = limit
-        #: (tid, voting partition) -> None for every record already
-        #: delivered, insertion-ordered so the memory stays bounded.
-        self._applied: OrderedDict[tuple[TxnId, str], None] = OrderedDict()
+        #: (client, seq, voting partition) -> None for every record
+        #: already delivered, insertion-ordered so the memory stays
+        #: bounded.  Keyed by the tid's atoms, so the collector stops
+        #: tracking the keys (docs/PROTOCOL.md §15).
+        self._applied: OrderedDict[tuple[str, int, str], None] = OrderedDict()
         #: Records awaiting delivery (proposal retry + self-dedup), each
         #: with the time it was last proposed or queued; oldest first.
-        self._outbox: dict[tuple[TxnId, str], tuple[VoteRecord, float]] = {}
+        self._outbox: dict[tuple[str, int, str], tuple[VoteRecord, float]] = {}
+        #: Armed vote timeouts of pending entries, cancelled when the
+        #: entry completes (:meth:`release`).
+        self._vote_timers: dict[TxnId, TimerHandle] = {}
         #: Delivered records whose transaction has not been delivered yet:
         #: tid -> {voting partition -> vote}, insertion-ordered for bounding.
         self._early: OrderedDict[TxnId, dict[str, str]] = OrderedDict()
@@ -157,7 +162,8 @@ class VoteLedger:
         order.  Records do not bump ``dc`` (they are not transactions and
         must not advance reorder thresholds) and are never snapshot-gated.
         """
-        key = (record.tid, record.partition)
+        tid = record.tid
+        key = (tid.client, tid.seq, record.partition)
         if key in self._applied:
             return  # duplicate proposal: an outbox retry raced the leader's
         self._applied[key] = None
@@ -214,7 +220,7 @@ class VoteLedger:
         Idempotent: a record already delivered or already in flight from
         this replica is not proposed again.
         """
-        key = (tid, partition)
+        key = (tid.client, tid.seq, partition)
         if key in self._applied or key in self._outbox:
             return
         if self._obs.enabled:
@@ -298,8 +304,8 @@ class VoteLedger:
     def _arm_vote_timeout(self, entry: PendingTxn) -> None:
         if self.vote_timeout is None:
             return
-        # The closure holds the id alone: it outlives most entries by a
-        # full timeout, and must not keep their projections alive.
+        # The closure holds the id alone: it must not keep the entry's
+        # projection alive if the entry leaves without a release.
         tid = entry.tid
 
         def fire() -> None:
@@ -325,9 +331,15 @@ class VoteLedger:
                 self._obs.event(
                     "ledger.abort_request", self.runtime.node_id, None, txn=str(current.tid)
                 )
-            self.runtime.set_timer(self.vote_timeout, fire)
+            self._vote_timers[tid] = self.runtime.set_timer(self.vote_timeout, fire)
 
-        self.runtime.set_timer(self.vote_timeout, fire)
+        self._vote_timers[tid] = self.runtime.set_timer(self.vote_timeout, fire)
+
+    def release(self, tid: TxnId) -> None:
+        """``tid``'s pending entry completed: disarm its vote timeout."""
+        timer = self._vote_timers.pop(tid, None)
+        if timer is not None:
+            timer.cancel()
 
     def on_abort_request(self, msg: AbortRequest) -> None:
         """An abort request reached its position in our log.

@@ -7,13 +7,15 @@ spells them out (``tests/oracles/scan_certifier.py``; the shipped index
 is held to it in ``test_certindex.py``).
 """
 
+from collections import deque
+
 import pytest
 
-from repro.core.certifier import CertificationWindow, CommittedRecord, ctest
+from repro.core.certifier import CertificationWindow, ctest, window_entry
 from repro.core.pending import PendingList, PendingTxn
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 
-from tests.oracles.scan_certifier import certify, find_reorder_position
+from tests.oracles.scan_certifier import certify, entries_after, find_reorder_position
 
 
 def proj(
@@ -37,12 +39,8 @@ def proj(
 
 
 def record(version, reads=(), writes=(), is_global=False):
-    return CommittedRecord(
-        tid=TxnId("c", 1000 + version),
-        version=version,
-        readset=ReadsetDigest.exact(reads),
-        ws_keys=frozenset(writes),
-        is_global=is_global,
+    return window_entry(
+        TxnId("c", 1000 + version), version, ReadsetDigest.exact(reads), writes, is_global
     )
 
 
@@ -53,30 +51,30 @@ def pending_entry(p, rt=0):
 class TestCtest:
     def test_local_passes_when_reads_fresh(self):
         local = proj("t", reads=["x"], writes=["x"])
-        assert ctest(local, ReadsetDigest.exact(["y"]), frozenset({"y"}))
+        assert ctest(local, record(1, reads=["y"], writes=["y"]))
 
     def test_local_fails_on_stale_read(self):
         local = proj("t", reads=["x"], writes=["x"])
-        assert not ctest(local, ReadsetDigest.exact([]), frozenset({"x"}))
+        assert not ctest(local, record(1, writes=["x"]))
 
     def test_local_ignores_write_write_overlap(self):
         """Locals only need rs ∩ ws' = ∅; their writes may touch what the
         earlier transaction read (they serialize after it)."""
         local = proj("t", reads=["a"], writes=["a"])
-        assert ctest(local, ReadsetDigest.exact(["a"]), frozenset({"b"}))
+        assert ctest(local, record(1, reads=["a"], writes=["b"]))
 
     def test_global_checked_both_ways(self):
         """Globals need symmetry so either delivery order serializes
         (the paper's footnote-2 scenario)."""
         global_txn = proj("t", reads=["x"], writes=["x"], partitions=("p0", "p1"))
         # Other transaction READ x, which this one writes -> fail.
-        assert not ctest(global_txn, ReadsetDigest.exact(["x"]), frozenset({"y"}))
+        assert not ctest(global_txn, record(1, reads=["x"], writes=["y"]))
         # Disjoint in both directions -> pass.
-        assert ctest(global_txn, ReadsetDigest.exact(["z"]), frozenset({"w"}))
+        assert ctest(global_txn, record(1, reads=["z"], writes=["w"]))
 
     def test_empty_sets_never_conflict(self):
         read_only_ish = proj("t", reads=["x"], writes=[], partitions=("p0", "p1"))
-        assert ctest(read_only_ish, ReadsetDigest.exact(["x"]), frozenset())
+        assert ctest(read_only_ish, record(1, reads=["x"]))
 
 
 class TestCertificationWindow:
@@ -124,6 +122,25 @@ class TestCertificationWindow:
         txn = proj("t", reads=["q"], writes=["g"], partitions=("p0", "p1"), snapshot=0)
         # committed read g; this global writes g -> symmetric test fails
         assert certify(window, txn) is False
+
+    def test_eviction_keeps_a_bounded_list_in_step_with_a_deque(self):
+        """Eviction advances a head offset and compacts now and then, so
+        it is O(1) amortized, and the list stays within twice the
+        capacity while reading as a bounded deque would."""
+        capacity = 1_000
+        window = CertificationWindow(capacity)
+        reference: deque = deque(maxlen=capacity)
+        for version in range(1, 10_001):
+            entry = record(version, reads=[f"r{version % 7}"], writes=[f"w{version % 5}"])
+            window.add(entry)
+            reference.append(entry)
+            evicted = version - capacity
+            assert window.floor == max(0, evicted)
+            assert len(window._entries) <= 2 * capacity
+            assert list(window) == list(reference)
+            snapshot = max(window.floor, version - version % 700)
+            after = [entry for entry in reference if entry[0] > snapshot]
+            assert entries_after(window, snapshot) == after
 
 
 class TestReorderPosition:

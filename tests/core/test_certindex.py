@@ -10,7 +10,7 @@ geometric write-key segments.
 
 import pytest
 
-from repro.core.certifier import CertificationWindow, CommittedRecord
+from repro.core.certifier import CertificationWindow, window_entry
 from repro.core.certindex import (
     CertifierCounters,
     IndexedCertifier,
@@ -59,13 +59,7 @@ def record(version, reads=(), writes=(), is_global=False, bloom=False):
     readset = (
         ReadsetDigest.bloomed(reads) if bloom else ReadsetDigest.exact(reads)
     )
-    return CommittedRecord(
-        tid=TxnId("c", 1000 + version),
-        version=version,
-        readset=readset,
-        ws_keys=frozenset(writes),
-        is_global=is_global,
-    )
+    return window_entry(TxnId("c", 1000 + version), version, readset, writes, is_global)
 
 
 def pending_entry(p, rt=0):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.certifier import CertificationWindow, CommittedRecord
+from repro.core.certifier import CertificationWindow, CommittedRecord, window_entry
 from repro.core.checkpoint import (
     ServerCheckpoint,
     window_from_wire,
@@ -17,15 +17,7 @@ from tests.oracles.scan_certifier import certify
 
 def sample_checkpoint():
     window = CertificationWindow(capacity=10)
-    window.add(
-        CommittedRecord(
-            tid=TxnId("c", 1),
-            version=3,
-            readset=ReadsetDigest.exact(["0/a"]),
-            ws_keys=frozenset({"0/a"}),
-            is_global=True,
-        )
-    )
+    window.add(window_entry(TxnId("c", 1), 3, ReadsetDigest.exact(["0/a"]), ["0/a"], True))
     return ServerCheckpoint(
         partition="p0",
         next_instance=7,
@@ -62,12 +54,12 @@ class TestWindowWire:
         window = CertificationWindow(capacity=5)
         for version in range(1, 4):
             window.add(
-                CommittedRecord(
-                    tid=TxnId("c", version),
-                    version=version,
-                    readset=ReadsetDigest.exact([f"k{version}"]),
-                    ws_keys=frozenset({f"k{version}"}),
-                    is_global=bool(version % 2),
+                window_entry(
+                    TxnId("c", version),
+                    version,
+                    ReadsetDigest.exact([f"k{version}"]),
+                    [f"k{version}"],
+                    bool(version % 2),
                 )
             )
         restored = window_from_wire(window_to_wire(window), capacity=5, floor=window.floor)
@@ -93,16 +85,8 @@ class TestWindowWire:
 
     def test_bloom_digests_survive(self):
         window = CertificationWindow(capacity=3)
-        window.add(
-            CommittedRecord(
-                tid=TxnId("c", 1),
-                version=1,
-                readset=ReadsetDigest.bloomed(["hot"]),
-                ws_keys=frozenset({"hot"}),
-                is_global=True,
-            )
-        )
+        window.add(window_entry(TxnId("c", 1), 1, ReadsetDigest.bloomed(["hot"]), ["hot"], True))
         restored = window_from_wire(window_to_wire(window), capacity=3, floor=0)
-        record = next(iter(restored.records_after(0)))
+        record = CommittedRecord.of(next(iter(restored)))
         assert record.readset.contains_any(["hot"])
         assert not record.readset.is_exact

@@ -131,7 +131,7 @@ class TestTermination:
         result = run_txn(cluster, client, update_program(["0/a"]))
         assert result.outcome is Outcome.COMMIT
         store = cluster.servers["s1"].server.store
-        assert store.read_latest("0/a").value == 11
+        assert store.read_latest("0/a")[1] == 11
 
     def test_pure_read_commits_without_termination_messages(self, cluster, client):
         sent_before = cluster.world.network.messages_sent
@@ -149,7 +149,7 @@ class TestTermination:
         assert result.committed
         assert result.is_global
         assert result.partitions == ("p0", "p1")
-        assert cluster.servers["s4"].server.store.read_latest("1/c").value == 31
+        assert cluster.servers["s4"].server.store.read_latest("1/c")[1] == 31
 
     def test_result_records_read_versions(self, cluster, client):
         run_txn(cluster, client, update_program(["0/a"]))

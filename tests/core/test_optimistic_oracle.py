@@ -89,5 +89,5 @@ class TestSnapshotGate:
         server.handle("q1", Vote(tid=TxnId("c", 1), partition="p1", vote="commit"))
         world.run_for(0.1)
         # Commit versions follow delivery order: g1=1, t2=2, t3=3.
-        assert server.store.read_latest("b").version == 2
-        assert server.store.read_latest("c").version == 3
+        assert server.store.read_latest("b")[0] == 2
+        assert server.store.read_latest("c")[0] == 3

@@ -1,5 +1,6 @@
 """Unit-level tests of server behaviours (Algorithm 2) on small clusters."""
 
+from repro.core.certifier import CommittedRecord
 from repro.core.config import DelayMode, SdurConfig, ServiceCosts
 from repro.core.messages import Busy, CommitRequest, NoopTick, OutcomeNotice, ReadRequest
 from repro.core.transaction import Outcome, ReadsetDigest, TxnId, TxnProjection
@@ -258,10 +259,7 @@ class TestDuplicateDelivery:
         # Replay the same projection through the broadcast: servers must
         # ignore the duplicate (client retry path).
         server = cluster.servers["s1"].server
-        record = None
-        for entry in server.window.records_after(0):
-            record = entry
-        assert record is not None
+        record = CommittedRecord.of(list(server.window)[-1])
         assert result.committed
         sc_before = server.sc
         # Rebuild an identical projection and redeliver it.
@@ -280,4 +278,4 @@ class TestDuplicateDelivery:
         server.fabric.abcast("p0", duplicate)
         cluster.world.run_for(0.5)
         assert server.sc == sc_before  # not applied twice
-        assert server.store.read_latest("0/k0").value != 999
+        assert server.store.read_latest("0/k0")[1] != 999

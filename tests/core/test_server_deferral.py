@@ -93,7 +93,7 @@ class TestDeferral:
         remote_vote(server, 1, "abort")
         world.run_for(0.1)
         assert outcome_of(sent, 2) == "commit"
-        assert server.store.read_latest("z").value == 2
+        assert server.store.read_latest("z")[1] == 2
 
 
 class TestEarlyVotes:

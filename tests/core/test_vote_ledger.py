@@ -178,7 +178,7 @@ class TestRemoteVotes:
         world.run_for(0.1)  # relayed record reaches its log position
         assert outcome_of(sent, 1) == "commit"
         assert server.stats.votes_ordered == 2  # own verdict + relay
-        assert server.store.read_latest("a").value == 1
+        assert server.store.read_latest("a")[1] == 1
 
     def test_early_remote_vote_buffered_until_projection(self):
         world, server, sent = make_server()

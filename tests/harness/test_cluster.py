@@ -37,9 +37,9 @@ class TestBuild:
     def test_seed_splits_by_partition(self):
         cluster = make_cluster(num_partitions=2)
         cluster.seed({"0/a": 1, "1/b": 2})
-        assert cluster.servers["s1"].server.store.read_latest("0/a").value == 1
+        assert cluster.servers["s1"].server.store.read_latest("0/a")[1] == 1
         assert "1/b" not in cluster.servers["s1"].server.store
-        assert cluster.servers["s4"].server.store.read_latest("1/b").value == 2
+        assert cluster.servers["s4"].server.store.read_latest("1/b")[1] == 2
 
     def test_seed_after_start_rejected(self):
         cluster = make_cluster(num_partitions=1)

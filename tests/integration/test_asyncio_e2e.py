@@ -129,7 +129,7 @@ class TestAsyncioEndToEnd:
                 result = await execute(client, update_program(["0/x"]))
                 assert result.committed
                 store = servers[0][0].store
-                assert store.read_latest("0/x").value == 2
+                assert store.read_latest("0/x")[1] == 2
             finally:
                 await world.close_all()
 
@@ -144,7 +144,7 @@ class TestAsyncioEndToEnd:
                 assert result.is_global
                 p1_server = next(s for s, _ in servers if s.partition == "p1")
                 await asyncio.sleep(0.3)
-                assert p1_server.store.read_latest("1/y").value == 1
+                assert p1_server.store.read_latest("1/y")[1] == 1
             finally:
                 await world.close_all()
 

@@ -32,7 +32,7 @@ class TestBehaviour:
         for _ in range(5):
             assert run_txn(cluster, client, update_program(["x"])).committed
         for handle in cluster.servers.values():
-            assert handle.server.store.read_latest("x").value == 5
+            assert handle.server.store.read_latest("x")[1] == 5
 
     def test_no_transaction_is_global(self):
         cluster = build_classic_dur(3, seed=1, intra_delay=0.001)

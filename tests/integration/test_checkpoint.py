@@ -276,7 +276,7 @@ class TestCheckpointedRecovery:
         restarted.world.run_for(2.0)
         for name, handle in restarted.servers.items():
             if handle.partition == "p0":
-                assert handle.server.store.read_latest("0/x").value == 8
+                assert handle.server.store.read_latest("0/x")[1] == 8
                 assert handle.server.sc == 8
 
     def test_recovered_cluster_commits_new_transactions(self):
@@ -301,7 +301,7 @@ class TestCheckpointedRecovery:
         restarted.world.run_for(1.0)
         result = run_txn(restarted, new_client, update_program(["0/x", "1/y"]))
         assert result.committed
-        assert restarted.servers["s1"].server.store.read_latest("0/x").value == 5
+        assert restarted.servers["s1"].server.store.read_latest("0/x")[1] == 5
 
 
 class TestStateTransfer:
@@ -343,10 +343,10 @@ class TestStateTransfer:
         restarted.start()
         restarted.world.run_for(2.0)
         # s2 state matches the group despite never replaying old history.
-        assert restarted.servers["s2"].server.store.read_latest("0/x").value == 5
+        assert restarted.servers["s2"].server.store.read_latest("0/x")[1] == 5
         # And it participates in new commits.
         new_client = restarted.add_client()
         result = run_txn(restarted, new_client, update_program(["0/x"]))
         assert result.committed
         restarted.world.run_for(1.0)
-        assert restarted.servers["s2"].server.store.read_latest("0/x").value == 6
+        assert restarted.servers["s2"].server.store.read_latest("0/x")[1] == 6

@@ -67,7 +67,7 @@ class TestReplicaAgreement:
                 assert store.current_version == reference.current_version
                 for key in reference.keys():
                     assert (
-                        store.read_latest(key).value == reference.read_latest(key).value
+                        store.read_latest(key)[1] == reference.read_latest(key)[1]
                     ), f"divergence on {key} in {partition}"
 
 

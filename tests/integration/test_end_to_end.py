@@ -29,20 +29,20 @@ class TestCommitPaths:
         run_txn(cluster, client, update_program(["0/x"]))
         cluster.world.run_for(1.0)
         for name in ("s1", "s2", "s3"):
-            assert cluster.servers[name].server.store.read_latest("0/x").value == 1
+            assert cluster.servers[name].server.store.read_latest("0/x")[1] == 1
 
     def test_global_commit_applies_at_both_partitions(self, cluster, client):
         run_txn(cluster, client, update_program(["0/x", "1/y"]))
         cluster.world.run_for(1.0)
         for name in ("s1", "s2", "s3"):
-            assert cluster.servers[name].server.store.read_latest("0/x").value == 1
+            assert cluster.servers[name].server.store.read_latest("0/x")[1] == 1
         for name in ("s4", "s5", "s6"):
-            assert cluster.servers[name].server.store.read_latest("1/y").value == 1
+            assert cluster.servers[name].server.store.read_latest("1/y")[1] == 1
 
     def test_sequential_increments_accumulate(self, cluster, client):
         for _ in range(10):
             assert run_txn(cluster, client, update_program(["0/x"])).committed
-        assert cluster.servers["s1"].server.store.read_latest("0/x").value == 10
+        assert cluster.servers["s1"].server.store.read_latest("0/x")[1] == 10
 
     def test_three_partition_global(self):
         cluster = make_cluster(num_partitions=3)
@@ -57,7 +57,7 @@ class TestCommitPaths:
         for partition, server_name in [("p0", "s1"), ("p1", "s4"), ("p2", "s7")]:
             store = cluster.servers[server_name].server.store
             index = partition[1:]
-            assert store.read_latest(f"{index}/k").value == 1
+            assert store.read_latest(f"{index}/k")[1] == 1
 
 
 class TestConflicts:
@@ -72,7 +72,7 @@ class TestConflicts:
         outcomes = sorted(r.outcome.value for r in done)
         assert outcomes == ["abort", "commit"]
         # Value reflects exactly one increment.
-        assert cluster.servers["s1"].server.store.read_latest("0/x").value == 1
+        assert cluster.servers["s1"].server.store.read_latest("0/x")[1] == 1
 
     def test_disjoint_concurrent_transactions_both_commit(self, cluster, client):
         client2 = cluster.add_client()
@@ -136,7 +136,7 @@ class TestWan1EndToEnd:
         result = run_txn(cluster, client, update_program(["0/a", "1/b"]))
         assert result.committed
         cluster.world.run_for(1.0)
-        assert cluster.servers["s4"].server.store.read_latest("1/b").value == 8
+        assert cluster.servers["s4"].server.store.read_latest("1/b")[1] == 8
 
     def test_remote_read_served_by_colocated_replica(self):
         cluster = make_wan1_cluster()

@@ -23,7 +23,7 @@ class TestFourPartitionsLan:
         for partition in ("p0", "p1", "p2", "p3"):
             server = cluster.servers[cluster.directory.preferred_of(partition)].server
             index = partition[1:]
-            assert server.store.read_latest(f"{index}/k").value == 1
+            assert server.store.read_latest(f"{index}/k")[1] == 1
 
     def test_one_abort_vote_kills_the_whole_global(self):
         """A conflict in any single partition aborts the transaction in
@@ -42,8 +42,8 @@ class TestFourPartitionsLan:
         outcomes = sorted(r.outcome.value for r in done)
         assert outcomes == ["abort", "commit"]
         # Whatever won, stores agree pairwise and no partial application:
-        p0_value = cluster.servers["s1"].server.store.read_latest("0/k0").value or 0
-        p1_value = cluster.servers["s4"].server.store.read_latest("1/k0").value or 0
+        p0_value = cluster.servers["s1"].server.store.read_latest("0/k0")[1] or 0
+        p1_value = cluster.servers["s4"].server.store.read_latest("1/k0")[1] or 0
         assert p0_value == p1_value  # the wide txn applied everywhere or nowhere
 
     def test_mixed_width_workload_serializable(self):

@@ -105,7 +105,7 @@ class TestSnapshotAtomicity:
         for key in keys:
             partition = cluster.partition_map.partition_of(key)
             server = cluster.servers[cluster.directory.preferred_of(partition)].server
-            store_sum += server.store.read_latest(key).value
+            store_sum += server.store.read_latest(key)[1]
         assert store_sum == INITIAL_BALANCE * len(keys)
 
     def test_readonly_never_aborts(self, bank):

@@ -119,12 +119,12 @@ class TestLiveMerge:
             if h.partition == "p0"
         )
         cluster.world.run_for(1.0)
-        before = survivor.read_latest("1/k1").value
+        before = survivor.read_latest("1/k1")[1]
         result = run_txn(cluster, client, update_program(["1/k1"]))
         assert result.committed
         assert result.partitions == ("p0",)
         cluster.world.run_for(1.0)
-        assert survivor.read_latest("1/k1").value == before + 1
+        assert survivor.read_latest("1/k1")[1] == before + 1
 
     def test_merge_without_load_is_clean(self):
         cluster = make_cluster(num_partitions=2, seed=3)
@@ -143,7 +143,7 @@ class TestLiveMerge:
                 # The flattened absorbed state landed as one install
                 # version, preserving the seeded values.
                 for i in range(8):
-                    assert server.store.read_latest(f"1/k{i}").value == 10 + i
+                    assert server.store.read_latest(f"1/k{i}")[1] == 10 + i
         for store in absorbed_stores(cluster):
             assert store.dump() == {}
 

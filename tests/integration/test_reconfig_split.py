@@ -101,12 +101,12 @@ class TestLiveSplit:
         assert result.committed
         assert result.partitions == ("p2",)
         cluster.world.run_for(1.0)
-        before = new_store.read_latest(moved[0]).value
+        before = new_store.read_latest(moved[0])[1]
 
         result = run_txn(cluster, client, update_program([moved[0]]))
         assert result.committed
         cluster.world.run_for(1.0)
-        assert new_store.read_latest(moved[0]).value == before + 1
+        assert new_store.read_latest(moved[0])[1] == before + 1
 
     def test_globals_across_old_and_new_partition_commit(self):
         cluster, clients, recorder, done, seeded = run_split_workload()
@@ -184,7 +184,7 @@ class TestLiveSplit:
         for key in moved:
             chain = new_store.versions_of(key)
             # Chains migrate intact: the seed version (0) with its value.
-            assert chain and chain[0].version == 0
+            assert chain and chain[0][0] == 0
         for handle in cluster.servers.values():
             if handle.partition == "p0":
                 assert handle.server.routing.epoch == 1

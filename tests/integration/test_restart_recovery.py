@@ -55,7 +55,7 @@ class TestRestartRecovery:
         old_states = {
             name: (
                 handle.server.sc,
-                {k: handle.server.store.read_latest(k).value for k in handle.server.store.keys()},
+                {k: handle.server.store.read_latest(k)[1] for k in handle.server.store.keys()},
             )
             for name, handle in cluster.servers.items()
         }
@@ -72,7 +72,7 @@ class TestRestartRecovery:
             old_sc, old_values = old_states[name]
             assert handle.server.sc == old_sc, f"{name}: SC {handle.server.sc} != {old_sc}"
             for key, value in old_values.items():
-                assert handle.server.store.read_latest(key).value == value
+                assert handle.server.store.read_latest(key)[1] == value
 
     def test_file_backed_wals_survive_process_boundary(self, tmp_path):
         wals: dict[str, WriteAheadLog] = {}
@@ -83,7 +83,7 @@ class TestRestartRecovery:
         assert run_txn(cluster, client, update_program(["0/x"])).committed
         assert run_txn(cluster, client, update_program(["0/x", "1/y"])).committed
         cluster.world.run_for(1.0)
-        expected_x = cluster.servers["s1"].server.store.read_latest("0/x").value
+        expected_x = cluster.servers["s1"].server.store.read_latest("0/x")[1]
         for wal in wals.values():
             wal.close()
 
@@ -92,8 +92,8 @@ class TestRestartRecovery:
         restarted = build_with_wals(reopened, tmp_path=tmp_path, seed=9)
         restarted.start()
         restarted.world.run_for(2.0)
-        assert restarted.servers["s1"].server.store.read_latest("0/x").value == expected_x
-        assert restarted.servers["s4"].server.store.read_latest("1/y").value == 1
+        assert restarted.servers["s1"].server.store.read_latest("0/x")[1] == expected_x
+        assert restarted.servers["s4"].server.store.read_latest("1/y")[1] == 1
 
     def test_recovered_cluster_keeps_serving(self):
         wals: dict[str, WriteAheadLog] = {}
@@ -110,4 +110,4 @@ class TestRestartRecovery:
         restarted.world.run_for(2.0)
         result = run_txn(restarted, new_client, update_program(["0/x"]))
         assert result.committed
-        assert restarted.servers["s1"].server.store.read_latest("0/x").value == 2
+        assert restarted.servers["s1"].server.store.read_latest("0/x")[1] == 2

@@ -65,7 +65,7 @@ class TestOperations:
         assert result.committed
         assert not result.is_global
         store = cluster.servers["s1"].server.store
-        assert "hello world" in store.read_latest(posts_key(0)).value
+        assert "hello world" in store.read_latest(posts_key(0))[1]
 
     def test_post_bounds_list_length(self, social_cluster):
         cluster, client = social_cluster
@@ -74,7 +74,7 @@ class TestOperations:
         for i in range(MAX_POSTS + 5):
             run_txn(cluster, client, post_txn(0, f"msg{i}"))
         store = cluster.servers["s1"].server.store
-        posts = store.read_latest(posts_key(0)).value
+        posts = store.read_latest(posts_key(0))[1]
         assert len(posts) == MAX_POSTS
         assert posts[-1] == f"msg{MAX_POSTS + 4}"
 
@@ -86,8 +86,8 @@ class TestOperations:
         assert result.is_global
         p0_store = cluster.servers["s1"].server.store
         p1_store = cluster.servers["s4"].server.store
-        assert 1 in p0_store.read_latest(producers_key(0)).value
-        assert 0 in p1_store.read_latest(consumers_key(1)).value
+        assert 1 in p0_store.read_latest(producers_key(0))[1]
+        assert 0 in p1_store.read_latest(consumers_key(1))[1]
 
     def test_follow_same_partition_is_local(self, social_cluster):
         cluster, client = social_cluster
@@ -101,7 +101,7 @@ class TestOperations:
         result = run_txn(cluster, client, follow_txn(0, 2))
         assert result.committed
         store = cluster.servers["s1"].server.store
-        producers = store.read_latest(producers_key(0)).value
+        producers = store.read_latest(producers_key(0))[1]
         assert producers.count(2) == 1
 
     def test_timeline_reads_followed_posts(self, social_cluster):

@@ -18,17 +18,17 @@ from repro.sim.kernel import Kernel
 from tests.conftest import make_cluster, run_txn, update_program
 
 
-def _after_sequential_locals(count):
-    """Run ``count`` local two-key updates back to back with 5 s client
-    timeouts and gossip off; return the world once traffic has settled
-    (well inside the 5 s a leaked retry timer would stay armed)."""
-    cluster = make_cluster(2, config=SdurConfig(gossip_interval=None))
+def _after_sequential_updates(count, keys=("0/a", "0/b"), config=None):
+    """Run ``count`` two-key updates of ``keys`` back to back with 5 s
+    client timeouts and gossip off; return the world once traffic has
+    settled (well inside the 5 s a leaked timer would stay armed)."""
+    cluster = make_cluster(2, config=config or SdurConfig(gossip_interval=None))
     client = cluster.add_client(commit_timeout=5.0, read_timeout=5.0)
     cluster.start()
     cluster.world.run_for(0.5)
     started = cluster.world.now
     for _ in range(count):
-        assert run_txn(cluster, client, update_program(["0/a", "0/b"])).committed
+        assert run_txn(cluster, client, update_program(list(keys))).committed
     cluster.world.run_for(0.1)
     assert cluster.world.now - started < 4.0, "run outlived the timeouts it is about"
     return cluster.world
@@ -36,13 +36,28 @@ def _after_sequential_locals(count):
 
 class TestSimTimerPlateau:
     def test_armed_events_do_not_grow_with_finished_transactions(self):
-        few = _after_sequential_locals(20).kernel.pending_count
-        many = _after_sequential_locals(200).kernel.pending_count
+        few = _after_sequential_updates(20).kernel.pending_count
+        many = _after_sequential_updates(200).kernel.pending_count
         # Parent: +3 per transaction (two read retries, one commit retry).
         assert many == few
 
+    def test_a_finished_global_disarms_its_vote_timeout(self):
+        """Every replica arms a vote timeout per pending entry; the
+        entry's completion cancels it.  Parent: each global left one
+        armed per replica of both partitions for the full 5 s."""
+        config = SdurConfig(vote_timeout=5.0, gossip_interval=None)
+        armed = []
+        for count in (20, 200):
+            world = _after_sequential_updates(count, ("0/x", "1/y"), config)
+            # Past one ledger retry interval, so no replica's outbox
+            # retry tick is still armed: that one is per replica, not
+            # per transaction, and its phase differs between the runs.
+            world.run_for(0.3)
+            armed.append(world.kernel.pending_count)
+        assert armed[1] == armed[0]
+
     def test_a_runtime_lists_only_its_live_timers(self):
-        world = _after_sequential_locals(200)
+        world = _after_sequential_updates(200)
         listed = sum(len(runtime._timers) for runtime in world._runtimes.values())
         # Every listed timer is an armed kernel event; fired and
         # cancelled ones are forgotten (parent: fired ones never were).

@@ -45,7 +45,7 @@ class OptimisticTermination(VoteLedger):
             server.fabric.abcast,
             routing=server.routing,
             pending=server.pending,
-            completed=server._completed.get,
+            completed=server._completed_outcome,
             doom=server._doom_and_release,
             drain=server._pump,
             stats=server.stats,

@@ -11,6 +11,7 @@ to drive a whole replica with it.  Imports nothing but ``repro``.
 """
 
 from bisect import bisect_right
+from operator import itemgetter
 
 from repro.core.certifier import CertificationWindow, ctest
 from repro.core.certindex import CertifierCounters
@@ -18,9 +19,16 @@ from repro.core.pending import PendingList
 from repro.core.transaction import TxnId, TxnProjection
 
 
+def entries_after(window: CertificationWindow, snapshot: int) -> list:
+    """The window entries with ``version > snapshot`` (``DB[st … SC]``
+    in Algorithm 2 line 49), oldest first."""
+    entries = list(window)
+    return entries[bisect_right(entries, snapshot, key=itemgetter(0)) :]
+
+
 def span_after(window: CertificationWindow, snapshot: int) -> int:
     """How many committed records a scan from ``snapshot`` must check."""
-    return len(window) - bisect_right(window._versions, snapshot)
+    return len(entries_after(window, snapshot))
 
 
 def certify(window: CertificationWindow, txn: TxnProjection) -> bool | None:
@@ -33,10 +41,7 @@ def certify(window: CertificationWindow, txn: TxnProjection) -> bool | None:
     """
     if txn.snapshot < window.floor:
         return None
-    for record in window.records_after(txn.snapshot):
-        if not ctest(txn, record.readset, record.ws_keys):
-            return False
-    return True
+    return all(ctest(txn, entry) for entry in entries_after(window, txn.snapshot))
 
 
 def outcome_conflicts(txn: TxnProjection, pending: PendingList) -> list[TxnId]:

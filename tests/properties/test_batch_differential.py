@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.certifier import CommittedRecord
 from repro.core.config import SdurConfig, ServiceCosts
 from repro.core.directory import ClusterDirectory
 from repro.core.messages import NoopTick, OutcomeNotice
@@ -42,9 +43,10 @@ KEYS = [f"0/k{i}" for i in range(6)]
 
 
 def build_server(reorder_threshold: int, **config_overrides) -> SdurServer:
+    # Small by default: snapshots can fall below the floor.
+    config_overrides.setdefault("history_window", 16)
     config = SdurConfig(
         costs=ServiceCosts(),
-        history_window=16,  # small: snapshots can fall below the floor
         reorder_threshold=reorder_threshold,
         vote_timeout=None,
         gossip_interval=None,
@@ -170,10 +172,6 @@ def replay(server: SdurServer, values) -> SdurServer:
 
 
 def state_of(server: SdurServer) -> dict:
-    chains = {
-        key: [(vv.version, vv.value) for vv in chain]
-        for key, chain in server.store._versions.items()
-    }
     outcomes = [
         (dst, msg.tid, msg.outcome)
         for dst, msg in server.runtime.sent
@@ -182,10 +180,8 @@ def state_of(server: SdurServer) -> dict:
     return {
         "sc": server.sc,
         "dc": server.dc,
-        "store": chains,
-        "window": [
-            (r.tid, r.version, r.is_global) for r in server.window._records
-        ],
+        "store": server.store.dump(),
+        "window": list(map(CommittedRecord.of, server.window)),
         "floor": server.window.floor,
         "completed": list(server._completed.items()),
         "pending": [

@@ -9,7 +9,7 @@ four conditions at every slot.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.certifier import CertificationWindow, CommittedRecord, ctest
+from repro.core.certifier import CertificationWindow, ctest, window_entry
 from repro.core.pending import PendingList, PendingTxn
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 
@@ -135,8 +135,8 @@ class TestCtestProperties:
         commute — the property §III-B relies on."""
         t1 = make_proj(1, set(rs1) | set(ws1), ws1, is_global=True)
         t2 = make_proj(2, set(rs2) | set(ws2), ws2, is_global=True)
-        forward = ctest(t1, t2.readset, t2.ws_keys)
-        backward = ctest(t2, t1.readset, t1.ws_keys)
+        forward = ctest(t1, window_entry(t2.tid, 2, t2.readset, t2.writeset, True))
+        backward = ctest(t2, window_entry(t1.tid, 1, t1.readset, t1.writeset, True))
         if forward and backward:
             # No conflicts in any direction: all four intersections empty.
             assert not (set(t1.writeset) & (set(rs2) | set(ws2)))
@@ -153,25 +153,16 @@ class TestCtestProperties:
         self, history, reads, writes, snapshot
     ):
         window = CertificationWindow(capacity=100)
-        records = []
+        entries = []
         for version, (record_reads, record_writes) in enumerate(history, start=1):
-            record = CommittedRecord(
-                tid=TxnId("h", version),
-                version=version,
-                readset=ReadsetDigest.exact(record_reads),
-                ws_keys=frozenset(record_writes),
-                is_global=False,
-            )
-            window.add(record)
-            records.append(record)
+            readset = ReadsetDigest.exact(record_reads)
+            entry = window_entry(TxnId("h", version), version, readset, record_writes, False)
+            window.add(entry)
+            entries.append(entry)
         txn = make_proj(50_000, set(reads) | set(writes), writes, is_global=True)
         txn = TxnProjection(
             tid=txn.tid, partition="p0", readset=txn.readset, writeset=txn.writeset,
             snapshot=snapshot, partitions=txn.partitions, coordinator="s", client="c",
         )
-        expected = all(
-            ctest(txn, record.readset, record.ws_keys)
-            for record in records
-            if record.version > snapshot
-        )
+        expected = all(ctest(txn, entry) for entry in entries if entry[0] > snapshot)
         assert certify(window, txn) is expected

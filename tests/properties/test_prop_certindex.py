@@ -15,7 +15,7 @@ shows the same at the system level).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.certifier import CertificationWindow, CommittedRecord
+from repro.core.certifier import CertificationWindow, window_entry
 from repro.core.certindex import IndexedCertifier
 from repro.core.checkpoint import window_from_wire, window_to_wire
 from repro.core.pending import PendingList, PendingTxn
@@ -108,13 +108,7 @@ class TestDifferential:
                 )
                 for side in sides:
                     side.window.add(
-                        CommittedRecord(
-                            tid=TxnId("h", seq),
-                            version=version,
-                            readset=readset,
-                            ws_keys=frozenset(writes),
-                            is_global=is_global,
-                        )
+                        window_entry(TxnId("h", seq), version, readset, writes, is_global)
                     )
             elif kind == "append":
                 _, reads, writes, is_global, bloom, rt = op

@@ -156,5 +156,5 @@ class TestSystemInvariants:
             issue(client)
         cluster.world.run_for(60.0)
         committed = sum(1 for r in done if r.committed)
-        final = cluster.servers["s1"].server.store.read_latest("0/hot").value or 0
+        final = cluster.servers["s1"].server.store.read_latest("0/hot")[1] or 0
         assert final == committed, f"lost updates: {committed} commits, value {final}"

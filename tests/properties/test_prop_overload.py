@@ -102,7 +102,7 @@ class TestSheddingExactlyOnce:
         # Exactly-once application: the hot counter equals the number of
         # committed increments (a Busy resubmission must not double-apply).
         committed = sum(1 for r in done if r.committed)
-        final = cluster.servers["s1"].server.store.read_latest("0/hot").value or 0
+        final = cluster.servers["s1"].server.store.read_latest("0/hot")[1] or 0
         assert final == committed, f"{committed} commits but value {final}"
 
         # Shed transactions never enter any replica's log, so replicas

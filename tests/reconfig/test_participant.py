@@ -223,7 +223,7 @@ class TestSplitInstall:
         assert rig.part.park_read(read("0/a")) is True
         rig.part.deliver(install)
         assert rig.store.current_version == 9 and rig.store.gc_horizon == 2
-        assert rig.store.read("0/a", 5).value == "x"  # history came along
+        assert rig.store.read("0/a", 5)[1] == "x"  # history came along
         assert rig.floors == [9]
         assert [r.keys for r in rig.rerouted] == [("0/a",)]
         assert rig.part.park_read(read("0/a")) is False
@@ -276,7 +276,7 @@ class TestMergeInstall:
         # One version above *both* counters; window and gc horizon floor there.
         assert rig.store.current_version == 7 == rig.store.gc_horizon
         assert rig.floors == [7]
-        assert rig.store.read("2/a", 7).value == "new"
+        assert rig.store.read("2/a", 7)[1] == "new"
         assert hooked == [("p1", 7, frozenset({"2/a", "2/b"}))]
         assert rig.calls == ["drain"]
         assert proposed(rig, FinishSplit) == [("p2", FinishSplit(change=merge))]

@@ -11,19 +11,18 @@ from repro.storage.mvstore import MultiVersionStore
 class TestBasics:
     def test_missing_key_reads_as_initial(self):
         store = MultiVersionStore()
-        assert store.read("x").value is None
-        assert store.read("x").version == 0
+        assert store.read("x") == (0, None)
 
     def test_apply_and_read_latest(self):
         store = MultiVersionStore()
         store.apply({"x": 1}, version=1)
-        assert store.read_latest("x").value == 1
+        assert store.read_latest("x")[1] == 1
         assert store.current_version == 1
 
     def test_seed_loads_version_zero(self):
         store = MultiVersionStore()
         store.seed({"x": 10})
-        assert store.read("x", snapshot=0).value == 10
+        assert store.read("x", snapshot=0)[1] == 10
         assert store.current_version == 0
 
     def test_seed_after_apply_rejected(self):
@@ -37,22 +36,22 @@ class TestBasics:
         store.apply({"x": 1}, 1)
         store.apply({"x": 2}, 2)
         store.apply({"x": 3}, 3)
-        assert store.read("x", snapshot=1).value == 1
-        assert store.read("x", snapshot=2).value == 2
-        assert store.read("x", snapshot=3).value == 3
+        assert store.read("x", snapshot=1)[1] == 1
+        assert store.read("x", snapshot=2)[1] == 2
+        assert store.read("x", snapshot=3)[1] == 3
 
     def test_snapshot_between_versions_sees_most_recent_below(self):
         store = MultiVersionStore()
         store.apply({"x": 1}, 1)
         store.apply({"y": 9}, 2)  # x untouched at version 2
         store.apply({"x": 3}, 3)
-        assert store.read("x", snapshot=2).value == 1
+        assert store.read("x", snapshot=2)[1] == 1
 
     def test_snapshot_zero_sees_only_seed(self):
         store = MultiVersionStore()
         store.seed({"x": "initial"})
         store.apply({"x": "new"}, 1)
-        assert store.read("x", snapshot=0).value == "initial"
+        assert store.read("x", snapshot=0)[1] == "initial"
 
     def test_versions_must_increase(self):
         store = MultiVersionStore()
@@ -80,8 +79,8 @@ class TestGarbageCollection:
             store.apply({"x": version}, version)
         dropped = store.collect_garbage(3)
         assert dropped == 2  # versions 1, 2 dropped; 3 kept as horizon value
-        assert store.read("x", snapshot=3).value == 3
-        assert store.read("x", snapshot=5).value == 5
+        assert store.read("x", snapshot=3)[1] == 3
+        assert store.read("x", snapshot=5)[1] == 5
 
     def test_read_below_horizon_raises(self):
         store = MultiVersionStore()
@@ -103,7 +102,7 @@ class TestGarbageCollection:
         store.apply({"x": 1}, 1)
         store.apply({"y": 2}, 2)
         store.collect_garbage(2)
-        assert store.read("x", snapshot=2).value == 1
+        assert store.read("x", snapshot=2)[1] == 1
 
 
 class TestSharedSeed:
@@ -126,10 +125,10 @@ class TestSharedSeed:
         store = self.seeded()
         store.apply({"a": 5}, 1)
         store.apply({"a": 6, "c": "new"}, 2)
-        assert [store.read(key, 0).value for key in "abc"] == [0, 0, [1, 2]]
-        assert [store.read(key, 2).value for key in "abcd"] == [6, 0, "new", [1, 2]]
+        assert [store.read(key, 0)[1] for key in "abc"] == [0, 0, [1, 2]]
+        assert [store.read(key, 2)[1] for key in "abcd"] == [6, 0, "new", [1, 2]]
         assert store.collect_garbage(2) == 3  # a: versions 0 and 1; c: version 0
-        assert store.read("b", 2).value == 0 and store.read("d", 2).value == [1, 2]
+        assert store.read("b", 2)[1] == 0 and store.read("d", 2)[1] == [1, 2]
         with pytest.raises(SnapshotTooOldError):
             store.read("b", 1)
         dump = store.dump()
@@ -159,7 +158,7 @@ class TestProperties:
             for known_key, known_value in latest.items():
                 expected[(known_key, version)] = known_value
         for (key, version), value in expected.items():
-            assert store.read(key, snapshot=version).value == value
+            assert store.read(key, snapshot=version)[1] == value
 
     @given(st.lists(st.sampled_from("ab"), min_size=1, max_size=20))
     def test_version_chain_sorted(self, keys):
@@ -167,5 +166,5 @@ class TestProperties:
         for version, key in enumerate(keys, start=1):
             store.apply({key: version}, version)
         for key in set(keys):
-            versions = [vv.version for vv in store.versions_of(key)]
+            versions = [version for version, _ in store.versions_of(key)]
             assert versions == sorted(versions)
