@@ -39,10 +39,6 @@ class ScaleDecision:
     #: A candidate existed but the cooldown window swallowed it.
     suppressed_by_cooldown: bool = False
 
-    @property
-    def acts(self) -> bool:
-        return self.action in ("split", "merge")
-
 
 HOLD = ScaleDecision(action="hold")
 

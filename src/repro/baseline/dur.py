@@ -48,7 +48,6 @@ def classic_dur_deployment(num_servers: int = 3, region: str = US_EAST) -> Deplo
 def build_classic_dur(
     num_servers: int = 3,
     config: SdurConfig | None = None,
-    region: str = US_EAST,
     seed: int = 0,
     intra_delay: float | None = None,
 ) -> SdurCluster:
@@ -58,7 +57,7 @@ def build_classic_dur(
     termination path is one atomic broadcast plus certification — classic
     deferred update replication.
     """
-    deployment = classic_dur_deployment(num_servers, region)
+    deployment = classic_dur_deployment(num_servers, US_EAST)
     partition_map = PartitionMap(1)
     return build_cluster(
         deployment,

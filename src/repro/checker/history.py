@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro.core.client import TxnResult
 from repro.core.transaction import TxnId, TxnProjection
-from repro.errors import ProtocolError
 
 
 @dataclass(frozen=True)
@@ -123,23 +122,3 @@ class HistoryRecorder:
     def committed_results(self) -> list[TxnResult]:
         return [r for r in self.results if r.committed]
 
-    def commit_version(self, tid: TxnId, partition: str) -> int:
-        try:
-            return self.commits[tid][partition].version
-        except KeyError:
-            raise ProtocolError(f"no commit recorded for {tid} in {partition}") from None
-
-    def assert_replica_agreement(self, expected_reporters: dict[str, int] | None = None) -> None:
-        """Raise if replicas diverged; optionally require full reporting.
-
-        ``expected_reporters`` maps partition -> replica count; when given,
-        every commit must have been reported by every replica of its
-        partition (use after the simulation has fully drained).
-
-        A convenience wrapper over
-        :func:`repro.checker.agreement.replica_agreement`, which returns
-        the structured report instead of raising.
-        """
-        from repro.checker.agreement import replica_agreement
-
-        replica_agreement(self, expected_reporters).raise_if_failed()

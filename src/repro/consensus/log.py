@@ -157,18 +157,6 @@ class PaxosLog:
             out.append((self._next_to_deliver, entry.chosen_value))
             self._next_to_deliver += 1
 
-    def undelivered_gaps(self, up_to: int) -> list[int]:
-        """Instances in ``[next_to_deliver, up_to]`` that are not chosen.
-
-        After a leader change these are the holes the new leader must fill
-        (re-proposing discovered values or no-ops).
-        """
-        return [
-            instance
-            for instance in range(self._next_to_deliver, up_to + 1)
-            if not self.is_chosen(instance)
-        ]
-
     # ------------------------------------------------------------------
     # Acceptor state snapshot for Phase 1b
     # ------------------------------------------------------------------

@@ -133,12 +133,11 @@ class GenuineMulticast:
         self._early_proposals: dict[str, dict[str, int]] = {}
         self._delivered: set[str] = set()
         self._seq = 0
-        self.delivered_count = 0
 
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def amcast(self, groups: tuple[str, ...], payload: Any, mid: str | None = None) -> str:
+    def amcast(self, groups: tuple[str, ...], payload: Any) -> str:
         """Multicast ``payload`` to ``groups``; returns the message id.
 
         Callable from any member of any group; the message is routed to
@@ -149,9 +148,8 @@ class GenuineMulticast:
             raise ConfigurationError(f"unknown destination groups {unknown}")
         if not groups:
             raise ProtocolError("amcast needs at least one destination group")
-        if mid is None:
-            self._seq += 1
-            mid = f"{self.runtime.node_id}-{self._seq}"
+        self._seq += 1
+        mid = f"{self.runtime.node_id}-{self._seq}"
         destinations = tuple(sorted(set(groups)))
         submit = AmcastSubmit(mid=mid, groups=destinations, payload=payload)
         for group in destinations:
@@ -270,5 +268,4 @@ class GenuineMulticast:
             # so nothing can still order before it.
             del self._pending[candidate.mid]
             self._delivered.add(candidate.mid)
-            self.delivered_count += 1
             self.on_deliver(candidate.mid, candidate.payload)

@@ -152,9 +152,6 @@ class PaxosReplica:
         #: Each member's ``next_to_deliver`` as its last ``Accepted``
         #: reported it; emptied when this node begins Phase 1.
         self._delivered_at: dict[str, int] = {}
-        # Statistics.
-        self.delivered_count = 0
-        self.proposed_count = 0
 
         self.elector = LeaderElector(
             runtime,
@@ -254,7 +251,6 @@ class PaxosReplica:
         caller — the SDUR client re-sends unacknowledged commit requests,
         and servers de-duplicate deliveries by transaction id.
         """
-        self.proposed_count += 1
         self._route_proposal(value)
 
     def _route_proposal(self, value: Any) -> None:
@@ -647,8 +643,6 @@ class PaxosReplica:
             return
         if isinstance(value, Batch):
             for item in value.values:
-                self.delivered_count += 1
                 self.on_deliver(instance, item)
             return
-        self.delivered_count += 1
         self.on_deliver(instance, value)

@@ -21,7 +21,7 @@ two-phase-commit-like vote exchange:
   geo extensions (transaction delaying and reordering).
 """
 
-from repro.core.certifier import CertificationWindow, CommittedRecord, ctest
+from repro.core.certifier import CertificationWindow, ctest
 from repro.core.client import ClientConfig, Read, ReadMany, SdurClient, TxnResult
 from repro.core.config import ServiceCosts, SdurConfig
 from repro.core.directory import ClusterDirectory
@@ -34,7 +34,6 @@ __all__ = [
     "CertificationWindow",
     "ClientConfig",
     "ClusterDirectory",
-    "CommittedRecord",
     "Outcome",
     "PartitionMap",
     "PendingList",

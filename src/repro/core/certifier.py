@@ -26,13 +26,12 @@ The window keeps each commit as one plain tuple of atoms (a
 :data:`WindowEntry`), never as an object: CPython's collector stops
 tracking an exact tuple of untracked items after one young collection,
 so ``history_window`` retained commits cost full collections nothing
-(docs/PROTOCOL.md §15).  :class:`CommittedRecord` is the readable form,
-rebuilt only where a reader needs one.
+(docs/PROTOCOL.md §15).  :class:`repro.core.checkpoint.WindowRecord` is
+the readable form, rebuilt only where a reader needs one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Protocol
 
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
@@ -64,32 +63,11 @@ def window_entry(
     )
 
 
-def _readset_digest(readset: tuple[str, ...] | bytes) -> ReadsetDigest:
+def readset_digest(readset: tuple[str, ...] | bytes) -> ReadsetDigest:
     """The :class:`ReadsetDigest` an entry's readset was packed from."""
     if isinstance(readset, bytes):
         return ReadsetDigest(bloom=readset)
     return ReadsetDigest(keys=frozenset(readset))
-
-
-@dataclass(frozen=True, slots=True)
-class CommittedRecord:
-    """What certification remembers about one committed transaction, in
-    readable form: a window entry unpacked (:meth:`of`) for checkpoints
-    and for the scan oracle.  The window itself never holds one."""
-
-    tid: TxnId
-    #: Partition snapshot counter after this transaction applied.
-    version: int
-    readset: ReadsetDigest
-    ws_keys: frozenset[str]
-    is_global: bool
-
-    @classmethod
-    def of(cls, entry: WindowEntry) -> CommittedRecord:
-        version, client, seq, readset, ws_keys, is_global = entry
-        return cls(
-            TxnId(client, seq), version, _readset_digest(readset), frozenset(ws_keys), is_global
-        )
 
 
 def ctest(txn: TxnProjection, committed: WindowEntry) -> bool:
@@ -104,7 +82,7 @@ def ctest(txn: TxnProjection, committed: WindowEntry) -> bool:
         return False
     if txn.is_global and txn.writeset:
         if isinstance(readset, bytes):
-            return not _readset_digest(readset).contains_any(txn.writeset)
+            return not readset_digest(readset).contains_any(txn.writeset)
         return not any(key in readset for key in txn.writeset)
     return True
 

@@ -122,12 +122,6 @@ class _WriteSegments:
                 return True
         return False
 
-    def entry_count(self) -> int:
-        return sum(len(segment[3]) for segment in self._segments)
-
-    def segment_count(self) -> int:
-        return len(self._segments)
-
 
 class KeyConflictIndex:
     """Per-key version tables mirroring a window and a pending list."""

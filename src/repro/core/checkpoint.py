@@ -11,9 +11,10 @@ has produced up to a broadcast instance:
 * the certification window (needed to certify transactions whose
   snapshots predate the checkpoint) — the key-conflict index
   (:mod:`repro.core.certindex`) is *not* serialized: it is a pure
-  function of the window and is rebuilt from these records at restore,
-* the current reorder threshold (it can be changed at runtime via
-  ``ThresholdChange``, so it is delivery-path state).
+  function of the window and is rebuilt from these records at restore.
+
+The reorder threshold is not captured: it is configuration, fixed for a
+server's life, so a restored server takes it from its own ``SdurConfig``.
 
 Checkpoints are only taken at *quiescent* delivery points — empty
 pending list, no gated deliveries — so no in-flight vote state needs
@@ -36,7 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.certifier import CertificationWindow, CommittedRecord, window_entry
+from repro.core.certifier import (
+    CertificationWindow,
+    WindowEntry,
+    readset_digest,
+    window_entry,
+)
 from repro.core.transaction import ReadsetDigest, TxnId
 from repro.errors import ProtocolError
 from repro.net.message import Message, decode_message, encode_message, message
@@ -45,13 +51,23 @@ from repro.net.message import Message, decode_message, encode_message, message
 @message
 @dataclass(frozen=True)
 class WindowRecord(Message):
-    """Wire form of one certification-window entry."""
+    """One certification-window entry in readable form: the wire form in
+    checkpoints, and what tests compare windows by.  The window itself
+    never holds one."""
 
     tid: TxnId
+    #: Partition snapshot counter after this transaction applied.
     version: int
     readset: ReadsetDigest
     ws_keys: frozenset[str]
     is_global: bool
+
+    @classmethod
+    def of(cls, entry: WindowEntry) -> WindowRecord:
+        version, client, seq, readset, ws_keys, is_global = entry
+        return cls(
+            TxnId(client, seq), version, readset_digest(readset), frozenset(ws_keys), is_global
+        )
 
 
 @message
@@ -64,7 +80,6 @@ class ServerCheckpoint(Message):
     next_instance: int
     sc: int
     dc: int
-    reorder_threshold: int
     #: key -> ((version, value), ...) ascending.
     chains: dict[str, Any] = field(default_factory=dict)
     gc_horizon: int = 0
@@ -103,17 +118,7 @@ class CheckpointReply(Message):
 
 def window_to_wire(window: CertificationWindow) -> tuple:
     """Each window entry, unpacked into its readable wire form."""
-    records = map(CommittedRecord.of, window)
-    return tuple(
-        WindowRecord(
-            tid=record.tid,
-            version=record.version,
-            readset=record.readset,
-            ws_keys=record.ws_keys,
-            is_global=record.is_global,
-        )
-        for record in records
-    )
+    return tuple(map(WindowRecord.of, window))
 
 
 def window_from_wire(records: tuple, capacity: int, floor: int) -> CertificationWindow:

@@ -5,8 +5,8 @@ Three kinds of traffic:
 * client ↔ server — reads (a read-only transaction's snapshot vector
   rides its first one), commit requests, outcomes;
 * values inside per-partition atomic broadcast — transaction projections,
-  no-op ticks (liveness for the reorder threshold), abort requests
-  (recovery), threshold changes;
+  no-op ticks (liveness for the reorder threshold) and abort requests
+  (recovery);
 * server ↔ server — certification votes for global transactions and the
   gossip that builds globally-consistent snapshot vectors.
 """
@@ -149,14 +149,6 @@ class AbortRequest(Message):
     involved: tuple[str, ...] = ()
     #: Client to notify if the abort request wins the race.
     client: str = ""
-
-
-@message
-@dataclass(frozen=True)
-class ThresholdChange(Message):
-    """Replicas change the reorder threshold by broadcasting a new value."""
-
-    value: int
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import zlib
 from collections.abc import Callable, Iterable
-from typing import Any
 
 from repro.errors import ConfigurationError
 
@@ -31,27 +30,7 @@ class PartitionMap:
         self._assign = assign
 
     @classmethod
-    def hashed(cls, num_partitions: int) -> "PartitionMap":
-        """Uniform hash partitioning (the microbenchmark's scheme)."""
-        return cls(num_partitions)
-
-    @classmethod
-    def by_prefix(cls, num_partitions: int, separator: str = "/") -> "PartitionMap":
-        """Partition by the key's first path component.
-
-        Keys like ``user42/posts`` and ``user42/followers`` land in the
-        same partition, which is how the social-network benchmark keeps a
-        user's data together (paper §VI-A).
-        """
-
-        def assign(key: str) -> int:
-            prefix = key.split(separator, 1)[0]
-            return zlib.crc32(prefix.encode()) % num_partitions
-
-        return cls(num_partitions, assign)
-
-    @classmethod
-    def by_index(cls, num_partitions: int, separator: str = "/") -> "PartitionMap":
+    def by_index(cls, num_partitions: int) -> "PartitionMap":
         """Keys carry their partition (or user) index as a numeric prefix.
 
         ``"3/obj17"`` lands in partition ``3 % num_partitions``.  The
@@ -60,7 +39,7 @@ class PartitionMap:
         """
 
         def assign(key: str) -> int:
-            prefix = key.split(separator, 1)[0]
+            prefix = key.split("/", 1)[0]
             return int(prefix) % num_partitions
 
         return cls(num_partitions, assign)
@@ -89,10 +68,3 @@ class PartitionMap:
         """Sorted tuple of distinct partitions touched by ``keys``."""
         return tuple(sorted({self.partition_of(key) for key in keys}))
 
-    def group_by_partition(self, items: Iterable[Any]) -> dict[str, list[Any]]:
-        """Bucket keys (or ``(key, ...)`` tuples keyed on [0]) by partition."""
-        grouped: dict[str, list[Any]] = {}
-        for item in items:
-            key = item[0] if isinstance(item, tuple) else item
-            grouped.setdefault(self.partition_of(key), []).append(item)
-        return grouped

@@ -76,9 +76,6 @@ class PendingTxn:
             return Outcome.COMMIT
         return Outcome.ABORT
 
-    def has_abort_vote(self) -> bool:
-        return any(vote == Outcome.ABORT.value for vote in self.votes.values())
-
 
 class PendingListener(Protocol):
     """Observes pending-list mutations (the key-conflict index mirrors them)."""
@@ -157,8 +154,3 @@ class PendingList:
     def globals_pending(self) -> list[PendingTxn]:
         return [entry for entry in self._entries if entry.proj.is_global]
 
-    def position_of(self, tid: TxnId) -> int:
-        entry = self._by_tid.get(tid)
-        if entry is None:
-            raise ProtocolError(f"{tid} not pending")
-        return self._entries.index(entry)

@@ -65,7 +65,6 @@ from repro.core.messages import (
     OutcomeNotice,
     ReadRequest,
     ReadResponse,
-    ThresholdChange,
     Vote,
 )
 from repro.core.partitioning import PartitionMap
@@ -138,7 +137,7 @@ class SdurServer:
         self._attach_certifier()
         #: Delivered-transactions counter (Algorithm 2's ``DC``).
         self.dc = 0
-        #: Current reorder threshold (changeable via ThresholdChange).
+        #: The reorder threshold (§IV-E), fixed for the server's life.
         self.reorder_threshold = self.config.reorder_threshold
         #: Recently completed transactions, bounded: ``(client, seq) ->
         #: outcome``, keyed by the tid's atoms so the collector stops
@@ -595,8 +594,6 @@ class SdurServer:
             self.ledger.on_abort_request(value)
         elif isinstance(value, VoteRecord):
             self.ledger.deliver(value)
-        elif isinstance(value, ThresholdChange):
-            self.reorder_threshold = value.value
         elif not self.reconfig.deliver(value):
             raise ProtocolError(f"unexpected broadcast value {type(value).__name__}")
 
@@ -610,10 +607,6 @@ class SdurServer:
                 self.reconfig.stalled_on(self._stalled[0])
                 return
             self._process_value(self._stalled.popleft())
-
-    def request_threshold_change(self, value: int) -> None:
-        """Broadcast a new reorder threshold to this partition (§IV-E)."""
-        self.fabric.abcast(self.partition, ThresholdChange(value=value))
 
     def _deliver_txn(self, proj: TxnProjection) -> None:
         self.dc += 1
@@ -975,7 +968,6 @@ class SdurServer:
             next_instance=self._last_instance + 1,
             sc=self.sc,
             dc=self.dc,
-            reorder_threshold=self.reorder_threshold,
             chains={
                 key: tuple(chain) for key, chain in self.store.dump().items()
             },
@@ -1016,7 +1008,6 @@ class SdurServer:
             gc_horizon=checkpoint.gc_horizon,
         )
         self.dc = checkpoint.dc
-        self.reorder_threshold = checkpoint.reorder_threshold
         self.window = window_from_wire(
             checkpoint.window, self.config.history_window, checkpoint.window_floor
         )

@@ -64,10 +64,8 @@ class ReadsetDigest(Message):
         return cls(keys=frozenset(keys), bloom=None)
 
     @classmethod
-    def bloomed(
-        cls, keys: Any, fp_rate: float = 0.001, expected_items: int | None = None
-    ) -> "ReadsetDigest":
-        bloom = BloomFilter.from_keys(keys, fp_rate=fp_rate, expected_items=expected_items)
+    def bloomed(cls, keys: Any, fp_rate: float = 0.001) -> "ReadsetDigest":
+        bloom = BloomFilter.from_keys(keys, fp_rate=fp_rate)
         return cls(keys=None, bloom=bloom.to_bytes())
 
     def contains_any(self, keys: Any) -> bool:
@@ -139,9 +137,6 @@ class TxnProjection(Message):
     @property
     def ws_keys(self) -> frozenset[str]:
         return frozenset(self.writeset)
-
-    def other_partitions(self) -> tuple[str, ...]:
-        return tuple(p for p in self.partitions if p != self.partition)
 
     def __post_init__(self) -> None:
         if self.partition not in self.partitions:

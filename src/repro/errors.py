@@ -35,10 +35,6 @@ class ConsensusError(ReproError):
     """The atomic broadcast layer was misused or reached a bad state."""
 
 
-class NotLeaderError(ConsensusError):
-    """A value was proposed at a replica that is not the group leader."""
-
-
 class StorageError(ReproError):
     """The storage layer was misused or reached a bad state."""
 
@@ -49,15 +45,6 @@ class SnapshotTooOldError(StorageError):
 
 class ProtocolError(ReproError):
     """The SDUR protocol layer was misused or reached a bad state."""
-
-
-class TransactionAborted(ProtocolError):
-    """A transaction failed certification (raised by convenience APIs)."""
-
-    def __init__(self, txn_id: object, reason: str = "certification conflict"):
-        super().__init__(f"transaction {txn_id} aborted: {reason}")
-        self.txn_id = txn_id
-        self.reason = reason
 
 
 class ConfigurationError(ReproError):

@@ -43,7 +43,8 @@ def _exact_bytes(num_keys: int) -> int:
     return sum(len(f"0/obj{i}".encode()) for i in range(num_keys))
 
 
-def _measured_fp(fp_rate: float, num_keys: int, probes: int = 20_000) -> float:
+def _measured_fp(fp_rate: float, num_keys: int) -> float:
+    probes = 20_000
     digest = ReadsetDigest.bloomed(
         [f"0/obj{i}" for i in range(num_keys)], fp_rate=fp_rate
     )

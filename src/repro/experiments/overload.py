@@ -76,12 +76,11 @@ def _check(run: ExperimentRun) -> str:
 def _phase_rows(
     run: ExperimentRun,
     phases: list[tuple[str, float, float]],
-    bucket: float = 1.0,
 ) -> list[dict[str, Any]]:
     """Goodput / abort / shed rates per named ``(label, start, end)`` phase."""
     rows = []
     for label, start, end in phases:
-        points = run.collector.goodput_timeline(start, end, bucket=bucket)
+        points = run.collector.goodput_timeline(start, end)
         seconds = max(1, len(points))
         rows.append(
             {
@@ -310,13 +309,15 @@ def run_o3(quick: bool = False) -> ExperimentTable:
 # ----------------------------------------------------------------------
 
 
-def o4_once(
-    admission_on: bool, quick: bool = False, overload_factor: float = 5.0
-) -> dict[str, Any]:
+#: O4's offered load, in multiples of CAPACITY.
+O4_OVERLOAD = 5.0
+
+
+def o4_once(admission_on: bool, quick: bool = False) -> dict[str, Any]:
     """One O4 run; shared with the CI scenario-smoke benchmark."""
     measure = 6.0 if quick else 10.0
     clients = 4
-    rate_per_client = overload_factor * CAPACITY / clients
+    rate_per_client = O4_OVERLOAD * CAPACITY / clients
     deployment = lan_deployment(1)
     config = SdurConfig(costs=COSTS, admission=ADMISSION if admission_on else None)
     cluster = build_cluster(

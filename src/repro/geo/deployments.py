@@ -62,11 +62,6 @@ class Deployment:
                 return self.directory.preferred_of(partition)
         return self.directory.preferred_of(self.partition_ids[0])
 
-    def home_partition_for(self, client_id: str) -> str:
-        """The partition whose preferred server is nearest the client."""
-        session = self.session_server_for(client_id)
-        return self.directory.partition_of_server(session)
-
 
 def _server_names(partition_index: int, replicas: int) -> list[str]:
     base = partition_index * replicas
@@ -131,9 +126,7 @@ def wan2_deployment(num_partitions: int = 2, regions: list[str] | None = None) -
     return Deployment("wan2", topology, directory, preferred_region)
 
 
-def lan_deployment(
-    num_partitions: int, replicas: int = 3, region: str = US_EAST
-) -> Deployment:
+def lan_deployment(num_partitions: int, replicas: int = 3) -> Deployment:
     """Everything in one region: the DSN 2012 scalability setting."""
     topology = Topology()
     partitions: dict[str, list[str]] = {}
@@ -143,9 +136,9 @@ def lan_deployment(
         partition = f"p{index}"
         names = _server_names(index, replicas)
         for replica, name in enumerate(names):
-            topology.add_node(NodeSpec(name, region, f"dc{replica + 1}"))
+            topology.add_node(NodeSpec(name, US_EAST, f"dc{replica + 1}"))
         partitions[partition] = names
         preferred[partition] = names[0]
-        preferred_region[partition] = region
+        preferred_region[partition] = US_EAST
     directory = ClusterDirectory(partitions=partitions, preferred=preferred, topology=topology)
     return Deployment("lan", topology, directory, preferred_region)

@@ -125,7 +125,7 @@ class SdurCluster:
         server.is_partition_leader = replica.elector.is_leader
         server.checkpoint_hook = replica.compact_wal
 
-        def dispatch(src: str, msg: Any, replica=replica, server=server) -> None:
+        def dispatch(src: str, msg: Any) -> None:
             if isinstance(msg, PAXOS_MESSAGE_TYPES):
                 replica.handle(src, msg)
             else:
@@ -211,14 +211,7 @@ class SdurCluster:
     # ------------------------------------------------------------------
     # Elastic repartitioning
     # ------------------------------------------------------------------
-    def split_partition(
-        self,
-        source: str,
-        *,
-        new_members: list[str] | None = None,
-        new_preferred: str | None = None,
-        salt: str | None = None,
-    ) -> ConfigChange:
+    def split_partition(self, source: str) -> ConfigChange:
         """Split ``source`` live: spin up a new Paxos group and migrate.
 
         Builds the :class:`ConfigChange`, adds the new partition's server
@@ -229,13 +222,7 @@ class SdurCluster:
         Returns the change; clients learn it through the protocol
         (stale-epoch notices and read-response epoch sniffing).
         """
-        change = plan_split(
-            self.routing,
-            source,
-            new_members=new_members,
-            new_preferred=new_preferred,
-            salt=salt,
-        )
+        change = plan_split(self.routing, source)
         # Place the new replicas like the source's: same regions and
         # datacenters, one for one.
         source_members = self.routing.directory.servers_of(source)
@@ -354,10 +341,9 @@ class SdurCluster:
     # ------------------------------------------------------------------
     # Instrumentation and fault injection
     # ------------------------------------------------------------------
-    def attach_recorder(self, recorder: HistoryRecorder | None = None) -> HistoryRecorder:
-        """Hook a history recorder into every server; returns it."""
-        recorder = recorder or HistoryRecorder()
-        self.recorder = recorder
+    def attach_recorder(self) -> HistoryRecorder:
+        """Hook a new history recorder into every server; returns it."""
+        recorder = self.recorder = HistoryRecorder()
         for handle in self.servers.values():
             handle.server.on_commit_hook = recorder.server_hook(handle.node_id)
             handle.server.on_merge_hook = recorder.merge_hook(handle.node_id)

@@ -36,16 +36,12 @@ class ClosedLoopDriver:
         collector: MetricsCollector,
         recorder: HistoryRecorder | None = None,
         think_time: float = 0.0,
-        abort_retry: bool = False,
     ) -> None:
         self.client = client
         self.workload = workload
         self.collector = collector
         self.recorder = recorder
         self.think_time = think_time
-        #: Re-run the same kind of transaction on abort (the paper counts
-        #: aborted transactions separately; retries are new transactions).
-        self.abort_retry = abort_retry
         self._rng = client.runtime.rng("workload")
         self._stopped = False
         self.issued = 0
@@ -85,10 +81,6 @@ class OpenLoopDriver:
     transactions are still in flight, so — unlike the closed loop — it
     *can* overload the deployment.  Inter-arrival gaps are exponential
     (Poisson arrivals) from the client's deterministic RNG stream.
-
-    With ``retry_storm`` every abort immediately launches a replacement
-    transaction on top of the scheduled arrivals — the anti-pattern of a
-    caller that retries without backing off, amplifying its own overload.
     """
 
     #: Re-check interval while the shape's rate is zero.
@@ -101,14 +93,12 @@ class OpenLoopDriver:
         collector: MetricsCollector,
         shape: LoadShape,
         recorder: HistoryRecorder | None = None,
-        retry_storm: bool = False,
     ) -> None:
         self.client = client
         self.workload = workload
         self.collector = collector
         self.shape = shape
         self.recorder = recorder
-        self.retry_storm = retry_storm
         self._rng = client.runtime.rng("workload")
         self._stopped = False
         self.issued = 0
@@ -143,8 +133,6 @@ class OpenLoopDriver:
         self.collector.record(result)
         if self.recorder is not None:
             self.recorder.record_result(result)
-        if self.retry_storm and not result.committed and not self._stopped:
-            self._issue()
 
 
 @dataclass
@@ -202,14 +190,13 @@ def run_experiment(
     warmup: float,
     measure: float,
     drain: float = 3.0,
-    think_time: float = 0.0,
     record_history: bool = False,
 ) -> ExperimentRun:
     """Drive ``pairs`` of (client, workload) through a measured run."""
     collector = MetricsCollector()
     recorder = cluster.attach_recorder() if record_history else None
     drivers = [
-        ClosedLoopDriver(client, workload, collector, recorder, think_time=think_time)
+        ClosedLoopDriver(client, workload, collector, recorder)
         for client, workload in pairs
     ]
     return _run(cluster, collector, recorder, drivers, warmup, measure, drain)
@@ -222,13 +209,12 @@ def run_open_loop(
     measure: float,
     drain: float = 3.0,
     record_history: bool = False,
-    retry_storm: bool = False,
 ) -> ExperimentRun:
     """Like :func:`run_experiment`, but with scripted-rate open-loop load."""
     collector = MetricsCollector()
     recorder = cluster.attach_recorder() if record_history else None
     drivers = [
-        OpenLoopDriver(client, workload, collector, shape, recorder, retry_storm)
+        OpenLoopDriver(client, workload, collector, shape, recorder)
         for client, workload, shape in trios
     ]
     return _run(cluster, collector, recorder, drivers, warmup, measure, drain)

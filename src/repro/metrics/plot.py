@@ -23,16 +23,17 @@ from bisect import bisect_right
 #: Glyphs assigned to series, in order.
 SERIES_GLYPHS = "#:.*+o@%"
 
+#: Rows of a CDF plot.
+CDF_HEIGHT = 14
+
 
 def render_cdf(
     series: dict[str, list[tuple[float, float]]],
     width: int = 64,
-    height: int = 14,
-    unit_scale: float = 1000.0,
-    unit_label: str = "ms",
     title: str = "latency CDF",
 ) -> str:
-    """Render named CDF point-lists (seconds, fraction) as an ASCII plot.
+    """Render named CDF point-lists (seconds, fraction) as an ASCII plot
+    with its x axis in milliseconds.
 
     Series are drawn in order; later series overdraw earlier ones where
     they collide, which reads fine for the paper's well-separated curves.
@@ -46,6 +47,7 @@ def render_cdf(
     x_min = min(pts[0][0] for pts in populated.values())
     if x_max <= x_min:
         x_max = x_min + 1e-9
+    height = CDF_HEIGHT
     grid = [[" "] * width for _ in range(height)]
 
     def fraction_at(points: list[tuple[float, float]], x: float) -> float | None:
@@ -65,7 +67,7 @@ def render_cdf(
             row = height - 1 - min(height - 1, int(fraction * (height - 1) + 0.5))
             grid[row][column] = glyph
 
-    lines = [f"{title} ({unit_label})"]
+    lines = [f"{title} (ms)"]
     midpoint_row = round((height - 1) / 2)
     for row_index, row in enumerate(grid):
         if row_index == 0:
@@ -83,7 +85,7 @@ def render_cdf(
     ticks = []
     for i in range(5):
         x = x_min + (x_max - x_min) * i / 4
-        ticks.append(f"{x * unit_scale:.0f}")
+        ticks.append(f"{x * 1000:.0f}")
     positions = [int(i * (width - 1) / 4) for i in range(5)]
     tick_line = [" "] * (width + 6)
     for pos, text in zip(positions, ticks):

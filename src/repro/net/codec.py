@@ -196,15 +196,6 @@ def _field_shapes(cls: type, outer: tuple[type, ...] = ()) -> tuple[tuple[str, t
     return tuple(shapes)
 
 
-def _is_tagged(shape: tuple) -> bool:
-    """Does any position of ``shape`` — short of a nested registered
-    class, which answers for itself — take the tagged path?"""
-    kind = shape[0]
-    if kind == "any":
-        return True
-    return kind in ("opt", "tuple", "seq", "dict") and any(map(_is_tagged, shape[1:]))
-
-
 def _min_size(shape: tuple) -> int:
     """Fewest bytes a value of ``shape`` can occupy."""
     kind = shape[0]
@@ -215,12 +206,6 @@ def _min_size(shape: tuple) -> int:
     if kind == "msg":
         return sum(_min_size(item) for _, item in shape[2])
     return 1
-
-
-def tagged_fields(cls: type) -> frozenset[str]:
-    """The fields of registered class ``cls`` that the compiled codec
-    carries, wholly or in part, as self-describing tagged values."""
-    return frozenset(name for name, shape in _field_shapes(cls) if _is_tagged(shape))
 
 
 # ----------------------------------------------------------------------
@@ -691,11 +676,6 @@ def decode_packed(data: bytes) -> Any:
     if pos != size:
         raise CodecError(f"{size - pos} trailing bytes in packed frame")
     return value
-
-
-def packed_roundtrip(msg: Any) -> Any:
-    """Encode then decode (a test helper)."""
-    return decode_packed(encode_packed(msg))
 
 
 #: Codec name -> (encoder, decoder).  ``"packed"`` is what runs; JSON is

@@ -132,8 +132,3 @@ def decode_message(data: bytes) -> Any:
         return _decode_value(json.loads(data))
     except (TypeError, ValueError, KeyError) as exc:
         raise CodecError(f"failed to decode {data[:80]!r}") from exc
-
-
-def roundtrip(msg: Any) -> Any:
-    """Encode then decode through JSON (a test helper)."""
-    return decode_message(encode_message(msg))

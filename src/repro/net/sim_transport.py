@@ -80,17 +80,11 @@ class SimNetwork:
         """Attach ``handler`` as the message sink for ``node_id``."""
         self._handlers[node_id] = handler
 
-    def is_registered(self, node_id: str) -> bool:
-        return node_id in self._handlers
-
     def crash(self, node_id: str) -> None:
         """Crash-stop ``node_id``: it never sends or receives again."""
         self._crashed.add(node_id)
         if self.obs.enabled:
             self.obs.event("net.crash", node_id, None)
-
-    def is_crashed(self, node_id: str) -> bool:
-        return node_id in self._crashed
 
     def cut_link(self, a: str, b: str) -> None:
         """Silently drop all messages between ``a`` and ``b``."""
@@ -120,9 +114,6 @@ class SimNetwork:
         self._degraded.pop(node_id, None)
         if self.obs.enabled:
             self.obs.event("net.restore", node_id, None)
-
-    def is_degraded(self, node_id: str) -> bool:
-        return node_id in self._degraded
 
     def _degrade_penalty(self, src: str, dst: str) -> float:
         penalty = 0.0

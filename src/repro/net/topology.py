@@ -92,9 +92,6 @@ class Topology:
     def nodes_in_region(self, region: str) -> list[str]:
         return [node_id for node_id, spec in self._nodes.items() if spec.region == region]
 
-    def same_region(self, a: str, b: str) -> bool:
-        return self.region_of(a) == self.region_of(b)
-
     def sort_by_proximity(self, from_node: str, candidates: list[str]) -> list[str]:
         """Order ``candidates`` from nearest to farthest from ``from_node``.
 

@@ -116,23 +116,23 @@ class Attribution:
         return " + ".join(f"{t.name} {t.hops}" for t in self.terms)
 
 
-def match_hops(
-    seconds: float,
-    delta: float,
-    inter_delta: float,
-    tolerance: float = 0.0015,
-    max_hops: int = 8,
-) -> tuple[int, int] | None:
-    """The closest ``(a, b)`` with ``|seconds − aδ − bΔ| ≤ tolerance``.
+#: How far a term may sit from ``aδ + bΔ`` and still match it, seconds.
+MATCH_TOLERANCE = 0.0015
+#: The largest ``a`` or ``b`` a term is matched against.
+MAX_HOPS = 8
 
-    Ties prefer fewer total hops.  ``max_hops`` bounds each coefficient;
+
+def match_hops(seconds: float, delta: float, inter_delta: float) -> tuple[int, int] | None:
+    """The closest ``(a, b)`` with ``|seconds − aδ − bΔ| ≤ MATCH_TOLERANCE``.
+
+    Ties prefer fewer total hops.  ``MAX_HOPS`` bounds each coefficient;
     with the defaults (δ=5 ms, Δ=60 ms) all reachable combinations are
     at least 5 ms apart, so matching is unambiguous.
     """
     best: tuple[int, int] | None = None
-    best_err = tolerance
-    for a in range(max_hops + 1):
-        for b in range(max_hops + 1):
+    best_err = MATCH_TOLERANCE
+    for a in range(MAX_HOPS + 1):
+        for b in range(MAX_HOPS + 1):
             err = abs(seconds - a * delta - b * inter_delta)
             if err < best_err or (
                 best is not None
@@ -143,12 +143,7 @@ def match_hops(
     return best
 
 
-def attribute(
-    trace: TxnTrace,
-    delta: float,
-    inter_delta: float,
-    tolerance: float = 0.0015,
-) -> Attribution | None:
+def attribute(trace: TxnTrace, delta: float, inter_delta: float) -> Attribution | None:
     """Decompose one committed update transaction's trace.
 
     Returns ``None`` for read-only transactions (no commit phase was
@@ -168,7 +163,7 @@ def attribute(
     def term(name: str, seconds: float, always: bool = False) -> Term | None:
         if not always and abs(seconds) <= _ZERO:
             return None
-        hops = match_hops(seconds, delta, inter_delta, tolerance)
+        hops = match_hops(seconds, delta, inter_delta)
         if hops is None:
             return Term(name, seconds)
         return Term(name, seconds, hops[0], hops[1])

@@ -71,14 +71,10 @@ class TxnTrace:
     def duration(self) -> float:
         return self.root.duration
 
-    def find(
-        self, kind: str, node: str | None = None, latest: bool = False, **attr_eq: Any
-    ) -> ObsEvent | None:
-        """Earliest (or latest) raw event matching kind/node/attrs."""
+    def find(self, kind: str, node: str | None = None, **attr_eq: Any) -> ObsEvent | None:
+        """Earliest raw event matching kind/node/attrs."""
         hits = self.find_all(kind, node, **attr_eq)
-        if not hits:
-            return None
-        return hits[-1] if latest else hits[0]
+        return hits[0] if hits else None
 
     def find_all(self, kind: str, node: str | None = None, **attr_eq: Any) -> list[ObsEvent]:
         out = []

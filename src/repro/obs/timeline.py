@@ -17,7 +17,11 @@ from __future__ import annotations
 from repro.obs.spans import Span, TxnTrace
 
 
-def render_timeline(trace: TxnTrace, width: int = 48) -> str:
+#: Characters in each span's bar.
+BAR_WIDTH = 48
+
+
+def render_timeline(trace: TxnTrace) -> str:
     """A human-readable ladder of ``trace``'s spans."""
     origin = trace.start
     total = max(trace.duration, 1e-9)
@@ -26,9 +30,9 @@ def render_timeline(trace: TxnTrace, width: int = 48) -> str:
     def emit(span: Span, depth: int) -> None:
         rel_start = (span.start - origin) * 1000
         rel_end = (span.end - origin) * 1000
-        left = int(round((span.start - origin) / total * (width - 1)))
-        right = int(round((span.end - origin) / total * (width - 1)))
-        bar = [" "] * width
+        left = int(round((span.start - origin) / total * (BAR_WIDTH - 1)))
+        right = int(round((span.end - origin) / total * (BAR_WIDTH - 1)))
+        bar = [" "] * BAR_WIDTH
         for col in range(left, max(right, left) + 1):
             bar[col] = "#"
         label = f"{'  ' * depth}{span.name} @{span.node}"

@@ -99,17 +99,13 @@ class TokenBucket:
             self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
         self._refilled_at = now
 
-    def try_take(self, now: float, tokens: float = 1.0) -> bool:
-        """Consume ``tokens`` if available; refills lazily from ``now``."""
+    def try_take(self, now: float) -> bool:
+        """Consume a token if one is available; refills lazily from ``now``."""
         self._refill(now)
-        if self._tokens >= tokens:
-            self._tokens -= tokens
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
-
-    def available(self, now: float) -> float:
-        self._refill(now)
-        return self._tokens
 
 
 class AdmissionController:

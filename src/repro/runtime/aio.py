@@ -19,18 +19,12 @@ from __future__ import annotations
 
 import asyncio
 import random
-import time
 from collections.abc import Callable
 from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.net.asyncio_transport import AioTransport
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    ObsRecorder,
-    default_tracing,
-    register_recorder,
-)
+from repro.obs.recorder import NULL_RECORDER, ObsRecorder
 from repro.runtime.base import DEAD_TIMER, LiveTimer, Runtime, TimerHandle
 from repro.sim.rng import RngRegistry
 
@@ -42,16 +36,11 @@ class AioWorld:
         self,
         directory: dict[str, tuple[str, int]],
         seed: int = 0,
-        obs: ObsRecorder | None = None,
     ) -> None:
         self.directory = dict(directory)
         self.rng = RngRegistry(seed)
-        self.obs: ObsRecorder = obs if obs is not None else NULL_RECORDER
-        if self.obs.enabled:
-            # Wall-clock tracing (the asyncio loop's clock is monotonic).
-            self.obs.bind_clock(time.monotonic)
-            if default_tracing():
-                register_recorder(self.obs)
+        #: Nothing traces an asyncio deployment: its recorder is the null one.
+        self.obs: ObsRecorder = NULL_RECORDER
         self._runtimes: dict[str, AioNodeRuntime] = {}
         #: Optional static one-way delay estimates for the delaying technique.
         self.delay_estimates: dict[tuple[str, str], float] = {}

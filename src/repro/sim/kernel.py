@@ -124,22 +124,11 @@ class Kernel:
         self._heap: list[ScheduledEvent] = []
         self._seq = itertools.count()
         self._running = False
-        self._events_executed = 0
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def events_executed(self) -> int:
-        """Total number of callbacks executed so far (for tests/metrics)."""
-        return self._events_executed
-
-    @property
-    def pending_count(self) -> int:
-        """Number of scheduled, not-yet-cancelled events."""
-        return sum(1 for event in self._heap if not event.cancelled)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -199,7 +188,6 @@ class Kernel:
             if event.time < self._now:
                 raise ClockError("event heap produced an event in the past")
             self._now = event.time
-            self._events_executed += 1
             event.callback(*event.args)
             return True
         return False

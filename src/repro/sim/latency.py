@@ -108,15 +108,6 @@ class CompositeLatency(LatencyModel):
         self.default = default
         self._links: dict[tuple[Hashable, Hashable], LatencyModel] = {}
 
-    def set_link(self, src: Hashable, dst: Hashable, model: LatencyModel) -> None:
-        """Override the model for messages from ``src`` to ``dst``."""
-        self._links[(src, dst)] = model
-
-    def set_link_symmetric(self, a: Hashable, b: Hashable, model: LatencyModel) -> None:
-        """Override the model in both directions between ``a`` and ``b``."""
-        self.set_link(a, b, model)
-        self.set_link(b, a, model)
-
     def _model_for(self, src: Hashable, dst: Hashable) -> LatencyModel:
         return self._links.get((src, dst), self.default)
 

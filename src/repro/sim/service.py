@@ -29,15 +29,6 @@ class ServiceStation:
         #: Number of work items completed.
         self.completed = 0
 
-    @property
-    def queue_length(self) -> int:
-        """Items waiting (not counting the one in service)."""
-        return len(self._queue)
-
-    @property
-    def busy(self) -> bool:
-        return self._busy
-
     def submit(self, service_time: float, callback: Callable[[], None]) -> None:
         """Enqueue a work item; ``callback`` runs when its service completes.
 

@@ -95,9 +95,12 @@ class MultiVersionStore:
         Seeded values repeat — a benchmark seeds every key with ``0`` — so
         every key seeded with the same object shares one ``(0, value)``
         tuple (immutable, so sharing it changes no read, GC or checkpoint).
+        Seeding a key again replaces its version 0.
         """
         if self._current_version != 0:
             raise StorageError("seed() must run before any apply()")
+        for key in self._versions.keys() & items.keys():
+            del self._versions[key]
         shared: dict[int, Version] = {}
         for key, value in items.items():
             base = shared.get(id(value))
@@ -160,10 +163,6 @@ class MultiVersionStore:
 
     def read_latest(self, key: Any) -> Version:
         return self.read(key, None)
-
-    def versions_of(self, key: Any) -> list[Version]:
-        """All retained versions of ``key`` (oldest first); for tests."""
-        return list(self._versions.get(key, ()))
 
     def evict_keys(self, keys: Iterator[Any] | list[Any] | frozenset[Any]) -> int:
         """Drop entire version chains (keys migrated to another partition).

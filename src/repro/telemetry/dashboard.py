@@ -26,8 +26,11 @@ __all__ = ["sparkline", "render_dashboard"]
 
 _BARS = "▁▂▃▄▅▆▇█"
 
+#: Characters in one dashboard sparkline.
+SPARK_WIDTH = 40
 
-def sparkline(values: list[float], width: int = 40) -> str:
+
+def sparkline(values: list[float], width: int = SPARK_WIDTH) -> str:
     """Render ``values`` as a fixed-width sparkline (downsampled by
     striding when longer than ``width``; scaled to the series' range)."""
     if not values:
@@ -56,7 +59,6 @@ def render_dashboard(
     sampler: TelemetrySampler,
     metrics: list[str] | None = None,
     health: "HealthMonitor | None" = None,
-    width: int = 40,
 ) -> str:
     """One section per metric, one sparkline row per node."""
     metrics = metrics or ["sdur_certified", "sdur_queue_depth"]
@@ -72,7 +74,7 @@ def render_dashboard(
                 break
         as_rate = kind == "counter"
         title = f"{metric} (rate/s)" if as_rate else metric
-        lines.append(f"== {title} ".ljust(name_width + width + 14, "="))
+        lines.append(f"== {title} ".ljust(name_width + SPARK_WIDTH + 14, "="))
         for node in nodes:
             series = sampler.series.get(node, {}).get(metric)
             if series is None:
@@ -84,7 +86,7 @@ def render_dashboard(
             status = health.nodes.get(node) if health is not None else None
             mark = "!" if status is not None and status.status == "degraded" else " "
             row = (
-                f"{node:<{name_width}} {mark}{sparkline(values, width):<{width}} "
+                f"{node:<{name_width}} {mark}{sparkline(values):<{SPARK_WIDTH}} "
                 f"{current:>10.1f}" + ("/s" if as_rate else "  ")
             )
             if mark == "!":

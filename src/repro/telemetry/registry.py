@@ -79,10 +79,9 @@ class MetricRegistry:
         *,
         unit: str = "1",
         help: str = "",
-        subbuckets: int = 32,
     ) -> LogLinearHistogram:
         spec = MetricSpec(name=name, kind="histogram", unit=unit, help=help)
-        hist = LogLinearHistogram(spec, subbuckets=subbuckets)
+        hist = LogLinearHistogram(spec)
         self._declare(name, hist)
         return hist
 

@@ -43,7 +43,6 @@ class TelemetrySampler:
         self.series: dict[str, dict[str, RingSeries]] = {}
         self.samples_taken = 0
         self._hooks: list[SampleHook] = []
-        self._armed = False
         self._schedule: Callable[..., Any] | None = None
 
     # -- membership -----------------------------------------------------
@@ -51,10 +50,6 @@ class TelemetrySampler:
         """Start sampling ``registry`` as ``node`` (idempotent)."""
         self.registries[node] = registry
         self.series.setdefault(node, {})
-
-    def detach(self, node: str) -> None:
-        """Stop sampling a node; its recorded series stay readable."""
-        self.registries.pop(node, None)
 
     def on_sample(self, hook: SampleHook) -> None:
         self._hooks.append(hook)
@@ -95,18 +90,12 @@ class TelemetrySampler:
         """Start the periodic tick on ``schedule(delay, callback)`` —
         the sim kernel's ``schedule`` or an aio runtime's ``set_timer``.
         Idempotent."""
-        if self._armed:
+        if self._schedule is not None:
             return
-        self._armed = True
         self._schedule = schedule
         schedule(self.config.interval, self._tick)
 
-    def disarm(self) -> None:
-        self._armed = False
-
     def _tick(self) -> None:
-        if not self._armed or self._schedule is None:
-            return
         self.sample()
         self._schedule(self.config.interval, self._tick)
 

@@ -86,9 +86,6 @@ class RateTracker:
             return None
         return (value - last[1]) / dt
 
-    def reset(self) -> None:
-        self._last = None
-
 
 class Ewma:
     """Exponentially weighted moving average, seeded by the first value."""

@@ -32,6 +32,15 @@ from repro.workload.base import TxnSpec, Workload
 #: Keep at most this many posts per user (the paper's lists are bounded
 #: only by the experiment length; this keeps simulated values small).
 MAX_POSTS = 20
+#: Posts each user starts with.
+INITIAL_POSTS = 2
+#: Newest posts a timeline keeps.
+TIMELINE_ITEMS = 50
+#: The paper's mix: the timeline and post shares (follows take the rest),
+#: and the share of follows whose followee lives in another partition.
+TIMELINE_SHARE = 0.85
+POST_SHARE = 0.075
+FOLLOW_GLOBAL_SHARE = 0.5
 
 
 def producers_key(user: int) -> str:
@@ -54,7 +63,6 @@ def generate_social_data(
     num_users: int,
     follows_per_user: int,
     rng: random.Random,
-    initial_posts: int = 2,
 ) -> dict[str, object]:
     """Pre-populate the social graph: random follows plus a few posts."""
     if num_users < 2:
@@ -74,7 +82,7 @@ def generate_social_data(
     for user in range(num_users):
         data[producers_key(user)] = producers[user]
         data[consumers_key(user)] = consumers[user]
-        data[posts_key(user)] = [f"u{user} hello {i}" for i in range(initial_posts)]
+        data[posts_key(user)] = [f"u{user} hello {i}" for i in range(INITIAL_POSTS)]
     return data
 
 
@@ -91,22 +99,12 @@ class SocialNetworkWorkload(Workload):
         num_users: int,
         num_partitions: int,
         home_partition_index: int,
-        timeline_fraction: float = 0.85,
-        post_fraction: float = 0.075,
-        follow_fraction: float = 0.075,
-        follow_global_probability: float = 0.5,
     ) -> None:
-        total = timeline_fraction + post_fraction + follow_fraction
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigurationError(f"operation mix sums to {total}, expected 1.0")
         if num_users < 2 * num_partitions:
             raise ConfigurationError("need at least two users per partition")
         self.num_users = num_users
         self.num_partitions = num_partitions
         self.home = home_partition_index
-        self.timeline_fraction = timeline_fraction
-        self.post_fraction = post_fraction
-        self.follow_global_probability = follow_global_probability
 
     # ------------------------------------------------------------------
     # User selection (users live in partition ``user % num_partitions``)
@@ -127,13 +125,13 @@ class SocialNetworkWorkload(Workload):
     def next_txn(self, rng: random.Random) -> TxnSpec:
         roll = rng.random()
         user = self._local_user(rng)
-        if roll < self.timeline_fraction:
+        if roll < TIMELINE_SHARE:
             return TxnSpec(program=timeline_txn(user), read_only=True, label="timeline")
-        if roll < self.timeline_fraction + self.post_fraction:
+        if roll < TIMELINE_SHARE + POST_SHARE:
             message = f"u{user} says {rng.randrange(1_000_000)}"
             return TxnSpec(program=post_txn(user, message), label="post")
         is_global = (
-            self.num_partitions > 1 and rng.random() < self.follow_global_probability
+            self.num_partitions > 1 and rng.random() < FOLLOW_GLOBAL_SHARE
         )
         other = self._remote_user(rng) if is_global else self._local_user(rng)
         while other == user:
@@ -170,7 +168,7 @@ def follow_txn(follower: int, followee: int):
     return program
 
 
-def timeline_txn(user: int, max_items: int = 50):
+def timeline_txn(user: int):
     """Merge the posts of everyone ``user`` follows (global read-only)."""
 
     def program(txn: Txn) -> Generator:
@@ -183,6 +181,6 @@ def timeline_txn(user: int, max_items: int = 50):
         for key in post_keys:
             merged.extend(_as_list(posts_by_user[key]))
         # The timeline result itself (newest slice) — computed, not stored.
-        del merged[:-max_items]
+        del merged[:-TIMELINE_ITEMS]
 
     return program

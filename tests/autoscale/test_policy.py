@@ -31,8 +31,8 @@ def tick(policy, now, pressures, adjacency=(), active=None):
 class TestSplitHysteresis:
     def test_fires_only_after_sustain_consecutive_samples(self):
         policy = make_policy(sustain=3)
-        assert not tick(policy, 0.0, {"p0": 900.0}).acts
-        assert not tick(policy, 1.0, {"p0": 900.0}).acts
+        assert tick(policy, 0.0, {"p0": 900.0}).action == "hold"
+        assert tick(policy, 1.0, {"p0": 900.0}).action == "hold"
         decision = tick(policy, 2.0, {"p0": 900.0})
         assert decision.action == "split"
         assert decision.partition == "p0"
@@ -42,14 +42,14 @@ class TestSplitHysteresis:
         tick(policy, 0.0, {"p0": 900.0})
         tick(policy, 1.0, {"p0": 900.0})
         tick(policy, 2.0, {"p0": 100.0})  # dip: streak back to zero
-        assert not tick(policy, 3.0, {"p0": 900.0}).acts
-        assert not tick(policy, 4.0, {"p0": 900.0}).acts
+        assert tick(policy, 3.0, {"p0": 900.0}).action == "hold"
+        assert tick(policy, 4.0, {"p0": 900.0}).action == "hold"
         assert tick(policy, 5.0, {"p0": 900.0}).action == "split"
 
     def test_pressure_at_the_watermark_does_not_count(self):
         policy = make_policy(sustain=1)
         # high water = 750 exactly: not *above*, so no streak.
-        assert not tick(policy, 0.0, {"p0": 750.0}).acts
+        assert tick(policy, 0.0, {"p0": 750.0}).action == "hold"
         assert tick(policy, 1.0, {"p0": 750.1}).action == "split"
 
     def test_picks_the_hottest_ripe_partition(self):
@@ -60,7 +60,7 @@ class TestSplitHysteresis:
 
     def test_respects_max_partitions(self):
         policy = make_policy(sustain=1, max_partitions=2)
-        assert not tick(policy, 0.0, {"p0": 900.0, "p1": 900.0}).acts
+        assert tick(policy, 0.0, {"p0": 900.0, "p1": 900.0}).action == "hold"
 
 
 class TestMergeHysteresis:
@@ -69,7 +69,7 @@ class TestMergeHysteresis:
     def test_both_sides_must_sustain_under(self):
         policy = make_policy(sustain=2, min_partitions=1)
         quiet = {"p0": 50.0, "p2": 40.0}
-        assert not tick(policy, 0.0, quiet, self.ADJ, active=3).acts
+        assert tick(policy, 0.0, quiet, self.ADJ, active=3).action == "hold"
         decision = tick(policy, 1.0, quiet, self.ADJ, active=3)
         assert decision.action == "merge"
         assert decision.partition == "p2"
@@ -81,12 +81,12 @@ class TestMergeHysteresis:
             decision = tick(
                 policy, float(t), {"p0": 500.0, "p2": 40.0}, self.ADJ, active=3
             )
-            assert not decision.acts
+            assert decision.action == "hold"
 
     def test_respects_min_partitions(self):
         policy = make_policy(sustain=1, min_partitions=2)
         quiet = {"p0": 50.0, "p2": 40.0}
-        assert not tick(policy, 0.0, quiet, self.ADJ, active=2).acts
+        assert tick(policy, 0.0, quiet, self.ADJ, active=2).action == "hold"
         assert tick(policy, 1.0, quiet, self.ADJ, active=3).action == "merge"
 
     def test_picks_the_coolest_pair(self):
@@ -119,8 +119,8 @@ class TestCooldown:
 
     def test_streaks_keep_counting_while_suppressed(self):
         policy = make_policy(sustain=3, cooldown=10.0)
-        assert tick(policy, 0.0, {"p0": 900.0, "p1": 100.0}, active=2, adjacency=[]).acts is False
-        assert not tick(policy, 1.0, {"p0": 900.0, "p1": 100.0}).acts
+        assert tick(policy, 0.0, {"p0": 900.0, "p1": 100.0}, active=2, adjacency=[]).action == "hold"
+        assert tick(policy, 1.0, {"p0": 900.0, "p1": 100.0}).action == "hold"
         assert tick(policy, 2.0, {"p0": 900.0, "p1": 100.0}).action == "split"
         # p1 sustains over the watermark entirely inside the cooldown:
         # the first two ticks just build the streak (no candidate yet),
@@ -139,7 +139,7 @@ class TestCooldown:
         assert tick(policy, 1.0, quiet, [("p2", "p0")], active=3).action == "merge"
         # Same quiet pressures immediately after: both streaks were
         # consumed by the action, so the pair must re-earn sustain.
-        assert not tick(policy, 2.0, quiet, [("p2", "p0")], active=3).acts
+        assert tick(policy, 2.0, quiet, [("p2", "p0")], active=3).action == "hold"
 
     def test_vanished_partition_drops_its_streak(self):
         policy = make_policy(sustain=2)

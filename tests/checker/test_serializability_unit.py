@@ -1,5 +1,6 @@
 """Unit tests for the serializability checker on hand-built histories."""
 
+from repro.checker.agreement import replica_agreement
 from repro.checker.history import HistoryRecorder
 from repro.checker.serializability import check_serializability
 from repro.core.client import TxnResult
@@ -135,14 +136,14 @@ class TestRecorder:
         proj = projection(t, "p0", ["x"], ("p0",))
         for replica in ("s1", "s2", "s3"):
             recorder.on_commit(replica, t, "p0", 1, proj)
-        recorder.assert_replica_agreement({"p0": 3})
+        replica_agreement(recorder, {"p0": 3}).raise_if_failed()
 
     def test_missing_reporters_detected(self):
         recorder = HistoryRecorder()
         t = TxnId("c", 1)
         record_commit(recorder, t, "p0", 1, ["x"], ("p0",))
         try:
-            recorder.assert_replica_agreement({"p0": 3})
+            replica_agreement(recorder, {"p0": 3}).raise_if_failed()
         except AssertionError as exc:
             assert "1 of 3" in str(exc)
         else:

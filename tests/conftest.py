@@ -24,6 +24,8 @@ from repro.core.config import SdurConfig
 from repro.core.partitioning import PartitionMap
 from repro.geo.deployments import Deployment, lan_deployment, wan1_deployment
 from repro.harness.cluster import SdurCluster, build_cluster
+from repro.net.codec import decode_packed, encode_packed
+from repro.net.message import decode_message, encode_message
 from repro.runtime.sim import SimWorld
 
 
@@ -111,3 +113,13 @@ def read_program(keys: list[str], sink: dict | None = None):
             sink.update(values)
 
     return program
+
+
+def roundtrip(msg):
+    """Encode then decode through the JSON codec."""
+    return decode_message(encode_message(msg))
+
+
+def packed_roundtrip(msg):
+    """Encode then decode through the packed codec."""
+    return decode_packed(encode_packed(msg))

@@ -33,7 +33,7 @@ class TestTokenBucket:
 
     def test_never_exceeds_capacity(self):
         bucket = TokenBucket(rate=1000.0, capacity=2.0)
-        assert bucket.available(100.0) == pytest.approx(2.0)
+        assert [bucket.try_take(100.0) for _ in range(3)] == [True, True, False]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

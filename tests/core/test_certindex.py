@@ -218,19 +218,19 @@ class TestWriteSegments:
         for version in range(1, 1001):
             segments.add(version, frozenset({f"k{version}"}), floor=0)
         # Binary-counter discipline: O(log n) segments for n inserts.
-        assert segments.segment_count() <= 11
+        assert len(segments._segments) <= 11
 
     def test_capacity_merge_purges_evicted_entries(self):
         capacity = 16
         segments = _WriteSegments(capacity)
         # Keys recycle, so the live window only ever references
-        # ``capacity`` distinct keys; the purge must keep entry_count
+        # ``capacity`` distinct keys; the purge must keep the entry count
         # from growing with history length.
         for version in range(1, 2001):
             key = f"k{version % capacity}"
             floor = max(0, version - capacity)
             segments.add(version, frozenset({key}), floor)
-        assert segments.entry_count() <= 4 * capacity
+        assert sum(len(segment[3]) for segment in segments._segments) <= 4 * capacity
 
     def test_bloom_conflict_matches_per_record_probes(self):
         segments = _WriteSegments(capacity=8)

@@ -2,15 +2,17 @@
 
 import pytest
 
-from repro.core.certifier import CertificationWindow, CommittedRecord, window_entry
+from repro.core.certifier import CertificationWindow, window_entry
 from repro.core.checkpoint import (
     ServerCheckpoint,
+    WindowRecord,
     window_from_wire,
     window_to_wire,
 )
 from repro.core.transaction import ReadsetDigest, TxnId
 from repro.errors import ProtocolError
-from repro.net.message import encode_message, roundtrip
+from repro.net.message import encode_message
+from tests.conftest import roundtrip
 
 from tests.oracles.scan_certifier import certify
 
@@ -23,7 +25,6 @@ def sample_checkpoint():
         next_instance=7,
         sc=3,
         dc=9,
-        reorder_threshold=4,
         chains={"0/a": ((0, None), (3, 42)), "0/b": ((2, "x"),)},
         gc_horizon=1,
         window=window_to_wire(window),
@@ -87,6 +88,6 @@ class TestWindowWire:
         window = CertificationWindow(capacity=3)
         window.add(window_entry(TxnId("c", 1), 1, ReadsetDigest.bloomed(["hot"]), ["hot"], True))
         restored = window_from_wire(window_to_wire(window), capacity=3, floor=0)
-        record = CommittedRecord.of(next(iter(restored)))
+        record = WindowRecord.of(next(iter(restored)))
         assert record.readset.contains_any(["hot"])
         assert not record.readset.is_exact

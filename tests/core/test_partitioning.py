@@ -8,17 +8,17 @@ from repro.errors import ConfigurationError
 
 class TestHashed:
     def test_partition_ids(self):
-        pmap = PartitionMap.hashed(3)
+        pmap = PartitionMap(3)
         assert pmap.partition_ids == ["p0", "p1", "p2"]
 
     def test_stable_across_instances(self):
-        a = PartitionMap.hashed(4)
-        b = PartitionMap.hashed(4)
+        a = PartitionMap(4)
+        b = PartitionMap(4)
         keys = [f"key{i}" for i in range(100)]
         assert [a.partition_of(k) for k in keys] == [b.partition_of(k) for k in keys]
 
     def test_roughly_uniform(self):
-        pmap = PartitionMap.hashed(4)
+        pmap = PartitionMap(4)
         counts = {}
         for i in range(4000):
             counts[pmap.partition_of(f"key{i}")] = counts.get(pmap.partition_of(f"key{i}"), 0) + 1
@@ -44,19 +44,3 @@ class TestByIndex:
         pmap = PartitionMap(2, assign=lambda key: 7)
         with pytest.raises(ConfigurationError):
             pmap.partition_of("x")
-
-
-class TestByPrefix:
-    def test_same_prefix_same_partition(self):
-        pmap = PartitionMap.by_prefix(4)
-        assert pmap.partition_of("user42/posts") == pmap.partition_of("user42/followers")
-
-    def test_group_by_partition(self):
-        pmap = PartitionMap.by_index(2)
-        grouped = pmap.group_by_partition(["0/a", "1/b", "0/c"])
-        assert grouped == {"p0": ["0/a", "0/c"], "p1": ["1/b"]}
-
-    def test_group_by_partition_with_tuples(self):
-        pmap = PartitionMap.by_index(2)
-        grouped = pmap.group_by_partition([("0/a", 1), ("1/b", 2)])
-        assert grouped == {"p0": [("0/a", 1)], "p1": [("1/b", 2)]}

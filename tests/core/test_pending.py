@@ -78,7 +78,7 @@ class TestList:
         pending.append(entry(1))
         pending.append(entry(2))
         assert pending.get(TxnId("c", 2)).proj.tid.seq == 2
-        assert pending.position_of(TxnId("c", 2)) == 1
+        assert [e.tid for e in pending].index(TxnId("c", 2)) == 1
         assert pending.get(TxnId("c", 9)) is None
 
     def test_globals_pending_filter(self):
@@ -103,9 +103,7 @@ class TestVotes:
     def test_unanimous_commit(self):
         e = entry(1, partitions=("p0", "p1"), votes={"p0": "commit", "p1": "commit"})
         assert e.decided_outcome() is Outcome.COMMIT
-        assert not e.has_abort_vote()
 
     def test_any_abort_vote_aborts(self):
         e = entry(1, partitions=("p0", "p1"), votes={"p0": "commit", "p1": "abort"})
         assert e.decided_outcome() is Outcome.ABORT
-        assert e.has_abort_vote()

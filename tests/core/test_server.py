@@ -1,6 +1,6 @@
 """Unit-level tests of server behaviours (Algorithm 2) on small clusters."""
 
-from repro.core.certifier import CommittedRecord
+from repro.core.checkpoint import WindowRecord
 from repro.core.config import DelayMode, SdurConfig, ServiceCosts
 from repro.core.messages import Busy, CommitRequest, NoopTick, OutcomeNotice, ReadRequest
 from repro.core.transaction import Outcome, ReadsetDigest, TxnId, TxnProjection
@@ -222,20 +222,6 @@ class TestDelaying:
         assert result.committed  # LAN estimate is ~1ms; just verify the path
 
 
-class TestThresholdChange:
-    def test_threshold_change_is_broadcast_and_applied(self):
-        cluster, _ = started_cluster()
-        server = cluster.servers["s1"].server
-        assert server.reorder_threshold == 0
-        server.request_threshold_change(16)
-        cluster.world.run_for(0.5)
-        for handle in cluster.servers.values():
-            if handle.partition == "p0":
-                assert handle.server.reorder_threshold == 16
-            else:
-                assert handle.server.reorder_threshold == 0
-
-
 class TestServiceCosts:
     def test_apply_cost_slows_commits(self):
         fast_cluster, fast_client = started_cluster()
@@ -259,7 +245,7 @@ class TestDuplicateDelivery:
         # Replay the same projection through the broadcast: servers must
         # ignore the duplicate (client retry path).
         server = cluster.servers["s1"].server
-        record = CommittedRecord.of(list(server.window)[-1])
+        record = WindowRecord.of(list(server.window)[-1])
         assert result.committed
         sc_before = server.sc
         # Rebuild an identical projection and redeliver it.

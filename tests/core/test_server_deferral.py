@@ -88,7 +88,7 @@ class TestDeferral:
         # A local that read what the pending global wrote: deferred.
         server.on_adeliver(1, proj(2, reads=["a", "z"], writes=["z"], partitions=("p0",)))
         world.run_for(0.1)
-        assert server.pending.position_of(TxnId("c", 2)) == 1
+        assert [e.tid for e in server.pending] == [TxnId("c", 1), TxnId("c", 2)]
         # g1 aborts -> the local commits.
         remote_vote(server, 1, "abort")
         world.run_for(0.1)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.transaction import Outcome, ReadsetDigest, TxnId, TxnProjection
 from repro.errors import ProtocolError
-from repro.net.message import roundtrip
+from tests.conftest import roundtrip
 
 
 class TestTxnId:
@@ -71,10 +71,6 @@ class TestProjection:
 
     def test_ws_keys(self):
         assert self.make(ws={"a": 1, "b": 2}).ws_keys == frozenset({"a", "b"})
-
-    def test_other_partitions(self):
-        proj = self.make(partitions=("p0", "p1", "p2"))
-        assert proj.other_partitions() == ("p1", "p2")
 
     def test_partition_must_be_involved(self):
         with pytest.raises(ProtocolError):

@@ -185,3 +185,38 @@ def test_sim_tables_hold_every_registered_experiment():
     text = (REPO / "benchmarks" / "sim_tables.md").read_text()
     assert re.findall(r"^## (\w+) — ", text, re.MULTILINE) == list(REGISTRY)
     assert "wall time" not in text
+
+
+#: A backticked name that starts upper-case and runs two characters or more.
+CLASS_NAME_RE = re.compile(r"`([A-Z][A-Za-z0-9]+)`")
+
+#: Docs that describe the tree as it is.  PERFORMANCE.md is a dated log:
+#: it names classes as they were when each measurement was taken.
+CURRENT_DOCS = ("PROTOCOL.md", "SUBSYSTEMS.md", "OBSERVABILITY.md")
+
+#: Backticked names that are not ours, each with its reason.
+NOT_A_REPRO_NAME = {
+    "SC": "Algorithm 2's snapshot counter",
+    "DC": "Algorithm 2's delivered-transactions counter",
+    "None": "Python's",
+    "LoopbackRuntime": "the frozen e2e rig's runtime (benchmarks/e2e/micro.py)",
+}
+
+
+@pytest.mark.parametrize("doc", CURRENT_DOCS)
+def test_every_named_class_exists(doc):
+    """Every backticked CamelCase name in a doc of the current tree is an
+    attribute of some ``repro`` module or a registered message, so a
+    deleted class cannot live on in prose."""
+    import importlib
+    import pkgutil
+
+    import repro
+    from repro.net.message import registry
+
+    known = set(registry) | set(vars(repro))
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        known |= set(vars(importlib.import_module(module.name)))
+    text = (REPO / "docs" / doc).read_text()
+    unknown = sorted(set(CLASS_NAME_RE.findall(text)) - known - set(NOT_A_REPRO_NAME))
+    assert not unknown, f"{doc} names what the tree does not have: {unknown}"

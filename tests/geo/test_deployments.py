@@ -100,7 +100,8 @@ class TestClients:
     def test_home_partition(self):
         deployment = wan1_deployment(2)
         client = deployment.add_client(US_EAST)
-        assert deployment.home_partition_for(client) == "p1"
+        session = deployment.session_server_for(client)
+        assert deployment.directory.partition_of_server(session) == "p1"
 
     def test_unmatched_region_falls_back_to_first_partition(self):
         deployment = wan1_deployment(2)

@@ -74,9 +74,9 @@ class TestDegradeRestore:
         )
         schedule.arm(cluster)
         cluster.world.run_for(1.5)
-        assert cluster.world.network.is_degraded("s2")
+        assert "s2" in cluster.world.network._degraded
         cluster.world.run_for(1.0)
-        assert not cluster.world.network.is_degraded("s2")
+        assert "s2" not in cluster.world.network._degraded
         assert [kind for _, kind, _ in schedule.fired] == ["degrade", "restore"]
 
     def test_slow_follower_is_masked_by_quorum(self):

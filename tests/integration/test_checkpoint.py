@@ -104,8 +104,8 @@ class TestCheckpointTaking:
         # Inject a pending entry, then demand a checkpoint.
         client.execute(update_program(["0/x", "1/y"]), lambda r: None)
         # Drive only until the projection is pending (votes not yet in).
-        while not server.pending and cluster.world.kernel.pending_count:
-            cluster.world.kernel.step()
+        while not server.pending and cluster.world.kernel.step():
+            pass
         if server.pending:
             with pytest.raises(ProtocolError):
                 server.take_checkpoint()
@@ -194,6 +194,18 @@ class TestCheckpointTaking:
         server = cluster.servers["s1"].server
         with pytest.raises(ProtocolError):
             server.restore_checkpoint(server.latest_checkpoint)
+
+    def test_a_key_seeded_twice_restores(self):
+        cluster = checkpointing_cluster({})
+        cluster.seed({"0/a": 1})
+        cluster.seed({"0/a": 2})
+        cluster.start()
+        server = cluster.servers["s1"].server
+        blob = server.take_checkpoint().to_bytes()
+        restarted = checkpointing_cluster({}, seed=7)
+        restarted.restore_server("s1", blob)
+        restored = restarted.servers["s1"].server.store.dump()
+        assert restored == server.store.dump() == {"0/a": [(0, 2)]}
 
 
 class TestRestoredCertifier:

@@ -19,7 +19,7 @@ class TestStoreGc:
         cluster.world.run_for(1.0)
         store = cluster.servers["s1"].server.store
         assert store.gc_horizon >= 7
-        assert len(store.versions_of("0/x")) <= 4
+        assert len(store.dump()["0/x"]) <= 4
 
     def test_recent_snapshots_still_readable(self):
         config = SdurConfig(store_gc_interval=0.2, store_gc_keep=3)
@@ -114,4 +114,4 @@ class TestStoreGc:
             run_txn(cluster, client, update_program(["0/x"]))
         store = cluster.servers["s1"].server.store
         assert store.gc_horizon == 0
-        assert len(store.versions_of("0/x")) == 6  # seed + 5 commits
+        assert len(store.dump()["0/x"]) == 6  # seed + 5 commits

@@ -25,11 +25,17 @@ from repro.net.codec import (
     decode_packed,
     encode_packed,
     get_codec,
-    packed_roundtrip,
-    tagged_fields,
 )
 from repro.net.message import Message, decode_message, encode_message, message
-from tests.net.test_wire_coverage import BLOOM_PROJ, PROJ, SAMPLES, TID, VALUE_FREE
+from tests.conftest import packed_roundtrip
+from tests.net.test_wire_coverage import (
+    BLOOM_PROJ,
+    PROJ,
+    SAMPLES,
+    TID,
+    VALUE_FREE,
+    tagged_fields,
+)
 
 SCALAR_EDGES = (
     None, True, False, 0, -1, 2**62, -(2**62), 2**63 - 1, -(2**63), 2**80, -(2**80),

@@ -12,8 +12,8 @@ from repro.net.message import (
     decode_message,
     encode_message,
     message,
-    roundtrip,
 )
+from tests.conftest import roundtrip
 
 
 @message

@@ -45,8 +45,8 @@ class TestTopology:
         assert set(topo.nodes_in_region(EU)) == {"a1", "a2", "a3"}
 
     def test_same_region(self, topo):
-        assert topo.same_region("a1", "a3")
-        assert not topo.same_region("a1", "b1")
+        assert topo.region_of("a1") == topo.region_of("a3")
+        assert topo.region_of("a1") != topo.region_of("b1")
 
     def test_proximity_ranking(self, topo):
         ranked = topo.sort_by_proximity("a1", ["c1", "b1", "a3", "a2", "a1"])

@@ -36,11 +36,10 @@ from repro.core.messages import (
     OutcomeNotice,
     ReadRequest,
     ReadResponse,
-    ThresholdChange,
     Vote,
 )
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
-from repro.net.message import roundtrip
+from repro.net.codec import _field_shapes
 from repro.reconfig.epochs import ConfigChange
 from repro.reconfig.messages import (
     BeginSplit,
@@ -51,6 +50,7 @@ from repro.reconfig.messages import (
     StaleEpochNotice,
 )
 from repro.termination.messages import VoteRecord
+from tests.conftest import packed_roundtrip, roundtrip
 
 TID = TxnId("c9", 42)
 PROJ = TxnProjection(
@@ -122,7 +122,6 @@ SAMPLES = [
     AbortRequest(
         tid=TID, partition="p1", requester="p0", involved=("p0", "p1"), client="c9"
     ),
-    ThresholdChange(value=16),
     # Admission control (docs/PROTOCOL.md §16): a shed commit with the
     # server's hint, and one with a zero hint.
     Busy(tid=TID, server="s1", reason="rate", retry_after=0.05),
@@ -181,7 +180,6 @@ VALUE_FREE = [
 
 @pytest.mark.parametrize("msg", VALUE_FREE, ids=lambda m: type(m).__name__)
 def test_value_free_phase2_messages_roundtrip_both_codecs(msg):
-    from repro.net.codec import packed_roundtrip
 
     assert msg.value is None
     for decoded in (roundtrip(msg), packed_roundtrip(msg)):
@@ -221,6 +219,21 @@ def test_every_registered_message_has_a_sample():
 TAGGED_ALLOW_LIST: dict[tuple[str, str], str] = {}
 
 
+def _is_tagged(shape: tuple) -> bool:
+    """Does any position of ``shape`` — short of a nested registered
+    class, which answers for itself — take the tagged path?"""
+    kind = shape[0]
+    if kind == "any":
+        return True
+    return kind in ("opt", "tuple", "seq", "dict") and any(map(_is_tagged, shape[1:]))
+
+
+def tagged_fields(cls: type) -> frozenset[str]:
+    """The fields of registered class ``cls`` that the compiled codec
+    carries, wholly or in part, as self-describing tagged values."""
+    return frozenset(name for name, shape in _field_shapes(cls) if _is_tagged(shape))
+
+
 def _mentions_any(tp) -> bool:
     return tp is typing.Any or any(_mentions_any(arg) for arg in typing.get_args(tp))
 
@@ -232,7 +245,6 @@ def test_only_any_annotated_fields_take_the_tagged_path():
     import pkgutil
 
     import repro
-    from repro.net.codec import tagged_fields
     from repro.net.message import registry
 
     for module in pkgutil.walk_packages(repro.__path__, "repro."):

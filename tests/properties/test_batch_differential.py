@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.certifier import CommittedRecord
+from repro.core.checkpoint import WindowRecord
 from repro.core.config import SdurConfig, ServiceCosts
 from repro.core.directory import ClusterDirectory
 from repro.core.messages import NoopTick, OutcomeNotice
@@ -181,7 +181,7 @@ def state_of(server: SdurServer) -> dict:
         "sc": server.sc,
         "dc": server.dc,
         "store": server.store.dump(),
-        "window": list(map(CommittedRecord.of, server.window)),
+        "window": list(map(WindowRecord.of, server.window)),
         "floor": server.window.floor,
         "completed": list(server._completed.items()),
         "pending": [

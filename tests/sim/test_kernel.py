@@ -82,7 +82,7 @@ class TestRunBounds:
         kernel.schedule(10.0, lambda: None)
         kernel.run(until=4.0)
         assert kernel.now == 4.0
-        assert kernel.pending_count == 1
+        assert kernel.step() is True and kernel.now == 10.0
 
     def test_run_until_executes_events_at_exactly_the_bound(self):
         kernel = Kernel()
@@ -128,13 +128,6 @@ class TestRunBounds:
         kernel.schedule(0.0, lambda: None)
         assert kernel.step() is True
         assert kernel.step() is False
-
-    def test_events_executed_counter(self):
-        kernel = Kernel()
-        for _ in range(4):
-            kernel.schedule(0.0, lambda: None)
-        kernel.run()
-        assert kernel.events_executed == 4
 
 
 class TestProcesses:

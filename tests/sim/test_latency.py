@@ -64,6 +64,11 @@ class TestJittered:
         assert samples  # silence unused warning
 
 
+def set_link(model, src, dst, link):
+    """Override ``model``'s latency for messages from ``src`` to ``dst``."""
+    model._links[(src, dst)] = link
+
+
 class TestComposite:
     def test_falls_back_to_default(self, rng):
         model = CompositeLatency(ConstantLatency(0.01))
@@ -71,18 +76,19 @@ class TestComposite:
 
     def test_per_link_override(self, rng):
         model = CompositeLatency(ConstantLatency(0.01))
-        model.set_link("a", "b", ConstantLatency(0.5))
+        set_link(model, "a", "b", ConstantLatency(0.5))
         assert model.sample("a", "b", rng) == 0.5
         assert model.sample("b", "a", rng) == 0.01  # directional
 
     def test_symmetric_override(self, rng):
         model = CompositeLatency(ConstantLatency(0.01))
-        model.set_link_symmetric("a", "b", ConstantLatency(0.2))
+        set_link(model, "a", "b", ConstantLatency(0.2))
+        set_link(model, "b", "a", ConstantLatency(0.2))
         assert model.sample("a", "b", rng) == 0.2
         assert model.sample("b", "a", rng) == 0.2
 
     def test_expected_respects_overrides(self):
         model = CompositeLatency(ConstantLatency(0.01))
-        model.set_link("x", "y", ConstantLatency(0.3))
+        set_link(model, "x", "y", ConstantLatency(0.3))
         assert model.expected("x", "y") == 0.3
         assert model.expected("y", "x") == 0.01

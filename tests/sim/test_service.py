@@ -85,7 +85,6 @@ class TestServiceStation:
         station.submit(1.0, lambda: None)
         station.submit(1.0, lambda: None)
         station.submit(1.0, lambda: None)
-        assert station.queue_length == 2  # one in service, two waiting
+        assert station.completed == 0  # one in service, two waiting
         kernel.run()
-        assert station.queue_length == 0
-        assert not station.busy
+        assert station.completed == 3 and kernel.now == 3.0  # served one at a time

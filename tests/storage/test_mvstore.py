@@ -117,9 +117,19 @@ class TestSharedSeed:
 
     def test_one_record_per_seeded_object(self):
         store = self.seeded()
-        base = [store.versions_of(key)[0] for key in "abcde"]
+        base = [store.dump()[key][0] for key in "abcde"]
         assert base[0] is base[1] and base[2] is base[3]
         assert base[3] is not base[4] and base[3] == base[4]
+
+    def test_reseeding_a_key_replaces_its_version_zero(self):
+        store = MultiVersionStore()
+        store.seed({"a": 1})
+        store.seed({"a": 2, "b": 3})
+        assert store.read("a")[1] == 2
+        assert store.dump() == {"a": [(0, 2)], "b": [(0, 3)]}
+        restored = MultiVersionStore()
+        restored.restore(store.dump(), current_version=0)
+        assert restored.dump() == store.dump()
 
     def test_reads_gc_and_checkpoint_see_private_chains(self):
         store = self.seeded()
@@ -166,5 +176,5 @@ class TestProperties:
         for version, key in enumerate(keys, start=1):
             store.apply({key: version}, version)
         for key in set(keys):
-            versions = [version for version, _ in store.versions_of(key)]
+            versions = [version for version, _ in store.dump()[key]]
             assert versions == sorted(versions)

@@ -40,7 +40,7 @@ class TestSamplerUnit:
         sampler = TelemetrySampler(TelemetryConfig(), clock=lambda: 0.0)
         sampler.attach("s1", registry)
         sampler.sample()
-        sampler.detach("s1")
+        del sampler.registries["s1"]
         sampler.sample()
         assert len(sampler.values("s1", "c")) == 1
 

@@ -47,12 +47,6 @@ class TestRateTracker:
         tracker.update(1.0, 10.0)
         assert tracker.update(1.0, 20.0) is None
 
-    def test_reset_forgets_the_anchor(self):
-        tracker = RateTracker()
-        tracker.update(0.0, 10.0)
-        tracker.reset()
-        assert tracker.update(1.0, 20.0) is None
-
 
 class TestEwma:
     def test_first_value_seeds(self):
