@@ -4,8 +4,6 @@ The reconfiguration protocol (docs/PROTOCOL.md §13, §17) gives the
 system live splits and merges; this package closes the loop and decides
 *when* to use them, with no operator in it:
 
-* :mod:`repro.autoscale.hotkeys` — a space-saving top-k sketch per
-  server, fed one observation per committed write key;
 * :mod:`repro.autoscale.monitor` — per-partition pressure signals
   (certification throughput + weighted delivery backlog, EWMA-smoothed)
   sampled from the servers' own counters;
@@ -23,7 +21,6 @@ drifting hotspot.
 
 from repro.autoscale.config import AutoscaleConfig
 from repro.autoscale.controller import AutoscaleController
-from repro.autoscale.hotkeys import SpaceSavingTracker
 from repro.autoscale.monitor import LoadMonitor, PartitionLoad
 from repro.autoscale.policy import ScaleDecision, ScalePolicy
 
@@ -34,5 +31,4 @@ __all__ = [
     "PartitionLoad",
     "ScaleDecision",
     "ScalePolicy",
-    "SpaceSavingTracker",
 ]

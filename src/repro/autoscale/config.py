@@ -37,8 +37,6 @@ class AutoscaleConfig:
     ewma_alpha: float = 0.5
     #: Queue-depth contribution to pressure, in txn/s per queued entry.
     queue_weight: float = 5.0
-    #: Space-saving sketch size per server.
-    hotkey_capacity: int = 16
 
     def __post_init__(self) -> None:
         if not 0 < self.low_water < self.high_water <= 1.0:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.autoscale.config import AutoscaleConfig
-from repro.autoscale.hotkeys import SpaceSavingTracker
 from repro.autoscale.monitor import LoadMonitor
 from repro.autoscale.policy import ScalePolicy
 from repro.telemetry.wiring import build_autoscale_registry
@@ -52,26 +51,16 @@ class AutoscaleController:
     # Lifecycle
     # ------------------------------------------------------------------
     def arm(self) -> None:
-        """Attach hot-key trackers and start the periodic tick."""
+        """Start the periodic tick."""
         if self._armed:
             return
         self._armed = True
-        self._attach_trackers()
         self.cluster.world.kernel.schedule(self.config.interval, self._tick)
-
-    def _attach_trackers(self) -> None:
-        """Every server gets a sketch; idempotent (splits add servers)."""
-        for handle in self.cluster.servers.values():
-            if handle.server.hot_keys is None:
-                handle.server.hot_keys = SpaceSavingTracker(
-                    self.config.hotkey_capacity
-                )
 
     # ------------------------------------------------------------------
     # The control loop
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        self._attach_trackers()
         now = self.cluster.world.now
         loads = self.monitor.sample(now)
         pressures = {p: load.pressure for p, load in loads.items()}
@@ -88,7 +77,6 @@ class AutoscaleController:
                     pressure=round(pressures.get(decision.partition, 0.0), 1),
                 )
             self.cluster.split_partition(decision.partition)
-            self._attach_trackers()
         elif decision.action == "merge":
             self.merges_triggered += 1
             self.events.append((now, "merge", decision.partition, decision.into))
@@ -121,10 +109,6 @@ class AutoscaleController:
                 continue
             pairs.append((change.new_partition, change.source))
         return pairs
-
-    def hot_keys(self, partition: str, k: int | None = None) -> list[tuple[str, int]]:
-        """Aggregated heaviest write keys of ``partition``."""
-        return self.monitor.hot_keys(partition, k)
 
     def counters(self) -> dict[str, int]:
         """Exported through ``SdurCluster.server_stats()`` as the

@@ -9,8 +9,6 @@ same quantity, not shares of it — and smooths the combined *pressure*
 signal with an EWMA so one bursty sample cannot trigger a migration.
 The rate/smoothing plumbing is the shared :mod:`repro.telemetry.series`
 machinery (:class:`RateTracker`, :class:`Ewma`), not private state.
-Hot keys come from the per-server space-saving sketches
-(:mod:`repro.autoscale.hotkeys`), summed across replicas.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.autoscale.config import AutoscaleConfig
-from repro.autoscale.hotkeys import SpaceSavingTracker
 from repro.telemetry.series import Ewma, RateTracker
 
 if TYPE_CHECKING:
@@ -94,14 +91,3 @@ class LoadMonitor:
     def forget(self, partition: str) -> None:
         """Drop smoothing state for a retired partition."""
         self._ewma.pop(partition, None)
-
-    def hot_keys(self, partition: str, k: int | None = None) -> list[tuple[str, int]]:
-        """The partition's heaviest write keys, replica sketches summed."""
-        combined = SpaceSavingTracker(self.config.hotkey_capacity)
-        for handle in self.cluster.servers.values():
-            if handle.partition != partition:
-                continue
-            tracker = handle.server.hot_keys
-            if tracker is not None:
-                tracker.merged_into(combined)
-        return [(key, count) for key, count, _error in combined.top(k)]

@@ -119,6 +119,11 @@ def check_serializability(recorder: HistoryRecorder) -> CheckReport:
         if missing:
             issues.append(f"{result.tid} missing commit record in partitions {missing}")
 
+    # A client told abort must find no commit of its transaction anywhere.
+    for result in recorder.results:
+        if not result.committed and result.tid in recorder.commits:
+            issues.append(f"{result.tid} aborted at client but committed at servers")
+
     # Build adjacency.
     nodes: set[Hashable] = {INITIAL_TXN}
     nodes.update(committed_update_tids)

@@ -26,7 +26,6 @@ class AbcastFabric:
         runtime: Runtime,
         groups: dict[str, list[str]],
         coordinator_hints: dict[str, str],
-        local_replicas: dict[str, PaxosReplica] | None = None,
         redundant_submit: bool = False,
     ) -> None:
         for partition, hint in coordinator_hints.items():
@@ -40,7 +39,7 @@ class AbcastFabric:
         self._obs = getattr(runtime, "obs", NULL_RECORDER)
         self.groups = {partition: list(members) for partition, members in groups.items()}
         self.coordinator_hints = dict(coordinator_hints)
-        self.local_replicas = dict(local_replicas or {})
+        self.local_replicas: dict[str, PaxosReplica] = {}
         #: Send remote submissions to every member of the target group
         #: instead of only its coordinator hint.  Costs duplicate
         #: proposals (receivers de-duplicate by value identity at the

@@ -21,7 +21,7 @@ two-phase-commit-like vote exchange:
   geo extensions (transaction delaying and reordering).
 """
 
-from repro.core.certifier import CertificationWindow, ctest
+from repro.core.certifier import CertificationWindow
 from repro.core.client import ClientConfig, Read, ReadMany, SdurClient, TxnResult
 from repro.core.config import ServiceCosts, SdurConfig
 from repro.core.directory import ClusterDirectory
@@ -47,5 +47,4 @@ __all__ = [
     "TxnId",
     "TxnProjection",
     "TxnResult",
-    "ctest",
 ]

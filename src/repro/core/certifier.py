@@ -6,7 +6,8 @@ The paper's conflict test and the window it runs over.  The queries —
 scan of the same three is the differential oracle
 ``tests/oracles/scan_certifier.py``.
 
-* ``ctest(t, t')`` (Algorithm 2 lines 46–47)::
+* ``ctest(t, t')`` (Algorithm 2 lines 46–47; the oracle's per-pair
+  test, which the index answers for the whole window at once)::
 
       (t.rs ∩ t'.ws = ∅) ∧ (t is local ∨ (t.ws ∩ t'.rs = ∅))
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Protocol
 
-from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
+from repro.core.transaction import ReadsetDigest, TxnId
 
 #: One committed transaction as the window keeps it:
 #: ``(version, client, seq, readset, ws_keys, is_global)``.  ``version``
@@ -68,23 +69,6 @@ def readset_digest(readset: tuple[str, ...] | bytes) -> ReadsetDigest:
     if isinstance(readset, bytes):
         return ReadsetDigest(bloom=readset)
     return ReadsetDigest(keys=frozenset(readset))
-
-
-def ctest(txn: TxnProjection, committed: WindowEntry) -> bool:
-    """Does ``txn`` pass certification against one committed transaction?
-
-    Returns True when no conflict exists.  ``committed`` is the window
-    entry of a transaction delivered and committed before ``txn``; it is
-    probed as it is stored, so a scan allocates nothing per entry.
-    """
-    _version, _client, _seq, readset, ws_keys, _is_global = committed
-    if ws_keys and txn.readset.contains_any(ws_keys):
-        return False
-    if txn.is_global and txn.writeset:
-        if isinstance(readset, bytes):
-            return not readset_digest(readset).contains_any(txn.writeset)
-        return not any(key in readset for key in txn.writeset)
-    return True
 
 
 class WindowListener(Protocol):

@@ -206,10 +206,6 @@ class SdurServer:
         #: Optional hook ``(tid, partition, version, proj)`` called on every
         #: local commit; the history checker uses it.
         self.on_commit_hook: Callable[[TxnId, str, int, TxnProjection], None] | None = None
-        #: Optional space-saving top-k tracker (repro.autoscale.hotkeys),
-        #: attached by the harness when autoscale is on; fed one
-        #: observation per committed write key.
-        self.hot_keys: Any | None = None
         #: Optional hook ``(partition, version, keys)`` fired when a merge
         #: install applies the absorbed state as one synthetic commit;
         #: the history checker records it as a virtual writer.
@@ -855,11 +851,6 @@ class SdurServer:
         self.snapshot_builder.on_local_commit(tid, version, proj.partitions, is_global)
         if self.on_commit_hook is not None:
             self.on_commit_hook(tid, self.partition, version, proj)
-        if self.hot_keys is not None and proj.writeset:
-            ws_keys = proj.ws_keys
-            for key in ws_keys:
-                self.hot_keys.observe(key)
-            self.stats.hotkey_updates += len(ws_keys)
         if is_global:
             self.stats.committed_global += 1
         else:

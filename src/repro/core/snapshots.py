@@ -41,14 +41,11 @@ GOSSIP_HISTORY = 256
 class GlobalSnapshotBuilder:
     """One server's view of the global snapshot frontier."""
 
-    def __init__(
-        self, partitions: list[str], own_partition: str, history: int = GOSSIP_HISTORY
-    ) -> None:
+    def __init__(self, partitions: list[str], own_partition: str) -> None:
         if own_partition not in partitions:
             raise ConfigurationError(f"{own_partition!r} not in {partitions!r}")
         self.partitions = list(partitions)
         self.own_partition = own_partition
-        self.history = history
         #: Latest *safely usable* snapshot counter per partition: never
         #: beyond the completeness watermark (see CommitGossip.complete_from).
         self._known_sc: dict[str, int] = {p: 0 for p in partitions}
@@ -147,7 +144,7 @@ class GlobalSnapshotBuilder:
             # Buffer (bounded) for replay at add_partition() rather than
             # silently dropping the payload.
             self._pending_gossip.append(msg)
-            while len(self._pending_gossip) > self.history:
+            while len(self._pending_gossip) > GOSSIP_HISTORY:
                 self._pending_gossip.popleft()
             return None
         for tid, version, involved in msg.globals_committed:
@@ -184,7 +181,7 @@ class GlobalSnapshotBuilder:
         else:
             # Out-of-order gossip: insert keeping ascending versions.
             insort(commits, (version, tid))
-        excess = len(commits) - self.history
+        excess = len(commits) - GOSSIP_HISTORY
         if excess > 0:
             self._evicted_below[partition] = max(
                 self._evicted_below[partition], commits[excess - 1][0]
@@ -192,7 +189,7 @@ class GlobalSnapshotBuilder:
             del commits[:excess]
 
     def _evict(self) -> None:
-        while len(self._txn_order) > 4 * self.history:
+        while len(self._txn_order) > 4 * GOSSIP_HISTORY:
             tid = self._txn_order.popleft()
             self._txn_versions.pop(tid, None)
             self._txn_involved.pop(tid, None)

@@ -134,11 +134,3 @@ def run(quick: bool = False) -> ExperimentTable:
             "linearly — the bandwidth trade of paper §V",
         ],
     )
-
-
-def main() -> None:
-    run().print()
-
-
-if __name__ == "__main__":
-    main()

@@ -95,11 +95,3 @@ def run(quick: bool = False) -> ExperimentTable:
             "broadcast trades O(n²) Phase-2b messages for one Δ of follower latency",
         ],
     )
-
-
-def main() -> None:
-    run().print()
-
-
-if __name__ == "__main__":
-    main()

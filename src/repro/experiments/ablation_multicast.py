@@ -161,11 +161,3 @@ def run(quick: bool = False) -> ExperimentTable:
             "in the origin group (start + final) vs SDUR's one",
         ],
     )
-
-
-def main() -> None:
-    run().print()
-
-
-if __name__ == "__main__":
-    main()

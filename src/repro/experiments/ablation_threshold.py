@@ -54,11 +54,3 @@ def run(quick: bool = False) -> ExperimentTable:
             "(the threshold is then met by no-op ticks, not real traffic)"
         ],
     )
-
-
-def main() -> None:
-    run().print()
-
-
-if __name__ == "__main__":
-    main()

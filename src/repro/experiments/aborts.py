@@ -79,11 +79,3 @@ def run(quick: bool = False) -> ExperimentTable:
             "in the mix (symmetric certification + longer pending windows)"
         ],
     )
-
-
-def main() -> None:
-    run().print()
-
-
-if __name__ == "__main__":
-    main()

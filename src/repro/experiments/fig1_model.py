@@ -139,11 +139,3 @@ def run(quick: bool = False) -> ExperimentTable:
             "and broadcast (3δ+6Δ) learning — Deviation D2; see EXPERIMENTS.md.",
         ],
     )
-
-
-def main() -> None:
-    run().print()
-
-
-if __name__ == "__main__":
-    main()

@@ -21,12 +21,13 @@ from repro.experiments.common import ExperimentTable, GeoRunParams, run_geo_micr
 from repro.metrics.plot import render_cdf
 
 FRACTIONS = (0.0, 0.01, 0.10, 0.50)
+DEPLOYMENTS = ("wan1", "wan2")
 
 
-def run(quick: bool = False, deployments: tuple[str, ...] = ("wan1", "wan2")) -> ExperimentTable:
+def run(quick: bool = False) -> ExperimentTable:
     rows = []
     cdfs: dict[str, list[tuple[float, float]]] = {}
-    for deployment in deployments:
+    for deployment in DEPLOYMENTS:
         for fraction in FRACTIONS:
             params = GeoRunParams(
                 deployment=deployment, global_fraction=fraction, seed=21
@@ -48,7 +49,7 @@ def run(quick: bool = False, deployments: tuple[str, ...] = ("wan1", "wan2")) ->
         notes=notes,
         cdfs=cdfs,
     )
-    for deployment in deployments:
+    for deployment in DEPLOYMENTS:
         picked = {
             label.replace(f"{deployment}-", ""): points
             for label, points in cdfs.items()
@@ -78,11 +79,3 @@ def _shape_notes(rows: list[dict]) -> list[str]:
                 f"paper: ~10x in WAN 1, ~1.2x in WAN 2"
             )
     return notes
-
-
-def main() -> None:
-    run().print()
-
-
-if __name__ == "__main__":
-    main()

@@ -46,11 +46,3 @@ def run(quick: bool = False) -> ExperimentTable:
             "no significant gain at 10%/50%"
         ],
     )
-
-
-def main() -> None:
-    run().print()
-
-
-if __name__ == "__main__":
-    main()

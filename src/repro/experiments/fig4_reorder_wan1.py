@@ -74,11 +74,3 @@ def run(
             "but globals pay a small latency cost — a trade-off absent in WAN 1"
         ],
     )
-
-
-def main() -> None:
-    run().print()
-
-
-if __name__ == "__main__":
-    main()

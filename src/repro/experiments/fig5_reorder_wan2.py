@@ -17,11 +17,3 @@ THRESHOLDS = (0, 4, 8, 12)
 
 def run(quick: bool = False) -> ExperimentTable:
     return _run_reorder(quick=quick, deployment="wan2", thresholds=THRESHOLDS)
-
-
-def main() -> None:
-    run().print()
-
-
-if __name__ == "__main__":
-    main()

@@ -118,11 +118,3 @@ def run(quick: bool = False) -> ExperimentTable:
             "certification, never aborts",
         ],
     )
-
-
-def main() -> None:
-    run().print()
-
-
-if __name__ == "__main__":
-    main()

@@ -378,17 +378,3 @@ def run_o4(quick: bool = False) -> ExperimentTable:
             f"admission off: {off['check_note']}",
         ],
     )
-
-
-def run(quick: bool = False) -> ExperimentTable:
-    """Default entry point: O4 (the suite's headline scenario)."""
-    return run_o4(quick=quick)
-
-
-def main() -> None:
-    for runner in (run_o1, run_o2, run_o3, run_o4):
-        runner(quick=True).print()
-
-
-if __name__ == "__main__":
-    main()

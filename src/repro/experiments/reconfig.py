@@ -94,11 +94,3 @@ def run(quick: bool = False) -> ExperimentTable:
             "\n" + chart,
         ],
     )
-
-
-def main() -> None:
-    run().print()
-
-
-if __name__ == "__main__":
-    main()

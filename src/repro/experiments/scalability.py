@@ -159,13 +159,3 @@ def run_s2(quick: bool = False) -> ExperimentTable:
             "stalls the pipeline on votes: aggregate throughput decays with the mix"
         ],
     )
-
-
-def main() -> None:
-    run_s1().print()
-    print()
-    run_s2().print()
-
-
-if __name__ == "__main__":
-    main()

@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from repro.core.directory import ClusterDirectory
-from repro.errors import ConfigurationError
 from repro.net.topology import EU, US_EAST, US_WEST, NodeSpec, Topology
 
-#: Region rotation used when a deployment spans more regions than named.
+#: The regions WAN 1 (the first two) and WAN 2 (all three) span.
 DEFAULT_REGIONS = [EU, US_EAST, US_WEST]
+#: Replicas per partition in the single-region deployment.
+LAN_REPLICAS = 3
 
 
 @dataclass
@@ -68,17 +69,16 @@ def _server_names(partition_index: int, replicas: int) -> list[str]:
     return [f"s{base + i + 1}" for i in range(replicas)]
 
 
-def wan1_deployment(num_partitions: int = 2, regions: list[str] | None = None) -> Deployment:
+def wan1_deployment(num_partitions: int = 2) -> Deployment:
     """Figure 1's WAN 1: per-partition majority in its preferred region.
 
-    Partition ``i`` prefers ``regions[i % len(regions)]``: two replicas
-    (including the preferred server) live there and one replica lives in
-    the next region over — which is also what lets other partitions'
-    clients read this partition within 2δ.
+    Partition ``i`` prefers region ``i % 2`` of the first two
+    :data:`DEFAULT_REGIONS`: two replicas (including the preferred
+    server) live there and one replica lives in the next region over —
+    which is also what lets other partitions' clients read this
+    partition within 2δ.
     """
-    regions = regions or DEFAULT_REGIONS[:2]
-    if len(regions) < 2:
-        raise ConfigurationError("WAN 1 needs at least two regions")
+    regions = DEFAULT_REGIONS[:2]
     topology = Topology()
     partitions: dict[str, list[str]] = {}
     preferred: dict[str, str] = {}
@@ -98,16 +98,15 @@ def wan1_deployment(num_partitions: int = 2, regions: list[str] | None = None) -
     return Deployment("wan1", topology, directory, preferred_region)
 
 
-def wan2_deployment(num_partitions: int = 2, regions: list[str] | None = None) -> Deployment:
+def wan2_deployment(num_partitions: int = 2) -> Deployment:
     """Figure 1's WAN 2: one replica of every partition in every region.
 
-    Partition ``i``'s preferred server sits in ``regions[i % len(regions)]``
-    (the paper avoids giving one region two preferred servers when it
-    would leave another region with none — rotation achieves that).
+    Partition ``i``'s preferred server sits in region
+    ``i % len(DEFAULT_REGIONS)`` (the paper avoids giving one region two
+    preferred servers when it would leave another region with none —
+    rotation achieves that).
     """
-    regions = regions or DEFAULT_REGIONS
-    if len(regions) < 2:
-        raise ConfigurationError("WAN 2 needs at least two regions")
+    regions = DEFAULT_REGIONS
     topology = Topology()
     partitions: dict[str, list[str]] = {}
     preferred: dict[str, str] = {}
@@ -126,15 +125,16 @@ def wan2_deployment(num_partitions: int = 2, regions: list[str] | None = None) -
     return Deployment("wan2", topology, directory, preferred_region)
 
 
-def lan_deployment(num_partitions: int, replicas: int = 3) -> Deployment:
-    """Everything in one region: the DSN 2012 scalability setting."""
+def lan_deployment(num_partitions: int) -> Deployment:
+    """Everything in one region, :data:`LAN_REPLICAS` replicas per
+    partition: the DSN 2012 scalability setting."""
     topology = Topology()
     partitions: dict[str, list[str]] = {}
     preferred: dict[str, str] = {}
     preferred_region: dict[str, str] = {}
     for index in range(num_partitions):
         partition = f"p{index}"
-        names = _server_names(index, replicas)
+        names = _server_names(index, LAN_REPLICAS)
         for replica, name in enumerate(names):
             topology.add_node(NodeSpec(name, US_EAST, f"dc{replica + 1}"))
         partitions[partition] = names

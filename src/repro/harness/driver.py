@@ -35,13 +35,11 @@ class ClosedLoopDriver:
         workload: Workload,
         collector: MetricsCollector,
         recorder: HistoryRecorder | None = None,
-        think_time: float = 0.0,
     ) -> None:
         self.client = client
         self.workload = workload
         self.collector = collector
         self.recorder = recorder
-        self.think_time = think_time
         self._rng = client.runtime.rng("workload")
         self._stopped = False
         self.issued = 0
@@ -67,10 +65,7 @@ class ClosedLoopDriver:
             self.recorder.record_result(result)
         if self._stopped:
             return
-        if self.think_time > 0:
-            self.client.runtime.set_timer(self.think_time, self._issue)
-        else:
-            self._issue()
+        self._issue()
 
 
 class OpenLoopDriver:

@@ -104,18 +104,11 @@ class FaultSchedule:
         self.faults.append(Fault(at=at, kind="restore", target=node))
         return self
 
-    def crash_region(self, at: float, cluster: SdurCluster, region: str) -> "FaultSchedule":
-        """Crash every *server* placed in ``region`` (catastrophic failure)."""
-        for node in cluster.deployment.topology.nodes_in_region(region):
-            if node in cluster.servers:
-                self.crash(at, node)
-        return self
-
     def region_loss(self, at: float, cluster: SdurCluster, region: str) -> "FaultSchedule":
         """Disconnect ``region``'s servers from everything outside it.
 
-        Unlike :meth:`crash_region` (crash-stop is forever in the sim),
-        a loss is *recoverable*: :meth:`region_heal` restores the links
+        Unlike a crash (crash-stop is forever in the sim), a loss is
+        *recoverable*: :meth:`region_heal` restores the links
         and the isolated replicas catch up through Paxos.
         """
         for a, b in self._region_boundary(cluster, region):

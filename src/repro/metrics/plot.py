@@ -23,13 +23,13 @@ from bisect import bisect_right
 #: Glyphs assigned to series, in order.
 SERIES_GLYPHS = "#:.*+o@%"
 
-#: Rows of a CDF plot.
+#: Rows and columns of a CDF plot.
 CDF_HEIGHT = 14
+CDF_WIDTH = 64
 
 
 def render_cdf(
     series: dict[str, list[tuple[float, float]]],
-    width: int = 64,
     title: str = "latency CDF",
 ) -> str:
     """Render named CDF point-lists (seconds, fraction) as an ASCII plot
@@ -48,6 +48,7 @@ def render_cdf(
     if x_max <= x_min:
         x_max = x_min + 1e-9
     height = CDF_HEIGHT
+    width = CDF_WIDTH
     grid = [[" "] * width for _ in range(height)]
 
     def fraction_at(points: list[tuple[float, float]], x: float) -> float | None:

@@ -36,30 +36,26 @@ def allocate_server_names(directory: ClusterDirectory, count: int) -> list[str]:
 def plan_split(
     routing: VersionedRouting,
     source: str,
-    new_members: tuple[str, ...] | None = None,
 ) -> ConfigChange:
     """Build the next epoch's change splitting ``source``.
 
-    The new partition mirrors the source's replication factor unless
-    ``new_members`` names its servers; its first member is preferred, and
-    the salt is unique per epoch so repeated splits of one partition move
-    independent key halves.
+    The new partition mirrors the source's replication factor on fresh
+    servers; its first member is preferred, and the salt is unique per
+    epoch so repeated splits of one partition move independent key
+    halves.
     """
     if not routing.knows_partition(source):
         raise ConfigurationError(f"cannot split unknown partition {source!r}")
     if source in routing.retired:
         raise ConfigurationError(f"cannot split retired partition {source!r}")
-    if new_members is None:
-        want = len(routing.directory.servers_of(source))
-        new_members = tuple(allocate_server_names(routing.directory, want))
-    if not new_members:
-        raise ConfigurationError("new partition needs at least one member")
+    want = len(routing.directory.servers_of(source))
+    new_members = tuple(allocate_server_names(routing.directory, want))
     new_epoch = routing.epoch + 1
     return ConfigChange(
         new_epoch=new_epoch,
         source=source,
         new_partition=next_partition_name(routing.partition_map),
-        new_members=tuple(new_members),
+        new_members=new_members,
         new_preferred=new_members[0],
         split_salt=f"split-e{new_epoch}-{source}",
     )

@@ -172,10 +172,6 @@ class SimNodeRuntime(Runtime):
         self.set_timer(0.0, fn)
 
     # -- Simulation extras ---------------------------------------------
-    @property
-    def cpu(self) -> ServiceStation:
-        return self._cpu
-
     def _crash(self) -> None:
         self._crashed = True
         for timer in list(self._timers):

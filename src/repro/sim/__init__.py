@@ -2,8 +2,7 @@
 
 This package provides the substrate on which all simulated experiments run:
 
-* :mod:`repro.sim.kernel` — the event loop (virtual clock, timer heap,
-  generator-based processes, signals).
+* :mod:`repro.sim.kernel` — the event loop (virtual clock, timer heap).
 * :mod:`repro.sim.rng` — named, reproducible random streams derived from a
   single master seed.
 * :mod:`repro.sim.latency` — pluggable message-latency models.
@@ -15,26 +14,17 @@ The kernel is deliberately small and dependency-free; everything above it
 interface in :mod:`repro.runtime`.
 """
 
-from repro.sim.kernel import Kernel, ScheduledEvent, Signal
-from repro.sim.latency import (
-    CompositeLatency,
-    ConstantLatency,
-    JitteredLatency,
-    LatencyModel,
-    UniformLatency,
-)
+from repro.sim.kernel import Kernel, ScheduledEvent
+from repro.sim.latency import ConstantLatency, JitteredLatency, LatencyModel
 from repro.sim.rng import RngRegistry
 from repro.sim.service import ServiceStation
 
 __all__ = [
     "Kernel",
     "ScheduledEvent",
-    "Signal",
     "RngRegistry",
     "LatencyModel",
     "ConstantLatency",
     "JitteredLatency",
-    "UniformLatency",
-    "CompositeLatency",
     "ServiceStation",
 ]

@@ -5,45 +5,18 @@ Determinism is guaranteed by breaking time ties with a monotonically
 increasing sequence number, so two runs with the same seed interleave
 events identically.
 
-Two programming styles are supported:
-
-* **Callbacks** — ``kernel.schedule(delay, fn, *args)`` runs ``fn`` at
-  ``now + delay``.
-* **Processes** — ``kernel.spawn(generator)`` runs a generator that yields
-  either a ``float`` (sleep for that many simulated seconds) or a
-  :class:`Signal` (park until the signal fires).  Signals carry a value,
-  which becomes the result of the ``yield`` expression.
-
-Example::
-
-    kernel = Kernel()
-    done = Signal()
-
-    def worker():
-        yield 1.5                  # sleep 1.5 simulated seconds
-        done.fire("finished")
-
-    def waiter():
-        result = yield done        # parked until worker fires the signal
-        assert result == "finished"
-
-    kernel.spawn(worker())
-    kernel.spawn(waiter())
-    kernel.run()
+Every event is a callback: ``kernel.schedule(delay, fn, *args)`` runs
+``fn(*args)`` at ``now + delay`` and returns a cancellable handle.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Callable, Generator
+from collections.abc import Callable
 from typing import Any
 
 from repro.errors import ClockError, SimulationError
-
-#: Type of the generators accepted by :meth:`Kernel.spawn`.
-ProcessGen = Generator[Any, Any, None]
-
 
 class ScheduledEvent:
     """A callback scheduled on the kernel; cancellable handle."""
@@ -73,49 +46,6 @@ class ScheduledEvent:
         return f"<ScheduledEvent t={self.time:.6f} seq={self.seq} {state}>"
 
 
-class Signal:
-    """A one-to-many wake-up primitive for kernel processes.
-
-    A process that yields a signal is parked until :meth:`fire` is called,
-    at which point the fired value is sent into the generator.  A signal
-    that has already fired wakes new waiters immediately (it latches).
-    """
-
-    __slots__ = ("_waiters", "_fired", "_value")
-
-    def __init__(self) -> None:
-        self._waiters: list[Callable[[Any], None]] = []
-        self._fired = False
-        self._value: Any = None
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
-    def value(self) -> Any:
-        if not self._fired:
-            raise SimulationError("signal value read before fire()")
-        return self._value
-
-    def fire(self, value: Any = None) -> None:
-        """Fire the signal, waking all current and future waiters."""
-        if self._fired:
-            raise SimulationError("signal fired twice")
-        self._fired = True
-        self._value = value
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter(value)
-
-    def add_waiter(self, callback: Callable[[Any], None]) -> None:
-        """Register ``callback(value)``; called immediately if already fired."""
-        if self._fired:
-            callback(self._value)
-        else:
-            self._waiters.append(callback)
-
-
 class Kernel:
     """Deterministic discrete-event loop with a virtual clock in seconds."""
 
@@ -140,41 +70,6 @@ class Kernel:
         event = ScheduledEvent(self._now + delay, next(self._seq), callback, args)
         heapq.heappush(self._heap, event)
         return event
-
-    def call_soon(self, callback: Callable[..., None], *args: Any) -> ScheduledEvent:
-        """Run ``callback(*args)`` at the current time, after pending events."""
-        return self.schedule(0.0, callback, *args)
-
-    # ------------------------------------------------------------------
-    # Processes
-    # ------------------------------------------------------------------
-    def spawn(self, generator: ProcessGen, delay: float = 0.0) -> ScheduledEvent:
-        """Start a generator-based process after ``delay`` seconds.
-
-        The generator may yield:
-
-        * a non-negative ``float``/``int`` — sleep that many seconds;
-        * a :class:`Signal` — park until it fires; the fired value becomes
-          the result of the ``yield``.
-        """
-        return self.schedule(delay, self._step_process, generator, None)
-
-    def _step_process(self, generator: ProcessGen, send_value: Any) -> None:
-        try:
-            yielded = generator.send(send_value)
-        except StopIteration:
-            return
-        if isinstance(yielded, (int, float)):
-            if yielded < 0:
-                generator.throw(ClockError(f"process slept {yielded!r} < 0"))
-                return
-            self.schedule(float(yielded), self._step_process, generator, None)
-        elif isinstance(yielded, Signal):
-            yielded.add_waiter(lambda value: self.call_soon(self._step_process, generator, value))
-        else:
-            generator.throw(
-                SimulationError(f"process yielded unsupported value {yielded!r}")
-            )
 
     # ------------------------------------------------------------------
     # Running

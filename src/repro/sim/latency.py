@@ -23,15 +23,9 @@ class LatencyModel(ABC):
     def sample(self, src: Hashable, dst: Hashable, rng: random.Random) -> float:
         """Return the delay for one message from ``src`` to ``dst``."""
 
+    @abstractmethod
     def expected(self, src: Hashable, dst: Hashable) -> float:
-        """Return the mean delay (used for the delaying heuristic).
-
-        Subclasses with a cheap closed form should override this; the
-        default estimates by sampling with a fixed-seed throwaway RNG.
-        """
-        probe = random.Random(0)
-        samples = [self.sample(src, dst, probe) for _ in range(64)]
-        return sum(samples) / len(samples)
+        """Return the mean delay (used for the delaying heuristic)."""
 
 
 class ConstantLatency(LatencyModel):
@@ -50,25 +44,6 @@ class ConstantLatency(LatencyModel):
 
     def __repr__(self) -> str:
         return f"ConstantLatency({self.delay!r})"
-
-
-class UniformLatency(LatencyModel):
-    """Delay drawn uniformly from ``[low, high]``."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if not 0 <= low <= high:
-            raise ValueError(f"need 0 <= low <= high, got {low!r}, {high!r}")
-        self.low = low
-        self.high = high
-
-    def sample(self, src: Hashable, dst: Hashable, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-    def expected(self, src: Hashable, dst: Hashable) -> float:
-        return (self.low + self.high) / 2
-
-    def __repr__(self) -> str:
-        return f"UniformLatency({self.low!r}, {self.high!r})"
 
 
 class JitteredLatency(LatencyModel):
@@ -94,25 +69,3 @@ class JitteredLatency(LatencyModel):
 
     def __repr__(self) -> str:
         return f"JitteredLatency(base={self.base!r}, jitter_stddev={self.jitter_stddev!r})"
-
-
-class CompositeLatency(LatencyModel):
-    """Dispatch to per-link models with a fallback default.
-
-    Links are registered per ordered ``(src, dst)`` pair; unregistered
-    pairs use the default model.  This is handy in unit tests that need
-    one slow link inside an otherwise uniform network.
-    """
-
-    def __init__(self, default: LatencyModel) -> None:
-        self.default = default
-        self._links: dict[tuple[Hashable, Hashable], LatencyModel] = {}
-
-    def _model_for(self, src: Hashable, dst: Hashable) -> LatencyModel:
-        return self._links.get((src, dst), self.default)
-
-    def sample(self, src: Hashable, dst: Hashable, rng: random.Random) -> float:
-        return self._model_for(src, dst).sample(src, dst, rng)
-
-    def expected(self, src: Hashable, dst: Hashable) -> float:
-        return self._model_for(src, dst).expected(src, dst)

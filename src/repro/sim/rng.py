@@ -37,11 +37,3 @@ class RngRegistry:
             stream = random.Random(derive_seed(self.master_seed, name))
             self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Create an independent registry seeded from a child stream.
-
-        Useful for sub-experiments that must not consume randomness from
-        the parent's streams.
-        """
-        return RngRegistry(derive_seed(self.master_seed, f"fork:{name}"))

@@ -24,8 +24,6 @@ class ServiceStation:
         self.name = name
         self._queue: deque[tuple[float, Callable[[], None]]] = deque()
         self._busy = False
-        #: Total seconds of service performed (utilisation numerator).
-        self.busy_time = 0.0
         #: Number of work items completed.
         self.completed = 0
 
@@ -52,16 +50,9 @@ class ServiceStation:
             return
         self._busy = True
         service_time, callback = self._queue.popleft()
-        self.busy_time += service_time
         self._kernel.schedule(service_time, self._finish, callback)
 
     def _finish(self, callback: Callable[[], None]) -> None:
         self.completed += 1
         callback()
         self._start_next()
-
-    def utilisation(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds spent serving work."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)

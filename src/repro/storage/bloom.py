@@ -76,11 +76,9 @@ class BloomFilter:
         return cls(num_bits, num_hashes)
 
     @classmethod
-    def from_keys(
-        cls, keys: Iterable[Any], fp_rate: float = 0.001, expected_items: int | None = None
-    ) -> "BloomFilter":
+    def from_keys(cls, keys: Iterable[Any], fp_rate: float = 0.001) -> "BloomFilter":
         keys = list(keys)
-        bloom = cls.with_capacity(expected_items or len(keys), fp_rate)
+        bloom = cls.with_capacity(len(keys), fp_rate)
         for key in keys:
             bloom.add(key)
         return bloom

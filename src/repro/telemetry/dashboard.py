@@ -30,14 +30,15 @@ _BARS = "▁▂▃▄▅▆▇█"
 SPARK_WIDTH = 40
 
 
-def sparkline(values: list[float], width: int = SPARK_WIDTH) -> str:
+def sparkline(values: list[float]) -> str:
     """Render ``values`` as a fixed-width sparkline (downsampled by
-    striding when longer than ``width``; scaled to the series' range)."""
+    striding when longer than :data:`SPARK_WIDTH`; scaled to the series'
+    range)."""
     if not values:
         return ""
-    if len(values) > width:
-        stride = len(values) / width
-        values = [values[int(i * stride)] for i in range(width)]
+    if len(values) > SPARK_WIDTH:
+        stride = len(values) / SPARK_WIDTH
+        values = [values[int(i * stride)] for i in range(SPARK_WIDTH)]
     lo = min(values)
     hi = max(values)
     span = hi - lo

@@ -4,25 +4,23 @@ Three instrument kinds, all declared through a :class:`MetricSpec` so
 every metric carries name/unit/help metadata from birth (the exporters
 and the docs check read it back):
 
-* :class:`Counter` — a monotonically increasing integer.  Either free
-  (``inc()``) or *bound* to a zero-argument reader, which is how the
-  §19 registry retrofits the pre-existing ``ServerStats`` attributes
-  without touching a single hot-path increment.
-* :class:`Gauge` — a point-in-time scalar (``set()`` or bound).
-* :class:`LogLinearHistogram` — a mergeable distribution sketch that
-  answers p50/p99/p999 without storing samples.
+* :class:`Counter` — a monotonically increasing integer, *bound* to a
+  zero-argument reader, which is how the §19 registry retrofits the
+  pre-existing ``ServerStats`` attributes without touching a single
+  hot-path increment.
+* :class:`Gauge` — a point-in-time scalar, bound the same way.
+* :class:`LogLinearHistogram` — a distribution sketch that answers
+  p50/p99/p999 without storing samples.
 
 The histogram's bucketing is the standard log-linear scheme (HdrHistogram,
 DDSketch's cousin): each power-of-two octave ``[2^k, 2^(k+1))`` is cut
-into ``subbuckets`` equal linear slices, so a quantile estimate is off
-by at most one slice — a documented **relative error of at most
-``1/subbuckets``** (3.125% at the default 32), over-estimating only
-(the estimate is the bucket's upper edge, clamped to the observed
-maximum).  ``tests/telemetry/test_histogram.py`` holds this bound as a
-hypothesis property.  Buckets are a sparse ``dict`` keyed by
-``octave * subbuckets + slice`` so merging two sketches is integer
-addition — associative and order-independent — which is what lets the
-sampler aggregate per-replica sketches later without re-observing.
+into :data:`SUBBUCKETS` equal linear slices, so a quantile estimate is
+off by at most one slice — a documented **relative error of at most
+``1/SUBBUCKETS``** (3.125%), over-estimating only (the estimate is the
+bucket's upper edge, clamped to the observed maximum).
+``tests/telemetry/test_histogram.py`` holds this bound as a hypothesis
+property.  Buckets are a sparse ``dict`` keyed by
+``octave * SUBBUCKETS + slice``.
 """
 
 from __future__ import annotations
@@ -41,6 +39,9 @@ __all__ = [
 
 #: Values below this observe into the underflow bucket and report as 0.
 MIN_TRACKABLE = 1e-9
+#: Linear slices per power-of-two octave: the relative-error bound is
+#: ``1/SUBBUCKETS``.
+SUBBUCKETS = 32
 
 
 @dataclass(frozen=True)
@@ -57,41 +58,29 @@ class MetricSpec:
 
 
 class Counter:
-    """A monotonic counter; free-standing or bound to a reader."""
+    """A monotonic counter bound to a reader."""
 
-    __slots__ = ("spec", "_value", "_fn")
+    __slots__ = ("spec", "_fn")
 
-    def __init__(self, spec: MetricSpec, fn: Callable[[], int] | None = None) -> None:
+    def __init__(self, spec: MetricSpec, fn: Callable[[], int]) -> None:
         self.spec = spec
-        self._value = 0
         self._fn = fn
 
-    def inc(self, n: int = 1) -> None:
-        if self._fn is not None:
-            raise TypeError(f"counter {self.spec.name} is bound to a reader")
-        self._value += n
-
     def read(self) -> int:
-        return int(self._fn()) if self._fn is not None else self._value
+        return int(self._fn())
 
 
 class Gauge:
-    """A point-in-time scalar; free-standing or bound to a reader."""
+    """A point-in-time scalar bound to a reader."""
 
-    __slots__ = ("spec", "_value", "_fn")
+    __slots__ = ("spec", "_fn")
 
-    def __init__(self, spec: MetricSpec, fn: Callable[[], float] | None = None) -> None:
+    def __init__(self, spec: MetricSpec, fn: Callable[[], float]) -> None:
         self.spec = spec
-        self._value = 0
         self._fn = fn
 
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise TypeError(f"gauge {self.spec.name} is bound to a reader")
-        self._value = value
-
     def read(self) -> float:
-        return self._fn() if self._fn is not None else self._value
+        return self._fn()
 
 
 @dataclass(frozen=True)
@@ -108,15 +97,12 @@ class HistogramSnapshot:
 
 
 class LogLinearHistogram:
-    """Mergeable log-linear distribution sketch (see module docstring)."""
+    """Log-linear distribution sketch (see module docstring)."""
 
-    __slots__ = ("spec", "subbuckets", "_buckets", "_zero", "_count", "_total", "_min", "_max")
+    __slots__ = ("spec", "_buckets", "_zero", "_count", "_total", "_min", "_max")
 
-    def __init__(self, spec: MetricSpec, subbuckets: int = 32) -> None:
-        if subbuckets < 2:
-            raise ValueError("subbuckets must be >= 2")
+    def __init__(self, spec: MetricSpec) -> None:
         self.spec = spec
-        self.subbuckets = subbuckets
         self._buckets: dict[int, int] = {}
         self._zero = 0  # underflow bucket: values < MIN_TRACKABLE
         self._count = 0
@@ -138,25 +124,9 @@ class LogLinearHistogram:
         # value = m * 2^e with 0.5 <= m < 1  =>  octave e-1, linear slice
         # of (m - 0.5) * 2 within it.
         m, e = math.frexp(value)
-        key = (e - 1) * self.subbuckets + int((m - 0.5) * 2.0 * self.subbuckets)
+        key = (e - 1) * SUBBUCKETS + int((m - 0.5) * 2.0 * SUBBUCKETS)
         buckets = self._buckets
         buckets[key] = buckets.get(key, 0) + 1
-
-    def merge(self, other: "LogLinearHistogram") -> None:
-        """Fold ``other`` into this sketch (buckets are integer-additive,
-        so merge order never changes any quantile estimate)."""
-        if other.subbuckets != self.subbuckets:
-            raise ValueError("cannot merge histograms with different subbuckets")
-        buckets = self._buckets
-        for key, n in other._buckets.items():
-            buckets[key] = buckets.get(key, 0) + n
-        self._zero += other._zero
-        self._count += other._count
-        self._total += other._total
-        if other._max > self._max:
-            self._max = other._max
-        if other._min < self._min:
-            self._min = other._min
 
     # -- reading --------------------------------------------------------
     @property
@@ -176,13 +146,13 @@ class LogLinearHistogram:
         return self._max
 
     def _bucket_upper(self, key: int) -> float:
-        octave, slice_ = divmod(key, self.subbuckets)
-        return math.ldexp(1.0 + (slice_ + 1) / self.subbuckets, octave)
+        octave, slice_ = divmod(key, SUBBUCKETS)
+        return math.ldexp(1.0 + (slice_ + 1) / SUBBUCKETS, octave)
 
     def quantile(self, q: float) -> float:
         """Estimate the q-quantile: the upper edge of the bucket holding
         the rank ``max(1, ceil(q * count))`` sample, clamped to the
-        observed maximum — within ``1/subbuckets`` relative error."""
+        observed maximum — within ``1/SUBBUCKETS`` relative error."""
         if self._count == 0:
             return 0.0
         rank = max(1, math.ceil(q * self._count))

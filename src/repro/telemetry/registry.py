@@ -7,7 +7,7 @@ snapshots it on every tick, the exporters render it, and
 ``SdurCluster.server_stats()`` serves the legacy per-node counter dict
 straight off it (:meth:`MetricRegistry.wire_counters`).
 
-Declaring a metric is free on the hot path: counters and gauges may be
+Declaring a metric is free on the hot path: counters and gauges are
 *bound* to zero-argument readers (usually a ``lambda`` over an existing
 ``ServerStats`` attribute), so the server keeps its plain attribute
 increments and the registry only evaluates the readers at sample time.
@@ -51,7 +51,7 @@ class MetricRegistry:
         *,
         unit: str = "1",
         help: str = "",
-        fn: Callable[[], int] | None = None,
+        fn: Callable[[], int],
         wire: str | None = None,
     ) -> Counter:
         spec = MetricSpec(name=name, kind="counter", unit=unit, help=help, wire=wire)
@@ -65,7 +65,7 @@ class MetricRegistry:
         *,
         unit: str = "1",
         help: str = "",
-        fn: Callable[[], float] | None = None,
+        fn: Callable[[], float],
         wire: str | None = None,
     ) -> Gauge:
         spec = MetricSpec(name=name, kind="gauge", unit=unit, help=help, wire=wire)

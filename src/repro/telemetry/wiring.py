@@ -64,7 +64,6 @@ SERVER_COUNTERS: tuple[CounterRow, ...] = (
     CounterRow("queue_depth", "gauge", "deliveries", "Current delivery backlog (stalled + pending)."),
     CounterRow("queue_depth_max", "gauge", "deliveries", "High-water mark of the delivery backlog."),
     CounterRow("stall_depth_max", "gauge", "deliveries", "High-water mark of the stall queue alone."),
-    CounterRow("hotkey_updates", "counter", "keys", "Write-key observations fed to the hot-key tracker."),
     CounterRow("completed_at_delivery", "counter", "transactions", "Locals committed at delivery, never entering the pending list (§18.2)."),
     CounterRow("gossip_resyncs", "counter", "requests", "Gossip resync requests sent after a missed delta (§6)."),
     _bucket("aborted_certification", "Certification conflicts."),

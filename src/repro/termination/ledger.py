@@ -193,9 +193,7 @@ class VoteLedger:
             while len(self._early) > self.limit:
                 self._early.popitem(last=False)
 
-    def _take_effect(
-        self, entry: PendingTxn, partition: str, vote: str, via: str = "ledger"
-    ) -> None:
+    def _take_effect(self, entry: PendingTxn, partition: str, vote: str) -> None:
         if partition in entry.votes:
             return
         entry.votes[partition] = vote
@@ -206,7 +204,7 @@ class VoteLedger:
                 entry.tid,
                 partition=partition,
                 vote=vote,
-                via=via,
+                via="ledger",
             )
 
     # ------------------------------------------------------------------

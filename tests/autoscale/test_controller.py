@@ -4,7 +4,7 @@ A downsized end-to-end loop — no scheduled faults, no operator: clients
 hammer partition 0 until the controller splits it, then the load stops
 and the cooled child is merged back.  The committed history must stay
 serializable throughout (the merge install is recorded as a synthetic
-commit) and the hot-key sketches must have seen the traffic.
+commit).
 """
 
 from repro.autoscale import AutoscaleConfig
@@ -71,33 +71,3 @@ class TestAutoscaleController:
         assert done and any(r.committed for r in done)
         check_serializability(recorder).raise_if_failed()
         replica_agreement(recorder, cluster.replica_counts()).raise_if_failed()
-
-    def test_hot_key_sketches_track_the_write_stream(self):
-        cluster = make_cluster(num_partitions=2, seed=29)
-        cluster.seed({"0/hot": 0, "0/cold": 0})
-        controller = cluster.enable_autoscale(
-            AutoscaleConfig(interval=0.25, min_partitions=2, max_partitions=2)
-        )
-        client = cluster.add_client()
-        cluster.start()
-
-        done = []
-
-        def issue(remaining):
-            def on_done(result):
-                done.append(result)
-                if remaining > 1:
-                    issue(remaining - 1)
-
-            client.execute(update_program(["0/hot"]), on_done)
-
-        issue(20)
-        cluster.world.run(until=3.0)
-
-        assert len(done) == 20
-        top = controller.hot_keys("p0", 1)
-        assert top and top[0][0] == "0/hot"
-        stats = cluster.server_stats()
-        assert sum(s.get("hotkey_updates", 0) for s in stats.values() if isinstance(s, dict)) > 0
-        # max_partitions == active: the controller held steady.
-        assert controller.counters()["splits_triggered"] == 0

@@ -8,7 +8,7 @@ cluster keeps these tests synchronous and exact.
 
 from dataclasses import dataclass, field
 
-from repro.autoscale import AutoscaleConfig, LoadMonitor, SpaceSavingTracker
+from repro.autoscale import AutoscaleConfig, LoadMonitor
 from repro.telemetry import MetricRegistry
 
 
@@ -23,7 +23,6 @@ class StubStats:
 @dataclass
 class StubServer:
     stats: StubStats = field(default_factory=StubStats)
-    hot_keys: SpaceSavingTracker | None = None
 
     def __post_init__(self) -> None:
         # The same three bound metrics repro.telemetry.wiring declares
@@ -58,7 +57,7 @@ class StubCluster:
 
 
 def make_config(**overrides) -> AutoscaleConfig:
-    defaults = dict(queue_weight=5.0, ewma_alpha=0.5, hotkey_capacity=8)
+    defaults = dict(queue_weight=5.0, ewma_alpha=0.5)
     defaults.update(overrides)
     return AutoscaleConfig(**defaults)
 
@@ -139,14 +138,3 @@ class TestLoadMonitor:
         servers["s1"].server.stats.shed_total = 20
         servers["s2"].server.stats.shed_total = 20
         assert monitor.sample(2.0)["p0"].shed_rate == 10.0
-
-    def test_hot_keys_sum_replica_sketches(self):
-        cluster, servers = two_replica_cluster()
-        monitor = LoadMonitor(cluster, make_config(hotkey_capacity=8))
-        for node in ("s1", "s2"):
-            tracker = SpaceSavingTracker(8)
-            servers[node].server.hot_keys = tracker
-            for _ in range(3):
-                tracker.observe("0/hot")
-            tracker.observe(f"0/only-{node}")
-        assert monitor.hot_keys("p0", 1) == [("0/hot", 6)]

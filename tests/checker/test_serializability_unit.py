@@ -99,6 +99,18 @@ class TestViolations:
         assert not report.ok
         assert any("never at servers" in issue for issue in report.issues)
 
+    def test_client_abort_with_server_commit_flagged(self):
+        """A replica that commits what its client was told aborted (a
+        restored replica answering a resent, committed request with
+        ``abort``) leaves no cycle: only this check sees it."""
+        recorder = HistoryRecorder()
+        t = TxnId("c", 1)
+        record_commit(recorder, t, "p0", 1, ["x"], ("p0",))
+        recorder.record_result(make_result(t, {"x": 0}, ["x"], committed=False))
+        report = check_serializability(recorder)
+        assert not report.ok
+        assert any("aborted at client but committed" in issue for issue in report.issues)
+
     def test_partial_global_commit_flagged(self):
         recorder = HistoryRecorder()
         t = TxnId("c", 1)

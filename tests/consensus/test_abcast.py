@@ -25,7 +25,8 @@ def build_two_partitions(world):
                 on_deliver=lambda i, v, p=partition, m=member: delivered[p][m].append(v),
             )
             runtime.listen(lambda src, msg, r=replica: r.handle(src, msg))
-            fabric = AbcastFabric(runtime, groups, hints, {partition: replica})
+            fabric = AbcastFabric(runtime, groups, hints)
+            fabric.attach_replica(partition, replica)
             fabrics[member] = fabric
             replicas.append(replica)
     for replica in replicas:

@@ -11,11 +11,11 @@ from collections import deque
 
 import pytest
 
-from repro.core.certifier import CertificationWindow, ctest, window_entry
+from repro.core.certifier import CertificationWindow, window_entry
 from repro.core.pending import PendingList, PendingTxn
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 
-from tests.oracles.scan_certifier import certify, entries_after, find_reorder_position
+from tests.oracles.scan_certifier import certify, ctest, entries_after, find_reorder_position
 
 
 def proj(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import snapshots
 from repro.core.messages import CommitGossip
 from repro.core.snapshots import GlobalSnapshotBuilder
 from repro.core.transaction import TxnId
@@ -62,8 +63,9 @@ class TestBasics:
         assert vector["p9"] == 5
         assert vector["p1"] == 7  # the shared global is fully visible
 
-    def test_pending_gossip_buffer_is_bounded(self):
-        builder = GlobalSnapshotBuilder(["p0", "p1"], "p0", history=4)
+    def test_pending_gossip_buffer_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(snapshots, "GOSSIP_HISTORY", 4)
+        builder = GlobalSnapshotBuilder(["p0", "p1"], "p0")
         for sc in range(1, 10):
             builder.on_gossip(CommitGossip(partition="p9", sc=sc))
         assert len(builder._pending_gossip) == 4
@@ -186,8 +188,9 @@ class TestDeltaGossip:
         sender.next_delta()
         assert sender.payload_since(0) == full_history_payload(sender)
 
-    def test_window_eviction_is_declared_in_complete_from(self):
-        sender = GlobalSnapshotBuilder(["p0", "p1"], "p1", history=2)
+    def test_window_eviction_is_declared_in_complete_from(self, monkeypatch):
+        monkeypatch.setattr(snapshots, "GOSSIP_HISTORY", 2)
+        sender = GlobalSnapshotBuilder(["p0", "p1"], "p1")
         for n in range(1, 5):
             sender.on_local_commit(tid(n), n, ("p0", "p1"), is_global=True)
         payload = sender.next_delta()

@@ -48,6 +48,22 @@ def test_documented_experiment_ids_are_registered(doc):
     assert not unknown, f"{doc.name} cites unregistered experiments {unknown}"
 
 
+MODULE_CLI_RE = re.compile(r"python3? -m (repro(?:\.\w+)*)")
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+def test_cited_clis_are_package_mains(doc):
+    """A package has one CLI, its ``__main__.py``: a cited ``python -m
+    repro.…`` names a package that has one, never a module inside it."""
+    src = REPO / "src"
+    no_main = sorted(
+        module
+        for module in set(MODULE_CLI_RE.findall(doc.read_text()))
+        if not (src / module.replace(".", "/") / "__main__.py").exists()
+    )
+    assert not no_main, f"{doc.name} cites CLIs that are not a package __main__: {no_main}"
+
+
 #: Ablation ids (``A1`` … ``A8``) and names of things that no longer exist.
 ABLATION_ID_RE = re.compile(r"\bA\d+\b")
 RETIRED_NAMES = (

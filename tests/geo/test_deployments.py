@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.geo import deployments
 from repro.geo.deployments import lan_deployment, wan1_deployment, wan2_deployment
 from repro.net.topology import EU, US_EAST, US_WEST
 
@@ -42,10 +42,6 @@ class TestWan1:
         assert deployment.preferred_region["p2"] == EU
         assert len(deployment.directory.all_servers()) == 12
 
-    def test_needs_two_regions(self):
-        with pytest.raises(ConfigurationError):
-            wan1_deployment(2, regions=[EU])
-
 
 class TestWan2:
     def test_one_replica_per_region(self):
@@ -61,8 +57,9 @@ class TestWan2:
         regions = {deployment.preferred_region[p] for p in deployment.partition_ids}
         assert regions == {EU, US_EAST, US_WEST}
 
-    def test_group_size_follows_region_count(self):
-        deployment = wan2_deployment(1, regions=[EU, US_EAST])
+    def test_group_size_follows_region_count(self, monkeypatch):
+        monkeypatch.setattr(deployments, "DEFAULT_REGIONS", [EU, US_EAST])
+        deployment = wan2_deployment(1)
         assert len(deployment.directory.servers_of("p0")) == 2
 
 
@@ -72,8 +69,9 @@ class TestLan:
         assert deployment.topology.regions() == {US_EAST}
         assert len(deployment.directory.all_servers()) == 9
 
-    def test_replica_count_configurable(self):
-        deployment = lan_deployment(2, replicas=5)
+    def test_replica_count_configurable(self, monkeypatch):
+        monkeypatch.setattr(deployments, "LAN_REPLICAS", 5)
+        deployment = lan_deployment(2)
         assert len(deployment.directory.servers_of("p0")) == 5
 
     def test_replicas_in_distinct_datacenters(self):

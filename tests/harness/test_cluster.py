@@ -82,24 +82,6 @@ class TestDriver:
         assert driver.issued > 10
         assert len(collector) >= driver.issued - in_flight_allowance
 
-    def test_think_time_slows_issue_rate(self):
-        def issued_with(think):
-            cluster = make_cluster(num_partitions=1, seed=4)
-            client = cluster.add_client()
-            cluster.start()
-            collector = MetricsCollector()
-            driver = ClosedLoopDriver(
-                client,
-                MicroBenchmark(1, 0, 0.0, items_per_partition=100),
-                collector,
-                think_time=think,
-            )
-            driver.start()
-            cluster.world.run_for(2.0)
-            return driver.issued
-
-        assert issued_with(0.1) < issued_with(0.0) / 2
-
     def test_run_experiment_windows(self):
         cluster = make_cluster(num_partitions=1)
         client = cluster.add_client()

@@ -49,23 +49,6 @@ class TestSchedule:
         cluster.world.run_for(1.0)
         assert not cluster.world.network.link_is_cut("s1", "s2")
 
-    def test_crash_region_targets_only_servers(self):
-        from repro.geo.deployments import wan1_deployment
-        from repro.core.partitioning import PartitionMap
-        from repro.core.config import SdurConfig
-        from repro.harness.cluster import build_cluster
-
-        deployment = wan1_deployment(2)
-        cluster = build_cluster(deployment, PartitionMap.by_index(2), SdurConfig())
-        client = cluster.add_client(region="eu")  # a client in the region
-        cluster.start()
-        schedule = FaultSchedule().crash_region(1.0, cluster, "eu")
-        schedule.arm(cluster)
-        cluster.world.run_for(2.0)
-        crashed = {t for _, kind, t in schedule.fired if kind == "crash"}
-        assert crashed == {"s1", "s2", "s6"}  # EU servers only
-        assert client.node_id not in crashed
-
     def test_cluster_still_serves_around_scheduled_follower_crash(self):
         cluster = make_cluster(num_partitions=1)
         cluster.seed({"0/x": 0})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.plot import SERIES_GLYPHS, render_bars, render_cdf
+from repro.metrics.plot import CDF_WIDTH, SERIES_GLYPHS, render_bars, render_cdf
 
 
 def ramp(start, step, count=50):
@@ -34,7 +34,7 @@ class TestRenderCdf:
 
     def test_faster_series_sits_left_of_slower(self):
         plot = render_cdf(
-            {"fast": ramp(0.01, 0.0002), "slow": ramp(0.2, 0.0002)}, width=60
+            {"fast": ramp(0.01, 0.0002), "slow": ramp(0.2, 0.0002)}
         )
         top_rows = plot.splitlines()[1:4]
         # In the top rows (CDF ~1.0) the fast series has long since
@@ -47,10 +47,10 @@ class TestRenderCdf:
             pytest.fail("expected a row containing both series")
 
     def test_width_respected(self):
-        plot = render_cdf({"a": ramp(0.0, 0.001)}, width=30)
+        plot = render_cdf({"a": ramp(0.0, 0.001)})
         body_rows = [line for line in plot.splitlines() if line.rstrip().endswith("#")]
         assert body_rows, "expected at least one populated row"
-        assert all(len(line) <= 30 + 8 for line in plot.splitlines())
+        assert all(len(line) <= CDF_WIDTH + 8 for line in plot.splitlines())
 
     def test_too_many_series_rejected(self):
         series = {f"s{i}": ramp(0.0, 0.001, 5) for i in range(len(SERIES_GLYPHS) + 1)}

@@ -56,6 +56,18 @@ class OptimisticTermination(VoteLedger):
     def admit(self, entry):
         self._arm_vote_timeout(entry)
 
+    def _take_effect(self, entry, partition, vote, via):
+        """The ledger's, with the path the vote took (``own``,
+        ``buffer`` or ``arrival``) in its ``vote.effect`` event."""
+        if partition in entry.votes:
+            return
+        entry.votes[partition] = vote
+        if self._obs.enabled:
+            self._obs.event(
+                "vote.effect", self.runtime.node_id, entry.tid,
+                partition=partition, vote=vote, via=via,
+            )
+
     def cast(self, proj, outcome):
         """The own verdict counts at once and the Vote leaves at once; a
         commit verdict is also where arrival-buffered votes merge in."""

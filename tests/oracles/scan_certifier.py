@@ -8,15 +8,35 @@ SCAN``.  The differential suites (``tests/properties/test_prop_certindex.py``,
 :class:`~repro.core.certindex.IndexedCertifier`; verdicts must be
 bit-identical on every one.  Assign an instance to ``server.certifier``
 to drive a whole replica with it.  Imports nothing but ``repro``.
+
+``ctest`` is Algorithm 2's pairwise conflict test (lines 46–47); the
+scan applies it to every window entry the transaction did not observe.
 """
 
 from bisect import bisect_right
 from operator import itemgetter
 
-from repro.core.certifier import CertificationWindow, ctest
+from repro.core.certifier import CertificationWindow, WindowEntry, readset_digest
 from repro.core.certindex import CertifierCounters
 from repro.core.pending import PendingList
 from repro.core.transaction import TxnId, TxnProjection
+
+
+def ctest(txn: TxnProjection, committed: WindowEntry) -> bool:
+    """Does ``txn`` pass certification against one committed transaction?
+
+    Returns True when no conflict exists.  ``committed`` is the window
+    entry of a transaction delivered and committed before ``txn``; it is
+    probed as it is stored, so a scan allocates nothing per entry.
+    """
+    _version, _client, _seq, readset, ws_keys, _is_global = committed
+    if ws_keys and txn.readset.contains_any(ws_keys):
+        return False
+    if txn.is_global and txn.writeset:
+        if isinstance(readset, bytes):
+            return not readset_digest(readset).contains_any(txn.writeset)
+        return not any(key in readset for key in txn.writeset)
+    return True
 
 
 def entries_after(window: CertificationWindow, snapshot: int) -> list:

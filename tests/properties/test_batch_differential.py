@@ -23,6 +23,8 @@ vote records reach the servers only as scripted log values.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.checkpoint import WindowRecord
@@ -248,7 +250,7 @@ def test_local_during_a_captured_split_completes_at_delivery_like_the_oracle():
     have kept the pending list non-empty."""
 
     def run(server: SdurServer) -> SdurServer:
-        change = plan_split(server.routing, "p0", new_members=("n1",))
+        change = replace(plan_split(server.routing, "p0"), new_members=("n1",), new_preferred="n1")
         server.on_adeliver(0, BeginSplit(change=change))
         migration = server.reconfig._migration
         assert migration is not None and migration.captured and not server.pending

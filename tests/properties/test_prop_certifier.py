@@ -9,11 +9,11 @@ four conditions at every slot.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.certifier import CertificationWindow, ctest, window_entry
+from repro.core.certifier import CertificationWindow, window_entry
 from repro.core.pending import PendingList, PendingTxn
 from repro.core.transaction import ReadsetDigest, TxnId, TxnProjection
 
-from tests.oracles.scan_certifier import certify, find_reorder_position, outcome_conflicts
+from tests.oracles.scan_certifier import certify, ctest, find_reorder_position, outcome_conflicts
 
 KEYS = ["a", "b", "c", "d", "e"]
 

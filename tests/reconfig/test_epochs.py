@@ -88,11 +88,6 @@ class TestPlanSplit:
         with pytest.raises(ConfigurationError):
             plan_split(make_routing(), "p9")
 
-    def test_explicit_members(self):
-        change = plan_split(make_routing(), "p1", new_members=("x1", "x2"))
-        assert change.new_members == ("x1", "x2")
-        assert change.new_preferred == "x1"
-
     def test_helpers(self):
         assert next_partition_name(PartitionMap.by_index(3)) == "p3"
         assert allocate_server_names(two_partition_directory(), 2) == ["s7", "s8"]

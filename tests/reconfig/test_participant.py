@@ -11,6 +11,7 @@ splits and merges under load stay in
 """
 
 import ast
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -134,8 +135,13 @@ def proposed(rig, kind):
     return [(group, value) for group, value in rig.proposals if isinstance(value, kind)]
 
 
+def split_onto(routing, source, members):
+    """``plan_split`` with the new partition placed on ``members``."""
+    return replace(plan_split(routing, source), new_members=members, new_preferred=members[0])
+
+
 def split_of_p0(routing):
-    return plan_split(routing, "p0", new_members=("n1", "n2"))
+    return split_onto(routing, "p0", ("n1", "n2"))
 
 
 class TestBeginAndCapture:
@@ -251,7 +257,7 @@ class TestMergeInstall:
         ahead = fresh_routing()
         split = split_of_p0(ahead)
         ahead.apply(split)
-        resplit = plan_split(ahead, "p3", new_members=("n3",))
+        resplit = split_onto(ahead, "p3", ("n3",))
         ahead.apply(resplit)
         merge = plan_merge(ahead, absorbed="p2", into="p1")
         rig = make(partition="p1", node="q1")
@@ -315,11 +321,11 @@ class TestMergeInstall:
 class TestChangesLearnedOutOfBand:
     def test_snapshot_stops_at_the_first_change_touching_the_own_partition(self):
         ahead = fresh_routing()
-        first = plan_split(ahead, "p1", new_members=("n1",))
+        first = split_onto(ahead, "p1", ("n1",))
         ahead.apply(first)
-        own = plan_split(ahead, "p0", new_members=("n2",))
+        own = split_onto(ahead, "p0", ("n2",))
         ahead.apply(own)
-        later = plan_split(ahead, "p1", new_members=("n3",))
+        later = split_onto(ahead, "p1", ("n3",))
         ahead.apply(later)
         rig = make()
         snapshot = ConfigSnapshot(epoch=3, changes=(later, own, first))
@@ -340,7 +346,7 @@ class TestChangesLearnedOutOfBand:
 
     def test_get_config_answers_with_the_missing_suffix(self):
         rig = make()
-        change = plan_split(rig.routing, "p1", new_members=("n1",))
+        change = split_onto(rig.routing, "p1", ("n1",))
         rig.part.handle(ConfigSnapshot(epoch=1, changes=(change,)))
         rig.part.handle(GetConfig(reply_to="client", since_epoch=0))
         rig.part.handle(GetConfig(reply_to="client", since_epoch=1))
@@ -356,7 +362,7 @@ class TestWrongEpochWork:
         request = CommitRequest(tid=tid(1), projections={"p0": proj(1, epoch=1)})
         assert rig.part.screen(request) is False
         assert not rig.runtime.sent and not rig.resubmitted
-        change = plan_split(rig.routing, "p1", new_members=("n1",))
+        change = split_onto(rig.routing, "p1", ("n1",))
         rig.part.handle(ConfigSnapshot(epoch=1, changes=(change,)))
         assert rig.resubmitted == [request]
         assert rig.part.screen(request) is True
@@ -410,7 +416,7 @@ class TestCatchupTimer:
         assert [dst for dst, _ in pulls] == ["q1", "q2", "r1"]  # everyone but our own
         assert all(msg == GetConfig(reply_to="s1", since_epoch=0) for _, msg in pulls)
         assert len(rig.runtime.timers) == 1  # re-armed: still gated
-        change = plan_split(rig.routing, "p1", new_members=("n1",))
+        change = split_onto(rig.routing, "p1", ("n1",))
         rig.part.handle(ConfigSnapshot(epoch=1, changes=(change,)))
         assert not rig.part.must_wait(gated)
         rig.runtime.timers.pop()[1]()
@@ -419,7 +425,7 @@ class TestCatchupTimer:
     def test_a_new_gated_head_takes_over_the_armed_timer(self):
         rig = make()
         rig.part.stalled_on(proj(1, epoch=1))
-        change = plan_split(rig.routing, "p1", new_members=("n1",))
+        change = split_onto(rig.routing, "p1", ("n1",))
         rig.part.handle(ConfigSnapshot(epoch=1, changes=(change,)))
         rig.part.stalled_on(proj(2, epoch=2))  # the pump found the next head gated too
         ((_, tick),) = rig.runtime.timers

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ClockError, SimulationError
-from repro.sim.kernel import Kernel, Signal
+from repro.sim.kernel import Kernel
 
 
 class TestScheduling:
@@ -44,13 +44,6 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         with pytest.raises(ClockError):
             Kernel().schedule(-0.1, lambda: None)
-
-    def test_call_soon_runs_at_current_time(self):
-        kernel = Kernel()
-        times = []
-        kernel.schedule(5.0, lambda: kernel.call_soon(lambda: times.append(kernel.now)))
-        kernel.run()
-        assert times == [5.0]
 
     def test_cancel_prevents_execution(self):
         kernel = Kernel()
@@ -129,98 +122,3 @@ class TestRunBounds:
         assert kernel.step() is True
         assert kernel.step() is False
 
-
-class TestProcesses:
-    def test_process_sleeps(self):
-        kernel = Kernel()
-        trace = []
-
-        def proc():
-            trace.append(kernel.now)
-            yield 1.5
-            trace.append(kernel.now)
-            yield 0.5
-            trace.append(kernel.now)
-
-        kernel.spawn(proc())
-        kernel.run()
-        assert trace == [0.0, 1.5, 2.0]
-
-    def test_spawn_with_delay(self):
-        kernel = Kernel()
-        trace = []
-
-        def proc():
-            trace.append(kernel.now)
-            yield 0.0
-
-        kernel.spawn(proc(), delay=3.0)
-        kernel.run()
-        assert trace == [3.0]
-
-    def test_process_waits_on_signal(self):
-        kernel = Kernel()
-        signal = Signal()
-        trace = []
-
-        def waiter():
-            value = yield signal
-            trace.append((kernel.now, value))
-
-        def firer():
-            yield 2.0
-            signal.fire("hello")
-
-        kernel.spawn(waiter())
-        kernel.spawn(firer())
-        kernel.run()
-        assert trace == [(2.0, "hello")]
-
-    def test_fired_signal_wakes_late_waiter_immediately(self):
-        kernel = Kernel()
-        signal = Signal()
-        signal.fire(42)
-        trace = []
-
-        def waiter():
-            value = yield signal
-            trace.append(value)
-
-        kernel.spawn(waiter())
-        kernel.run()
-        assert trace == [42]
-
-    def test_signal_wakes_multiple_waiters(self):
-        kernel = Kernel()
-        signal = Signal()
-        trace = []
-
-        def waiter(name):
-            value = yield signal
-            trace.append((name, value))
-
-        kernel.spawn(waiter("a"))
-        kernel.spawn(waiter("b"))
-        kernel.schedule(1.0, signal.fire, "v")
-        kernel.run()
-        assert sorted(trace) == [("a", "v"), ("b", "v")]
-
-    def test_signal_cannot_fire_twice(self):
-        signal = Signal()
-        signal.fire(1)
-        with pytest.raises(SimulationError):
-            signal.fire(2)
-
-    def test_signal_value_before_fire_raises(self):
-        with pytest.raises(SimulationError):
-            Signal().value
-
-    def test_process_yielding_garbage_raises(self):
-        kernel = Kernel()
-
-        def proc():
-            yield object()
-
-        kernel.spawn(proc())
-        with pytest.raises(SimulationError):
-            kernel.run()

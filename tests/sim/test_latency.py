@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from repro.sim.latency import (
-    CompositeLatency,
-    ConstantLatency,
-    JitteredLatency,
-    UniformLatency,
-)
+from repro.sim.latency import ConstantLatency, JitteredLatency
 
 
 @pytest.fixture
@@ -30,20 +25,6 @@ class TestConstant:
             ConstantLatency(-0.1)
 
 
-class TestUniform:
-    def test_samples_within_bounds(self, rng):
-        model = UniformLatency(0.01, 0.02)
-        for _ in range(100):
-            assert 0.01 <= model.sample("a", "b", rng) <= 0.02
-
-    def test_expected_is_midpoint(self):
-        assert UniformLatency(0.01, 0.03).expected("a", "b") == pytest.approx(0.02)
-
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            UniformLatency(0.03, 0.01)
-
-
 class TestJittered:
     def test_samples_never_below_base(self, rng):
         model = JitteredLatency(0.05, 0.01)
@@ -62,33 +43,3 @@ class TestJittered:
         mean = sum(model.sample("a", "b", rng) for _ in range(20000)) / 20000
         assert mean == pytest.approx(expected, rel=0.05)
         assert samples  # silence unused warning
-
-
-def set_link(model, src, dst, link):
-    """Override ``model``'s latency for messages from ``src`` to ``dst``."""
-    model._links[(src, dst)] = link
-
-
-class TestComposite:
-    def test_falls_back_to_default(self, rng):
-        model = CompositeLatency(ConstantLatency(0.01))
-        assert model.sample("a", "b", rng) == 0.01
-
-    def test_per_link_override(self, rng):
-        model = CompositeLatency(ConstantLatency(0.01))
-        set_link(model, "a", "b", ConstantLatency(0.5))
-        assert model.sample("a", "b", rng) == 0.5
-        assert model.sample("b", "a", rng) == 0.01  # directional
-
-    def test_symmetric_override(self, rng):
-        model = CompositeLatency(ConstantLatency(0.01))
-        set_link(model, "a", "b", ConstantLatency(0.2))
-        set_link(model, "b", "a", ConstantLatency(0.2))
-        assert model.sample("a", "b", rng) == 0.2
-        assert model.sample("b", "a", rng) == 0.2
-
-    def test_expected_respects_overrides(self):
-        model = CompositeLatency(ConstantLatency(0.01))
-        set_link(model, "x", "y", ConstantLatency(0.3))
-        assert model.expected("x", "y") == 0.3
-        assert model.expected("y", "x") == 0.01

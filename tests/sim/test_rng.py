@@ -43,10 +43,3 @@ class TestRegistry:
         r2.stream("newcomer").random()  # extra stream consumed first
         second = [r2.stream("a").random() for _ in range(5)]
         assert first == second
-
-    def test_fork_is_independent_and_reproducible(self):
-        parent = RngRegistry(3)
-        fork_a = parent.fork("child")
-        fork_b = RngRegistry(3).fork("child")
-        assert fork_a.master_seed == fork_b.master_seed
-        assert fork_a.master_seed != parent.master_seed

@@ -50,30 +50,6 @@ class TestServiceStation:
         kernel.run()
         assert seen == [("first", 2.0), ("second", 3.0)]
 
-    def test_busy_time_accumulates(self):
-        kernel = Kernel()
-        station = ServiceStation(kernel)
-        station.submit(1.0, lambda: None)
-        station.submit(0.5, lambda: None)
-        kernel.run()
-        assert station.busy_time == pytest.approx(1.5)
-        assert station.completed == 2
-
-    def test_utilisation(self):
-        kernel = Kernel()
-        station = ServiceStation(kernel)
-        station.submit(1.0, lambda: None)
-        kernel.run()
-        assert station.utilisation(4.0) == pytest.approx(0.25)
-        assert station.utilisation(0.0) == 0.0
-
-    def test_utilisation_capped_at_one(self):
-        kernel = Kernel()
-        station = ServiceStation(kernel)
-        station.submit(5.0, lambda: None)
-        kernel.run()
-        assert station.utilisation(1.0) == 1.0
-
     def test_negative_service_time_rejected(self):
         station = ServiceStation(Kernel())
         with pytest.raises(ValueError):

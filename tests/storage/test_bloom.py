@@ -72,8 +72,8 @@ class TestSerialization:
 
     def test_deterministic_across_instances(self):
         """Same keys -> identical wire bytes (no process-randomized hashing)."""
-        a = BloomFilter.from_keys(["k1", "k2", "k3"], fp_rate=0.01, expected_items=3)
-        b = BloomFilter.from_keys(["k1", "k2", "k3"], fp_rate=0.01, expected_items=3)
+        a = BloomFilter.from_keys(["k1", "k2", "k3"], fp_rate=0.01)
+        b = BloomFilter.from_keys(["k1", "k2", "k3"], fp_rate=0.01)
         assert a.to_bytes() == b.to_bytes()
 
 

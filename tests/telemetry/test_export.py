@@ -13,6 +13,7 @@ from repro.telemetry import (
     render_openmetrics,
     sparkline,
 )
+from repro.telemetry.dashboard import SPARK_WIDTH
 
 
 def two_node_registries() -> dict[str, MetricRegistry]:
@@ -102,10 +103,10 @@ class TestDashboard:
     def test_sparkline_scales_and_downsamples(self):
         assert sparkline([]) == ""
         assert sparkline([1.0, 1.0]) == "▁▁"
-        line = sparkline([0.0, 1.0, 2.0, 3.0], width=4)
+        line = sparkline([0.0, 1.0, 2.0, 3.0])
         assert len(line) == 4
         assert line[0] == "▁" and line[-1] == "█"
-        assert len(sparkline(list(map(float, range(100))), width=10)) == 10
+        assert len(sparkline(list(map(float, range(100))))) == SPARK_WIDTH
 
     def test_render_dashboard_rows(self):
         sampler = TestJsonl().make_sampler()

@@ -222,20 +222,30 @@ REPO = Path(__file__).resolve().parents[1]
 PROTOCOL_CALLBACKS = {"connection_made", "connection_lost", "data_received"}
 
 #: Defs that stay although nothing outside tests/ references them, each
-#: with its reason: ROADMAP 19's remaining scope, features whose only
-#: callers are their own tests.
+#: with its reason: operator tools no driver runs.
 UNREFERENCED_ALLOWED = {
-    "harness/faults.py::FaultSchedule.crash_region": "remaining scope: test-only fault",
-    "sim/kernel.py::Kernel.spawn": "remaining scope: the kernel's process API",
-    "sim/kernel.py::Kernel._step_process": "remaining scope: runs Kernel.spawn's processes",
-    "sim/kernel.py::Signal.add_waiter": "remaining scope: what a process waits on",
-    "sim/service.py::ServiceStation.utilisation": "remaining scope: test-only reading",
-    "telemetry/instruments.py::Counter.inc": "remaining scope: unbound counters",
+    "obs/timeline.py::render_timeline": "operator tool: the ASCII ladder docs/OBSERVABILITY.md documents",
 }
 
 #: Parameters passed through a call the census cannot name, with where.
 PASSED_INDIRECTLY = {
+    "core/partitioning.py::PartitionMap.__init__(assign=)": "`by_index` calls it as `cls`",
+    "telemetry/registry.py::MetricRegistry.counter(wire=)": "wiring.py calls it as `declare`",
     "telemetry/registry.py::MetricRegistry.gauge(wire=)": "wiring.py calls it as `declare`",
+}
+
+#: Defaulted parameters only tests pass: test doubles, each with what
+#: it lets a test substitute or observe.
+TEST_DOUBLES = {
+    "runtime/sim.py::SimWorld.__init__(codec_roundtrip=)":
+        "every message through the wire codec, so a simulated run checks encode/decode",
+    "runtime/sim.py::SimWorld.__init__(loss_probability=)":
+        "lossy links for the retransmission tests",
+    "harness/cluster.py::build_cluster(codec_roundtrip=)": "passes SimWorld's codec round trip through",
+    "sim/kernel.py::Kernel.run(max_events=)": "a step bound for tests that drive the kernel by hand",
+    "obs/recorder.py::SpanRecorder.__init__(clock=)": "a fake clock for span arithmetic",
+    "harness/driver.py::run_experiment(record_history=)":
+        "records the history so a test can run the checkers over a closed-loop run",
 }
 
 
@@ -267,11 +277,24 @@ def _defs(trees: dict[Path, ast.Module]):
     return out
 
 
-def _references(tree: ast.Module) -> list[tuple[str, int]]:
+def _references(tree: ast.Module, path: Path) -> list[tuple[str, int]]:
     """Every name a module uses: loads, attributes, imports, and string
-    constants that are exact identifiers (``getattr`` and friends)."""
+    constants that are exact identifiers (``getattr`` and friends).  A
+    package's ``__init__.py`` re-exports names, so its imports and its
+    ``__all__`` strings are not uses."""
+    reexports: set[int] = set()
+    if path.name == "__init__.py":
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                reexports.update(id(alias) for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                reexports.update(id(n) for n in ast.walk(node.value))
     out = []
     for node in ast.walk(tree):
+        if id(node) in reexports:
+            continue
         if isinstance(node, ast.Name):
             out.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
@@ -289,11 +312,11 @@ def unreferenced_defs() -> set[str]:
     from inside the def itself, or from another unreferenced def, does
     not count."""
     src = _parse("src")
-    outside = {name for tree in _parse("benchmarks", "examples").values()
-               for name, _ in _references(tree)}
+    outside = {name for path, tree in _parse("benchmarks", "examples").items()
+               for name, _ in _references(tree, path)}
     uses: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in src.items():
-        for name, line in _references(tree):
+        for name, line in _references(tree, path):
             uses.setdefault(name, []).append((path, line))
     defs = [
         d for d in _defs(src)
@@ -347,11 +370,11 @@ def _calls(trees: dict[Path, ast.Module]) -> dict[str, list[ast.Call]]:
 
 
 def never_passed_parameters() -> set[str]:
-    """Defaulted parameters of src/ defs that no call site in the repo
-    (tests included) passes.  A ``name=name`` default binds a closure
-    variable and is not an option."""
+    """Defaulted parameters of src/ defs that no call site outside tests/
+    passes.  A ``name=name`` default binds a closure variable and is not
+    an option."""
     src = _parse("src")
-    calls = _calls({**src, **_parse("tests", "benchmarks", "examples")})
+    calls = _calls({**src, **_parse("benchmarks", "examples")})
     missing = []
     for key, name, _path, _first, _last, node in _defs(src):
         if isinstance(node, ast.ClassDef):
@@ -389,18 +412,39 @@ def never_passed_parameters() -> set[str]:
     return set(missing)
 
 
+def module_main_guards() -> list[str]:
+    """Modules under src/ other than a package ``__main__.py`` that carry
+    an ``if __name__ == "__main__":`` block: a second CLI."""
+    return sorted(
+        str(path.relative_to(REPO / "src" / "repro"))
+        for path, tree in _parse("src").items()
+        if path.name != "__main__.py"
+        and any(
+            isinstance(node, ast.If)
+            and isinstance(node.test, ast.Compare)
+            and isinstance(node.test.left, ast.Name)
+            and node.test.left.id == "__name__"
+            for node in tree.body
+        )
+    )
+
+
 class TestEveryNameHasACaller:
     """Code only tests reach leaves src/ (ROADMAP 19): a def moves into
-    tests/ beside its caller or goes, and an option nobody sets becomes
-    a constant beside its one reader."""
+    tests/ beside its caller or goes, and an option nobody outside tests/
+    sets becomes a constant beside its one reader."""
 
     def test_every_def_is_referenced_outside_tests(self):
         assert sorted(unreferenced_defs() - set(UNREFERENCED_ALLOWED)) == []
 
     def test_every_defaulted_parameter_is_passed(self):
-        assert sorted(never_passed_parameters() - set(PASSED_INDIRECTLY)) == []
+        allowed = set(PASSED_INDIRECTLY) | set(TEST_DOUBLES)
+        assert sorted(never_passed_parameters() - allowed) == []
+
+    def test_only_package_mains_are_command_lines(self):
+        assert module_main_guards() == []
 
     def test_every_allow_list_entry_is_needed_and_has_a_reason(self):
         assert set(UNREFERENCED_ALLOWED) <= unreferenced_defs()
-        assert set(PASSED_INDIRECTLY) <= never_passed_parameters()
-        assert all({**UNREFERENCED_ALLOWED, **PASSED_INDIRECTLY}.values())
+        assert set(PASSED_INDIRECTLY) | set(TEST_DOUBLES) <= never_passed_parameters()
+        assert all({**UNREFERENCED_ALLOWED, **PASSED_INDIRECTLY, **TEST_DOUBLES}.values())
