@@ -38,7 +38,7 @@ docs/PROTOCOL.md §13, §17).
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from collections.abc import Callable
 from dataclasses import replace
 from typing import Any
@@ -89,6 +89,8 @@ NOOP_INTERVAL = 0.01
 #: Re-proposal period of vote records not yet seen delivered: the
 #: immediate proposal can die with a crashed or superseded leader.
 LEDGER_RETRY_INTERVAL = 0.25
+#: The row of a client the dedup table has no entry for; never written.
+_NO_ROW: dict = {}
 
 
 class SdurServer:
@@ -139,10 +141,17 @@ class SdurServer:
         self.dc = 0
         #: The reorder threshold (§IV-E), fixed for the server's life.
         self.reorder_threshold = self.config.reorder_threshold
-        #: Recently completed transactions, bounded: ``(client, seq) ->
-        #: outcome``, keyed by the tid's atoms so the collector stops
-        #: tracking the keys (docs/PROTOCOL.md §15).
-        self._completed: OrderedDict[tuple[str, int], str] = OrderedDict()
+        #: Recently completed transactions, ``client -> {seq: outcome}``,
+        #: in two generations: when the current one reaches
+        #: ``_completed_limit`` entries it becomes the old one and the
+        #: old one is dropped.  So the last ``_completed_limit`` outcomes
+        #: are always remembered, at most twice that many are held, and
+        #: no entry has a tuple or a list node of its own; the rows hold
+        #: only atoms, which the collector does not track
+        #: (docs/PROTOCOL.md §15).
+        self._completed: dict[str, dict[int, str]] = {}
+        self._completed_old: dict[str, dict[int, str]] = {}
+        self._completed_size = 0
         self._completed_limit = 4 * self.config.history_window
         #: Termination component (docs/PROTOCOL.md §14): owns every vote,
         #: the vote timeout, the abort-request branches and the set of
@@ -607,7 +616,7 @@ class SdurServer:
     def _deliver_txn(self, proj: TxnProjection) -> None:
         self.dc += 1
         tid = proj.tid
-        if (tid.client, tid.seq) in self._completed or tid in self.pending:
+        if self._completed_outcome(tid) is not None or tid in self.pending:
             return  # duplicate delivery (e.g. client retry); ignore
         obs = self._obs
         if obs.enabled:
@@ -862,12 +871,21 @@ class SdurServer:
 
     def _completed_outcome(self, tid: TxnId) -> str | None:
         """The recorded outcome of a recently completed ``tid``, if any."""
-        return self._completed.get((tid.client, tid.seq))
+        outcome = self._completed.get(tid.client, _NO_ROW).get(tid.seq)
+        if outcome is None:
+            outcome = self._completed_old.get(tid.client, _NO_ROW).get(tid.seq)
+        return outcome
 
     def _record_completed(self, tid: TxnId, outcome: Outcome) -> None:
-        self._completed[(tid.client, tid.seq)] = outcome.value
-        while len(self._completed) > self._completed_limit:
-            self._completed.popitem(last=False)
+        row = self._completed.get(tid.client)
+        if row is None:
+            row = self._completed[tid.client] = {}
+        if tid.seq not in row:
+            self._completed_size += 1
+        row[tid.seq] = outcome.value
+        if self._completed_size >= self._completed_limit:
+            self._completed_old, self._completed = self._completed, {}
+            self._completed_size = 0
         self.admission.note_completed(tid)
 
     def _notify_client(self, proj: TxnProjection, outcome: Outcome) -> None:

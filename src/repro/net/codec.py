@@ -63,6 +63,22 @@ larger than the bytes left, nesting past :data:`MAX_DEPTH`, an
 unhashable key, a constructor that rejects its fields.  Constructors
 (and ``__post_init__``) run on decode.
 
+Every string a schema types as ``str`` is a name — a key of a
+``frozenset[str]`` or ``dict[str, ...]`` field, ``TxnId.client``, a
+partition or node id — and is decoded through :func:`sys.intern`: a
+process holds one object per distinct name however many frames carried
+it, the windows, chains and dedup tables of every replica share it, and
+dict lookups on it hit the identity fast path.  Strings on the tagged
+``Any`` path are values (``ReadResponse.value``, writeset values) and
+stay as decoded.  An interned string lives as long as the interpreter
+lets it, and ``requires-python >= 3.11`` admits interpreters that
+differ: CPython 3.11 frees an interned string with its last reference
+(``tests/net/test_codec.py`` checks that), while CPython 3.12
+makes every interned string immortal (PEP 683; gh-113601 made them
+mortal again in the default build of later releases) and so does the
+free-threaded build.  On an interpreter that keeps them, a keyspace that
+grows without bound leaks one string per distinct key ever decoded.
+
 The JSON codec of :mod:`repro.net.message` stays as the checkpoint
 format, the readable dump, ``get_codec("json")`` and the oracle this
 codec is tested against; it is not selectable on a transport.
@@ -72,6 +88,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+import sys
 import types
 import typing
 from typing import Any, Callable
@@ -365,8 +382,10 @@ class _DecoderSource(_Emitter):
         elif kind in ("str", "bytes"):
             self.emit(f"end = pos + {self.length()}")
             self.emit("if end > size: raise _truncated()")
-            chunk = "data[pos:end]"
-            self.emit(f"{target} = {chunk}" if kind == "bytes" else f"{target} = str({chunk}, 'utf-8')")
+            if kind == "bytes":
+                self.emit(f"{target} = data[pos:end]")
+            else:
+                self.emit(f"{target} = _intern(str(data[pos:end], 'utf-8'))")
             self.emit("pos = end")
         elif kind == "opt":
             self.flush()
@@ -641,6 +660,7 @@ _GENERATED_GLOBALS: dict[str, Any] = {
     "_run_misfit": _run_misfit,
     "_encode_any": _encode_any,
     "_decode_any": _decode_any,
+    "_intern": sys.intern,
 }
 
 

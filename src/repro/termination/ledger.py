@@ -51,6 +51,10 @@ from repro.termination.messages import VoteRecord
 if TYPE_CHECKING:
     from repro.reconfig.epochs import VersionedRouting
 
+#: The row of a client or partition ``_applied`` has no entry for; never
+#: written.
+_NO_ROW: dict = {}
+
 
 class VoteLedger:
     """Orders votes through one partition's own atomic broadcast."""
@@ -92,11 +96,15 @@ class VoteLedger:
         #: ``None`` disables the recovery protocol.
         self.vote_timeout = vote_timeout
         self.limit = limit
-        #: (client, seq, voting partition) -> None for every record
-        #: already delivered, insertion-ordered so the memory stays
-        #: bounded.  Keyed by the tid's atoms, so the collector stops
-        #: tracking the keys (docs/PROTOCOL.md §15).
-        self._applied: OrderedDict[tuple[str, int, str], None] = OrderedDict()
+        #: Every record already delivered, ``client -> {voting partition
+        #: -> {seq: None}}``, in two generations the way the server keeps
+        #: its completed outcomes: when the current one reaches ``limit``
+        #: records it becomes the old one and the old one is dropped.  No
+        #: record has a tuple of its own, and the seq rows hold only
+        #: atoms, which the collector does not track (docs/PROTOCOL.md §15).
+        self._applied: dict[str, dict[str, dict[int, None]]] = {}
+        self._applied_old: dict[str, dict[str, dict[int, None]]] = {}
+        self._applied_size = 0
         #: Records awaiting delivery (proposal retry + self-dedup), each
         #: with the time it was last proposed or queued; oldest first.
         self._outbox: dict[tuple[str, int, str], tuple[VoteRecord, float]] = {}
@@ -163,13 +171,20 @@ class VoteLedger:
         must not advance reorder thresholds) and are never snapshot-gated.
         """
         tid = record.tid
-        key = (tid.client, tid.seq, record.partition)
-        if key in self._applied:
+        if self._was_applied(tid, record.partition):
             return  # duplicate proposal: an outbox retry raced the leader's
-        self._applied[key] = None
-        while len(self._applied) > self.limit:
-            self._applied.popitem(last=False)
-        self._outbox.pop(key, None)
+        by_partition = self._applied.get(tid.client)
+        if by_partition is None:
+            by_partition = self._applied[tid.client] = {}
+        seqs = by_partition.get(record.partition)
+        if seqs is None:
+            seqs = by_partition[record.partition] = {}
+        seqs[tid.seq] = None
+        self._applied_size += 1
+        if self._applied_size >= self.limit:
+            self._applied_old, self._applied = self._applied, {}
+            self._applied_size = 0
+        self._outbox.pop((tid.client, tid.seq, record.partition), None)
         self.stats.votes_ordered += 1
         if self._obs.enabled:
             self._obs.event(
@@ -192,6 +207,12 @@ class VoteLedger:
             self._early.setdefault(record.tid, {}).setdefault(record.partition, record.vote)
             while len(self._early) > self.limit:
                 self._early.popitem(last=False)
+
+    def _was_applied(self, tid: TxnId, partition: str) -> bool:
+        """Has ``partition``'s record for ``tid`` been delivered lately?"""
+        if tid.seq in self._applied.get(tid.client, _NO_ROW).get(partition, _NO_ROW):
+            return True
+        return tid.seq in self._applied_old.get(tid.client, _NO_ROW).get(partition, _NO_ROW)
 
     def _take_effect(self, entry: PendingTxn, partition: str, vote: str) -> None:
         if partition in entry.votes:
@@ -219,7 +240,7 @@ class VoteLedger:
         this replica is not proposed again.
         """
         key = (tid.client, tid.seq, partition)
-        if key in self._applied or key in self._outbox:
+        if key in self._outbox or self._was_applied(tid, partition):
             return
         if self._obs.enabled:
             self._obs.event(

@@ -10,6 +10,8 @@ annotations (a misfit value -> ``CodecError`` naming ``Class.field``).
 """
 
 import enum
+import sys
+import sysconfig
 from dataclasses import dataclass, field
 
 import pytest
@@ -71,6 +73,44 @@ def test_scalar_edge_values_roundtrip():
         agrees_with_the_oracle(_edge(value))
         decoded = packed_roundtrip(_edge(value)).value
         assert decoded == value and type(decoded) is type(value), value
+
+
+def test_decoded_names_are_one_object_per_process():
+    """Every schema-typed ``str`` is interned on decode: two decodes of
+    one frame share each key and the client id, and a key the readset
+    and the writeset both name is one object.  ``Any`` values are not
+    names and stay as decoded."""
+    msg = TxnProjection(
+        tid=TxnId("client-7", 3),
+        partition="p0",
+        readset=ReadsetDigest.exact(["0/obj1", "0/obj2"]),
+        writeset={"0/obj2": "value-2", "0/obj3": "value-3"},
+        snapshot=5,
+        partitions=("p0",),
+        coordinator="s1",
+        client="client-7",
+    )
+    agrees_with_the_oracle(msg)
+    frame = encode_packed(msg)
+    first, second = decode_packed(frame), decode_packed(frame)
+    assert first.tid.client is second.tid.client is first.client
+    assert first.partition is second.partition is first.partitions[0]
+    for key in msg.readset.keys | msg.writeset.keys():
+        keys = [k for d in (first, second) for k in (*d.readset.keys, *d.writeset) if k == key]
+        assert len(keys) >= 2 and all(k is keys[0] for k in keys), key
+    assert first.writeset["0/obj2"] == second.writeset["0/obj2"]
+    assert first.writeset["0/obj2"] is not second.writeset["0/obj2"]
+
+
+def test_interned_names_die_where_the_interpreter_lets_them():
+    """The codec docstring's lifetime table: CPython 3.12 and free-threaded
+    builds keep every interned string forever; elsewhere a decoded name
+    is freed with its last reference, so interning cannot leak."""
+    immortal = sys.version_info[:2] == (3, 12) or bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
+    client = "client-" + str(id(object()))  # a name no frame has carried yet
+    name = decode_packed(encode_packed(TxnId(client, 1))).client
+    assert name == client and name is not client
+    assert (sys.getrefcount(name) > 1 << 28) is immortal
 
 
 def test_packed_frames_are_smaller_than_json():

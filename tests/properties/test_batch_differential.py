@@ -173,6 +173,17 @@ def replay(server: SdurServer, values) -> SdurServer:
     return server
 
 
+def completed_of(server: SdurServer) -> dict[tuple[str, int], str]:
+    """The server's dedup table flattened to ``(client, seq) -> outcome``,
+    old generation first (a tid in both reads its newer outcome)."""
+    return {
+        (client, seq): outcome
+        for generation in (server._completed_old, server._completed)
+        for client, row in generation.items()
+        for seq, outcome in row.items()
+    }
+
+
 def state_of(server: SdurServer) -> dict:
     outcomes = [
         (dst, msg.tid, msg.outcome)
@@ -185,7 +196,7 @@ def state_of(server: SdurServer) -> dict:
         "store": server.store.dump(),
         "window": list(map(WindowRecord.of, server.window)),
         "floor": server.window.floor,
-        "completed": list(server._completed.items()),
+        "completed": list(completed_of(server).items()),
         "pending": [
             (e.tid, dict(e.votes), e.doomed) for e in server.pending
         ],

@@ -26,6 +26,15 @@ and again at its end, while thousands of commits go by over seeded keys:
 The asyncio run also weighs what each file WAL holds and asserts it is
 the offset index, 8 bytes a record, not the records.  RSS is not
 asserted: the window and the chains are still unbounded (ROADMAP 1).
+
+A third run, simulated, shrinks ``history_window`` so that both dedup
+tables (``SdurServer._completed`` and ``VoteLedger._applied``, limit
+``4 * history_window``) roll over many generations under 20 % globals:
+each holds at most ``2 * limit`` entries, every one of a replica's last
+``limit`` completions is still found with its outcome, and a resent
+transaction among them is dropped at delivery by every replica rather
+than certified again.  The default limit is 200 000 entries, which the
+e2e benchmark's epochs never fill, so only this run exercises eviction.
 """
 
 import asyncio
@@ -36,7 +45,8 @@ import sys
 import pytest
 
 from repro.consensus.log import InstanceState
-from repro.core.transaction import TxnProjection
+from repro.core.config import SdurConfig
+from repro.core.transaction import TxnId, TxnProjection
 from repro.harness.driver import ClosedLoopDriver
 from repro.metrics.collector import MetricsCollector
 from repro.storage.wal import WriteAheadLog
@@ -163,3 +173,73 @@ def test_simulated_cluster_plateaus():
     end = census()
     assert commits > 5_000
     assert_plateau(warm, end, commits)
+
+
+def test_dedup_tables_roll_over_and_still_answer():
+    cluster = make_cluster(2, config=SdurConfig(history_window=25))
+    cluster.seed({f"{p}/obj{i}": 0 for p in (0, 1) for i in range(2_000)})
+    completions: dict[str, list[tuple[TxnId, str]]] = {}
+    for node_id, handle in cluster.servers.items():
+        record = handle.server._record_completed
+        log = completions[node_id] = []
+
+        def logged(tid, outcome, record=record, log=log):
+            log.append((tid, outcome.value))
+            record(tid, outcome)
+
+        handle.server._record_completed = logged
+    collector = MetricsCollector()
+    drivers = [
+        ClosedLoopDriver(
+            cluster.add_client(), MicroBenchmark(2, home, 0.2, items_per_partition=2_000), collector
+        )
+        for home in (0, 1)
+        for _ in range(2)
+    ]
+    cluster.start()
+    for driver in drivers:
+        driver.start()
+    cluster.world.run(until=20.0)
+    for driver in drivers:
+        driver.stop()
+    cluster.world.run(until=22.0)
+
+    for node_id, handle in cluster.servers.items():
+        server, ledger = handle.server, handle.server.ledger
+        limit = server._completed_limit
+        assert ledger.limit == limit == 100
+        assert len(completions[node_id]) > 10 * limit  # many generations
+        assert ledger.stats.votes_ordered > 4 * limit
+        completed = sum(
+            len(row) for table in (server._completed, server._completed_old) for row in table.values()
+        )
+        applied = sum(
+            len(seqs)
+            for table in (ledger._applied, ledger._applied_old)
+            for rows in table.values()
+            for seqs in rows.values()
+        )
+        assert completed <= 2 * limit and applied <= 2 * limit, (node_id, completed, applied)
+        for tid, outcome in completions[node_id][-limit:]:
+            assert server._completed_outcome(tid) == outcome, (node_id, tid)
+
+    # Resend the oldest of the last ``limit`` completions of a partition's
+    # leader: every replica drops it as a duplicate.
+    leader = cluster.servers["s1"].server
+    (tid, outcome), partition = completions["s1"][-leader._completed_limit], leader.partition
+    replicas = [h.server for h in cluster.servers.values() if h.partition == partition]
+    before = [(r.stats.committed_local, r.stats.committed_global, r.stats.aborted) for r in replicas]
+    delivered = [r.dc for r in replicas]
+    leader.fabric.abcast(
+        partition,
+        TxnProjection(
+            tid=tid, partition=partition, writeset={f"{partition[1:]}/obj0": -1},
+            snapshot=leader.sc, partitions=(partition,), coordinator="s1",
+        ),
+    )
+    cluster.world.run(until=24.0)
+    assert [r.dc for r in replicas] == [dc + 1 for dc in delivered]  # it arrived, once
+    assert [
+        (r.stats.committed_local, r.stats.committed_global, r.stats.aborted) for r in replicas
+    ] == before
+    assert all(r._completed_outcome(tid) == outcome for r in replicas)
