@@ -36,7 +36,7 @@ def build(wals, seed):
         SdurConfig(checkpoint_interval=0.25),
         seed=seed,
         intra_delay=0.001,
-        paxos_config_factory=paxos_for,
+        paxos_for=paxos_for,
     )
 
 

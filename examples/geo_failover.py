@@ -46,7 +46,7 @@ def build(vote_timeout: float = 1.0):
         config,
         seed=5,
         # Elected (not pinned) leaders so failover is possible.
-        paxos_config=PaxosConfig(
+        paxos_for=lambda _node, _partition: PaxosConfig(
             static_leader=None, heartbeat_interval=0.05, suspect_timeout=0.3
         ),
     )

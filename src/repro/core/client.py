@@ -143,10 +143,6 @@ class Txn:
     def __init__(self, owner: "_ActiveTxn") -> None:
         self._owner = owner
 
-    @property
-    def tid(self) -> TxnId:
-        return self._owner.tid
-
     def write(self, key: str, value: Any) -> None:
         """Buffer a write; shipped to servers only at commit."""
         self._owner.record_write(key, value)

@@ -44,10 +44,6 @@ class PartitionMap:
 
         return cls(num_partitions, assign)
 
-    @property
-    def partition_ids(self) -> list[str]:
-        return [self.partition_name(i) for i in range(self.num_partitions)]
-
     @staticmethod
     def partition_name(index: int) -> str:
         return f"p{index}"

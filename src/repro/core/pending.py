@@ -142,15 +142,6 @@ class PendingList:
             self.listener.entry_removed(entry)
         return entry
 
-    def remove(self, tid: TxnId) -> PendingTxn:
-        entry = self._by_tid.pop(tid, None)
-        if entry is None:
-            raise ProtocolError(f"{tid} not pending")
-        self._entries.remove(entry)
-        if self.listener is not None:
-            self.listener.entry_removed(entry)
-        return entry
-
     def globals_pending(self) -> list[PendingTxn]:
         return [entry for entry in self._entries if entry.proj.is_global]
 

@@ -39,17 +39,16 @@ def _run(accepted_broadcast: bool, quick: bool) -> dict:
         latency=RegionLatencyModel.uniform(deployment.topology, DELTA, INTER_DELTA),
         seed=111,
     )
-    cluster = SdurCluster(world, deployment, PartitionMap.by_index(2), SdurConfig())
-    for partition in deployment.partition_ids:
-        for node_id in deployment.directory.servers_of(partition):
-            cluster._add_server(
-                node_id,
-                partition,
-                PaxosConfig(
-                    static_leader=deployment.directory.preferred_of(partition),
-                    accepted_broadcast=accepted_broadcast,
-                ),
-            )
+    cluster = SdurCluster(
+        world,
+        deployment,
+        PartitionMap.by_index(2),
+        SdurConfig(),
+        paxos_for=lambda _node, partition: PaxosConfig(
+            static_leader=deployment.directory.preferred_of(partition),
+            accepted_broadcast=accepted_broadcast,
+        ),
+    )
     pairs = []
     for partition in deployment.partition_ids:
         home_index = int(partition[1:])

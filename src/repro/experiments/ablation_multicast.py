@@ -53,11 +53,6 @@ def _measure_sdur(deployment_name: str, rounds: int) -> dict:
     cluster = SdurCluster(
         world, deployment, PartitionMap.by_index(2), SdurConfig(gossip_interval=None)
     )
-    for partition in deployment.partition_ids:
-        for node in deployment.directory.servers_of(partition):
-            cluster._add_server(
-                node, partition, PaxosConfig(static_leader=deployment.directory.preferred_of(partition))
-            )
     client = cluster.add_client(region=deployment.preferred_region["p0"])
     workload = MicroBenchmark(2, 0, 1.0, items_per_partition=1_000)
     run = run_experiment(

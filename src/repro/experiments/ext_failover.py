@@ -33,7 +33,7 @@ def run(quick: bool = False) -> ExperimentTable:
         PartitionMap.by_index(2),
         SdurConfig(notify_all_replicas=True, vote_timeout=2.0),
         seed=71,
-        paxos_config=PaxosConfig(
+        paxos_for=lambda _node, _partition: PaxosConfig(
             static_leader=None, heartbeat_interval=0.05, suspect_timeout=0.4
         ),
     )

@@ -38,6 +38,7 @@ from repro.core.partitioning import PartitionMap
 from repro.experiments.common import ExperimentTable
 from repro.geo.analytical import analytical_latencies
 from repro.geo.deployments import wan1_deployment, wan2_deployment
+from repro.harness.cluster import SdurCluster
 from repro.harness.driver import run_experiment
 from repro.net.topology import RegionLatencyModel
 from repro.obs.attribution import AttributionSummary, attribute, summarize
@@ -65,20 +66,16 @@ def _measure(
         seed=11,
         obs=SpanRecorder(),
     )
-    cluster_config = SdurConfig(tracing=True)
-    from repro.harness.cluster import SdurCluster  # local import to reuse wiring
-
-    cluster = SdurCluster(world, deployment, PartitionMap.by_index(2), cluster_config)
-    for partition in deployment.partition_ids:
-        for node_id in deployment.directory.servers_of(partition):
-            cluster._add_server(
-                node_id,
-                partition,
-                PaxosConfig(
-                    static_leader=deployment.directory.preferred_of(partition),
-                    accepted_broadcast=accepted_broadcast,
-                ),
-            )
+    cluster = SdurCluster(
+        world,
+        deployment,
+        PartitionMap.by_index(2),
+        SdurConfig(tracing=True),
+        paxos_for=lambda _node, partition: PaxosConfig(
+            static_leader=deployment.directory.preferred_of(partition),
+            accepted_broadcast=accepted_broadcast,
+        ),
+    )
     client = cluster.add_client(region=deployment.preferred_region["p0"])
     workload = MicroBenchmark(2, 0, global_fraction, items_per_partition=100)
     run = run_experiment(cluster, [(client, workload)], warmup=2.0, measure=20.0)

@@ -190,7 +190,7 @@ def run_o2(quick: bool = False) -> ExperimentTable:
             admission=AdmissionConfig(max_inflight=512, max_queue_depth=128),
         ),
         seed=71,
-        paxos_config=PaxosConfig(
+        paxos_for=lambda _node, _partition: PaxosConfig(
             static_leader=None, heartbeat_interval=0.05, suspect_timeout=0.4
         ),
     )

@@ -1,11 +1,13 @@
 """Cluster assembly: wiring protocol cores onto a runtime.
 
-``build_cluster`` takes a deployment (topology + directory), a partition
-map, and configurations, and returns an :class:`SdurCluster` with one
-Paxos replica + SDUR server per server node, each behind a small
-dispatcher that routes Paxos traffic to the replica and everything else
-to the server.  Clients are added afterwards and bound to session
-servers near them.
+:class:`SdurCluster` takes a world (the simulator's :class:`SimWorld` or
+the asyncio :class:`AioWorld`), a deployment (topology + directory), a
+partition map and configurations, and builds one Paxos replica + SDUR
+server per server node, each behind a small dispatcher that routes
+Paxos traffic to the replica and everything else to the server.
+``build_cluster`` is the simulator's shorthand: it builds the geo world
+first.  Clients are added afterwards and bound to session servers near
+them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ from repro.obs.recorder import ObsRecorder, SpanRecorder
 from repro.reconfig.coordinator import plan_merge, plan_split
 from repro.reconfig.epochs import ConfigChange, VersionedRouting
 from repro.reconfig.messages import BeginSplit
+from repro.runtime.aio import AioWorld
 from repro.runtime.sim import SimWorld
+
+#: ``(node_id, partition) -> PaxosConfig``: the consensus settings of
+#: each replica a cluster builds, split children included.
+PaxosFor = Callable[[str, str], PaxosConfig]
 
 
 @dataclass
@@ -44,15 +51,28 @@ class ServerHandle:
 
 
 class SdurCluster:
-    """A fully wired SDUR deployment on a simulation world."""
+    """A fully wired SDUR deployment on a simulated or an asyncio world.
+
+    The constructor builds every server of ``deployment``.  ``paxos_for``
+    gives each replica its consensus settings (default: the static
+    leader pinned at the partition's preferred server, which is how the
+    paper deploys Paxos coordinators).  Fault injection, telemetry and
+    autoscale drive the simulation kernel and need a :class:`SimWorld`.
+    """
 
     def __init__(
         self,
-        world: SimWorld,
+        world: SimWorld | AioWorld,
         deployment: Deployment,
         partition_map: PartitionMap,
         config: SdurConfig,
+        paxos_for: PaxosFor | None = None,
     ) -> None:
+        if partition_map.num_partitions != len(deployment.partition_ids):
+            raise ConfigurationError(
+                f"partition map has {partition_map.num_partitions} partitions, "
+                f"deployment has {len(deployment.partition_ids)}"
+            )
         self.world = world
         self.deployment = deployment
         #: The cluster's canonical (most advanced) routing view.  Each
@@ -71,6 +91,13 @@ class SdurCluster:
         self.telemetry: Any | None = None
         self.health_monitor: Any | None = None
         self._started = False
+        self.paxos_for = paxos_for or self._pinned_at_preferred
+        for partition in deployment.partition_ids:
+            for node_id in deployment.directory.servers_of(partition):
+                self._add_server(node_id, partition)
+
+    def _pinned_at_preferred(self, node_id: str, partition: str) -> PaxosConfig:
+        return PaxosConfig(static_leader=self.routing.directory.preferred_of(partition))
 
     @property
     def obs(self) -> ObsRecorder:
@@ -88,14 +115,10 @@ class SdurCluster:
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
-    def _add_server(
-        self,
-        node_id: str,
-        partition: str,
-        paxos_config: PaxosConfig,
-        routing: VersionedRouting | None = None,
-    ) -> ServerHandle:
-        node_routing = (routing or self.routing).fork()
+    def _add_server(self, node_id: str, partition: str) -> ServerHandle:
+        """Wire one node: the only place a server meets its replica."""
+        node_routing = self.routing.fork()
+        paxos_config = self.paxos_for(node_id, partition)
         runtime = self.world.runtime_for(node_id)
         fabric = AbcastFabric(
             runtime,
@@ -234,15 +257,9 @@ class SdurCluster:
             )
         # New servers are born already in the post-split configuration and
         # hold their reads until the migration is installed.
-        post_routing = self.routing.fork()
-        post_routing.apply(change)
+        self.routing.apply(change)
         for node_id in change.new_members:
-            handle = self._add_server(
-                node_id,
-                change.new_partition,
-                PaxosConfig(static_leader=change.new_preferred),
-                routing=post_routing,
-            )
+            handle = self._add_server(node_id, change.new_partition)
             handle.server.await_migration()
             if self.recorder is not None:
                 handle.server.on_commit_hook = self.recorder.server_hook(node_id)
@@ -250,7 +267,6 @@ class SdurCluster:
             if self._started:
                 handle.replica.start()
                 handle.server.start()
-        self.routing.apply(change)
         # Kick off through the source partition's own log so every source
         # replica switches epochs at the same position.
         kicker = self.servers[source_members[0]].server
@@ -378,23 +394,13 @@ def build_cluster(
     intra_delay: float | None = None,
     jitter_fraction: float = 0.0,
     codec_roundtrip: bool = False,
-    paxos_config: PaxosConfig | None = None,
-    paxos_config_factory: "Callable[[str, str], PaxosConfig] | None" = None,
+    paxos_for: PaxosFor | None = None,
 ) -> SdurCluster:
     """Create a simulation world and wire an SDUR cluster onto it.
 
     ``intra_delay`` overrides δ; inter-region delays default to the
-    paper's EC2 measurements.  ``paxos_config`` overrides the per-group
-    consensus settings (default: static leader pinned at each partition's
-    preferred server, which is how the paper deploys Paxos coordinators);
-    ``paxos_config_factory(node_id, partition)`` overrides them per node
-    (needed for per-replica WALs).
+    paper's EC2 measurements.  ``paxos_for`` is :class:`SdurCluster`'s.
     """
-    if partition_map.num_partitions != len(deployment.partition_ids):
-        raise ConfigurationError(
-            f"partition map has {partition_map.num_partitions} partitions, "
-            f"deployment has {len(deployment.partition_ids)}"
-        )
     config = config or SdurConfig()
     world = SimWorld.geo(
         deployment.topology,
@@ -404,14 +410,4 @@ def build_cluster(
         codec_roundtrip=codec_roundtrip,
         obs=SpanRecorder() if config.tracing else None,
     )
-    cluster = SdurCluster(world, deployment, partition_map, config)
-    for partition in deployment.partition_ids:
-        for node_id in deployment.directory.servers_of(partition):
-            if paxos_config_factory is not None:
-                node_paxos = paxos_config_factory(node_id, partition)
-            else:
-                node_paxos = paxos_config or PaxosConfig(
-                    static_leader=deployment.directory.preferred_of(partition)
-                )
-            cluster._add_server(node_id, partition, node_paxos)
-    return cluster
+    return SdurCluster(world, deployment, partition_map, config, paxos_for)

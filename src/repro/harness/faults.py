@@ -17,7 +17,7 @@ from repro.core.client import TxnResult
 from repro.errors import ConfigurationError
 from repro.harness.cluster import SdurCluster
 
-FaultKind = Literal["crash", "cut", "heal", "split", "merge", "degrade", "restore"]
+FaultKind = Literal["crash", "cut", "heal", "split", "degrade", "restore"]
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,7 @@ class Fault:
     at: float
     kind: FaultKind
     #: Node for crashes/degrades/restores; ``(a, b)`` endpoints for
-    #: cut/heal; the source partition id for splits; ``(into, absorbed)``
-    #: partition ids for merges.
+    #: cut/heal; the source partition id for splits.
     target: str | tuple[str, str]
     #: Extra per-message delay for ``degrade`` (gray failure).
     delay: float = 0.0
@@ -45,14 +44,10 @@ class Fault:
                 f"{self.kind} targets one "
                 f"{'partition' if self.kind == 'split' else 'node'}"
             )
-        if self.kind in ("cut", "heal", "merge") and (
+        if self.kind in ("cut", "heal") and (
             not isinstance(self.target, tuple) or len(self.target) != 2
         ):
-            raise ConfigurationError(
-                "merge targets two partitions (into, absorbed)"
-                if self.kind == "merge"
-                else f"{self.kind} targets a link (a, b)"
-            )
+            raise ConfigurationError(f"{self.kind} targets a link (a, b)")
         if self.kind == "degrade" and (self.delay < 0 or self.jitter < 0):
             raise ConfigurationError("degrade delay/jitter must be non-negative")
 
@@ -81,11 +76,6 @@ class FaultSchedule:
     def split(self, at: float, partition: str) -> "FaultSchedule":
         """Schedule a live split of ``partition`` (elastic repartitioning)."""
         self.faults.append(Fault(at=at, kind="split", target=partition))
-        return self
-
-    def merge(self, at: float, partition_a: str, partition_b: str) -> "FaultSchedule":
-        """Schedule a live merge absorbing ``partition_b`` into ``partition_a``."""
-        self.faults.append(Fault(at=at, kind="merge", target=(partition_a, partition_b)))
         return self
 
     def degrade(
@@ -156,9 +146,6 @@ class FaultSchedule:
             cluster.world.network.heal_link(a, b)
         elif fault.kind == "split":
             cluster.split_partition(fault.target)  # type: ignore[arg-type]
-        elif fault.kind == "merge":
-            into, absorbed = fault.target  # type: ignore[misc]
-            cluster.merge_partitions(absorbed=absorbed, into=into)
         elif fault.kind == "degrade":
             cluster.world.network.degrade(
                 fault.target, fault.delay, fault.jitter  # type: ignore[arg-type]

@@ -132,6 +132,3 @@ class MetricsCollector:
     ) -> list[tuple[float, float]]:
         selected = self._select(self.in_window(start, end), is_global, label)
         return cdf_points([r.latency for r in selected if r.committed], num_points)
-
-    def labels(self) -> list[str]:
-        return sorted({r.label for r in self.results if r.label})

@@ -111,10 +111,6 @@ class Attribution:
             sum(t.inter_hops for t in self.terms),
         )
 
-    def breakdown(self) -> str:
-        """Per-term rendering: ``request δ + order 2δ+Δ + vote Δ + …``."""
-        return " + ".join(f"{t.name} {t.hops}" for t in self.terms)
-
 
 #: How far a term may sit from ``aδ + bΔ`` and still match it, seconds.
 MATCH_TOLERANCE = 0.0015

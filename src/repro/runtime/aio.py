@@ -11,8 +11,10 @@ handler runs on the next loop turn.  ``at_turn_end`` hooks run at that
 same flush, before its writes.  A closed runtime is quiet: its timers
 are cancelled and sends do nothing.
 
-Integration tests build small clusters on localhost ports and verify that
-the unmodified SDUR and Paxos cores commit transactions over real TCP.
+:class:`~repro.harness.cluster.SdurCluster` assembles a deployment on an
+:class:`AioWorld` exactly as on a simulated world; integration tests build
+small clusters that way on localhost ports and verify that the unmodified
+SDUR and Paxos cores commit transactions over real TCP.
 """
 
 from __future__ import annotations

@@ -103,13 +103,6 @@ class BloomFilter:
         """True if any of ``keys`` is (possibly) in the filter."""
         return any(key in self for key in keys)
 
-    def false_positive_rate(self) -> float:
-        """Estimated FP probability at the current fill level."""
-        if self.count == 0:
-            return 0.0
-        fill = 1.0 - math.exp(-self.num_hashes * self.count / self.num_bits)
-        return fill**self.num_hashes
-
     # ------------------------------------------------------------------
     # Serialization (wire format: the digest the paper broadcasts)
     # ------------------------------------------------------------------
@@ -139,5 +132,5 @@ class BloomFilter:
     def __repr__(self) -> str:
         return (
             f"BloomFilter(bits={self.num_bits}, hashes={self.num_hashes}, "
-            f"items={self.count}, fp~{self.false_positive_rate():.2e})"
+            f"items={self.count})"
         )

@@ -64,9 +64,6 @@ class MultiVersionStore:
     def __contains__(self, key: Any) -> bool:
         return key in self._versions
 
-    def keys(self) -> Iterator[Any]:
-        return iter(self._versions)
-
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------

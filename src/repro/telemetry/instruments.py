@@ -141,10 +141,6 @@ class LogLinearHistogram:
     def min(self) -> float:
         return self._min if self._count else 0.0
 
-    @property
-    def max(self) -> float:
-        return self._max
-
     def _bucket_upper(self, key: int) -> float:
         octave, slice_ = divmod(key, SUBBUCKETS)
         return math.ldexp(1.0 + (slice_ + 1) / SUBBUCKETS, octave)

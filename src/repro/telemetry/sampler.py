@@ -100,10 +100,6 @@ class TelemetrySampler:
         self._schedule(self.config.interval, self._tick)
 
     # -- reading --------------------------------------------------------
-    def values(self, node: str, metric: str) -> list[float]:
-        series = self.series.get(node, {}).get(metric)
-        return series.values() if series is not None else []
-
     def latest(self, node: str, metric: str) -> float | None:
         series = self.series.get(node, {}).get(metric)
         if series is None or not len(series):

@@ -105,10 +105,6 @@ class Ewma:
             self._value = self.alpha * value + (1.0 - self.alpha) * self._value
         return self._value
 
-    @property
-    def value(self) -> float | None:
-        return self._value
-
 
 def median(values: list[float]) -> float:
     """Median without numpy (health probes run on tiny replica sets)."""

@@ -25,7 +25,3 @@ class Workload(ABC):
     @abstractmethod
     def next_txn(self, rng: random.Random) -> TxnSpec:
         """Produce the next transaction for one client."""
-
-    def initial_data(self) -> dict[str, object]:
-        """Data to seed the store with before the run (may be empty)."""
-        return {}

@@ -20,16 +20,12 @@ driver's RNG while still drifting with simulated time.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Generator
+from collections.abc import Callable
 
-from repro.core.client import ReadMany, Txn
 from repro.errors import ConfigurationError
 from repro.workload.base import TxnSpec, Workload
 from repro.workload.distributions import ZipfSampler
-
-
-def _as_int(value: object) -> int:
-    return value if isinstance(value, int) else 0
+from repro.workload.microbench import _update_two
 
 
 class DriftingHotspot(Workload):
@@ -81,14 +77,3 @@ class DriftingHotspot(Workload):
         while key_b == key_a:
             key_b = self._key(rng.randrange(self.population))
         return TxnSpec(program=_update_two(key_a, key_b), label="drift")
-
-
-def _update_two(key_a: str, key_b: str):
-    """Read both objects, increment both (the microbenchmark's shape)."""
-
-    def program(txn: Txn) -> Generator:
-        values = yield ReadMany((key_a, key_b))
-        txn.write(key_a, _as_int(values[key_a]) + 1)
-        txn.write(key_b, _as_int(values[key_b]) + 1)
-
-    return program

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Generator
+from collections.abc import Callable
 
-from repro.core.client import ReadMany, Txn
 from repro.errors import ConfigurationError
 from repro.workload.base import TxnSpec, Workload
+from repro.workload.microbench import _update_two
 
 
 class LoadShape(ABC):
@@ -119,26 +119,5 @@ class HotKeyStorm(Workload):
         now = self.clock()
         if self.start <= now < self.end and rng.random() < self.storm_fraction:
             key_a, key_b = rng.sample(self.hot_keys, 2)
-            return TxnSpec(program=_update_hot(key_a, key_b), label="hot")
+            return TxnSpec(program=_update_two(key_a, key_b), label="hot")
         return self.base.next_txn(rng)
-
-    def initial_data(self) -> dict[str, object]:
-        data = dict(self.base.initial_data())
-        for key in self.hot_keys:
-            data.setdefault(key, 0)
-        return data
-
-
-def _update_hot(key_a: str, key_b: str):
-    """Increment two hot keys (maximal certification contention)."""
-
-    def program(txn: Txn) -> Generator:
-        values = yield ReadMany((key_a, key_b))
-        txn.write(key_a, _as_int(values[key_a]) + 1)
-        txn.write(key_b, _as_int(values[key_b]) + 1)
-
-    return program
-
-
-def _as_int(value: object) -> int:
-    return value if isinstance(value, int) else 0

@@ -145,7 +145,7 @@ class TestLeaderChangeAfterForgetting:
         cluster = make_cluster(
             2,
             config=SdurConfig(notify_all_replicas=True, vote_timeout=2.0),
-            paxos_config=PaxosConfig(
+            paxos_for=lambda _node, _partition: PaxosConfig(
                 static_leader=None, heartbeat_interval=0.05, suspect_timeout=0.4
             ),
             seed=11,

@@ -138,14 +138,6 @@ class TestPendingEquivalence:
         assert certifier.outcome_conflicts(txn) == outcome_conflicts(txn, pending)
         assert len(certifier.outcome_conflicts(txn)) == 3  # two forward + one backward
 
-    def test_removal_clears_the_index(self):
-        certifier, _, pending = indexed()
-        entry = pending_entry(proj("g", reads=["x"], writes=["x"], partitions=("p0", "p1")))
-        pending.append(entry)
-        pending.remove(entry.tid)
-        txn = proj("t", reads=["x"], writes=["x"], partitions=("p0", "p1"))
-        assert certifier.outcome_conflicts(txn) == []
-
     def test_pop_head_clears_the_index(self):
         certifier, _, pending = indexed()
         pending.append(pending_entry(proj("g", reads=["x"], writes=["x"], partitions=("p0", "p1"))))

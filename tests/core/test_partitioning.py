@@ -9,7 +9,8 @@ from repro.errors import ConfigurationError
 class TestHashed:
     def test_partition_ids(self):
         pmap = PartitionMap(3)
-        assert pmap.partition_ids == ["p0", "p1", "p2"]
+        assert [pmap.partition_name(i) for i in range(3)] == ["p0", "p1", "p2"]
+        assert {pmap.partition_of(f"key{i}") for i in range(100)} == {"p0", "p1", "p2"}
 
     def test_stable_across_instances(self):
         a = PartitionMap(4)

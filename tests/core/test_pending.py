@@ -63,16 +63,6 @@ class TestList:
         with pytest.raises(ProtocolError):
             pending.pop_head()
 
-    def test_remove_by_tid(self):
-        pending = PendingList()
-        pending.append(entry(1))
-        pending.append(entry(2))
-        removed = pending.remove(TxnId("c", 1))
-        assert removed.proj.tid.seq == 1
-        assert TxnId("c", 1) not in pending
-        with pytest.raises(ProtocolError):
-            pending.remove(TxnId("c", 99))
-
     def test_lookup_and_position(self):
         pending = PendingList()
         pending.append(entry(1))

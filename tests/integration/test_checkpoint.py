@@ -47,7 +47,7 @@ def checkpointing_cluster(wals, seed=3, checkpoint_interval=0.2):
         SdurConfig(checkpoint_interval=checkpoint_interval),
         seed=seed,
         intra_delay=0.001,
-        paxos_config_factory=factory,
+        paxos_for=factory,
     )
 
 

@@ -65,7 +65,7 @@ class TestReplicaAgreement:
             reference = stores[0]
             for store in stores[1:]:
                 assert store.current_version == reference.current_version
-                for key in reference.keys():
+                for key in reference.dump():
                     assert (
                         store.read_latest(key)[1] == reference.read_latest(key)[1]
                     ), f"divergence on {key} in {partition}"

@@ -18,7 +18,7 @@ def build_ha_cluster(deployment_fn=wan2_deployment, vote_timeout=1.0, seed=5):
         PartitionMap.by_index(2),
         SdurConfig(vote_timeout=vote_timeout, notify_all_replicas=True),
         seed=seed,
-        paxos_config=PaxosConfig(
+        paxos_for=lambda _node, _partition: PaxosConfig(
             static_leader=None, heartbeat_interval=0.05, suspect_timeout=0.3
         ),
     )

@@ -47,17 +47,16 @@ def measure(
         latency=RegionLatencyModel.uniform(deployment.topology, DELTA, INTER),
         seed=13,
     )
-    cluster = SdurCluster(world, deployment, PartitionMap.by_index(2), SdurConfig())
-    for partition in deployment.partition_ids:
-        for node in deployment.directory.servers_of(partition):
-            cluster._add_server(
-                node,
-                partition,
-                PaxosConfig(
-                    static_leader=deployment.directory.preferred_of(partition),
-                    accepted_broadcast=accepted_broadcast,
-                ),
-            )
+    cluster = SdurCluster(
+        world,
+        deployment,
+        PartitionMap.by_index(2),
+        SdurConfig(),
+        paxos_for=lambda _node, partition: PaxosConfig(
+            static_leader=deployment.directory.preferred_of(partition),
+            accepted_broadcast=accepted_broadcast,
+        ),
+    )
     client = cluster.add_client(region=deployment.preferred_region["p0"])
     if optimistic_oracle:
         optimistic_termination.install(cluster)
@@ -119,13 +118,6 @@ class TestFigure1:
             seed=13,
         )
         cluster = SdurCluster(world, deployment, PartitionMap.by_index(2), SdurConfig())
-        for partition in deployment.partition_ids:
-            for node in deployment.directory.servers_of(partition):
-                cluster._add_server(
-                    node,
-                    partition,
-                    PaxosConfig(static_leader=deployment.directory.preferred_of(partition)),
-                )
         # The read-only transaction's vector rides its one remote read.
         client = cluster.add_client(region="eu")
         cluster.start()

@@ -12,7 +12,6 @@ absorbed group's stores end up empty.
 
 from repro.checker.agreement import replica_agreement
 from repro.checker.serializability import check_serializability
-from repro.harness.faults import FaultSchedule
 from tests.conftest import make_cluster, run_txn, update_program
 
 
@@ -26,8 +25,7 @@ def run_merge_workload(merge_at=0.2, num_txns=80, num_clients=3, seed=11):
     recorder = cluster.attach_recorder()
     cluster.world.run_for(0.5)
 
-    schedule = FaultSchedule().merge(cluster.world.now + merge_at, "p0", "p1")
-    schedule.arm(cluster)
+    cluster.world.kernel.schedule(merge_at, cluster.merge_partitions, "p1", "p0")
 
     rng = cluster.world.rng.stream("merge-workload")
     done = []

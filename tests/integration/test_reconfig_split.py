@@ -15,6 +15,7 @@ from collections import defaultdict
 
 from repro.checker.agreement import replica_agreement
 from repro.checker.serializability import check_serializability
+from repro.consensus.replica import PaxosConfig
 from repro.core.messages import ReadResponse
 from repro.harness.faults import FaultSchedule
 from repro.reconfig import key_moves
@@ -188,3 +189,30 @@ class TestLiveSplit:
         for handle in cluster.servers.values():
             if handle.partition == "p0":
                 assert handle.server.routing.epoch == 1
+
+    def test_split_children_elect_when_the_cluster_elects(self):
+        """A split's new group takes the cluster's Paxos settings: under
+        elected leaders its replicas elect one, and it commits."""
+        cluster = make_cluster(
+            num_partitions=2,
+            seed=3,
+            paxos_for=lambda _node, _partition: PaxosConfig(
+                static_leader=None, heartbeat_interval=0.05, suspect_timeout=0.3
+            ),
+        )
+        cluster.seed({f"0/k{i}": i for i in range(8)})
+        client = cluster.add_client()
+        cluster.start()
+        cluster.world.run_for(1.0)
+        change = cluster.split_partition("p0")
+        cluster.world.run_for(5.0)
+        children = [cluster.servers[node].replica for node in change.new_members]
+        assert all(replica.config.static_leader is None for replica in children)
+        leaders = {replica.leader for replica in children}
+        assert len(leaders) == 1 and leaders <= set(change.new_members), leaders
+        moved = next(
+            f"0/k{i}" for i in range(8) if key_moves(f"0/k{i}", change.split_salt)
+        )
+        result = run_txn(cluster, client, update_program([moved]))
+        assert result.committed and result.partitions == ("p2",)
+

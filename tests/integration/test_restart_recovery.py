@@ -37,7 +37,7 @@ def build_with_wals(wals, tmp_path=None, seed=3):
         SdurConfig(),
         seed=seed,
         intra_delay=0.001,
-        paxos_config_factory=factory,
+        paxos_for=factory,
     )
     return cluster
 
@@ -55,7 +55,7 @@ class TestRestartRecovery:
         old_states = {
             name: (
                 handle.server.sc,
-                {k: handle.server.store.read_latest(k)[1] for k in handle.server.store.keys()},
+                {k: handle.server.store.read_latest(k)[1] for k in handle.server.store.dump()},
             )
             for name, handle in cluster.servers.items()
         }

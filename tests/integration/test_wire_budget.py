@@ -76,7 +76,7 @@ from repro.core.client import SdurClient
 from repro.core.messages import CommitRequest, OutcomeNotice
 from repro.core.transaction import TxnProjection
 from tests.conftest import read_program, update_program
-from tests.integration.test_asyncio_e2e import build_aio_cluster, execute, free_ports
+from tests.integration.test_asyncio_e2e import CLIENT, build_aio_cluster, execute, free_ports
 
 COMMITS = 50
 #: Wire bytes per commit of this script (see above), and the headroom
@@ -176,8 +176,8 @@ def test_read_only_transaction_pays_one_request_per_partition():
             to_client, from_client = [], []
             for name, runtime in world._runtimes.items():
                 def counting(dst, msg, send=runtime.send, src=name):
-                    if "client" in (src, dst):
-                        (from_client if src == "client" else to_client).append(type(msg).__name__)
+                    if CLIENT in (src, dst):
+                        (from_client if src == CLIENT else to_client).append(type(msg).__name__)
                     send(dst, msg)
 
                 runtime.send = counting

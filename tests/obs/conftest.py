@@ -11,7 +11,6 @@ vote tax otherwise.
 
 from __future__ import annotations
 
-from repro.consensus.replica import PaxosConfig
 from repro.core.client import TxnResult
 from repro.core.config import SdurConfig
 from repro.core.partitioning import PartitionMap
@@ -42,15 +41,6 @@ def traced_commit(
         obs=SpanRecorder(),
     )
     cluster = SdurCluster(world, deployment, PartitionMap.by_index(2), SdurConfig())
-    for partition in deployment.partition_ids:
-        for node in deployment.directory.servers_of(partition):
-            cluster._add_server(
-                node,
-                partition,
-                PaxosConfig(
-                    static_leader=deployment.directory.preferred_of(partition)
-                ),
-            )
     client = cluster.add_client(region=deployment.preferred_region["p0"])
     if optimistic_oracle:
         optimistic_termination.install(cluster)

@@ -52,7 +52,7 @@ class TestFigure1Attribution:
         assert a.formula() == "4δ+2Δ"
         assert a.measured == pytest.approx(4 * DELTA + 2 * INTER, abs=1e-3)
         assert [t.name for t in a.terms] == ["request", "order", "vote", "notify"]
-        assert a.breakdown() == "request δ + order 2δ+Δ + vote Δ + notify δ"
+        assert summarize([a]).breakdown() == "request δ + order 2δ+Δ + vote Δ + notify δ"
 
     def test_wan1_global_adds_ledger_and_resequence_terms(self):
         result, trace, _ = traced_commit(is_global=True)
@@ -60,7 +60,7 @@ class TestFigure1Attribution:
         a = attribute(trace, DELTA, INTER)
         assert a is not None and a.matched
         assert a.formula() == "8δ+2Δ"  # +4δ vote tax over Figure 1's 4δ+2Δ
-        assert a.breakdown() == (
+        assert summarize([a]).breakdown() == (
             "request δ + order 2δ+Δ + ledger 2δ + vote Δ + resequence 2δ + notify δ"
         )
 

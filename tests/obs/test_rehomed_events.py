@@ -31,7 +31,8 @@ def traced_split_then_merge():
     cluster.start()
     cluster.world.run_for(0.5)
     now = cluster.world.now
-    FaultSchedule().split(now + 0.2, "p0").merge(now + 3.0, "p0", "p2").arm(cluster)
+    FaultSchedule().split(now + 0.2, "p0").arm(cluster)
+    cluster.world.kernel.schedule(3.0, cluster.merge_partitions, "p2", "p0")
     rng = cluster.world.rng.stream("rehomed-workload")
     done = []
 

@@ -2,7 +2,7 @@
 
 Hypothesis drives a random delivery history — commits with exact *and*
 bloom readset digests, pending-list churn (append, reorder insert,
-pop, remove), and a mid-history checkpoint roundtrip — through an
+and pop), and a mid-history checkpoint roundtrip — through an
 :class:`IndexedCertifier` and a :class:`ScanCertifier` fed identically,
 and asserts every query answers *bit-identically*: ``certify``,
 ``outcome_conflicts`` and ``find_reorder_position``.  Certification decides commit order at every
@@ -57,7 +57,6 @@ insert_op = st.tuples(
     st.just("insert"), key_sets, key_sets, st.booleans(), st.integers(0, 100),
 )
 pop_op = st.tuples(st.just("pop"))
-remove_op = st.tuples(st.just("remove"), st.integers(0, 100))
 checkpoint_op = st.tuples(st.just("checkpoint"))
 query_op = st.tuples(
     st.just("query"), key_sets, key_sets, st.booleans(), st.booleans(),
@@ -65,7 +64,7 @@ query_op = st.tuples(
 )
 
 ops = st.lists(
-    st.one_of(commit_op, append_op, insert_op, pop_op, remove_op,
+    st.one_of(commit_op, append_op, insert_op, pop_op,
               checkpoint_op, query_op),
     min_size=1,
     max_size=40,
@@ -131,12 +130,6 @@ class TestDifferential:
                 if len(sides[0].pending):
                     popped = [side.pending.pop_head().tid for side in sides]
                     assert popped[0] == popped[1]
-            elif kind == "remove":
-                if len(sides[0].pending):
-                    pick = op[1] % len(sides[0].pending)
-                    tid = list(sides[0].pending)[pick].tid
-                    for side in sides:
-                        side.pending.remove(tid)
             elif kind == "checkpoint":
                 for side in sides:
                     side.checkpoint_roundtrip()

@@ -119,7 +119,7 @@ def pend(rig, seq):
 
 def complete(rig, seq):
     """What the server's ``_complete`` does, as far as the barrier cares."""
-    rig.pending.remove(tid(seq))
+    assert rig.pending.pop_head().tid == tid(seq)
     rig.part.on_completed(tid(seq))
 
 
@@ -188,8 +188,8 @@ class TestBeginAndCapture:
         assert not rig.proposals
         # ... but it captured all the same: eviction knows the keys.
         rig.part.deliver(FinishSplit(change=rig.routing.changes[0]))
-        assert all(rig.routing.partition_map.partition_of(k) == "p0" for k in rig.store.keys())
-        assert len(list(rig.store.keys())) < len(KEYS)
+        assert all(rig.routing.partition_map.partition_of(k) == "p0" for k in rig.store.dump())
+        assert len(list(rig.store.dump())) < len(KEYS)
 
     def test_duplicate_begin_and_finish_are_no_ops(self):
         rig = make()
@@ -200,10 +200,10 @@ class TestBeginAndCapture:
         rig.part.deliver(BeginSplit(change=change))
         assert (rig.runtime.sent, rig.proposals, rig.calls) == before
         rig.part.deliver(FinishSplit(change=change))
-        kept = sorted(rig.store.keys())
+        kept = sorted(rig.store.dump())
         rig.store.apply({"0/late": 1}, 2)
         rig.part.deliver(FinishSplit(change=change))  # nothing left to evict
-        assert sorted(rig.store.keys()) == kept + ["0/late"]
+        assert sorted(rig.store.dump()) == kept + ["0/late"]
 
     def test_values_of_other_protocols_are_not_ours(self):
         rig = make()

@@ -69,7 +69,7 @@ class TestBasics:
         store.apply({"x": 1, "y": 2}, 1)
         assert "x" in store and "z" not in store
         assert len(store) == 2
-        assert set(store.keys()) == {"x", "y"}
+        assert set(store.dump()) == {"x", "y"}
 
 
 class TestGarbageCollection:

@@ -58,7 +58,7 @@ class TestQuantileBound:
         assert hist.count == len(values)
         assert math.isclose(hist.total, sum(values), rel_tol=1e-9)
         assert hist.min == min(values)
-        assert hist.max == max(values)
+        assert hist.snapshot().max == max(values)
 
     def test_empty_histogram(self):
         hist = make_hist()

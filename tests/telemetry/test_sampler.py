@@ -20,7 +20,7 @@ class TestSamplerUnit:
         assert sampler.latest("s1", "c") == 7
         assert sampler.latest("s1", "h:count") == 2
         assert sampler.latest("s1", "h:p99") >= 4.0
-        assert sampler.values("s1", "h:sum") == [6.0]
+        assert sampler.series["s1"]["h:sum"].values() == [6.0]
 
     def test_ring_capacity_bounds_history(self):
         registry = MetricRegistry("s1")
@@ -31,7 +31,7 @@ class TestSamplerUnit:
         sampler.attach("s1", registry)
         for _ in range(10):
             sampler.sample()
-        assert len(sampler.values("s1", "c")) == 4
+        assert len(sampler.series["s1"]["c"].values()) == 4
         assert sampler.samples_taken == 10
 
     def test_detach_stops_sampling_keeps_series(self):
@@ -42,7 +42,7 @@ class TestSamplerUnit:
         sampler.sample()
         del sampler.registries["s1"]
         sampler.sample()
-        assert len(sampler.values("s1", "c")) == 1
+        assert len(sampler.series["s1"]["c"].values()) == 1
 
     def test_hooks_see_flat_scalars(self):
         registry = MetricRegistry("s1")
@@ -69,7 +69,7 @@ class TestClusterSampling:
         # clock, one series per server per metric.
         assert sampler.samples_taken >= 7
         for node in cluster.servers:
-            values = sampler.values(node, "sdur_committed_local")
+            values = sampler.series[node]["sdur_committed_local"].values()
             assert values, f"no series for {node}"
             assert values[-1] == cluster.servers[node].server.stats.committed_local
             assert sampler.latest(node, "sdur_sc") == cluster.servers[node].server.sc
@@ -105,4 +105,4 @@ class TestClusterSampling:
         assert added, "split created no sampled servers"
         for node in added:
             assert cluster.servers[node].server.telemetry_enabled
-            assert sampler.values(node, "sdur_sc")
+            assert sampler.series[node]["sdur_sc"].values()

@@ -51,7 +51,6 @@ class TestRateTracker:
 class TestEwma:
     def test_first_value_seeds(self):
         ewma = Ewma(0.5)
-        assert ewma.value is None
         assert ewma.update(100.0) == 100.0
 
     def test_smoothing(self):

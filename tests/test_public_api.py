@@ -345,27 +345,31 @@ def unreferenced_defs() -> set[str]:
         dead |= found
 
 
+def _module_calls(tree: ast.Module):
+    """``(callee name, call)`` for every call in a module, import aliases
+    resolved."""
+    aliases = {
+        alias.asname: alias.name.rpartition(".")[2]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.asname
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield aliases.get(func.id, func.id), node
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node
+
+
 def _calls(trees: dict[Path, ast.Module]) -> dict[str, list[ast.Call]]:
     """Call sites by callee name, import aliases resolved."""
     calls: dict[str, list[ast.Call]] = {}
     for tree in trees.values():
-        aliases = {
-            alias.asname: alias.name.rpartition(".")[2]
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names
-            if alias.asname
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                if isinstance(func, ast.Name):
-                    name = aliases.get(func.id, func.id)
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                else:
-                    continue
-                calls.setdefault(name, []).append(node)
+        for name, node in _module_calls(tree):
+            calls.setdefault(name, []).append(node)
     return calls
 
 
@@ -427,6 +431,38 @@ def module_main_guards() -> list[str]:
             for node in tree.body
         )
     )
+
+
+#: The one module that wires a node: server, replica, fabric, hooks and
+#: the Paxos dispatch (ROADMAP 18).
+ASSEMBLY = REPO / "src" / "repro" / "harness" / "cluster.py"
+#: The frozen e2e rig keeps its own copy (tests/integration/
+#: test_asyncio_e2e.py checks it against the harness, node by node).
+FROZEN = REPO / "benchmarks" / "e2e"
+
+
+def node_wiring_outside_the_assembly() -> list[str]:
+    """Every module but :data:`ASSEMBLY` that constructs both an
+    ``SdurServer`` and a ``PaxosReplica``, and every ``_add_server`` call
+    outside it, as ``path`` and ``path:line``."""
+    found = []
+    for path, tree in _parse("src", "tests", "examples", "benchmarks").items():
+        if path == ASSEMBLY or FROZEN in path.parents:
+            continue
+        where = path.relative_to(REPO)
+        built = set()
+        for name, node in _module_calls(tree):
+            built.add(name)
+            if name == "_add_server":
+                found.append(f"{where}:{node.lineno}")
+        if {"SdurServer", "PaxosReplica"} <= built:
+            found.append(str(where))
+    return sorted(found)
+
+
+class TestOneNodeAssembly:
+    def test_only_the_harness_wires_a_node(self):
+        assert node_wiring_outside_the_assembly() == []
 
 
 class TestEveryNameHasACaller:

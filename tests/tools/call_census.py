@@ -57,7 +57,6 @@ CODEC = "wire format: a type the packed codec encodes that no driven message car
 OTHER_ENTRY = "entry point the census does not drive"
 ROADMAP_1 = "ROADMAP 1: the GC and checkpoint path"
 AUTO = "Algorithm 2 line 44: DelayMode.AUTO's latency estimate"
-SURFACE = "query or mutator on a production class that only tests call (ROADMAP 19 follow-up)"
 EXEMPT: dict[str, str] = {
     "consensus/replica.py::PaxosReplica._arm_propose_retry": SAFETY,
     "core/pending.py::PendingTxn.min_dep": SAFETY,
@@ -105,19 +104,6 @@ EXEMPT: dict[str, str] = {
     "sim/latency.py::JitteredLatency.expected": AUTO,
     "workload/distributions.py::UniformSampler.population": "interface: implements KeySampler.population",
     "workload/distributions.py::ZipfSampler.population": "interface: implements KeySampler.population",
-    "core/client.py::Txn.tid": SURFACE,
-    "core/partitioning.py::PartitionMap.partition_ids": SURFACE,
-    "core/pending.py::PendingList.remove": SURFACE,
-    "harness/faults.py::FaultSchedule.merge": SURFACE,
-    "metrics/collector.py::MetricsCollector.labels": SURFACE,
-    "obs/attribution.py::Attribution.breakdown": SURFACE,
-    "storage/bloom.py::BloomFilter.false_positive_rate": SURFACE,
-    "storage/mvstore.py::MultiVersionStore.keys": SURFACE,
-    "telemetry/instruments.py::LogLinearHistogram.max": SURFACE,
-    "telemetry/sampler.py::TelemetrySampler.values": SURFACE,
-    "telemetry/series.py::Ewma.value": SURFACE,
-    "workload/base.py::Workload.initial_data": SURFACE,
-    "workload/overload.py::HotKeyStorm.initial_data": SURFACE,
 }
 
 

@@ -84,44 +84,21 @@ class TestHotKeyStorm:
         hot = labels.count("hot")
         assert 60 < hot < 140  # ~50% with slack
 
-    def test_initial_data_seeds_hot_keys(self):
-        data = self._storm([0.0]).initial_data()
-        for key in HOT:
-            assert data[key] == 0
-
-    def test_initial_data_never_clobbers_the_base(self):
-        class SeededBase(MicroBenchmark):
-            def initial_data(self):
-                return {HOT[0]: 42, "0/cold": 7}
-
-        storm = HotKeyStorm(
-            SeededBase(1, 0, 0.0, items_per_partition=10),
-            clock=lambda: 0.0,
-            hot_keys=HOT,
-            start=5.0,
-            end=10.0,
-        )
-        data = storm.initial_data()
-        assert data[HOT[0]] == 42  # base's value wins
-        assert data["0/cold"] == 7
-        assert data[HOT[1]] == 0  # missing hot keys are zero-seeded
-
     def test_hot_program_increments_both_keys(self):
         """The storm program reads two hot keys and writes both + 1."""
-        from repro.workload.overload import _update_hot
-
         writes = {}
 
         class FakeTxn:
             def write(self, key, value):
                 writes[key] = value
 
-        program = _update_hot(HOT[0], HOT[1])(FakeTxn())
-        read = next(program)
-        assert set(read.keys) == {HOT[0], HOT[1]}
+        spec = self._storm([6.0]).next_txn(random.Random(7))
+        program = spec.program(FakeTxn())
+        key_a, key_b = next(program).keys
+        assert spec.label == "hot" and {key_a, key_b} < set(HOT)
         with pytest.raises(StopIteration):
-            program.send({HOT[0]: 3, HOT[1]: "unseeded"})
-        assert writes == {HOT[0]: 4, HOT[1]: 1}
+            program.send({key_a: 3, key_b: "unseeded"})
+        assert writes == {key_a: 4, key_b: 1}
 
     def test_validation(self):
         base = MicroBenchmark(1, 0, 0.0, items_per_partition=10)
